@@ -315,9 +315,11 @@ func WithoutTraversal() Option { return core.WithoutTraversal() }
 // WithKeyMaxArity bounds key mining when the Source has no declared key.
 func WithKeyMaxArity(n int) Option { return core.WithKeyMaxArity(n) }
 
-// WithIndexShards selects the shard count of the compressed inverted
-// substrate a Reclaimer session builds; 0 keeps the uncompressed map form.
-// Session-level: pass it through the Config given to NewReclaimer.
+// WithIndexShards selects the shard count of the inverted substrate a
+// Reclaimer session builds; ≤ 1 means one shard. Results are bit-identical
+// across shard counts; at the default 8 a 1 500-table lake indexes in
+// 42–50 ms / 16.9 MB on 2 CPUs. Session-level: pass it through the Config
+// given to NewReclaimer.
 func WithIndexShards(n int) Option { return core.WithIndexShards(n) }
 
 // WithRequireCandidates turns an empty discovery result into

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -39,15 +40,15 @@ func TestQueriesDoNotGrowLakeDict(t *testing.T) {
 }
 
 // TestPipelineInternedMatchesStringReference is the end-to-end equivalence
-// oracle for the lake-wide value dictionary: the default pipeline — interned
-// discovery sets, ID-tuple matrix alignment, ID-keyed integration — must
-// produce results identical to a pipeline forced onto the retained
-// string-based reference paths (string-keyed inverted index, canonical-key
-// matrices and integration), on every source of a TP-TR benchmark and under
+// oracle for the interned traversal and integration paths: over the same
+// discovered candidates, the default pipeline — ID-tuple matrix alignment,
+// ID-keyed integration — must produce results identical to a pipeline forced
+// onto the dictionary-less reference paths (canonical-key matrices and
+// integration, the only ones that run for keys wider than
+// table.MaxInternKeyArity), on every source of a TP-TR benchmark and under
 // both matrix encodings.
 func TestPipelineInternedMatchesStringReference(t *testing.T) {
 	b := buildTPTR(t)
-	refIx := &index.IndexSet{Inverted: index.BuildInvertedReference(b.Lake)}
 	for _, enc := range []matrix.Encoding{matrix.ThreeValued, matrix.TwoValued} {
 		cfg := DefaultConfig()
 		cfg.Encoding = enc
@@ -56,17 +57,38 @@ func TestPipelineInternedMatchesStringReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: interned pipeline: %v", src.Name, err)
 			}
-			// The reference run: nil dict (string-keyed matrix/integration)
-			// over string-keyed discovery. DiscoverWith selects its string
-			// path because the reference index carries no dictionary.
+			// The reference run: a nil dict puts traversal and integration on
+			// their canonical-string paths.
 			reference, err := reclaimPipeline(context.Background(), src, cfg, nil, lake.Epoch{},
 				func(ctx context.Context, keyed *table.Table, dopts discovery.Options) ([]*discovery.Candidate, error) {
-					return discovery.DiscoverWithContext(ctx, b.Lake, refIx, keyed, dopts)
+					return discovery.DiscoverContext(ctx, b.Lake, keyed, dopts)
 				})
 			if err != nil {
 				t.Fatalf("%s: reference pipeline: %v", src.Name, err)
 			}
 			assertSameResult(t, src.Name, reference, interned)
 		}
+	}
+}
+
+// TestUseIndexesRefusesForeignDictionary: a dictionary-less set whose
+// inverted index is keyed under another lake's dictionary cannot serve this
+// lake; injection fails with lake.ErrDictMismatch (which boot.AdoptIndexes
+// routes to rebuild-with-warning) and leaves the session usable.
+func TestUseIndexesRefusesForeignDictionary(t *testing.T) {
+	b := buildTPTR(t)
+	other := buildTPTR(t)
+	r := NewReclaimer(b.Lake, DefaultConfig())
+	err := r.UseIndexes(&index.IndexSet{Inverted: index.BuildInverted(other.Lake)})
+	if !errors.Is(err, lake.ErrDictMismatch) {
+		t.Fatalf("foreign-dictionary injection: got %v, want lake.ErrDictMismatch", err)
+	}
+	if _, err := r.Reclaim(b.Sources[0]); err != nil {
+		t.Fatalf("session unusable after the refused injection: %v", err)
+	}
+	// The same set keyed under the lake's own dictionary is accepted.
+	r2 := NewReclaimer(b.Lake, DefaultConfig())
+	if err := r2.UseIndexes(&index.IndexSet{Inverted: index.BuildInverted(b.Lake)}); err != nil {
+		t.Fatalf("own-dictionary injection refused: %v", err)
 	}
 }

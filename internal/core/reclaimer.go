@@ -55,8 +55,7 @@ const maxCatchUpChain = 8
 // incrementally when an ancestor state has a maintainable copy.
 type epochState struct {
 	snap *lake.Snapshot
-	// shards is the session's Config.IndexShards, captured at state creation:
-	// >0 builds the compressed sharded inverted form, 0 the map form.
+	// shards is the session's Config.IndexShards, captured at state creation.
 	shards int
 	// prev links toward the ancestor states substrate catch-up derives from;
 	// cleared once both substrates are resolved (or at chain-trim time) so
@@ -190,13 +189,9 @@ func (s *epochState) inverted() *index.Inverted {
 				s.invPtr.Store(nix)
 				return
 			}
-			break // unmaintainable (reference form or dict swap): rebuild
+			break // unmaintainable (dict swap or in-place edit): rebuild
 		}
-		if s.shards > 0 {
-			s.invPtr.Store(index.BuildInvertedSharded(s.snap, s.shards))
-		} else {
-			s.invPtr.Store(index.BuildInverted(s.snap))
-		}
+		s.invPtr.Store(index.BuildInvertedSharded(s.snap, s.shards))
 	})
 	s.dropPrevIfDone()
 	return s.invPtr.Load()
@@ -266,12 +261,12 @@ func (s *epochState) semantic(emb embed.Embedder) *embed.CosineLSH {
 // substrate keyed under dict — the shared precondition of both substrate
 // catch-ups. ok is false when no table-level delta applies: the snapshot
 // diff refuses (dictionary adoption or an in-place edit in between), or the
-// substrate is not keyed under the new snapshot's dictionary (a string
-// reference form, or an injected index sketched under a foreign dictionary,
-// which must not have current-dictionary IDs mixed into it).
+// substrate is not keyed under the new snapshot's dictionary (an injected
+// LSH index sketched under a foreign dictionary, which must not have
+// current-dictionary IDs mixed into it).
 func deltaForms(dict *table.Dict, old, new *lake.Snapshot) (added, removed []*table.Interned, ok bool) {
 	at, rt, ok := lake.Diff(old, new)
-	if !ok || dict == nil || dict != new.Dict() {
+	if !ok || dict != new.Dict() {
 		return nil, nil, false
 	}
 	return internForms(new, at), internForms(old, rt), true
@@ -347,12 +342,14 @@ func (s *epochState) indexSet(opts discovery.Options) *index.IndexSet {
 
 // UseIndexes injects prebuilt or persisted substrates for the lake's
 // current epoch. Nil members of ix are still built lazily. When ix carries a
-// value dictionary (a persisted ID-keyed set), the lake adopts it before
-// interning anything, so the persisted IDs keep meaning the same values; a
+// value dictionary (a persisted set), the lake adopts it before interning
+// anything, so the persisted IDs keep meaning the same values; a
 // lake.ErrDictMismatch from that adoption means the lake holds values the
 // persisted dictionary has never seen — the indexes would silently miss
 // them — and the caller should rebuild instead (the cmd/gent -index-dir
-// rebuild-with-warning path).
+// rebuild-with-warning path). A dictionary-less set whose inverted index is
+// keyed under any dictionary but the lake's own is refused with the same
+// error: its IDs mean nothing here.
 //
 // Ordering contract, relaxed from v2's one-shot rule: injection is allowed
 // between epochs — before the first query of the epoch the lake is
@@ -398,6 +395,9 @@ func (r *Reclaimer) UseIndexes(ix *index.IndexSet) error {
 		if ix.Semantic != nil {
 			ix.Semantic.RebindDict(d)
 		}
+	} else if ix.Inverted != nil && ix.Inverted.Dict() != ls.Dict() {
+		return fmt.Errorf("core: %w: inverted index is keyed under a different dictionary than the lake's",
+			lake.ErrDictMismatch)
 	}
 	// A semantic substrate persisted under an external embedder loads without
 	// one; reunite it with the session's embedder when the fingerprints match

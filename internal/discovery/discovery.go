@@ -12,6 +12,7 @@ package discovery
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -266,20 +267,6 @@ func searchColumns(ctx context.Context, ncols int, probe func(ci int) []index.Ov
 	return out, nil
 }
 
-// colOverlap measures |a ∩ b| / |b| over canonical value sets.
-func colOverlap(a, b map[string]bool) float64 {
-	if len(b) == 0 {
-		return 0
-	}
-	n := 0
-	for v := range a {
-		if b[v] {
-			n++
-		}
-	}
-	return float64(n) / float64(len(b))
-}
-
 // perColumnCandidate is one lake column qualifying for one Source column.
 type perColumnCandidate struct {
 	tableName string
@@ -302,43 +289,24 @@ type perColumnCandidate struct {
 // depends on the query and the matched column, so results are identical to a
 // pool-only index.
 //
-// When ix is ID-keyed under the pool's own value dictionary, every set
+// ix must be keyed under the pool's own value dictionary: every set
 // operation (probing, diversification, rename matching, aligned-tuple
-// verification, subsumption) runs on interned ID sets; otherwise the
-// original canonical-string sets are used. The two representations are
-// equivalence-tested to produce bit-identical candidates.
+// verification, subsumption) runs on interned ID sets. An index keyed under
+// another dictionary yields no candidates here; the context entry points
+// report it as an error wrapping lake.ErrDictMismatch.
 func SetSimilarity(pool *lake.Lake, ix *index.Inverted, src *table.Table, opts Options) []*Candidate {
 	cands, _ := setSimilarityContext(context.Background(), pool.Snapshot(), ix, src, opts)
 	return cands
 }
 
-// simSets abstracts the value-set representation Set Similarity runs on:
-// interned ID sets (the hot path) or canonical-string sets (the reference).
-// Implementations must be safe for the concurrent probe fan-out.
-type simSets interface {
-	// probe searches the index with Source column ci's distinct values; nil
-	// when the column has none (a non-nil empty result still counts the
-	// column into the score denominator).
-	probe(ci int) []index.Overlap
-	// prevOverlap is Equation 10's penalty term for diversification:
-	// |prev ∩ cur| / |cur| over the two pool columns' distinct values.
-	prevOverlap(prev, cur perColumnCandidate) float64
-	// assemble schema-matches and verifies one ranked pool table, returning
-	// its candidate (Score left for the caller) or ok=false to drop it.
-	assemble(name string) (*Candidate, bool)
-	// removeSubsumed is Algorithm 3 line 15 over assembled candidates.
-	removeSubsumed(cands []*Candidate) []*Candidate
-}
-
 // setSimilarityContext is SetSimilarity under a context; cancellation
 // preempts the per-column probe loop and the per-table verification scan.
 func setSimilarityContext(ctx context.Context, pool *lake.Snapshot, ix *index.Inverted, src *table.Table, opts Options) ([]*Candidate, error) {
-	var sets simSets
-	if d := ix.Dict(); d != nil && d == pool.Dict() {
-		sets = newIDSets(pool, ix, src, opts.Tau)
-	} else {
-		sets = &stringSets{pool: pool, ix: ix, src: src, tau: opts.Tau}
+	if ix.Dict() != pool.Dict() {
+		return nil, fmt.Errorf("discovery: %w: inverted index is keyed under a different dictionary than the lake's",
+			lake.ErrDictMismatch)
 	}
+	sets := newIDSets(pool, ix, src, opts.Tau)
 
 	type agg struct {
 		sum float64
@@ -439,56 +407,11 @@ func setSimilarityContext(ctx context.Context, pool *lake.Snapshot, ix *index.In
 	return cands, nil
 }
 
-// stringSets is the retained canonical-string representation — the reference
-// implementation the interned path is equivalence-tested against, and the
-// fallback when the index is not ID-keyed under the pool's dictionary.
-type stringSets struct {
-	pool *lake.Snapshot
-	ix   *index.Inverted
-	src  *table.Table
-	tau  float64
-}
-
-func (s *stringSets) probe(ci int) []index.Overlap {
-	qset := s.src.ColumnSet(ci)
-	if len(qset) == 0 {
-		return nil
-	}
-	return s.ix.SearchSet(qset)
-}
-
-func (s *stringSets) prevOverlap(prev, cur perColumnCandidate) float64 {
-	curSet := s.pool.Get(cur.tableName).ColumnSet(cur.col)
-	if len(curSet) == 0 {
-		return 0
-	}
-	return colOverlap(s.pool.Get(prev.tableName).ColumnSet(prev.col), curSet)
-}
-
-func (s *stringSets) assemble(name string) (*Candidate, bool) {
-	t := s.pool.Get(name)
-	if t == nil {
-		return nil, false
-	}
-	renamed, matched := renameToSource(t, s.src, s.tau)
-	if len(matched) == 0 {
-		return nil, false
-	}
-	if !alignedTuplesQualify(renamed, s.src, matched, s.tau) {
-		return nil, false
-	}
-	return &Candidate{Table: renamed, Sources: []string{name}}, true
-}
-
-func (s *stringSets) removeSubsumed(cands []*Candidate) []*Candidate {
-	return removeSubsumedCandidates(cands, s.src)
-}
-
-// idSets is the interned representation: the Source is interned once per
-// query — through a query-scoped overlay, so source values the lake has
-// never seen do not grow the shared dictionary — and every set operation
-// runs on sorted ID slices, so no value string is hashed or built anywhere
-// in the search.
+// idSets is the value-set representation Set Similarity runs on: the Source
+// is interned once per query — through a query-scoped overlay, so source
+// values the lake has never seen do not grow the shared dictionary — and
+// every set operation runs on sorted ID slices, so no value string is hashed
+// or built anywhere in the search.
 type idSets struct {
 	pool *lake.Snapshot
 	ix   *index.Inverted
@@ -512,6 +435,9 @@ func newIDSets(pool *lake.Snapshot, ix *index.Inverted, src *table.Table, tau fl
 	}
 }
 
+// probe searches the index with Source column ci's distinct values; nil when
+// the column has none (a non-nil empty result still counts the column into
+// the score denominator). Safe for the concurrent probe fan-out.
 func (s *idSets) probe(ci int) []index.Overlap {
 	ids := s.q.ColumnIDs(ci)
 	if len(ids) == 0 {
@@ -524,6 +450,8 @@ func (s *idSets) colIDs(name string, col int) []uint32 {
 	return s.pool.Interned(name).ColumnIDs(col)
 }
 
+// prevOverlap is Equation 10's penalty term for diversification:
+// |prev ∩ cur| / |cur| over the two pool columns' distinct values.
 func (s *idSets) prevOverlap(prev, cur perColumnCandidate) float64 {
 	curIDs := s.colIDs(cur.tableName, cur.col)
 	if len(curIDs) == 0 {
@@ -532,6 +460,8 @@ func (s *idSets) prevOverlap(prev, cur perColumnCandidate) float64 {
 	return colOverlapIDs(s.colIDs(prev.tableName, prev.col), curIDs)
 }
 
+// assemble schema-matches and verifies one ranked pool table, returning its
+// candidate (Score left for the caller) or ok=false to drop it.
 func (s *idSets) assemble(name string) (*Candidate, bool) {
 	t := s.pool.Get(name)
 	if t == nil {
@@ -550,6 +480,12 @@ func (s *idSets) assemble(name string) (*Candidate, bool) {
 	return c, true
 }
 
+// removeSubsumed drops any candidate whose columns and column values are all
+// contained in another candidate (Algorithm 3 line 15). Containment is
+// checked over every column, not just the source-matched ones: on
+// low-cardinality columns a noisy variant can cover a clean one's matched
+// value sets even though its other cells differ, and pruning the clean table
+// there would be wrong. Exact duplicates keep the higher-ranked copy.
 func (s *idSets) removeSubsumed(cands []*Candidate) []*Candidate {
 	sets := make([]map[string][]uint32, len(cands)) // cand -> colName -> sorted IDs
 	for i, c := range cands {
@@ -594,8 +530,7 @@ func (s *idSets) removeSubsumed(cands []*Candidate) []*Candidate {
 	return out
 }
 
-// colOverlapIDs measures |a ∩ b| / |b| over sorted distinct ID slices — the
-// ID analogue of colOverlap.
+// colOverlapIDs measures |a ∩ b| / |b| over sorted distinct ID slices.
 func colOverlapIDs(a, b []uint32) float64 {
 	if len(b) == 0 {
 		return 0
@@ -607,8 +542,7 @@ func colOverlapIDs(a, b []uint32) float64 {
 // each has high overlap with the Source but low overlap with the previous
 // candidate (Equation 10), demoting near-duplicate tables. The adjusted
 // scores are what Algorithm 3 accumulates into the table ranking;
-// prevOverlap supplies Equation 10's penalty term under the active set
-// representation.
+// prevOverlap supplies Equation 10's penalty term.
 func diversify(ranked []perColumnCandidate, prevOverlap func(prev, cur perColumnCandidate) float64) []perColumnCandidate {
 	if len(ranked) <= 1 {
 		return ranked
@@ -641,31 +575,14 @@ type renamePair struct {
 	overlap    float64
 }
 
-// renameToSource matches candidate columns to Source columns by containment
-// and renames matched columns (implicit schema matching). The greedy
-// assignment is one-to-one, highest containment first. Unmatched candidate
-// columns keep their names unless they collide with a Source column name, in
-// which case they get a "~" suffix so later unions cannot confuse them.
-// matched maps Source column name -> candidate column index (pre-rename).
-func renameToSource(t, src *table.Table, tau float64) (*table.Table, map[string]int) {
-	srcSets := make([]map[string]bool, len(src.Cols))
-	for i := range src.Cols {
-		srcSets[i] = src.ColumnSet(i)
-	}
-	pairs := make([]renamePair, 0)
-	for tc := range t.Cols {
-		tset := t.ColumnSet(tc)
-		for sc := range src.Cols {
-			if ov := colOverlap(tset, srcSets[sc]); ov >= tau {
-				pairs = append(pairs, renamePair{tc, sc, ov})
-			}
-		}
-	}
-	return assignRename(t, src, pairs)
-}
-
-// renameToSourceIDs is renameToSource over interned ID sets: it (the
-// candidate's interned form) and q (the Source's) supply the column sets.
+// renameToSourceIDs matches candidate columns to Source columns by
+// containment and renames matched columns (implicit schema matching); it
+// (the candidate's interned form) and q (the Source's) supply the column
+// sets. The greedy assignment is one-to-one, highest containment first.
+// Unmatched candidate columns keep their names unless they collide with a
+// Source column name, in which case they get a "~" suffix so later unions
+// cannot confuse them. matched maps Source column name -> candidate column
+// index (pre-rename).
 func renameToSourceIDs(t *table.Table, it, q *table.Interned, src *table.Table, tau float64) (*table.Table, map[string]int) {
 	pairs := make([]renamePair, 0)
 	for tc := range t.Cols {
@@ -679,8 +596,8 @@ func renameToSourceIDs(t *table.Table, it, q *table.Interned, src *table.Table, 
 	return assignRename(t, src, pairs)
 }
 
-// assignRename is the shared tail of the rename paths: greedy one-to-one
-// assignment, highest containment first, then the rename itself.
+// assignRename is the greedy one-to-one assignment, highest containment
+// first, then the rename itself.
 func assignRename(t, src *table.Table, pairs []renamePair) (*table.Table, map[string]int) {
 	sort.Slice(pairs, func(i, j int) bool {
 		if pairs[i].overlap != pairs[j].overlap {
@@ -719,53 +636,12 @@ func assignRename(t, src *table.Table, pairs []renamePair) (*table.Table, map[st
 	return t.Rename(rename), matched
 }
 
-// alignedTuplesQualify implements Algorithm 3 lines 11–14: keep only rows of
-// the candidate whose matched-column values appear in the Source, and verify
-// that within those rows at least one matched column still overlaps the
-// Source column above τ.
-func alignedTuplesQualify(t, src *table.Table, matched map[string]int, tau float64) bool {
-	type mc struct {
-		tCol int
-		set  map[string]bool // source column's distinct values
-	}
-	mcs := make([]mc, 0, len(matched))
-	for sName, tCol := range matched {
-		mcs = append(mcs, mc{tCol, src.ColumnSet(src.ColIndex(sName))})
-	}
-	alignedSets := make([]map[string]bool, len(mcs))
-	for i := range alignedSets {
-		alignedSets[i] = make(map[string]bool)
-	}
-	for _, r := range t.Rows {
-		aligned := false
-		for _, m := range mcs {
-			v := r[m.tCol]
-			if !v.IsNull() && m.set[v.Key()] {
-				aligned = true
-				break
-			}
-		}
-		if !aligned {
-			continue
-		}
-		for i, m := range mcs {
-			v := r[m.tCol]
-			if !v.IsNull() && m.set[v.Key()] {
-				alignedSets[i][v.Key()] = true
-			}
-		}
-	}
-	for i, m := range mcs {
-		if len(m.set) > 0 && float64(len(alignedSets[i]))/float64(len(m.set)) >= tau {
-			return true
-		}
-	}
-	return false
-}
-
-// alignedTuplesQualifyIDs is alignedTuplesQualify over interned columns: the
-// candidate's interned form it is row-aligned with the (renamed) candidate,
-// so membership checks read precomputed IDs instead of hashing Value.Key.
+// alignedTuplesQualifyIDs implements Algorithm 3 lines 11–14: keep only rows
+// of the candidate whose matched-column values appear in the Source, and
+// verify that within those rows at least one matched column still overlaps
+// the Source column above τ. The candidate's interned form it is row-aligned
+// with the (renamed) candidate, so membership checks read precomputed IDs
+// instead of hashing Value.Key.
 func alignedTuplesQualifyIDs(it, q *table.Interned, src *table.Table, matched map[string]int, tau float64) bool {
 	type mc struct {
 		tCol int
@@ -810,57 +686,4 @@ func alignedTuplesQualifyIDs(it, q *table.Interned, src *table.Table, matched ma
 		}
 	}
 	return false
-}
-
-// removeSubsumedCandidates drops any candidate whose columns and column
-// values are all contained in another candidate (Algorithm 3 line 15).
-// Containment is checked over every column, not just the source-matched
-// ones: on low-cardinality columns a noisy variant can cover a clean one's
-// matched value sets even though its other cells differ, and pruning the
-// clean table there would be wrong. Exact duplicates keep the higher-ranked
-// copy.
-func removeSubsumedCandidates(cands []*Candidate, src *table.Table) []*Candidate {
-	sets := make([]map[string]map[string]bool, len(cands)) // cand -> colName -> values
-	for i, c := range cands {
-		sets[i] = make(map[string]map[string]bool)
-		for ci, name := range c.Table.Cols {
-			sets[i][name] = c.Table.ColumnSet(ci)
-		}
-	}
-	contains := func(big, small map[string]map[string]bool) bool {
-		for name, vals := range small {
-			b, ok := big[name]
-			if !ok {
-				return false
-			}
-			for v := range vals {
-				if !b[v] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	out := make([]*Candidate, 0, len(cands))
-	for i, c := range cands {
-		subsumed := false
-		for j := range cands {
-			if i == j {
-				continue
-			}
-			if contains(sets[j], sets[i]) {
-				// Mutual containment = duplicates: keep the earlier (higher
-				// ranked) one.
-				if contains(sets[i], sets[j]) && i < j {
-					continue
-				}
-				subsumed = true
-				break
-			}
-		}
-		if !subsumed {
-			out = append(out, c)
-		}
-	}
-	return out
 }

@@ -171,13 +171,17 @@ func TestDiversifyDemotesDuplicates(t *testing.T) {
 }
 
 func TestSubsumedCandidateRemoval(t *testing.T) {
-	src := exampleSource()
 	big := &Candidate{Table: table.New("big", "Name", "Age"), Sources: []string{"big"}}
 	big.Table.AddRow(table.S("Smith"), table.N(27))
 	big.Table.AddRow(table.S("Brown"), table.N(24))
 	small := &Candidate{Table: table.New("small", "Name"), Sources: []string{"small"}}
 	small.Table.AddRow(table.S("Smith"))
-	got := removeSubsumedCandidates([]*Candidate{big, small}, src)
+	dict := table.NewDict()
+	sets := &idSets{internedOf: map[*Candidate]*table.Interned{
+		big:   table.InternTable(dict, big.Table),
+		small: table.InternTable(dict, small.Table),
+	}}
+	got := sets.removeSubsumed([]*Candidate{big, small})
 	if len(got) != 1 || got[0].Sources[0] != "big" {
 		t.Errorf("subsumed candidate survived: %v", candidateNames(got))
 	}
@@ -234,7 +238,8 @@ func TestRenameAvoidsCollisions(t *testing.T) {
 	tb := table.New("tricky", "Name", "person")
 	tb.AddRow(table.S("not-a-person"), table.S("Smith"))
 	tb.AddRow(table.S("also-not"), table.S("Brown"))
-	renamed, matched := renameToSource(tb, src, 0.2)
+	dict := table.NewDict()
+	renamed, matched := renameToSourceIDs(tb, table.InternTable(dict, tb), table.InternTable(dict, src), src, 0.2)
 	if _, ok := matched["Name"]; !ok {
 		t.Fatal("person column should match source Name")
 	}

@@ -1,6 +1,8 @@
 package discovery
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -13,8 +15,8 @@ import (
 
 // randomDiscoveryCorpus builds a random source plus a lake of overlapping
 // variants — projections, renamed columns, noisy and duplicated values,
-// numeric-text spellings — the regime where the interned and string set
-// representations must agree on every ranking and verification decision.
+// numeric-text spellings — the regime where ranking and verification
+// decisions are closest to their thresholds.
 func randomDiscoveryCorpus(rng *rand.Rand) (*lake.Lake, *table.Table) {
 	nCols := 2 + rng.Intn(3)
 	cols := make([]string, nCols)
@@ -112,17 +114,15 @@ func sameCandidates(t *testing.T, label string, a, b []*Candidate) {
 	}
 }
 
-// TestDiscoveryInternedMatchesReference is the randomized equivalence test
-// for the interned set representation: on random corpora, SetSimilarity and
-// the full Discover pipeline must produce bit-identical candidates whether
-// the index is ID-keyed (interned path) or string-keyed (reference path),
-// with and without diversification and subsumption removal.
-func TestDiscoveryInternedMatchesReference(t *testing.T) {
+// TestDiscoveryIndependentOfShardCount: on random corpora, SetSimilarity and
+// the full Discover pipeline must produce bit-identical candidates at every
+// shard count of the inverted index and on the one-shot path, with and
+// without diversification and subsumption removal.
+func TestDiscoveryIndependentOfShardCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	for trial := 0; trial < 25; trial++ {
 		l, src := randomDiscoveryCorpus(rng)
-		idIx := index.BuildInverted(l)
-		refIx := index.BuildInvertedReference(l)
+		one := index.BuildInvertedSharded(l, 1)
 
 		for _, conf := range []struct {
 			name string
@@ -134,12 +134,32 @@ func TestDiscoveryInternedMatchesReference(t *testing.T) {
 		} {
 			opts := DefaultOptions()
 			conf.mut(&opts)
-			sameCandidates(t, fmt.Sprintf("trial %d %s setsim", trial, conf.name),
-				SetSimilarity(l, idIx, src, opts),
-				SetSimilarity(l, refIx, src, opts))
-			sameCandidates(t, fmt.Sprintf("trial %d %s discover", trial, conf.name),
-				DiscoverWith(l, &index.IndexSet{Inverted: idIx}, src, opts),
-				DiscoverWith(l, &index.IndexSet{Inverted: refIx}, src, opts))
+			wantSim := SetSimilarity(l, one, src, opts)
+			wantAll := DiscoverWith(l, &index.IndexSet{Inverted: one}, src, opts)
+			sameCandidates(t, fmt.Sprintf("trial %d %s one-shot", trial, conf.name), Discover(l, src, opts), wantAll)
+			for _, nshards := range []int{3, 8} {
+				ix := index.BuildInvertedSharded(l, nshards)
+				sameCandidates(t, fmt.Sprintf("trial %d %s setsim at %d shards", trial, conf.name, nshards),
+					SetSimilarity(l, ix, src, opts), wantSim)
+				sameCandidates(t, fmt.Sprintf("trial %d %s discover at %d shards", trial, conf.name, nshards),
+					DiscoverWith(l, &index.IndexSet{Inverted: ix}, src, opts), wantAll)
+			}
 		}
+	}
+}
+
+// TestForeignDictionaryIndexRefused: an inverted index keyed under any
+// dictionary but the pool's own has no meaning over the pool's interned
+// forms; discovery refuses it with lake.ErrDictMismatch instead of probing
+// it (and SetSimilarity, which cannot report errors, finds nothing).
+func TestForeignDictionaryIndexRefused(t *testing.T) {
+	l, src := exampleLake(), exampleSource()
+	foreign := &index.IndexSet{Inverted: index.BuildInverted(exampleLake())}
+	cands, err := DiscoverWithSnapContext(context.Background(), l.Snapshot(), foreign, src, DefaultOptions())
+	if !errors.Is(err, lake.ErrDictMismatch) || cands != nil {
+		t.Fatalf("foreign-dictionary index: got %v / %v, want lake.ErrDictMismatch", err, cands)
+	}
+	if cands := SetSimilarity(l, foreign.Inverted, src, DefaultOptions()); cands != nil {
+		t.Fatalf("SetSimilarity over a foreign-dictionary index found %v", candidateNames(cands))
 	}
 }

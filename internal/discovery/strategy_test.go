@@ -53,8 +53,7 @@ func legacyDiscover(t *testing.T, snap *lake.Snapshot, ix *index.Inverted, src *
 
 // TestSyntacticStrategyBitIdentical pins the strategy layer's default path
 // to the pre-strategy pipeline: with semantic off, the layered entry points
-// must produce bit-identical candidates under both set encodings (interned
-// IDs and the canonical-string reference), and report a zero semantic count.
+// must produce bit-identical candidates and report a zero semantic count.
 func TestSyntacticStrategyBitIdentical(t *testing.T) {
 	l := exampleLake()
 	src := exampleSource()
@@ -78,24 +77,13 @@ func TestSyntacticStrategyBitIdentical(t *testing.T) {
 			t.Fatalf("strategy-off stats = %+v", stats)
 		}
 
-		// ID-keyed prebuilt substrates (the interned hot path).
-		ids := index.BuildIndexSet(snap)
-		gotIDs, err := DiscoverWithSnapContext(context.Background(), snap, ids, src, opts)
+		// Prebuilt substrates.
+		gotWith, err := DiscoverWithSnapContext(context.Background(), snap, index.BuildIndexSet(snap), src, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(gotIDs, want) {
-			t.Fatal("strategy-off interned encoding diverged from legacy pipeline")
-		}
-
-		// String-keyed reference substrate forces the stringSets encoding.
-		ref := &index.IndexSet{Inverted: index.BuildInvertedReference(snap)}
-		gotRef, err := DiscoverWithSnapContext(context.Background(), snap, ref, src, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotRef, want) {
-			t.Fatal("strategy-off reference encoding diverged from legacy pipeline")
+		if !reflect.DeepEqual(gotWith, want) {
+			t.Fatal("strategy-off prebuilt-substrate path diverged from legacy pipeline")
 		}
 	}
 }

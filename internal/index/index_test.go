@@ -31,12 +31,7 @@ func buildLake() *lake.Lake {
 }
 
 func TestInvertedSearch(t *testing.T) {
-	ix := BuildInverted(buildLake())
-	query := map[string]bool{
-		table.S("Smith").Key(): true,
-		table.S("Brown").Key(): true,
-	}
-	got := ix.SearchSet(query)
+	got := searchValues(BuildInverted(buildLake()), table.S("Smith"), table.S("Brown"))
 	if len(got) != 2 {
 		t.Fatalf("got %d overlapping columns, want 2: %v", len(got), got)
 	}
@@ -52,14 +47,11 @@ func TestInvertedSearch(t *testing.T) {
 	}
 }
 
-func TestInvertedSearchColumnAndSizes(t *testing.T) {
-	l := buildLake()
-	ix := BuildInverted(l)
-	q := table.New("q", "who")
-	q.AddRow(table.S("Wang"))
-	got := ix.SearchColumn(q, 0)
+func TestInvertedColumnSizes(t *testing.T) {
+	ix := BuildInverted(buildLake())
+	got := searchValues(ix, table.S("Wang"))
 	if len(got) != 1 || got[0].Ref.Table != "people" {
-		t.Fatalf("SearchColumn wrong: %v", got)
+		t.Fatalf("single-value search wrong: %v", got)
 	}
 	if ix.ColumnSize(ColumnRef{Table: "people", Col: 0}) != 3 {
 		t.Error("column size wrong")
@@ -68,7 +60,7 @@ func TestInvertedSearchColumnAndSizes(t *testing.T) {
 
 func TestInvertedEmptyQuery(t *testing.T) {
 	ix := BuildInverted(buildLake())
-	if got := ix.SearchSet(nil); len(got) != 0 {
+	if got := ix.SearchIDs(nil); len(got) != 0 {
 		t.Error("empty query must return nothing")
 	}
 }
@@ -79,7 +71,7 @@ func TestInvertedIgnoresNulls(t *testing.T) {
 	tb.AddRow(table.Null)
 	laketest.Add(l, tb)
 	ix := BuildInverted(l)
-	if got := ix.SearchSet(map[string]bool{table.Null.Key(): true}); len(got) != 0 {
+	if got := ix.SearchIDs([]uint32{table.NullID}); len(got) != 0 {
 		t.Error("nulls must never be indexed or matched")
 	}
 }
@@ -126,12 +118,12 @@ func TestMinHashTopKBound(t *testing.T) {
 }
 
 func TestEstimateJaccardIdentical(t *testing.T) {
-	set := map[string]bool{"a": true, "b": true, "c": true}
-	if got := estimateJaccard(sketch(set), sketch(set)); got != 1 {
+	set := []uint32{1, 2, 3}
+	if got := estimateJaccard(sketchIDs(set), sketchIDs(set)); got != 1 {
 		t.Errorf("identical sets estimate %v, want 1", got)
 	}
-	other := map[string]bool{"x": true, "y": true, "z": true}
-	if got := estimateJaccard(sketch(set), sketch(other)); got > 0.2 {
+	other := []uint32{4, 5, 6}
+	if got := estimateJaccard(sketchIDs(set), sketchIDs(other)); got > 0.2 {
 		t.Errorf("disjoint sets estimate %v, want ~0", got)
 	}
 }

@@ -16,7 +16,7 @@ import (
 // IndexSet bundles the discovery substrates over one lake: the exact
 // inverted index (the JOSIE role), the MinHash-LSH first stage (the Starmie
 // role), the optional cosine-LSH semantic substrate, and the value
-// dictionary the ID-keyed members are keyed under. Any substrate may be nil
+// dictionary the members are keyed under. Any substrate may be nil
 // — the LSH index is only needed when first-stage retrieval is on, the
 // semantic index only when a non-syntactic discovery strategy is. All
 // members are read-only after construction (the dictionary only ever
@@ -29,8 +29,7 @@ type IndexSet struct {
 	// dictionary fingerprint like the others so a mixed directory refuses to
 	// load.
 	Semantic *embed.CosineLSH
-	// Dict is the value dictionary the ID-keyed substrates were built with;
-	// nil when both substrates are string-keyed reference forms. A session
+	// Dict is the value dictionary the substrates were built with. A session
 	// loading a persisted set must adopt this dictionary into its lake
 	// (lake.AdoptDict) before interning anything, so the persisted IDs keep
 	// meaning the same values.
@@ -43,36 +42,16 @@ type IndexSet struct {
 	Epoch lake.Epoch
 }
 
-// BuildIndexSet builds both substrates over the corpus, each with a parallel
-// per-table scan, and the two builds themselves running concurrently. When
-// the corpus is a *lake.Snapshot the set is stamped with its epoch.
+// BuildIndexSet is BuildIndexSetSharded at DefaultShards.
 func BuildIndexSet(l Corpus) *IndexSet {
-	s := &IndexSet{}
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		s.Inverted = BuildInverted(l)
-	}()
-	go func() {
-		defer wg.Done()
-		s.LSH = BuildMinHashLSH(l)
-	}()
-	wg.Wait()
-	s.Dict = l.Dict()
-	if snap, ok := l.(*lake.Snapshot); ok {
-		s.Epoch = snap.Epoch()
-	}
-	return s
+	return BuildIndexSetSharded(l, DefaultShards)
 }
 
-// BuildIndexSetSharded is BuildIndexSet with the inverted substrate built in
-// the compressed, sharded form (BuildInvertedSharded). shards ≤ 0 falls back
-// to the map form.
+// BuildIndexSetSharded builds both substrates over the corpus, each with a
+// parallel per-table scan, and the two builds themselves running
+// concurrently; shards is BuildInvertedSharded's. When the corpus is a
+// *lake.Snapshot the set is stamped with its epoch.
 func BuildIndexSetSharded(l Corpus, shards int) *IndexSet {
-	if shards <= 0 {
-		return BuildIndexSet(l)
-	}
 	s := &IndexSet{}
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -158,9 +137,9 @@ func (s *IndexSet) Gap(c Corpus) (covered, missing []string, ok bool) {
 // Gap reports missing through the same WithDelta maintenance the
 // epoch-versioned session uses, then restamps Dict and Epoch from snap. It
 // returns the number of tables added and whether the catch-up applied;
-// ok=false (gap not add-only, a string-keyed reference substrate — not
-// maintainable — or a covered table whose indexed postings no longer match
-// its contents) leaves the caller on the full rebuild path. The snapshot's
+// ok=false (gap not add-only, a semantic substrate without its embedder, or
+// a covered table whose indexed postings no longer match its contents)
+// leaves the caller on the full rebuild path. The snapshot's
 // dictionary must already incorporate the set's (lake.AdoptDict /
 // AdoptDictCovering) so the persisted IDs keep meaning the same values.
 //
@@ -173,9 +152,7 @@ func (s *IndexSet) Gap(c Corpus) (covered, missing []string, ok bool) {
 // current.
 func (s *IndexSet) CatchUp(snap *lake.Snapshot) (added int, ok bool) {
 	covered, missing, ok := s.Gap(snap)
-	if !ok || s.Inverted == nil || s.Inverted.Dict() == nil ||
-		s.LSH != nil && s.LSH.dict == nil ||
-		s.Semantic != nil && !s.Semantic.Embeddable() {
+	if !ok || s.Semantic != nil && !s.Semantic.Embeddable() {
 		return 0, false
 	}
 	snap.EnsureInterned()
@@ -195,15 +172,10 @@ func (s *IndexSet) CatchUp(snap *lake.Snapshot) (added int, ok bool) {
 	// before inserting forms interned under it.
 	s.Inverted.RebindDict(snap.Dict())
 	inv := s.Inverted.WithDelta(forms, nil)
-	if inv == nil {
-		return 0, false
-	}
 	var lsh *MinHashLSH
 	if s.LSH != nil {
 		s.LSH.RebindDict(snap.Dict())
-		if lsh = s.LSH.WithDelta(forms, nil); lsh == nil {
-			return 0, false
-		}
+		lsh = s.LSH.WithDelta(forms, nil)
 	}
 	var sem *embed.CosineLSH
 	if s.Semantic != nil {
@@ -220,37 +192,39 @@ func (s *IndexSet) CatchUp(snap *lake.Snapshot) (added int, ok bool) {
 	return len(missing), true
 }
 
-// On-disk layout of a persisted IndexSet: one file per substrate plus the
-// shared value dictionary and the epoch stamp under the set's directory.
+// On-disk layout of a persisted IndexSet: one file per substrate (the
+// inverted index: one meta file plus one per shard, persist_shard.go) plus
+// the shared value dictionary and the epoch stamp under the set's directory.
+// legacyInvertedFileName is the pre-sharding single-file inverted index,
+// which this release no longer reads or writes.
 const (
-	invertedFileName = "inverted.gob"
-	minhashFileName  = "minhash.gob"
-	semanticFileName = "semantic.gob"
-	dictFileName     = "dict.gob"
-	epochFileName    = "epoch.gob"
+	legacyInvertedFileName = "inverted.gob"
+	minhashFileName        = "minhash.gob"
+	semanticFileName       = "semantic.gob"
+	dictFileName           = "dict.gob"
+	epochFileName          = "epoch.gob"
 )
 
 // SaveDir persists the set's non-nil members under dir (created if needed).
-// An ID-keyed substrate without its dictionary cannot be persisted usefully
-// and is an error. One dictionary snapshot is taken up front: its entries go
-// to the dictionary file and its fingerprint into each ID-keyed substrate
-// file, so the saved files are provably mutually consistent even if the live
-// dictionary grows mid-save; every file is written via temp-and-rename, so a
-// crash can at worst leave a mixed set whose fingerprints refuse to load.
+// A set without its dictionary cannot be persisted usefully and is an error.
+// One dictionary snapshot is taken up front: its entries go to the
+// dictionary file and its fingerprint into each substrate file, so the saved
+// files are provably mutually consistent even if the live dictionary grows
+// mid-save; every file is written via temp-and-rename, so a crash can at
+// worst leave a mixed set whose fingerprints refuse to load.
 func (s *IndexSet) SaveDir(dir string) error {
 	if s.Inverted == nil && s.LSH == nil {
 		return errors.New("index: empty index set")
 	}
-	if s.Dict == nil &&
-		(s.Inverted != nil && s.Inverted.dict != nil || s.LSH != nil && s.LSH.dict != nil) {
+	if s.Dict == nil {
 		return fmt.Errorf("%w: set Dict before SaveDir", ErrDictRequired)
 	}
 	// The fingerprint stamped below certifies the dict/postings pairing, so
-	// it must only ever certify a true one: each ID-keyed substrate's own
-	// dictionary has to be s.Dict or a prefix of it (postings IDs then mean
-	// the same values under s.Dict). A hand-assembled set pairing a loaded
-	// substrate with an unrelated dictionary is refused here rather than
-	// persisted as silent corruption.
+	// it must only ever certify a true one: each substrate's own dictionary
+	// has to be s.Dict or a prefix of it (postings IDs then mean the same
+	// values under s.Dict). A hand-assembled set pairing a loaded substrate
+	// with an unrelated dictionary is refused here rather than persisted as
+	// silent corruption.
 	compatible := func(d *table.Dict) bool {
 		return d == nil || d == s.Dict || d.PrefixOf(s.Dict)
 	}
@@ -266,40 +240,22 @@ func (s *IndexSet) SaveDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("index: %w", err)
 	}
-	var fp uint64
-	if s.Dict != nil {
-		snap := s.Dict.Snapshot()
-		fp = table.FingerprintSnapshot(snap)
-		err := saveFile(filepath.Join(dir, dictFileName), func(w io.Writer) error {
-			return saveDictEntries(w, snap)
-		})
-		if err != nil {
+	snap := s.Dict.Snapshot()
+	fp := table.FingerprintSnapshot(snap)
+	err := saveFile(filepath.Join(dir, dictFileName), func(w io.Writer) error {
+		return saveDictEntries(w, snap)
+	})
+	if err != nil {
+		return err
+	}
+	if s.Inverted != nil {
+		if err := saveInvertedSharded(dir, s.Inverted, fp); err != nil {
 			return err
 		}
 	}
-	if s.Inverted != nil {
-		if s.Inverted.sharded != nil {
-			// Sharded form: per-shard files plus meta. Remove any map-form
-			// file so the directory holds exactly one inverted representation.
-			if err := saveInvertedSharded(dir, s.Inverted, fp); err != nil {
-				return err
-			}
-			if err := os.Remove(filepath.Join(dir, invertedFileName)); err != nil && !os.IsNotExist(err) {
-				return fmt.Errorf("index: %w", err)
-			}
-		} else {
-			err := saveFile(filepath.Join(dir, invertedFileName), func(w io.Writer) error {
-				return s.Inverted.save(w, fp)
-			})
-			if err != nil {
-				return err
-			}
-			// And conversely: a map-form save must not leave stale shard
-			// files behind, since loaders prefer those.
-			if err := removeShardedInverted(dir); err != nil {
-				return err
-			}
-		}
+	// A directory never holds two inverted representations.
+	if err := os.Remove(filepath.Join(dir, legacyInvertedFileName)); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("index: %w", err)
 	}
 	if s.LSH != nil {
 		err := saveFile(filepath.Join(dir, minhashFileName), func(w io.Writer) error {
@@ -341,9 +297,10 @@ func (s *IndexSet) SaveDir(dir string) error {
 }
 
 // LoadIndexSetDir reads whichever substrates are present under dir, loading
-// the dictionary first so ID-keyed substrates can be rewired to it. It is an
-// error for neither substrate to exist, or for an ID-keyed substrate to be
-// present without the dictionary file (a dict/index mismatch on disk); a
+// the dictionary first so the substrates can be wired to it. It is an error
+// for neither substrate to exist, for a substrate to be present without the
+// dictionary file (a dict/index mismatch on disk), or for the only inverted
+// index to be a pre-sharding inverted.gob (ErrStaleFormat: rebuild); a
 // missing substrate loads as nil so callers can lazily build it.
 func LoadIndexSetDir(dir string) (*IndexSet, error) {
 	s := &IndexSet{}
@@ -355,18 +312,14 @@ func LoadIndexSetDir(dir string) (*IndexSet, error) {
 		}
 		s.Dict = d
 	}
-	if hasShardedInverted(dir) {
+	if fileExists(filepath.Join(dir, shardMetaFileName)) {
 		inv, err := loadInvertedSharded(dir, s.Dict)
 		if err != nil {
 			return nil, err
 		}
 		s.Inverted = inv
-	} else if invPath := filepath.Join(dir, invertedFileName); fileExists(invPath) {
-		inv, err := LoadInvertedFile(invPath, s.Dict)
-		if err != nil {
-			return nil, err
-		}
-		s.Inverted = inv
+	} else if fileExists(filepath.Join(dir, legacyInvertedFileName)) {
+		return nil, fmt.Errorf("%w (pre-sharding %s)", ErrStaleFormat, legacyInvertedFileName)
 	}
 	lshPath := filepath.Join(dir, minhashFileName)
 	if _, err := os.Stat(lshPath); err == nil {
@@ -389,11 +342,8 @@ func LoadIndexSetDir(dir string) (*IndexSet, error) {
 	}
 	epochPath := filepath.Join(dir, epochFileName)
 	if _, err := os.Stat(epochPath); err == nil {
-		var fp uint64
-		if s.Dict != nil {
-			fp = s.Dict.Fingerprint()
-		}
-		e, err := loadEpochFile(epochPath, fp)
+		// A loaded substrate implies the dictionary loaded too.
+		e, err := loadEpochFile(epochPath, s.Dict.Fingerprint())
 		if err != nil {
 			return nil, err
 		}

@@ -4,18 +4,15 @@
 // in for Starmie's learned retriever as the scalable top-k first stage on
 // large lakes.
 //
-// Both substrates are built over the lake's interned (value-ID) form: the
-// inverted index keys postings by dictionary ID and MinHash hashes an ID's
-// 8 bytes instead of the value's text, so each distinct value is hashed once
-// at intern time and never re-hashed per build or per probe. The original
-// string-keyed builds are retained (BuildInvertedReference,
-// BuildMinHashLSHReference) as the reference implementations behind the same
-// search interfaces; equivalence tests pin the ID-keyed index's output to
-// the reference's bit for bit.
+// Both substrates are built over the lake's interned (value-ID) form, and
+// each has exactly one representation: the inverted index keys compressed,
+// hash-sharded postings by dictionary ID, and MinHash hashes an ID's 8 bytes
+// instead of the value's text, so each distinct value is hashed once at
+// intern time and never re-hashed per build or per probe. Tests check the
+// index against a brute-force overlap count over the corpus' column sets.
 package index
 
 import (
-	"runtime"
 	"sort"
 	"sync"
 
@@ -28,135 +25,39 @@ type ColumnRef struct {
 	Col   int
 }
 
-// Inverted maps each distinct cell value to the lake columns containing it,
-// enabling exact set-overlap search (the JOSIE role in the paper). The
-// primary form keys postings by dictionary ID; a reference form keyed by
-// canonical value strings is kept behind the same interface.
+// DefaultShards is the shard count BuildInverted and BuildIndexSet use, and
+// the default of core.Config.IndexShards.
+const DefaultShards = 8
+
+// Inverted maps each distinct cell value ID to the lake columns containing
+// it, enabling exact set-overlap search (the JOSIE role in the paper).
+// Postings live as compressed blocks in value-ID-hash shards (shard.go); one
+// shard is the degenerate case.
 //
-// An ID-keyed index is incrementally maintainable: WithDelta derives a new
-// index with tables added or removed without rescanning the rest of the
-// corpus. Maintained indexes layer an override map over a shared immutable
-// base (searches merge the two), and the layers are compacted back into one
-// map when the override grows past a fraction of the base — so a chain of
-// small deltas stays as fast to search as a fresh build.
+// The index is incrementally maintainable: WithDelta derives a new index
+// with tables added or removed without rescanning the rest of the corpus.
+// Maintained indexes layer an override map over the shared immutable base
+// (searches merge the two), and the layers are compacted back into one base
+// when the override grows past a fraction of it — so a chain of small deltas
+// stays as fast to search as a fresh build.
 type Inverted struct {
-	// dict is the value dictionary idPostings is keyed under; nil for a
-	// string-keyed reference (or legacy persisted) index.
-	dict       *table.Dict
-	idPostings map[uint32][]ColumnRef
-	// sharded is the compressed, sharded base form (shard.go) an ID-keyed
-	// index carries instead of idPostings when built by
-	// BuildInvertedSharded. Exactly one of the two is non-nil on an
-	// ID-keyed index; search, delta and persistence go through
-	// baseRefs/baseLen so both bases answer identically.
-	sharded *shardedForm
+	// dict is the value dictionary the postings are keyed under.
+	dict *table.Dict
+	// base is the compressed, sharded posting store, immutable and shared by
+	// every index derived from it until a compaction copies it.
+	base *shardedForm
 	// idOver overrides the base per ID for incrementally maintained
 	// indexes: a present entry (even an empty slice) wins over the base.
-	// Both maps are immutable once the index is published.
+	// Immutable once the index is published.
 	idOver map[uint32][]ColumnRef
-	// postings is the string-keyed reference form.
-	postings map[string][]ColumnRef
 	// colSizes caches each column's distinct-value count for containment
 	// scoring.
 	colSizes map[ColumnRef]int
 }
 
-// BuildInverted indexes every distinct non-null value ID of every table
-// column, interning the corpus first if needed. Tables are scanned
-// concurrently on a bounded worker pool; the per-table partial postings are
-// merged in corpus order, so the result is identical to a sequential build.
+// BuildInverted is BuildInvertedSharded at DefaultShards.
 func BuildInverted(l Corpus) *Inverted {
-	return buildInverted(l, runtime.GOMAXPROCS(0))
-}
-
-// BuildInvertedReference is the retained string-keyed build — the reference
-// implementation the ID-keyed index is equivalence-tested against.
-func BuildInvertedReference(l Corpus) *Inverted {
-	return buildInvertedReference(l, runtime.GOMAXPROCS(0))
-}
-
-// tablePostings is one table's contribution to the index.
-type tablePostings struct {
-	idPostings map[uint32][]ColumnRef
-	postings   map[string][]ColumnRef
-	colSizes   map[ColumnRef]int
-}
-
-func scanInterned(it *table.Interned) tablePostings {
-	t := it.Table
-	tp := tablePostings{
-		idPostings: make(map[uint32][]ColumnRef),
-		colSizes:   make(map[ColumnRef]int),
-	}
-	for c := range t.Cols {
-		ref := ColumnRef{Table: t.Name, Col: c}
-		ids := it.ColumnIDs(c)
-		tp.colSizes[ref] = len(ids)
-		for _, id := range ids {
-			tp.idPostings[id] = append(tp.idPostings[id], ref)
-		}
-	}
-	return tp
-}
-
-func scanTable(t *table.Table) tablePostings {
-	tp := tablePostings{
-		postings: make(map[string][]ColumnRef),
-		colSizes: make(map[ColumnRef]int),
-	}
-	for c := range t.Cols {
-		ref := ColumnRef{Table: t.Name, Col: c}
-		set := t.ColumnSet(c)
-		tp.colSizes[ref] = len(set)
-		for v := range set {
-			tp.postings[v] = append(tp.postings[v], ref)
-		}
-	}
-	return tp
-}
-
-func buildInverted(l Corpus, workers int) *Inverted {
-	l.EnsureInterned()
-	tables := l.Tables()
-	parts := make([]tablePostings, len(tables))
-	forEachTable(len(tables), workers, func(i int) {
-		parts[i] = scanInterned(l.Interned(tables[i].Name))
-	})
-
-	ix := &Inverted{
-		dict:       l.Dict(),
-		idPostings: make(map[uint32][]ColumnRef),
-		colSizes:   make(map[ColumnRef]int),
-	}
-	for _, tp := range parts {
-		for id, refs := range tp.idPostings {
-			ix.idPostings[id] = append(ix.idPostings[id], refs...)
-		}
-		for ref, n := range tp.colSizes {
-			ix.colSizes[ref] = n
-		}
-	}
-	return ix
-}
-
-func buildInvertedReference(l Corpus, workers int) *Inverted {
-	tables := l.Tables()
-	parts := make([]tablePostings, len(tables))
-	forEachTable(len(tables), workers, func(i int) { parts[i] = scanTable(tables[i]) })
-
-	ix := &Inverted{
-		postings: make(map[string][]ColumnRef),
-		colSizes: make(map[ColumnRef]int),
-	}
-	for _, tp := range parts {
-		for v, refs := range tp.postings {
-			ix.postings[v] = append(ix.postings[v], refs...)
-		}
-		for ref, n := range tp.colSizes {
-			ix.colSizes[ref] = n
-		}
-	}
-	return ix
+	return BuildInvertedSharded(l, DefaultShards)
 }
 
 // forEachTable runs fn(i) for i in [0, n) on up to workers goroutines.
@@ -198,58 +99,20 @@ type Overlap struct {
 	Containment float64
 }
 
-// Dict returns the value dictionary an ID-keyed index was built under, nil
-// for a string-keyed reference index.
+// Dict returns the value dictionary the index is keyed under.
 func (ix *Inverted) Dict() *table.Dict { return ix.dict }
 
-// RebindDict points an ID-keyed index at d, which must assign every ID this
-// index references identically — e.g. the live lake dictionary a persisted
-// index's dictionary is a prefix snapshot of. No-op on a string-keyed index.
+// RebindDict points the index at d, which must assign every ID this index
+// references identically — e.g. the live lake dictionary a persisted
+// index's dictionary is a prefix snapshot of.
 func (ix *Inverted) RebindDict(d *table.Dict) {
-	if ix.dict != nil && d != nil {
+	if d != nil {
 		ix.dict = d
 	}
 }
 
-// baseRefs returns the base-layer postings of one ID (ignoring any override
-// layer), materializing from the compressed form when the base is sharded.
-func (ix *Inverted) baseRefs(id uint32) []ColumnRef {
-	if ix.sharded != nil {
-		return ix.sharded.materialize(id)
-	}
-	return ix.idPostings[id]
-}
-
-// baseLen is the number of base-layer posting lists — the compaction
-// threshold's denominator on either base form.
-func (ix *Inverted) baseLen() int {
-	if ix.sharded != nil {
-		return ix.sharded.nlists
-	}
-	return len(ix.idPostings)
-}
-
-// Shards returns the shard count of a compressed sharded index, 0 for the
-// map and reference forms.
-func (ix *Inverted) Shards() int {
-	if ix.sharded == nil {
-		return 0
-	}
-	return ix.sharded.n
-}
-
-// idRefs returns the live postings of one ID, merging the override layer of
-// a maintained index over its base. On a map base the returned slice is the
-// stored one (callers must not mutate it); a sharded base materializes a
-// fresh slice.
-func (ix *Inverted) idRefs(id uint32) []ColumnRef {
-	if ix.idOver != nil {
-		if refs, ok := ix.idOver[id]; ok {
-			return refs
-		}
-	}
-	return ix.baseRefs(id)
-}
+// Shards returns the index's shard count.
+func (ix *Inverted) Shards() int { return ix.base.n }
 
 // countID adds one ID's live postings (override layer over base) into
 // counts.
@@ -262,20 +125,14 @@ func (ix *Inverted) countID(id uint32, counts map[ColumnRef]int) {
 			return
 		}
 	}
-	if ix.sharded != nil {
-		ix.sharded.count(id, counts)
-		return
-	}
-	for _, ref := range ix.idPostings[id] {
-		counts[ref]++
-	}
+	ix.base.count(id, counts)
 }
 
 // countIDs produces the overlap counts for a resolved query ID set, fanning
-// out across shards for large probes on a sharded base. Counting is
-// additive, so every path yields identical totals.
+// out across shards for large probes. Counting is additive, so both paths
+// yield identical totals.
 func (ix *Inverted) countIDs(query []uint32) map[ColumnRef]int {
-	if ix.sharded != nil && ix.sharded.n > 1 && len(query) >= shardProbeFanOut {
+	if ix.base.n > 1 && len(query) >= shardProbeFanOut {
 		return ix.countIDsSharded(query)
 	}
 	counts := make(map[ColumnRef]int)
@@ -285,40 +142,16 @@ func (ix *Inverted) countIDs(query []uint32) map[ColumnRef]int {
 	return counts
 }
 
-// SearchSet returns, for a query value set (canonical keys), every lake
-// column overlapping it, ranked by overlap count (ties by table name and
-// column for determinism). On an ID-keyed index, query keys are translated
-// through the dictionary; keys the dictionary has never seen have no
-// postings in either form, so results match the reference exactly.
-func (ix *Inverted) SearchSet(query map[string]bool) []Overlap {
-	if ix.dict != nil {
-		ids := make([]uint32, 0, len(query))
-		for v := range query {
-			if id, ok := ix.dict.LookupKey(v); ok {
-				ids = append(ids, id)
-			}
-		}
-		return rankOverlaps(ix.countIDs(ids), len(query))
-	}
-	counts := make(map[ColumnRef]int)
-	for v := range query {
-		for _, ref := range ix.postings[v] {
-			counts[ref]++
-		}
-	}
-	return rankOverlaps(counts, len(query))
-}
-
-// SearchIDs is SearchSet over an already-interned query — the hot path when
-// the caller holds the source's interned column sets. The index must be
-// ID-keyed (built by BuildInverted under the same dictionary the query IDs
-// come from); a reference index has no ID postings and reports nothing.
+// SearchIDs returns, for a query's distinct value IDs, every lake column
+// overlapping it, ranked by overlap count (ties by table name and column for
+// determinism). The IDs must come from the index's dictionary, or an overlay
+// of it: an overlay's transient IDs — values the lake has never seen — have
+// no postings but still count into the containment denominator.
 func (ix *Inverted) SearchIDs(query []uint32) []Overlap {
 	return rankOverlaps(ix.countIDs(query), len(query))
 }
 
-// rankOverlaps is the shared ranking tail of SearchSet and SearchIDs; both
-// forms must order results identically for the equivalence tests to hold.
+// rankOverlaps turns overlap counts into the deterministic ranking.
 func rankOverlaps(counts map[ColumnRef]int, qlen int) []Overlap {
 	out := make([]Overlap, 0, len(counts))
 	for ref, c := range counts {
@@ -340,11 +173,6 @@ func rankOverlaps(counts map[ColumnRef]int, qlen int) []Overlap {
 	return out
 }
 
-// SearchColumn is SearchSet for a concrete table column.
-func (ix *Inverted) SearchColumn(t *table.Table, col int) []Overlap {
-	return ix.SearchSet(t.ColumnSet(col))
-}
-
 // ColumnSize returns the distinct-value count of an indexed column.
 func (ix *Inverted) ColumnSize(ref ColumnRef) int { return ix.colSizes[ref] }
 
@@ -353,9 +181,9 @@ func (ix *Inverted) ColumnSize(ref ColumnRef) int { return ix.colSizes[ref] }
 // stale entries for removed tables are filtered against the live lake at
 // query time — but a table missing from the index (or indexed under an old
 // schema) would silently never be retrieved correctly. Value-level edits to
-// an already-indexed column are not detectable here (for an ID-keyed index,
-// lake.AdoptDict additionally detects values the persisted dictionary has
-// never seen); rebuild the index after editing table contents.
+// an already-indexed column are not detectable here (lake.AdoptDict
+// additionally detects values the persisted dictionary has never seen);
+// rebuild the index after editing table contents.
 func (ix *Inverted) Covers(l Corpus) bool {
 	for _, t := range l.Tables() {
 		if !ix.coversTable(t) {
@@ -390,12 +218,8 @@ func (ix *Inverted) hasTable(name string) bool {
 // ID-set hash (XOR of a mixed ID hash), compared against the interned
 // column sets. A mismatch means the table's contents changed since it was
 // indexed — its postings are stale even though its schema still matches.
-// The corpus must be interned already. Always false on a string-keyed
-// reference index.
+// The corpus must be interned already.
 func (ix *Inverted) verifyTables(c Corpus, names []string) bool {
-	if ix.dict == nil {
-		return false
-	}
 	want := make(map[string]bool, len(names))
 	for _, name := range names {
 		want[name] = true
@@ -420,28 +244,17 @@ func (ix *Inverted) verifyTables(c Corpus, names []string) bool {
 		_, ok := ix.idOver[id]
 		return ok
 	}
-	if ix.sharded != nil {
-		sh := ix.sharded
-		for s := range sh.shards {
-			for id, b := range sh.shards[s].lists {
-				if overridden(id) {
-					continue
-				}
-				forEachPosting(b, func(cid uint32) {
-					if int(cid) < len(sh.refs) {
-						mark(id, sh.refs[cid])
-					}
-				})
-			}
-		}
-	} else {
-		for id, refs := range ix.idPostings {
+	sh := ix.base
+	for s := range sh.shards {
+		for id, b := range sh.shards[s].lists {
 			if overridden(id) {
 				continue
 			}
-			for _, ref := range refs {
-				mark(id, ref)
-			}
+			forEachPosting(b, func(cid uint32) {
+				if int(cid) < len(sh.refs) {
+					mark(id, sh.refs[cid])
+				}
+			})
 		}
 	}
 	for id, refs := range ix.idOver {
@@ -471,7 +284,7 @@ func (ix *Inverted) verifyTables(c Corpus, names []string) bool {
 
 // overCompactionSlack is the override-layer size (relative to the base, plus
 // a small absolute allowance) past which WithDelta flattens the two layers
-// back into one map. Compaction copies the whole index once, so it must be
+// back into one base. Compaction copies the whole index once, so it must be
 // rare; the slack fraction bounds the steady-state search overhead (one
 // extra map lookup per probed ID) times the memory held by overridden
 // entries.
@@ -485,12 +298,7 @@ const overCompactionSlack = 64
 //
 // The removed forms must be the ones the receiver was built or maintained
 // with — they tell the delta exactly which IDs the table had contributed.
-// Only ID-keyed indexes are maintainable; WithDelta returns nil on a
-// string-keyed reference index, and callers fall back to a full rebuild.
 func (ix *Inverted) WithDelta(added, removed []*table.Interned) *Inverted {
-	if ix.dict == nil {
-		return nil
-	}
 	removedNames := make(map[string]bool, len(removed))
 	touched := make(map[uint32]bool)
 	for _, it := range removed {
@@ -503,10 +311,9 @@ func (ix *Inverted) WithDelta(added, removed []*table.Interned) *Inverted {
 	}
 
 	nix := &Inverted{
-		dict:       ix.dict,
-		idPostings: ix.idPostings,
-		sharded:    ix.sharded,
-		colSizes:   make(map[ColumnRef]int, len(ix.colSizes)),
+		dict:     ix.dict,
+		base:     ix.base,
+		colSizes: make(map[ColumnRef]int, len(ix.colSizes)),
 	}
 	over := make(map[uint32][]ColumnRef, len(ix.idOver)+len(touched))
 	for id, refs := range ix.idOver {
@@ -528,7 +335,7 @@ func (ix *Inverted) WithDelta(added, removed []*table.Interned) *Inverted {
 	for id := range touched {
 		cur, ok := over[id]
 		if !ok {
-			cur = ix.baseRefs(id)
+			cur = ix.base.materialize(id)
 		}
 		kept := make([]ColumnRef, 0, len(cur))
 		for _, ref := range cur {
@@ -554,7 +361,7 @@ func (ix *Inverted) WithDelta(added, removed []*table.Interned) *Inverted {
 				}
 				cur, ok := over[id]
 				if !ok {
-					cur = ix.baseRefs(id)
+					cur = ix.base.materialize(id)
 				}
 				nw := make([]ColumnRef, len(cur), len(cur)+len(added))
 				copy(nw, cur)
@@ -564,63 +371,19 @@ func (ix *Inverted) WithDelta(added, removed []*table.Interned) *Inverted {
 		}
 	}
 
-	if len(over) > ix.baseLen()/2+overCompactionSlack {
-		if nix.sharded != nil {
-			nix.sharded = flattenSharded(nix.sharded, over)
-		} else {
-			nix.idPostings = flattenPostings(nix.idPostings, over)
-		}
+	if len(over) > ix.base.nlists/2+overCompactionSlack {
+		nix.base = flattenSharded(ix.base, over)
 	} else {
 		nix.idOver = over
 	}
 	return nix
 }
 
-// flattenPostings merges an override layer into a copy of the base,
-// dropping entries whose live postings are empty.
-func flattenPostings(base, over map[uint32][]ColumnRef) map[uint32][]ColumnRef {
-	flat := make(map[uint32][]ColumnRef, len(base)+len(over))
-	for id, refs := range base {
-		flat[id] = refs
-	}
-	for id, refs := range over {
-		if len(refs) == 0 {
-			delete(flat, id)
-		} else {
-			flat[id] = refs
-		}
-	}
-	return flat
-}
-
-// flatIDPostings returns the single-layer map view of the postings — the
-// base itself when there is no override layer. On a sharded base this
-// materializes every block (it is the legacy v2 persistence path; the
-// sharded form persists per-shard instead).
-func (ix *Inverted) flatIDPostings() map[uint32][]ColumnRef {
-	if ix.sharded != nil {
-		flat := make(map[uint32][]ColumnRef, ix.sharded.nlists)
-		for s := range ix.sharded.shards {
-			for id := range ix.sharded.shards[s].lists {
-				flat[id] = ix.sharded.materialize(id)
-			}
-		}
-		if ix.idOver != nil {
-			flat = flattenPostings(flat, ix.idOver)
-		}
-		return flat
-	}
+// compactedBase returns the base with any override layer folded in — what
+// persistence writes.
+func (ix *Inverted) compactedBase() *shardedForm {
 	if ix.idOver == nil {
-		return ix.idPostings
+		return ix.base
 	}
-	return flattenPostings(ix.idPostings, ix.idOver)
-}
-
-// compactedSharded returns the sharded base with any override layer folded
-// in — what sharded persistence writes.
-func (ix *Inverted) compactedSharded() *shardedForm {
-	if ix.idOver == nil {
-		return ix.sharded
-	}
-	return flattenSharded(ix.sharded, ix.idOver)
+	return flattenSharded(ix.base, ix.idOver)
 }

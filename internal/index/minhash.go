@@ -22,23 +22,12 @@ const (
 // signature is a column's MinHash sketch.
 type signature [numHashes]uint64
 
-func hashValue(v string, seed uint64) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(seed >> (8 * i))
-	}
-	h.Write(b[:])
-	h.Write([]byte(v))
-	return h.Sum64()
-}
-
 // hashID is the MinHash permutation family over interned value IDs: a
 // splitmix64-style finalizer over the (seed, id) pair. Mixing the ID's fixed
 // 8 bytes instead of the value's text is what makes interned sketching cheap
-// — the value string was hashed exactly once, at intern time. The resulting
-// signatures differ from the string family's, but estimate the same Jaccard
-// similarities: ID sets are in bijection with value sets.
+// — the value string was hashed exactly once, at intern time. ID sets are in
+// bijection with value sets, so the sketches estimate the value sets' Jaccard
+// similarities.
 func hashID(id uint32, seed uint64) uint64 {
 	x := seed<<32 ^ uint64(id)
 	x ^= x >> 30
@@ -47,21 +36,6 @@ func hashID(id uint32, seed uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-func sketch(set map[string]bool) signature {
-	var sig signature
-	for i := range sig {
-		sig[i] = math.MaxUint64
-	}
-	for v := range set {
-		for i := 0; i < numHashes; i++ {
-			if h := hashValue(v, uint64(i)); h < sig[i] {
-				sig[i] = h
-			}
-		}
-	}
-	return sig
 }
 
 func sketchIDs(ids []uint32) signature {
@@ -92,12 +66,10 @@ func estimateJaccard(a, b signature) float64 {
 
 // MinHashLSH indexes every lake column's MinHash sketch with banded LSH. It
 // plays Starmie's role: a scalable, recall-oriented top-k table retriever
-// over a large lake whose output Set Similarity verifies exactly. The
-// primary build sketches interned value IDs; the reference build sketches
-// value strings. Either way, query columns are sketched with the same hash
-// family the index was built with.
+// over a large lake whose output Set Similarity verifies exactly. Columns are
+// sketched over their interned value IDs, and so are query columns.
 //
-// An ID-family index is incrementally maintainable: WithDelta inserts the
+// The index is incrementally maintainable: WithDelta inserts the
 // added tables' sketches into an override layer and tombstones the removed
 // tables' columns instead of rewriting the shared bucket maps; retrieval
 // skips tombstoned columns, and when the dead weight grows past a fraction
@@ -105,8 +77,7 @@ func estimateJaccard(a, b signature) float64 {
 // folded in — without re-sketching a single column (signatures determine
 // their band keys).
 type MinHashLSH struct {
-	// dict, when non-nil, marks an ID-family index and translates query
-	// values to IDs at TopK time.
+	// dict translates query values to IDs at TopK time.
 	dict    *table.Dict
 	sigs    map[ColumnRef]signature
 	buckets map[uint64][]ColumnRef
@@ -129,29 +100,10 @@ func BuildMinHashLSH(l Corpus) *MinHashLSH {
 	return buildMinHashLSH(l, runtime.GOMAXPROCS(0))
 }
 
-// BuildMinHashLSHReference is the retained string-hashing build — the
-// reference implementation for the ID-family sketches.
-func BuildMinHashLSHReference(l Corpus) *MinHashLSH {
-	return buildMinHashLSHReference(l, runtime.GOMAXPROCS(0))
-}
-
 // tableSketches is one table's sketched columns, in column order.
 type tableSketches struct {
 	refs []ColumnRef
 	sigs []signature
-}
-
-func sketchTable(t *table.Table) tableSketches {
-	var ts tableSketches
-	for c := range t.Cols {
-		set := t.ColumnSet(c)
-		if len(set) == 0 {
-			continue
-		}
-		ts.refs = append(ts.refs, ColumnRef{Table: t.Name, Col: c})
-		ts.sigs = append(ts.sigs, sketch(set))
-	}
-	return ts
 }
 
 func sketchInterned(it *table.Interned) tableSketches {
@@ -174,23 +126,11 @@ func buildMinHashLSH(l Corpus, workers int) *MinHashLSH {
 	forEachTable(len(tables), workers, func(i int) {
 		parts[i] = sketchInterned(l.Interned(tables[i].Name))
 	})
-	ix := assembleMinHash(parts, l.Names())
-	ix.dict = l.Dict()
-	return ix
-}
-
-func buildMinHashLSHReference(l Corpus, workers int) *MinHashLSH {
-	tables := l.Tables()
-	parts := make([]tableSketches, len(tables))
-	forEachTable(len(tables), workers, func(i int) { parts[i] = sketchTable(tables[i]) })
-	return assembleMinHash(parts, l.Names())
-}
-
-func assembleMinHash(parts []tableSketches, names []string) *MinHashLSH {
 	ix := &MinHashLSH{
+		dict:    l.Dict(),
 		sigs:    make(map[ColumnRef]signature),
 		buckets: make(map[uint64][]ColumnRef),
-		tables:  names,
+		tables:  l.Names(),
 	}
 	for _, ts := range parts {
 		for i, ref := range ts.refs {
@@ -228,19 +168,11 @@ type Ranked struct {
 	Score float64
 }
 
-// querySketch sketches one query column with the index's hash family. On an
-// ID-family index the column's distinct values are resolved through a
-// query-scoped overlay — values the lake has never seen get transient
-// overlay IDs (the shared dictionary stays untouched) and correctly depress
-// the estimated similarities.
-func (ix *MinHashLSH) querySketch(query *table.Table, qc int, ov *table.Overlay) (signature, bool) {
-	if ix.dict == nil {
-		set := query.ColumnSet(qc)
-		if len(set) == 0 {
-			return signature{}, false
-		}
-		return sketch(set), true
-	}
+// querySketch sketches one query column. Its distinct values are resolved
+// through a query-scoped overlay — values the lake has never seen get
+// transient overlay IDs (the shared dictionary stays untouched) and correctly
+// depress the estimated similarities.
+func querySketch(query *table.Table, qc int, ov *table.Overlay) (signature, bool) {
 	seen := make(map[uint32]bool)
 	ids := make([]uint32, 0, len(query.Rows))
 	for _, r := range query.Rows {
@@ -289,13 +221,10 @@ func (ix *MinHashLSH) liveInBase(ref ColumnRef) bool {
 // each query column, LSH candidates are scored by estimated Jaccard, and a
 // table's score is the sum of its best per-query-column estimates.
 func (ix *MinHashLSH) TopK(query *table.Table, k int) []Ranked {
-	var ov *table.Overlay
-	if ix.dict != nil {
-		ov = table.NewOverlay(ix.dict)
-	}
+	ov := table.NewOverlay(ix.dict)
 	best := make(map[string]map[int]float64) // table -> query col -> best jaccard
 	for qc := range query.Cols {
-		qsig, ok := ix.querySketch(query, qc, ov)
+		qsig, ok := querySketch(query, qc, ov)
 		if !ok {
 			continue
 		}
@@ -351,15 +280,13 @@ func (ix *MinHashLSH) TopK(query *table.Table, k int) []Ranked {
 	return out
 }
 
-// Dict returns the value dictionary an ID-family index sketches through,
-// nil for a string-family reference index.
+// Dict returns the value dictionary the index sketches through.
 func (ix *MinHashLSH) Dict() *table.Dict { return ix.dict }
 
-// RebindDict points an ID-family index at d, which must assign every ID the
-// signatures were sketched from identically; see Inverted.RebindDict. No-op
-// on a string-family index.
+// RebindDict points the index at d, which must assign every ID the
+// signatures were sketched from identically; see Inverted.RebindDict.
 func (ix *MinHashLSH) RebindDict(d *table.Dict) {
-	if ix.dict != nil && d != nil {
+	if d != nil {
 		ix.dict = d
 	}
 }
@@ -387,12 +314,7 @@ func (ix *MinHashLSH) Covers(l Corpus) bool {
 // inserted; the receiver is unchanged, and the two indexes share the base
 // sketch and bucket storage. A replaced table appears in both slices, old
 // interned form under removed, new under added (see Inverted.WithDelta).
-// Only ID-family indexes are maintainable; WithDelta returns nil on a
-// string-family reference index.
 func (ix *MinHashLSH) WithDelta(added, removed []*table.Interned) *MinHashLSH {
-	if ix.dict == nil {
-		return nil
-	}
 	nix := &MinHashLSH{
 		dict:        ix.dict,
 		sigs:        ix.sigs,

@@ -33,10 +33,10 @@ func randomLake(tables int, seed int64) *lake.Lake {
 
 func TestParallelInvertedMatchesSequential(t *testing.T) {
 	l := randomLake(60, 3)
-	seq := buildInverted(l, 1)
+	seq := buildInvertedSharded(l, 4, 1)
 	for _, workers := range []int{2, 4, 8} {
-		par := buildInverted(l, workers)
-		if !reflect.DeepEqual(seq.postings, par.postings) {
+		par := buildInvertedSharded(l, 4, workers)
+		if !reflect.DeepEqual(seq.base, par.base) {
 			t.Fatalf("postings differ at %d workers", workers)
 		}
 		if !reflect.DeepEqual(seq.colSizes, par.colSizes) {
@@ -73,7 +73,7 @@ func TestIndexSetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(s.Inverted.postings, got.Inverted.postings) {
+	if !reflect.DeepEqual(flatPostingsView(s.Inverted), flatPostingsView(got.Inverted)) {
 		t.Error("inverted postings did not round-trip")
 	}
 	if !reflect.DeepEqual(s.LSH.sigs, got.LSH.sigs) {

@@ -14,139 +14,67 @@ import (
 
 // Real lakes are indexed once and queried many times, so both index kinds
 // persist to disk with encoding/gob, alongside the value dictionary their
-// IDs are keyed under. The formats are versioned so a stale index fails
-// loudly instead of answering wrongly:
+// IDs are keyed under (the inverted index in persist_shard.go). The formats
+// are versioned so a stale index fails loudly instead of answering wrongly:
 //
 //   - v1 files predate the canonical key format this release fixed
 //     (decimal-only numeric text, -0 normalization, separator escaping) and
 //     are rejected — their postings would silently mismatch new Key output.
-//   - ID-keyed files carry the fingerprint of the dictionary they were saved
-//     with, verified at load, so a torn save can never pair postings with
-//     the wrong dictionary.
+//   - Every substrate file carries the fingerprint of the dictionary it was
+//     saved with, verified at load, so a torn save can never pair postings
+//     with the wrong dictionary.
 //
 // Files are written to a temporary name and renamed into place, so a crash
 // mid-write leaves the previous file intact rather than a truncated gob.
 
 const (
-	invertedFormatID     = 2 // ID-keyed postings + dictionary fingerprint
-	invertedFormatString = 3 // string-keyed reference postings (current Key format)
 	minhashFormatVersion = 2
 	dictFormatVersion    = 1
 )
 
-// ErrDictRequired reports an ID-keyed index file loaded without the value
-// dictionary it was persisted with.
+// ErrDictRequired reports an index file loaded, or a set saved, without the
+// value dictionary its IDs are keyed under.
 var ErrDictRequired = errors.New("index: ID-keyed index requires its value dictionary")
 
-// ErrStaleFormat reports an index file from a version whose canonical key
-// format differs — loading it would answer queries wrongly, so callers must
-// rebuild.
-var ErrStaleFormat = errors.New("index: index file predates the current canonical key format")
+// ErrStaleFormat reports an index file in a format this release no longer
+// reads — one whose canonical key format differs, or a pre-sharding
+// inverted.gob — so callers must rebuild.
+var ErrStaleFormat = errors.New("index: index file predates the current format")
 
-// ErrDictFingerprint reports an ID-keyed index file whose postings were
+// ErrDictFingerprint reports an index file whose postings or sketches were
 // built under a different dictionary than the one supplied — a torn or mixed
 // save; the IDs would resolve to the wrong values.
 var ErrDictFingerprint = errors.New("index: index/dictionary fingerprint mismatch")
 
-// invertedDisk is the serializable form of Inverted. Exactly one of
-// IDPostings (ID format) and Postings (string format) is populated;
-// DictFingerprint pins ID postings to the dictionary they were saved with.
-type invertedDisk struct {
-	Version         int
-	Postings        map[string][]ColumnRef
-	IDPostings      map[uint32][]ColumnRef
-	ColSizes        map[ColumnRef]int
-	DictFingerprint uint64
-}
-
-// Save writes the inverted index (without its dictionary — IndexSet.SaveDir
-// persists that once for all substrates).
-func (ix *Inverted) Save(w io.Writer) error {
-	var fp uint64
-	if ix.dict != nil {
-		fp = ix.dict.Fingerprint()
-	}
-	return ix.save(w, fp)
-}
-
-func (ix *Inverted) save(w io.Writer, fp uint64) error {
-	d := invertedDisk{ColSizes: ix.colSizes}
-	if ix.dict != nil {
-		d.Version = invertedFormatID
-		d.IDPostings = ix.flatIDPostings()
-		d.DictFingerprint = fp
-	} else {
-		d.Version = invertedFormatString
-		d.Postings = ix.postings
-	}
-	return gob.NewEncoder(w).Encode(d)
-}
-
-// LoadInverted reads an inverted index written by Save. dict supplies the
-// value dictionary for an ID-keyed file — persisted alongside by
-// IndexSet.SaveDir — and may be nil for a string-keyed reference file; its
-// fingerprint must match the one the postings were saved under.
-func LoadInverted(r io.Reader, dict *table.Dict) (*Inverted, error) {
-	var d invertedDisk
-	if err := gob.NewDecoder(r).Decode(&d); err != nil {
-		return nil, fmt.Errorf("index: decoding inverted index: %w", err)
-	}
-	switch d.Version {
-	case invertedFormatString:
-		return &Inverted{postings: d.Postings, colSizes: d.ColSizes}, nil
-	case invertedFormatID:
-		if dict == nil {
-			return nil, fmt.Errorf("%w (inverted index v%d)", ErrDictRequired, d.Version)
-		}
-		if dict.Fingerprint() != d.DictFingerprint {
-			return nil, fmt.Errorf("%w (inverted index)", ErrDictFingerprint)
-		}
-		return &Inverted{dict: dict, idPostings: d.IDPostings, colSizes: d.ColSizes}, nil
-	case 1:
-		return nil, fmt.Errorf("%w (inverted index v1)", ErrStaleFormat)
-	}
-	return nil, fmt.Errorf("index: inverted index format v%d, want v%d or v%d",
-		d.Version, invertedFormatID, invertedFormatString)
-}
-
-// minhashDisk is the serializable form of MinHashLSH; Interned marks
-// ID-family signatures, which need the dictionary to sketch queries.
+// minhashDisk is the serializable form of MinHashLSH.
 type minhashDisk struct {
 	Version         int
-	Interned        bool
 	Sigs            map[ColumnRef]signature
 	Buckets         map[uint64][]ColumnRef
 	Tables          []string
 	DictFingerprint uint64
 }
 
-// Save writes the MinHash-LSH index.
+// Save writes the MinHash-LSH index (without its dictionary — IndexSet.SaveDir
+// persists that once for all substrates).
 func (ix *MinHashLSH) Save(w io.Writer) error {
-	var fp uint64
-	if ix.dict != nil {
-		fp = ix.dict.Fingerprint()
-	}
-	return ix.save(w, fp)
+	return ix.save(w, ix.dict.Fingerprint())
 }
 
 func (ix *MinHashLSH) save(w io.Writer, fp uint64) error {
 	flat := ix.flattened() // fold any incremental-maintenance layers
-	d := minhashDisk{
-		Version:  minhashFormatVersion,
-		Interned: flat.dict != nil,
-		Sigs:     flat.sigs,
-		Buckets:  flat.buckets,
-		Tables:   flat.tables,
-	}
-	if d.Interned {
-		d.DictFingerprint = fp
-	}
-	return gob.NewEncoder(w).Encode(d)
+	return gob.NewEncoder(w).Encode(minhashDisk{
+		Version:         minhashFormatVersion,
+		Sigs:            flat.sigs,
+		Buckets:         flat.buckets,
+		Tables:          flat.tables,
+		DictFingerprint: fp,
+	})
 }
 
-// LoadMinHashLSH reads a MinHash-LSH index written by Save; dict is required
-// (and fingerprint-checked) when the signatures are ID-family and ignored
-// otherwise.
+// LoadMinHashLSH reads a MinHash-LSH index written by Save. dict is the
+// value dictionary the signatures were sketched under — persisted alongside
+// by IndexSet.SaveDir — and its fingerprint must match the one saved.
 func LoadMinHashLSH(r io.Reader, dict *table.Dict) (*MinHashLSH, error) {
 	var d minhashDisk
 	if err := gob.NewDecoder(r).Decode(&d); err != nil {
@@ -160,22 +88,18 @@ func LoadMinHashLSH(r io.Reader, dict *table.Dict) (*MinHashLSH, error) {
 		return nil, fmt.Errorf("index: minhash index format v%d, want v%d",
 			d.Version, minhashFormatVersion)
 	}
-	ix := &MinHashLSH{sigs: d.Sigs, buckets: d.Buckets, tables: d.Tables}
-	if d.Interned {
-		if dict == nil {
-			return nil, fmt.Errorf("%w (minhash index v%d)", ErrDictRequired, d.Version)
-		}
-		if dict.Fingerprint() != d.DictFingerprint {
-			return nil, fmt.Errorf("%w (minhash index)", ErrDictFingerprint)
-		}
-		ix.dict = dict
+	if dict == nil {
+		return nil, fmt.Errorf("%w (minhash index v%d)", ErrDictRequired, d.Version)
 	}
-	return ix, nil
+	if dict.Fingerprint() != d.DictFingerprint {
+		return nil, fmt.Errorf("%w (minhash index)", ErrDictFingerprint)
+	}
+	return &MinHashLSH{dict: dict, sigs: d.Sigs, buckets: d.Buckets, tables: d.Tables}, nil
 }
 
 // epochDisk is the serializable form of an IndexSet's epoch stamp.
 // DictFingerprint pins the stamp to the dictionary snapshot the set was
-// saved with — the same fingerprint every ID-keyed substrate file carries —
+// saved with — the same fingerprint every substrate file carries —
 // so a stamp left behind by an older save can never pass itself off as
 // describing newer substrates.
 type epochDisk struct {
@@ -198,7 +122,7 @@ func saveEpoch(w io.Writer, e lake.Epoch, fp uint64) error {
 }
 
 // loadEpoch reads an epoch stamp written by saveEpoch; fp must match the
-// fingerprint the stamp was saved under (0 matches 0: a dict-less set).
+// fingerprint the stamp was saved under.
 func loadEpoch(r io.Reader, fp uint64) (lake.Epoch, error) {
 	var d epochDisk
 	if err := gob.NewDecoder(r).Decode(&d); err != nil {
@@ -259,11 +183,6 @@ func LoadDict(r io.Reader) (*table.Dict, error) {
 	return dict, nil
 }
 
-// SaveFile persists the inverted index to a file, creating directories.
-func (ix *Inverted) SaveFile(path string) error {
-	return saveFile(path, ix.Save)
-}
-
 // SaveFile persists the MinHash index to a file, creating directories.
 func (ix *MinHashLSH) SaveFile(path string) error {
 	return saveFile(path, ix.Save)
@@ -294,16 +213,6 @@ func saveFile(path string, save func(io.Writer) error) error {
 		return fmt.Errorf("index: %w", err)
 	}
 	return nil
-}
-
-// LoadInvertedFile reads an inverted index file; dict as in LoadInverted.
-func LoadInvertedFile(path string, dict *table.Dict) (*Inverted, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("index: %w", err)
-	}
-	defer f.Close()
-	return LoadInverted(f, dict)
 }
 
 // LoadMinHashLSHFile reads a MinHash index file; dict as in LoadMinHashLSH.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,7 +14,7 @@ import (
 	"gent/internal/table"
 )
 
-// TestIndexSetDictRoundTrip persists a full ID-keyed set and reloads it:
+// TestIndexSetDictRoundTrip persists a full set and reloads it:
 // the dictionary must travel with the substrates, and searches through the
 // reloaded set must match the live one exactly.
 func TestIndexSetDictRoundTrip(t *testing.T) {
@@ -26,7 +27,7 @@ func TestIndexSetDictRoundTrip(t *testing.T) {
 	if err := s.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{invertedFileName, minhashFileName, dictFileName} {
+	for _, f := range []string{shardMetaFileName, minhashFileName, dictFileName} {
 		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
 			t.Fatalf("missing persisted file %s: %v", f, err)
 		}
@@ -41,10 +42,10 @@ func TestIndexSetDictRoundTrip(t *testing.T) {
 	if !got.Dict.PrefixOf(l.Dict()) || !l.Dict().PrefixOf(got.Dict) {
 		t.Error("reloaded dictionary diverged from the live one")
 	}
-	query := map[string]bool{table.S("Smith").Key(): true, table.S("Boston").Key(): true}
-	a, b := s.Inverted.SearchSet(query), got.Inverted.SearchSet(query)
+	a := searchValues(s.Inverted, table.S("Smith"), table.S("Boston"))
+	b := searchValues(got.Inverted, table.S("Smith"), table.S("Boston"))
 	if len(a) != len(b) {
-		t.Fatalf("SearchSet diverged after round trip: %v vs %v", a, b)
+		t.Fatalf("search diverged after round trip: %v vs %v", a, b)
 	}
 	for i := range a {
 		if a[i] != b[i] {
@@ -54,7 +55,7 @@ func TestIndexSetDictRoundTrip(t *testing.T) {
 }
 
 // TestLoadIndexSetDetectsMissingDict removes the dictionary file from a
-// persisted ID-keyed set: loading must fail loudly (the postings would be
+// persisted set: loading must fail loudly (the postings would be
 // meaningless), which is what routes cmd/gent -index-dir into its
 // rebuild-with-warning path.
 func TestLoadIndexSetDetectsMissingDict(t *testing.T) {
@@ -125,21 +126,10 @@ func TestLoadDetectsDictFingerprintMismatch(t *testing.T) {
 }
 
 // TestLoadRejectsV1Format: files from before the canonical key format change
-// must be rejected, not served — their postings silently mismatch current
+// must be rejected, not served — their sketches silently mismatch current
 // Value.Key output for the reclassified value spellings.
 func TestLoadRejectsV1Format(t *testing.T) {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(invertedDisk{
-		Version:  1,
-		Postings: map[string][]ColumnRef{"sold": {{Table: "t", Col: 0}}},
-		ColSizes: map[ColumnRef]int{{Table: "t", Col: 0}: 1},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadInverted(&buf, nil); !errors.Is(err, ErrStaleFormat) {
-		t.Fatalf("got %v, want ErrStaleFormat", err)
-	}
-	buf.Reset()
 	if err := gob.NewEncoder(&buf).Encode(minhashDisk{Version: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -148,16 +138,72 @@ func TestLoadRejectsV1Format(t *testing.T) {
 	}
 }
 
-// TestSaveDirRequiresDict: an ID-keyed substrate without its dictionary must
-// refuse to persist rather than write unreadable postings.
+// TestLegacyInvertedFile: a directory whose only inverted index is a
+// pre-sharding inverted.gob fails the load with ErrStaleFormat (whatever the
+// file holds — it is never decoded), and SaveDir removes a leftover one so a
+// directory never holds two inverted representations.
+func TestLegacyInvertedFile(t *testing.T) {
+	l := buildLake()
+	dir := t.TempDir()
+	s := BuildIndexSet(l.Snapshot())
+	if err := s.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	legacy := filepath.Join(dir, legacyInvertedFileName)
+	if err := os.Rename(filepath.Join(dir, shardMetaFileName), legacy); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadIndexSetDir(dir); !errors.Is(err, ErrStaleFormat) {
+		t.Fatalf("legacy-only directory: got %v, want ErrStaleFormat", err)
+	}
+	if err := s.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if fileExists(legacy) {
+		t.Fatal("SaveDir left the legacy inverted.gob beside the sharded files")
+	}
+	if _, err := LoadIndexSetDir(dir); err != nil {
+		t.Fatalf("load after re-save: %v", err)
+	}
+}
+
+// TestLoadRejectsForgedShardCount: a shard meta declaring more shards than
+// the directory holds files for — forged or corrupt — must fail with a typed
+// error before anything is sized by the count, never a makeslice panic or an
+// attempt to allocate it.
+func TestLoadRejectsForgedShardCount(t *testing.T) {
+	l := buildLake()
+	dir := t.TempDir()
+	s := BuildIndexSetSharded(l.Snapshot(), 3)
+	if err := s.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1 << 40, 4, 0, -1} {
+		meta := shardMetaDisk{
+			Version:         invertedFormatSharded,
+			NShards:         n,
+			Refs:            s.Inverted.base.refs,
+			ColSizes:        s.Inverted.colSizes,
+			DictFingerprint: s.Dict.Fingerprint(),
+		}
+		err := saveFile(filepath.Join(dir, shardMetaFileName), func(w io.Writer) error {
+			return gob.NewEncoder(w).Encode(meta)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadIndexSetDir(dir); !errors.Is(err, ErrCorruptPosting) {
+			t.Fatalf("NShards=%d: got %v, want ErrCorruptPosting", n, err)
+		}
+	}
+}
+
+// TestSaveDirRequiresDict: a set without its dictionary must refuse to
+// persist rather than write unreadable postings.
 func TestSaveDirRequiresDict(t *testing.T) {
 	l := buildLake()
 	s := &IndexSet{Inverted: BuildInverted(l)}
 	if err := s.SaveDir(t.TempDir()); !errors.Is(err, ErrDictRequired) {
 		t.Fatalf("got %v, want ErrDictRequired", err)
-	}
-	ref := &IndexSet{Inverted: BuildInvertedReference(l)}
-	if err := ref.SaveDir(t.TempDir()); err != nil {
-		t.Fatalf("reference set should persist without a dictionary: %v", err)
 	}
 }

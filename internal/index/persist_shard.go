@@ -12,8 +12,7 @@ import (
 	"gent/internal/table"
 )
 
-// Sharded persistence (format v4): a compressed sharded inverted index saves
-// as one meta file (the colID→column table, column sizes, shard count) plus
+// Inverted-index persistence (format v4): the index saves as one meta file (the colID→column table, column sizes, shard count) plus
 // one file per shard holding that shard's posting blocks. Every file carries
 // the dictionary fingerprint of the save, so shards from different saves can
 // never be mixed; every posting block is fully validated (checkPosting) at
@@ -47,11 +46,11 @@ type shardDisk struct {
 	DictFingerprint uint64
 }
 
-// saveInvertedSharded writes the sharded form under dir, folding any
-// override layer first. Stale shard files from an earlier save with more
+// saveInvertedSharded writes the index under dir, folding any override layer
+// first. Stale shard files from an earlier save with more
 // shards are removed so the directory holds exactly one coherent set.
 func saveInvertedSharded(dir string, ix *Inverted, fp uint64) error {
-	sh := ix.compactedSharded()
+	sh := ix.compactedBase()
 	meta := shardMetaDisk{
 		Version:         invertedFormatSharded,
 		NShards:         sh.n,
@@ -96,36 +95,13 @@ func saveInvertedSharded(dir string, ix *Inverted, fp uint64) error {
 	return nil
 }
 
-// removeShardedInverted deletes any sharded-format files under dir — called
-// when a map-form save would otherwise leave a stale sharded set beside the
-// fresh inverted.gob (loaders prefer the sharded files).
-func removeShardedInverted(dir string) error {
-	paths, err := filepath.Glob(filepath.Join(dir, shardFileGlob))
-	if err != nil {
-		return fmt.Errorf("index: %w", err)
-	}
-	paths = append(paths, filepath.Join(dir, shardMetaFileName))
-	for _, p := range paths {
-		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("index: %w", err)
-		}
-	}
-	return nil
-}
-
-// hasShardedInverted reports whether dir holds a sharded-format index.
-func hasShardedInverted(dir string) bool {
-	_, err := os.Stat(filepath.Join(dir, shardMetaFileName))
-	return err == nil
-}
-
-// loadInvertedSharded reads a sharded inverted index from dir. The value
-// dictionary is required (sharded indexes are always ID-keyed) and
-// fingerprint-checked against every file. Each shard's blocks are fully
-// validated: posting bytes must pass checkPosting, reference colIDs must be
-// in range, and each ID must hash to the shard its file claims — so a
-// corrupt, truncated, or misfiled shard fails the load instead of answering
-// queries wrongly.
+// loadInvertedSharded reads an inverted index from dir. The value dictionary
+// is required and fingerprint-checked against every file. The declared shard
+// count is bounded by the shard files actually present before anything is
+// sized by it, and each shard's blocks are fully validated: posting bytes
+// must pass checkPosting, reference colIDs must be in range, and each ID
+// must hash to the shard its file claims — so a corrupt, truncated, forged
+// or misfiled set fails the load instead of answering queries wrongly.
 func loadInvertedSharded(dir string, dict *table.Dict) (*Inverted, error) {
 	if dict == nil {
 		return nil, fmt.Errorf("%w (inverted index v%d)", ErrDictRequired, invertedFormatSharded)
@@ -145,8 +121,13 @@ func loadInvertedSharded(dir string, dict *table.Dict) (*Inverted, error) {
 		return nil, fmt.Errorf("index: shard meta format v%d, want v%d",
 			meta.Version, invertedFormatSharded)
 	}
-	if meta.NShards < 1 {
-		return nil, fmt.Errorf("index: shard meta declares %d shards", meta.NShards)
+	files, err := filepath.Glob(filepath.Join(dir, shardFileGlob))
+	if err != nil {
+		return nil, fmt.Errorf("index: %w", err)
+	}
+	if meta.NShards < 1 || meta.NShards > len(files) {
+		return nil, fmt.Errorf("%w: shard meta declares %d shards, %d shard files present",
+			ErrCorruptPosting, meta.NShards, len(files))
 	}
 	if dict.Fingerprint() != meta.DictFingerprint {
 		return nil, fmt.Errorf("%w (inverted index shards)", ErrDictFingerprint)
@@ -204,5 +185,5 @@ func loadInvertedSharded(dir string, dict *table.Dict) (*Inverted, error) {
 		sh.shards[s] = invShard{lists: d.Lists}
 		sh.nlists += len(d.Lists)
 	}
-	return &Inverted{dict: dict, sharded: sh, colSizes: meta.ColSizes}, nil
+	return &Inverted{dict: dict, base: sh, colSizes: meta.ColSizes}, nil
 }

@@ -8,32 +8,6 @@ import (
 	"gent/internal/table"
 )
 
-func TestInvertedSaveLoadRoundTrip(t *testing.T) {
-	l := buildLake()
-	orig := BuildInverted(l)
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadInverted(&buf, l.Dict())
-	if err != nil {
-		t.Fatal(err)
-	}
-	query := map[string]bool{table.S("Smith").Key(): true}
-	a, b := orig.SearchSet(query), got.SearchSet(query)
-	if len(a) != len(b) {
-		t.Fatalf("results differ after round trip: %v vs %v", a, b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("result %d differs: %v vs %v", i, a[i], b[i])
-		}
-	}
-	if got.ColumnSize(ColumnRef{Table: "people", Col: 0}) != 3 {
-		t.Error("column sizes lost")
-	}
-}
-
 func TestMinHashSaveLoadRoundTrip(t *testing.T) {
 	l := buildLake()
 	orig := BuildMinHashLSH(l)
@@ -62,13 +36,13 @@ func TestMinHashSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := LoadInverted(bytes.NewReader([]byte("not a gob")), nil); err == nil {
-		t.Error("garbage accepted as inverted index")
+	if _, err := LoadMinHashLSH(bytes.NewReader([]byte("not a gob")), nil); err == nil {
+		t.Error("garbage accepted as minhash index")
 	}
 	if _, err := LoadMinHashLSH(bytes.NewReader(nil), nil); err == nil {
 		t.Error("empty input accepted as minhash index")
 	}
-	if _, err := LoadInvertedFile("/nonexistent/path", nil); err == nil {
+	if _, err := LoadMinHashLSHFile("/nonexistent/path", nil); err == nil {
 		t.Error("missing file accepted")
 	}
 }

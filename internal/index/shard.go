@@ -6,21 +6,17 @@ import (
 	"sort"
 )
 
-// The sharded form is the beyond-RAM representation of the inverted index:
-// postings live as compressed blocks (posting.go) in N value-ID-hash shards
-// instead of one map of []ColumnRef slices. Column references are interned
-// once into a dense colID space (refs/refIDs), so each posting block is a
-// sorted uint32 list — delta-varint or bitmap encoded — rather than a slice
-// of 24-byte structs. Shards partition the ID space by hash, which keeps
-// every shard's build, persistence file, and query probe independent: builds
-// merge per-shard on a bounded pool, SaveDir writes one file per shard, and
-// large probes fan out one goroutine per shard.
+// The posting store of the inverted index: postings live as compressed
+// blocks (posting.go) in N value-ID-hash shards. Column references are
+// interned once into a dense colID space (refs/refIDs), so each posting
+// block is a sorted uint32 list — delta-varint or bitmap encoded — rather
+// than a slice of 24-byte structs. Shards partition the ID space by hash,
+// which keeps every shard's build, persistence file, and query probe
+// independent: builds merge per-shard on a bounded pool, SaveDir writes one
+// file per shard, and large probes fan out one goroutine per shard.
 //
-// The form slots in under the existing Inverted search/delta layers via
-// baseRefs/baseLen: queries produce the same overlap counts (counting is
-// additive and order-independent, and rankOverlaps sorts deterministically),
-// so results are bit-identical to the map form's — equivalence tests pin
-// this.
+// Query results do not depend on the shard count: counting is additive and
+// order-independent, and rankOverlaps sorts deterministically.
 
 // shardSeed keys the ID→shard hash. It is distinct from every MinHash
 // permutation seed (those are small integers) so shard routing is
@@ -50,16 +46,16 @@ type invShard struct {
 	lists map[uint32][]byte
 }
 
-// shardedForm is the compressed, sharded posting store an Inverted can carry
-// instead of the idPostings map. refs is the colID→column table (append-only
-// per derived index; WithDelta layers may extend a copy), refIDs its inverse.
+// shardedForm is the compressed, sharded posting store under an Inverted.
+// refs is the colID→column table (append-only per derived index; compaction
+// may extend a copy), refIDs its inverse.
 type shardedForm struct {
 	n      int
 	refs   []ColumnRef
 	refIDs map[ColumnRef]uint32
 	shards []invShard
-	// nlists counts posting lists across all shards — the sharded analogue
-	// of len(idPostings), used by the compaction threshold.
+	// nlists counts posting lists across all shards — the compaction
+	// threshold's denominator.
 	nlists int
 }
 
@@ -144,9 +140,11 @@ func (pb *postingBuilder) finish() []byte {
 	return append(b, pb.buf...)
 }
 
-// BuildInvertedSharded builds the compressed, sharded form of the inverted
-// index: identical query results to BuildInverted, a fraction of the memory.
-// shards ≤ 1 still builds the compressed form, in a single shard.
+// BuildInvertedSharded indexes every distinct non-null value ID of every
+// table column into the given number of shards (≤ 1 means one), interning
+// the corpus first if needed. Tables are scanned concurrently on a bounded
+// worker pool and merged in corpus order, so the result is identical to a
+// sequential build.
 func BuildInvertedSharded(l Corpus, shards int) *Inverted {
 	return buildInvertedSharded(l, shards, runtime.GOMAXPROCS(0))
 }
@@ -247,7 +245,7 @@ func buildInvertedSharded(l Corpus, nshards, workers int) *Inverted {
 		sh.nlists += len(sh.shards[s].lists)
 	}
 
-	return &Inverted{dict: l.Dict(), sharded: sh, colSizes: colSizes}
+	return &Inverted{dict: l.Dict(), base: sh, colSizes: colSizes}
 }
 
 // countIDsSharded is the fan-out probe: query IDs are partitioned by shard,
@@ -255,7 +253,7 @@ func buildInvertedSharded(l Corpus, nshards, workers int) *Inverted {
 // partials merged additively — the same totals a sequential probe produces.
 // Override-layer IDs are counted inline first; they never reach the shards.
 func (ix *Inverted) countIDsSharded(query []uint32) map[ColumnRef]int {
-	sh := ix.sharded
+	sh := ix.base
 	counts := make(map[ColumnRef]int)
 	parts := make([][]uint32, sh.n)
 	for _, id := range query {
@@ -289,7 +287,7 @@ func (ix *Inverted) countIDsSharded(query []uint32) map[ColumnRef]int {
 	return counts
 }
 
-// flattenSharded is sharded compaction: a copy of the base's shard maps
+// flattenSharded is compaction: a copy of the base's shard maps
 // (sharing the immutable blocks) with every overridden ID re-encoded, and
 // the ref table extended for columns the base never saw. The override
 // layer's refs arrive unsorted relative to colIDs, so each rewritten list is

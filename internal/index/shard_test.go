@@ -15,56 +15,9 @@ import (
 	"gent/internal/table"
 )
 
-// TestShardedMatchesMapForm pins the compressed sharded index to the map
-// form bit for bit: identical SearchSet/SearchIDs output (order included),
-// identical flattened postings, identical coverage — across shard counts.
-func TestShardedMatchesMapForm(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for trial := 0; trial < 15; trial++ {
-		l := randomEquivLake(rng)
-		ref := BuildInverted(l)
-		for _, nshards := range []int{1, 3, 8} {
-			ix := BuildInvertedSharded(l, nshards)
-			if ix.Shards() != nshards {
-				t.Fatalf("Shards() = %d, want %d", ix.Shards(), nshards)
-			}
-			if !reflect.DeepEqual(flatPostingsView(ix), flatPostingsView(ref)) {
-				t.Fatalf("trial %d, %d shards: postings diverged", trial, nshards)
-			}
-			if !reflect.DeepEqual(ix.colSizes, ref.colSizes) {
-				t.Fatalf("trial %d, %d shards: colSizes diverged", trial, nshards)
-			}
-			if !ix.Covers(l) {
-				t.Fatalf("trial %d, %d shards: sharded index does not cover its lake", trial, nshards)
-			}
-			for q := 0; q < 10; q++ {
-				query := make(map[string]bool)
-				ids := make([]uint32, 0)
-				for n := 1 + rng.Intn(6); n > 0; n-- {
-					v := table.S(fmt.Sprintf("v%d", rng.Intn(20)))
-					if query[v.Key()] {
-						continue
-					}
-					query[v.Key()] = true
-					if id, ok := l.Dict().LookupValue(v); ok {
-						ids = append(ids, id)
-					}
-				}
-				if a, b := ix.SearchSet(query), ref.SearchSet(query); !reflect.DeepEqual(a, b) {
-					t.Fatalf("trial %d, %d shards: SearchSet diverged\nsharded: %v\nmap:     %v",
-						trial, nshards, a, b)
-				}
-				if a, b := ix.SearchIDs(ids), ref.SearchIDs(ids); !reflect.DeepEqual(a, b) {
-					t.Fatalf("trial %d, %d shards: SearchIDs diverged", trial, nshards)
-				}
-			}
-		}
-	}
-}
-
 // TestShardedFanOutProbe drives a query past the fan-out threshold so the
-// parallel per-shard counting path runs, and pins its output to the map
-// form's.
+// parallel per-shard counting path runs, and pins its output to the
+// specification's and to the inline probe of a single shard.
 func TestShardedFanOutProbe(t *testing.T) {
 	l := lake.New()
 	big := table.New("big", "a", "b")
@@ -78,76 +31,25 @@ func TestShardedFanOutProbe(t *testing.T) {
 	}
 	laketest.Add(l, small)
 
-	ref := BuildInverted(l)
-	ix := BuildInvertedSharded(l, 4)
-	ids := make([]uint32, 0, 2100)
-	for i := 0; i < 2100; i++ {
-		if id, ok := l.Dict().LookupValue(table.S(fmt.Sprintf("val%d", i))); ok {
-			ids = append(ids, id)
-		}
+	query := make([]table.Value, 2100) // past val1999: values the lake never saw
+	for i := range query {
+		query[i] = table.S(fmt.Sprintf("val%d", i))
 	}
-	if len(ids) < shardProbeFanOut {
-		t.Fatalf("query too small to exercise fan-out: %d ids", len(ids))
+	if len(query) < shardProbeFanOut {
+		t.Fatalf("query too small to exercise fan-out: %d values", len(query))
 	}
-	if a, b := ix.SearchIDs(ids), ref.SearchIDs(ids); !reflect.DeepEqual(a, b) {
-		t.Fatalf("fan-out probe diverged from map form:\nsharded: %v\nmap:     %v", a[:3], b[:3])
-	}
-}
-
-// TestShardedDeltaMatchesRebuild is TestInvertedDeltaMatchesRebuild for the
-// sharded base: a maintained sharded index tracks random lake mutations and
-// must stay bit-identical to a fresh sharded build — and to a fresh map
-// build — at every epoch. The mutation volume drives the override layer past
-// the compaction threshold, so flattenSharded is exercised too.
-func TestShardedDeltaMatchesRebuild(t *testing.T) {
-	for seed := int64(11); seed <= 13; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		l := lake.New()
-		nextID := 0
-		for i := 0; i < 4; i++ {
-			nextID++
-			laketest.Add(l, randomTable(rng, fmt.Sprintf("t%d", nextID)))
-		}
-		prev := l.Snapshot()
-		maintained := BuildInvertedSharded(prev, 4)
-		for step := 0; step < 30; step++ {
-			applyRandomMutation(t, rng, l, &nextID)
-			snap := l.Snapshot()
-			added, removed, ok := lake.Diff(prev, snap)
-			if !ok {
-				t.Fatal("diff broke within one lineage")
-			}
-			snap.EnsureInterned()
-			maintained = maintained.WithDelta(forms(snap, added), forms(prev, removed))
-			if maintained == nil {
-				t.Fatal("WithDelta returned nil for a sharded index")
-			}
-			if maintained.Shards() != 4 {
-				t.Fatalf("seed %d step %d: delta lost the sharded base", seed, step)
-			}
-			fresh := BuildInverted(snap)
-			if !reflect.DeepEqual(flatPostingsView(maintained), flatPostingsView(fresh)) {
-				t.Fatalf("seed %d step %d: postings diverged", seed, step)
-			}
-			if !reflect.DeepEqual(maintained.colSizes, fresh.colSizes) {
-				t.Fatalf("seed %d step %d: colSizes diverged", seed, step)
-			}
-			query := make(map[string]bool)
-			for n := 0; n < 8; n++ {
-				query[table.S(fmt.Sprintf("v%d", rng.Intn(120))).Key()] = true
-			}
-			if a, b := maintained.SearchSet(query), fresh.SearchSet(query); !reflect.DeepEqual(a, b) {
-				t.Fatalf("seed %d step %d: SearchSet diverged", seed, step)
-			}
-			prev = snap
+	want := specOverlaps(l, query)
+	for _, nshards := range []int{1, 4} {
+		if got := searchValues(BuildInvertedSharded(l, nshards), query...); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d shards: large probe diverged from the specification:\n got %v\nwant %v", nshards, got, want)
 		}
 	}
 }
 
 // TestShardedCompaction forces the override layer past the compaction
-// threshold in one delta: the derived index must flatten back to a pure
-// sharded base (no override layer), stay bit-identical to a fresh build, and
-// leave the receiver's base untouched.
+// threshold in one delta: the derived index must flatten back to a pure base
+// (no override layer), hold the postings of a fresh build, and leave the
+// receiver's base untouched.
 func TestShardedCompaction(t *testing.T) {
 	l := lake.New()
 	seedTab := table.New("seed", "a")
@@ -155,7 +57,7 @@ func TestShardedCompaction(t *testing.T) {
 	laketest.Add(l, seedTab)
 	snap := l.Snapshot()
 	base := BuildInvertedSharded(snap, 4)
-	if n := base.baseLen(); n >= 10 {
+	if n := base.base.nlists; n >= 10 {
 		t.Fatalf("seed base unexpectedly large: %d lists", n)
 	}
 
@@ -171,20 +73,17 @@ func TestShardedCompaction(t *testing.T) {
 	snap2 := l.Snapshot()
 	snap2.EnsureInterned()
 	derived := base.WithDelta([]*table.Interned{snap2.Interned("wide")}, nil)
-	if derived == nil {
-		t.Fatal("WithDelta returned nil")
-	}
 	if derived.idOver != nil {
 		t.Fatalf("delta of %d novel IDs over a %d-list base did not compact",
-			201, base.baseLen())
+			201, base.base.nlists)
 	}
-	if derived.sharded == base.sharded {
+	if derived.base == base.base {
 		t.Fatal("compaction mutated the shared base instead of copying")
 	}
-	if base.baseLen() != 1 {
-		t.Fatalf("receiver base changed: %d lists", base.baseLen())
+	if base.base.nlists != 1 {
+		t.Fatalf("receiver base changed: %d lists", base.base.nlists)
 	}
-	fresh := BuildInverted(snap2)
+	fresh := BuildInvertedSharded(snap2, 4)
 	if !reflect.DeepEqual(flatPostingsView(derived), flatPostingsView(fresh)) {
 		t.Fatal("compacted postings diverge from a fresh build")
 	}
@@ -205,16 +104,13 @@ func TestShardedIndexSetRoundTrip(t *testing.T) {
 	if err := set.SaveDir(dir); err != nil {
 		t.Fatalf("SaveDir: %v", err)
 	}
-	if !hasShardedInverted(dir) {
-		t.Fatal("sharded save left no shard meta")
+	if !fileExists(filepath.Join(dir, shardMetaFileName)) {
+		t.Fatal("save left no shard meta")
 	}
 	for s := 0; s < 4; s++ {
 		if !fileExists(filepath.Join(dir, fmt.Sprintf(shardFilePattern, s))) {
 			t.Fatalf("shard file %d missing", s)
 		}
-	}
-	if fileExists(filepath.Join(dir, invertedFileName)) {
-		t.Fatal("sharded save left a stale map-form file")
 	}
 
 	loaded, err := LoadIndexSetDir(dir)
@@ -231,16 +127,13 @@ func TestShardedIndexSetRoundTrip(t *testing.T) {
 		t.Fatal("loaded postings diverged from the saved set")
 	}
 	for q := 0; q < 10; q++ {
-		query := map[string]bool{
-			table.S(fmt.Sprintf("v%d", rng.Intn(20))).Key(): true,
-			table.N(float64(rng.Intn(8))).Key():             true,
-		}
-		if a, b := loaded.Inverted.SearchSet(query), set.Inverted.SearchSet(query); !reflect.DeepEqual(a, b) {
+		query := []table.Value{table.S(fmt.Sprintf("v%d", rng.Intn(20))), table.N(float64(rng.Intn(8)))}
+		if a, b := searchValues(loaded.Inverted, query...), searchValues(set.Inverted, query...); !reflect.DeepEqual(a, b) {
 			t.Fatalf("loaded search diverged: %v vs %v", a, b)
 		}
 	}
 
-	// The loaded sharded set must catch up incrementally like the map form.
+	// The loaded set must catch up incrementally.
 	l2 := lake.New()
 	if err := l2.AdoptDict(loaded.Dict); err != nil {
 		t.Fatal(err)
@@ -257,25 +150,25 @@ func TestShardedIndexSetRoundTrip(t *testing.T) {
 	if !ok || added != 1 {
 		t.Fatalf("CatchUp = (%d, %v), want (1, true)", added, ok)
 	}
-	fresh := BuildInverted(snap2)
+	fresh := BuildInvertedSharded(snap2, 4)
 	if !reflect.DeepEqual(flatPostingsView(loaded.Inverted), flatPostingsView(fresh)) {
-		t.Fatal("caught-up sharded postings diverge from a fresh build")
+		t.Fatal("caught-up postings diverge from a fresh build")
 	}
 
-	// A map-form save into the same directory replaces the sharded files.
-	mapSet := BuildIndexSet(snap)
-	if err := mapSet.SaveDir(dir); err != nil {
-		t.Fatalf("map-form SaveDir: %v", err)
+	// A save with fewer shards into the same directory leaves no shard file
+	// of the wider set behind.
+	if err := BuildIndexSetSharded(snap, 2).SaveDir(dir); err != nil {
+		t.Fatalf("narrower SaveDir: %v", err)
 	}
-	if hasShardedInverted(dir) {
-		t.Fatal("map-form save left stale shard meta behind")
+	if fileExists(filepath.Join(dir, fmt.Sprintf(shardFilePattern, 2))) {
+		t.Fatal("narrower save left a stale shard file behind")
 	}
 	reloaded, err := LoadIndexSetDir(dir)
 	if err != nil {
-		t.Fatalf("reload after map-form save: %v", err)
+		t.Fatalf("reload after narrower save: %v", err)
 	}
-	if reloaded.Inverted.Shards() != 0 {
-		t.Fatal("reload picked up stale shard files")
+	if reloaded.Inverted.Shards() != 2 {
+		t.Fatalf("reload has %d shards, want 2", reloaded.Inverted.Shards())
 	}
 }
 

@@ -142,14 +142,12 @@ func catchUpIndexes(l *lake.Lake, ix *index.IndexSet, warnf Warnf) (added int, o
 	if !ok || len(missing) == 0 {
 		return 0, false
 	}
-	if ix.Dict != nil {
-		// Adopt the persisted dictionary scoped to the tables the set
-		// covers: values of the still-unindexed tables legitimately postdate
-		// it and will grow the (append-only) dictionary.
-		if err := l.AdoptDictCovering(ix.Dict, covered); err != nil {
-			warnf.printf("warning: indexes keyed under a stale dictionary (%v)", err)
-			return 0, false
-		}
+	// Adopt the persisted dictionary scoped to the tables the set covers:
+	// values of the still-unindexed tables legitimately postdate it and will
+	// grow the (append-only) dictionary.
+	if err := l.AdoptDictCovering(ix.Dict, covered); err != nil {
+		warnf.printf("warning: indexes keyed under a stale dictionary (%v)", err)
+		return 0, false
 	}
 	return ix.CatchUp(l.Snapshot())
 }

@@ -1,0 +1,89 @@
+package boot
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"gent/internal/core"
+	"gent/internal/index"
+	"gent/internal/lake"
+	"gent/internal/lake/laketest"
+	"gent/internal/table"
+)
+
+// twoTableLake builds a lake of two fixed-schema tables whose cell values
+// all carry prefix — same catalog, disjoint dictionaries across prefixes.
+func twoTableLake(prefix string) *lake.Lake {
+	l := lake.New()
+	for _, name := range []string{"left", "right"} {
+		t := table.New(name, "k", "v")
+		for i := 0; i < 5; i++ {
+			t.AddRow(table.S(fmt.Sprintf("%s-k%d", prefix, i)), table.S(fmt.Sprintf("%s-%s%d", prefix, name, i)))
+		}
+		laketest.Add(l, t)
+	}
+	return l
+}
+
+// adopt runs AdoptIndexes for a fresh session over l, collecting warnings.
+func adopt(t *testing.T, l *lake.Lake, dir string) (IndexOutcome, []string) {
+	t.Helper()
+	var warnings []string
+	out, err := AdoptIndexes(core.NewReclaimer(l, core.DefaultConfig()), dir, func(format string, args ...any) {
+		warnings = append(warnings, fmt.Sprintf(format, args...))
+	})
+	if err != nil {
+		t.Fatalf("AdoptIndexes: %v", err)
+	}
+	return out, warnings
+}
+
+// TestAdoptIndexesRebuildsForeignDictionary: persisted indexes that cover
+// the lake's catalog but are keyed under a dictionary lacking its values are
+// warned about and rebuilt, and the rebuilt directory loads as-is on the
+// next start.
+func TestAdoptIndexesRebuildsForeignDictionary(t *testing.T) {
+	dir := t.TempDir()
+	foreign := index.BuildIndexSet(twoTableLake("theirs").Snapshot())
+	foreign.Epoch = lake.Epoch{} // unstamped, so the dictionary is what refuses it
+	if err := foreign.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	out, warnings := adopt(t, twoTableLake("ours"), dir)
+	if out.Action != "built" {
+		t.Fatalf("foreign-dictionary indexes: action %q, want built", out.Action)
+	}
+	if len(warnings) != 1 || !strings.Contains(warnings[0], lake.ErrDictMismatch.Error()) {
+		t.Fatalf("warnings = %q, want one naming the dictionary mismatch", warnings)
+	}
+	if out, warnings := adopt(t, twoTableLake("ours"), dir); out.Action != "loaded" || len(warnings) != 0 {
+		t.Fatalf("next start: action %q, warnings %q; want a clean load", out.Action, warnings)
+	}
+}
+
+// TestAdoptIndexesRebuildsLegacyDirectory: a directory holding only a
+// pre-sharding inverted.gob is warned about, rebuilt in the current format
+// (the legacy file removed), and loads cleanly on the next start.
+func TestAdoptIndexesRebuildsLegacyDirectory(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, "inverted.gob")
+	if err := os.WriteFile(legacy, []byte("a pre-sharding inverted index"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, warnings := adopt(t, twoTableLake("ours"), dir)
+	if out.Action != "built" {
+		t.Fatalf("legacy directory: action %q, want built", out.Action)
+	}
+	if len(warnings) != 1 || !strings.Contains(warnings[0], index.ErrStaleFormat.Error()) {
+		t.Fatalf("warnings = %q, want one naming the stale format", warnings)
+	}
+	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
+		t.Fatalf("rebuild left the legacy file behind (stat: %v)", err)
+	}
+	if out, warnings := adopt(t, twoTableLake("ours"), dir); out.Action != "loaded" || len(warnings) != 0 {
+		t.Fatalf("next start: action %q, warnings %q; want a clean load", out.Action, warnings)
+	}
+}

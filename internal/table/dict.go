@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"strconv"
 	"sync"
 )
 
@@ -160,51 +159,6 @@ func (d *Dict) LookupValue(v Value) (uint32, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.find(e)
-}
-
-// LookupKey is LookupValue addressed by a canonical key string (Value.Key
-// output) — the compatibility bridge for string-keyed callers probing an
-// ID-keyed index. Malformed keys report false.
-func (d *Dict) LookupKey(key string) (uint32, bool) {
-	if key == "" {
-		return 0, false
-	}
-	if key[0] == 's' {
-		raw, ok := keyUnescape(key[1:])
-		if !ok {
-			return 0, false
-		}
-		d.mu.RLock()
-		defer d.mu.RUnlock()
-		id, ok := d.strs[raw]
-		return id, ok
-	}
-	if key[0] != '\x00' || len(key) < 2 {
-		return 0, false
-	}
-	switch key[1] {
-	case 'N':
-		return NullID, true
-	case 'L':
-		n, err := strconv.ParseInt(key[2:], 10, 64)
-		if err != nil {
-			return 0, false
-		}
-		d.mu.RLock()
-		defer d.mu.RUnlock()
-		id, ok := d.labels[n]
-		return id, ok
-	case '#':
-		f, err := strconv.ParseFloat(key[2:], 64)
-		if err != nil {
-			return 0, false
-		}
-		d.mu.RLock()
-		defer d.mu.RUnlock()
-		id, ok := d.nums[canonicalBits(f)]
-		return id, ok
-	}
-	return 0, false
 }
 
 // ValueOf reconstructs the value of an assigned ID (numeric entries come

@@ -55,10 +55,10 @@ func TestDictMatchesKeyEquivalence(t *testing.T) {
 			}
 		}
 	}
-	// LookupKey must agree with InternValue through the canonical key form.
+	// LookupValue must agree with InternValue.
 	for i, v := range vals {
-		if got, ok := d.LookupKey(v.Key()); !ok || got != ids[i] {
-			t.Errorf("LookupKey(%q) = %d, %v; want %d", v.Key(), got, ok, ids[i])
+		if got, ok := d.LookupValue(v); !ok || got != ids[i] {
+			t.Errorf("LookupValue(%v) = %d, %v; want %d", v, got, ok, ids[i])
 		}
 	}
 }

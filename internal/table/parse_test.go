@@ -1,6 +1,9 @@
 package table
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestParseRejectsGoOnlyNumberSpellings pins the decimal-text contract:
 // spellings only Go's ParseFloat understands are not numbers under the
@@ -57,16 +60,16 @@ func TestKeyEscapingMakesRowKeysInjective(t *testing.T) {
 	if !a.Equal(a.Clone()) || a.Key() != a.Clone().Key() {
 		t.Fatal("key must be stable")
 	}
-	for _, s := range []string{"\x00", "\x01", "\x02", "mixed\x00\x01\x02end", "plain"} {
-		got, ok := keyUnescape(keyEscape(s))
-		if !ok || got != s {
-			t.Errorf("escape round trip broke for %q: got %q, ok=%v", s, got, ok)
+	// Escaped bodies are pairwise distinct and free of the joining bytes.
+	seen := make(map[string]string)
+	for _, s := range []string{"\x00", "\x01", "\x02", "\x000", "mixed\x00\x01\x02end", "plain"} {
+		e := keyEscape(s)
+		if strings.ContainsAny(e, "\x01\x02") {
+			t.Errorf("escaped %q still holds a separator: %q", s, e)
 		}
-	}
-	if _, ok := keyUnescape("\x00x"); ok {
-		t.Error("malformed escape accepted")
-	}
-	if _, ok := keyUnescape("\x01"); ok {
-		t.Error("bare separator accepted")
+		if prev, dup := seen[e]; dup {
+			t.Errorf("%q and %q escape to the same body %q", prev, s, e)
+		}
+		seen[e] = s
 	}
 }

@@ -178,33 +178,6 @@ func keyEscape(s string) string {
 	return b.String()
 }
 
-// keyUnescape inverts keyEscape; malformed escapes (including bare control
-// bytes, which escaped bodies never contain) return false.
-func keyUnescape(s string) (string, bool) {
-	i := 0
-	for i < len(s) && s[i] > '\x02' {
-		i++
-	}
-	if i == len(s) {
-		return s, true
-	}
-	var b strings.Builder
-	b.Grow(len(s))
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c > '\x02' {
-			b.WriteByte(c)
-			continue
-		}
-		if c != '\x00' || i+1 >= len(s) || s[i+1] < '0' || s[i+1] > '2' {
-			return "", false
-		}
-		i++
-		b.WriteByte(s[i] - '0')
-	}
-	return b.String(), true
-}
-
 // Compare orders values deterministically: nulls first, then numbers by
 // value, then strings lexicographically, then labels by identity.
 func (v Value) Compare(w Value) int {
