@@ -67,16 +67,9 @@ type epochState struct {
 	// queries of one epoch and is refused with ErrSessionStarted.
 	used atomic.Bool
 
-	invOnce sync.Once
-	invPtr  atomic.Pointer[index.Inverted]
-	lshOnce sync.Once
-	lshPtr  atomic.Pointer[index.MinHashLSH]
-	semOnce sync.Once
-	semPtr  atomic.Pointer[embed.CosineLSH]
-	// injected substrates (UseIndexes) short-circuit the lazy builds.
-	injInv *index.Inverted
-	injLSH *index.MinHashLSH
-	injSem *embed.CosineLSH
+	invSlot slot[index.Inverted]
+	lshSlot slot[index.MinHashLSH]
+	semSlot slot[index.CosineLSH]
 	// semEnabled is captured from the session's default discovery strategy at
 	// state creation: only then do chain-trim and prev-release wait for the
 	// semantic substrate (a syntactic session must not pin ancestors for a
@@ -167,58 +160,8 @@ func trimChain(head *epochState) {
 // materialized on s — the point at which older ancestors have nothing left
 // to contribute.
 func (s *epochState) substratesDone() bool {
-	return s.invPtr.Load() != nil && s.lshPtr.Load() != nil &&
-		(!s.semEnabled || s.semPtr.Load() != nil)
-}
-
-// inverted returns the state's exact-overlap substrate, building it on
-// first use: injected copy, incremental catch-up from the nearest ancestor
-// that has one, or a fresh build over the pinned snapshot.
-func (s *epochState) inverted() *index.Inverted {
-	s.invOnce.Do(func() {
-		if s.injInv != nil {
-			s.invPtr.Store(s.injInv)
-			return
-		}
-		for a := s.prev.Load(); a != nil; a = a.prev.Load() {
-			base := a.invPtr.Load()
-			if base == nil {
-				continue
-			}
-			if nix := deltaInverted(base, a.snap, s.snap); nix != nil {
-				s.invPtr.Store(nix)
-				return
-			}
-			break // unmaintainable (dict swap or in-place edit): rebuild
-		}
-		s.invPtr.Store(index.BuildInvertedSharded(s.snap, s.shards))
-	})
-	s.dropPrevIfDone()
-	return s.invPtr.Load()
-}
-
-// lsh is inverted's analogue for the MinHash-LSH first stage.
-func (s *epochState) lsh() *index.MinHashLSH {
-	s.lshOnce.Do(func() {
-		if s.injLSH != nil {
-			s.lshPtr.Store(s.injLSH)
-			return
-		}
-		for a := s.prev.Load(); a != nil; a = a.prev.Load() {
-			base := a.lshPtr.Load()
-			if base == nil {
-				continue
-			}
-			if nix := deltaMinHash(base, a.snap, s.snap); nix != nil {
-				s.lshPtr.Store(nix)
-				return
-			}
-			break
-		}
-		s.lshPtr.Store(index.BuildMinHashLSH(s.snap))
-	})
-	s.dropPrevIfDone()
-	return s.lshPtr.Load()
+	return s.invSlot.ptr.Load() != nil && s.lshSlot.ptr.Load() != nil &&
+		(!s.semEnabled || s.semSlot.ptr.Load() != nil)
 }
 
 // dropPrevIfDone releases the ancestor chain once every maintained substrate
@@ -230,81 +173,95 @@ func (s *epochState) dropPrevIfDone() {
 	}
 }
 
-// semantic is inverted's analogue for the cosine-LSH substrate; emb is the
-// (resolved) embedder a fresh build would use. The substrate is built once
-// per state under the first caller's embedder — discovery falls back to a
-// per-query fresh build when a later query's embedder fingerprint differs.
-func (s *epochState) semantic(emb embed.Embedder) *embed.CosineLSH {
-	s.semOnce.Do(func() {
-		if s.injSem != nil {
-			s.semPtr.Store(s.injSem)
+// slot is one substrate of an epoch state, lazy per epoch: ptr is published
+// by the first resolve that needs it — or up front by UseIndexes, which the
+// lazy path then finds already there.
+type slot[T any] struct {
+	once sync.Once
+	ptr  atomic.Pointer[T]
+}
+
+// resolve returns the substrate in s's slot (of picks the slot, on s and on
+// its ancestors), materializing it on first use: an injected copy as is, else
+// delta from the nearest ancestor that has one, else — no ancestor, or delta
+// returned nil because nothing table-level bridges the two snapshots — a
+// fresh build over the pinned snapshot.
+func resolve[T any](s *epochState, of func(*epochState) *slot[T],
+	delta func(base *T, old, new *lake.Snapshot) *T, build func() *T) *T {
+	sl := of(s)
+	sl.once.Do(func() {
+		if sl.ptr.Load() != nil {
 			return
 		}
 		for a := s.prev.Load(); a != nil; a = a.prev.Load() {
-			base := a.semPtr.Load()
+			base := of(a).ptr.Load()
 			if base == nil {
 				continue
 			}
-			if nix := deltaCosine(base, a.snap, s.snap); nix != nil {
-				s.semPtr.Store(nix)
+			if nix := delta(base, a.snap, s.snap); nix != nil {
+				sl.ptr.Store(nix)
 				return
 			}
-			break // unmaintainable (embedder-less load): rebuild
+			break // unmaintainable from here: rebuild
 		}
-		s.semPtr.Store(embed.Build(s.snap, emb))
+		sl.ptr.Store(build())
 	})
 	s.dropPrevIfDone()
-	return s.semPtr.Load()
+	return sl.ptr.Load()
 }
 
-// deltaForms computes the interned-form delta bridging old -> new for a
-// substrate keyed under dict — the shared precondition of both substrate
-// catch-ups. ok is false when no table-level delta applies: the snapshot
-// diff refuses (dictionary adoption or an in-place edit in between), or the
-// substrate is not keyed under the new snapshot's dictionary (an injected
-// LSH index sketched under a foreign dictionary, which must not have
+// inverted returns the state's exact-overlap substrate.
+func (s *epochState) inverted() *index.Inverted {
+	return resolve(s, func(e *epochState) *slot[index.Inverted] { return &e.invSlot },
+		func(base *index.Inverted, old, new *lake.Snapshot) *index.Inverted {
+			return deltaVia(base.Dict(), base.WithDelta, old, new)
+		},
+		func() *index.Inverted { return index.BuildInvertedSharded(s.snap, s.shards) })
+}
+
+// lsh returns the state's MinHash-LSH first stage.
+func (s *epochState) lsh() *index.MinHashLSH {
+	return resolve(s, func(e *epochState) *slot[index.MinHashLSH] { return &e.lshSlot },
+		func(base *index.MinHashLSH, old, new *lake.Snapshot) *index.MinHashLSH {
+			return deltaVia(base.Dict(), base.WithDelta, old, new)
+		},
+		func() *index.MinHashLSH { return index.BuildMinHashLSH(s.snap) })
+}
+
+// semantic returns the state's cosine-LSH substrate; emb is the (resolved)
+// embedder a fresh build would use. The substrate is built once per state
+// under the first caller's embedder — discovery falls back to a per-query
+// fresh build when a later query's embedder fingerprint differs. Its vectors
+// are not ID-keyed, so any dictionary will do and only the snapshot diff
+// gates maintainability (WithDelta itself refuses when the embedder is
+// absent); the dictionary is rebound so the maintained index persists under
+// the current pairing.
+func (s *epochState) semantic(emb embed.Embedder) *index.CosineLSH {
+	return resolve(s, func(e *epochState) *slot[index.CosineLSH] { return &e.semSlot },
+		func(base *index.CosineLSH, old, new *lake.Snapshot) *index.CosineLSH {
+			nix := deltaVia(new.Dict(), base.WithDelta, old, new)
+			if nix != nil {
+				nix.RebindDict(new.Dict())
+			}
+			return nix
+		},
+		func() *index.CosineLSH { return index.BuildCosineLSH(s.snap, emb) })
+}
+
+// deltaVia catches a substrate keyed under dict and built at the old snapshot
+// up to new through its withDelta, fed the interned-form delta bridging the
+// two. It returns nil when no table-level delta applies: the snapshot diff
+// refuses (dictionary adoption or an in-place edit in between), or the
+// substrate is not keyed under the new snapshot's dictionary (an injected LSH
+// index sketched under a foreign dictionary, which must not have
 // current-dictionary IDs mixed into it).
-func deltaForms(dict *table.Dict, old, new *lake.Snapshot) (added, removed []*table.Interned, ok bool) {
+func deltaVia[T any](dict *table.Dict, withDelta func(added, removed []*table.Interned) *T,
+	old, new *lake.Snapshot) *T {
 	at, rt, ok := lake.Diff(old, new)
 	if !ok || dict != new.Dict() {
-		return nil, nil, false
-	}
-	return internForms(new, at), internForms(old, rt), true
-}
-
-// deltaInverted catches base (built at the old snapshot) up to new via the
-// snapshot diff; nil when no table-level delta can bridge the two.
-func deltaInverted(base *index.Inverted, old, new *lake.Snapshot) *index.Inverted {
-	added, removed, ok := deltaForms(base.Dict(), old, new)
-	if !ok {
 		return nil
 	}
-	return base.WithDelta(added, removed)
-}
-
-// deltaMinHash is deltaInverted for the LSH substrate.
-func deltaMinHash(base *index.MinHashLSH, old, new *lake.Snapshot) *index.MinHashLSH {
-	added, removed, ok := deltaForms(base.Dict(), old, new)
-	if !ok {
-		return nil
-	}
-	return base.WithDelta(added, removed)
-}
-
-// deltaCosine is deltaInverted for the semantic substrate. Its vectors are
-// not ID-keyed, so only the snapshot diff gates maintainability (WithDelta
-// itself refuses when the embedder is absent); the dictionary is rebound so
-// the maintained index persists under the current pairing.
-func deltaCosine(base *embed.CosineLSH, old, new *lake.Snapshot) *embed.CosineLSH {
-	at, rt, ok := lake.Diff(old, new)
-	if !ok {
-		return nil
-	}
-	nix := base.WithDelta(internForms(new, at), internForms(old, rt))
-	if nix != nil {
-		nix.RebindDict(new.Dict())
-	}
-	return nix
+	return withDelta(internForms(new, at), internForms(old, rt))
 }
 
 // internForms resolves tables to their interned forms under the snapshot
@@ -406,21 +363,14 @@ func (r *Reclaimer) UseIndexes(ix *index.IndexSet) error {
 	if ix.Semantic != nil && !ix.Semantic.Embeddable() {
 		ix.Semantic.AttachEmbedder(embed.Resolve(r.cfg.Discovery.Embedder))
 	}
-	ns := &epochState{snap: ls, shards: r.cfg.IndexShards,
-		injInv: ix.Inverted, injLSH: ix.LSH, injSem: ix.Semantic, semEnabled: r.semEnabled()}
-	// Publish the injected substrates immediately (the lazy Once still
-	// short-circuits onto them): a later epoch's catch-up walk reads invPtr/
-	// lshPtr, and an injected set must be deltable from, not silently
-	// skipped in favor of a full rebuild.
-	if ix.Inverted != nil {
-		ns.invPtr.Store(ix.Inverted)
-	}
-	if ix.LSH != nil {
-		ns.lshPtr.Store(ix.LSH)
-	}
-	if ix.Semantic != nil {
-		ns.semPtr.Store(ix.Semantic)
-	}
+	// Publish the injected substrates into their slots right away: the lazy
+	// resolve short-circuits onto them, and a later epoch's catch-up walk must
+	// find an injected set to delta from rather than silently skip it in favor
+	// of a full rebuild. Nil members stay lazy.
+	ns := &epochState{snap: ls, shards: r.cfg.IndexShards, semEnabled: r.semEnabled()}
+	ns.invSlot.ptr.Store(ix.Inverted)
+	ns.lshSlot.ptr.Store(ix.LSH)
+	ns.semSlot.ptr.Store(ix.Semantic)
 	ns.prev.Store(r.cur.Load())
 	trimChain(ns)
 	r.cur.Store(ns)
@@ -451,9 +401,9 @@ func (r *Reclaimer) BuildIndexes() *index.IndexSet {
 	st.lsh()
 	wg.Wait()
 	return &index.IndexSet{
-		Inverted: st.invPtr.Load(),
-		LSH:      st.lshPtr.Load(),
-		Semantic: st.semPtr.Load(),
+		Inverted: st.invSlot.ptr.Load(),
+		LSH:      st.lshSlot.ptr.Load(),
+		Semantic: st.semSlot.ptr.Load(),
 		Dict:     st.snap.Dict(),
 		Epoch:    st.snap.Epoch(),
 	}

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"gent/internal/embed"
+	"gent/internal/index"
 	"gent/internal/lake"
 	"gent/internal/table"
 )
@@ -102,14 +103,14 @@ func semanticWeight(o Options) float64 {
 // semantic channel when the strategy calls for it (against the prebuilt
 // substrate when one is usable, else a fresh build over the snapshot), merge
 // per the strategy, report stats, and expand.
-func finishDiscover(ctx context.Context, snap *lake.Snapshot, prebuilt *embed.CosineLSH, syn []*Candidate, src *table.Table, opts Options) ([]*Candidate, error) {
+func finishDiscover(ctx context.Context, snap *lake.Snapshot, prebuilt *index.CosineLSH, syn []*Candidate, src *table.Table, opts Options) ([]*Candidate, error) {
 	stats := DiscoverStats{Strategy: opts.Strategy, SyntacticCandidates: len(syn)}
 	merged := syn
 	if opts.Strategy != StrategySyntactic {
 		sem := prebuilt
 		want := embed.Resolve(opts.Embedder).Fingerprint()
 		if sem == nil || !sem.Embeddable() || sem.EmbedderFingerprint() != want {
-			sem = embed.Build(snap, opts.Embedder)
+			sem = index.BuildCosineLSH(snap, opts.Embedder)
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -137,7 +138,7 @@ func finishDiscover(ctx context.Context, snap *lake.Snapshot, prebuilt *embed.Co
 // semMatch is one semantic hit of one Source column against one lake column.
 type semMatch struct {
 	sCol int
-	ref  embed.ColumnRef
+	ref  index.ColumnRef
 	cos  float64
 }
 
@@ -147,7 +148,7 @@ type semMatch struct {
 // each ranked table with cosine-driven schema matching. There is no
 // aligned-tuple verification — the channel exists precisely for candidates
 // whose cell values do not literally appear in the Source.
-func semanticCandidates(ctx context.Context, snap *lake.Snapshot, sem *embed.CosineLSH, src *table.Table, opts Options) ([]*Candidate, error) {
+func semanticCandidates(ctx context.Context, snap *lake.Snapshot, sem *index.CosineLSH, src *table.Table, opts Options) ([]*Candidate, error) {
 	tau, topk := semanticTau(opts), semanticTopK(opts)
 	emb := sem.Embedder()
 	if emb == nil {

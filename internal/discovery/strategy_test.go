@@ -243,7 +243,7 @@ func TestHybridUsesPrebuiltSemanticIndex(t *testing.T) {
 
 	// A mismatched embedder fingerprint must fall back to a fresh build.
 	other := embed.NewNGramEmbedder(32, 2, 7)
-	ix.Semantic = embed.Build(snap, other)
+	ix.Semantic = index.BuildCosineLSH(snap, other)
 	mismatch, err := DiscoverWithSnapContext(context.Background(), snap, ix, src, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
-// Package embed is the semantic discovery substrate: per-column embedding
-// vectors from a pluggable Embedder, and a cosine-LSH index (CosineLSH) over
-// those vectors that participates in epoch deltas and persistence exactly
-// like the syntactic substrates in internal/index.
+// Package embed turns a lake column into a unit vector: the pluggable
+// Embedder interface, the built-in n-gram embedder, and the loader for
+// external word-vector files. The cosine-LSH index over those vectors lives
+// with the other discovery substrates, in internal/index (index.CosineLSH).
 //
 // The built-in embedder hashes character n-grams of each value's canonical
 // text into a fixed-dimension random-projection space — deterministic, needs
@@ -12,7 +12,7 @@
 //
 // Determinism contract: a column's vector depends only on its set of
 // distinct canonical values — Embed receives them sorted, so float
-// accumulation order is fixed. That is what makes the index's WithDelta
+// accumulation order is fixed. That is what makes the index's delta
 // maintenance bit-identical to a fresh rebuild: re-embedding a column in a
 // delta produces the identical float32s the build produced.
 package embed
@@ -25,23 +25,6 @@ import (
 
 	"gent/internal/table"
 )
-
-// ColumnRef identifies one column of one lake table.
-type ColumnRef struct {
-	Table string
-	Col   int
-}
-
-// Corpus is the slice of the lake the embedding substrate reads: the same
-// shape internal/index consumes, declared locally so embed stays importable
-// from index. *lake.Lake and *lake.Snapshot satisfy it.
-type Corpus interface {
-	Names() []string
-	Tables() []*table.Table
-	Dict() *table.Dict
-	Interned(name string) *table.Interned
-	EnsureInterned()
-}
 
 // Embedder maps a column's distinct values to a unit vector.
 //
@@ -114,6 +97,10 @@ func NewNGramEmbedder(dim, n int, seed uint64) *NGramEmbedder {
 
 // Dim returns the embedding dimension.
 func (e *NGramEmbedder) Dim() int { return e.dim }
+
+// Params returns the arguments NewNGramEmbedder rebuilds this embedder from —
+// what a persisted index records beside its vectors.
+func (e *NGramEmbedder) Params() (dim, n int, seed uint64) { return e.dim, e.n, e.seed }
 
 // Fingerprint identifies the embedding family and parameters.
 func (e *NGramEmbedder) Fingerprint() uint64 {
@@ -267,16 +254,6 @@ func EmbedColumn(e Embedder, t *table.Table, c int) ([]float32, bool) {
 	}
 	sort.Strings(keys)
 	return e.Embed(keys)
-}
-
-// dot is the float64-accumulated inner product of two float32 vectors; on
-// unit vectors it is the cosine.
-func dot(a, b []float32) float64 {
-	var s float64
-	for i := range a {
-		s += float64(a[i]) * float64(b[i])
-	}
-	return s
 }
 
 func writeU64(h interface{ Write([]byte) (int, error) }, v uint64) {

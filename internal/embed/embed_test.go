@@ -1,18 +1,21 @@
 package embed
 
 import (
-	"context"
-	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
-	"gent/internal/lake"
-	"gent/internal/lake/laketest"
 	"gent/internal/table"
 )
+
+// dot is the cosine of two unit vectors.
+func dot(a, b []float32) float64 {
+	var s float64
+	for i := range a {
+		s += float64(a[i]) * float64(b[i])
+	}
+	return s
+}
 
 func unitNorm(t *testing.T, vec []float32) {
 	t.Helper()
@@ -78,200 +81,5 @@ func TestEmbedColumnEmpty(t *testing.T) {
 	tb.AddRow(table.Null)
 	if _, ok := EmbedColumn(Default(), tb, 0); ok {
 		t.Fatal("all-null column embedded")
-	}
-}
-
-// cityTable builds a table whose single column holds decorated city names.
-func cityTable(name, prefix string, n int) *table.Table {
-	t := table.New(name, "place")
-	cities := []string{"berlin", "hamburg", "munich", "cologne", "frankfurt",
-		"stuttgart", "dresden", "leipzig", "bremen", "hanover"}
-	for i := 0; i < n; i++ {
-		t.AddRow(table.S(prefix + cities[i%len(cities)] + fmt.Sprintf("-%d", i/len(cities))))
-	}
-	return t
-}
-
-func TestCosineLSHFindsDriftedColumn(t *testing.T) {
-	l := lake.New()
-	laketest.Add(l, cityTable("cities", "", 30))
-	laketest.Add(l, mkNumbers("numbers", 50))
-	snap := l.Snapshot()
-	ix := Build(snap, nil)
-	if !ix.Covers(snap) {
-		t.Fatal("fresh build does not cover its corpus")
-	}
-	query := cityTable("q", "de·", 30) // zero exact value overlap with "cities"
-	ms := ix.SearchColumn(query, 0, 0.5, 5)
-	if len(ms) == 0 || ms[0].Ref != (ColumnRef{Table: "cities", Col: 0}) {
-		t.Fatalf("drifted query missed the city column: %v", ms)
-	}
-	// Different content must not pass the threshold at rank 1.
-	for _, m := range ms {
-		if m.Ref.Table == "numbers" && m.Cosine >= ms[0].Cosine {
-			t.Fatalf("unrelated column outranked the true match: %v", ms)
-		}
-	}
-}
-
-func mkNumbers(name string, n int) *table.Table {
-	t := table.New(name, "n")
-	for i := 0; i < n; i++ {
-		t.AddRow(table.N(float64(i*7717 % 100000)))
-	}
-	return t
-}
-
-func randomTable(rng *rand.Rand, name string) *table.Table {
-	ncols := 1 + rng.Intn(3)
-	cols := make([]string, ncols)
-	for c := range cols {
-		cols[c] = fmt.Sprintf("c%d", c)
-	}
-	t := table.New(name, cols...)
-	nrows := 1 + rng.Intn(12)
-	for r := 0; r < nrows; r++ {
-		row := make([]table.Value, ncols)
-		for c := range row {
-			switch rng.Intn(10) {
-			case 0:
-				row[c] = table.Null
-			case 1, 2:
-				row[c] = table.N(float64(rng.Intn(40)))
-			default:
-				row[c] = table.S(fmt.Sprintf("value-%d", rng.Intn(120)))
-			}
-		}
-		t.AddRow(row...)
-	}
-	return t
-}
-
-func forms(snap *lake.Snapshot, tables []*table.Table) []*table.Interned {
-	out := make([]*table.Interned, len(tables))
-	for i, tt := range tables {
-		out[i] = snap.Interned(tt.Name)
-	}
-	return out
-}
-
-// TestCosineDeltaMatchesRebuild drives a maintained cosine-LSH through a
-// random mutation sequence (puts, replacements, drops, renames), comparing
-// it after every epoch against a fresh build of the same snapshot: live
-// vectors bit-identical, coverage intact, search output identical.
-func TestCosineDeltaMatchesRebuild(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		l := lake.New()
-		nextID := 0
-		for i := 0; i < 4; i++ {
-			nextID++
-			laketest.Add(l, randomTable(rng, fmt.Sprintf("t%d", nextID)))
-		}
-		prev := l.Snapshot()
-		maintained := Build(prev, nil)
-		for step := 0; step < 30; step++ {
-			names := l.Snapshot().Names()
-			var mut lake.Mutation
-			switch op := rng.Intn(4); {
-			case op == 0 && len(names) > 0:
-				mut = lake.Put(randomTable(rng, names[rng.Intn(len(names))]))
-			case op == 1 && len(names) > 1:
-				mut = lake.Drop(names[rng.Intn(len(names))])
-			case op == 2 && len(names) > 0:
-				nextID++
-				mut = lake.Rename(names[rng.Intn(len(names))], fmt.Sprintf("rn%d", nextID))
-			default:
-				nextID++
-				mut = lake.Put(randomTable(rng, fmt.Sprintf("t%d", nextID)))
-			}
-			if _, err := l.Apply(context.Background(), mut); err != nil {
-				t.Fatal(err)
-			}
-			snap := l.Snapshot()
-			added, removed, ok := lake.Diff(prev, snap)
-			if !ok {
-				t.Fatal("diff broke within one lineage")
-			}
-			snap.EnsureInterned()
-			prev.EnsureInterned()
-			maintained = maintained.WithDelta(forms(snap, added), forms(prev, removed))
-			if maintained == nil {
-				t.Fatal("WithDelta returned nil with an embedder attached")
-			}
-			fresh := Build(snap, nil)
-
-			if !reflect.DeepEqual(maintained.liveVectors(), fresh.liveVectors()) {
-				t.Fatalf("seed %d step %d: live vectors diverged", seed, step)
-			}
-			mt := append([]string(nil), maintained.tables...)
-			ft := append([]string(nil), fresh.tables...)
-			sort.Strings(mt)
-			sort.Strings(ft)
-			if !reflect.DeepEqual(mt, ft) {
-				t.Fatalf("seed %d step %d: table lists diverged: %v vs %v", seed, step, mt, ft)
-			}
-			if !maintained.Covers(snap) {
-				t.Fatalf("seed %d step %d: maintained index does not cover the snapshot", seed, step)
-			}
-			probe := randomTable(rng, "probe")
-			for c := range probe.Cols {
-				got := maintained.SearchColumn(probe, c, 0.2, 10)
-				want := fresh.SearchColumn(probe, c, 0.2, 10)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d step %d: search diverged on col %d:\n got %v\nwant %v",
-						seed, step, c, got, want)
-				}
-			}
-			prev = snap
-		}
-	}
-}
-
-// TestCosineWithDeltaPreservesReceiver: the delta must not mutate its
-// receiver, and untouched vectors must share storage with the base.
-func TestCosineWithDeltaPreservesReceiver(t *testing.T) {
-	l := lake.New()
-	laketest.Add(l, cityTable("stay", "", 12))
-	laketest.Add(l, cityTable("gone", "zz·", 12))
-	snap := l.Snapshot()
-	snap.EnsureInterned()
-	base := Build(snap, nil)
-	baseView := base.liveVectors()
-
-	laketest.Remove(l, "gone")
-	laketest.Add(l, cityTable("new", "yy·", 12))
-	snap2 := l.Snapshot()
-	snap2.EnsureInterned()
-	derived := base.WithDelta(
-		[]*table.Interned{snap2.Interned("new")},
-		[]*table.Interned{snap.Interned("gone")},
-	)
-	if derived == nil {
-		t.Fatal("WithDelta returned nil")
-	}
-	if !reflect.DeepEqual(base.liveVectors(), baseView) {
-		t.Fatal("WithDelta mutated its receiver")
-	}
-	if !reflect.DeepEqual(derived.liveVectors(), Build(snap2, nil).liveVectors()) {
-		t.Fatal("derived index diverges from a fresh build")
-	}
-	stay := ColumnRef{Table: "stay", Col: 0}
-	if &base.vecs[stay][0] != &derived.vecOf(stay)[0] {
-		t.Error("untouched vector was copied instead of shared")
-	}
-}
-
-// TestCosineWithDeltaWithoutEmbedder: an index that lost its embedder
-// (external-kind load) must refuse deltas instead of inserting zero vectors.
-func TestCosineWithDeltaWithoutEmbedder(t *testing.T) {
-	l := lake.New()
-	laketest.Add(l, cityTable("t", "", 5))
-	snap := l.Snapshot()
-	snap.EnsureInterned()
-	ix := Build(snap, nil)
-	ix.emb = nil
-	if ix.WithDelta([]*table.Interned{snap.Interned("t")}, nil) != nil {
-		t.Fatal("embedder-less index accepted a delta")
 	}
 }

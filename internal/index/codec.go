@@ -1,4 +1,4 @@
-package embed
+package index
 
 import (
 	"encoding/binary"
@@ -29,7 +29,7 @@ const (
 )
 
 // errVectorCodec tags every malformed-payload failure.
-var errVectorCodec = errors.New("embed: malformed vector payload")
+var errVectorCodec = errors.New("index: malformed vector payload")
 
 // encodeVectors serializes a ref→unit-vector map canonically.
 func encodeVectors(dim int, vecs map[ColumnRef][]float32) []byte {

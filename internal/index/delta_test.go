@@ -93,67 +93,9 @@ func flatPostingsView(ix *Inverted) map[uint32][]ColumnRef {
 	return out
 }
 
-// liveSigsView canonicalizes a MinHash index's live column sketches.
+// liveSigsView is a MinHash index's live column sketches.
 func liveSigsView(ix *MinHashLSH) map[ColumnRef]signature {
-	flat := ix.flattened()
-	out := make(map[ColumnRef]signature, len(flat.sigs))
-	for ref, sig := range flat.sigs {
-		out[ref] = sig
-	}
-	return out
-}
-
-// TestMinHashDeltaMatchesRebuild is TestInvertedMatchesSpec's delta chain for
-// the LSH substrate, against a fresh build: sketches, tombstones
-// and compaction must leave TopK bit-identical to a fresh build at every
-// epoch.
-func TestMinHashDeltaMatchesRebuild(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		l := lake.New()
-		nextID := 0
-		for i := 0; i < 4; i++ {
-			nextID++
-			laketest.Add(l, randomTable(rng, fmt.Sprintf("t%d", nextID)))
-		}
-		prev := l.Snapshot()
-		maintained := BuildMinHashLSH(prev)
-		for step := 0; step < 30; step++ {
-			applyRandomMutation(t, rng, l, &nextID)
-			snap := l.Snapshot()
-			added, removed, ok := lake.Diff(prev, snap)
-			if !ok {
-				t.Fatal("diff broke within one lineage")
-			}
-			snap.EnsureInterned()
-			maintained = maintained.WithDelta(forms(snap, added), forms(prev, removed))
-			fresh := BuildMinHashLSH(snap)
-
-			if !reflect.DeepEqual(liveSigsView(maintained), liveSigsView(fresh)) {
-				t.Fatalf("seed %d step %d: live sketches diverged", seed, step)
-			}
-			sort.Strings(maintained.tables)
-			wantTables := append([]string(nil), fresh.tables...)
-			sort.Strings(wantTables)
-			if !reflect.DeepEqual(maintained.tables, wantTables) {
-				t.Fatalf("seed %d step %d: table lists diverged: %v vs %v",
-					seed, step, maintained.tables, wantTables)
-			}
-			if !maintained.Covers(snap) {
-				t.Fatalf("seed %d step %d: maintained LSH does not cover the snapshot", seed, step)
-			}
-			probe := randomTable(rng, "probe")
-			for _, k := range []int{1, 3, 10} {
-				got := maintained.TopK(probe, k)
-				want := fresh.TopK(probe, k)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d step %d: TopK(%d) diverged:\n got %v\nwant %v",
-						seed, step, k, got, want)
-				}
-			}
-			prev = snap
-		}
-	}
+	return ix.flattened().base
 }
 
 func forms(snap *lake.Snapshot, tables []*table.Table) []*table.Interned {
@@ -164,8 +106,9 @@ func forms(snap *lake.Snapshot, tables []*table.Table) []*table.Interned {
 	return out
 }
 
-// TestWithDeltaSharesAndPreserves: the delta must not mutate its receiver,
-// and the base must be shared (no deep copy of the corpus).
+// TestWithDeltaSharesAndPreserves: the inverted index's delta must not mutate
+// its receiver, and the base must be shared (no deep copy of the corpus). The
+// LSH substrates' counterpart is TestLayeredLSHMatchesRebuild.
 func TestWithDeltaSharesAndPreserves(t *testing.T) {
 	l := lake.New()
 	laketest.Add(l, mk("stay", "a", "b", "c"))
@@ -302,6 +245,49 @@ func TestSaveDirClearsStaleEpochStamp(t *testing.T) {
 	}
 	if !loaded.Epoch.IsZero() {
 		t.Fatalf("stale epoch stamp survived: %v", loaded.Epoch)
+	}
+}
+
+// TestSaveDirRemovesAbsentSubstrates: a partial save over a fuller directory
+// must not leave the older substrate files behind. The replaced table reuses
+// existing values, so the dictionary — and with it the fingerprint every file
+// is stamped with — is the same at both epochs: nothing at load would refuse
+// epoch-n postings (or sketches) paired with the epoch-n+1 stamp.
+func TestSaveDirRemovesAbsentSubstrates(t *testing.T) {
+	l := lake.New()
+	laketest.Add(l, mk("t1", "a", "b"))
+	laketest.Add(l, mk("t2", "b", "c"))
+	dir := t.TempDir()
+	if err := BuildIndexSet(l.Snapshot()).SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	laketest.Add(l, mk("t1", "c", "a")) // epoch n+1, no new values
+	next := BuildIndexSet(l.Snapshot())
+
+	lshOnly := &IndexSet{LSH: next.LSH, Dict: next.Dict, Epoch: next.Epoch}
+	if err := lshOnly.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadIndexSetDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Inverted != nil {
+		t.Fatal("stale inverted shards survived an LSH-only save under the new stamp")
+	}
+	if loaded.LSH == nil || loaded.Epoch != next.Epoch {
+		t.Fatalf("LSH-only save did not round-trip: %+v", loaded)
+	}
+
+	invOnly := &IndexSet{Inverted: next.Inverted, Dict: next.Dict, Epoch: next.Epoch}
+	if err := invOnly.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if loaded, err = LoadIndexSetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if loaded.LSH != nil || loaded.Inverted == nil {
+		t.Fatal("stale minhash file survived an inverted-only save")
 	}
 }
 

@@ -28,7 +28,7 @@ type IndexSet struct {
 	// vectors are not ID-keyed, but it is persisted under the set's
 	// dictionary fingerprint like the others so a mixed directory refuses to
 	// load.
-	Semantic *embed.CosineLSH
+	Semantic *CosineLSH
 	// Dict is the value dictionary the substrates were built with. A session
 	// loading a persisted set must adopt this dictionary into its lake
 	// (lake.AdoptDict) before interning anything, so the persisted IDs keep
@@ -75,12 +75,12 @@ func BuildIndexSetSharded(l Corpus, shards int) *IndexSet {
 // embedded under emb (nil means the built-in embedder), with all three
 // builds running concurrently.
 func BuildIndexSetFull(l Corpus, shards int, emb embed.Embedder) *IndexSet {
-	var sem *embed.CosineLSH
+	var sem *CosineLSH
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		sem = embed.Build(l, emb)
+		sem = BuildCosineLSH(l, emb)
 	}()
 	s := BuildIndexSetSharded(l, shards)
 	wg.Wait()
@@ -99,20 +99,12 @@ func (s *IndexSet) Gap(c Corpus) (covered, missing []string, ok bool) {
 	if s.Inverted == nil {
 		return nil, c.Names(), false
 	}
-	lshHas := map[string]bool(nil)
+	var lshHas, semHas map[string]bool
 	if s.LSH != nil {
-		lshHas = make(map[string]bool, len(s.LSH.tables))
-		for _, name := range s.LSH.tables {
-			lshHas[name] = true
-		}
+		lshHas = s.LSH.tableSet()
 	}
-	semHas := map[string]bool(nil)
 	if s.Semantic != nil {
-		names := s.Semantic.Tables()
-		semHas = make(map[string]bool, len(names))
-		for _, name := range names {
-			semHas[name] = true
-		}
+		semHas = s.Semantic.tableSet()
 	}
 	for _, t := range c.Tables() {
 		switch {
@@ -177,7 +169,7 @@ func (s *IndexSet) CatchUp(snap *lake.Snapshot) (added int, ok bool) {
 		s.LSH.RebindDict(snap.Dict())
 		lsh = s.LSH.WithDelta(forms, nil)
 	}
-	var sem *embed.CosineLSH
+	var sem *CosineLSH
 	if s.Semantic != nil {
 		s.Semantic.RebindDict(snap.Dict())
 		if sem = s.Semantic.WithDelta(forms, nil); sem == nil {
@@ -205,13 +197,14 @@ const (
 	epochFileName          = "epoch.gob"
 )
 
-// SaveDir persists the set's non-nil members under dir (created if needed).
+// SaveDir persists the set's non-nil members under dir (created if needed)
+// and removes the files an earlier save left for the members it lacks.
 // A set without its dictionary cannot be persisted usefully and is an error.
 // One dictionary snapshot is taken up front: its entries go to the
 // dictionary file and its fingerprint into each substrate file, so the saved
 // files are provably mutually consistent even if the live dictionary grows
-// mid-save; every file is written via temp-and-rename, so a crash can at
-// worst leave a mixed set whose fingerprints refuse to load.
+// mid-save; every file is written atomically (table.WriteFileAtomic), so a
+// crash can at worst leave a mixed set whose fingerprints refuse to load.
 func (s *IndexSet) SaveDir(dir string) error {
 	if s.Inverted == nil && s.LSH == nil {
 		return errors.New("index: empty index set")
@@ -237,9 +230,6 @@ func (s *IndexSet) SaveDir(dir string) error {
 	if s.Semantic != nil && !compatible(s.Semantic.Dict()) {
 		return errors.New("index: semantic index was built under a different dictionary than the set's")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("index: %w", err)
-	}
 	snap := s.Dict.Snapshot()
 	fp := table.FingerprintSnapshot(snap)
 	err := saveFile(filepath.Join(dir, dictFileName), func(w io.Writer) error {
@@ -248,49 +238,53 @@ func (s *IndexSet) SaveDir(dir string) error {
 	if err != nil {
 		return err
 	}
-	if s.Inverted != nil {
-		if err := saveInvertedSharded(dir, s.Inverted, fp); err != nil {
+	// One rule for every member: present → written, absent → its files from
+	// an earlier save removed, so nothing stale is ever paired with the fresh
+	// files under their shared fingerprint. The inverted meta file goes before
+	// its shards: shards without a meta file are ignored at load.
+	save := func(name string, write func(io.Writer) error) func() error {
+		return func() error { return saveFile(filepath.Join(dir, name), write) }
+	}
+	members := []struct {
+		present bool
+		write   func() error
+		files   []string // glob patterns, relative to dir
+	}{
+		{s.Inverted != nil, func() error { return saveInvertedSharded(dir, s.Inverted, fp) },
+			[]string{shardMetaFileName, shardFileGlob}},
+		{s.LSH != nil, save(minhashFileName, func(w io.Writer) error { return s.LSH.save(w, fp) }),
+			[]string{minhashFileName}},
+		{s.Semantic != nil, save(semanticFileName, func(w io.Writer) error { return s.Semantic.save(w, fp) }),
+			[]string{semanticFileName}},
+		{!s.Epoch.IsZero(), save(epochFileName, func(w io.Writer) error { return saveEpoch(w, s.Epoch, fp) }),
+			[]string{epochFileName}},
+		// A directory never holds two inverted representations.
+		{false, nil, []string{legacyInvertedFileName}},
+	}
+	for _, m := range members {
+		if m.present {
+			if err := m.write(); err != nil {
+				return err
+			}
+		} else if err := removeFiles(dir, m.files...); err != nil {
 			return err
 		}
 	}
-	// A directory never holds two inverted representations.
-	if err := os.Remove(filepath.Join(dir, legacyInvertedFileName)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("index: %w", err)
-	}
-	if s.LSH != nil {
-		err := saveFile(filepath.Join(dir, minhashFileName), func(w io.Writer) error {
-			return s.LSH.save(w, fp)
-		})
+	return nil
+}
+
+// removeFiles deletes every file under dir matching one of the glob patterns;
+// none matching is not an error.
+func removeFiles(dir string, patterns ...string) error {
+	for _, pattern := range patterns {
+		paths, err := filepath.Glob(filepath.Join(dir, pattern))
 		if err != nil {
-			return err
-		}
-	}
-	semPath := filepath.Join(dir, semanticFileName)
-	if s.Semantic != nil {
-		err := saveFile(semPath, func(w io.Writer) error {
-			return s.Semantic.SaveStamped(w, fp)
-		})
-		if err != nil {
-			return err
-		}
-	} else if err := os.Remove(semPath); err != nil && !os.IsNotExist(err) {
-		// A semantic-less save must not leave an older semantic file behind to
-		// be paired with these fresh substrates.
-		return fmt.Errorf("index: %w", err)
-	}
-	epochPath := filepath.Join(dir, epochFileName)
-	if s.Epoch.IsZero() {
-		// An unstamped save must not leave an older stamp behind to be
-		// paired with these fresh substrates.
-		if err := os.Remove(epochPath); err != nil && !os.IsNotExist(err) {
 			return fmt.Errorf("index: %w", err)
 		}
-	} else {
-		err := saveFile(epochPath, func(w io.Writer) error {
-			return saveEpoch(w, s.Epoch, fp)
-		})
-		if err != nil {
-			return err
+		for _, p := range paths {
+			if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
+				return fmt.Errorf("index: %w", err)
+			}
 		}
 	}
 	return nil
@@ -331,7 +325,7 @@ func LoadIndexSetDir(dir string) (*IndexSet, error) {
 	}
 	semPath := filepath.Join(dir, semanticFileName)
 	if _, err := os.Stat(semPath); err == nil {
-		sem, err := embed.LoadFile(semPath, s.Dict)
+		sem, err := LoadCosineLSHFile(semPath, s.Dict)
 		if err != nil {
 			return nil, err
 		}
@@ -343,7 +337,8 @@ func LoadIndexSetDir(dir string) (*IndexSet, error) {
 	epochPath := filepath.Join(dir, epochFileName)
 	if _, err := os.Stat(epochPath); err == nil {
 		// A loaded substrate implies the dictionary loaded too.
-		e, err := loadEpochFile(epochPath, s.Dict.Fingerprint())
+		fp := s.Dict.Fingerprint()
+		e, err := readFile(epochPath, func(r io.Reader) (lake.Epoch, error) { return loadEpoch(r, fp) })
 		if err != nil {
 			return nil, err
 		}

@@ -50,7 +50,7 @@ func TestParallelMinHashMatchesSequential(t *testing.T) {
 	seq := buildMinHashLSH(l, 1)
 	for _, workers := range []int{2, 4, 8} {
 		par := buildMinHashLSH(l, workers)
-		if !reflect.DeepEqual(seq.sigs, par.sigs) {
+		if !reflect.DeepEqual(seq.base, par.base) {
 			t.Fatalf("signatures differ at %d workers", workers)
 		}
 		if !reflect.DeepEqual(seq.buckets, par.buckets) {
@@ -76,7 +76,7 @@ func TestIndexSetRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(flatPostingsView(s.Inverted), flatPostingsView(got.Inverted)) {
 		t.Error("inverted postings did not round-trip")
 	}
-	if !reflect.DeepEqual(s.LSH.sigs, got.LSH.sigs) {
+	if !reflect.DeepEqual(s.LSH.base, got.LSH.base) {
 		t.Error("minhash signatures did not round-trip")
 	}
 }

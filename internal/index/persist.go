@@ -6,16 +6,16 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"gent/internal/lake"
 	"gent/internal/table"
 )
 
-// Real lakes are indexed once and queried many times, so both index kinds
-// persist to disk with encoding/gob, alongside the value dictionary their
-// IDs are keyed under (the inverted index in persist_shard.go). The formats
-// are versioned so a stale index fails loudly instead of answering wrongly:
+// Real lakes are indexed once and queried many times, so every substrate
+// persists to disk with encoding/gob, alongside the value dictionary their
+// IDs are keyed under (the inverted index in persist_shard.go, the semantic
+// index in persist_cosine.go). The formats are versioned so a stale index
+// fails loudly instead of answering wrongly:
 //
 //   - v1 files predate the canonical key format this release fixed
 //     (decimal-only numeric text, -0 normalization, separator escaping) and
@@ -24,7 +24,7 @@ import (
 //     saved with, verified at load, so a torn save can never pair postings
 //     with the wrong dictionary.
 //
-// Files are written to a temporary name and renamed into place, so a crash
+// Every file goes through table.WriteFileAtomic (saveFile), so a crash
 // mid-write leaves the previous file intact rather than a truncated gob.
 
 const (
@@ -55,24 +55,21 @@ type minhashDisk struct {
 	DictFingerprint uint64
 }
 
-// Save writes the MinHash-LSH index (without its dictionary — IndexSet.SaveDir
-// persists that once for all substrates).
-func (ix *MinHashLSH) Save(w io.Writer) error {
-	return ix.save(w, ix.dict.Fingerprint())
-}
-
+// save writes the MinHash-LSH index stamped with the dictionary fingerprint
+// of the save (the dictionary itself IndexSet.SaveDir persists once for all
+// substrates).
 func (ix *MinHashLSH) save(w io.Writer, fp uint64) error {
 	flat := ix.flattened() // fold any incremental-maintenance layers
 	return gob.NewEncoder(w).Encode(minhashDisk{
 		Version:         minhashFormatVersion,
-		Sigs:            flat.sigs,
+		Sigs:            flat.base,
 		Buckets:         flat.buckets,
 		Tables:          flat.tables,
 		DictFingerprint: fp,
 	})
 }
 
-// LoadMinHashLSH reads a MinHash-LSH index written by Save. dict is the
+// LoadMinHashLSH reads a MinHash-LSH index written by SaveDir. dict is the
 // value dictionary the signatures were sketched under — persisted alongside
 // by IndexSet.SaveDir — and its fingerprint must match the one saved.
 func LoadMinHashLSH(r io.Reader, dict *table.Dict) (*MinHashLSH, error) {
@@ -94,7 +91,9 @@ func LoadMinHashLSH(r io.Reader, dict *table.Dict) (*MinHashLSH, error) {
 	if dict.Fingerprint() != d.DictFingerprint {
 		return nil, fmt.Errorf("%w (minhash index)", ErrDictFingerprint)
 	}
-	return &MinHashLSH{dict: dict, sigs: d.Sigs, buckets: d.Buckets, tables: d.Tables}, nil
+	return &MinHashLSH{dict: dict, banded: &banded[signature]{
+		bandKeys: bandKeys, base: d.Sigs, buckets: d.Buckets, tables: d.Tables,
+	}}, nil
 }
 
 // epochDisk is the serializable form of an IndexSet's epoch stamp.
@@ -138,25 +137,10 @@ func loadEpoch(r io.Reader, fp uint64) (lake.Epoch, error) {
 	return lake.Epoch{Seq: d.Seq, Chain: d.Chain}, nil
 }
 
-// loadEpochFile reads an epoch stamp file.
-func loadEpochFile(path string, fp uint64) (lake.Epoch, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return lake.Epoch{}, fmt.Errorf("index: %w", err)
-	}
-	defer f.Close()
-	return loadEpoch(f, fp)
-}
-
 // dictDisk is the serializable form of a value dictionary.
 type dictDisk struct {
 	Version int
 	Entries []table.DictEntry
-}
-
-// SaveDict writes a dictionary snapshot.
-func SaveDict(w io.Writer, d *table.Dict) error {
-	return saveDictEntries(w, d.Snapshot())
 }
 
 func saveDictEntries(w io.Writer, entries []table.DictEntry) error {
@@ -166,7 +150,7 @@ func saveDictEntries(w io.Writer, entries []table.DictEntry) error {
 	})
 }
 
-// LoadDict reads a dictionary written by SaveDict.
+// LoadDict reads a dictionary written by SaveDir.
 func LoadDict(r io.Reader) (*table.Dict, error) {
 	var d dictDisk
 	if err := gob.NewDecoder(r).Decode(&d); err != nil {
@@ -183,59 +167,31 @@ func LoadDict(r io.Reader) (*table.Dict, error) {
 	return dict, nil
 }
 
-// SaveFile persists the MinHash index to a file, creating directories.
-func (ix *MinHashLSH) SaveFile(path string) error {
-	return saveFile(path, ix.Save)
-}
-
-// saveFile writes through a temporary file and renames it into place, so a
-// crash mid-write leaves any previous file intact instead of a torn gob.
+// saveFile is table.WriteFileAtomic under this package's error prefix.
 func saveFile(path string, save func(io.Writer) error) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("index: %w", err)
-	}
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("index: %w", err)
-	}
-	tmp := f.Name()
-	if err := save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("index: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := table.WriteFileAtomic(path, save); err != nil {
 		return fmt.Errorf("index: %w", err)
 	}
 	return nil
 }
 
-// LoadMinHashLSHFile reads a MinHash index file; dict as in LoadMinHashLSH.
-func LoadMinHashLSHFile(path string, dict *table.Dict) (*MinHashLSH, error) {
+// readFile opens path, hands it to load, and closes it.
+func readFile[T any](path string, load func(io.Reader) (T, error)) (T, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("index: %w", err)
+		var zero T
+		return zero, fmt.Errorf("index: %w", err)
 	}
 	defer f.Close()
-	return LoadMinHashLSH(f, dict)
+	return load(f)
 }
 
-// SaveDictFile persists a dictionary to a file, creating directories.
-func SaveDictFile(path string, d *table.Dict) error {
-	return saveFile(path, func(w io.Writer) error { return SaveDict(w, d) })
+// LoadMinHashLSHFile reads a MinHash index file; dict as in LoadMinHashLSH.
+func LoadMinHashLSHFile(path string, dict *table.Dict) (*MinHashLSH, error) {
+	return readFile(path, func(r io.Reader) (*MinHashLSH, error) { return LoadMinHashLSH(r, dict) })
 }
 
 // LoadDictFile reads a dictionary file.
 func LoadDictFile(path string) (*table.Dict, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("index: %w", err)
-	}
-	defer f.Close()
-	return LoadDict(f)
+	return readFile(path, LoadDict)
 }

@@ -1,13 +1,13 @@
-package embed
+package index
 
 import (
-	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"gent/internal/embed"
 	"gent/internal/lake"
 	"gent/internal/lake/laketest"
 	"gent/internal/table"
@@ -18,13 +18,11 @@ func TestCosinePersistRoundTrip(t *testing.T) {
 	laketest.Add(l, cityTable("cities", "", 20))
 	laketest.Add(l, mkNumbers("numbers", 30))
 	snap := l.Snapshot()
-	ix := Build(snap, nil)
+	ix := BuildCosineLSH(snap, nil)
 
 	path := filepath.Join(t.TempDir(), "semantic.gob")
-	if err := ix.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFile(path, snap.Dict())
+	saveStamped(t, path, ix.save, snap.Dict())
+	got, err := LoadCosineLSHFile(path, snap.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +32,7 @@ func TestCosinePersistRoundTrip(t *testing.T) {
 	if got.EmbedderFingerprint() != ix.EmbedderFingerprint() {
 		t.Fatal("embedder fingerprint did not round-trip")
 	}
-	if !reflect.DeepEqual(got.liveVectors(), ix.liveVectors()) {
+	if !reflect.DeepEqual(got.flattened().base, ix.flattened().base) {
 		t.Fatal("vectors did not round-trip bit-identically")
 	}
 	query := cityTable("q", "de·", 20)
@@ -45,39 +43,11 @@ func TestCosinePersistRoundTrip(t *testing.T) {
 	// A different dictionary must be rejected, not silently paired.
 	other := lake.New()
 	laketest.Add(other, cityTable("unrelated", "q·", 5))
-	if _, err := LoadFile(path, other.Snapshot().Dict()); !errors.Is(err, ErrDictFingerprint) {
+	if _, err := LoadCosineLSHFile(path, other.Snapshot().Dict()); !errors.Is(err, ErrDictFingerprint) {
 		t.Fatalf("wrong dictionary: err = %v, want ErrDictFingerprint", err)
 	}
-	if _, err := LoadFile(path, nil); err == nil {
+	if _, err := LoadCosineLSHFile(path, nil); err == nil {
 		t.Fatal("fingerprinted file loaded without a dictionary")
-	}
-}
-
-// TestCosinePersistAfterDelta: a maintained (layered) index persists its
-// flattened live view and reloads identical to a fresh rebuild's save.
-func TestCosinePersistAfterDelta(t *testing.T) {
-	l := lake.New()
-	laketest.Add(l, cityTable("a", "", 10))
-	laketest.Add(l, cityTable("b", "x·", 10))
-	prev := l.Snapshot()
-	prev.EnsureInterned()
-	ix := Build(prev, nil)
-	laketest.Remove(l, "b")
-	laketest.Add(l, cityTable("c", "y·", 10))
-	snap := l.Snapshot()
-	snap.EnsureInterned()
-	added, removed, _ := lake.Diff(prev, snap)
-	ix = ix.WithDelta(forms(snap, added), forms(prev, removed))
-
-	var maintained, fresh bytes.Buffer
-	if err := ix.Save(&maintained); err != nil {
-		t.Fatal(err)
-	}
-	if err := Build(snap, nil).Save(&fresh); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(maintained.Bytes(), fresh.Bytes()) {
-		t.Fatal("maintained save differs from fresh-rebuild save")
 	}
 }
 
@@ -85,12 +55,10 @@ func TestCosineLoadRejectsCorruption(t *testing.T) {
 	l := lake.New()
 	laketest.Add(l, cityTable("t", "", 8))
 	snap := l.Snapshot()
-	ix := Build(snap, nil)
+	ix := BuildCosineLSH(snap, nil)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "semantic.gob")
-	if err := ix.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
+	saveStamped(t, path, ix.save, snap.Dict())
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +67,7 @@ func TestCosineLoadRejectsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, raw[:len(raw)-9], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFile(path, snap.Dict()); err == nil {
+	if _, err := LoadCosineLSHFile(path, snap.Dict()); err == nil {
 		t.Fatal("truncated file loaded")
 	}
 }
@@ -114,7 +82,7 @@ func TestExternalEmbedderPersistence(t *testing.T) {
 	if err := os.WriteFile(vecPath, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	emb, err := LoadVectorFile(vecPath)
+	emb, err := embed.LoadVectorFile(vecPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +99,7 @@ func TestExternalEmbedderPersistence(t *testing.T) {
 	fruit.AddRow(table.S("banana"))
 	laketest.Add(l, cities, fruit)
 	snap := l.Snapshot()
-	ix := Build(snap, emb)
+	ix := BuildCosineLSH(snap, emb)
 
 	q := table.New("q", "name")
 	q.AddRow(table.S("berlin"))
@@ -141,10 +109,8 @@ func TestExternalEmbedderPersistence(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "semantic.gob")
-	if err := ix.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFile(path, snap.Dict())
+	saveStamped(t, path, ix.save, snap.Dict())
+	got, err := LoadCosineLSHFile(path, snap.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +120,7 @@ func TestExternalEmbedderPersistence(t *testing.T) {
 	if got.SearchColumn(q, 0, 0.5, 2) != nil {
 		t.Fatal("embedder-less index answered a query")
 	}
-	if got.AttachEmbedder(Default()) {
+	if got.AttachEmbedder(embed.Default()) {
 		t.Fatal("AttachEmbedder accepted a mismatched embedder")
 	}
 	if !got.AttachEmbedder(emb) {
@@ -166,7 +132,7 @@ func TestExternalEmbedderPersistence(t *testing.T) {
 
 	// Fingerprint is content-derived: a reload of the same file matches, a
 	// different vocabulary does not.
-	emb2, err := LoadVectorFile(vecPath)
+	emb2, err := embed.LoadVectorFile(vecPath)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,7 +117,10 @@ func TestLoadDetectsDictFingerprintMismatch(t *testing.T) {
 	}
 	other := table.NewDict()
 	other.InternValue(table.S("imposter"))
-	if err := SaveDictFile(filepath.Join(dir, dictFileName), other); err != nil {
+	err := saveFile(filepath.Join(dir, dictFileName), func(w io.Writer) error {
+		return saveDictEntries(w, other.Snapshot())
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadIndexSetDir(dir); !errors.Is(err, ErrDictFingerprint) {

@@ -2,20 +2,29 @@ package index
 
 import (
 	"bytes"
+	"io"
 	"path/filepath"
 	"testing"
 
 	"gent/internal/table"
 )
 
+// saveStamped writes one substrate file the way SaveDir does: through
+// saveFile, stamped with the dictionary's fingerprint.
+func saveStamped(t *testing.T, path string, save func(io.Writer, uint64) error, dict *table.Dict) {
+	t.Helper()
+	err := saveFile(path, func(w io.Writer) error { return save(w, dict.Fingerprint()) })
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMinHashSaveLoadRoundTrip(t *testing.T) {
 	l := buildLake()
 	orig := BuildMinHashLSH(l)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sub", "mh.idx")
-	if err := orig.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
+	saveStamped(t, path, orig.save, l.Dict())
 	got, err := LoadMinHashLSHFile(path, l.Dict())
 	if err != nil {
 		t.Fatal(err)

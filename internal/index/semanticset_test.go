@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"gent/internal/embed"
 	"gent/internal/lake"
 	"gent/internal/lake/laketest"
 	"gent/internal/table"
@@ -78,10 +77,11 @@ func TestIndexSetSemanticCatchUp(t *testing.T) {
 		t.Fatal("caught-up semantic substrate does not cover the lake")
 	}
 	var maintained, fresh bytes.Buffer
-	if err := set.Semantic.Save(&maintained); err != nil {
+	fp := snap.Dict().Fingerprint()
+	if err := set.Semantic.save(&maintained, fp); err != nil {
 		t.Fatal(err)
 	}
-	if err := embed.Build(snap, nil).Save(&fresh); err != nil {
+	if err := BuildCosineLSH(snap, nil).save(&fresh, fp); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(maintained.Bytes(), fresh.Bytes()) {
@@ -95,7 +95,7 @@ func TestIndexSetSemanticCatchUp(t *testing.T) {
 	set2 := BuildIndexSet(l2.Snapshot())
 	laketest.Add(l2, mk("t2", "b"))
 	snap2 := l2.Snapshot()
-	set2.Semantic = embed.Build(snap2, nil) // covers t2; inverted does not
+	set2.Semantic = BuildCosineLSH(snap2, nil) // covers t2; inverted does not
 	if _, _, ok := set2.Gap(snap2); ok {
 		t.Fatal("substrate disagreement reported add-only")
 	}

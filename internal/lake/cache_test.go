@@ -1,7 +1,10 @@
 package lake
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -230,5 +233,49 @@ func TestOpenMissingSegmentFallsBack(t *testing.T) {
 	sameForm(t, ol.Interned("a"), l.Interned("a"))
 	if s := ol.CacheStats(); s.Reinterns != 1 {
 		t.Fatalf("missing segment should re-intern exactly once: %+v", s)
+	}
+}
+
+// TestOpenRejectsForgedTableShapes: table shapes in catalog.gob are bytes
+// from disk like any others — a ragged row, a duplicate column name or an
+// out-of-range key index must fail Open with table.ErrShape instead of
+// opening cleanly and panicking inside a later query.
+func TestOpenRejectsForgedTableShapes(t *testing.T) {
+	forgeries := map[string]func(*table.Table){
+		"ragged row":       func(tb *table.Table) { tb.Rows[1] = tb.Rows[1][:1] },
+		"duplicate column": func(tb *table.Table) { tb.Cols[1] = tb.Cols[0] },
+		"key out of range": func(tb *table.Table) { tb.Key = []int{len(tb.Cols)} },
+	}
+	for name, forge := range forgeries {
+		t.Run(name, func(t *testing.T) {
+			l := New()
+			addAll(t, l, cacheTestTable("good", 4), cacheTestTable("bad", 4))
+			dir := t.TempDir()
+			if err := l.Persist(dir); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, catalogFileName)
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var d catalogDisk
+			err = gob.NewDecoder(f).Decode(&d)
+			f.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			forge(d.Tables[1])
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(d); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(dir); !errors.Is(err, table.ErrShape) {
+				t.Fatalf("Open = %v, want table.ErrShape", err)
+			}
+		})
 	}
 }

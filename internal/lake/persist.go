@@ -39,8 +39,10 @@ type catalogDisk struct {
 // Persist writes the current snapshot under dir: every table's interned form
 // as a segment file, then the catalog. Interning happens first (so the
 // persisted dictionary covers every segment), and the catalog is written
-// last via temp-and-rename — a crash mid-persist leaves either the previous
-// catalog or none, never one that references missing state.
+// last and atomically (table.WriteFileAtomic) — a crash mid-persist leaves
+// either the previous catalog or none, never one that references missing
+// state. A malformed table (table.ErrShape) fails the persist: Open would
+// refuse to read it back.
 func (l *Lake) Persist(dir string) error {
 	s := l.Snapshot()
 	s.EnsureInterned()
@@ -49,6 +51,9 @@ func (l *Lake) Persist(dir string) error {
 		return fmt.Errorf("lake: persist: %w", err)
 	}
 	for _, n := range s.names {
+		if err := s.byName[n].Validate(); err != nil {
+			return fmt.Errorf("lake: persist: %w", err)
+		}
 		it := s.Interned(n)
 		if it == nil {
 			return fmt.Errorf("lake: persist: no interned form for %s", n)
@@ -70,22 +75,10 @@ func (l *Lake) Persist(dir string) error {
 		d.Tables = append(d.Tables, s.byName[n])
 		d.Fps = append(d.Fps, s.fps[n])
 	}
-	path := filepath.Join(dir, catalogFileName)
-	f, err := os.CreateTemp(dir, catalogFileName+".tmp*")
+	err = table.WriteFileAtomic(filepath.Join(dir, catalogFileName), func(w io.Writer) error {
+		return gob.NewEncoder(w).Encode(d)
+	})
 	if err != nil {
-		return fmt.Errorf("lake: persist: %w", err)
-	}
-	tmp := f.Name()
-	werr := gob.NewEncoder(f).Encode(d)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("lake: persist: %w", werr)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("lake: persist: %w", err)
 	}
 	return nil
@@ -137,6 +130,11 @@ func Open(dir string) (*Lake, error) {
 		}
 		if _, dup := byName[n]; dup {
 			return nil, fmt.Errorf("lake: open: duplicate table name %q", n)
+		}
+		// The shapes came from disk: a ragged row or an out-of-range key must
+		// fail here, not as an index panic deep inside a later query.
+		if err := t.Validate(); err != nil {
+			return nil, fmt.Errorf("lake: open: %w", err)
 		}
 		byName[n] = t
 		fps[n] = d.Fps[i]

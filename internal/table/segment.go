@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 )
 
 // Segment files are the on-disk columnar form of an Interned table: the
@@ -100,23 +99,10 @@ type Segment struct {
 // already holds every table's fingerprint); dictLen and dictFP are the
 // Dict.PrefixStamp the form's IDs were assigned under.
 func WriteSegmentFile(path string, it *Interned, fp uint64, dictLen int, dictFP uint64) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("table: %w", err)
-	}
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	err := WriteFileAtomic(path, func(w io.Writer) error {
+		return writeSegment(w, it, fp, dictLen, dictFP)
+	})
 	if err != nil {
-		return fmt.Errorf("table: %w", err)
-	}
-	tmp := f.Name()
-	err = writeSegment(f, it, fp, dictLen, dictFP)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("table: writing segment %s: %w", path, err)
 	}
 	return nil
