@@ -325,27 +325,21 @@ func BenchmarkMatrixTraversal(b *testing.B) {
 // BenchmarkTraverse compares the traversal engine's modes against the
 // retained materialize-and-rescan baseline (TraverseReference) on the bench
 // corpora's discovery candidate sets. "interned" is the engine as the
-// pipeline runs it — bound-and-prune rounds, candidate alignment on the lake
-// dictionary's ID tuples; "incremental" is the same pruned engine on
-// canonical-string keys; "incremental-serial" pins the delta scorer's win
-// with round parallelism turned off; "exhaustive" is the pruned engine's own
-// baseline — identical packed kernel and interned alignment, every remaining
-// candidate scored every round (the pre-PR9 engine), so interned-vs-
-// exhaustive differ in nothing but the admissible bound and isolate what
-// pruning saves; "reference" is the pre-engine implementation. The
-// picks are identical across all five — see the equivalence tests and
-// FuzzTraverseParity in internal/matrix — so only time and allocations
-// differ. The `wide` corpus is the candidate-heavy preset where pruning
-// dominates; small/med keep the historical trend lines.
+// pipeline runs it — bound-and-prune rounds, candidate alignment through the
+// Source's table.KeyIndex (the name keeps the committed BENCH trend line);
+// "incremental-serial" pins the delta scorer's win with round parallelism
+// turned off; "exhaustive" is the pruned engine's own baseline — identical
+// packed kernel and alignment, every remaining candidate scored every round
+// (the pre-PR9 engine), so interned-vs-exhaustive differ in nothing but the
+// admissible bound and isolate what pruning saves; "reference" is the
+// pre-engine implementation. The picks are identical across all four — see
+// the equivalence tests and FuzzTraverseParity in internal/matrix — so only
+// time and allocations differ. The `wide` corpus is the candidate-heavy
+// preset where pruning dominates; small/med keep the historical trend lines.
 func BenchmarkTraverse(b *testing.B) {
 	set := benchmarkSet(b)
-	run := func(name string, src *table.Table, tables []*table.Table, dict *table.Dict) {
+	run := func(name string, src *table.Table, tables []*table.Table) {
 		b.Run(name+"/interned", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				matrix.TraverseWith(src, tables, matrix.ThreeValued, matrix.TraverseOptions{Dict: dict})
-			}
-		})
-		b.Run(name+"/incremental", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				matrix.Traverse(src, tables, matrix.ThreeValued)
 			}
@@ -357,7 +351,7 @@ func BenchmarkTraverse(b *testing.B) {
 		})
 		b.Run(name+"/exhaustive", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				matrix.TraverseWith(src, tables, matrix.ThreeValued, matrix.TraverseOptions{Dict: dict, Exhaustive: true})
+				matrix.TraverseWith(src, tables, matrix.ThreeValued, matrix.TraverseOptions{Exhaustive: true})
 			}
 		})
 		b.Run(name+"/reference", func(b *testing.B) {
@@ -376,7 +370,7 @@ func BenchmarkTraverse(b *testing.B) {
 		for i, c := range cands {
 			tables[i] = c.Table
 		}
-		run(corpus.name, src, tables, corpus.b.Lake.Dict())
+		run(corpus.name, src, tables)
 	}
 
 	// The wide corpus: among its sources, benchmark the one whose traversal
@@ -397,13 +391,13 @@ func BenchmarkTraverse(b *testing.B) {
 		}
 		var st matrix.TraverseStats
 		matrix.TraverseWith(src, tables, matrix.ThreeValued, matrix.TraverseOptions{
-			Dict: wide.Lake.Dict(), OnStats: func(s matrix.TraverseStats) { st = s },
+			OnStats: func(s matrix.TraverseStats) { st = s },
 		})
 		if st.CandidatesPruned > bestPruned {
 			wsrc, wtables, bestPruned = src, tables, st.CandidatesPruned
 		}
 	}
-	run("wide", wsrc, wtables, wide.Lake.Dict())
+	run("wide", wsrc, wtables)
 }
 
 // BenchmarkReclaimAllWide runs the wide preset's multi-table sources — its

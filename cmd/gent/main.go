@@ -216,12 +216,7 @@ func main() {
 	}
 
 	if *jsonOut {
-		keyed := src
-		if len(keyed.Key) == 0 {
-			keyed = src.Clone()
-			keyed.Key = table.MineKey(keyed, cfg.KeyMaxArity)
-		}
-		if err := res.WriteJSON(os.Stdout, keyed); err != nil {
+		if err := res.WriteJSON(os.Stdout, src); err != nil {
 			fatal(err)
 		}
 		if *outPath != "" {
@@ -248,13 +243,7 @@ func main() {
 		r.EIS, r.Recall, r.Precision, r.InstDiv, r.DKL, r.PerfectReclamation)
 
 	if *explain {
-		// Explain needs the keyed source; mirror Reclaim's mining.
-		keyed := src
-		if len(keyed.Key) == 0 {
-			keyed = src.Clone()
-			keyed.Key = table.MineKey(keyed, cfg.KeyMaxArity)
-		}
-		fmt.Print(res.Explain(keyed).String())
+		fmt.Print(res.Explain(src).String())
 	}
 
 	if *outPath != "" {

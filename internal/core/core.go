@@ -88,6 +88,10 @@ func (t Timing) Total() time.Duration {
 type Result struct {
 	// Reclaimed has exactly the Source's schema.
 	Reclaimed *table.Table
+	// Key lists the Source key columns the run aligned on: the declared key,
+	// or the one mined when the Source declared none. Explain and WriteJSON
+	// fall back to it for a Source without a key.
+	Key []int
 	// Originating lists the candidates Matrix Traversal selected, in pick
 	// order.
 	Originating []*discovery.Candidate
@@ -127,7 +131,7 @@ func ReclaimContext(ctx context.Context, l *lake.Lake, src *table.Table, cfg Con
 	// Pin the run to the lake's snapshot at entry: every phase reads this
 	// catalog version, immune to concurrent Apply.
 	snap := l.Snapshot()
-	return reclaimPipeline(ctx, src, cfg, snap.Dict(), snap.Epoch(), func(ctx context.Context, keyed *table.Table, dopts discovery.Options) ([]*discovery.Candidate, error) {
+	return reclaimPipeline(ctx, src, cfg, snap.Epoch(), func(ctx context.Context, keyed *table.Table, dopts discovery.Options) ([]*discovery.Candidate, error) {
 		return discovery.DiscoverSnapContext(ctx, snap, keyed, dopts)
 	})
 }
@@ -135,23 +139,15 @@ func ReclaimContext(ctx context.Context, l *lake.Lake, src *table.Table, cfg Con
 // reclaimPipeline runs Figure 2 with candidate retrieval delegated to
 // discover — a per-call fresh build (Reclaim) or a shared-substrate session
 // (Reclaimer). Everything downstream of discovery is identical between the
-// two paths. dict is the pinned snapshot's value dictionary; traversal and
-// integration key their hot paths on its interned IDs (nil falls back to
-// the canonical-string reference paths). epoch is the pinned snapshot's
-// epoch, stamped on every observer event the run emits. discover receives
-// the run's discovery options with the stats hook already chained in — it
-// must pass them through rather than re-reading cfg.Discovery.
-func reclaimPipeline(ctx context.Context, src *table.Table, cfg Config, dict *table.Dict, epoch lake.Epoch,
+// two paths; traversal and integration align on the Source's own key space
+// (table.KeyIndex) and need no value dictionary. epoch is the pinned
+// snapshot's epoch, stamped on every observer event the run emits. discover
+// receives the run's discovery options with the stats hook already chained
+// in — it must pass them through rather than re-reading cfg.Discovery.
+func reclaimPipeline(ctx context.Context, src *table.Table, cfg Config, epoch lake.Epoch,
 	discover func(context.Context, *table.Table, discovery.Options) ([]*discovery.Candidate, error)) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	// Source values the lake has never seen must not grow the shared
-	// append-only dictionary (a long-lived session would leak per query), so
-	// traversal and integration intern through one query-scoped overlay.
-	var interner table.Interner
-	if dict != nil {
-		interner = table.NewOverlay(dict)
 	}
 	obs := cfg.Observer
 	res := &Result{Epoch: epoch}
@@ -179,6 +175,7 @@ func reclaimPipeline(ctx context.Context, src *table.Table, cfg Config, dict *ta
 		src = src.Clone()
 		src.Key = key
 	}
+	res.Key = append([]int(nil), src.Key...)
 
 	// Table Discovery. The stats hook is chained onto a copy of the run's
 	// discovery options — the caller's Config (and any OnStats it set) is
@@ -223,7 +220,7 @@ func reclaimPipeline(ctx context.Context, src *table.Table, cfg Config, dict *ta
 		for i, c := range cands {
 			tables[i] = c.Table
 		}
-		topts := matrix.TraverseOptions{Workers: cfg.TraverseWorkers, Dict: interner,
+		topts := matrix.TraverseOptions{Workers: cfg.TraverseWorkers,
 			OnStats: func(s matrix.TraverseStats) { res.Traversal = s }}
 		if obs != nil {
 			srcName := src.Name
@@ -257,7 +254,7 @@ func reclaimPipeline(ctx context.Context, src *table.Table, cfg Config, dict *ta
 	for i, c := range picked {
 		origTables[i] = c.Table
 	}
-	reclaimed, err := integrate.NewWith(src, interner).ReclaimContext(ctx, origTables)
+	reclaimed, err := integrate.New(src).ReclaimContext(ctx, origTables)
 	res.Timing.Integrate = time.Since(start)
 	if err != nil {
 		return fail(PhaseIntegration, err)

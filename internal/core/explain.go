@@ -66,54 +66,35 @@ type Explanation struct {
 	Counts map[TupleStatus]int
 }
 
-// Explain analyzes the Result against its Source Table.
+// Explain analyzes the Result against its Source Table. A Source without a
+// declared key is analyzed under the key the run aligned on (Result.Key).
 func (r *Result) Explain(src *table.Table) *Explanation {
+	src = r.keyed(src)
 	a := metrics.Align(src, r.Reclaimed)
 	// Which originating tables cover each source key?
-	originsByKey := make(map[string][]string)
+	originsByKey := make([][]string, a.Keys.Len())
 	for _, cand := range r.Originating {
-		name := strings.Join(cand.Sources, "⋈")
-		keyIdx := make([]int, 0, len(src.Key))
-		ok := true
-		for _, k := range src.Key {
-			ci := cand.Table.ColIndex(src.Cols[k])
-			if ci < 0 {
-				ok = false
-				break
-			}
-			keyIdx = append(keyIdx, ci)
-		}
+		keyIdx, ok := a.Keys.ColsIn(cand.Table)
 		if !ok {
 			continue
 		}
-		seen := make(map[string]bool)
+		name := strings.Join(cand.Sources, "⋈")
+		seen := make([]bool, a.Keys.Len())
 		for _, row := range cand.Table.Rows {
-			var b strings.Builder
-			null := false
-			for _, ci := range keyIdx {
-				if row[ci].IsNull() {
-					null = true
-					break
-				}
-				b.WriteString(row[ci].Key())
-				b.WriteByte('\x01')
-			}
-			if null {
-				continue
-			}
-			k := b.String()
-			if !seen[k] {
-				seen[k] = true
-				originsByKey[k] = append(originsByKey[k], name)
+			if id, ok := a.Keys.Lookup(row, keyIdx); ok && !seen[id] {
+				seen[id] = true
+				originsByKey[id] = append(originsByKey[id], name)
 			}
 		}
 	}
 
 	exp := &Explanation{Counts: make(map[TupleStatus]int)}
-	for _, sr := range src.Rows {
-		key := src.RowKey(sr)
-		te := TupleExplanation{Key: displayKey(src, sr), Origins: originsByKey[key]}
-		aligned := a.ByKey[key]
+	for ri, sr := range src.Rows {
+		te := TupleExplanation{Key: displayKey(src, sr)}
+		var aligned []table.Row
+		if id := a.Keys.RowIDs()[ri]; id >= 0 {
+			te.Origins, aligned = originsByKey[id], a.ByKey[id]
+		}
 		if len(aligned) == 0 {
 			te.Status = TupleMissing
 			for i, c := range src.Cols {
@@ -185,6 +166,17 @@ func (e *Explanation) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// keyed returns src keyed as the run aligned it: src itself when it
+// declares a key, else a shallow copy carrying Result.Key.
+func (r *Result) keyed(src *table.Table) *table.Table {
+	if len(src.Key) > 0 || len(r.Key) == 0 {
+		return src
+	}
+	k := *src
+	k.Key = r.Key
+	return &k
 }
 
 func isKeyCol(t *table.Table, i int) bool {

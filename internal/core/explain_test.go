@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -106,5 +108,39 @@ func TestExplainPerfectReclamation(t *testing.T) {
 	exp := res.Explain(src)
 	if exp.Counts[TupleExact] != 1 || len(exp.Tuples) != 1 {
 		t.Errorf("perfect reclamation explain wrong: %v", exp.Counts)
+	}
+}
+
+// TestExplainKeylessSource: a Source that declares no key is explained and
+// reported under the key the run mined for it — not an empty key, under
+// which every tuple would read as missing and the JSON would drop its tuple
+// counts.
+func TestExplainKeylessSource(t *testing.T) {
+	src, l := explainScenario()
+	keyless := src.Clone()
+	keyless.Key = nil
+	res, err := Reclaim(l, keyless, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Explain(keyless).Summary(), res.Explain(src).Summary(); got != want {
+		t.Errorf("keyless Explain: %s, want the mined key's %s", got, want)
+	}
+	js, err := res.JSON(keyless)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		KeyColumns []string         `json:"key_columns"`
+		Tuples     *jsonTupleCounts `json:"tuples"`
+	}
+	if err := json.Unmarshal([]byte(js), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.KeyColumns, []string{"k"}) || rep.Tuples == nil || rep.Tuples.Missing != 1 {
+		t.Errorf("keyless JSON: key_columns %v, tuples %+v; want [k] and one missing tuple", rep.KeyColumns, rep.Tuples)
+	}
+	if !reflect.DeepEqual(res.Key, src.Key) || keyless.Key != nil {
+		t.Errorf("Result.Key = %v (caller's key %v), want the mined %v", res.Key, keyless.Key, src.Key)
 	}
 }

@@ -1,12 +1,12 @@
 package core
 
 import (
-	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"testing"
 
-	"gent/internal/discovery"
 	"gent/internal/index"
 	"gent/internal/lake"
 	"gent/internal/matrix"
@@ -39,35 +39,36 @@ func TestQueriesDoNotGrowLakeDict(t *testing.T) {
 	}
 }
 
-// TestPipelineInternedMatchesStringReference is the end-to-end equivalence
-// oracle for the interned traversal and integration paths: over the same
-// discovered candidates, the default pipeline — ID-tuple matrix alignment,
-// ID-keyed integration — must produce results identical to a pipeline forced
-// onto the dictionary-less reference paths (canonical-key matrices and
-// integration, the only ones that run for keys wider than
-// table.MaxInternKeyArity), on every source of a TP-TR benchmark and under
-// both matrix encodings.
-func TestPipelineInternedMatchesStringReference(t *testing.T) {
+// goldenPipeline is the SHA-256 of every result TestPipelineMatchesGolden
+// produces. It was recorded when traversal and integration still ran on two
+// key paths — dictionary ID tuples by default, canonical key strings without
+// a dictionary, which agreed on every source — so the single table.KeyIndex
+// path must reproduce what both computed.
+const goldenPipeline = "9c7e9282bd3d45f0972fda1006c2cb5a6d7059ac813330bd260279c7d1bef432"
+
+// TestPipelineMatchesGolden pins the end-to-end pipeline on every source of
+// a TP-TR benchmark under both matrix encodings: candidate counts, reports,
+// originating tables and the reclaimed bytes must hash to goldenPipeline.
+func TestPipelineMatchesGolden(t *testing.T) {
 	b := buildTPTR(t)
+	h := sha256.New()
 	for _, enc := range []matrix.Encoding{matrix.ThreeValued, matrix.TwoValued} {
 		cfg := DefaultConfig()
 		cfg.Encoding = enc
 		for _, src := range b.Sources {
-			interned, err := Reclaim(b.Lake, src, cfg)
+			res, err := Reclaim(b.Lake, src, cfg)
 			if err != nil {
-				t.Fatalf("%s: interned pipeline: %v", src.Name, err)
+				t.Fatalf("%s: %v", src.Name, err)
 			}
-			// The reference run: a nil dict puts traversal and integration on
-			// their canonical-string paths.
-			reference, err := reclaimPipeline(context.Background(), src, cfg, nil, lake.Epoch{},
-				func(ctx context.Context, keyed *table.Table, dopts discovery.Options) ([]*discovery.Candidate, error) {
-					return discovery.DiscoverContext(ctx, b.Lake, keyed, dopts)
-				})
-			if err != nil {
-				t.Fatalf("%s: reference pipeline: %v", src.Name, err)
+			fmt.Fprintf(h, "%s enc %d candidates %d report %+v\n", src.Name, enc, res.CandidateCount, res.Report)
+			for _, c := range res.Originating {
+				fmt.Fprintf(h, "originating %q\n", c.Sources)
 			}
-			assertSameResult(t, src.Name, reference, interned)
+			h.Write([]byte(res.Reclaimed.String()))
 		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenPipeline {
+		t.Fatalf("pipeline digest %s, golden %s", got, goldenPipeline)
 	}
 }
 

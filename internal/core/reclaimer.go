@@ -494,7 +494,7 @@ func (r *Reclaimer) ReclaimWithContext(ctx context.Context, src *table.Table, cf
 // and its substrates, no matter what Apply does to the lake meanwhile.
 func (r *Reclaimer) reclaimConfigured(ctx context.Context, src *table.Table, cfg Config) (*Result, error) {
 	st := r.acquire()
-	return reclaimPipeline(ctx, src, cfg, st.snap.Dict(), st.snap.Epoch(), func(ctx context.Context, keyed *table.Table, dopts discovery.Options) ([]*discovery.Candidate, error) {
+	return reclaimPipeline(ctx, src, cfg, st.snap.Epoch(), func(ctx context.Context, keyed *table.Table, dopts discovery.Options) ([]*discovery.Candidate, error) {
 		return r.rawCandidates(ctx, st, keyed, dopts)
 	})
 }

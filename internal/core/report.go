@@ -75,7 +75,8 @@ type jsonDiscovery struct {
 }
 
 // WriteJSON renders the result as indented JSON. When src is non-nil the
-// per-tuple explanation counts are included.
+// per-tuple explanation counts are included; a Source without a declared
+// key reports the key the run aligned on (Result.Key).
 func (r *Result) WriteJSON(w io.Writer, src *table.Table) error {
 	rep := jsonReport{
 		Candidates: r.CandidateCount,
@@ -98,6 +99,7 @@ func (r *Result) WriteJSON(w io.Writer, src *table.Table) error {
 		},
 	}
 	if src != nil {
+		src = r.keyed(src)
 		rep.Source = src.Name
 		rep.KeyColumns = src.KeyCols()
 		if len(src.Key) > 0 {

@@ -3,7 +3,6 @@ package discovery
 import (
 	"context"
 	"sort"
-	"strings"
 
 	"gent/internal/table"
 )
@@ -51,7 +50,7 @@ func expandContext(ctx context.Context, cands []*Candidate, src *table.Table, op
 		maxDepth = 3
 	}
 
-	srcKeySet := sourceKeySet(src)
+	srcKeys := table.NewKeyIndex(src)
 
 	out := make([]*Candidate, 0, n)
 	for i, c := range cands {
@@ -62,7 +61,7 @@ func expandContext(ctx context.Context, cands []*Candidate, src *table.Table, op
 			out = append(out, c)
 			continue
 		}
-		joined, path := bestKeyCoveringJoin(i, cands, weights, keyCols, srcKeySet, maxDepth)
+		joined, path := bestKeyCoveringJoin(i, cands, weights, keyCols, srcKeys, maxDepth)
 		if joined == nil {
 			continue // unalignable: no join path reaches the Source key
 		}
@@ -95,47 +94,21 @@ func expandContext(ctx context.Context, cands []*Candidate, src *table.Table, op
 	return out, nil
 }
 
-// sourceKeySet collects the Source's distinct key tuples.
-func sourceKeySet(src *table.Table) map[string]bool {
-	set := make(map[string]bool, len(src.Rows))
-	for _, r := range src.Rows {
-		if k := src.RowKey(r); k != "" {
-			set[k] = true
-		}
-	}
-	return set
-}
-
 // keyCoverage counts how many distinct Source key values appear in t.
-func keyCoverage(t *table.Table, keyCols []string, srcKeys map[string]bool) int {
-	idx := make([]int, len(keyCols))
-	for i, c := range keyCols {
-		j := t.ColIndex(c)
-		if j < 0 {
-			return 0
-		}
-		idx[i] = j
+func keyCoverage(t *table.Table, srcKeys *table.KeyIndex) int {
+	idx, ok := srcKeys.ColsIn(t)
+	if !ok {
+		return 0
 	}
-	seen := make(map[string]bool)
+	seen := make([]bool, srcKeys.Len())
+	n := 0
 	for _, r := range t.Rows {
-		var b strings.Builder
-		null := false
-		for _, j := range idx {
-			if r[j].IsNull() {
-				null = true
-				break
-			}
-			b.WriteString(r[j].Key())
-			b.WriteByte('\x01')
-		}
-		if null {
-			continue
-		}
-		if k := b.String(); srcKeys[k] {
-			seen[k] = true
+		if id, ok := srcKeys.Lookup(r, idx); ok && !seen[id] {
+			seen[id] = true
+			n++
 		}
 	}
-	return len(seen)
+	return n
 }
 
 // expandMaxRows caps intermediate joins so a bad path cannot blow up.
@@ -145,7 +118,7 @@ const expandMaxRows = 100000
 // edges, bounded depth and branching), materializing the join along the way,
 // and returns the joined table covering the most Source key values.
 func bestKeyCoveringJoin(start int, cands []*Candidate, weights [][]int,
-	keyCols []string, srcKeys map[string]bool, maxDepth int) (*table.Table, []int) {
+	keyCols []string, srcKeys *table.KeyIndex, maxDepth int) (*table.Table, []int) {
 
 	var bestTable *table.Table
 	var bestPath []int
@@ -158,7 +131,7 @@ func bestKeyCoveringJoin(start int, cands []*Candidate, weights [][]int,
 	var rec func(cur *table.Table, node, depth int)
 	rec = func(cur *table.Table, node, depth int) {
 		if cur.HasCols(keyCols...) {
-			cover := keyCoverage(cur, keyCols, srcKeys)
+			cover := keyCoverage(cur, srcKeys)
 			if cover > bestCover || (cover == bestCover && cover > 0 && len(path) < bestLen) {
 				bestCover = cover
 				bestLen = len(path)

@@ -130,17 +130,17 @@ func TestExpandProjectsPartnerColumnsAway(t *testing.T) {
 // TestKeyCoverage checks the coverage helper directly.
 func TestKeyCoverage(t *testing.T) {
 	src := expandSource(4)
-	keys := sourceKeySet(src)
+	keys := table.NewKeyIndex(src)
 	tb := table.New("t", "ok", "x")
 	tb.AddRow(table.S("ok0"), table.S("a"))
 	tb.AddRow(table.S("ok1"), table.S("b"))
 	tb.AddRow(table.S("ok1"), table.S("c"))     // duplicate key counted once
 	tb.AddRow(table.S("foreign"), table.S("d")) // not a source key
 	tb.AddRow(table.Null, table.S("e"))         // null keys never count
-	if got := keyCoverage(tb, []string{"ok"}, keys); got != 2 {
+	if got := keyCoverage(tb, keys); got != 2 {
 		t.Errorf("coverage = %d, want 2", got)
 	}
-	if got := keyCoverage(tb, []string{"missing"}, keys); got != 0 {
-		t.Errorf("coverage with missing column = %d, want 0", got)
+	if got := keyCoverage(tb.Project("x"), keys); got != 0 {
+		t.Errorf("coverage without the key column = %d, want 0", got)
 	}
 }

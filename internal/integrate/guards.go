@@ -6,8 +6,8 @@ import (
 
 // tupleScorer computes the error-aware similarity E of accumulator tuples
 // against their aligned (labeled) Source tuples — the per-pair guard of
-// Figure 5's integration steps. Key lookups run on the Integrator's active
-// representation (interned ID tuples or canonical strings).
+// Figure 5's integration steps. Rows align through the Integrator's
+// source-key index.
 type tupleScorer struct {
 	in *Integrator
 	// srcColOf maps a t column index to the labeled source column index.
@@ -28,12 +28,9 @@ func (in *Integrator) scorer(t *table.Table) *tupleScorer {
 	for i, name := range t.Cols {
 		s.srcColOf[i] = src.ColIndex(name)
 	}
-	for _, k := range src.Key {
-		ci := t.ColIndex(src.Cols[k])
-		if ci < 0 {
-			return nil
-		}
-		s.keyIdx = append(s.keyIdx, ci)
+	var ok bool
+	if s.keyIdx, ok = in.keys.ColsIn(t); !ok {
+		return nil
 	}
 	s.isKey = make([]bool, len(t.Cols))
 	for _, k := range s.keyIdx {
@@ -44,20 +41,11 @@ func (in *Integrator) scorer(t *table.Table) *tupleScorer {
 
 // labeledRow resolves the labeled Source row an accumulator row aligns with.
 func (s *tupleScorer) labeledRow(r table.Row) (table.Row, bool) {
-	if s.in.useIDs {
-		k, ok := table.LookupIDKey(s.in.dict, r, s.keyIdx)
-		if !ok {
-			return nil, false
-		}
-		srow, ok := s.in.labeledByIDKey[k]
-		return srow, ok
-	}
-	k, ok := rowKeyAt(r, s.keyIdx)
+	id, ok := s.in.keys.Lookup(r, s.keyIdx)
 	if !ok {
 		return nil, false
 	}
-	srow, ok := s.in.labeledByKey[k]
-	return srow, ok
+	return s.in.labeledSrc.Rows[s.in.keys.Rep(id)], true
 }
 
 // e computes E(srcRow, r) = (α−δ)/n with label-aware matching: a preserved
@@ -97,10 +85,13 @@ func (in *Integrator) guardedComplement(t *table.Table) *table.Table {
 	if s == nil {
 		return t
 	}
-	groups, order := groupByKey(t, s)
+	groups, aligned := groupByKey(t, s)
 	out := table.New(t.Name, t.Cols...)
-	for _, k := range order {
-		rows := groups[k]
+	for g, rows := range groups {
+		if !aligned[g] {
+			out.Rows = append(out.Rows, rows...)
+			continue
+		}
 		// Fixpoint merge within the group.
 		for {
 			merged := false
@@ -140,10 +131,13 @@ func (in *Integrator) guardedSubsume(t *table.Table) *table.Table {
 	if s == nil {
 		return table.Subsume(t)
 	}
-	groups, order := groupByKey(t, s)
+	groups, aligned := groupByKey(t, s)
 	out := table.New(t.Name, t.Cols...)
-	for _, k := range order {
-		rows := groups[k]
+	for g, rows := range groups {
+		if !aligned[g] {
+			out.Rows = append(out.Rows, rows...)
+			continue
+		}
 		alive := make([]bool, len(rows))
 		for i := range alive {
 			alive[i] = true
@@ -171,45 +165,23 @@ func (in *Integrator) guardedSubsume(t *table.Table) *table.Table {
 	return out.DropDuplicates()
 }
 
-// rowGroup identifies one groupByKey bucket: an interned key tuple (ids set,
-// when the key's values are all known to the dictionary) or a canonical key
-// string. The string form also covers dictionary-unknown keys on the
-// interned path, so two distinct unknown keys never share a bucket — the
-// bucketing must match the reference's string equivalence classes exactly,
-// because group boundaries and order shape the output rows.
-type rowGroup struct {
-	s   string
-	id  table.IDKey
-	ids bool
-}
-
-// groupKey buckets an accumulator row by its key under the scorer's active
-// representation; rows with a null key share the zero group (the reference's
-// "" bucket).
-func (s *tupleScorer) groupKey(r table.Row) rowGroup {
-	if s.in.useIDs {
-		if k, ok := table.LookupIDKey(s.in.dict, r, s.keyIdx); ok {
-			return rowGroup{id: k, ids: true}
-		}
-	}
-	k, ok := rowKeyAt(r, s.keyIdx)
-	if !ok {
-		return rowGroup{}
-	}
-	return rowGroup{s: k}
-}
-
-// groupByKey splits rows by source key, preserving first-seen key order;
-// rows with no source key are kept under the zero group.
-func groupByKey(t *table.Table, s *tupleScorer) (map[rowGroup][]table.Row, []rowGroup) {
-	groups := make(map[rowGroup][]table.Row)
-	var order []rowGroup
+// groupByKey splits rows by source key id, groups in first-seen order.
+// Rows that align with no Source tuple (a null or foreign key) form one
+// pass-through group, flagged false in aligned: no guard can score them, so
+// they are never merged and never subsumed. Reclaim never produces such
+// rows — ProjectSelect keeps only Source-keyed ones.
+func groupByKey(t *table.Table, s *tupleScorer) (groups [][]table.Row, aligned []bool) {
+	slot := make(map[int]int)
 	for _, r := range t.Rows {
-		k := s.groupKey(r)
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
+		id, ok := s.in.keys.Lookup(r, s.keyIdx)
+		g, seen := slot[id]
+		if !seen {
+			g = len(groups)
+			slot[id] = g
+			groups = append(groups, nil)
+			aligned = append(aligned, ok)
 		}
-		groups[k] = append(groups[k], r.Clone())
+		groups[g] = append(groups[g], r.Clone())
 	}
-	return groups, order
+	return groups, aligned
 }

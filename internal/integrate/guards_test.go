@@ -97,14 +97,20 @@ func TestGuardedSubsumeKeepsBetterSubsumed(t *testing.T) {
 	}
 }
 
+// TestGuardedOpsPreserveRowsWithoutKeys: rows that align with no Source
+// tuple — a null key, a foreign key — pass through both guards untouched,
+// even where the plain operators would complement or subsume them.
 func TestGuardedOpsPreserveRowsWithoutKeys(t *testing.T) {
 	in := New(guardSource())
 	acc := table.New("acc", "k", "a", "b")
 	acc.AddRow(table.Null, table.S("x"), table.S("y"))
-	if got := in.guardedComplement(acc); len(got.Rows) != 1 {
-		t.Error("keyless row lost in complement")
+	acc.AddRow(table.S("nope"), table.S("x"), table.Null)
+	acc.AddRow(table.S("nope"), table.Null, table.S("y"))
+	if got := in.guardedComplement(acc); len(got.Rows) != 3 {
+		t.Errorf("unaligned rows changed in complement:\n%s", got)
 	}
-	if got := in.guardedSubsume(acc); len(got.Rows) != 1 {
-		t.Error("keyless row lost in subsume")
+	acc.AddRow(table.S("nope"), table.S("x"), table.S("y"))
+	if got := in.guardedSubsume(acc); len(got.Rows) != 4 {
+		t.Errorf("unaligned rows changed in subsume:\n%s", got)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"strings"
 
-	"gent/internal/metrics"
 	"gent/internal/table"
 )
 
@@ -20,183 +19,71 @@ import (
 // is stateful only for label identities, so one Integrator must be used for
 // one Source.
 //
-// When built with a value dictionary (NewWith), every source-key lookup —
-// srcByKey / labeledByKey membership, labeling slots, the guards' row
-// grouping — runs on interned [arity]uint32 key tuples instead of built key
-// strings; New keeps the canonical-string path as the reference. The two are
-// equivalence-tested to produce bit-identical reclaimed tables.
+// Every source-key decision — ProjectSelect membership, labeling slots, the
+// guards' row grouping and scoring — goes through one table.KeyIndex over
+// the Source: a source-local key space, so integration needs no value
+// dictionary.
 type Integrator struct {
 	src *table.Table
+	// keys numbers the Source's key tuples. labeledSrc shares the Source's
+	// row order and key cells, so keys addresses both.
+	keys *table.KeyIndex
 	// labeledSrc is the Source with its nulls replaced by labels, so EIS
 	// evaluation rewards preserving a correct null and penalizes filling it.
 	labeledSrc *table.Table
-	labels     map[string]int64
-	labelsID   map[labelSlot]int64
-	labelOf    map[int64]bool
-	nextID     int64
-	// dict, when non-nil (and the key arity fits table.MaxInternKeyArity),
-	// switches key addressing to interned ID tuples.
-	dict   table.Interner
-	useIDs bool
-	// srcByKey indexes the Source's rows by canonical key. It is built once
-	// here and shared by every labeling pass and key-membership check —
-	// Reclaim calls labelSourceNulls on every union step, which used to
-	// rebuild this map each time. Exactly one of the str/ID pairs is built.
-	srcByKey   map[string]table.Row
-	srcByIDKey map[table.IDKey]table.Row
-	// labeledByKey is srcByKey over labeledSrc, for the tuple scorer's
-	// label-aware comparisons (guards.go); likewise built once.
-	labeledByKey   map[string]table.Row
-	labeledByIDKey map[table.IDKey]table.Row
+	// labels[id*len(src.Cols)+c] is the label of the (source key id, source
+	// column c) slot; 0 until first use.
+	labels  []int64
+	labelOf map[int64]bool
+	nextID  int64
 }
 
-// labelSlot addresses a (source key, column name) slot on the interned path.
-type labelSlot struct {
-	key table.IDKey
-	col string
-}
-
-// New prepares an Integrator for the given Source Table (which must have a
-// key), keyed by canonical strings — the reference path.
-func New(src *table.Table) *Integrator { return NewWith(src, nil) }
-
-// NewWith is New with an optional value dictionary: when non-nil, key
-// lookups run on interned ID tuples. The Source's key values are interned
-// here; originating-table values unknown to the dictionary provably key no
-// Source row, so lookups misses mean exactly what they mean on strings.
-func NewWith(src *table.Table, dict table.Interner) *Integrator {
-	in := &Integrator{
-		src:     src,
-		labelOf: make(map[int64]bool),
-	}
-	in.useIDs = dict != nil && len(src.Key) > 0 && len(src.Key) <= table.MaxInternKeyArity
-	if in.useIDs {
-		in.dict = dict
-		in.labelsID = make(map[labelSlot]int64)
-		in.srcByIDKey = rowsByIDKey(dict, src)
-	} else {
-		in.labels = make(map[string]int64)
-		in.srcByKey = rowsByKey(src)
-	}
+// New prepares an Integrator for the given Source Table, which must have a
+// key.
+func New(src *table.Table) *Integrator {
+	in := &Integrator{src: src, keys: table.NewKeyIndex(src), labelOf: make(map[int64]bool)}
+	in.labels = make([]int64, in.keys.Len()*len(src.Cols))
 	in.labeledSrc = in.labelSourceNulls(src)
-	if in.useIDs {
-		in.labeledByIDKey = rowsByIDKey(dict, in.labeledSrc)
-	} else {
-		in.labeledByKey = rowsByKey(in.labeledSrc)
-	}
 	return in
 }
 
-// rowsByKey indexes a keyed table's rows by canonical key, skipping rows
-// whose key contains a null.
-func rowsByKey(t *table.Table) map[string]table.Row {
-	byKey := make(map[string]table.Row, len(t.Rows))
-	for _, r := range t.Rows {
-		if k := t.RowKey(r); k != "" {
-			byKey[k] = r
-		}
-	}
-	return byKey
-}
+// NewWith is New; dict is ignored. Integration aligns through the Source's
+// own table.KeyIndex and needs no value dictionary — the function remains so
+// existing callers compile.
+func NewWith(src *table.Table, dict table.Interner) *Integrator { return New(src) }
 
-// rowsByIDKey is rowsByKey over interned ID tuples, interning the key values
-// (the table here is always the Source or its labeled twin, whose key cells
-// define the key space lookups are resolved against).
-func rowsByIDKey(d table.Interner, t *table.Table) map[table.IDKey]table.Row {
-	byKey := make(map[table.IDKey]table.Row, len(t.Rows))
-	for _, r := range t.Rows {
-		if k, ok := table.InternIDKey(d, r, t.Key); ok {
-			byKey[k] = r
-		}
-	}
-	return byKey
-}
-
-// slotRef carries a row's source-key identity to the labeler under either
-// key representation.
-type slotRef struct {
-	s  string
-	id table.IDKey
-}
-
-// alignRow resolves the Source row sharing r's key (cells at keyIdx), with
-// the slot reference labeling needs; ok is false when the key is null or
-// keys no Source row.
-func (in *Integrator) alignRow(r table.Row, keyIdx []int) (table.Row, slotRef, bool) {
-	if in.useIDs {
-		k, ok := table.LookupIDKey(in.dict, r, keyIdx)
-		if !ok {
-			return nil, slotRef{}, false
-		}
-		srow, ok := in.srcByIDKey[k]
-		if !ok {
-			return nil, slotRef{}, false
-		}
-		return srow, slotRef{id: k}, true
-	}
-	key, ok := rowKeyAt(r, keyIdx)
-	if !ok {
-		return nil, slotRef{}, false
-	}
-	srow, ok := in.srcByKey[key]
-	if !ok {
-		return nil, slotRef{}, false
-	}
-	return srow, slotRef{s: key}, true
-}
-
-// label returns the stable label for a (source key, column name) slot: the
-// same slot gets the same label in every table, so labeled tuples still
+// label returns the stable label for a (source key id, source column) slot:
+// the same slot gets the same label in every table, so labeled tuples still
 // deduplicate, subsume and complement consistently.
-func (in *Integrator) label(slot slotRef, col string) table.Value {
-	if in.useIDs {
-		ls := labelSlot{key: slot.id, col: col}
-		id, ok := in.labelsID[ls]
-		if !ok {
-			in.nextID++
-			id = in.nextID
-			in.labelsID[ls] = id
-			in.labelOf[id] = true
-		}
-		return table.Label(id)
-	}
-	s := slot.s + "\x02" + col
-	id, ok := in.labels[s]
-	if !ok {
+func (in *Integrator) label(id, col int) table.Value {
+	slot := &in.labels[id*len(in.src.Cols)+col]
+	if *slot == 0 {
 		in.nextID++
-		id = in.nextID
-		in.labels[s] = id
-		in.labelOf[id] = true
+		*slot = in.nextID
+		in.labelOf[in.nextID] = true
 	}
-	return table.Label(id)
+	return table.Label(*slot)
 }
 
 // ProjectSelect applies Algorithm 2 line 3 to one originating table using
-// the Integrator's precomputed source-key index: project onto the Source's
-// columns and keep only rows whose key values appear in the Source. Tables
-// that do not carry the Source's key columns return nil — their rows can
-// never align with a Source tuple, and Expand guarantees Gen-T's originating
-// tables carry the key. It also returns nil when nothing of the Source's
-// schema or key set remains.
+// the Integrator's source-key index: project onto the Source's columns and
+// keep only rows whose key values appear in the Source. Tables that do not
+// carry the Source's key columns return nil — their rows can never align
+// with a Source tuple, and Expand guarantees Gen-T's originating tables
+// carry the key. It also returns nil when nothing of the Source's schema or
+// key set remains.
 func (in *Integrator) ProjectSelect(t *table.Table) *table.Table {
 	p := t.Project(in.src.Cols...)
 	if len(p.Cols) == 0 || len(p.Rows) == 0 || !p.HasCols(in.src.KeyCols()...) {
 		return nil
 	}
-	return selectKeyed(in.src, p, in.hasSrcKey)
-}
-
-// hasSrcKey reports whether a row (key cells at keyIdx) keys a Source row,
-// under the Integrator's active key representation.
-func (in *Integrator) hasSrcKey(r table.Row, keyIdx []int) bool {
-	_, _, ok := in.alignRow(r, keyIdx)
-	return ok
+	return selectKeyed(in.keys, p)
 }
 
 // ProjectSelect is the one-shot form of Integrator.ProjectSelect for callers
-// without an Integrator; it rebuilds the source-key index on every call.
-// Unlike the integrator path — Gen-T's Reclaim, which drops key-less tables —
-// it keeps key-less tables (projected and deduplicated), because its
+// without an Integrator; it indexes the Source's keys on every call. Unlike
+// the integrator path — Gen-T's Reclaim, which drops key-less tables — it
+// keeps key-less tables (projected and deduplicated), because its
 // full-disjunction consumers (ALITE-PS) can still combine them through other
 // shared columns.
 func ProjectSelect(src, t *table.Table) *table.Table {
@@ -208,28 +95,17 @@ func ProjectSelect(src, t *table.Table) *table.Table {
 		p.Key = nil
 		return p.DropDuplicates()
 	}
-	srcByKey := rowsByKey(src)
-	return selectKeyed(src, p, func(r table.Row, keyIdx []int) bool {
-		key, ok := rowKeyAt(r, keyIdx)
-		if !ok {
-			return false
-		}
-		_, hit := srcByKey[key]
-		return hit
-	})
+	return selectKeyed(table.NewKeyIndex(src), p)
 }
 
-// selectKeyed keeps the rows of an already-projected table whose key values
-// appear in the Source, per the supplied membership check.
-func selectKeyed(src *table.Table, p *table.Table, member func(r table.Row, keyIdx []int) bool) *table.Table {
+// selectKeyed keeps the rows of an already-projected table (carrying the
+// Source's key columns) whose key values appear in the Source.
+func selectKeyed(keys *table.KeyIndex, p *table.Table) *table.Table {
 	p.Key = nil
-	keyIdx := make([]int, len(src.Key))
-	for i, k := range src.Key {
-		keyIdx[i] = p.ColIndex(src.Cols[k])
-	}
+	keyIdx, _ := keys.ColsIn(p)
 	sel := table.New(p.Name, p.Cols...)
 	for _, r := range p.Rows {
-		if member(r, keyIdx) {
+		if _, ok := keys.Lookup(r, keyIdx); ok {
 			sel.Rows = append(sel.Rows, r)
 		}
 	}
@@ -315,24 +191,13 @@ func (in *Integrator) ReclaimContext(ctx context.Context, origs []*table.Table) 
 	return reordered.DropDuplicates(), nil
 }
 
-// score is evaluateSimilarity(): EIS against the labeled Source, so that a
-// preserved labeled null counts as a match and an over-combined value does
-// not.
-func (in *Integrator) score(t *table.Table) float64 {
-	return metrics.EIS(in.labeledSrc, t)
-}
-
 // labelSourceNulls replaces, in t, every null that sits in a slot where the
 // Source is also null (same key, same column) with that slot's unique label.
 func (in *Integrator) labelSourceNulls(t *table.Table) *table.Table {
 	src := in.src
-	keyIdx := make([]int, 0, len(src.Key))
-	for _, k := range src.Key {
-		ci := t.ColIndex(src.Cols[k])
-		if ci < 0 {
-			return t.Clone()
-		}
-		keyIdx = append(keyIdx, ci)
+	keyIdx, ok := in.keys.ColsIn(t)
+	if !ok {
+		return t.Clone()
 	}
 	srcColOf := make([]int, len(t.Cols))
 	for i, name := range t.Cols {
@@ -341,15 +206,16 @@ func (in *Integrator) labelSourceNulls(t *table.Table) *table.Table {
 	out := table.New(t.Name, t.Cols...)
 	out.Key = append([]int(nil), t.Key...)
 	for _, r := range t.Rows {
-		srow, slot, ok := in.alignRow(r, keyIdx)
+		id, ok := in.keys.Lookup(r, keyIdx)
 		if !ok {
 			out.Rows = append(out.Rows, r.Clone())
 			continue
 		}
+		srow := src.Rows[in.keys.Rep(id)]
 		nr := r.Clone()
 		for i := range nr {
 			if sc := srcColOf[i]; sc >= 0 && nr[i].IsNull() && srow[sc].IsNull() {
-				nr[i] = in.label(slot, t.Cols[i])
+				nr[i] = in.label(id, sc)
 			}
 		}
 		out.Rows = append(out.Rows, nr)
@@ -403,16 +269,4 @@ func schemaSignature(t *table.Table) string {
 		}
 	}
 	return strings.Join(cols, "\x01")
-}
-
-func rowKeyAt(r table.Row, idx []int) (string, bool) {
-	var b strings.Builder
-	for _, i := range idx {
-		if r[i].IsNull() {
-			return "", false
-		}
-		b.WriteString(r[i].Key())
-		b.WriteByte('\x01')
-	}
-	return b.String(), true
 }

@@ -194,13 +194,15 @@ func TestReclaimLeavesNoLabels(t *testing.T) {
 
 func TestLabelStability(t *testing.T) {
 	in := New(source())
-	a := in.label(slotRef{s: "k1"}, "Gender")
-	b := in.label(slotRef{s: "k1"}, "Gender")
-	c := in.label(slotRef{s: "k2"}, "Gender")
+	gender := in.src.ColIndex("Gender")
+	a := in.label(1, gender)
+	b := in.label(1, gender)
+	c := in.label(2, gender)
+	d := in.label(1, gender+1)
 	if !a.Equal(b) {
 		t.Error("same slot must get the same label")
 	}
-	if a.Equal(c) {
+	if a.Equal(c) || a.Equal(d) {
 		t.Error("different slots must get different labels")
 	}
 }

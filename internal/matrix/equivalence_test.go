@@ -2,6 +2,8 @@ package matrix
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,23 +12,59 @@ import (
 	"gent/internal/table"
 )
 
-// randomCorpus builds a random source (keyed on column 0) plus a candidate
-// set covering the regimes traversal must handle: noisy projections,
-// duplicate rows, foreign and null keys, candidates missing columns or the
-// key entirely, and exact duplicates of other candidates.
+// corpusKey is source row r's key tuple at the given arity. Five-column keys
+// repeat every component across rows — only whole tuples tell rows apart —
+// and mix numbers with a string holding the key-joining control bytes.
+func corpusKey(r, arity int) []table.Value {
+	if arity == 1 {
+		return []table.Value{table.S(fmt.Sprintf("k%d", r))}
+	}
+	return []table.Value{
+		table.S(fmt.Sprintf("k%d", r%3)),
+		table.N(float64(r / 3 % 2)),
+		table.S(fmt.Sprintf("g%d", r/6)),
+		table.S("a\x01b\x02"),
+		table.N(float64(r % 2)),
+	}
+}
+
+// corpusKeyOrder is the source key at the given arity: column 0, or the five
+// leading columns in permuted order, so key positions and column positions
+// differ.
+func corpusKeyOrder(arity int) []int {
+	if arity == 1 {
+		return []int{0}
+	}
+	return []int{3, 0, 4, 1, 2}
+}
+
+// randomCorpus builds a random keyed source plus a candidate set covering
+// the regimes traversal must handle: noisy projections, duplicate rows,
+// duplicate source keys, foreign and null keys, candidates missing columns
+// or the key entirely, and exact duplicates of other candidates. One corpus
+// in three keys the source on five columns; its candidates also splice key
+// components across rows and respell numeric ones ("1" as "1.0").
 func randomCorpus(rng *rand.Rand) (*table.Table, []*table.Table) {
-	nCols := 3 + rng.Intn(4)
+	arity := 1
+	if rng.Intn(3) == 0 {
+		arity = 5
+	}
+	nCols := arity + 2 + rng.Intn(4)
 	cols := make([]string, nCols)
 	for i := range cols {
 		cols[i] = fmt.Sprintf("c%d", i)
 	}
 	src := table.New("S", cols...)
-	src.Key = []int{0}
+	src.Key = corpusKeyOrder(arity)
 	nRows := 4 + rng.Intn(9)
 	for r := 0; r < nRows; r++ {
 		row := make([]table.Value, nCols)
-		row[0] = table.S(fmt.Sprintf("k%d", r))
-		for c := 1; c < nCols; c++ {
+		kr := r
+		if r > 0 && rng.Intn(8) == 0 {
+			kr = rng.Intn(r) // a duplicate source key
+		}
+		copy(row, corpusKey(kr, arity))
+		for c := arity; c < nCols; c++ {
 			if rng.Intn(6) == 0 {
 				row[c] = table.Null
 			} else {
@@ -51,7 +89,7 @@ func randomCorpus(rng *rand.Rand) (*table.Table, []*table.Table) {
 			if c == 0 && rng.Intn(8) == 0 {
 				continue
 			}
-			if c == 0 || rng.Intn(4) != 0 {
+			if c < arity || rng.Intn(4) != 0 {
 				keep = append(keep, c)
 			}
 		}
@@ -68,19 +106,23 @@ func randomCorpus(rng *rand.Rand) (*table.Table, []*table.Table) {
 			for d := 0; d < copies; d++ {
 				row := make([]table.Value, len(keep))
 				for j, c := range keep {
-					switch {
-					case c == 0 && rng.Intn(10) == 0:
+					switch v := src.Rows[r][c]; {
+					case c < arity && rng.Intn(10*arity) == 0:
 						row[j] = table.S("foreign") // key not in the source
-					case c == 0 && rng.Intn(12) == 0:
+					case c < arity && rng.Intn(12*arity) == 0:
 						row[j] = table.Null
-					case c == 0:
-						row[j] = src.Rows[r][0]
+					case c < arity && arity > 1 && rng.Intn(4*arity) == 0:
+						row[j] = src.Rows[rng.Intn(nRows)][c] // another row's component
+					case c < arity && v.Kind == table.KindNumber && rng.Intn(3) == 0:
+						row[j] = table.Parse(fmt.Sprintf("%v.0", v.Num))
+					case c < arity:
+						row[j] = v
 					case rng.Intn(4) == 0:
 						row[j] = table.Null
 					case rng.Intn(4) == 0:
 						row[j] = table.S("wrong")
 					default:
-						row[j] = src.Rows[r][c]
+						row[j] = v
 					}
 				}
 				cand.Rows = append(cand.Rows, row)
@@ -124,42 +166,45 @@ func TestTraverseMatchesReference(t *testing.T) {
 	}
 }
 
-// TestTraverseInternedMatchesReference is the interned key path's
-// equivalence oracle: with a value dictionary supplied (fresh, or pre-loaded
-// with the corpus as the pipeline's shared lake dictionary is), the engine's
-// pick sequence must be bit-identical to the string-keyed reference, on both
-// encodings and with serial and parallel pools.
-func TestTraverseInternedMatchesReference(t *testing.T) {
+// goldenTraverse is the SHA-256 of every pick sequence and every FromTable
+// matrix TestTraverseMatchesGolden produces. It was recorded when alignment
+// still ran on two key paths — canonical key strings and dictionary ID
+// tuples, which agreed on every trial — so the single table.KeyIndex path
+// must reproduce what both computed.
+const goldenTraverse = "e5c8e01e598d8ac33967dbb14b690e1c22b21e81baf20780671046bbf9d4540e"
+
+// TestTraverseMatchesGolden pins traversal on the seeded corpora (arity-1
+// and arity-5 keys): the engine's picks, serial and parallel, must equal
+// TraverseReference's, and picks plus every candidate's coded tuples, per
+// dense key id, must hash to goldenTraverse.
+func TestTraverseMatchesGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	h := sha256.New()
 	for trial := 0; trial < 60; trial++ {
 		src, cands := randomCorpus(rng)
-		// preloaded mimics the lake dictionary: every candidate value already
-		// interned before traversal begins.
-		preloaded := table.NewDict()
-		for _, c := range cands {
-			table.InternTable(preloaded, c)
-		}
 		for _, enc := range []Encoding{ThreeValued, TwoValued} {
 			want := TraverseReference(src, cands, enc)
-			for _, dict := range []*table.Dict{table.NewDict(), preloaded} {
-				for _, workers := range []int{1, 4} {
-					got := TraverseWith(src, cands, enc, TraverseOptions{Workers: workers, Dict: dict})
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("trial %d enc %d workers %d: interned picks = %v, reference = %v",
-							trial, enc, workers, got, want)
+			for _, workers := range []int{1, 4} {
+				got := TraverseWith(src, cands, enc, TraverseOptions{Workers: workers})
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d enc %d workers %d: picks = %v, reference = %v",
+						trial, enc, workers, got, want)
+				}
+			}
+			fmt.Fprintf(h, "trial %d enc %d picks %v\n", trial, enc, want)
+			shape := NewShape(src)
+			for ci, c := range cands {
+				m := FromTable(shape, c, enc)
+				for id := 0; id < shape.numKeys(); id++ {
+					for _, tp := range m.rows[id] {
+						fmt.Fprintf(h, "cand %d key %d %v %d\n", ci, id, tp.code, tp.ad)
 					}
 				}
 			}
-			// The interned matrices themselves must code identically.
-			ids := NewShapeWith(src, table.NewDict())
-			strs := NewShape(src)
-			for ci, c := range cands {
-				a, b := FromTable(ids, c, enc), FromTable(strs, c, enc)
-				if !reflect.DeepEqual(a.rows, b.rows) {
-					t.Fatalf("trial %d enc %d cand %d: interned matrix diverged", trial, enc, ci)
-				}
-			}
 		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenTraverse {
+		t.Fatalf("traversal digest %s, golden %s", got, goldenTraverse)
 	}
 }
 
@@ -178,7 +223,7 @@ func TestDeltaScorerMatchesMaterialized(t *testing.T) {
 			for i, c := range cands {
 				mats[i] = FromTable(shape, c, enc)
 			}
-			e := newEngine(context.Background(), src, cands, enc, 1, nil)
+			e := newEngine(context.Background(), src, cands, enc, 1)
 			e.reset(&e.cands[0])
 			combined := mats[0]
 			// Advance both by absorbing a random prefix of candidates.

@@ -16,19 +16,13 @@
 // kernel (packed.go). The engine is pick-for-pick identical to the retained
 // materialize-and-rescan reference implementation (TraverseReference).
 //
-// Matrices address aligned tuples by dense source-key id. Mapping a
-// candidate row's key tuple onto those ids runs, when the shape carries a
-// value dictionary (TraverseOptions.Dict), on interned [arity]uint32 ID
-// tuples — no key string is ever built; without a dictionary the original
-// canonical-string row keys are used. The two key paths are
-// equivalence-tested to pick identically.
+// Matrices address aligned tuples by dense source-key id: the Source's
+// table.KeyIndex numbers its key tuples, and a candidate row aligns by
+// looking its key cells up there — a source-local key space, so traversal
+// needs no value dictionary.
 package matrix
 
-import (
-	"strings"
-
-	"gent/internal/table"
-)
+import "gent/internal/table"
 
 // Encoding selects the matrix value domain.
 type Encoding int
@@ -49,32 +43,11 @@ type Shape struct {
 	// isKey flags the Source's key columns, column-aligned with Src.Cols.
 	isKey  []bool
 	nonKey int
-	// useIDs records whether the dense ids were assigned through dictionary
-	// interning (a dict was supplied and the key arity fits
-	// table.MaxInternKeyArity) or through canonical row-key strings. The two
-	// assignments produce the same key partition; candidate probing no longer
-	// consults the dictionary either way (see candKeyID).
-	useIDs bool
-	// rowKeyID maps each source row to its dense key id, -1 when the row's
-	// key contains a null (such rows align with nothing).
-	rowKeyID []int
-	// repRow maps each dense key id to its representative source row (the
-	// last row carrying that key, matching the historical map-overwrite
-	// semantics the equivalence tests pin).
-	repRow []int
-	// byStr / byIDs map a row's key to its dense id — exactly one is built.
-	byStr map[string]int
-	byIDs map[table.IDKey]int
-	// keyVals / byLoc are the alignment probe path for keys of interning
-	// arity: one lock-free per-position map over the Source's own key values
-	// (tiny, cache-resident — unlike the lake dictionary a candidate value
-	// probes otherwise). For single-column keys keyVals[0] maps straight to
-	// the dense id; wider keys compose per-position local ids and resolve
-	// them through byLoc. Values absent from a position match no source key
-	// there, so a failed probe is a provable non-alignment, exactly like a
-	// failed dictionary lookup.
-	keyVals []*table.ValueMap
-	byLoc   map[table.IDKey]int
+	// keys numbers the Source's key tuples: each source row's dense key id
+	// (-1 when its key contains a null — such rows align with nothing), each
+	// id's representative row (the last row carrying it), and candidate-row
+	// alignment by Lookup.
+	keys *table.KeyIndex
 	// pwords is the packed width: aligned tuples pack one byte per column,
 	// 8 columns per uint64 (see packed.go).
 	pwords int
@@ -84,15 +57,9 @@ type Shape struct {
 }
 
 // NewShape prepares the matrix shape for a Source Table, which must have a
-// key, using canonical-string row keys (the reference path).
-func NewShape(src *table.Table) *Shape { return NewShapeWith(src, nil) }
-
-// NewShapeWith is NewShape with an optional value dictionary; when non-nil
-// (and the key arity fits table.MaxInternKeyArity) candidate alignment runs
-// on interned ID tuples. Source key values are interned here, so candidate
-// values unknown to the dictionary provably match no source key.
-func NewShapeWith(src *table.Table, dict table.Interner) *Shape {
-	s := &Shape{Src: src, isKey: make([]bool, len(src.Cols))}
+// key.
+func NewShape(src *table.Table) *Shape {
+	s := &Shape{Src: src, isKey: make([]bool, len(src.Cols)), keys: table.NewKeyIndex(src)}
 	for _, k := range src.Key {
 		s.isKey[k] = true
 	}
@@ -104,115 +71,26 @@ func NewShapeWith(src *table.Table, dict table.Interner) *Shape {
 			s.nonkey80[c>>3] |= 0x80 << ((c & 7) * 8)
 		}
 	}
-	s.useIDs = dict != nil && len(src.Key) > 0 && len(src.Key) <= table.MaxInternKeyArity
-	s.rowKeyID = make([]int, len(src.Rows))
-	if s.useIDs {
-		s.byIDs = make(map[table.IDKey]int, len(src.Rows))
-		for i, r := range src.Rows {
-			k, ok := table.InternIDKey(dict, r, src.Key)
-			if !ok {
-				s.rowKeyID[i] = -1
-				continue
-			}
-			id, seen := s.byIDs[k]
-			if !seen {
-				id = len(s.repRow)
-				s.byIDs[k] = id
-				s.repRow = append(s.repRow, i)
-			} else {
-				s.repRow[id] = i
-			}
-			s.rowKeyID[i] = id
-		}
-		s.buildKeyIndex()
-		return s
-	}
-	s.byStr = make(map[string]int, len(src.Rows))
-	for i, r := range src.Rows {
-		k := src.RowKey(r)
-		if k == "" {
-			s.rowKeyID[i] = -1
-			continue
-		}
-		id, seen := s.byStr[k]
-		if !seen {
-			id = len(s.repRow)
-			s.byStr[k] = id
-			s.repRow = append(s.repRow, i)
-		} else {
-			s.repRow[id] = i
-		}
-		s.rowKeyID[i] = id
-	}
-	s.buildKeyIndex()
 	return s
 }
 
-// buildKeyIndex derives keyVals/byLoc from the dense ids the grouping pass
-// just assigned. Per key position every value of one Value.Key equivalence
-// class carries the same local id, so composite local tuples group rows
-// exactly as byStr/byIDs did — the probe path changes, the partition (and
-// with it every pick) cannot.
-func (s *Shape) buildKeyIndex() {
-	arity := len(s.Src.Key)
-	if arity == 0 || arity > table.MaxInternKeyArity {
-		return
-	}
-	s.keyVals = make([]*table.ValueMap, arity)
-	for p := range s.keyVals {
-		s.keyVals[p] = table.NewValueMap(len(s.repRow))
-	}
-	if arity > 1 {
-		s.byLoc = make(map[table.IDKey]int, len(s.repRow))
-	}
-	for i, r := range s.Src.Rows {
-		id := s.rowKeyID[i]
-		if id < 0 {
-			continue
-		}
-		if arity == 1 {
-			s.keyVals[0].Put(r[s.Src.Key[0]], uint32(id))
-			continue
-		}
-		var k table.IDKey
-		for p, c := range s.Src.Key {
-			vid, _ := s.keyVals[p].Intern(r[c])
-			k[p] = vid
-		}
-		s.byLoc[k] = id
-	}
-}
-
 // numKeys returns the size of the dense source-key id space.
-func (s *Shape) numKeys() int { return len(s.repRow) }
+func (s *Shape) numKeys() int { return s.keys.Len() }
 
-// candKeyID maps a candidate row to its dense source-key id; ok is false
-// when the row's key contains a null or matches no source key. Keys of
-// interning arity probe the Shape's own keyVals/byLoc index; only wider
-// keys pay the canonical-string build.
-func (s *Shape) candKeyID(r table.Row, keyMap []int) (int, bool) {
-	if s.keyVals != nil {
-		if len(keyMap) == 1 {
-			id, ok := s.keyVals[0].Get(r[keyMap[0]])
-			return int(id), ok
-		}
-		var k table.IDKey
-		for j, ci := range keyMap {
-			vid, ok := s.keyVals[j].Get(r[ci])
-			if !ok {
-				return 0, false
-			}
-			k[j] = vid
-		}
-		id, ok := s.byLoc[k]
-		return id, ok
-	}
-	key, ok := candKey(r, keyMap)
+// align maps a candidate table's columns onto the Source's: colMap[j] is the
+// candidate column holding source column j (-1 when absent), keyMap the
+// candidate's key columns in key order; ok is false when the candidate lacks
+// a key column and so cannot align.
+func (s *Shape) align(cand *table.Table) (colMap, keyMap []int, ok bool) {
+	keyMap, ok = s.keys.ColsIn(cand)
 	if !ok {
-		return 0, false
+		return nil, nil, false
 	}
-	id, ok := s.byStr[key]
-	return id, ok
+	colMap = make([]int, len(s.Src.Cols))
+	for i, name := range s.Src.Cols {
+		colMap[i] = cand.ColIndex(name)
+	}
+	return colMap, keyMap, true
 }
 
 // tuple is one aligned coded tuple: the per-column codes of Equation 4 plus
@@ -240,26 +118,16 @@ type Matrix struct {
 func FromTable(shape *Shape, cand *table.Table, enc Encoding) *Matrix {
 	m := &Matrix{shape: shape, rows: make(map[int][]tuple)}
 	src := shape.Src
-
-	// Column mapping: source column index -> candidate column index (-1 when
-	// the candidate lacks it).
-	colMap := make([]int, len(src.Cols))
-	for i, name := range src.Cols {
-		colMap[i] = cand.ColIndex(name)
-	}
-	keyMap := make([]int, len(src.Key))
-	for i, k := range src.Key {
-		keyMap[i] = cand.ColIndex(src.Cols[k])
-		if keyMap[i] < 0 {
-			return m // cannot align without the key
-		}
+	colMap, keyMap, ok := shape.align(cand)
+	if !ok {
+		return m // cannot align without the key
 	}
 	for _, r := range cand.Rows {
-		id, ok := shape.candKeyID(r, keyMap)
+		id, ok := shape.keys.Lookup(r, keyMap)
 		if !ok {
 			continue
 		}
-		srow := src.Rows[shape.repRow[id]]
+		srow := src.Rows[shape.keys.Rep(id)]
 		code := make([]int8, len(src.Cols))
 		ad := 0
 		for j := range src.Cols {
@@ -293,18 +161,6 @@ func FromTable(shape *Shape, cand *table.Table, enc Encoding) *Matrix {
 		m.rows[id] = appendCoded(m.rows[id], tuple{code: code, ad: ad})
 	}
 	return m
-}
-
-func candKey(r table.Row, keyMap []int) (string, bool) {
-	var b strings.Builder
-	for _, ci := range keyMap {
-		if r[ci].IsNull() {
-			return "", false
-		}
-		b.WriteString(r[ci].Key())
-		b.WriteByte('\x01')
-	}
-	return b.String(), true
 }
 
 // appendCoded adds a coded tuple, skipping exact duplicates.
@@ -463,9 +319,9 @@ func (m *Matrix) EIS() float64 {
 		return 1
 	}
 	sum := 0.0
-	for i := range src.Rows {
+	for _, id := range m.shape.keys.RowIDs() {
 		var list []tuple
-		if id := m.shape.rowKeyID[i]; id >= 0 {
+		if id >= 0 {
 			list = m.rows[id]
 		}
 		sum += m.shape.contribution(list)

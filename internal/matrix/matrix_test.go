@@ -67,7 +67,7 @@ func TestFromTableEncoding(t *testing.T) {
 	m := FromTable(shape, candC(), ThreeValued)
 	// Row id0: ID=1, Name=1, Age=0 (missing col), Gender=-1 (Male vs source
 	// null), Education=0.
-	code := m.rows[shape.rowKeyID[0]]
+	code := m.rows[shape.keys.RowIDs()[0]]
 	if len(code) != 1 {
 		t.Fatalf("want 1 aligned tuple, got %d", len(code))
 	}
@@ -80,12 +80,12 @@ func TestFromTableEncoding(t *testing.T) {
 		t.Errorf("cached α−δ = %d, want 0", code[0].ad)
 	}
 	// Row id1: Gender matches (Male = Male) → +1.
-	code1 := m.rows[shape.rowKeyID[1]]
+	code1 := m.rows[shape.keys.RowIDs()[1]]
 	if code1[0].code[3] != 1 {
 		t.Errorf("matching gender coded %d, want 1", code1[0].code[3])
 	}
 	// Row id2: Female vs Male → -1.
-	code2 := m.rows[shape.rowKeyID[2]]
+	code2 := m.rows[shape.keys.RowIDs()[2]]
 	if code2[0].code[3] != -1 {
 		t.Errorf("contradicting gender coded %d, want -1", code2[0].code[3])
 	}
@@ -94,7 +94,7 @@ func TestFromTableEncoding(t *testing.T) {
 func TestFromTableTwoValuedCollapses(t *testing.T) {
 	shape := NewShape(source())
 	m := FromTable(shape, candC(), TwoValued)
-	code := m.rows[shape.rowKeyID[2]]
+	code := m.rows[shape.keys.RowIDs()[2]]
 	if code[0].code[3] != 0 {
 		t.Errorf("two-valued contradiction coded %d, want 0", code[0].code[3])
 	}
@@ -150,18 +150,18 @@ func TestCombineKeepsConflictsSeparate(t *testing.T) {
 
 	// id0: merged (1,1,1,1,1) from A,B (null Gender agrees) conflicts with
 	// C's (1,1,0,-1,0) → two tuples.
-	if got := len(abc.rows[shape.rowKeyID[0]]); got != 2 {
+	if got := len(abc.rows[shape.keys.RowIDs()[0]]); got != 2 {
 		t.Errorf("id0 has %d aligned tuples, want 2 (conflict kept separate)", got)
 	}
 	// id1: C's Male is correct → merges into one tuple with Gender=1.
-	list1 := abc.rows[shape.rowKeyID[1]]
+	list1 := abc.rows[shape.keys.RowIDs()[1]]
 	if len(list1) != 1 || list1[0].code[3] != 1 {
 		t.Errorf("id1 = %v, want single tuple with Gender 1", list1)
 	}
 	// id2: OR(A,B) has Gender=0 (value missing) and C has -1; per Equation 5
 	// only differing non-zeros conflict, so they merge with max(0,-1)=0 —
 	// matching Figure 5's combined matrix, where Wang's Gender stays 0.
-	list2 := abc.rows[shape.rowKeyID[2]]
+	list2 := abc.rows[shape.keys.RowIDs()[2]]
 	if len(list2) != 1 || list2[0].code[3] != 0 {
 		t.Errorf("id2 = %v, want single tuple with Gender 0", list2)
 	}

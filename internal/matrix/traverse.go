@@ -16,10 +16,9 @@ type TraverseOptions struct {
 	// greedy round's candidate scoring fan out over this many goroutines.
 	// <= 0 uses GOMAXPROCS.
 	Workers int
-	// Dict, when non-nil, is the value interner (the lake dictionary, or a
-	// query-scoped overlay over it): candidate-row alignment then runs on
-	// interned key-ID tuples instead of built key strings (see NewShapeWith).
-	// Picks are identical either way.
+	// Dict is ignored: candidate rows align through the Source's own
+	// table.KeyIndex, which needs no value dictionary. The field remains so
+	// existing callers compile.
 	Dict table.Interner
 	// OnRound, when non-nil, is called after every greedy pick: round is
 	// 1-based (round 1 picks the start table), pick is the winning candidate
@@ -83,7 +82,7 @@ func TraverseContext(ctx context.Context, src *table.Table, cands []*table.Table
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	e := newEngine(ctx, src, cands, enc, opts.Workers, opts.Dict)
+	e := newEngine(ctx, src, cands, enc, opts.Workers)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -144,8 +143,8 @@ type engine struct {
 
 	// rowKey maps each source row to its dense key id, -1 when the row's key
 	// contains a null (such rows align with nothing). It aliases the shape's
-	// rowKeyID — matrices are keyed by the same dense ids, so the engine
-	// re-indexes nothing.
+	// KeyIndex row ids — matrices are keyed by the same dense ids, so the
+	// engine re-indexes nothing.
 	rowKey []int
 	// numKeys is the size of the dense key id space.
 	numKeys int
@@ -165,7 +164,7 @@ type engine struct {
 	combinedOnes [][]uint64
 }
 
-func newEngine(ctx context.Context, src *table.Table, cands []*table.Table, enc Encoding, workers int, dict table.Interner) *engine {
+func newEngine(ctx context.Context, src *table.Table, cands []*table.Table, enc Encoding, workers int) *engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -176,8 +175,8 @@ func newEngine(ctx context.Context, src *table.Table, cands []*table.Table, enc 
 	if workers < 1 {
 		workers = 1
 	}
-	e := &engine{shape: NewShapeWith(src, dict), workers: workers, ctx: ctx, done: ctx.Done()}
-	e.rowKey = e.shape.rowKeyID
+	e := &engine{shape: NewShape(src), workers: workers, ctx: ctx, done: ctx.Done()}
+	e.rowKey = e.shape.keys.RowIDs()
 	e.numKeys = e.shape.numKeys()
 	e.keyCount = make([]int, e.numKeys)
 	for _, id := range e.rowKey {
@@ -208,19 +207,9 @@ func (e *engine) packCandidate(cand *table.Table, enc Encoding) candidate {
 	s := e.shape
 	src := s.Src
 	c := candidate{lists: make([][]ptuple, e.numKeys), ones: make([][]uint64, e.numKeys)}
-
-	// Column mapping: source column index -> candidate column index (-1 when
-	// the candidate lacks it).
-	colMap := make([]int, len(src.Cols))
-	for i, name := range src.Cols {
-		colMap[i] = cand.ColIndex(name)
-	}
-	keyMap := make([]int, len(src.Key))
-	for i, k := range src.Key {
-		keyMap[i] = cand.ColIndex(src.Cols[k])
-		if keyMap[i] < 0 {
-			return c // cannot align without the key
-		}
+	colMap, keyMap, ok := s.align(cand)
+	if !ok {
+		return c // cannot align without the key
 	}
 
 	// The aligned tuple count is bounded by the row count, so one slab holds
@@ -229,11 +218,11 @@ func (e *engine) packCandidate(cand *table.Table, enc Encoding) candidate {
 	slab := make([]uint64, 0, len(cand.Rows)*s.pwords)
 	scratch := make([]uint64, s.pwords)
 	for _, r := range cand.Rows {
-		id, ok := s.candKeyID(r, keyMap)
+		id, ok := s.keys.Lookup(r, keyMap)
 		if !ok {
 			continue
 		}
-		srow := src.Rows[s.repRow[id]]
+		srow := src.Rows[s.keys.Rep(id)]
 		for w := range scratch {
 			scratch[w] = 0
 		}

@@ -25,7 +25,7 @@ func ApproxEIS(s, t *table.Table, sampleSize int, seed int64) float64 {
 	sum := 0.0
 	for _, i := range idx {
 		sr := s.Rows[i]
-		aligned := a.ByKey[s.RowKey(sr)]
+		aligned := a.aligned(i)
 		if len(aligned) == 0 {
 			continue
 		}

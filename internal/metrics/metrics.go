@@ -26,8 +26,10 @@ type Alignment struct {
 	Source *table.Table
 	// Reclaimed is T reshaped to S's schema.
 	Reclaimed *table.Table
-	// ByKey maps a source row key to the reclaimed rows sharing it.
-	ByKey map[string][]table.Row
+	// Keys numbers S's key tuples; Keys.RowIDs()[i] is source row i's id.
+	Keys *table.KeyIndex
+	// ByKey[id] lists the reclaimed rows sharing S's key tuple id.
+	ByKey [][]table.Row
 	// KeyIdx marks which column positions are key attributes.
 	KeyIdx map[int]bool
 	// NonKey is the number of non-key attributes (n in Definition 4).
@@ -47,20 +49,28 @@ func Align(s, t *table.Table) *Alignment {
 	a := &Alignment{
 		Source:    s,
 		Reclaimed: reshaped,
-		ByKey:     make(map[string][]table.Row),
+		Keys:      table.NewKeyIndex(s),
 		KeyIdx:    make(map[int]bool, len(s.Key)),
 	}
+	a.ByKey = make([][]table.Row, a.Keys.Len())
 	for _, k := range s.Key {
 		a.KeyIdx[k] = true
 	}
 	a.NonKey = len(s.Cols) - len(s.Key)
 	for _, r := range reshaped.Rows {
-		k := reshaped.RowKey(r)
-		if k != "" {
-			a.ByKey[k] = append(a.ByKey[k], r)
+		if id, ok := a.Keys.Lookup(r, s.Key); ok {
+			a.ByKey[id] = append(a.ByKey[id], r)
 		}
 	}
 	return a
+}
+
+// aligned returns the reclaimed rows sharing source row i's key.
+func (a *Alignment) aligned(i int) []table.Row {
+	if id := a.Keys.RowIDs()[i]; id >= 0 {
+		return a.ByKey[id]
+	}
+	return nil
 }
 
 // alphaDelta returns α(s,t) (non-key attributes on which s and t share the
@@ -121,8 +131,8 @@ func eisOf(a *Alignment) float64 {
 		return 1
 	}
 	sum := 0.0
-	for _, sr := range a.Source.Rows {
-		aligned := a.ByKey[a.Source.RowKey(sr)]
+	for i, sr := range a.Source.Rows {
+		aligned := a.aligned(i)
 		if len(aligned) == 0 {
 			continue
 		}
@@ -140,22 +150,24 @@ func eisOf(a *Alignment) float64 {
 // InstanceSimilarity returns the (non-error-aware) instance similarity of
 // Equation 2.
 func InstanceSimilarity(s, t *table.Table) float64 {
-	a := Align(s, t)
-	if len(s.Rows) == 0 {
+	return instanceSimilarityOf(Align(s, t))
+}
+
+func instanceSimilarityOf(a *Alignment) float64 {
+	if len(a.Source.Rows) == 0 {
 		return 1
 	}
 	sum := 0.0
-	for _, sr := range s.Rows {
-		aligned := a.ByKey[s.RowKey(sr)]
+	for i, sr := range a.Source.Rows {
 		best := 0.0
-		for _, tr := range aligned {
+		for _, tr := range a.aligned(i) {
 			if v := a.tupleAlpha(sr, tr); v > best {
 				best = v
 			}
 		}
 		sum += best
 	}
-	return sum / float64(len(s.Rows))
+	return sum / float64(len(a.Source.Rows))
 }
 
 // InstanceDivergence is 1 − InstanceSimilarity; 0 is ideal.
@@ -167,9 +179,12 @@ func InstanceDivergence(s, t *table.Table) float64 {
 // |S∩Ŝ|/|Ŝ| over distinct whole tuples (Ŝ reshaped to S's schema first).
 // An empty reclaimed table has precision 0.
 func RecallPrecision(s, t *table.Table) (rec, pre float64) {
-	a := Align(s, t)
-	sSet := make(map[string]bool, len(s.Rows))
-	for _, r := range s.Rows {
+	return recallPrecisionOf(Align(s, t))
+}
+
+func recallPrecisionOf(a *Alignment) (rec, pre float64) {
+	sSet := make(map[string]bool, len(a.Source.Rows))
+	for _, r := range a.Source.Rows {
 		sSet[r.Key()] = true
 	}
 	tSet := make(map[string]bool, len(a.Reclaimed.Rows))
@@ -199,10 +214,10 @@ func F1(rec, pre float64) float64 {
 	return 2 * rec * pre / (rec + pre)
 }
 
-// bestAligned picks, for a source row, the aligned reclaimed tuple sharing
+// bestAligned picks, for source row i, the aligned reclaimed tuple sharing
 // the most non-key values — the paper's rule for divergence measures.
-func (a *Alignment) bestAligned(sr table.Row) (table.Row, bool) {
-	aligned := a.ByKey[a.Source.RowKey(sr)]
+func (a *Alignment) bestAligned(i int) (table.Row, bool) {
+	aligned, sr := a.aligned(i), a.Source.Rows[i]
 	if len(aligned) == 0 {
 		return nil, false
 	}
@@ -223,14 +238,18 @@ func (a *Alignment) bestAligned(sr table.Row) (table.Row, bool) {
 // keys found in the reclaimed table. Matching values cost ~0, nullified
 // values cost −log ε, erroneous values cost ~−2·log ε. 0 is ideal.
 func ConditionalKL(s, t *table.Table) float64 {
-	a := Align(s, t)
+	return conditionalKLOf(Align(s, t))
+}
+
+func conditionalKLOf(a *Alignment) float64 {
+	s := a.Source
 	if len(s.Rows) == 0 || a.NonKey == 0 {
 		return 0
 	}
 	matchedKeys := 0
 	colSums := make([]float64, len(s.Cols))
-	for _, sr := range s.Rows {
-		tr, ok := a.bestAligned(sr)
+	for i, sr := range s.Rows {
+		tr, ok := a.bestAligned(i)
 		if ok {
 			matchedKeys++
 		}
@@ -279,17 +298,20 @@ type Report struct {
 	PerfectReclamation bool
 }
 
-// Evaluate computes the full Report for reclaimed table t against source s.
+// Evaluate computes the full Report for reclaimed table t against source s,
+// aligning t once for every measure.
 func Evaluate(s, t *table.Table) Report {
-	rec, pre := RecallPrecision(s, t)
+	a := Align(s, t)
+	rec, pre := recallPrecisionOf(a)
+	inst := instanceSimilarityOf(a)
 	r := Report{
-		EIS:         EIS(s, t),
-		InstanceSim: InstanceSimilarity(s, t),
+		EIS:         eisOf(a),
+		InstanceSim: inst,
 		Recall:      rec,
 		Precision:   pre,
 		F1:          F1(rec, pre),
-		InstDiv:     InstanceDivergence(s, t),
-		DKL:         ConditionalKL(s, t),
+		InstDiv:     1 - inst,
+		DKL:         conditionalKLOf(a),
 	}
 	if s.NumCells() > 0 {
 		r.SizeRatio = float64(t.NumCells()) / float64(s.NumCells())

@@ -14,9 +14,10 @@ const NullID uint32 = 0
 
 // Dict is the lake-wide value dictionary: a concurrent, append-only interner
 // mapping cell values to dense uint32 IDs, shared by every substrate built
-// over one lake (inverted index, MinHash-LSH, matrix traversal, integration)
+// over one lake (inverted index, MinHash-LSH, the semantic index, discovery)
 // so that each distinct value is hashed once and every hot path afterwards
-// runs on IDs.
+// runs on IDs. Matrix traversal and integration align rows on the Source's
+// own key space instead (KeyIndex) and need no dictionary.
 //
 // ID-stability contract:
 //
@@ -309,48 +310,4 @@ func NewDictFromSnapshot(entries []DictEntry) (*Dict, error) {
 		}
 	}
 	return d, nil
-}
-
-// MaxInternKeyArity is the widest table key the interned ID-tuple fast paths
-// handle; wider keys fall back to canonical-string row keys.
-const MaxInternKeyArity = 4
-
-// IDKey is an interned key tuple: the dictionary IDs of a row's key values
-// in key order, zero-padded past the key's arity (NullID never appears in a
-// valid key, so padding cannot collide with a real value).
-type IDKey [MaxInternKeyArity]uint32
-
-// InternIDKey interns the key cells of r addressed by idx and returns their
-// ID tuple; ok is false when any key cell is null (such rows align with
-// nothing, exactly as Table.RowKey returning "").
-func InternIDKey(d Interner, r Row, idx []int) (IDKey, bool) {
-	var k IDKey
-	for j, i := range idx {
-		v := r[i]
-		if v.Kind == KindNull {
-			return IDKey{}, false
-		}
-		k[j] = d.InternValue(v)
-	}
-	return k, true
-}
-
-// LookupIDKey is InternIDKey without interning: ok is additionally false
-// when any key cell's value class is absent from the dictionary — absent
-// values cannot equal any interned key value, so the row matches no
-// interned key.
-func LookupIDKey(d Interner, r Row, idx []int) (IDKey, bool) {
-	var k IDKey
-	for j, i := range idx {
-		v := r[i]
-		if v.Kind == KindNull {
-			return IDKey{}, false
-		}
-		id, ok := d.LookupValue(v)
-		if !ok {
-			return IDKey{}, false
-		}
-		k[j] = id
-	}
-	return k, true
 }

@@ -198,22 +198,3 @@ func TestIDSetOps(t *testing.T) {
 		t.Error("HasID wrong")
 	}
 }
-
-func TestIDKeyHelpers(t *testing.T) {
-	d := NewDict()
-	r := Row{S("k"), N(1), S("other")}
-	k1, ok := InternIDKey(d, r, []int{0, 1})
-	if !ok {
-		t.Fatal("InternIDKey failed on a non-null key")
-	}
-	k2, ok := LookupIDKey(d, r, []int{0, 1})
-	if !ok || k1 != k2 {
-		t.Fatal("LookupIDKey must find what InternIDKey interned")
-	}
-	if _, ok := InternIDKey(d, Row{Null, N(1)}, []int{0, 1}); ok {
-		t.Error("null key cell must fail")
-	}
-	if _, ok := LookupIDKey(d, Row{S("unseen"), N(1)}, []int{0, 1}); ok {
-		t.Error("unseen key value must fail lookup")
-	}
-}

@@ -5,9 +5,10 @@ package table
 // (numeric-text strings collapse onto their number, ±0 and all NaNs share a
 // slot), the same equivalence the lake Dict assigns IDs by. Unlike the Dict
 // it takes no locks and holds only the values its owner put in, so probes
-// stay in cache — it exists for hot read paths (matrix key alignment) that
-// would otherwise pay a read-lock plus a lake-sized map probe per cell.
-// Concurrent reads are safe once writes stop; writes are not synchronized.
+// stay in cache — it exists for hot read paths (KeyIndex numbers each key
+// position with one) that would otherwise pay a read-lock plus a lake-sized
+// map probe per cell. Concurrent reads are safe once writes stop; writes are
+// not synchronized.
 type ValueMap struct {
 	strs   map[string]uint32
 	nums   map[uint64]uint32
@@ -62,9 +63,8 @@ func (m *ValueMap) Get(v Value) (uint32, bool) {
 	}
 }
 
-// Intern returns v's binding, assigning ids 1, 2, … in first-sight order —
-// 0 is never assigned, so callers can zero-pad fixed-width id tuples the way
-// IDKey does with NullID. ok is false only for nulls.
+// Intern returns v's binding, assigning ids 1, 2, … in first-sight order
+// (0 is never assigned). ok is false only for nulls.
 func (m *ValueMap) Intern(v Value) (uint32, bool) {
 	if id, ok := m.Get(v); ok {
 		return id, true
