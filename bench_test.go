@@ -66,6 +66,17 @@ func wideCorpus(b *testing.B) *benchmark.TPTR {
 	return wideSet
 }
 
+// discover runs Table Discovery over l's current snapshot; nil members of
+// ix are built fresh for the call.
+func discover(b *testing.B, l *lakePkg.Lake, ix *index.IndexSet, src *table.Table, opts discovery.Options) []*discovery.Candidate {
+	b.Helper()
+	cands, err := discovery.DiscoverWithSnapContext(context.Background(), l.Snapshot(), ix, src, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cands
+}
+
 func benchmarkSet(b *testing.B) *experiments.BenchmarkSet {
 	b.Helper()
 	setOnce.Do(func() {
@@ -105,7 +116,7 @@ func BenchmarkTable2Effectiveness(b *testing.B) {
 	opts := experiments.DefaultRunOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := experiments.Table2(set, opts)
+		res := experiments.Table2Context(context.Background(), set, opts)
 		if len(res) != 3 {
 			b.Fatal("wrong benchmark count")
 		}
@@ -118,7 +129,7 @@ func BenchmarkTable3Small(b *testing.B) {
 	opts := experiments.DefaultRunOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := experiments.Table3(set, opts)
+		res := experiments.Table3Context(context.Background(), set, opts)
 		if len(res.Rows) == 0 {
 			b.Fatal("no rows")
 		}
@@ -131,7 +142,7 @@ func BenchmarkTable4WDC(b *testing.B) {
 	opts := experiments.DefaultRunOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := experiments.Table4(set.WDC, opts)
+		res := experiments.Table4Context(context.Background(), set.WDC, opts)
 		if len(res.Rows) == 0 {
 			b.Fatal("no rows")
 		}
@@ -146,7 +157,7 @@ func BenchmarkFigure6QueryClasses(b *testing.B) {
 	methods := []experiments.Method{experiments.MethodALITEPS, experiments.MethodGenT}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Figure6(set, methods, opts)
+		rows := experiments.Figure6(context.Background(), set, methods, opts)
 		if len(rows) == 0 {
 			b.Fatal("no rows")
 		}
@@ -162,7 +173,7 @@ func BenchmarkFigure7NoiseSweep(b *testing.B) {
 	opts := experiments.DefaultRunOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.Figure7(o, []int{10, 90}, opts)
+		points, err := experiments.Figure7(context.Background(), o, []int{10, 90}, opts)
 		if err != nil || len(points) != 4 {
 			b.Fatal("sweep failed")
 		}
@@ -176,7 +187,7 @@ func BenchmarkFigure8Scalability(b *testing.B) {
 	opts := experiments.DefaultRunOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Figure8(set, opts)
+		rows := experiments.Figure8(context.Background(), set, opts)
 		if len(rows) == 0 {
 			b.Fatal("no rows")
 		}
@@ -190,7 +201,7 @@ func BenchmarkFigure9PerSource(b *testing.B) {
 	opts := experiments.DefaultRunOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Figure9(set, opts)
+		rows := experiments.Figure9(context.Background(), set, opts)
 		if len(rows) == 0 {
 			b.Fatal("no rows")
 		}
@@ -203,7 +214,7 @@ func BenchmarkT2DSelfReclamation(b *testing.B) {
 	opts := experiments.DefaultRunOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := experiments.T2DSelfReclamation(set.T2D, opts)
+		res := experiments.T2DSelfReclamation(context.Background(), set.T2D, opts)
 		if res.SourcesTried == 0 {
 			b.Fatal("nothing tried")
 		}
@@ -216,7 +227,7 @@ func BenchmarkAblationMatrixEncoding(b *testing.B) {
 	opts := experiments.DefaultRunOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		experiments.AblationMatrixEncoding(set.Small, opts)
+		experiments.AblationMatrixEncoding(context.Background(), set.Small, opts)
 	}
 }
 
@@ -226,7 +237,7 @@ func BenchmarkAblationDiversify(b *testing.B) {
 	opts := experiments.DefaultRunOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		experiments.AblationDiversify(set.Small, opts)
+		experiments.AblationDiversify(context.Background(), set.Small, opts)
 	}
 }
 
@@ -237,24 +248,26 @@ func BenchmarkGenTSingleSource(b *testing.B) {
 	set := benchmarkSet(b)
 	src := set.Small.Sources[0]
 	cfg := core.DefaultConfig()
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Reclaim(set.Small.Lake, src, cfg); err != nil {
+		if _, err := core.ReclaimContext(ctx, set.Small.Lake, src, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkReclaimPerQuery is the per-query baseline: every source of TP-TR
-// Small through one-shot core.Reclaim, which rebuilds the discovery indexes
-// for each query.
+// Small through one-shot core.ReclaimContext, which rebuilds the discovery
+// indexes for each query.
 func BenchmarkReclaimPerQuery(b *testing.B) {
 	set := benchmarkSet(b)
 	cfg := core.DefaultConfig()
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, src := range set.Small.Sources {
-			if _, err := core.Reclaim(set.Small.Lake, src, cfg); err != nil {
+			if _, err := core.ReclaimContext(ctx, set.Small.Lake, src, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -270,7 +283,10 @@ func BenchmarkReclaimAll(b *testing.B) {
 	cfg := core.DefaultConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		items := core.NewReclaimer(set.Small.Lake, cfg).ReclaimAll(set.Small.Sources, 0)
+		items, err := core.NewReclaimer(set.Small.Lake, cfg).ReclaimAllContext(context.Background(), set.Small.Sources, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, item := range items {
 			if item.Err != nil {
 				b.Fatal(item.Err)
@@ -286,7 +302,10 @@ func BenchmarkReclaimAllSequential(b *testing.B) {
 	cfg := core.DefaultConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		items := core.NewReclaimer(set.Small.Lake, cfg).ReclaimAll(set.Small.Sources, 1)
+		items, err := core.NewReclaimer(set.Small.Lake, cfg).ReclaimAllContext(context.Background(), set.Small.Sources, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, item := range items {
 			if item.Err != nil {
 				b.Fatal(item.Err)
@@ -299,7 +318,7 @@ func BenchmarkReclaimAllSequential(b *testing.B) {
 func BenchmarkSetSimilarity(b *testing.B) {
 	set := benchmarkSet(b)
 	src := set.Small.Sources[0]
-	ix := index.BuildInverted(set.Small.Lake)
+	ix := index.BuildInverted(set.Small.Lake.Snapshot())
 	opts := discovery.DefaultOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -311,47 +330,41 @@ func BenchmarkSetSimilarity(b *testing.B) {
 func BenchmarkMatrixTraversal(b *testing.B) {
 	set := benchmarkSet(b)
 	src := set.Small.Sources[0]
-	cands := discovery.Discover(set.Small.Lake, src, discovery.DefaultOptions())
+	cands := discover(b, set.Small.Lake, &index.IndexSet{}, src, discovery.DefaultOptions())
 	tables := make([]*table.Table, len(cands))
 	for i, c := range cands {
 		tables[i] = c.Table
 	}
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		matrix.Traverse(src, tables, matrix.ThreeValued)
+		matrix.TraverseContext(ctx, src, tables, matrix.ThreeValued, matrix.TraverseOptions{})
 	}
 }
 
-// BenchmarkTraverse compares the traversal engine's modes against the
-// retained materialize-and-rescan baseline (TraverseReference) on the bench
-// corpora's discovery candidate sets. "interned" is the engine as the
-// pipeline runs it — bound-and-prune rounds, candidate alignment through the
-// Source's table.KeyIndex (the name keeps the committed BENCH trend line);
+// BenchmarkTraverse compares the traversal engine against the retained
+// materialize-and-rescan baseline (TraverseReference) on the bench corpora's
+// discovery candidate sets. "interned" is the engine as the pipeline runs it
+// — bound-and-prune rounds, candidate alignment through the Source's
+// table.KeyIndex (the name keeps the historical trend line);
 // "incremental-serial" pins the delta scorer's win with round parallelism
-// turned off; "exhaustive" is the pruned engine's own baseline — identical
-// packed kernel and alignment, every remaining candidate scored every round
-// (the pre-PR9 engine), so interned-vs-exhaustive differ in nothing but the
-// admissible bound and isolate what pruning saves; "reference" is the
-// pre-engine implementation. The picks are identical across all four — see
-// the equivalence tests and FuzzTraverseParity in internal/matrix — so only
-// time and allocations differ. The `wide` corpus is the candidate-heavy
-// preset where pruning dominates; small/med keep the historical trend lines.
+// turned off; "reference" is the pre-engine implementation. The picks are
+// identical across all three — see the equivalence tests and
+// FuzzTraverseParity in internal/matrix — so only time and allocations
+// differ. The `wide` corpus is the candidate-heavy preset where pruning
+// dominates; small/med keep the historical trend lines.
 func BenchmarkTraverse(b *testing.B) {
 	set := benchmarkSet(b)
+	ctx := context.Background()
 	run := func(name string, src *table.Table, tables []*table.Table) {
 		b.Run(name+"/interned", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				matrix.Traverse(src, tables, matrix.ThreeValued)
+				matrix.TraverseContext(ctx, src, tables, matrix.ThreeValued, matrix.TraverseOptions{})
 			}
 		})
 		b.Run(name+"/incremental-serial", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				matrix.TraverseWith(src, tables, matrix.ThreeValued, matrix.TraverseOptions{Workers: 1})
-			}
-		})
-		b.Run(name+"/exhaustive", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				matrix.TraverseWith(src, tables, matrix.ThreeValued, matrix.TraverseOptions{Exhaustive: true})
+				matrix.TraverseContext(ctx, src, tables, matrix.ThreeValued, matrix.TraverseOptions{Workers: 1})
 			}
 		})
 		b.Run(name+"/reference", func(b *testing.B) {
@@ -365,7 +378,7 @@ func BenchmarkTraverse(b *testing.B) {
 		b    *benchmark.TPTR
 	}{{"small", set.Small}, {"med", set.Med}} {
 		src := corpus.b.Sources[0]
-		cands := discovery.Discover(corpus.b.Lake, src, discovery.DefaultOptions())
+		cands := discover(b, corpus.b.Lake, &index.IndexSet{}, src, discovery.DefaultOptions())
 		tables := make([]*table.Table, len(cands))
 		for i, c := range cands {
 			tables[i] = c.Table
@@ -376,7 +389,7 @@ func BenchmarkTraverse(b *testing.B) {
 	// The wide corpus: among its sources, benchmark the one whose traversal
 	// prunes the most candidate-rounds (found with one untimed pruned run
 	// each) — the deepest bound-and-prune workload the preset produces, and
-	// the deterministic pick the BENCH trend line tracks.
+	// a deterministic pick.
 	wide := wideCorpus(b)
 	wopts := discovery.DefaultOptions()
 	wopts.MaxCandidates = 256
@@ -384,13 +397,13 @@ func BenchmarkTraverse(b *testing.B) {
 	var wtables []*table.Table
 	bestPruned := -1
 	for _, src := range wide.Sources {
-		cands := discovery.Discover(wide.Lake, src, wopts)
+		cands := discover(b, wide.Lake, &index.IndexSet{}, src, wopts)
 		tables := make([]*table.Table, len(cands))
 		for i, c := range cands {
 			tables[i] = c.Table
 		}
 		var st matrix.TraverseStats
-		matrix.TraverseWith(src, tables, matrix.ThreeValued, matrix.TraverseOptions{
+		matrix.TraverseContext(ctx, src, tables, matrix.ThreeValued, matrix.TraverseOptions{
 			OnStats: func(s matrix.TraverseStats) { st = s },
 		})
 		if st.CandidatesPruned > bestPruned {
@@ -417,7 +430,10 @@ func BenchmarkReclaimAllWide(b *testing.B) {
 	cfg.Discovery.MaxCandidates = 160
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		items := core.NewReclaimer(wide.Lake, cfg).ReclaimAll(sources, 0)
+		items, err := core.NewReclaimer(wide.Lake, cfg).ReclaimAllContext(context.Background(), sources, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, item := range items {
 			if item.Err != nil {
 				b.Fatal(item.Err)
@@ -428,17 +444,17 @@ func BenchmarkReclaimAllWide(b *testing.B) {
 
 // BenchmarkDiscoverInterned times the full Table Discovery phase on the
 // medium corpus over a prebuilt index. The sub-benchmark name is kept from
-// when a string-keyed reference ran beside it, so the BENCH_*.json row stays
+// when a string-keyed reference ran beside it, so its trend line stays
 // comparable.
 func BenchmarkDiscoverInterned(b *testing.B) {
 	set := benchmarkSet(b)
 	l := set.Med.Lake
 	src := set.Med.Sources[0]
 	opts := discovery.DefaultOptions()
-	interned := &index.IndexSet{Inverted: index.BuildInverted(l)}
+	interned := &index.IndexSet{Inverted: index.BuildInverted(l.Snapshot())}
 	b.Run("interned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			discovery.DiscoverWith(l, interned, src, opts)
+			discover(b, l, interned, src, opts)
 		}
 	})
 }
@@ -474,7 +490,7 @@ func BenchmarkDiscoverSemantic(b *testing.B) {
 	}
 	b.Run("syntactic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if hits(discovery.DiscoverWith(sem.Lake, ix, src, opts)) != 0 {
+			if hits(discover(b, sem.Lake, ix, src, opts)) != 0 {
 				b.Fatal("syntactic discovery found a translated twin")
 			}
 		}
@@ -483,7 +499,7 @@ func BenchmarkDiscoverSemantic(b *testing.B) {
 		hopts := opts
 		hopts.Strategy = discovery.StrategyHybrid
 		for i := 0; i < b.N; i++ {
-			if hits(discovery.DiscoverWith(sem.Lake, ix, src, hopts)) == 0 {
+			if hits(discover(b, sem.Lake, ix, src, hopts)) == 0 {
 				b.Fatal("hybrid discovery recalled no translated twin")
 			}
 		}
@@ -507,7 +523,7 @@ func BenchmarkInvertedIndexBuild(b *testing.B) {
 	set := benchmarkSet(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		index.BuildInverted(set.Med.Lake)
+		index.BuildInverted(set.Med.Lake.Snapshot())
 	}
 }
 
@@ -515,7 +531,7 @@ func BenchmarkInvertedIndexBuild(b *testing.B) {
 // distractor-heavy lake.
 func BenchmarkMinHashTopK(b *testing.B) {
 	set := benchmarkSet(b)
-	ix := index.BuildMinHashLSH(set.SantosMed.Lake)
+	ix := index.BuildMinHashLSH(set.SantosMed.Lake.Snapshot())
 	src := set.SantosMed.Sources[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -536,8 +552,9 @@ func BenchmarkEpochApply(b *testing.B) {
 	for _, k := range []int{1, 10, 100} {
 		// A private lake so epoch mutations cannot leak into the shared set.
 		l := lakePkg.New()
-		muts := make([]lakePkg.Mutation, 0, set.SantosMed.Lake.Len())
-		for _, t := range set.SantosMed.Lake.Tables() {
+		base := set.SantosMed.Lake.Snapshot().Tables()
+		muts := make([]lakePkg.Mutation, 0, len(base))
+		for _, t := range base {
 			muts = append(muts, lakePkg.Put(t))
 		}
 		if _, err := l.Apply(context.Background(), muts...); err != nil {

@@ -89,9 +89,10 @@ func main() {
 			fatal(err)
 		}
 	}
+	stats := b.Lake.ComputeStats()
 	fmt.Printf("wrote %d lake tables and %d sources to %s\n",
-		b.Lake.Len(), len(b.Sources), *outDir)
-	fmt.Printf("lake stats: %s\n", b.Lake.ComputeStats())
+		stats.Tables, len(b.Sources), *outDir)
+	fmt.Printf("lake stats: %s\n", stats)
 
 	if *t2d > 0 {
 		corpus := benchmark.BuildT2D(*t2d, *t2d/10+1, *t2d/20+1, *seed+2)
@@ -99,7 +100,7 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("wrote %d T2D-style tables (%d reclaimable)\n",
-			corpus.Lake.Len(), len(corpus.Reclaimable))
+			corpus.Lake.Snapshot().Len(), len(corpus.Reclaimable))
 	}
 }
 

@@ -38,7 +38,10 @@ func main() {
 	)
 	flag.Parse()
 
-	ctx := context.Background()
+	// The -timeout deadline covers the effectiveness tables only; every other
+	// experiment runs under bg.
+	bg := context.Background()
+	ctx := bg
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
@@ -104,11 +107,11 @@ func main() {
 		methods := []experiments.Method{
 			experiments.MethodALITEPS, experiments.MethodGenT,
 		}
-		fmt.Println(experiments.RenderFigure6(experiments.Figure6(buildSet(), methods, runOpts)))
+		fmt.Println(experiments.RenderFigure6(experiments.Figure6(bg, buildSet(), methods, runOpts)))
 	}
 	if need("fig7") {
 		fmt.Println("### Figure 7: precision vs injected noise")
-		points, err := experiments.Figure7(setOpts, []int{10, 30, 50, 70, 90}, runOpts)
+		points, err := experiments.Figure7(bg, setOpts, []int{10, 30, 50, 70, 90}, runOpts)
 		if err != nil {
 			fatal(err)
 		}
@@ -116,27 +119,27 @@ func main() {
 	}
 	if need("fig8") {
 		fmt.Println("### Figure 8: scalability (runtimes and output sizes)")
-		fmt.Println(experiments.RenderFigure8(experiments.Figure8(buildSet(), runOpts)))
+		fmt.Println(experiments.RenderFigure8(experiments.Figure8(bg, buildSet(), runOpts)))
 	}
 	if need("fig9") {
 		fmt.Println("### Figure 9: per-source Gen-T vs ALITE-PS on TP-TR Med")
-		fmt.Println(experiments.RenderFigure9(experiments.Figure9(buildSet(), runOpts)))
+		fmt.Println(experiments.RenderFigure9(experiments.Figure9(bg, buildSet(), runOpts)))
 	}
 	if need("t2d") {
 		fmt.Println("### Section VI-D: T2D self-reclamation")
-		fmt.Println(experiments.RenderT2DSelf(experiments.T2DSelfReclamation(buildSet().T2D, runOpts)))
+		fmt.Println(experiments.RenderT2DSelf(experiments.T2DSelfReclamation(bg, buildSet().T2D, runOpts)))
 	}
 	if need("llm") {
 		fmt.Println("### Appendix F: LLM baseline (deterministic stand-in)")
-		fmt.Println(experiments.RenderEffectiveness(experiments.AppendixLLM(buildSet(), runOpts)))
+		fmt.Println(experiments.RenderEffectiveness(experiments.AppendixLLM(bg, buildSet(), runOpts)))
 	}
 	if need("ablations") {
 		fmt.Println("### Ablations")
 		b := buildSet().Small
-		fmt.Println(experiments.RenderAblation(experiments.AblationMatrixEncoding(b, runOpts)))
-		fmt.Println(experiments.RenderAblation(experiments.AblationTraversal(b, runOpts)))
-		fmt.Println(experiments.RenderAblation(experiments.AblationDiversify(b, runOpts)))
-		fmt.Println(experiments.RenderAblation(experiments.AblationGuardedOps(b, runOpts)))
+		fmt.Println(experiments.RenderAblation(experiments.AblationMatrixEncoding(bg, b, runOpts)))
+		fmt.Println(experiments.RenderAblation(experiments.AblationTraversal(bg, b, runOpts)))
+		fmt.Println(experiments.RenderAblation(experiments.AblationDiversify(bg, b, runOpts)))
+		fmt.Println(experiments.RenderAblation(experiments.AblationGuardedOps(bg, b, runOpts)))
 	}
 }
 

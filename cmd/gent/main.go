@@ -228,7 +228,8 @@ func main() {
 	}
 
 	if !*quiet {
-		fmt.Printf("lake: %d tables (%s)\n", l.Len(), l.ComputeStats())
+		stats := l.ComputeStats()
+		fmt.Printf("lake: %d tables (%s)\n", stats.Tables, stats)
 		fmt.Printf("candidates: %d, originating tables: %d\n",
 			res.CandidateCount, len(res.Originating))
 		for _, c := range res.Originating {

@@ -151,8 +151,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	snap := l.Snapshot()
 	fmt.Printf("gentd: serving %d tables at %s on %s\n",
-		l.Len(), l.Epoch(), ln.Addr())
+		snap.Len(), snap.Epoch(), ln.Addr())
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()

@@ -5,7 +5,7 @@
 // Standalone, over package patterns:
 //
 //	gentlint ./...
-//	gentlint -only deprecatedlake,snappin ./internal/...
+//	gentlint -only ctxflow,snappin ./internal/...
 //
 // Or as a go vet tool (the unitchecker protocol):
 //

@@ -56,7 +56,7 @@ func main() {
 	// The CSV does not carry the key; mine it.
 	loaded.Key = gent.MineKey(loaded, 2)
 	fmt.Printf("lake: %d tables; source %q: %d rows, key %v\n",
-		l.Len(), loaded.Name, loaded.NumRows(), loaded.KeyCols())
+		l.Snapshot().Len(), loaded.Name, loaded.NumRows(), loaded.KeyCols())
 
 	// A file-backed run is exactly where a deadline matters: a malformed or
 	// adversarial lake cannot hang the pipeline past the budget.

@@ -1,6 +1,6 @@
 // Quickstart: reclaim a small Source Table from an in-memory lake using the
 // public gent API — the paper's Figure 3 running example, end to end, on the
-// v2 context-first surface: a deadline, a progress observer, and per-call
+// context-first surface: a deadline, a progress observer, and per-call
 // options layered over the default configuration.
 //
 //	go run ./examples/quickstart
@@ -35,8 +35,8 @@ func main() {
 	c.AddRow(gent.S("Brown"), gent.S("Male"))
 	c.AddRow(gent.S("Wang"), gent.S("Male"))
 
-	// One Apply publishes all three tables as a single epoch turn — the v3
-	// mutation surface (the v1 Add shim is deprecated).
+	// One Apply publishes all three tables as a single epoch turn; Apply is
+	// the lake's only mutator.
 	if _, err := l.Apply(context.Background(), gent.Put(a), gent.Put(b), gent.Put(c)); err != nil {
 		panic(err)
 	}

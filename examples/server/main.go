@@ -53,7 +53,7 @@ func main() {
 	hs := &http.Server{Handler: srv.Handler()}
 	go hs.Serve(ln) //nolint:errcheck
 	base := "http://" + ln.Addr().String()
-	fmt.Printf("serving %d tables at %s\n", l.Len(), base)
+	fmt.Printf("serving %d tables at %s\n", l.Snapshot().Len(), base)
 
 	c := client.New(base, nil)
 

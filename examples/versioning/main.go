@@ -48,7 +48,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("epoch %v: %d tables\n", e1, l.Len())
+	fmt.Printf("epoch %v: %d tables\n", e1, l.Snapshot().Len())
 
 	// One session serves every query; its indexes are built at the first
 	// query of an epoch and maintained incrementally across epochs.
@@ -101,7 +101,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("epoch %v: %d tables (indexes will catch up incrementally)\n", e2, l.Len())
+	fmt.Printf("epoch %v: %d tables (indexes will catch up incrementally)\n", e2, l.Snapshot().Len())
 
 	res, err = session.ReclaimContext(ctx, src, observer)
 	if err != nil {

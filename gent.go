@@ -16,12 +16,12 @@
 //	if err != nil { ... }
 //	fmt.Println(res.Report.EIS, res.Reclaimed)
 //
-// # The v2, context-first surface
+// # The context-first surface
 //
-// Every entry point has a context-first form that accepts per-call Options
-// layered over the Config, honors cancellation and deadlines at every phase
-// boundary (and at preemption points inside discovery, traversal and
-// integration), and fails with a phase-tagged *Error:
+// Every entry point takes a context and per-call Options layered over the
+// Config, honors cancellation and deadlines at every phase boundary (and at
+// preemption points inside discovery, traversal and integration), and fails
+// with a phase-tagged *Error; Reclaim is the one plain convenience:
 //
 //	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 //	defer cancel()
@@ -46,12 +46,12 @@
 //	for item := range r.ReclaimStream(ctx, sources, workers) {
 //	    // items arrive in completion order, memory bounded by workers
 //	}
-//	items := r.ReclaimAll(sources, workers)       // collected, input order
+//	items, err := r.ReclaimAllContext(ctx, sources, workers) // collected, input order
 //
-// # The v3, epoch-versioned surface
+// # The epoch-versioned surface
 //
 // Real lakes are autonomous — tables appear, change and vanish while the
-// server is running. v3 makes the lake an epoch-versioned catalog: mutations
+// server is running. The lake is an epoch-versioned catalog: mutations
 // go through Apply (Put, Drop, Rename), each batch producing a new
 // immutable Snapshot stamped with an Epoch, and a session tracks the lake
 // across epochs by maintaining its indexes incrementally (postings and
@@ -64,17 +64,15 @@
 //	)
 //	res, err := r.ReclaimContext(ctx, src) // indexes caught up, not rebuilt
 //
+// Reads go through a pinned Snapshot (Lake.Snapshot), never the Lake itself.
 // Queries pin the snapshot they start on, RCU-style: a query in flight when
 // Apply lands completes on the epoch it started at — no locks on the query
 // path, no torn reads — and the next query sees the new epoch. Observer
 // events carry the pinned Epoch. Persisted index sets are stamped with
 // their epoch too; Reclaimer.UseIndexes accepts a set between epochs (and
-// refuses a stale stamp with ErrEpochMismatch, which wraps the v2
+// refuses a stale stamp with ErrEpochMismatch, which wraps
 // ErrSessionStarted), and cmd/gent -index-dir catches a merely-behind
 // persisted set up with a delta instead of rebuilding.
-//
-// The v2 mutation surface (Lake.Add, Lake.Remove) remains as shims over
-// Apply; v2 code keeps compiling and is now race-free.
 //
 // # Serving
 //
@@ -371,7 +369,8 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 // and Table Integration. The Source must have a key, or one minable within
 // Config.KeyMaxArity columns. The discovery indexes are rebuilt on every
 // call; use a Reclaimer to amortize them over many queries. It is
-// ReclaimContext under context.Background() with no options.
+// ReclaimContext under context.Background() with no options — the one plain
+// convenience the package keeps.
 func Reclaim(l *Lake, src *Table, cfg Config) (*Result, error) {
 	return ReclaimContext(context.Background(), l, src, cfg)
 }
@@ -387,8 +386,7 @@ func ReclaimContext(ctx context.Context, l *Lake, src *Table, cfg Config, opts .
 // NewReclaimer opens a reusable reclamation session over a lake. Indexes
 // are built lazily on the first query of each lake epoch — incrementally
 // maintained when the lake evolves via Apply — and shared by every query at
-// that epoch: Reclaim/ReclaimContext, the ReclaimAll batches, and
-// ReclaimStream. Inject persisted ones with Reclaimer.UseIndexes before an
+// that epoch: ReclaimContext, ReclaimAllContext and ReclaimStream. Inject persisted ones with Reclaimer.UseIndexes before an
 // epoch's first query.
 func NewReclaimer(l *Lake, cfg Config) *Reclaimer { return core.NewReclaimer(l, cfg) }
 

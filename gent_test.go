@@ -10,20 +10,20 @@ import (
 )
 
 func TestPublicAPIQuickstart(t *testing.T) {
-	// Build a tiny lake through the public API only — deliberately on the
-	// deprecated v1 mutation surface, which must keep working for old
-	// callers until it is removed.
+	// Build a tiny lake through the public API only, and reclaim through the
+	// root package's one-line convenience.
 	l := NewLake()
 
 	names := NewTable("names", "id", "name")
 	names.AddRow(S("e1"), S("Ada"))
 	names.AddRow(S("e2"), S("Grace"))
-	l.Add(names) //lint:allow deprecatedlake v1-surface compat coverage
 
 	roles := NewTable("roles", "id", "role")
 	roles.AddRow(S("e1"), S("Engineer"))
 	roles.AddRow(S("e2"), S("Admiral"))
-	l.Add(roles) //lint:allow deprecatedlake v1-surface compat coverage
+	if _, err := l.Apply(context.Background(), Put(names), Put(roles)); err != nil {
+		t.Fatal(err)
+	}
 
 	src := NewTable("target", "id", "name", "role")
 	src.Key = []int{0}
@@ -88,8 +88,9 @@ func TestPublicSessionAPI(t *testing.T) {
 	src.AddRow(S("e2"), S("Grace"), S("Admiral"))
 
 	// Session reclamation, then the same session persisted and reloaded.
+	ctx := context.Background()
 	r := NewReclaimer(l, DefaultConfig())
-	res, err := r.Reclaim(src)
+	res, err := r.ReclaimContext(ctx, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,9 +98,9 @@ func TestPublicSessionAPI(t *testing.T) {
 		t.Errorf("session reclaim not perfect: %+v", res.Report)
 	}
 
-	items := r.ReclaimAll([]*Table{src, src}, 2)
-	if len(items) != 2 {
-		t.Fatalf("batch size %d", len(items))
+	items, err := r.ReclaimAllContext(ctx, []*Table{src, src}, 2)
+	if err != nil || len(items) != 2 {
+		t.Fatalf("batch size %d (%v)", len(items), err)
 	}
 	for _, item := range items {
 		if item.Err != nil || !item.Result.Report.PerfectReclamation {
@@ -119,7 +120,7 @@ func TestPublicSessionAPI(t *testing.T) {
 	if err := r2.UseIndexes(ix); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := r2.Reclaim(src)
+	res2, err := r2.ReclaimContext(ctx, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestPublicV2Surface(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Reclaimed.String() != plain.Reclaimed.String() {
-		t.Error("v2 path diverged from legacy Reclaim")
+		t.Error("context-first path diverged from plain Reclaim")
 	}
 	if events == 0 {
 		t.Error("observer saw no events")
@@ -303,8 +304,8 @@ func TestPublicSaveLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	l, errs := LoadLake(dir)
-	if len(errs) != 0 || l.Len() != 1 {
-		t.Fatalf("load lake: %v, %d tables", errs, l.Len())
+	if n := l.Snapshot().Len(); len(errs) != 0 || n != 1 {
+		t.Fatalf("load lake: %v, %d tables", errs, n)
 	}
 	got, err := LoadTable(dir + "/x.csv")
 	if err != nil || got.NumRows() != 1 {

@@ -7,12 +7,12 @@
 // path is the package's import path. That lets a test give its package an
 // in-scope path (phaseerr only fires inside the pipeline packages, so its
 // testdata declares itself as gent/internal/discovery) and lets testdata
-// import the module's real packages (deprecatedlake testdata imports
-// gent/internal/lake and calls the real shims).
+// import the module's real packages (snappin testdata imports
+// gent/internal/lake and pins real snapshots).
 //
 // Expectations are comments of the form
 //
-//	l.Add(t) // want "Lake.Add is a v1 shim"
+//	_ = l.Snapshot() // want "second snapshot/epoch-state load"
 //
 // where each quoted string is a regexp that must match one diagnostic
 // reported on that line. Diagnostics suppressed by //lint:allow are treated

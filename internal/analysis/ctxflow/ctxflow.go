@@ -1,20 +1,14 @@
-// Package ctxflow enforces the context-first (v2) calling discipline.
+// Package ctxflow enforces the context-first calling discipline.
 //
-// Since PR 3 every pipeline entry point has a ...Context form, and the
-// plain forms exist only as compatibility wrappers. Two things erode that
-// discipline over time:
-//
-//   - library code manufacturing its own root context: a context.Background()
-//     (or worse, context.TODO()) deep in a call chain detaches the work from
-//     the caller's cancellation and deadline. Roots belong in main packages,
-//     examples and tests. The two sanctioned library uses are the compat
-//     shim — a function with no ctx parameter passing Background directly
-//     into a context-first call — and nil-ctx defaulting (`ctx = context.
-//     Background()` on an existing context variable);
-//   - an exported plain entry point drifting away from its ...Context
-//     sibling: if Foo and FooContext both exist, Foo must delegate to
-//     FooContext, or the two paths accumulate different behavior (the v1/v2
-//     equivalence the PR 3 test suite pins).
+// Every pipeline entry point takes a ctx (the root gent package keeps one
+// plain convenience, Reclaim). What erodes the discipline is library code
+// manufacturing its own root context: a context.Background() (or worse,
+// context.TODO()) deep in a call chain detaches the work from the caller's
+// cancellation and deadline. Roots belong in main packages, examples and
+// tests. The two sanctioned library uses are the compat shim — a function
+// with no ctx parameter passing Background directly into a context-first
+// call — and nil-ctx defaulting (`ctx = context.Background()` on an
+// existing context variable).
 //
 // context.TODO never belongs in library code: it is a marker for unmigrated
 // call sites, and the migration happened in PR 3.
@@ -23,7 +17,6 @@ package ctxflow
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"gent/internal/analysis/framework"
 )
@@ -31,7 +24,7 @@ import (
 var Analyzer = &framework.Analyzer{
 	Name: "ctxflow",
 	Doc: "flags context.Background()/TODO() outside main/examples/tests (except compat-shim delegation " +
-		"and nil-ctx defaulting), and exported entry points that do not delegate to their ...Context form",
+		"and nil-ctx defaulting)",
 	Run: run,
 }
 
@@ -51,7 +44,6 @@ func run(pass *framework.Pass) error {
 			checkRoots(pass, fd)
 		}
 	}
-	checkDelegation(pass)
 	return nil
 }
 
@@ -140,79 +132,4 @@ func funcHasCtxParam(pass *framework.Pass, fd *ast.FuncDecl) bool {
 		}
 	}
 	return false
-}
-
-// checkDelegation verifies every exported plain entry point with a
-// ...Context sibling actually calls it.
-func checkDelegation(pass *framework.Pass) {
-	type key struct {
-		recv string // receiver type name, "" for plain functions
-		name string
-	}
-	decls := make(map[key]*ast.FuncDecl)
-	for _, f := range pass.Pkg.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			decls[key{recvName(fd), fd.Name.Name}] = fd
-		}
-	}
-	for k, fd := range decls {
-		if !fd.Name.IsExported() || strings.HasSuffix(k.name, "Context") || funcHasCtxParam(pass, fd) {
-			continue
-		}
-		want := k.name + "Context"
-		if _, ok := decls[key{k.recv, want}]; !ok {
-			continue
-		}
-		if callsSibling(pass, fd, want) {
-			continue
-		}
-		pass.Reportf(fd.Name.Pos(),
-			"%s has a %s sibling but does not delegate to it; route the plain form through the context-first one", k.name, want)
-	}
-}
-
-func recvName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return ""
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if idx, ok := t.(*ast.IndexExpr); ok { // generic receiver T[P]
-		t = idx.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
-}
-
-// callsSibling reports whether fd's body calls a same-package function or
-// same-receiver method named want.
-func callsSibling(pass *framework.Pass, fd *ast.FuncDecl, want string) bool {
-	found := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := pass.CalleeFunc(call)
-		if fn != nil && fn.Name() == want && fn.Pkg() == pass.Pkg.Types {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }

@@ -33,41 +33,6 @@ func Defaulted(ctx context.Context) error {
 	return DoContext(ctx)
 }
 
-func WorkContext(ctx context.Context) error { return ctx.Err() }
-
-func Work() error { // want `Work has a WorkContext sibling but does not delegate`
-	return DoContext(context.Background())
-}
-
-func GoodContext(ctx context.Context) error { return ctx.Err() }
-
-func Good() error {
-	return GoodContext(context.Background())
-}
-
-type T struct{}
-
-func (t *T) RunContext(ctx context.Context) error { return ctx.Err() }
-
-func (t *T) Run() error { // want `Run has a RunContext sibling but does not delegate`
-	return DoContext(context.Background())
-}
-
-// Same-named functions on different receivers are not siblings.
-type U struct{}
-
-func (u *U) Run() error {
-	return DoContext(context.Background())
-}
-
-func runContext(ctx context.Context) error { return ctx.Err() }
-
-// Unexported pairs carry no API promise; only delegation is waived, roots
-// are still checked.
-func run() error {
-	return runContext(context.Background())
-}
-
 func Suppressed() error {
 	return DoContext(context.TODO()) //lint:allow ctxflow migration staging area
 }

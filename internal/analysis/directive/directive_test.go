@@ -46,14 +46,14 @@ func g() {}
 func TestStandaloneDirectiveCoversNextLine(t *testing.T) {
 	fset, files := parse(t, `package p
 
-//lint:allow deprecatedlake compat test
+//lint:allow snappin compat test
 func f() {}
 `)
 	m, bad := directive.Parse(fset, files)
 	if len(bad) != 0 {
 		t.Fatalf("unexpected bad directives: %v", bad)
 	}
-	if !m.Allows("deprecatedlake", "d.go", 3) || !m.Allows("deprecatedlake", "d.go", 4) {
+	if !m.Allows("snappin", "d.go", 3) || !m.Allows("snappin", "d.go", 4) {
 		t.Errorf("standalone directive should cover its line and the next")
 	}
 }

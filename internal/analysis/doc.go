@@ -14,7 +14,7 @@
 // internal/analysis/clean_test.go pins the repo gentlint-clean from inside
 // the test suite. A finding is fixed or carries a reviewed suppression:
 //
-//	l.Add(t) //lint:allow deprecatedlake v1-surface compat coverage
+//	ls = r.lake.Snapshot() //lint:allow snappin AdoptDict republished the snapshot; re-pin deliberately
 //
 // The directive (package directive) suppresses the named analyzers on its
 // own line and the line below it; a //lint:allow that names no analyzer is
@@ -22,12 +22,9 @@
 //
 // # The invariants
 //
-// deprecatedlake — no new callers of the v1 Lake shims (Add, Remove, Get,
-// Names). The v3 surface batches mutations through Lake.Apply and reads
-// through a pinned Snapshot; the shims survive only for compatibility, and
-// every shim call is a future migration chore plus an epoch turn per
-// mutation instead of per batch. Exempt: the lake package itself and its
-// tests, which define and cover the shims.
+// Four analyzers. Reading a lake through a pinned Snapshot and mutating it
+// through Apply needs none: Lake has no other read or write methods, so the
+// compiler enforces it.
 //
 // snappin — at most one snapshot/epoch-state load (Lake.Snapshot,
 // Lake.Epoch, and in internal/core the Reclaimer's state/acquire) per
@@ -60,9 +57,7 @@
 // sanctioned exceptions are the compat shim (a no-ctx function passing
 // Background directly into a context-first call) and nil-ctx defaulting
 // (ctx = context.Background()). TODO is never sanctioned — it marks
-// unmigrated call sites and the migration happened in PR 3. The same
-// analyzer keeps each exported plain entry point delegating to its
-// ...Context sibling, so the pair cannot drift apart behaviorally.
+// unmigrated call sites, and every call site has been migrated.
 //
 // # Coverage of the storage tier
 //

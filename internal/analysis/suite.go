@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"gent/internal/analysis/ctxflow"
-	"gent/internal/analysis/deprecatedlake"
 	"gent/internal/analysis/framework"
 	"gent/internal/analysis/nakedgo"
 	"gent/internal/analysis/phaseerr"
@@ -14,7 +13,6 @@ import (
 func Suite() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		ctxflow.Analyzer,
-		deprecatedlake.Analyzer,
 		nakedgo.Analyzer,
 		phaseerr.Analyzer,
 		snappin.Analyzer,

@@ -132,8 +132,8 @@ func TestBuildTPTR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Lake.Len() != 32 {
-		t.Errorf("lake has %d tables, want 32 (4 variants × 8 tables)", b.Lake.Len())
+	if n := b.Lake.Snapshot().Len(); n != 32 {
+		t.Errorf("lake has %d tables, want 32 (4 variants × 8 tables)", n)
 	}
 	if len(b.Sources) == 0 || len(b.Sources) != len(b.Queries) {
 		t.Fatalf("sources/queries misaligned: %d vs %d", len(b.Sources), len(b.Queries))
@@ -154,17 +154,17 @@ func TestAddDistractors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := b.Lake.Len()
+	before := b.Lake.Snapshot().Len()
 	AddDistractors(b.Lake, 40, 10, 9)
-	if b.Lake.Len() != before+40 {
-		t.Errorf("distractors not added: %d", b.Lake.Len())
+	if n := b.Lake.Snapshot().Len(); n != before+40 {
+		t.Errorf("distractors not added: %d", n)
 	}
 }
 
 func TestBuildT2D(t *testing.T) {
 	c := BuildT2D(60, 5, 3, 13)
-	if c.Lake.Len() < 60 {
-		t.Errorf("corpus has %d tables, want >= 60", c.Lake.Len())
+	if n := c.Lake.Snapshot().Len(); n < 60 {
+		t.Errorf("corpus has %d tables, want >= 60", n)
 	}
 	if len(c.Reclaimable) != 5 {
 		t.Errorf("%d reclaimable tables, want 5", len(c.Reclaimable))

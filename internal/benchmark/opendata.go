@@ -156,7 +156,7 @@ func BuildLargePreset(tables int, seed int64) (*TPTR, error) {
 	if err != nil {
 		return nil, err
 	}
-	if extra := tables - b.Lake.Len(); extra > 0 {
+	if extra := tables - b.Lake.Snapshot().Len(); extra > 0 {
 		AddOpenData(b.Lake, extra, seed+3)
 	}
 	return b, nil

@@ -1,10 +1,12 @@
 package benchmark
 
 import (
+	"context"
 	"testing"
 
 	"gent/internal/discovery"
 	"gent/internal/index"
+	"gent/internal/table"
 )
 
 // discovered returns the set of lake tables the candidate list originates
@@ -28,7 +30,15 @@ func TestSemanticPresetRecall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := index.BuildIndexSetFull(b.Lake.Snapshot(), 0, nil)
+	snap := b.Lake.Snapshot()
+	ix := index.BuildIndexSetFull(snap, 0, nil)
+	discover := func(src *table.Table, opts discovery.Options) map[string]bool {
+		cands, err := discovery.DiscoverWithSnapContext(context.Background(), snap, ix, src, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return discovered(cands)
+	}
 	// A cap wide enough that the hybrid union is never truncated — with the
 	// default 15 the semantic newcomers would displace syntactic candidates,
 	// which is the intended trade under a tight cap but not what this test
@@ -49,8 +59,8 @@ func TestSemanticPresetRecall(t *testing.T) {
 			t.Fatalf("%s: no translated twins recorded", src.Name)
 		}
 		targets += len(twins)
-		syn := discovered(discovery.DiscoverWith(b.Lake, ix, src, synOpts))
-		hyb := discovered(discovery.DiscoverWith(b.Lake, ix, src, hybOpts))
+		syn := discover(src, synOpts)
+		hyb := discover(src, hybOpts)
 		for _, tw := range twins {
 			if syn[tw] {
 				synHits++

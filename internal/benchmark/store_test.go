@@ -37,7 +37,7 @@ func storeCorpus(tb testing.TB) *TPTR {
 		tb.Fatal(err)
 	}
 	var drops []lake.Mutation
-	for _, t := range corpus.Lake.Tables() {
+	for _, t := range corpus.Lake.Snapshot().Tables() {
 		if t.Validate() != nil {
 			drops = append(drops, lake.Drop(t.Name))
 		}
@@ -76,7 +76,7 @@ func BenchmarkReclaimStore(b *testing.B) {
 				b.Fatal(err)
 			}
 			l.SetResidentBudget(budget)
-			if _, err := core.NewReclaimer(l, core.DefaultConfig()).Reclaim(src); err != nil {
+			if _, err := core.NewReclaimer(l, core.DefaultConfig()).ReclaimContext(context.Background(), src); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -88,12 +88,12 @@ func BenchmarkReclaimStore(b *testing.B) {
 		}
 		l.SetResidentBudget(budget)
 		session := core.NewReclaimer(l, core.DefaultConfig())
-		if _, err := session.Reclaim(src); err != nil {
+		if _, err := session.ReclaimContext(context.Background(), src); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := session.Reclaim(src); err != nil {
+			if _, err := session.ReclaimContext(context.Background(), src); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -115,7 +115,7 @@ func TestStoreBoundedFootprint(t *testing.T) {
 	}
 	footprint := corpus.Lake.CacheStats().ResidentBytes
 
-	want, err := core.NewReclaimer(corpus.Lake, core.DefaultConfig()).Reclaim(src)
+	want, err := core.NewReclaimer(corpus.Lake, core.DefaultConfig()).ReclaimContext(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestStoreBoundedFootprint(t *testing.T) {
 	}
 	budget := footprint / 8
 	l.SetResidentBudget(budget)
-	got, err := core.NewReclaimer(l, core.DefaultConfig()).Reclaim(src)
+	got, err := core.NewReclaimer(l, core.DefaultConfig()).ReclaimContext(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}

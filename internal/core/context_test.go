@@ -33,41 +33,13 @@ func waitNoExtraGoroutines(t *testing.T, baseline int) {
 	t.Errorf("goroutines leaked: %d running, baseline %d", runtime.NumGoroutine(), baseline)
 }
 
-// TestReclaimContextEquivalence: the acceptance criterion — the legacy entry
-// point and the v2 path under a background context with no options produce
-// identical results.
-func TestReclaimContextEquivalence(t *testing.T) {
-	src, l := buildScenario()
-	cfg := DefaultConfig()
-	old, err := Reclaim(l, src, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := ReclaimContext(context.Background(), l, src, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, "v2-vs-legacy", old, v2)
-
-	r := NewReclaimer(l, cfg)
-	sOld, err := r.Reclaim(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sV2, err := r.ReclaimContext(context.Background(), src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, "session-v2-vs-legacy", sOld, sV2)
-}
-
 // TestErrorTaxonomyNoKey: ErrNoKey now arrives phase-tagged but still
 // matches errors.Is, and errors.As recovers the phase.
 func TestErrorTaxonomyNoKey(t *testing.T) {
 	src := table.New("dups", "a")
 	src.AddRow(table.S("x"))
 	src.AddRow(table.S("x"))
-	_, err := Reclaim(lake.New(), src, DefaultConfig())
+	_, err := ReclaimContext(context.Background(), lake.New(), src, DefaultConfig())
 	if !errors.Is(err, ErrNoKey) {
 		t.Fatalf("errors.Is(err, ErrNoKey) = false for %v", err)
 	}
@@ -88,7 +60,7 @@ func TestErrorTaxonomyNoKey(t *testing.T) {
 func TestRequireCandidates(t *testing.T) {
 	src, _ := buildScenario()
 	empty := lake.New()
-	res, err := Reclaim(empty, src, DefaultConfig())
+	res, err := ReclaimContext(context.Background(), empty, src, DefaultConfig())
 	if err != nil || res.Reclaimed == nil {
 		t.Fatalf("default path must not error on empty discovery: %v", err)
 	}
@@ -254,7 +226,7 @@ func TestObserverEventSequence(t *testing.T) {
 // TestTimingEvaluate: the evaluation phase is timed and included in Total.
 func TestTimingEvaluate(t *testing.T) {
 	src, l := buildScenario()
-	res, err := Reclaim(l, src, DefaultConfig())
+	res, err := ReclaimContext(context.Background(), l, src, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +247,7 @@ func TestUseIndexesOrdering(t *testing.T) {
 	if err := r.UseIndexes(nil); err != nil {
 		t.Fatalf("UseIndexes before first query: %v", err)
 	}
-	if _, err := r.Reclaim(src); err != nil {
+	if _, err := r.ReclaimContext(context.Background(), src); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.UseIndexes(nil); !errors.Is(err, ErrSessionStarted) {
@@ -303,7 +275,10 @@ func TestReclaimStreamDeliversAll(t *testing.T) {
 	if len(seen) != len(b.Sources) {
 		t.Fatalf("stream yielded %d of %d sources", len(seen), len(b.Sources))
 	}
-	collected := r.ReclaimAll(b.Sources, 4)
+	collected, err := r.ReclaimAllContext(context.Background(), b.Sources, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, item := range collected {
 		if item.Err != nil {
 			t.Fatalf("%s: %v", item.Source.Name, item.Err)
@@ -402,26 +377,5 @@ func TestReclaimStreamCancelMidBatch(t *testing.T) {
 		if item.Result == nil && item.Err == nil {
 			t.Errorf("item %d has neither result nor error", i)
 		}
-	}
-}
-
-// TestReclaimAllContextEquivalence: under a live context the collector is
-// the old ReclaimAll, error-free and in input order.
-func TestReclaimAllContextEquivalence(t *testing.T) {
-	src, l := buildScenario()
-	r := NewReclaimer(l, DefaultConfig())
-	items, err := r.ReclaimAllContext(context.Background(), []*table.Table{src, src}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := r.ReclaimAll([]*table.Table{src, src}, 2)
-	if len(items) != len(legacy) {
-		t.Fatalf("length mismatch %d vs %d", len(items), len(legacy))
-	}
-	for i := range items {
-		if items[i].Err != nil || legacy[i].Err != nil {
-			t.Fatalf("unexpected errors: %v %v", items[i].Err, legacy[i].Err)
-		}
-		assertSameResult(t, "collector", legacy[i].Result, items[i].Result)
 	}
 }

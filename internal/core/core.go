@@ -37,8 +37,9 @@ type Config struct {
 	// the "no pruning" ablation.
 	SkipTraversal bool
 	// TraverseWorkers bounds the Matrix Traversal engine's scoring pool;
-	// <= 0 uses GOMAXPROCS. Within a ReclaimAll batch that already saturates
-	// the CPU with source-level parallelism, 1 avoids oversubscription.
+	// <= 0 uses GOMAXPROCS. Within a batch (ReclaimAllContext) that already
+	// saturates the CPU with source-level parallelism, 1 avoids
+	// oversubscription.
 	TraverseWorkers int
 	// Observer, when non-nil, receives structured phase events from the run.
 	Observer ProgressObserver
@@ -53,8 +54,7 @@ type Config struct {
 	// 42–50 ms allocating 16.9 MB, a 32-table one in 1.1–2.5 ms / 0.57 MB.
 	// It is a session-level knob: the substrate is built once per lake epoch
 	// from the session configuration, so per-call options cannot change it
-	// mid-epoch; the one-shot Reclaim path builds the same form at
-	// index.DefaultShards.
+	// mid-epoch.
 	IndexShards int
 }
 
@@ -114,42 +114,28 @@ type Result struct {
 	Epoch lake.Epoch
 }
 
-// Reclaim runs the full Gen-T pipeline for one Source Table over a lake,
-// building the discovery substrates fresh for this single call. It is
-// ReclaimContext under context.Background(); callers issuing many queries
-// over one lake should create a Reclaimer instead, so indexing happens once.
-func Reclaim(l *lake.Lake, src *table.Table, cfg Config) (*Result, error) {
-	return ReclaimContext(context.Background(), l, src, cfg)
-}
-
-// ReclaimContext is Reclaim under a context and per-call options layered
-// over cfg. Cancellation or deadline expiry aborts the run at the next phase
-// boundary (or mid-phase preemption point) with a phase-tagged *Error
-// wrapping ctx.Err().
+// ReclaimContext runs the full Gen-T pipeline for one Source Table over a
+// lake, with per-call options layered over cfg: a one-query session,
+// NewReclaimer(l, cfg).ReclaimContext(ctx, src, opts...), so its substrates
+// are built for this call and dropped with it. Callers issuing many queries
+// over one lake should keep the Reclaimer instead, so indexing happens once.
+// Cancellation or deadline expiry aborts the run at the next phase boundary
+// (or mid-phase preemption point) with a phase-tagged *Error wrapping
+// ctx.Err().
 func ReclaimContext(ctx context.Context, l *lake.Lake, src *table.Table, cfg Config, opts ...Option) (*Result, error) {
-	cfg = applyOptions(cfg, opts)
-	// Pin the run to the lake's snapshot at entry: every phase reads this
-	// catalog version, immune to concurrent Apply.
-	snap := l.Snapshot()
-	return reclaimPipeline(ctx, src, cfg, snap.Epoch(), func(ctx context.Context, keyed *table.Table, dopts discovery.Options) ([]*discovery.Candidate, error) {
-		return discovery.DiscoverSnapContext(ctx, snap, keyed, dopts)
-	})
+	return NewReclaimer(l, cfg).ReclaimContext(ctx, src, opts...)
 }
 
-// reclaimPipeline runs Figure 2 with candidate retrieval delegated to
-// discover — a per-call fresh build (Reclaim) or a shared-substrate session
-// (Reclaimer). Everything downstream of discovery is identical between the
-// two paths; traversal and integration align on the Source's own key space
-// (table.KeyIndex) and need no value dictionary. epoch is the pinned
-// snapshot's epoch, stamped on every observer event the run emits. discover
-// receives the run's discovery options with the stats hook already chained
-// in — it must pass them through rather than re-reading cfg.Discovery.
-func reclaimPipeline(ctx context.Context, src *table.Table, cfg Config, epoch lake.Epoch,
-	discover func(context.Context, *table.Table, discovery.Options) ([]*discovery.Candidate, error)) (*Result, error) {
+// reclaimPipeline runs Figure 2 for one Source against one pinned epoch
+// state of session r. Traversal and integration align on the Source's own
+// key space (table.KeyIndex) and need no value dictionary; every observer
+// event the run emits is stamped with the pinned snapshot's epoch.
+func (r *Reclaimer) reclaimPipeline(ctx context.Context, st *epochState, src *table.Table, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	obs := cfg.Observer
+	epoch := st.snap.Epoch()
 	res := &Result{Epoch: epoch}
 	fail := func(phase Phase, err error) (*Result, error) {
 		return nil, phaseError(phase, src.Name, res.Timing, err)
@@ -193,7 +179,7 @@ func reclaimPipeline(ctx context.Context, src *table.Table, cfg Config, epoch la
 	}
 	emit(obs, ProgressEvent{Source: src.Name, Epoch: epoch, Phase: PhaseDiscovery, Kind: EventPhaseStarted})
 	start := time.Now()
-	cands, err := discover(ctx, src, dopts)
+	cands, err := r.rawCandidates(ctx, st, src, dopts)
 	res.Timing.Discover = time.Since(start)
 	if err != nil {
 		return fail(PhaseDiscovery, err)

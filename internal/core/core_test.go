@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -52,7 +53,7 @@ func buildScenario() (*table.Table, *lake.Lake) {
 
 func TestReclaimEndToEnd(t *testing.T) {
 	src, l := buildScenario()
-	res, err := Reclaim(l, src, DefaultConfig())
+	res, err := ReclaimContext(context.Background(), l, src, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestReclaimMinesKey(t *testing.T) {
 	src, l := buildScenario()
 	src = src.Clone()
 	src.Key = nil // force mining
-	res, err := Reclaim(l, src, DefaultConfig())
+	res, err := ReclaimContext(context.Background(), l, src, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,21 +93,21 @@ func TestReclaimNoKey(t *testing.T) {
 	src := table.New("dups", "a")
 	src.AddRow(table.S("x"))
 	src.AddRow(table.S("x"))
-	if _, err := Reclaim(lake.New(), src, DefaultConfig()); err == nil {
+	if _, err := ReclaimContext(context.Background(), lake.New(), src, DefaultConfig()); err == nil {
 		t.Error("expected ErrNoKey for unkeyable source")
 	}
 }
 
 func TestReclaimInvalidSource(t *testing.T) {
 	bad := table.New("bad", "a", "a")
-	if _, err := Reclaim(lake.New(), bad, DefaultConfig()); err == nil {
+	if _, err := ReclaimContext(context.Background(), lake.New(), bad, DefaultConfig()); err == nil {
 		t.Error("expected validation error")
 	}
 }
 
 func TestReclaimEmptyLake(t *testing.T) {
 	src, _ := buildScenario()
-	res, err := Reclaim(lake.New(), src, DefaultConfig())
+	res, err := ReclaimContext(context.Background(), lake.New(), src, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +120,11 @@ func TestSkipTraversalAblation(t *testing.T) {
 	src, l := buildScenario()
 	cfg := DefaultConfig()
 	cfg.SkipTraversal = true
-	res, err := Reclaim(l, src, cfg)
+	res, err := ReclaimContext(context.Background(), l, src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withTraversal, err := Reclaim(l, src, DefaultConfig())
+	withTraversal, err := ReclaimContext(context.Background(), l, src, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +140,11 @@ func TestTwoValuedAblationDoesNotBeatThreeValued(t *testing.T) {
 	src, l := buildScenario()
 	cfg := DefaultConfig()
 	cfg.Encoding = matrix.TwoValued
-	two, err := Reclaim(l, src, cfg)
+	two, err := ReclaimContext(context.Background(), l, src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	three, err := Reclaim(l, src, DefaultConfig())
+	three, err := ReclaimContext(context.Background(), l, src, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestTraverseWorkersEquivalent(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		cfg := DefaultConfig()
 		cfg.TraverseWorkers = workers
-		res, err := Reclaim(l, src, cfg)
+		res, err := ReclaimContext(context.Background(), l, src, cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

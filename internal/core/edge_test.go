@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"gent/internal/lake"
@@ -15,7 +16,7 @@ func TestReclaimEmptySourceWithDeclaredKey(t *testing.T) {
 	filler := table.New("f", "k", "v")
 	filler.AddRow(table.S("x"), table.S("y"))
 	laketest.Add(l, filler)
-	res, err := Reclaim(l, src, DefaultConfig())
+	res, err := ReclaimContext(context.Background(), l, src, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestReclaimSourceWithAllNullColumn(t *testing.T) {
 	cand.Name = "cand"
 	cand.Key = nil
 	laketest.Add(l, cand)
-	res, err := Reclaim(l, src, DefaultConfig())
+	res, err := ReclaimContext(context.Background(), l, src, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestReclaimLakeWithContradictoryDuplicates(t *testing.T) {
 	bad.AddRow(table.S("k1"), table.S("wrong1"))
 	bad.AddRow(table.S("k2"), table.S("wrong2"))
 	laketest.Add(l, bad)
-	res, err := Reclaim(l, src, DefaultConfig())
+	res, err := ReclaimContext(context.Background(), l, src, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestReclaimWideSource(t *testing.T) {
 	right.Name = "right"
 	right.Key = nil
 	laketest.Add(l, right)
-	res, err := Reclaim(l, src, DefaultConfig())
+	res, err := ReclaimContext(context.Background(), l, src, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,11 +72,11 @@ func TestSessionTracksEpochsMatchesFresh(t *testing.T) {
 			// scratch; the long-lived one catches up incrementally.
 			fresh := NewReclaimer(b.Lake, cfg)
 			for _, src := range srcs {
-				want, err := fresh.Reclaim(src)
+				want, err := fresh.ReclaimContext(context.Background(), src)
 				if err != nil {
 					t.Fatalf("enc %v wave %d %s: fresh: %v", enc, wave, src.Name, err)
 				}
-				got, err := session.Reclaim(src)
+				got, err := session.ReclaimContext(context.Background(), src)
 				if err != nil {
 					t.Fatalf("enc %v wave %d %s: session: %v", enc, wave, src.Name, err)
 				}
@@ -101,11 +101,11 @@ func TestSessionEpochsWithFirstStage(t *testing.T) {
 		}
 		fresh := NewReclaimer(b.Lake, cfg)
 		for _, src := range srcs {
-			want, err := fresh.Reclaim(src)
+			want, err := fresh.ReclaimContext(context.Background(), src)
 			if err != nil {
 				t.Fatalf("wave %d %s: fresh: %v", wave, src.Name, err)
 			}
-			got, err := session.Reclaim(src)
+			got, err := session.ReclaimContext(context.Background(), src)
 			if err != nil {
 				t.Fatalf("wave %d %s: session: %v", wave, src.Name, err)
 			}
@@ -122,17 +122,17 @@ func TestSessionTracksInPlaceEdit(t *testing.T) {
 	cfg := DefaultConfig()
 	session := NewReclaimer(b.Lake, cfg)
 	src := b.Sources[0]
-	if _, err := session.Reclaim(src); err != nil {
+	if _, err := session.ReclaimContext(context.Background(), src); err != nil {
 		t.Fatal(err)
 	}
 	victim := b.Lake.Snapshot().Get(b.Lake.Snapshot().Names()[0])
 	victim.Rows = victim.Rows[:len(victim.Rows)/2] // in-place edit
 	laketest.Add(b.Lake, victim)
-	want, err := NewReclaimer(b.Lake, cfg).Reclaim(src)
+	want, err := NewReclaimer(b.Lake, cfg).ReclaimContext(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := session.Reclaim(src)
+	got, err := session.ReclaimContext(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestUseIndexesBetweenEpochs(t *testing.T) {
 	if ixA.Epoch != b.Lake.Epoch() {
 		t.Fatalf("BuildIndexes stamped %v, lake at %v", ixA.Epoch, b.Lake.Epoch())
 	}
-	if _, err := r.Reclaim(src); err != nil {
+	if _, err := r.ReclaimContext(context.Background(), src); err != nil {
 		t.Fatal(err)
 	}
 	// Mid-epoch injection: still refused, old sentinel.
@@ -179,11 +179,11 @@ func TestUseIndexesBetweenEpochs(t *testing.T) {
 	if err := r.UseIndexes(ixB); err != nil {
 		t.Fatalf("between-epoch injection: %v", err)
 	}
-	got, err := r.Reclaim(src)
+	got, err := r.ReclaimContext(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewReclaimer(b.Lake, DefaultConfig()).Reclaim(src)
+	want, err := NewReclaimer(b.Lake, DefaultConfig()).ReclaimContext(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestReclaimStreamAcrossEpochSwap(t *testing.T) {
 func TestConcurrentInjectAndQuery(t *testing.T) {
 	b := buildTPTR(t)
 	src := b.Sources[0]
-	want, err := NewReclaimer(b.Lake, DefaultConfig()).Reclaim(src)
+	want, err := NewReclaimer(b.Lake, DefaultConfig()).ReclaimContext(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestConcurrentInjectAndQuery(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			got, err := r.Reclaim(src)
+			got, err := r.ReclaimContext(context.Background(), src)
 			if err != nil {
 				t.Errorf("query: %v", err)
 				return
@@ -335,7 +335,7 @@ func TestConcurrentApplyAndReclaim(t *testing.T) {
 		go func() {
 			defer queriers.Done()
 			for i := 0; i < 6; i++ {
-				if _, err := r.Reclaim(src); err != nil {
+				if _, err := r.ReclaimContext(context.Background(), src); err != nil {
 					t.Errorf("query under churn: %v", err)
 					return
 				}

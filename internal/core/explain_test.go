@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -34,7 +35,7 @@ func explainScenario() (*table.Table, *lake.Lake) {
 
 func TestExplainStatuses(t *testing.T) {
 	src, l := explainScenario()
-	res, err := Reclaim(l, src, DefaultConfig())
+	res, err := ReclaimContext(context.Background(), l, src, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestExplainStatuses(t *testing.T) {
 
 func TestExplainRendering(t *testing.T) {
 	src, l := explainScenario()
-	res, err := Reclaim(l, src, DefaultConfig())
+	res, err := ReclaimContext(context.Background(), l, src, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestExplainPerfectReclamation(t *testing.T) {
 	dup.Name = "copy"
 	dup.Key = nil
 	laketest.Add(l, dup)
-	res, err := Reclaim(l, src, DefaultConfig())
+	res, err := ReclaimContext(context.Background(), l, src, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestExplainKeylessSource(t *testing.T) {
 	src, l := explainScenario()
 	keyless := src.Clone()
 	keyless.Key = nil
-	res, err := Reclaim(l, keyless, DefaultConfig())
+	res, err := ReclaimContext(context.Background(), l, keyless, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

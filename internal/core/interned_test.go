@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -28,10 +29,10 @@ func TestQueriesDoNotGrowLakeDict(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		novel.AddRow(table.S(fmt.Sprintf("unseen-key-%d", i)), table.S(fmt.Sprintf("unseen-val-%d", i)))
 	}
-	if _, err := r.Reclaim(novel); err != nil {
+	if _, err := r.ReclaimContext(context.Background(), novel); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Reclaim(b.Sources[0]); err != nil {
+	if _, err := r.ReclaimContext(context.Background(), b.Sources[0]); err != nil {
 		t.Fatal(err)
 	}
 	if after := b.Lake.Dict().Len(); after != before {
@@ -56,7 +57,7 @@ func TestPipelineMatchesGolden(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Encoding = enc
 		for _, src := range b.Sources {
-			res, err := Reclaim(b.Lake, src, cfg)
+			res, err := ReclaimContext(context.Background(), b.Lake, src, cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", src.Name, err)
 			}
@@ -80,16 +81,16 @@ func TestUseIndexesRefusesForeignDictionary(t *testing.T) {
 	b := buildTPTR(t)
 	other := buildTPTR(t)
 	r := NewReclaimer(b.Lake, DefaultConfig())
-	err := r.UseIndexes(&index.IndexSet{Inverted: index.BuildInverted(other.Lake)})
+	err := r.UseIndexes(&index.IndexSet{Inverted: index.BuildInverted(other.Lake.Snapshot())})
 	if !errors.Is(err, lake.ErrDictMismatch) {
 		t.Fatalf("foreign-dictionary injection: got %v, want lake.ErrDictMismatch", err)
 	}
-	if _, err := r.Reclaim(b.Sources[0]); err != nil {
+	if _, err := r.ReclaimContext(context.Background(), b.Sources[0]); err != nil {
 		t.Fatalf("session unusable after the refused injection: %v", err)
 	}
 	// The same set keyed under the lake's own dictionary is accepted.
 	r2 := NewReclaimer(b.Lake, DefaultConfig())
-	if err := r2.UseIndexes(&index.IndexSet{Inverted: index.BuildInverted(b.Lake)}); err != nil {
+	if err := r2.UseIndexes(&index.IndexSet{Inverted: index.BuildInverted(b.Lake.Snapshot())}); err != nil {
 		t.Fatalf("own-dictionary injection refused: %v", err)
 	}
 }

@@ -77,7 +77,7 @@ type ProgressEvent struct {
 
 // ProgressObserver receives structured phase events from a reclamation run.
 // Within one run events arrive in pipeline order; across a concurrent batch
-// (ReclaimAll, ReclaimStream) runs interleave, so Observe must be safe for
+// (ReclaimAllContext, ReclaimStream) runs interleave, so Observe must be safe for
 // concurrent use. Observe is called synchronously on the reclaiming
 // goroutine — a slow observer slows the query.
 type ProgressObserver interface {

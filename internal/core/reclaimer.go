@@ -15,9 +15,9 @@ import (
 )
 
 // Reclaimer is a reusable reclamation session over one lake — the v3,
-// epoch-versioned session. The one-shot Reclaim rebuilds the inverted index
-// and the MinHash-LSH on every call; a Reclaimer builds each substrate at
-// most once per lake epoch — lazily, on the first query that needs it — and
+// epoch-versioned session, and the only way the pipeline runs (the one-shot
+// ReclaimContext is a session used once). It builds each substrate at most
+// once per lake epoch — lazily, on the first query that needs it — and
 // serves every query at that epoch from the shared copy.
 //
 // The session tracks the lake: when lake.Apply publishes a new epoch, the
@@ -428,18 +428,10 @@ func (r *Reclaimer) WarmFor(opts discovery.Options) *Reclaimer {
 	return r
 }
 
-// Candidates runs Table Discovery over the shared substrates — the
-// session-scoped analogue of discovery.Discover — pinned to the lake's
-// current epoch.
-func (r *Reclaimer) Candidates(src *table.Table, opts discovery.Options) []*discovery.Candidate {
-	cands, _ := r.CandidatesContext(context.Background(), src, opts)
-	return cands
-}
-
-// CandidatesContext is Candidates under a context (the session-scoped
-// analogue of discovery.DiscoverContext). A dead context fails before the
-// lazy substrate build, so a canceled first query cannot pay for indexing;
-// like every v2 entry point, failures arrive as a *Error (here tagged
+// CandidatesContext runs Table Discovery over the shared substrates, pinned
+// to the lake's current epoch. A dead context fails before the lazy
+// substrate build, so a canceled first query cannot pay for indexing; like
+// every pipeline entry point, failures arrive as a *Error (here tagged
 // PhaseDiscovery) wrapping the cause.
 func (r *Reclaimer) CandidatesContext(ctx context.Context, src *table.Table, opts discovery.Options) ([]*discovery.Candidate, error) {
 	cands, err := r.rawCandidates(ctx, r.acquire(), src, opts)
@@ -459,30 +451,19 @@ func (r *Reclaimer) rawCandidates(ctx context.Context, st *epochState, src *tabl
 	return discovery.DiscoverWithSnapContext(ctx, st.snap, st.indexSet(opts), src, opts)
 }
 
-// Reclaim runs the full Gen-T pipeline for one Source Table with the
-// session's default configuration.
-func (r *Reclaimer) Reclaim(src *table.Table) (*Result, error) {
-	return r.ReclaimContext(context.Background(), src)
-}
-
-// ReclaimWith is Reclaim under a per-call configuration — ablations and
-// parameter sweeps reuse the session's indexes, which depend only on the
-// lake, across configurations.
-func (r *Reclaimer) ReclaimWith(src *table.Table, cfg Config) (*Result, error) {
-	return r.ReclaimWithContext(context.Background(), src, cfg)
-}
-
-// ReclaimContext is Reclaim under a context and per-call options layered
-// over the session's default configuration. Cancellation aborts at the next
-// phase boundary (or mid-phase preemption point) with a phase-tagged *Error
-// wrapping ctx.Err().
+// ReclaimContext runs the full Gen-T pipeline for one Source Table under
+// per-call options layered over the session's default configuration.
+// Cancellation aborts at the next phase boundary (or mid-phase preemption
+// point) with a phase-tagged *Error wrapping ctx.Err().
 func (r *Reclaimer) ReclaimContext(ctx context.Context, src *table.Table, opts ...Option) (*Result, error) {
 	return r.reclaimConfigured(ctx, src, applyOptions(r.cfg, opts))
 }
 
-// ReclaimWithContext is ReclaimWith under a context: cfg replaces the
-// session default entirely (options then layer over cfg), for callers whose
-// per-call configuration must not inherit anything from the session.
+// ReclaimWithContext is ReclaimContext under a per-call configuration: cfg
+// replaces the session default entirely (options then layer over cfg), for
+// callers whose per-call configuration must not inherit anything from the
+// session — ablations and parameter sweeps reuse the session's indexes,
+// which depend only on the lake, across configurations.
 func (r *Reclaimer) ReclaimWithContext(ctx context.Context, src *table.Table, cfg Config, opts ...Option) (*Result, error) {
 	return r.reclaimConfigured(ctx, src, applyOptions(cfg, opts))
 }
@@ -493,10 +474,7 @@ func (r *Reclaimer) ReclaimWithContext(ctx context.Context, src *table.Table, cf
 // query — discovery, traversal, integration — runs against that snapshot
 // and its substrates, no matter what Apply does to the lake meanwhile.
 func (r *Reclaimer) reclaimConfigured(ctx context.Context, src *table.Table, cfg Config) (*Result, error) {
-	st := r.acquire()
-	return reclaimPipeline(ctx, src, cfg, st.snap.Epoch(), func(ctx context.Context, keyed *table.Table, dopts discovery.Options) ([]*discovery.Candidate, error) {
-		return r.rawCandidates(ctx, st, keyed, dopts)
-	})
+	return r.reclaimPipeline(ctx, r.acquire(), src, cfg)
 }
 
 // SplitTraverseWorkers sizes each source's Matrix Traversal pool under an
@@ -513,5 +491,4 @@ func SplitTraverseWorkers(outerWorkers int) int {
 	return w
 }
 
-// Batch APIs — ReclaimStream, ReclaimAllContext, and the legacy ReclaimAll
-// collector — live in stream.go.
+// Batch APIs — ReclaimStream and ReclaimAllContext — live in stream.go.

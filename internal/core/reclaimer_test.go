@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -52,8 +53,8 @@ func assertSameResult(t *testing.T, label string, fresh, session *Result) {
 
 // TestReclaimerMatchesFreshReclaim asserts the session path — cached
 // in-memory indexes and indexes persisted then reloaded from disk — produces
-// results identical to the legacy per-call fresh build, on every source of a
-// TP-TR benchmark.
+// results identical to the per-call fresh build of the one-shot
+// ReclaimContext, on every source of a TP-TR benchmark.
 func TestReclaimerMatchesFreshReclaim(t *testing.T) {
 	b := buildTPTR(t)
 	cfg := DefaultConfig()
@@ -73,16 +74,16 @@ func TestReclaimerMatchesFreshReclaim(t *testing.T) {
 	}
 
 	for _, src := range b.Sources {
-		fresh, err := Reclaim(b.Lake, src, cfg)
+		fresh, err := ReclaimContext(context.Background(), b.Lake, src, cfg)
 		if err != nil {
 			t.Fatalf("%s: fresh reclaim: %v", src.Name, err)
 		}
-		fromCache, err := cached.Reclaim(src)
+		fromCache, err := cached.ReclaimContext(context.Background(), src)
 		if err != nil {
 			t.Fatalf("%s: cached reclaim: %v", src.Name, err)
 		}
 		assertSameResult(t, src.Name+"/cached", fresh, fromCache)
-		fromDisk, err := persisted.Reclaim(src)
+		fromDisk, err := persisted.ReclaimContext(context.Background(), src)
 		if err != nil {
 			t.Fatalf("%s: persisted reclaim: %v", src.Name, err)
 		}
@@ -97,7 +98,10 @@ func TestReclaimAllConcurrent(t *testing.T) {
 	b := buildTPTR(t)
 	cfg := DefaultConfig()
 
-	batch := NewReclaimer(b.Lake, cfg).ReclaimAll(b.Sources, 4)
+	batch, err := NewReclaimer(b.Lake, cfg).ReclaimAllContext(context.Background(), b.Sources, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(batch) != len(b.Sources) {
 		t.Fatalf("got %d items for %d sources", len(batch), len(b.Sources))
 	}
@@ -108,7 +112,7 @@ func TestReclaimAllConcurrent(t *testing.T) {
 		if item.Err != nil {
 			t.Fatalf("%s: %v", item.Source.Name, item.Err)
 		}
-		fresh, err := Reclaim(b.Lake, b.Sources[i], cfg)
+		fresh, err := ReclaimContext(context.Background(), b.Lake, b.Sources[i], cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +127,10 @@ func TestReclaimAllIsolatesFailures(t *testing.T) {
 	bad := table.New("bad", "x")
 	bad.AddRow(table.S("dup"))
 	bad.AddRow(table.S("dup"))
-	items := NewReclaimer(l, DefaultConfig()).ReclaimAll([]*table.Table{src, bad}, 2)
+	items, err := NewReclaimer(l, DefaultConfig()).ReclaimAllContext(context.Background(), []*table.Table{src, bad}, 2)
+	if err != nil {
+		t.Fatalf("per-source failures must not fail the batch: %v", err)
+	}
 	if items[0].Err != nil || items[0].Result == nil {
 		t.Errorf("good source failed: %v", items[0].Err)
 	}
@@ -137,11 +144,12 @@ func TestReclaimAllIsolatesFailures(t *testing.T) {
 func TestReclaimAllEmptyAndDefaults(t *testing.T) {
 	src, l := buildScenario()
 	r := NewReclaimer(l, DefaultConfig())
-	if items := r.ReclaimAll(nil, 3); len(items) != 0 {
-		t.Error("empty batch must return no items")
+	ctx := context.Background()
+	if items, err := r.ReclaimAllContext(ctx, nil, 3); len(items) != 0 || err != nil {
+		t.Errorf("empty batch must return no items and no error: %d, %v", len(items), err)
 	}
-	items := r.ReclaimAll([]*table.Table{src}, 0)
-	if len(items) != 1 || items[0].Err != nil {
+	items, err := r.ReclaimAllContext(ctx, []*table.Table{src}, 0)
+	if err != nil || len(items) != 1 || items[0].Err != nil {
 		t.Fatalf("defaulted batch failed: %+v", items)
 	}
 	if !items[0].Result.Report.PerfectReclamation {

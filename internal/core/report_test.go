@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -8,7 +9,7 @@ import (
 
 func TestWriteJSON(t *testing.T) {
 	src, l := buildScenario()
-	res, err := Reclaim(l, src, DefaultConfig())
+	res, err := ReclaimContext(context.Background(), l, src, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestWriteJSON(t *testing.T) {
 
 func TestWriteJSONWithoutSource(t *testing.T) {
 	src, l := buildScenario()
-	res, err := Reclaim(l, src, DefaultConfig())
+	res, err := ReclaimContext(context.Background(), l, src, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -69,7 +70,7 @@ func TestSemanticResultAccounting(t *testing.T) {
 			mu.Unlock()
 		}
 	})
-	res, err := Reclaim(l, src, cfg)
+	res, err := ReclaimContext(context.Background(), l, src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestSemanticResultAccounting(t *testing.T) {
 	}
 
 	// Default configuration: no discovery object — report shape unchanged.
-	plain, err := Reclaim(l, src, DefaultConfig())
+	plain, err := ReclaimContext(context.Background(), l, src, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +127,11 @@ func TestSemanticSessionTracksEpochs(t *testing.T) {
 		}
 		fresh := NewReclaimer(b.Lake, cfg)
 		for _, src := range srcs {
-			want, err := fresh.Reclaim(src)
+			want, err := fresh.ReclaimContext(context.Background(), src)
 			if err != nil {
 				t.Fatalf("wave %d %s: fresh: %v", wave, src.Name, err)
 			}
-			got, err := session.Reclaim(src)
+			got, err := session.ReclaimContext(context.Background(), src)
 			if err != nil {
 				t.Fatalf("wave %d %s: session: %v", wave, src.Name, err)
 			}
@@ -161,7 +162,7 @@ func TestSemanticIndexesPersistAndInject(t *testing.T) {
 	if err := set.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	want, err := builder.Reclaim(src)
+	want, err := builder.ReclaimContext(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestSemanticIndexesPersistAndInject(t *testing.T) {
 	if err := injected.UseIndexes(loaded); err != nil {
 		t.Fatal(err)
 	}
-	got, err := injected.Reclaim(src)
+	got, err := injected.ReclaimContext(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -42,7 +43,7 @@ func TestConcurrentEvictionUnderPinning(t *testing.T) {
 			refSession := NewReclaimer(ref.Lake, cfg)
 			want := make([]*Result, len(srcs))
 			for i, src := range srcs {
-				if want[i], err = refSession.Reclaim(src); err != nil {
+				if want[i], err = refSession.ReclaimContext(context.Background(), src); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -62,7 +63,7 @@ func TestConcurrentEvictionUnderPinning(t *testing.T) {
 					case <-done:
 						return
 					default:
-						b.Lake.Interned(names[i%len(names)])
+						b.Lake.Snapshot().Interned(names[i%len(names)])
 					}
 				}
 			}()
@@ -72,7 +73,7 @@ func TestConcurrentEvictionUnderPinning(t *testing.T) {
 				wg.Add(1)
 				go func(i int, src *table.Table) {
 					defer wg.Done()
-					got, err := session.Reclaim(src)
+					got, err := session.ReclaimContext(context.Background(), src)
 					if err != nil {
 						t.Errorf("%s: %v", src.Name, err)
 						return

@@ -9,8 +9,8 @@ import (
 	"gent/internal/table"
 )
 
-// BatchItem is one source's outcome within a batch (ReclaimAll,
-// ReclaimAllContext, ReclaimStream).
+// BatchItem is one source's outcome within a batch (ReclaimAllContext,
+// ReclaimStream).
 type BatchItem struct {
 	// Index is the source's position in the input slice — the correlation
 	// handle for streams, whose items arrive in completion order.
@@ -181,12 +181,4 @@ func (r *Reclaimer) ReclaimAllContext(ctx context.Context, srcs []*table.Table, 
 		return items, berr
 	}
 	return items, nil
-}
-
-// ReclaimAll is ReclaimAllContext under context.Background(): every source
-// on a bounded worker pool, items in input order, each failing alone.
-// workers <= 0 uses GOMAXPROCS.
-func (r *Reclaimer) ReclaimAll(srcs []*table.Table, workers int) []BatchItem {
-	items, _ := r.ReclaimAllContext(context.Background(), srcs, workers)
-	return items
 }

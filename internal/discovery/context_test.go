@@ -5,36 +5,45 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"gent/internal/index"
 )
 
-// TestDiscoverContextEquivalence: the context path with a live context is
-// the plain path.
+// TestDiscoverContextEquivalence: a live, cancelable context changes
+// nothing — the cancellation polling inside the probe loop never perturbs
+// the ranking — on both the fresh-build and the prebuilt path.
 func TestDiscoverContextEquivalence(t *testing.T) {
-	l, src := exampleLake(), exampleSource()
-	plain := Discover(l, src, DefaultOptions())
-	ctxed, err := DiscoverContext(context.Background(), l, src, DefaultOptions())
+	snap, src := exampleLake().Snapshot(), exampleSource()
+	want, err := DiscoverWithSnapContext(context.Background(), snap, &index.IndexSet{}, src, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(plain, ctxed) {
-		t.Error("DiscoverContext diverged from Discover")
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	for _, ix := range []*index.IndexSet{{}, {Inverted: index.BuildInverted(snap)}} {
+		got, err := DiscoverWithSnapContext(ctx, snap, ix, src, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("prebuilt=%v: discovery under a live deadline diverged", ix.Inverted != nil)
+		}
 	}
 }
 
 // TestDiscoverContextCanceled: a canceled context aborts retrieval with
 // ctx.Err() and no candidates, on both the fresh-build and prebuilt paths.
 func TestDiscoverContextCanceled(t *testing.T) {
-	l, src := exampleLake(), exampleSource()
+	snap, src := exampleLake().Snapshot(), exampleSource()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cands, err := DiscoverContext(ctx, l, src, DefaultOptions())
+	cands, err := DiscoverWithSnapContext(ctx, snap, &index.IndexSet{}, src, DefaultOptions())
 	if !errors.Is(err, context.Canceled) || cands != nil {
 		t.Fatalf("fresh path: want canceled/nil, got %v / %v", err, cands)
 	}
-	ix := &index.IndexSet{Inverted: index.BuildInverted(l)}
-	cands, err = DiscoverWithContext(ctx, l, ix, src, DefaultOptions())
+	ix := &index.IndexSet{Inverted: index.BuildInverted(snap)}
+	cands, err = DiscoverWithSnapContext(ctx, snap, ix, src, DefaultOptions())
 	if !errors.Is(err, context.Canceled) || cands != nil {
 		t.Fatalf("prebuilt path: want canceled/nil, got %v / %v", err, cands)
 	}

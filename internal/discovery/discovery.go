@@ -90,79 +90,22 @@ type Candidate struct {
 	Semantic bool
 }
 
-// Discover runs the full Table Discovery phase and returns candidates ranked
-// by score, each guaranteed (when possible) to contain the Source key. It
-// builds the retrieval substrates fresh for this one call; callers issuing
-// many queries over the same lake should build an index.IndexSet once (or
-// load a persisted one) and use DiscoverWith instead.
-func Discover(l *lake.Lake, src *table.Table, opts Options) []*Candidate {
-	cands, _ := DiscoverContext(context.Background(), l, src, opts)
-	return cands
-}
-
-// DiscoverContext is Discover under a context: cancellation is checked
-// between stages and inside the per-column probe loop, returning ctx.Err()
-// with nil candidates. The substrate builds themselves (inverted index,
-// MinHash-LSH) are not preemptible mid-build — cancellation is re-checked
-// between them, and sessions amortize them away entirely.
+// DiscoverWithSnapContext runs the full Table Discovery phase over one
+// pinned lake snapshot and returns candidates ranked by score, each
+// guaranteed (when possible) to contain the Source key. It is discovery's
+// only entry point; the epoch-versioned session calls it with substrates
+// maintained for exactly this snapshot's epoch.
 //
-// The whole run is pinned to the lake's snapshot at entry: a concurrent
-// Apply on l cannot tear this query.
-func DiscoverContext(ctx context.Context, l *lake.Lake, src *table.Table, opts Options) ([]*Candidate, error) {
-	return DiscoverSnapContext(ctx, l.Snapshot(), src, opts)
-}
-
-// DiscoverSnapContext is DiscoverContext over one pinned lake snapshot —
-// the substrate builds and every probe read this exact catalog version.
-func DiscoverSnapContext(ctx context.Context, snap *lake.Snapshot, src *table.Table, opts Options) ([]*Candidate, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var syn []*Candidate
-	if opts.Strategy != StrategySemantic {
-		pool := snap
-		if opts.FirstStageTopK > 0 && snap.Len() > opts.FirstStageTopK {
-			lsh := index.BuildMinHashLSH(snap)
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			pool = firstStagePool(snap, lsh, src, opts.FirstStageTopK)
-		}
-		ix := index.BuildInverted(pool)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var err error
-		syn, err = setSimilarityContext(ctx, pool, ix, src, opts)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return finishDiscover(ctx, snap, nil, syn, src, opts)
-}
-
-// DiscoverWith is Discover over prebuilt (possibly persisted) substrates:
-// ix.Inverted must cover the lake; ix.LSH is used for first-stage retrieval
-// when the options call for it (built fresh if nil). The substrates may be
-// stale supersets of the lake — postings and LSH entries for tables no
-// longer in the lake are ignored — so results match a fresh build over the
-// current lake exactly. Searches never mutate ix, so one IndexSet serves
-// concurrent callers.
-func DiscoverWith(l *lake.Lake, ix *index.IndexSet, src *table.Table, opts Options) []*Candidate {
-	cands, _ := DiscoverWithContext(context.Background(), l, ix, src, opts)
-	return cands
-}
-
-// DiscoverWithContext is DiscoverWith under a context, with the same
-// cancellation contract as DiscoverContext, pinned to the lake's snapshot
-// at entry.
-func DiscoverWithContext(ctx context.Context, l *lake.Lake, ix *index.IndexSet, src *table.Table, opts Options) ([]*Candidate, error) {
-	return DiscoverWithSnapContext(ctx, l.Snapshot(), ix, src, opts)
-}
-
-// DiscoverWithSnapContext is DiscoverWithContext over one pinned snapshot —
-// what the epoch-versioned session calls, with substrates maintained for
-// exactly this snapshot's epoch.
+// A nil member of ix is built fresh over snap for this call. ix.Inverted
+// must cover the snapshot; ix.LSH is used for first-stage retrieval when the
+// options call for it. The substrates may be stale supersets of the
+// snapshot — postings and LSH entries for tables no longer in it are
+// ignored — so results match a fresh build exactly. Searches never mutate
+// ix, so one IndexSet serves concurrent callers.
+//
+// Cancellation is checked between stages and inside the per-column probe
+// loop, returning ctx.Err() with nil candidates. Substrate builds are not
+// preemptible mid-build; cancellation is re-checked after them.
 func DiscoverWithSnapContext(ctx context.Context, snap *lake.Snapshot, ix *index.IndexSet, src *table.Table, opts Options) ([]*Candidate, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -10,6 +11,23 @@ import (
 	"gent/internal/lake/laketest"
 	"gent/internal/table"
 )
+
+// discover runs DiscoverWithSnapContext over l's current snapshot with
+// substrates built fresh for the call, failing t on error.
+func discover(t testing.TB, l *lake.Lake, src *table.Table, opts Options) []*Candidate {
+	t.Helper()
+	return discoverWith(t, l, &index.IndexSet{}, src, opts)
+}
+
+// discoverWith is discover over prebuilt (possibly partial) substrates.
+func discoverWith(t testing.TB, l *lake.Lake, ix *index.IndexSet, src *table.Table, opts Options) []*Candidate {
+	t.Helper()
+	cands, err := DiscoverWithSnapContext(context.Background(), l.Snapshot(), ix, src, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cands
+}
 
 // exampleSource is the running-example Source Table (key "ID").
 func exampleSource() *table.Table {
@@ -64,7 +82,7 @@ func candidateNames(cands []*Candidate) map[string]bool {
 func TestSetSimilarityFindsAndRenames(t *testing.T) {
 	l := exampleLake()
 	src := exampleSource()
-	cands := SetSimilarity(l, index.BuildInverted(l), src, DefaultOptions())
+	cands := SetSimilarity(l, index.BuildInverted(l.Snapshot()), src, DefaultOptions())
 	names := candidateNames(cands)
 	for _, want := range []string{"lakeA", "lakeB", "lakeC"} {
 		if !names[want] {
@@ -91,7 +109,7 @@ func TestSetSimilarityFindsAndRenames(t *testing.T) {
 func TestExpandJoinsKeylessCandidates(t *testing.T) {
 	l := exampleLake()
 	src := exampleSource()
-	cands := Discover(l, src, DefaultOptions())
+	cands := discover(t, l, src, DefaultOptions())
 	if len(cands) == 0 {
 		t.Fatal("no candidates")
 	}
@@ -159,7 +177,7 @@ func TestDiversifyDemotesDuplicates(t *testing.T) {
 	laketest.Add(l, mk("tail", 6, 10)) // contributes k8, k9 that the dups lack
 
 	opts := DefaultOptions()
-	cands := SetSimilarity(l, index.BuildInverted(l), src, opts)
+	cands := SetSimilarity(l, index.BuildInverted(l.Snapshot()), src, opts)
 	names := candidateNames(cands)
 	if !names["tail"] {
 		t.Fatalf("informative table lost: %v", names)
@@ -200,7 +218,7 @@ func TestDiscoverWithFirstStage(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.FirstStageTopK = 10
-	cands := Discover(l, exampleSource(), opts)
+	cands := discover(t, l, exampleSource(), opts)
 	names := candidateNames(cands)
 	if !names["lakeA"] || !names["lakeB"] {
 		t.Errorf("first-stage retrieval lost true candidates: %v", names)
@@ -225,7 +243,7 @@ func TestMaxCandidatesCap(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.MaxCandidates = 3
-	cands := SetSimilarity(l, index.BuildInverted(l), src, opts)
+	cands := SetSimilarity(l, index.BuildInverted(l.Snapshot()), src, opts)
 	if len(cands) > 3 {
 		t.Errorf("cap ignored: %d candidates", len(cands))
 	}

@@ -36,8 +36,8 @@ func TestDiscoverWithMatchesFreshBuild(t *testing.T) {
 		l := noisyExampleLake(50)
 		opts := DefaultOptions()
 		opts.FirstStageTopK = topk
-		fresh := Discover(l, src, opts)
-		shared := DiscoverWith(l, index.BuildIndexSet(l), src, opts)
+		fresh := discover(t, l, src, opts)
+		shared := discoverWith(t, l, index.BuildIndexSet(l.Snapshot()), src, opts)
 		if !reflect.DeepEqual(fresh, shared) {
 			t.Errorf("topk=%d: shared-index discovery diverged from fresh build", topk)
 		}
@@ -51,7 +51,7 @@ func TestDiscoverWithMatchesFreshBuild(t *testing.T) {
 func TestDiscoverWithStaleIndex(t *testing.T) {
 	src := exampleSource()
 	l := noisyExampleLake(50)
-	ix := index.BuildIndexSet(l)
+	ix := index.BuildIndexSet(l.Snapshot())
 
 	laketest.Remove(l, "lakeC")
 	for i := 0; i < 10; i++ {
@@ -59,7 +59,7 @@ func TestDiscoverWithStaleIndex(t *testing.T) {
 	}
 
 	opts := DefaultOptions()
-	got := DiscoverWith(l, ix, src, opts)
+	got := discoverWith(t, l, ix, src, opts)
 	names := candidateNames(got)
 	if names["lakeC"] {
 		t.Error("removed table still discovered from stale index")
@@ -67,27 +67,27 @@ func TestDiscoverWithStaleIndex(t *testing.T) {
 	if !names["lakeA"] || !names["lakeB"] {
 		t.Errorf("surviving candidates lost: %v", names)
 	}
-	if fresh := Discover(l, src, opts); !reflect.DeepEqual(fresh, got) {
+	if fresh := discover(t, l, src, opts); !reflect.DeepEqual(fresh, got) {
 		t.Error("stale-index discovery diverged from fresh build over the shrunken lake")
 	}
 
 	// Same with the first stage engaged: TopK may rank removed tables.
 	opts.FirstStageTopK = 10
-	got = DiscoverWith(l, ix, src, opts)
+	got = discoverWith(t, l, ix, src, opts)
 	if candidateNames(got)["lakeC"] {
 		t.Error("removed table survived the first-stage pool guard")
 	}
 }
 
-// TestDiscoverWithLazyLSH leaves the LSH member nil: DiscoverWith must build
+// TestDiscoverWithLazyLSH leaves the LSH member nil: discovery must build
 // the first stage on the fly and still match the fresh path.
 func TestDiscoverWithLazyLSH(t *testing.T) {
 	src := exampleSource()
 	l := noisyExampleLake(50)
 	opts := DefaultOptions()
 	opts.FirstStageTopK = 10
-	shared := DiscoverWith(l, &index.IndexSet{Inverted: index.BuildInverted(l)}, src, opts)
-	if fresh := Discover(l, src, opts); !reflect.DeepEqual(fresh, shared) {
+	shared := discoverWith(t, l, &index.IndexSet{Inverted: index.BuildInverted(l.Snapshot())}, src, opts)
+	if fresh := discover(t, l, src, opts); !reflect.DeepEqual(fresh, shared) {
 		t.Error("nil-LSH discovery diverged from fresh build")
 	}
 }

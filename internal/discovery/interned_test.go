@@ -115,14 +115,14 @@ func sameCandidates(t *testing.T, label string, a, b []*Candidate) {
 }
 
 // TestDiscoveryIndependentOfShardCount: on random corpora, SetSimilarity and
-// the full Discover pipeline must produce bit-identical candidates at every
-// shard count of the inverted index and on the one-shot path, with and
+// the full discovery pipeline must produce bit-identical candidates at every
+// shard count of the inverted index and on the fresh-build path, with and
 // without diversification and subsumption removal.
 func TestDiscoveryIndependentOfShardCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	for trial := 0; trial < 25; trial++ {
 		l, src := randomDiscoveryCorpus(rng)
-		one := index.BuildInvertedSharded(l, 1)
+		one := index.BuildInvertedSharded(l.Snapshot(), 1)
 
 		for _, conf := range []struct {
 			name string
@@ -135,14 +135,14 @@ func TestDiscoveryIndependentOfShardCount(t *testing.T) {
 			opts := DefaultOptions()
 			conf.mut(&opts)
 			wantSim := SetSimilarity(l, one, src, opts)
-			wantAll := DiscoverWith(l, &index.IndexSet{Inverted: one}, src, opts)
-			sameCandidates(t, fmt.Sprintf("trial %d %s one-shot", trial, conf.name), Discover(l, src, opts), wantAll)
+			wantAll := discoverWith(t, l, &index.IndexSet{Inverted: one}, src, opts)
+			sameCandidates(t, fmt.Sprintf("trial %d %s fresh build", trial, conf.name), discover(t, l, src, opts), wantAll)
 			for _, nshards := range []int{3, 8} {
-				ix := index.BuildInvertedSharded(l, nshards)
+				ix := index.BuildInvertedSharded(l.Snapshot(), nshards)
 				sameCandidates(t, fmt.Sprintf("trial %d %s setsim at %d shards", trial, conf.name, nshards),
 					SetSimilarity(l, ix, src, opts), wantSim)
 				sameCandidates(t, fmt.Sprintf("trial %d %s discover at %d shards", trial, conf.name, nshards),
-					DiscoverWith(l, &index.IndexSet{Inverted: ix}, src, opts), wantAll)
+					discoverWith(t, l, &index.IndexSet{Inverted: ix}, src, opts), wantAll)
 			}
 		}
 	}
@@ -154,7 +154,7 @@ func TestDiscoveryIndependentOfShardCount(t *testing.T) {
 // it (and SetSimilarity, which cannot report errors, finds nothing).
 func TestForeignDictionaryIndexRefused(t *testing.T) {
 	l, src := exampleLake(), exampleSource()
-	foreign := &index.IndexSet{Inverted: index.BuildInverted(exampleLake())}
+	foreign := &index.IndexSet{Inverted: index.BuildInverted(exampleLake().Snapshot())}
 	cands, err := DiscoverWithSnapContext(context.Background(), l.Snapshot(), foreign, src, DefaultOptions())
 	if !errors.Is(err, lake.ErrDictMismatch) || cands != nil {
 		t.Fatalf("foreign-dictionary index: got %v / %v, want lake.ErrDictMismatch", err, cands)

@@ -27,9 +27,10 @@ func TestStrategyParseAndString(t *testing.T) {
 	}
 }
 
-// legacyDiscover replays the pre-strategy pipeline verbatim — the exact
-// stage composition DiscoverSnapContext had before the strategy seam — so
-// the equivalence test below pins the refactored layer to it bit-for-bit.
+// legacyDiscover replays the pre-strategy one-shot pipeline verbatim — its
+// inverted index built over the first-stage pool only — so the equivalence
+// test below pins the refactored layer, which indexes the whole snapshot, to
+// it bit-for-bit.
 func legacyDiscover(t *testing.T, snap *lake.Snapshot, ix *index.Inverted, src *table.Table, opts Options) []*Candidate {
 	t.Helper()
 	ctx := context.Background()
@@ -66,12 +67,12 @@ func TestSyntacticStrategyBitIdentical(t *testing.T) {
 
 		var stats []DiscoverStats
 		opts.OnStats = func(s DiscoverStats) { stats = append(stats, s) }
-		got, err := DiscoverSnapContext(context.Background(), snap, src, opts)
+		got, err := DiscoverWithSnapContext(context.Background(), snap, &index.IndexSet{}, src, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("strategy-off DiscoverSnapContext diverged from legacy pipeline:\n got %v\nwant %v", got, want)
+			t.Fatalf("strategy-off fresh-build discovery diverged from legacy pipeline:\n got %v\nwant %v", got, want)
 		}
 		if len(stats) != 1 || stats[0].Strategy != StrategySyntactic || stats[0].SemanticCandidates != 0 {
 			t.Fatalf("strategy-off stats = %+v", stats)
@@ -128,7 +129,7 @@ func TestSemanticStrategyFindsTranslated(t *testing.T) {
 	l := translatedLake()
 	src := citySource()
 
-	syn := Discover(l, src, DefaultOptions())
+	syn := discover(t, l, src, DefaultOptions())
 	if names := candidateNames(syn); names["translated"] {
 		t.Fatal("translated table has zero exact overlap yet the syntactic channel found it")
 	}
@@ -137,7 +138,7 @@ func TestSemanticStrategyFindsTranslated(t *testing.T) {
 	opts.Strategy = StrategySemantic
 	var stats []DiscoverStats
 	opts.OnStats = func(s DiscoverStats) { stats = append(stats, s) }
-	cands := Discover(l, src, opts)
+	cands := discover(t, l, src, opts)
 	names := candidateNames(cands)
 	if !names["translated"] {
 		t.Fatalf("semantic channel missed the translated table: %v", names)
@@ -181,7 +182,7 @@ func TestHybridMergesChannels(t *testing.T) {
 	opts.Strategy = StrategyHybrid
 	var stats []DiscoverStats
 	opts.OnStats = func(s DiscoverStats) { stats = append(stats, s) }
-	cands := Discover(l, src, opts)
+	cands := discover(t, l, src, opts)
 	names := candidateNames(cands)
 	if !names["exact"] || !names["translated"] {
 		t.Fatalf("hybrid union incomplete: %v", names)
@@ -200,7 +201,7 @@ func TestHybridMergesChannels(t *testing.T) {
 
 	// The exact-overlap table is found by both channels: its merged score
 	// must exceed its syntactic-only score.
-	synOnly := Discover(l, src, DefaultOptions())
+	synOnly := discover(t, l, src, DefaultOptions())
 	var synScore, hybScore float64
 	for _, c := range synOnly {
 		if c.Sources[0] == "exact" {
@@ -228,7 +229,7 @@ func TestHybridUsesPrebuiltSemanticIndex(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Strategy = StrategyHybrid
 
-	fresh, err := DiscoverSnapContext(context.Background(), snap, src, opts)
+	fresh, err := DiscoverWithSnapContext(context.Background(), snap, &index.IndexSet{}, src, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ type AblationRow struct {
 
 // AblationMatrixEncoding compares Gen-T with three-valued matrices against
 // the two-valued strawman of Section V-A2.
-func AblationMatrixEncoding(b *benchmark.TPTR, opts RunOptions) AblationRow {
+func AblationMatrixEncoding(ctx context.Context, b *benchmark.TPTR, opts RunOptions) AblationRow {
 	session := sessionFor(b.Lake)
 	run := func(enc matrix.Encoding) metrics.Report {
 		cfg := core.DefaultConfig()
@@ -32,7 +32,7 @@ func AblationMatrixEncoding(b *benchmark.TPTR, opts RunOptions) AblationRow {
 		cfg.Encoding = enc
 		reports := make([]metrics.Report, 0, len(b.Sources))
 		for _, src := range b.Sources {
-			res, err := session.ReclaimWith(src, cfg)
+			res, err := session.ReclaimWithContext(ctx, src, cfg)
 			if err != nil {
 				continue
 			}
@@ -49,7 +49,7 @@ func AblationMatrixEncoding(b *benchmark.TPTR, opts RunOptions) AblationRow {
 
 // AblationTraversal compares Gen-T against integrating every candidate
 // without Matrix Traversal pruning.
-func AblationTraversal(b *benchmark.TPTR, opts RunOptions) AblationRow {
+func AblationTraversal(ctx context.Context, b *benchmark.TPTR, opts RunOptions) AblationRow {
 	session := sessionFor(b.Lake)
 	run := func(skip bool) metrics.Report {
 		cfg := core.DefaultConfig()
@@ -58,7 +58,7 @@ func AblationTraversal(b *benchmark.TPTR, opts RunOptions) AblationRow {
 		cfg.SkipTraversal = skip
 		reports := make([]metrics.Report, 0, len(b.Sources))
 		for _, src := range b.Sources {
-			res, err := session.ReclaimWith(src, cfg)
+			res, err := session.ReclaimWithContext(ctx, src, cfg)
 			if err != nil {
 				continue
 			}
@@ -78,7 +78,7 @@ func AblationTraversal(b *benchmark.TPTR, opts RunOptions) AblationRow {
 // public lakes hold many copies of the same tables (Example 9), and that is
 // the regime diversification exists for: without it, duplicates crowd the
 // candidate cap.
-func AblationDiversify(b *benchmark.TPTR, opts RunOptions) AblationRow {
+func AblationDiversify(ctx context.Context, b *benchmark.TPTR, opts RunOptions) AblationRow {
 	dupLake := lakeWithDuplicates(b)
 	session := core.NewReclaimer(dupLake, core.DefaultConfig())
 	run := func(diversify bool) metrics.Report {
@@ -93,7 +93,7 @@ func AblationDiversify(b *benchmark.TPTR, opts RunOptions) AblationRow {
 		cfg.Discovery.MaxCandidates = 10
 		reports := make([]metrics.Report, 0, len(b.Sources))
 		for _, src := range b.Sources {
-			res, err := session.ReclaimWith(src, cfg)
+			res, err := session.ReclaimWithContext(ctx, src, cfg)
 			if err != nil {
 				continue
 			}
@@ -113,7 +113,7 @@ func AblationDiversify(b *benchmark.TPTR, opts RunOptions) AblationRow {
 func lakeWithDuplicates(b *benchmark.TPTR) *lake.Lake {
 	out := lake.New()
 	var muts []lake.Mutation
-	for _, t := range b.Lake.Tables() {
+	for _, t := range b.Lake.Snapshot().Tables() {
 		muts = append(muts, lake.Put(t))
 		if strings.Contains(t.Name, "_err") {
 			for i := 1; i <= 2; i++ {
@@ -131,7 +131,7 @@ func lakeWithDuplicates(b *benchmark.TPTR) *lake.Lake {
 
 // AblationGuardedOps compares Algorithm 2's guarded κ/β integration against
 // unconditional full disjunction over the same originating tables.
-func AblationGuardedOps(b *benchmark.TPTR, opts RunOptions) AblationRow {
+func AblationGuardedOps(ctx context.Context, b *benchmark.TPTR, opts RunOptions) AblationRow {
 	session := sessionFor(b.Lake)
 	cfg := core.DefaultConfig()
 	cfg.Discovery = opts.Discovery
@@ -139,7 +139,7 @@ func AblationGuardedOps(b *benchmark.TPTR, opts RunOptions) AblationRow {
 	withReports := make([]metrics.Report, 0, len(b.Sources))
 	withoutReports := make([]metrics.Report, 0, len(b.Sources))
 	for _, src := range b.Sources {
-		res, err := session.ReclaimWith(src, cfg)
+		res, err := session.ReclaimWithContext(ctx, src, cfg)
 		if err != nil {
 			continue
 		}

@@ -40,20 +40,14 @@ type EffectivenessResult struct {
 	Detail    []PerSource
 }
 
-// RunEffectiveness evaluates the given methods on every source of a TP-TR
-// benchmark, sharing one Set Similarity candidate set per source and one
-// Reclaimer session — hence one pair of discovery indexes — across the whole
-// corpus. With opts.Parallel > 1, sources run concurrently; results stay in
-// source order either way. It is RunEffectivenessContext under
-// context.Background().
-func RunEffectiveness(name string, b *benchmark.TPTR, methods []Method, opts RunOptions) EffectivenessResult {
-	return RunEffectivenessContext(context.Background(), name, b, methods, opts)
-}
-
-// RunEffectivenessContext is RunEffectiveness under a context — the whole
-// suite can be deadlined (cmd/experiments -timeout). Gen-T runs abort at
-// their phase boundaries once ctx expires and score as failures; every
-// source still gets a row, so the tables keep their shape.
+// RunEffectivenessContext evaluates the given methods on every source of a
+// TP-TR benchmark, sharing one Set Similarity candidate set per source and
+// one Reclaimer session — hence one pair of discovery indexes — across the
+// whole corpus. With opts.Parallel > 1, sources run concurrently; results
+// stay in source order either way. The whole suite can be deadlined
+// (cmd/experiments -timeout): Gen-T runs abort at their phase boundaries
+// once ctx expires and score as failures; every source still gets a row, so
+// the tables keep their shape.
 func RunEffectivenessContext(ctx context.Context, name string, b *benchmark.TPTR, methods []Method, opts RunOptions) EffectivenessResult {
 	res := EffectivenessResult{Benchmark: name}
 	session := sessionFor(b.Lake)
@@ -235,14 +229,9 @@ func Table1(set *BenchmarkSet) []Table1Row {
 	return rows
 }
 
-// Table2 reproduces Table II: effectiveness of the ALITE variants and Gen-T
-// on the larger TP-TR benchmarks. On the Large benchmark plain ALITE is
+// Table2Context reproduces Table II: effectiveness of the ALITE variants and
+// Gen-T on the larger TP-TR benchmarks. On the Large benchmark plain ALITE is
 // omitted, as in the paper (it times out).
-func Table2(set *BenchmarkSet, opts RunOptions) []EffectivenessResult {
-	return Table2Context(context.Background(), set, opts)
-}
-
-// Table2Context is Table2 under a context (cmd/experiments -timeout).
 func Table2Context(ctx context.Context, set *BenchmarkSet, opts RunOptions) []EffectivenessResult {
 	full := []Method{MethodALITE, MethodALITEIntSet, MethodALITEPS, MethodALITEPSIntSet, MethodGenT}
 	noALITE := []Method{MethodALITEPS, MethodALITEPSIntSet, MethodGenT}
@@ -255,12 +244,7 @@ func Table2Context(ctx context.Context, set *BenchmarkSet, opts RunOptions) []Ef
 	}
 }
 
-// Table3 reproduces Table III: all baselines on TP-TR Small.
-func Table3(set *BenchmarkSet, opts RunOptions) EffectivenessResult {
-	return Table3Context(context.Background(), set, opts)
-}
-
-// Table3Context is Table3 under a context.
+// Table3Context reproduces Table III: all baselines on TP-TR Small.
 func Table3Context(ctx context.Context, set *BenchmarkSet, opts RunOptions) EffectivenessResult {
 	methods := []Method{
 		MethodALITE, MethodALITEIntSet,
@@ -274,6 +258,6 @@ func Table3Context(ctx context.Context, set *BenchmarkSet, opts RunOptions) Effe
 
 // AppendixLLM reproduces Appendix F: the naive LLM stand-in on TP-TR Small
 // with the integrating set.
-func AppendixLLM(set *BenchmarkSet, opts RunOptions) EffectivenessResult {
-	return RunEffectiveness("TP-TR Small", set.Small, []Method{MethodNaiveLLM, MethodGenT}, opts)
+func AppendixLLM(ctx context.Context, set *BenchmarkSet, opts RunOptions) EffectivenessResult {
+	return RunEffectivenessContext(ctx, "TP-TR Small", set.Small, []Method{MethodNaiveLLM, MethodGenT}, opts)
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestTable3HeadlineShape(t *testing.T) {
 	// The paper's headline: Gen-T outperforms every baseline on TP-TR Small
 	// in precision and EIS, and reclaims the most sources perfectly.
 	set := tinySet(t)
-	res := Table3(set, DefaultRunOptions())
+	res := Table3Context(context.Background(), set, DefaultRunOptions())
 	byMethod := make(map[Method]MethodScores)
 	for _, row := range res.Rows {
 		byMethod[row.Method] = row
@@ -75,7 +76,7 @@ func TestFigure7Shape(t *testing.T) {
 	o := DefaultSetOptions()
 	o.MedBase = 24
 	o.MaxSourceRows = 40
-	points, err := Figure7(o, []int{10, 90}, DefaultRunOptions())
+	points, err := Figure7(context.Background(), o, []int{10, 90}, DefaultRunOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestFigure7Shape(t *testing.T) {
 
 func TestTable4AndT2DSelf(t *testing.T) {
 	corpus := benchmark.BuildT2D(40, 4, 2, 23)
-	res := Table4(corpus, DefaultRunOptions())
+	res := Table4Context(context.Background(), corpus, DefaultRunOptions())
 	if len(res.Rows) == 0 {
 		t.Fatal("Table IV produced no rows")
 	}
@@ -113,7 +114,7 @@ func TestTable4AndT2DSelf(t *testing.T) {
 	}
 	t.Logf("\n%s", RenderEffectiveness(res))
 
-	self := T2DSelfReclamation(corpus, DefaultRunOptions())
+	self := T2DSelfReclamation(context.Background(), corpus, DefaultRunOptions())
 	if self.SourcesTried == 0 {
 		t.Fatal("no sources tried")
 	}
@@ -132,18 +133,19 @@ func TestAblations(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DefaultRunOptions()
+	ctx := context.Background()
 
-	enc := AblationMatrixEncoding(b, opts)
+	enc := AblationMatrixEncoding(ctx, b, opts)
 	if enc.With.EIS+1e-9 < enc.Without.EIS {
 		t.Errorf("three-valued EIS %.3f below two-valued %.3f", enc.With.EIS, enc.Without.EIS)
 	}
-	trav := AblationTraversal(b, opts)
+	trav := AblationTraversal(ctx, b, opts)
 	if trav.With.Precision+1e-9 < trav.Without.Precision {
 		t.Errorf("traversal pruning lowered precision: %.3f vs %.3f",
 			trav.With.Precision, trav.Without.Precision)
 	}
-	div := AblationDiversify(b, opts)
-	guard := AblationGuardedOps(b, opts)
+	div := AblationDiversify(ctx, b, opts)
+	guard := AblationGuardedOps(ctx, b, opts)
 	if guard.With.EIS+1e-9 < guard.Without.EIS {
 		t.Errorf("guarded integration EIS %.3f below plain FD %.3f",
 			guard.With.EIS, guard.Without.EIS)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"gent/internal/benchmark"
@@ -20,7 +21,7 @@ type Fig6Row struct {
 
 // Figure6 breaks effectiveness down by the query class that produced each
 // Source Table, for each TP-TR benchmark.
-func Figure6(set *BenchmarkSet, methods []Method, opts RunOptions) []Fig6Row {
+func Figure6(ctx context.Context, set *BenchmarkSet, methods []Method, opts RunOptions) []Fig6Row {
 	benches := []*benchmark.TPTR{set.Small, set.Med, set.Large}
 	var out []Fig6Row
 	for _, b := range benches {
@@ -28,7 +29,7 @@ func Figure6(set *BenchmarkSet, methods []Method, opts RunOptions) []Fig6Row {
 		for i, q := range b.Queries {
 			classOf[b.Sources[i].Name] = q.Class
 		}
-		res := RunEffectiveness(b.Name, b, methods, opts)
+		res := RunEffectivenessContext(ctx, b.Name, b, methods, opts)
 		type acc struct {
 			rec, pre float64
 			n        int
@@ -77,7 +78,7 @@ type Fig7Point struct {
 // Figure7 sweeps the percentage of erroneous values (nulls fixed at 50%) and
 // the percentage of nullified values (errors fixed at 50%) and reports
 // Gen-T's precision, reproducing the two lines of Figure 7.
-func Figure7(base SetOptions, percents []int, opts RunOptions) ([]Fig7Point, error) {
+func Figure7(ctx context.Context, base SetOptions, percents []int, opts RunOptions) ([]Fig7Point, error) {
 	if len(percents) == 0 {
 		percents = []int{10, 30, 50, 70, 90}
 	}
@@ -94,7 +95,7 @@ func Figure7(base SetOptions, percents []int, opts RunOptions) ([]Fig7Point, err
 		if err != nil {
 			return err
 		}
-		res := RunEffectiveness(b.Name, b, []Method{MethodGenT}, opts)
+		res := RunEffectivenessContext(ctx, b.Name, b, []Method{MethodGenT}, opts)
 		out = append(out, Fig7Point{
 			Sweep:     sweep,
 			Percent:   pct,
@@ -129,7 +130,7 @@ type Fig8Row struct {
 // Figure8 measures scalability: average runtimes (8a) and output-size ratios
 // (8b) across the four TP-TR-based benchmarks. Methods that the paper could
 // only run on Small are likewise restricted here.
-func Figure8(set *BenchmarkSet, opts RunOptions) []Fig8Row {
+func Figure8(ctx context.Context, set *BenchmarkSet, opts RunOptions) []Fig8Row {
 	var out []Fig8Row
 	collect := func(res EffectivenessResult) {
 		for _, row := range res.Rows {
@@ -147,10 +148,10 @@ func Figure8(set *BenchmarkSet, opts RunOptions) []Fig8Row {
 	largeMethods := []Method{MethodALITEPS, MethodGenT}
 	santosOpts := opts
 	santosOpts.Discovery.FirstStageTopK = 60
-	collect(RunEffectiveness("TP-TR Small", set.Small, smallMethods, opts))
-	collect(RunEffectiveness("TP-TR Med", set.Med, medMethods, opts))
-	collect(RunEffectiveness("SANTOS Large+TP-TR Med", set.SantosMed, medMethods, santosOpts))
-	collect(RunEffectiveness("TP-TR Large", set.Large, largeMethods, opts))
+	collect(RunEffectivenessContext(ctx, "TP-TR Small", set.Small, smallMethods, opts))
+	collect(RunEffectivenessContext(ctx, "TP-TR Med", set.Med, medMethods, opts))
+	collect(RunEffectivenessContext(ctx, "SANTOS Large+TP-TR Med", set.SantosMed, medMethods, santosOpts))
+	collect(RunEffectivenessContext(ctx, "TP-TR Large", set.Large, largeMethods, opts))
 	return out
 }
 
@@ -162,8 +163,8 @@ type Fig9Row struct {
 }
 
 // Figure9 reproduces the per-source breakdown of Gen-T vs ALITE-PS.
-func Figure9(set *BenchmarkSet, opts RunOptions) []Fig9Row {
-	res := RunEffectiveness("TP-TR Med", set.Med, []Method{MethodGenT, MethodALITEPS}, opts)
+func Figure9(ctx context.Context, set *BenchmarkSet, opts RunOptions) []Fig9Row {
+	res := RunEffectivenessContext(ctx, "TP-TR Med", set.Med, []Method{MethodGenT, MethodALITEPS}, opts)
 	bySource := make(map[string]*Fig9Row)
 	var order []string
 	for _, d := range res.Detail {

@@ -50,11 +50,11 @@ type RunOptions struct {
 	FDMaxRows int
 	// AP bounds the Auto-Pipeline* search.
 	AP autopipeline.Options
-	// Parallel runs that many sources concurrently in RunEffectiveness
-	// (<= 1 is sequential). All pipeline stages are read-only over the
-	// lake, so source-level parallelism is safe. Per-source runtimes stay
-	// meaningful; wall-clock totals do not, so keep it at 1 when measuring
-	// Figure 8.
+	// Parallel runs that many sources concurrently in
+	// RunEffectivenessContext (<= 1 is sequential). All pipeline stages are
+	// read-only over the lake, so source-level parallelism is safe.
+	// Per-source runtimes stay meaningful; wall-clock totals do not, so keep
+	// it at 1 when measuring Figure 8.
 	Parallel int
 	// TraverseWorkers bounds Gen-T's Matrix Traversal engine per source
 	// (core.Config.TraverseWorkers); <= 0 uses GOMAXPROCS. Set to 1 when
@@ -113,16 +113,11 @@ type Outcome struct {
 	Originating int
 }
 
-// SharedCandidates runs Table Discovery once so every method sees the same
+// sessionCandidates runs Table Discovery once so every method sees the same
 // candidate set, as in the paper's setup. The corpus's shared session serves
 // the retrieval, so the lake is indexed once across all sources and methods.
-func SharedCandidates(l *lake.Lake, src *table.Table, opts discovery.Options) []*table.Table {
-	return sessionCandidates(context.Background(), sessionFor(l), src, opts)
-}
-
-// sessionCandidates is SharedCandidates over an explicit session and
-// context; a canceled retrieval yields an empty candidate set (the methods
-// then score as failures, keeping the result shape).
+// A canceled retrieval yields an empty candidate set (the methods then score
+// as failures, keeping the result shape).
 func sessionCandidates(ctx context.Context, s *core.Reclaimer, src *table.Table, opts discovery.Options) []*table.Table {
 	cands, err := s.CandidatesContext(ctx, src, opts)
 	if err != nil {
@@ -135,16 +130,11 @@ func sessionCandidates(ctx context.Context, s *core.Reclaimer, src *table.Table,
 	return out
 }
 
-// Run executes one method on one input. It is RunContext under
-// context.Background().
-func Run(m Method, in Input, opts RunOptions) Outcome {
-	return RunContext(context.Background(), m, in, opts)
-}
-
-// RunContext is Run under a context. Gen-T runs on the context-first session
-// API and aborts at its phase boundaries when ctx is canceled or expires —
-// the run then scores as a failure (all-null output), mirroring how the
-// paper treats timed-out systems. The baselines are not preemptible.
+// RunContext executes one method on one input. Gen-T runs on the
+// context-first session API and aborts at its phase boundaries when ctx is
+// canceled or expires — the run then scores as a failure (all-null output),
+// mirroring how the paper treats timed-out systems. The baselines are not
+// preemptible.
 func RunContext(ctx context.Context, m Method, in Input, opts RunOptions) Outcome {
 	start := time.Now()
 	var out *table.Table

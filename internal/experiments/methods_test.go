@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -38,13 +39,14 @@ func methodInput() Input {
 func TestRunEveryMethod(t *testing.T) {
 	in := methodInput()
 	opts := DefaultRunOptions()
+	ctx := context.Background()
 	methods := []Method{
 		MethodGenT, MethodALITE, MethodALITEIntSet, MethodALITEPS,
 		MethodALITEPSIntSet, MethodAutoPipeline, MethodAutoPipelineIntSet,
 		MethodVerIntSet, MethodNaiveLLM,
 	}
 	for _, m := range methods {
-		o := Run(m, in, opts)
+		o := RunContext(ctx, m, in, opts)
 		if o.Reclaimed == nil {
 			t.Fatalf("%s returned no table", m)
 		}
@@ -57,19 +59,19 @@ func TestRunEveryMethod(t *testing.T) {
 	}
 	// On this clean vertical partition, the strong methods reclaim exactly.
 	for _, m := range []Method{MethodGenT, MethodALITEPS, MethodALITEPSIntSet} {
-		if o := Run(m, in, opts); !o.Report.PerfectReclamation {
+		if o := RunContext(ctx, m, in, opts); !o.Report.PerfectReclamation {
 			t.Errorf("%s failed the trivial partition: %+v", m, o.Report)
 		}
 	}
 	// The naive stand-in must not.
-	if o := Run(MethodNaiveLLM, in, opts); o.Report.PerfectReclamation {
+	if o := RunContext(ctx, MethodNaiveLLM, in, opts); o.Report.PerfectReclamation {
 		t.Error("naive stand-in unexpectedly perfect")
 	}
 }
 
 func TestRunUnknownMethod(t *testing.T) {
 	in := methodInput()
-	o := Run(Method("nonsense"), in, DefaultRunOptions())
+	o := RunContext(context.Background(), Method("nonsense"), in, DefaultRunOptions())
 	if len(o.Reclaimed.Rows) != 0 {
 		t.Error("unknown method should return an empty table")
 	}
@@ -91,7 +93,7 @@ func TestAggregateOutcomes(t *testing.T) {
 
 func TestSharedCandidates(t *testing.T) {
 	in := methodInput()
-	cands := SharedCandidates(in.Lake, in.Src, DefaultRunOptions().Discovery)
+	cands := sessionCandidates(context.Background(), sessionFor(in.Lake), in.Src, DefaultRunOptions().Discovery)
 	if len(cands) == 0 {
 		t.Fatal("no shared candidates found")
 	}
@@ -111,10 +113,11 @@ func TestRunEffectivenessParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	methods := []Method{MethodGenT, MethodALITEPS}
-	seq := RunEffectiveness("b", b, methods, DefaultRunOptions())
+	ctx := context.Background()
+	seq := RunEffectivenessContext(ctx, "b", b, methods, DefaultRunOptions())
 	popts := DefaultRunOptions()
 	popts.Parallel = 4
-	par := RunEffectiveness("b", b, methods, popts)
+	par := RunEffectivenessContext(ctx, "b", b, methods, popts)
 	if len(seq.Rows) != len(par.Rows) {
 		t.Fatal("row counts differ")
 	}

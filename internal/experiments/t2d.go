@@ -9,17 +9,13 @@ import (
 	"gent/internal/table"
 )
 
-// Table4 reproduces Table IV: the T2D-Gold-style sources immersed in the
-// WDC-style corpus, comparing ALITE, ALITE-PS, Auto-Pipeline* and Gen-T on
-// the sources for which every method produces non-empty output. Each source
-// table is removed from the lake while it is being reclaimed, so methods
-// must reconstruct it from its vertical splits and duplicates.
-func Table4(corpus *benchmark.T2D, opts RunOptions) EffectivenessResult {
-	return Table4Context(context.Background(), corpus, opts)
-}
-
-// Table4Context is Table4 under a context (cmd/experiments -timeout):
-// expired Gen-T runs and retrievals abort and score as failures.
+// Table4Context reproduces Table IV: the T2D-Gold-style sources immersed in
+// the WDC-style corpus, comparing ALITE, ALITE-PS, Auto-Pipeline* and Gen-T
+// on the sources for which every method produces non-empty output. Each
+// source table is removed from the lake while it is being reclaimed, so
+// methods must reconstruct it from its vertical splits and duplicates.
+// Under an expiring ctx (cmd/experiments -timeout), Gen-T runs and
+// retrievals abort and score as failures.
 func Table4Context(ctx context.Context, corpus *benchmark.T2D, opts RunOptions) EffectivenessResult {
 	methods := []Method{MethodALITE, MethodALITEPS, MethodAutoPipeline, MethodGenT}
 	res := EffectivenessResult{Benchmark: "WDC Sample+T2D Gold"}
@@ -53,7 +49,7 @@ func Table4Context(ctx context.Context, corpus *benchmark.T2D, opts RunOptions) 
 				nonEmpty = false
 			}
 		}
-		restore(corpus, name, src)
+		restore(ctx, corpus, name, src)
 		if !nonEmpty {
 			continue // Table IV reports only commonly non-empty sources
 		}
@@ -82,7 +78,7 @@ type T2DSelfResult struct {
 // T2DSelfReclamation iterates every corpus table as a potential source (as
 // Section VI-D does with the 515 T2D Gold tables), reclaiming each from the
 // remaining corpus.
-func T2DSelfReclamation(corpus *benchmark.T2D, opts RunOptions) T2DSelfResult {
+func T2DSelfReclamation(ctx context.Context, corpus *benchmark.T2D, opts RunOptions) T2DSelfResult {
 	var out T2DSelfResult
 	cfg := core.DefaultConfig()
 	cfg.Discovery = opts.Discovery
@@ -101,10 +97,10 @@ func T2DSelfReclamation(corpus *benchmark.T2D, opts RunOptions) T2DSelfResult {
 			continue
 		}
 		src.Key = key
-		corpus.Lake.Apply(context.Background(), lake.Drop(name))
+		corpus.Lake.Apply(ctx, lake.Drop(name))
 		out.SourcesTried++
-		res, err := session.ReclaimWith(src, cfg)
-		restore(corpus, name, src)
+		res, err := session.ReclaimWithContext(ctx, src, cfg)
+		restore(ctx, corpus, name, src)
 		if err != nil {
 			continue
 		}
@@ -120,13 +116,15 @@ func T2DSelfReclamation(corpus *benchmark.T2D, opts RunOptions) T2DSelfResult {
 	return out
 }
 
-// restore puts a removed source table back into the corpus lake.
-func restore(corpus *benchmark.T2D, name string, src *table.Table) {
+// restore puts a removed source table back into the corpus lake. It is
+// cleanup, so it runs even after ctx is canceled: an expired run must not
+// leave the corpus short of a table.
+func restore(ctx context.Context, corpus *benchmark.T2D, name string, src *table.Table) {
 	if corpus.Lake.Snapshot().Get(name) == nil {
 		back := src.Clone()
 		back.Name = name
 		back.Key = nil
-		if _, err := corpus.Lake.Apply(context.Background(), lake.Put(back)); err != nil {
+		if _, err := corpus.Lake.Apply(context.WithoutCancel(ctx), lake.Put(back)); err != nil {
 			panic(err) // a clone of a former member always applies cleanly
 		}
 	}

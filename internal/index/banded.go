@@ -1,6 +1,10 @@
 package index
 
-import "gent/internal/table"
+import (
+	"gent/internal/table"
+
+	"gent/internal/lake"
+)
 
 // banded is the layered banded-LSH core behind MinHashLSH and CosineLSH: one
 // payload per lake column (a MinHash signature, an embedding vector) filed
@@ -125,7 +129,7 @@ func (b *banded[P]) tableSet() map[string]bool {
 // index was built or maintained. Stale entries for since-removed tables are
 // tolerated (they are filtered against the live lake at query time), but a
 // lake table absent from the index would silently never surface.
-func (b *banded[P]) Covers(l Corpus) bool {
+func (b *banded[P]) Covers(l *lake.Snapshot) bool {
 	have := b.tableSet()
 	for _, t := range l.Tables() {
 		if !have[t.Name] {

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"gent/internal/embed"
+	"gent/internal/lake"
 	"gent/internal/table"
 )
 
@@ -94,7 +95,7 @@ type CosineLSH struct {
 
 // BuildCosineLSH embeds and buckets every column of the corpus under e (nil
 // for the default embedder).
-func BuildCosineLSH(l Corpus, e embed.Embedder) *CosineLSH {
+func BuildCosineLSH(l *lake.Snapshot, e embed.Embedder) *CosineLSH {
 	e = embed.Resolve(e)
 	// Vectors embed canonical value text, not IDs — but interning first means
 	// the dictionary this index is persisted beside reflects the corpus it

@@ -31,7 +31,7 @@ func buildLake() *lake.Lake {
 }
 
 func TestInvertedSearch(t *testing.T) {
-	got := searchValues(BuildInverted(buildLake()), table.S("Smith"), table.S("Brown"))
+	got := searchValues(BuildInverted(buildLake().Snapshot()), table.S("Smith"), table.S("Brown"))
 	if len(got) != 2 {
 		t.Fatalf("got %d overlapping columns, want 2: %v", len(got), got)
 	}
@@ -48,7 +48,7 @@ func TestInvertedSearch(t *testing.T) {
 }
 
 func TestInvertedColumnSizes(t *testing.T) {
-	ix := BuildInverted(buildLake())
+	ix := BuildInverted(buildLake().Snapshot())
 	got := searchValues(ix, table.S("Wang"))
 	if len(got) != 1 || got[0].Ref.Table != "people" {
 		t.Fatalf("single-value search wrong: %v", got)
@@ -59,7 +59,7 @@ func TestInvertedColumnSizes(t *testing.T) {
 }
 
 func TestInvertedEmptyQuery(t *testing.T) {
-	ix := BuildInverted(buildLake())
+	ix := BuildInverted(buildLake().Snapshot())
 	if got := ix.SearchIDs(nil); len(got) != 0 {
 		t.Error("empty query must return nothing")
 	}
@@ -70,7 +70,7 @@ func TestInvertedIgnoresNulls(t *testing.T) {
 	tb := table.New("nulls", "a")
 	tb.AddRow(table.Null)
 	laketest.Add(l, tb)
-	ix := BuildInverted(l)
+	ix := BuildInverted(l.Snapshot())
 	if got := ix.SearchIDs([]uint32{table.NullID}); len(got) != 0 {
 		t.Error("nulls must never be indexed or matched")
 	}
@@ -97,7 +97,7 @@ func TestMinHashTopKFindsOverlappingTables(t *testing.T) {
 	}
 	laketest.Add(l, target)
 
-	ix := BuildMinHashLSH(l)
+	ix := BuildMinHashLSH(l.Snapshot())
 	top := ix.TopK(query, 5)
 	if len(top) == 0 || top[0].Table != "target" {
 		t.Fatalf("target not retrieved first: %v", top)
@@ -106,7 +106,7 @@ func TestMinHashTopKFindsOverlappingTables(t *testing.T) {
 
 func TestMinHashTopKBound(t *testing.T) {
 	l := buildLake()
-	ix := BuildMinHashLSH(l)
+	ix := BuildMinHashLSH(l.Snapshot())
 	q := table.New("q", "name")
 	q.AddRow(table.S("Smith"))
 	q.AddRow(table.S("Brown"))

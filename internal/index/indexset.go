@@ -43,15 +43,15 @@ type IndexSet struct {
 }
 
 // BuildIndexSet is BuildIndexSetSharded at DefaultShards.
-func BuildIndexSet(l Corpus) *IndexSet {
+func BuildIndexSet(l *lake.Snapshot) *IndexSet {
 	return BuildIndexSetSharded(l, DefaultShards)
 }
 
-// BuildIndexSetSharded builds both substrates over the corpus, each with a
+// BuildIndexSetSharded builds both substrates over the snapshot, each with a
 // parallel per-table scan, and the two builds themselves running
-// concurrently; shards is BuildInvertedSharded's. When the corpus is a
-// *lake.Snapshot the set is stamped with its epoch.
-func BuildIndexSetSharded(l Corpus, shards int) *IndexSet {
+// concurrently; shards is BuildInvertedSharded's. The set is stamped with the
+// snapshot's dictionary and epoch.
+func BuildIndexSetSharded(l *lake.Snapshot, shards int) *IndexSet {
 	s := &IndexSet{}
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -65,16 +65,14 @@ func BuildIndexSetSharded(l Corpus, shards int) *IndexSet {
 	}()
 	wg.Wait()
 	s.Dict = l.Dict()
-	if snap, ok := l.(*lake.Snapshot); ok {
-		s.Epoch = snap.Epoch()
-	}
+	s.Epoch = l.Epoch()
 	return s
 }
 
 // BuildIndexSetFull is BuildIndexSetSharded plus the semantic substrate,
 // embedded under emb (nil means the built-in embedder), with all three
 // builds running concurrently.
-func BuildIndexSetFull(l Corpus, shards int, emb embed.Embedder) *IndexSet {
+func BuildIndexSetFull(l *lake.Snapshot, shards int, emb embed.Embedder) *IndexSet {
 	var sem *CosineLSH
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -88,14 +86,14 @@ func BuildIndexSetFull(l Corpus, shards int, emb embed.Embedder) *IndexSet {
 	return s
 }
 
-// Gap classifies how this set relates to a corpus: the corpus tables the
+// Gap classifies how this set relates to a snapshot: the snapshot tables the
 // substrates already cover and the tables missing entirely. ok reports an
 // add-only gap — every covered table is indexed under exactly its current
 // schema in every present substrate, so CatchUp can close the gap with a
 // pure insertion delta. A partially-covered table (schema change under a
 // kept name) makes the gap non-add-only: ok is false and the caller must
 // rebuild.
-func (s *IndexSet) Gap(c Corpus) (covered, missing []string, ok bool) {
+func (s *IndexSet) Gap(c *lake.Snapshot) (covered, missing []string, ok bool) {
 	if s.Inverted == nil {
 		return nil, c.Names(), false
 	}

@@ -23,6 +23,7 @@ import (
 	"sort"
 	"sync"
 
+	"gent/internal/lake"
 	"gent/internal/table"
 )
 
@@ -63,7 +64,7 @@ type Inverted struct {
 }
 
 // BuildInverted is BuildInvertedSharded at DefaultShards.
-func BuildInverted(l Corpus) *Inverted {
+func BuildInverted(l *lake.Snapshot) *Inverted {
 	return BuildInvertedSharded(l, DefaultShards)
 }
 
@@ -191,7 +192,7 @@ func (ix *Inverted) ColumnSize(ref ColumnRef) int { return ix.colSizes[ref] }
 // an already-indexed column are not detectable here (lake.AdoptDict
 // additionally detects values the persisted dictionary has never seen);
 // rebuild the index after editing table contents.
-func (ix *Inverted) Covers(l Corpus) bool {
+func (ix *Inverted) Covers(l *lake.Snapshot) bool {
 	for _, t := range l.Tables() {
 		if !ix.coversTable(t) {
 			return false
@@ -226,7 +227,7 @@ func (ix *Inverted) hasTable(name string) bool {
 // column sets. A mismatch means the table's contents changed since it was
 // indexed — its postings are stale even though its schema still matches.
 // The corpus must be interned already.
-func (ix *Inverted) verifyTables(c Corpus, names []string) bool {
+func (ix *Inverted) verifyTables(c *lake.Snapshot, names []string) bool {
 	want := make(map[string]bool, len(names))
 	for _, name := range names {
 		want[name] = true

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sort"
 
+	"gent/internal/lake"
 	"gent/internal/table"
 )
 
@@ -78,7 +79,7 @@ type MinHashLSH struct {
 
 // BuildMinHashLSH sketches and buckets every column of the corpus over
 // interned value IDs, interning the corpus first if needed.
-func BuildMinHashLSH(l Corpus) *MinHashLSH {
+func BuildMinHashLSH(l *lake.Snapshot) *MinHashLSH {
 	return buildMinHashLSH(l, runtime.GOMAXPROCS(0))
 }
 
@@ -95,7 +96,7 @@ func sketchInterned(it *table.Interned) columnPayloads[signature] {
 	return cols
 }
 
-func buildMinHashLSH(l Corpus, workers int) *MinHashLSH {
+func buildMinHashLSH(l *lake.Snapshot, workers int) *MinHashLSH {
 	l.EnsureInterned()
 	tables := l.Tables()
 	sketch := func(i int) columnPayloads[signature] {

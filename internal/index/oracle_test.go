@@ -52,7 +52,7 @@ func randomEquivLake(rng *rand.Rand) *lake.Lake {
 // the overlap of a query value set with every corpus column, counted
 // straight from the tables' canonical column sets — no index, no dictionary
 // — and ranked by count, then table name, then column.
-func specOverlaps(c Corpus, query []table.Value) []Overlap {
+func specOverlaps(c *lake.Snapshot, query []table.Value) []Overlap {
 	keys := make(map[string]bool)
 	for _, v := range query {
 		if !v.IsNull() {
@@ -121,7 +121,7 @@ func randomQuery(rng *rand.Rand) []table.Value {
 // checkSpec holds ix to the specification over corpus: coverage, every
 // column's distinct count (and no stale column), and the exact ranked
 // overlaps of random queries.
-func checkSpec(t *testing.T, label string, ix *Inverted, corpus Corpus, rng *rand.Rand) {
+func checkSpec(t *testing.T, label string, ix *Inverted, corpus *lake.Snapshot, rng *rand.Rand) {
 	t.Helper()
 	if !ix.Covers(corpus) {
 		t.Fatalf("%s: index does not cover its corpus", label)
@@ -236,12 +236,12 @@ func TestInvertedMatchesSpec(t *testing.T) {
 func TestMinHashInternedRecall(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 10; trial++ {
-		l := randomEquivLake(rng)
-		ids := BuildMinHashLSH(l)
-		for _, name := range l.Snapshot().Names() {
-			q := l.Snapshot().Get(name)
+		snap := randomEquivLake(rng).Snapshot()
+		ids := BuildMinHashLSH(snap)
+		for _, name := range snap.Names() {
+			q := snap.Get(name)
 			hit := false
-			for _, r := range ids.TopK(q, l.Len()) {
+			for _, r := range ids.TopK(q, snap.Len()) {
 				if r.Table == name {
 					hit = true
 				}

@@ -32,10 +32,10 @@ func randomLake(tables int, seed int64) *lake.Lake {
 }
 
 func TestParallelInvertedMatchesSequential(t *testing.T) {
-	l := randomLake(60, 3)
-	seq := buildInvertedSharded(l, 4, 1)
+	snap := randomLake(60, 3).Snapshot()
+	seq := buildInvertedSharded(snap, 4, 1)
 	for _, workers := range []int{2, 4, 8} {
-		par := buildInvertedSharded(l, 4, workers)
+		par := buildInvertedSharded(snap, 4, workers)
 		if !reflect.DeepEqual(seq.base, par.base) {
 			t.Fatalf("postings differ at %d workers", workers)
 		}
@@ -46,10 +46,10 @@ func TestParallelInvertedMatchesSequential(t *testing.T) {
 }
 
 func TestParallelMinHashMatchesSequential(t *testing.T) {
-	l := randomLake(60, 5)
-	seq := buildMinHashLSH(l, 1)
+	snap := randomLake(60, 5).Snapshot()
+	seq := buildMinHashLSH(snap, 1)
 	for _, workers := range []int{2, 4, 8} {
-		par := buildMinHashLSH(l, workers)
+		par := buildMinHashLSH(snap, workers)
 		if !reflect.DeepEqual(seq.base, par.base) {
 			t.Fatalf("signatures differ at %d workers", workers)
 		}
@@ -61,7 +61,7 @@ func TestParallelMinHashMatchesSequential(t *testing.T) {
 
 func TestIndexSetRoundTrip(t *testing.T) {
 	l := randomLake(20, 9)
-	s := BuildIndexSet(l)
+	s := BuildIndexSet(l.Snapshot())
 	if s.Inverted == nil || s.LSH == nil {
 		t.Fatal("BuildIndexSet must build both substrates")
 	}

@@ -19,7 +19,7 @@ import (
 // reloaded set must match the live one exactly.
 func TestIndexSetDictRoundTrip(t *testing.T) {
 	l := buildLake()
-	s := BuildIndexSet(l)
+	s := BuildIndexSet(l.Snapshot())
 	if s.Dict == nil {
 		t.Fatal("BuildIndexSet must carry the lake dictionary")
 	}
@@ -61,7 +61,7 @@ func TestIndexSetDictRoundTrip(t *testing.T) {
 func TestLoadIndexSetDetectsMissingDict(t *testing.T) {
 	l := buildLake()
 	dir := t.TempDir()
-	if err := BuildIndexSet(l).SaveDir(dir); err != nil {
+	if err := BuildIndexSet(l.Snapshot()).SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(filepath.Join(dir, dictFileName)); err != nil {
@@ -79,7 +79,7 @@ func TestLoadIndexSetDetectsMissingDict(t *testing.T) {
 // silently missing those values.
 func TestAdoptDictDetectsLakeMismatch(t *testing.T) {
 	dir := t.TempDir()
-	if err := BuildIndexSet(buildLake()).SaveDir(dir); err != nil {
+	if err := BuildIndexSet(buildLake().Snapshot()).SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	s, err := LoadIndexSetDir(dir)
@@ -112,7 +112,7 @@ func TestAdoptDictDetectsLakeMismatch(t *testing.T) {
 // loudly instead of resolving IDs against the wrong values.
 func TestLoadDetectsDictFingerprintMismatch(t *testing.T) {
 	dir := t.TempDir()
-	if err := BuildIndexSet(buildLake()).SaveDir(dir); err != nil {
+	if err := BuildIndexSet(buildLake().Snapshot()).SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	other := table.NewDict()
@@ -205,7 +205,7 @@ func TestLoadRejectsForgedShardCount(t *testing.T) {
 // persist rather than write unreadable postings.
 func TestSaveDirRequiresDict(t *testing.T) {
 	l := buildLake()
-	s := &IndexSet{Inverted: BuildInverted(l)}
+	s := &IndexSet{Inverted: BuildInverted(l.Snapshot())}
 	if err := s.SaveDir(t.TempDir()); !errors.Is(err, ErrDictRequired) {
 		t.Fatalf("got %v, want ErrDictRequired", err)
 	}

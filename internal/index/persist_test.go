@@ -21,7 +21,7 @@ func saveStamped(t *testing.T, path string, save func(io.Writer, uint64) error, 
 
 func TestMinHashSaveLoadRoundTrip(t *testing.T) {
 	l := buildLake()
-	orig := BuildMinHashLSH(l)
+	orig := BuildMinHashLSH(l.Snapshot())
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sub", "mh.idx")
 	saveStamped(t, path, orig.save, l.Dict())

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"runtime"
 	"sort"
+
+	"gent/internal/lake"
 )
 
 // The posting store of the inverted index: postings live as compressed
@@ -145,11 +147,11 @@ func (pb *postingBuilder) finish() []byte {
 // the corpus first if needed. Tables are scanned concurrently on a bounded
 // worker pool and merged in corpus order, so the result is identical to a
 // sequential build.
-func BuildInvertedSharded(l Corpus, shards int) *Inverted {
+func BuildInvertedSharded(l *lake.Snapshot, shards int) *Inverted {
 	return buildInvertedSharded(l, shards, runtime.GOMAXPROCS(0))
 }
 
-func buildInvertedSharded(l Corpus, nshards, workers int) *Inverted {
+func buildInvertedSharded(l *lake.Snapshot, nshards, workers int) *Inverted {
 	if nshards < 1 {
 		nshards = 1
 	}

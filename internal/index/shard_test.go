@@ -38,9 +38,10 @@ func TestShardedFanOutProbe(t *testing.T) {
 	if len(query) < shardProbeFanOut {
 		t.Fatalf("query too small to exercise fan-out: %d values", len(query))
 	}
-	want := specOverlaps(l, query)
+	snap := l.Snapshot()
+	want := specOverlaps(snap, query)
 	for _, nshards := range []int{1, 4} {
-		if got := searchValues(BuildInvertedSharded(l, nshards), query...); !reflect.DeepEqual(got, want) {
+		if got := searchValues(BuildInvertedSharded(snap, nshards), query...); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%d shards: large probe diverged from the specification:\n got %v\nwant %v", nshards, got, want)
 		}
 	}

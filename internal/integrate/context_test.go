@@ -4,22 +4,25 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"gent/internal/table"
 )
 
-// TestReclaimContextEquivalence: the context path with a live context is the
-// plain Reclaim.
+// TestReclaimContextEquivalence: a live, cancelable context changes
+// nothing — the per-table cancellation checks never perturb the fold.
 func TestReclaimContextEquivalence(t *testing.T) {
 	src := source()
 	origs := []*table.Table{candA(), candB(), candC()}
-	plain := New(src).Reclaim(origs)
-	ctxed, err := New(src).ReclaimContext(context.Background(), origs)
+	want := reclaim(t, New(src), origs)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	got, err := New(src).ReclaimContext(ctx, origs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.String() != ctxed.String() {
-		t.Error("ReclaimContext diverged from Reclaim")
+	if got.String() != want.String() {
+		t.Error("integration under a live deadline diverged")
 	}
 }
 

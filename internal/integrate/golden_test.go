@@ -151,7 +151,7 @@ func TestIntegrateMatchesGolden(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		src, origs := randomIntegrationCorpus(rng)
 		in := New(src)
-		got := in.Reclaim(origs)
+		got := reclaim(t, in, origs)
 		fmt.Fprintf(h, "trial %d cols %q\n", trial, got.Cols)
 		writeRows(h, got.Rows)
 		for i, o := range origs {

@@ -168,8 +168,8 @@ func (in *Integrator) guardedSubsume(t *table.Table) *table.Table {
 // groupByKey splits rows by source key id, groups in first-seen order.
 // Rows that align with no Source tuple (a null or foreign key) form one
 // pass-through group, flagged false in aligned: no guard can score them, so
-// they are never merged and never subsumed. Reclaim never produces such
-// rows — ProjectSelect keeps only Source-keyed ones.
+// they are never merged and never subsumed. ReclaimContext never produces
+// such rows — ProjectSelect keeps only Source-keyed ones.
 func groupByKey(t *table.Table, s *tupleScorer) (groups [][]table.Row, aligned []bool) {
 	slot := make(map[int]int)
 	for _, r := range t.Rows {

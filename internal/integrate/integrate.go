@@ -82,8 +82,8 @@ func (in *Integrator) ProjectSelect(t *table.Table) *table.Table {
 
 // ProjectSelect is the one-shot form of Integrator.ProjectSelect for callers
 // without an Integrator; it indexes the Source's keys on every call. Unlike
-// the integrator path — Gen-T's Reclaim, which drops key-less tables — it
-// keeps key-less tables (projected and deduplicated), because its
+// the integrator path — Gen-T's ReclaimContext, which drops key-less
+// tables — it keeps key-less tables (projected and deduplicated), because its
 // full-disjunction consumers (ALITE-PS) can still combine them through other
 // shared columns.
 func ProjectSelect(src, t *table.Table) *table.Table {
@@ -115,16 +115,10 @@ func selectKeyed(keys *table.KeyIndex, p *table.Table) *table.Table {
 	return sel
 }
 
-// Reclaim integrates the originating tables into a possible reclaimed Source
-// Table with exactly the Source's schema.
-func (in *Integrator) Reclaim(origs []*table.Table) *table.Table {
-	out, _ := in.ReclaimContext(context.Background(), origs)
-	return out
-}
-
-// ReclaimContext is Reclaim under a context: cancellation is checked before
-// each originating table's ProjectSelect and before each step of the outer-
-// union fold (the integration loop's per-table guarded merge is the
+// ReclaimContext integrates the originating tables into a possible reclaimed
+// Source Table with exactly the Source's schema. Cancellation is checked
+// before each originating table's ProjectSelect and before each step of the
+// outer-union fold (the integration loop's per-table guarded merge is the
 // expensive unit of work), returning ctx.Err() with a nil table.
 func (in *Integrator) ReclaimContext(ctx context.Context, origs []*table.Table) (*table.Table, error) {
 	src := in.src

@@ -1,11 +1,23 @@
 package integrate
 
 import (
+	"context"
 	"testing"
 
 	"gent/internal/metrics"
 	"gent/internal/table"
 )
+
+// reclaim runs ReclaimContext under a background context; integration fails
+// only on cancellation, so any error fails the test.
+func reclaim(tb testing.TB, in *Integrator, origs []*table.Table) *table.Table {
+	tb.Helper()
+	out, err := in.ReclaimContext(context.Background(), origs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
 
 func source() *table.Table {
 	s := table.New("Source", "ID", "Name", "Age", "Gender", "Education")
@@ -42,7 +54,7 @@ func candC() *table.Table {
 
 func TestReclaimJoinsComplementaryTables(t *testing.T) {
 	src := source()
-	got := New(src).Reclaim([]*table.Table{candA(), candB()})
+	got := reclaim(t, New(src), []*table.Table{candA(), candB()})
 	// A and B complement per key: each person becomes one tuple with Age and
 	// Education but null Gender.
 	want := table.New("w", src.Cols...)
@@ -58,7 +70,7 @@ func TestReclaimProtectsCorrectNulls(t *testing.T) {
 	// Figure 5: integrating A, B, C must NOT fill Smith's correct null
 	// Gender with C's erroneous "Male"; Brown's correct Male must merge.
 	src := source()
-	got := New(src).Reclaim([]*table.Table{candA(), candB(), candC()})
+	got := reclaim(t, New(src), []*table.Table{candA(), candB(), candC()})
 
 	var smithGenders, brownGenders []table.Value
 	for _, r := range got.Rows {
@@ -107,7 +119,7 @@ func TestReclaimPerfectWithCleanTables(t *testing.T) {
 	src.AddRow(table.S("k2"), table.S("a2"), table.S("b2"))
 	left := src.Project("k", "a")
 	right := src.Project("k", "b")
-	got := New(src).Reclaim([]*table.Table{left, right})
+	got := reclaim(t, New(src), []*table.Table{left, right})
 	rep := metrics.Evaluate(src, got)
 	if !rep.PerfectReclamation {
 		t.Errorf("vertical partition not perfectly reclaimed: %+v\n%s", rep, got)
@@ -125,7 +137,7 @@ func TestReclaimHorizontalUnion(t *testing.T) {
 	rest := src.Select(table.ColIn("k", map[string]bool{
 		table.S("k2").Key(): true, table.S("k3").Key(): true,
 	}))
-	got := New(src).Reclaim([]*table.Table{top, rest})
+	got := reclaim(t, New(src), []*table.Table{top, rest})
 	if rep := metrics.Evaluate(src, got); !rep.PerfectReclamation {
 		t.Errorf("horizontal partition not reclaimed: %+v\n%s", rep, got)
 	}
@@ -136,7 +148,7 @@ func TestReclaimFiltersForeignRows(t *testing.T) {
 	src := source()
 	extra := candB()
 	extra.AddRow(table.S("foreign"), table.S("Nobody"), table.N(1))
-	got := New(src).Reclaim([]*table.Table{extra})
+	got := reclaim(t, New(src), []*table.Table{extra})
 	for _, r := range got.Rows {
 		if r[0].Equal(table.S("foreign")) {
 			t.Errorf("foreign key survived ProjectSelect:\n%s", got)
@@ -146,14 +158,14 @@ func TestReclaimFiltersForeignRows(t *testing.T) {
 
 func TestReclaimEmptyInputs(t *testing.T) {
 	src := source()
-	got := New(src).Reclaim(nil)
+	got := reclaim(t, New(src), nil)
 	if len(got.Rows) != 0 || len(got.Cols) != len(src.Cols) {
 		t.Errorf("empty reclamation must be an empty table with the source schema:\n%s", got)
 	}
 	// A table without the key contributes nothing.
 	nokey := table.New("nk", "Name")
 	nokey.AddRow(table.S("Smith"))
-	got2 := New(src).Reclaim([]*table.Table{nokey})
+	got2 := reclaim(t, New(src), []*table.Table{nokey})
 	if len(got2.Rows) != 0 {
 		t.Errorf("keyless table produced rows:\n%s", got2)
 	}
@@ -161,7 +173,7 @@ func TestReclaimEmptyInputs(t *testing.T) {
 
 func TestReclaimOutputSchemaMatchesSource(t *testing.T) {
 	src := source()
-	got := New(src).Reclaim([]*table.Table{candB()})
+	got := reclaim(t, New(src), []*table.Table{candB()})
 	if len(got.Cols) != len(src.Cols) {
 		t.Fatalf("schema mismatch: %v", got.Cols)
 	}
@@ -182,7 +194,7 @@ func TestReclaimOutputSchemaMatchesSource(t *testing.T) {
 func TestReclaimLeavesNoLabels(t *testing.T) {
 	src := source()
 	in := New(src)
-	got := in.Reclaim([]*table.Table{candA(), candB(), candC()})
+	got := reclaim(t, in, []*table.Table{candA(), candB(), candC()})
 	for _, r := range got.Rows {
 		for _, v := range r {
 			if v.Kind == table.KindLabel {

@@ -91,7 +91,7 @@ func TestResidentBudgetEvictsAndReloads(t *testing.T) {
 
 	// Every form — resident or evicted — must match the unbudgeted lake's.
 	for i, tab := range tabs {
-		sameForm(t, l.Interned(tab.Name), ref.Interned(refTabs[i].Name))
+		sameForm(t, l.Snapshot().Interned(tab.Name), ref.Snapshot().Interned(refTabs[i].Name))
 	}
 	stats = l.CacheStats()
 	if stats.Loads == 0 {
@@ -105,7 +105,7 @@ func TestResidentBudgetEvictsAndReloads(t *testing.T) {
 	l.SetResidentBudget(0)
 	l.EnsureInterned()
 	for _, tab := range tabs {
-		l.Interned(tab.Name)
+		l.Snapshot().Interned(tab.Name)
 	}
 	if got := l.CacheStats().Resident; got != 12 {
 		t.Fatalf("uncapped cache holds %d forms, want 12", got)
@@ -124,14 +124,14 @@ func TestEvictionWithoutStoreReinterns(t *testing.T) {
 	l.EnsureInterned()
 	before := make([]*table.Interned, len(tabs))
 	for i, tab := range tabs {
-		before[i] = l.Interned(tab.Name)
+		before[i] = l.Snapshot().Interned(tab.Name)
 	}
 	l.SetResidentBudget(l.CacheStats().ResidentBytes / 3)
 	if s := l.CacheStats(); s.Evictions == 0 || s.Spills != 0 {
 		t.Fatalf("expected storeless evictions: %+v", s)
 	}
 	for i, tab := range tabs {
-		sameForm(t, l.Interned(tab.Name), before[i])
+		sameForm(t, l.Snapshot().Interned(tab.Name), before[i])
 	}
 	if s := l.CacheStats(); s.Reinterns == 0 || s.Loads != 0 {
 		t.Fatalf("expected re-interns, no loads: %+v", s)
@@ -184,20 +184,21 @@ func TestPersistOpenRoundTrip(t *testing.T) {
 	if ol.Epoch() != l.Epoch() {
 		t.Fatalf("epoch: got %v, want %v", ol.Epoch(), l.Epoch())
 	}
-	if !reflect.DeepEqual(ol.Names(), l.Names()) {
-		t.Fatalf("names: got %v, want %v", ol.Names(), l.Names())
+	got, want := ol.Snapshot(), l.Snapshot()
+	if !reflect.DeepEqual(got.Names(), want.Names()) {
+		t.Fatalf("names: got %v, want %v", got.Names(), want.Names())
 	}
-	if ol.Dict().Fingerprint() != l.Dict().Fingerprint() {
+	if got.Dict().Fingerprint() != want.Dict().Fingerprint() {
 		t.Fatal("dictionary lineage not restored")
 	}
-	for _, n := range l.Names() {
-		if !reflect.DeepEqual(ol.Get(n), l.Get(n)) {
+	for _, n := range want.Names() {
+		if !reflect.DeepEqual(got.Get(n), want.Get(n)) {
 			t.Fatalf("table %s did not round-trip", n)
 		}
-		sameForm(t, ol.Interned(n), l.Interned(n))
+		sameForm(t, got.Interned(n), want.Interned(n))
 	}
 	s := ol.CacheStats()
-	if s.Loads != uint64(l.Len()) || s.Reinterns != 0 {
+	if s.Loads != uint64(want.Len()) || s.Reinterns != 0 {
 		t.Fatalf("opened lake should serve forms from segments: %+v", s)
 	}
 
@@ -230,7 +231,7 @@ func TestOpenMissingSegmentFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameForm(t, ol.Interned("a"), l.Interned("a"))
+	sameForm(t, ol.Snapshot().Interned("a"), l.Snapshot().Interned("a"))
 	if s := ol.CacheStats(); s.Reinterns != 1 {
 		t.Fatalf("missing segment should re-intern exactly once: %+v", s)
 	}

@@ -56,9 +56,8 @@ type Mutation struct {
 // autonomous — tables change under us).
 func Put(t *table.Table) Mutation { return Mutation{op: opPut, table: t} }
 
-// Drop removes the named table. Dropping an absent name is a true no-op, as
-// Remove always was: it neither enters the history fingerprint nor (alone)
-// produces a new epoch.
+// Drop removes the named table. Dropping an absent name is a true no-op: it
+// neither enters the history fingerprint nor (alone) produces a new epoch.
 func Drop(name string) Mutation { return Mutation{op: opDrop, name: name} }
 
 // Rename moves the table at oldName to newName, replacing any table already
@@ -289,10 +288,10 @@ func (l *Lake) Apply(ctx context.Context, muts ...Mutation) (Epoch, error) {
 	}
 	// Only effective mutations enter the chain and justify an epoch: a Drop
 	// of an absent name, a Rename onto itself, or a Put that changes neither
-	// the stored pointer nor the content changes nothing (Remove always
-	// treated absent names as no-ops), so it must not move the epoch or
-	// perturb the history fingerprint. Rename retargets are deferred until
-	// the whole batch has validated — a later mutation may still reject it.
+	// the stored pointer nor the content changes nothing, so it must not move
+	// the epoch or perturb the history fingerprint. Rename retargets are
+	// deferred until the whole batch has validated — a later mutation may
+	// still reject it.
 	effective := false
 	chain := cur.epoch.Chain
 	var retargets [][2]*table.Table

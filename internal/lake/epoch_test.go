@@ -98,7 +98,7 @@ func TestApplyLifecycle(t *testing.T) {
 	}
 	// Rename re-registers under the new name (drop + put), so the renamed
 	// table moves to the end of insertion order.
-	if got := l.Names(); !reflect.DeepEqual(got, []string{"t3", "t2renamed", "t4"}) {
+	if got := l.Snapshot().Names(); !reflect.DeepEqual(got, []string{"t3", "t2renamed", "t4"}) {
 		t.Fatalf("final names = %v", got)
 	}
 }
@@ -129,7 +129,7 @@ func TestApplyRejectsBadBatches(t *testing.T) {
 	if l.Epoch() != before {
 		t.Fatalf("failed batches moved the epoch: %v -> %v", before, l.Epoch())
 	}
-	if l.Get("new") != nil {
+	if l.Snapshot().Get("new") != nil {
 		t.Fatal("half of a failed batch was applied")
 	}
 	canceled, cancel := context.WithCancel(context.Background())
@@ -169,12 +169,12 @@ func TestRenameSharesInternedForm(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.EnsureInterned()
-	it := l.Interned("old")
+	it := l.Snapshot().Interned("old")
 	dictLen := l.Dict().Len()
 	if _, err := l.Apply(ctx, Rename("old", "new")); err != nil {
 		t.Fatal(err)
 	}
-	nit := l.Interned("new")
+	nit := l.Snapshot().Interned("new")
 	if nit == nil {
 		t.Fatal("renamed table has no interned form")
 	}
@@ -250,7 +250,9 @@ func TestInPlaceEditRePut(t *testing.T) {
 	e1 := l.Epoch()
 
 	tt.Rows[0][0] = table.S("new") // in-place edit, same pointer
-	l.Add(tt)                      // v2 idiom
+	if _, err := l.Apply(ctx, Put(tt)); err != nil {
+		t.Fatal(err)
+	}
 	if l.Epoch() == e1 {
 		t.Fatal("in-place edit re-Put did not move the epoch")
 	}
@@ -274,7 +276,9 @@ func TestInPlaceEditRePut(t *testing.T) {
 	// But a re-Put of identical content (same pointer, untouched) is a true
 	// no-op.
 	e2 := l.Epoch()
-	l.Add(tt)
+	if _, err := l.Apply(ctx, Put(tt)); err != nil {
+		t.Fatal(err)
+	}
 	if l.Epoch() != e2 {
 		t.Fatal("identical re-Put moved the epoch")
 	}
@@ -316,7 +320,10 @@ func TestAdoptDictKeepsFingerprints(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := l.Epoch()
-	l.Add(tt) // identical re-Put: must stay a no-op after adoption
+	// An identical re-Put must stay a no-op after adoption.
+	if _, err := l.Apply(ctx, Put(tt)); err != nil {
+		t.Fatal(err)
+	}
 	if l.Epoch() != e {
 		t.Fatalf("identical re-Put after AdoptDict moved the epoch: %v -> %v", e, l.Epoch())
 	}
@@ -404,14 +411,15 @@ func TestAdoptDictCovering(t *testing.T) {
 	}
 }
 
-// TestConcurrentMutateAndQuery hammers the legacy mutation shims and the
-// reader surface from many goroutines — the exact unsynchronized-map race
-// the snapshot layer fixes — and checks reader self-consistency. Run under
-// -race (the CI race step selects tests named Concurrent).
+// TestConcurrentMutateAndQuery hammers Apply and the snapshot reader
+// surface from many goroutines — the exact unsynchronized-map race the
+// snapshot layer fixes — and checks reader self-consistency. Run under -race
+// (the CI race step selects tests named Concurrent).
 func TestConcurrentMutateAndQuery(t *testing.T) {
+	ctx := context.Background()
 	l := New()
 	for i := 0; i < 8; i++ {
-		l.Add(mkTable(fmt.Sprintf("seed%d", i), "a", "b", "c"))
+		add(l, mkTable(fmt.Sprintf("seed%d", i), "a", "b", "c"))
 	}
 	const (
 		writers = 4
@@ -425,12 +433,18 @@ func TestConcurrentMutateAndQuery(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				name := fmt.Sprintf("w%d-%d", w, i%10)
-				l.Add(mkTable(name, "x", "y"))
+				if _, err := l.Apply(ctx, Put(mkTable(name, "x", "y"))); err != nil {
+					t.Error(err)
+					return
+				}
 				if i%3 == 0 {
-					l.Remove(name)
+					if _, err := l.Apply(ctx, Drop(name)); err != nil {
+						t.Error(err)
+						return
+					}
 				}
 				if i%7 == 0 {
-					l.Apply(context.Background(),
+					l.Apply(ctx,
 						Put(mkTable(name+"-batch", "z")),
 						Drop(name+"-batch"))
 				}
@@ -456,8 +470,8 @@ func TestConcurrentMutateAndQuery(t *testing.T) {
 						return
 					}
 				}
-				l.Get("seed0")
-				l.Names()
+				l.Snapshot().Get("seed0")
+				l.Snapshot().Names()
 				if i%11 == 0 {
 					snap.EnsureInterned()
 					if snap.Interned(names[0]) == nil {
@@ -470,7 +484,7 @@ func TestConcurrentMutateAndQuery(t *testing.T) {
 	}
 	wg.Wait()
 	for i := 0; i < 8; i++ {
-		if l.Get(fmt.Sprintf("seed%d", i)) == nil {
+		if l.Snapshot().Get(fmt.Sprintf("seed%d", i)) == nil {
 			t.Fatalf("seed%d lost", i)
 		}
 	}

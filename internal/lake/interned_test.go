@@ -12,18 +12,19 @@ func internedLake() *Lake {
 	a := table.New("a", "x")
 	a.AddRow(table.S("one"))
 	a.AddRow(table.S("two"))
-	l.Add(a)
+	add(l, a)
 	b := table.New("b", "y")
 	b.AddRow(table.S("two"))
 	b.AddRow(table.N(3))
-	l.Add(b)
+	add(l, b)
 	return l
 }
 
 func TestLakeInterningIsSharedAndCached(t *testing.T) {
 	l := internedLake()
-	ia := l.Interned("a")
-	ib := l.Interned("b")
+	s := l.Snapshot()
+	ia := s.Interned("a")
+	ib := s.Interned("b")
 	if ia == nil || ib == nil {
 		t.Fatal("interned forms missing")
 	}
@@ -31,10 +32,10 @@ func TestLakeInterningIsSharedAndCached(t *testing.T) {
 	if ia.Cols[0][1] != ib.Cols[0][0] {
 		t.Error("shared value interned under two IDs")
 	}
-	if l.Interned("a") != ia {
+	if s.Interned("a") != ia {
 		t.Error("interned form not cached")
 	}
-	if l.Interned("nope") != nil {
+	if s.Interned("nope") != nil {
 		t.Error("unknown table must intern to nil")
 	}
 
@@ -43,8 +44,8 @@ func TestLakeInterningIsSharedAndCached(t *testing.T) {
 	a2 := table.New("a", "x")
 	a2.AddRow(table.S("one"))
 	a2.AddRow(table.S("fresh"))
-	l.Add(a2)
-	ia2 := l.Interned("a")
+	add(l, a2)
+	ia2 := l.Snapshot().Interned("a")
 	if ia2 == ia {
 		t.Fatal("stale interned form served after table replacement")
 	}
@@ -54,8 +55,8 @@ func TestLakeInterningIsSharedAndCached(t *testing.T) {
 	if ia2.Cols[0][0] != ia.Cols[0][0] {
 		t.Error("re-interning changed a stable ID")
 	}
-	l.Remove("b")
-	if l.Interned("b") != nil {
+	drop(l, "b")
+	if l.Snapshot().Interned("b") != nil {
 		t.Error("removed table still interned")
 	}
 }
@@ -68,7 +69,7 @@ func TestLakeConcurrentInterned(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			forms[i] = l.Interned("a")
+			forms[i] = l.Snapshot().Interned("a")
 		}(i)
 	}
 	wg.Wait()
@@ -79,17 +80,19 @@ func TestLakeConcurrentInterned(t *testing.T) {
 	}
 }
 
+// TestSubsetSharing: a subset of an already-interned snapshot skips unknown
+// and duplicate names and serves the parent's cached forms — no re-interning.
 func TestSubsetSharing(t *testing.T) {
-	l := internedLake()
-	l.EnsureInterned()
-	p := l.SubsetSharing([]string{"b", "ghost", "b"})
-	if p.Len() != 1 || p.Get("b") == nil {
+	s := internedLake().Snapshot()
+	s.EnsureInterned()
+	p := s.Subset([]string{"b", "ghost", "b"})
+	if p.Len() != 1 || p.Get("b") == nil || p.Get("ghost") != nil {
 		t.Fatalf("subset wrong: %v", p.Names())
 	}
-	if p.Dict() != l.Dict() {
+	if p.Dict() != s.Dict() {
 		t.Error("subset must share the parent dictionary")
 	}
-	if p.Interned("b") != l.Interned("b") {
+	if p.Interned("b") != s.Interned("b") {
 		t.Error("subset must share cached interned forms")
 	}
 }

@@ -5,8 +5,8 @@
 // The catalog is epoch-versioned. Mutations go through Apply (Put, Drop,
 // Rename), each batch producing a new immutable Snapshot stamped with an
 // Epoch; readers pin the snapshot they start on (one atomic load, no locks)
-// and are immune to concurrent mutation. The legacy Add/Remove/Get/Names
-// surface is retained as shims over the snapshot layer.
+// and are immune to concurrent mutation. Every read goes through a pinned
+// Snapshot; the Lake itself only mutates and publishes.
 //
 // Every lake owns a table.Dict — the lake-wide value dictionary — and caches
 // an interned (columnar ID) form of each table. Interning happens once, the
@@ -34,9 +34,9 @@ import (
 )
 
 // Lake is an epoch-versioned catalog of data lake tables addressed by name.
-// All methods are safe for concurrent use: mutations (Apply and the legacy
-// Add/Remove shims) serialize on an internal lock and publish immutable
-// snapshots; readers are lock-free.
+// All methods are safe for concurrent use: mutations (Apply, AdoptDict)
+// serialize on an internal lock and publish immutable snapshots; readers pin
+// one with Snapshot and are lock-free.
 type Lake struct {
 	// mu serializes mutations (Apply, AdoptDict); readers never take it.
 	mu   sync.Mutex
@@ -54,55 +54,14 @@ func New() *Lake {
 	return l
 }
 
-// Add registers a table; re-adding a name replaces the previous table.
-//
-// Deprecated: Add is the v2 mutation shim — one Apply(Put(t)) per call. Use
-// Apply directly to batch mutations into one epoch and to observe errors.
-func (l *Lake) Add(t *table.Table) {
-	if _, err := l.Apply(context.Background(), Put(t)); err != nil {
-		// Only a nil table or an empty name can get here. v2 panicked on nil
-		// (a nil dereference) and silently stored an empty name; Apply's
-		// validation now rejects both loudly.
-		panic(err)
-	}
-}
-
-// Remove drops the named table if present.
-//
-// Deprecated: Remove is the v2 mutation shim — one Apply(Drop(name)) per
-// call. Use Apply directly to batch mutations into one epoch.
-func (l *Lake) Remove(name string) {
-	if name == "" {
-		return
-	}
-	l.Apply(context.Background(), Drop(name))
-}
-
-// Get returns the named table in the current snapshot, or nil. Callers that
-// read more than once while the lake may be mutated should pin a Snapshot
-// instead.
-func (l *Lake) Get(name string) *table.Table { return l.Snapshot().Get(name) }
-
-// Len returns the number of tables in the current snapshot.
-func (l *Lake) Len() int { return l.Snapshot().Len() }
-
-// Names returns the current snapshot's table names in insertion order.
-func (l *Lake) Names() []string { return l.Snapshot().Names() }
-
-// Tables returns the current snapshot's tables in insertion order.
-func (l *Lake) Tables() []*table.Table { return l.Snapshot().Tables() }
-
-// Dict returns the lake's value dictionary.
+// Dict returns the current snapshot's value dictionary. It and
+// EnsureInterned remain only because the bench/ harness compiles against
+// them; new code reads both off a pinned Snapshot.
 func (l *Lake) Dict() *table.Dict { return l.Snapshot().Dict() }
 
 // EnsureInterned interns every table of the current snapshot that has no
 // cached interned form yet.
 func (l *Lake) EnsureInterned() { l.Snapshot().EnsureInterned() }
-
-// Interned returns the interned form of the named table in the current
-// snapshot, interning any not-yet-interned tables first; nil when the table
-// is absent.
-func (l *Lake) Interned(name string) *table.Interned { return l.Snapshot().Interned(name) }
 
 // ErrDictMismatch reports that an adopted dictionary does not cover the
 // lake's values — the persisted indexes keyed under it would silently miss
@@ -164,20 +123,6 @@ func (l *Lake) adoptDict(d *table.Dict, covered []string) error {
 		return fmt.Errorf("%w: %d lake values absent", ErrDictMismatch, grown)
 	}
 	return nil
-}
-
-// SubsetSharing returns a lake over the named subset of the current
-// snapshot's tables that shares the lake's dictionary and interned forms.
-// Unknown and duplicate names are skipped.
-//
-// Deprecated: use Snapshot().Subset, which pins the version being
-// subsetted; SubsetSharing subsets whatever the current snapshot happens to
-// be.
-func (l *Lake) SubsetSharing(names []string) *Lake {
-	sub := l.Snapshot().Subset(names)
-	nl := &Lake{}
-	nl.snap.Store(sub)
-	return nl
 }
 
 // LoadDir reads every *.csv file under dir (recursively) into a lake,
@@ -256,9 +201,9 @@ func LoadDir(dir string) (*Lake, []error) {
 	return l, errs
 }
 
-// SaveDir writes every table as dir/<name>.csv.
+// SaveDir writes every table of the current snapshot as dir/<name>.csv.
 func (l *Lake) SaveDir(dir string) error {
-	for _, t := range l.Tables() {
+	for _, t := range l.Snapshot().Tables() {
 		if err := table.SaveCSVFile(filepath.Join(dir, t.Name+".csv"), t); err != nil {
 			return fmt.Errorf("lake: saving %s: %w", t.Name, err)
 		}
@@ -275,12 +220,13 @@ type Stats struct {
 	SizeBytes int64
 }
 
-// ComputeStats derives corpus statistics.
+// ComputeStats derives corpus statistics from one pinned snapshot, so every
+// field describes the same epoch even while Apply runs concurrently.
 func (l *Lake) ComputeStats() Stats {
-	var s Stats
-	s.Tables = l.Len()
+	tables := l.Snapshot().Tables()
+	s := Stats{Tables: len(tables)}
 	rows := 0
-	for _, t := range l.Tables() {
+	for _, t := range tables {
 		s.Cols += t.NumCols()
 		rows += t.NumRows()
 		for _, c := range t.Cols {

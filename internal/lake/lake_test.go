@@ -1,8 +1,12 @@
 package lake
 
 import (
+	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"gent/internal/table"
@@ -16,31 +20,49 @@ func smallTable(name string, n int) *table.Table {
 	return t
 }
 
+// add and drop are this package's one-table-per-epoch fixture helpers
+// (laketest imports lake, so it cannot serve the package's own tests).
+func add(l *Lake, t *table.Table) {
+	if _, err := l.Apply(context.Background(), Put(t)); err != nil {
+		panic(err)
+	}
+}
+
+func drop(l *Lake, name string) {
+	if _, err := l.Apply(context.Background(), Drop(name)); err != nil {
+		panic(err)
+	}
+}
+
 func TestAddGetRemove(t *testing.T) {
 	l := New()
-	l.Add(smallTable("a", 2))
-	l.Add(smallTable("b", 3))
-	if l.Len() != 2 || l.Get("a") == nil || l.Get("c") != nil {
+	add(l, smallTable("a", 2))
+	add(l, smallTable("b", 3))
+	if s := l.Snapshot(); s.Len() != 2 || s.Get("a") == nil || s.Get("c") != nil {
 		t.Fatal("basic catalog operations wrong")
 	}
 	// Replacement keeps a single entry.
-	l.Add(smallTable("a", 5))
-	if l.Len() != 2 || l.Get("a").NumRows() != 5 {
+	add(l, smallTable("a", 5))
+	if s := l.Snapshot(); s.Len() != 2 || s.Get("a").NumRows() != 5 {
 		t.Error("replacement failed")
 	}
-	l.Remove("a")
-	if l.Len() != 1 || l.Get("a") != nil {
+	drop(l, "a")
+	if s := l.Snapshot(); s.Len() != 1 || s.Get("a") != nil {
 		t.Error("remove failed")
 	}
-	l.Remove("missing") // must not panic
+	e := l.Epoch()
+	drop(l, "missing") // a true no-op
+	if l.Epoch() != e {
+		t.Error("dropping an absent name moved the epoch")
+	}
 }
 
 func TestTablesDeterministicOrder(t *testing.T) {
 	l := New()
 	for _, n := range []string{"z", "a", "m"} {
-		l.Add(smallTable(n, 1))
+		add(l, smallTable(n, 1))
 	}
-	got := l.Names()
+	got := l.Snapshot().Names()
 	want := []string{"z", "a", "m"}
 	for i := range want {
 		if got[i] != want[i] {
@@ -52,8 +74,8 @@ func TestTablesDeterministicOrder(t *testing.T) {
 func TestSaveLoadDir(t *testing.T) {
 	dir := t.TempDir()
 	l := New()
-	l.Add(smallTable("t1", 2))
-	l.Add(smallTable("t2", 4))
+	add(l, smallTable("t1", 2))
+	add(l, smallTable("t2", 4))
 	if err := l.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +83,7 @@ func TestSaveLoadDir(t *testing.T) {
 	if len(errs) != 0 {
 		t.Fatalf("unexpected load errors: %v", errs)
 	}
-	if got.Len() != 2 || got.Get("t1").NumRows() != 2 || got.Get("t2").NumRows() != 4 {
+	if s := got.Snapshot(); s.Len() != 2 || s.Get("t1").NumRows() != 2 || s.Get("t2").NumRows() != 4 {
 		t.Error("round trip lost tables")
 	}
 }
@@ -75,7 +97,7 @@ func TestLoadDirSkipsBrokenFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	l, errs := LoadDir(dir)
-	if l.Len() != 1 || l.Get("good") == nil {
+	if s := l.Snapshot(); s.Len() != 1 || s.Get("good") == nil {
 		t.Error("good table lost")
 	}
 	if len(errs) != 1 {
@@ -85,8 +107,8 @@ func TestLoadDirSkipsBrokenFiles(t *testing.T) {
 
 func TestComputeStats(t *testing.T) {
 	l := New()
-	l.Add(smallTable("a", 2))
-	l.Add(smallTable("b", 4))
+	add(l, smallTable("a", 2))
+	add(l, smallTable("b", 4))
 	s := l.ComputeStats()
 	if s.Tables != 2 || s.Cols != 4 || s.AvgRows != 3 || s.SizeBytes <= 0 {
 		t.Errorf("stats wrong: %+v", s)
@@ -97,4 +119,48 @@ func TestComputeStats(t *testing.T) {
 	if empty := New().ComputeStats(); empty.AvgRows != 0 {
 		t.Error("empty lake stats must not divide by zero")
 	}
+}
+
+// TestComputeStatsConcurrent: stats come off one pinned snapshot, so under
+// concurrent Put/Drop of 2-column tables every result is self-consistent —
+// Cols is exactly twice Tables. Reading the table count and the tables from
+// two snapshots mixes epochs and breaks the identity; readers poll for as
+// long as the writers run, so the race gets every chance to show.
+func TestComputeStatsConcurrent(t *testing.T) {
+	l := New()
+	const (
+		writers = 2
+		readers = 2
+		rounds  = 2000
+	)
+	var wg, rg sync.WaitGroup
+	var done atomic.Bool
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				name := fmt.Sprintf("w%d-%d", w, i%5)
+				add(l, smallTable(name, 1))
+				if i%2 == 1 {
+					drop(l, name)
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			for !done.Load() {
+				if s := l.ComputeStats(); s.Cols != 2*s.Tables {
+					t.Errorf("stats mix epochs: %d tables, %d cols", s.Tables, s.Cols)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	done.Store(true)
+	rg.Wait()
 }

@@ -1,9 +1,7 @@
-// Package laketest gives tests a terse way to populate a Lake through the
-// v3 mutation API. The deprecated v1 shims (Lake.Add/Remove) used to fill
-// this role in test setup; gentlint's deprecatedlake analyzer now keeps shim
-// calls out of the tree, and these helpers are the sanctioned replacement:
-// same one-line ergonomics, but routed through Lake.Apply like production
-// code.
+// Package laketest gives tests a terse way to populate a Lake: one-line
+// helpers routed through Lake.Apply like production code, one epoch per
+// call. (Lake has no mutators besides Apply; its package's own tests carry
+// their own copies, since this package imports lake.)
 package laketest
 
 import (

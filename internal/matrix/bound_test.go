@@ -79,41 +79,43 @@ func TestBoundAdmissible(t *testing.T) {
 	}
 }
 
-// TestPrunedMatchesExhaustive pins the pruned engine against its own
-// exhaustive mode on random corpora — same picks, and the work counters
-// decompose the same total: every candidate-round the exhaustive engine
-// scores is either scored or pruned by the bounded engine, never lost or
-// double-counted.
+// exhaustiveScored is the candidate-round count a traversal without pruning
+// scores over n candidates when it makes rounds picks: all n for the start
+// table, then every remaining candidate in each later round — including the
+// last round, which finds no improvement, whenever a candidate remains.
+func exhaustiveScored(n, rounds int) int {
+	total := n
+	for k := 1; k <= rounds && k < n; k++ {
+		total += n - k
+	}
+	return total
+}
+
+// TestPrunedMatchesExhaustive pins the pruned engine on random corpora: its
+// picks equal TraverseReference's, and its work counters decompose the
+// exhaustive total — every candidate-round an engine without pruning would
+// score is either scored or pruned, never lost or double-counted.
 func TestPrunedMatchesExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 60; trial++ {
 		src, cands := randomCorpus(rng)
 		for _, enc := range []Encoding{ThreeValued, TwoValued} {
-			var exStats, prStats TraverseStats
-			ex := TraverseWith(src, cands, enc, TraverseOptions{
-				Workers: 1, Exhaustive: true, OnStats: func(s TraverseStats) { exStats = s },
-			})
+			want := TraverseReference(src, cands, enc)
 			for _, workers := range []int{1, 4} {
-				pr := TraverseWith(src, cands, enc, TraverseOptions{
-					Workers: workers, OnStats: func(s TraverseStats) { prStats = s },
+				var st TraverseStats
+				got := traverse(t, src, cands, enc, TraverseOptions{
+					Workers: workers, OnStats: func(s TraverseStats) { st = s },
 				})
-				if !reflect.DeepEqual(pr, ex) {
-					t.Fatalf("trial %d enc %d workers %d: pruned picks %v != exhaustive %v",
-						trial, enc, workers, pr, ex)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d enc %d workers %d: pruned picks %v != reference %v",
+						trial, enc, workers, got, want)
 				}
-				if exStats.CandidatesPruned != 0 {
-					t.Fatalf("trial %d enc %d: exhaustive engine reported pruning: %+v", trial, enc, exStats)
+				if st.Rounds != len(got) {
+					t.Fatalf("trial %d enc %d: %d rounds for %d picks", trial, enc, st.Rounds, len(got))
 				}
-				if got, want := prStats.CandidatesScored+prStats.CandidatesPruned, exStats.CandidatesScored; got != want {
-					t.Fatalf("trial %d enc %d workers %d: scored %d + pruned %d = %d, exhaustive scored %d",
-						trial, enc, workers, prStats.CandidatesScored, prStats.CandidatesPruned, got, want)
-				}
-				if prStats.Rounds != exStats.Rounds {
-					t.Fatalf("trial %d enc %d workers %d: rounds %d != %d",
-						trial, enc, workers, prStats.Rounds, exStats.Rounds)
-				}
-				if len(pr) > 0 && prStats.Rounds != len(pr) {
-					t.Fatalf("trial %d enc %d: %d rounds for %d picks", trial, enc, prStats.Rounds, len(pr))
+				if total, ex := st.CandidatesScored+st.CandidatesPruned, exhaustiveScored(len(cands), st.Rounds); total != ex {
+					t.Fatalf("trial %d enc %d workers %d: scored %d + pruned %d = %d, exhaustive %d",
+						trial, enc, workers, st.CandidatesScored, st.CandidatesPruned, total, ex)
 				}
 			}
 		}

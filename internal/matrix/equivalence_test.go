@@ -145,7 +145,7 @@ func TestTraverseMatchesReference(t *testing.T) {
 		for _, enc := range []Encoding{ThreeValued, TwoValued} {
 			want := TraverseReference(src, cands, enc)
 			for _, workers := range []int{1, 4} {
-				got := TraverseWith(src, cands, enc, TraverseOptions{Workers: workers})
+				got := traverse(t, src, cands, enc, TraverseOptions{Workers: workers})
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("trial %d enc %d workers %d: picks = %v, reference = %v",
 						trial, enc, workers, got, want)
@@ -185,7 +185,7 @@ func TestTraverseMatchesGolden(t *testing.T) {
 		for _, enc := range []Encoding{ThreeValued, TwoValued} {
 			want := TraverseReference(src, cands, enc)
 			for _, workers := range []int{1, 4} {
-				got := TraverseWith(src, cands, enc, TraverseOptions{Workers: workers})
+				got := traverse(t, src, cands, enc, TraverseOptions{Workers: workers})
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("trial %d enc %d workers %d: picks = %v, reference = %v",
 						trial, enc, workers, got, want)

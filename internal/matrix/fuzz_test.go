@@ -25,7 +25,7 @@ func FuzzTraverseParity(f *testing.F) {
 		for _, enc := range []Encoding{ThreeValued, TwoValued} {
 			want := TraverseReference(src, cands, enc)
 			var stats TraverseStats
-			got := TraverseWith(src, cands, enc, TraverseOptions{
+			got := traverse(t, src, cands, enc, TraverseOptions{
 				Workers: w, OnStats: func(s TraverseStats) { stats = s },
 			})
 			if !reflect.DeepEqual(got, want) {

@@ -1,10 +1,22 @@
 package matrix
 
 import (
+	"context"
 	"testing"
 
 	"gent/internal/table"
 )
+
+// traverse runs TraverseContext under a background context; the engine fails
+// only on cancellation, so any error fails the test.
+func traverse(tb testing.TB, src *table.Table, cands []*table.Table, enc Encoding, opts TraverseOptions) []int {
+	tb.Helper()
+	picks, err := TraverseContext(context.Background(), src, cands, enc, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return picks
+}
 
 // source is the running example source (key "ID").
 func source() *table.Table {
@@ -185,7 +197,7 @@ func TestEISOfSimulatedIntegration(t *testing.T) {
 func TestTraversePicksUsefulTables(t *testing.T) {
 	src := source()
 	cands := []*table.Table{candA(), candB(), candC()}
-	picked := Traverse(src, cands, ThreeValued)
+	picked := traverse(t, src, cands, ThreeValued, TraverseOptions{})
 	if len(picked) != 3 {
 		t.Fatalf("picked %v, want all three (C improves Brown's gender)", picked)
 	}
@@ -202,7 +214,7 @@ func TestTraverseRejectsGarbage(t *testing.T) {
 	garbage.AddRow(table.S("id0"), table.S("X"), table.N(99), table.S("Y"), table.S("Z"))
 	garbage.AddRow(table.S("id1"), table.S("X"), table.N(99), table.S("Y"), table.S("Z"))
 	cands := []*table.Table{candA(), candB(), garbage}
-	picked := Traverse(src, cands, ThreeValued)
+	picked := traverse(t, src, cands, ThreeValued, TraverseOptions{})
 	for _, i := range picked {
 		if i == 2 {
 			t.Error("all-contradiction table was picked as originating")
@@ -218,14 +230,14 @@ func TestTraverseConvergenceStopsEarly(t *testing.T) {
 	// traversal exits when EIS stops improving.
 	src := source()
 	cands := []*table.Table{candB(), candB().Clone(), candA()}
-	picked := Traverse(src, cands, ThreeValued)
+	picked := traverse(t, src, cands, ThreeValued, TraverseOptions{})
 	if len(picked) != 2 {
 		t.Errorf("picked %v, want 2 (duplicate adds nothing)", picked)
 	}
 }
 
 func TestTraverseEmptyInput(t *testing.T) {
-	if got := Traverse(source(), nil, ThreeValued); got != nil {
+	if got := traverse(t, source(), nil, ThreeValued, TraverseOptions{}); got != nil {
 		t.Errorf("empty input picked %v", got)
 	}
 }

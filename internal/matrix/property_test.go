@@ -92,7 +92,7 @@ func TestTraverseNeverWorseThanBestSingle(t *testing.T) {
 				best = s
 			}
 		}
-		picked := Traverse(src, cands, ThreeValued)
+		picked := traverse(t, src, cands, ThreeValued, TraverseOptions{})
 		if len(picked) == 0 {
 			return best == 0
 		}

@@ -25,11 +25,6 @@ type TraverseOptions struct {
 	// index, and score is the simulated integration's EIS after absorbing it.
 	// It is called from the traversing goroutine, between rounds.
 	OnRound func(round, pick int, score float64)
-	// Exhaustive disables bound-and-prune: every greedy round scores every
-	// remaining candidate exactly, as the pre-PR9 engine did. Picks are
-	// identical either way — this exists as the benchmark baseline the pruned
-	// engine is measured against and as a belt-and-suspenders escape hatch.
-	Exhaustive bool
 	// OnStats, when non-nil, receives the traversal's work counters after a
 	// successful traversal (not on cancellation). Called once, from the
 	// traversing goroutine.
@@ -46,38 +41,26 @@ type TraverseStats struct {
 	// CandidatesScored counts exact candidate scorings, including the
 	// standalone scan that picks the start table.
 	CandidatesScored int
-	// CandidatesPruned counts candidate-rounds skipped by the bound. Always 0
-	// under TraverseOptions.Exhaustive.
+	// CandidatesPruned counts candidate-rounds skipped by the bound.
 	CandidatesPruned int
 	// Rounds is the number of greedy picks (round 1 picks the start table).
 	Rounds int
 }
 
-// Traverse implements Algorithm 1: given candidate tables (renamed, keyed),
-// greedily pick the subset whose simulated integration maximizes EIS,
-// stopping when adding any remaining candidate no longer improves it. It
-// returns the indices of the originating tables, in pick order.
-func Traverse(src *table.Table, cands []*table.Table, enc Encoding) []int {
-	picked, _ := TraverseContext(context.Background(), src, cands, enc, TraverseOptions{})
-	return picked
-}
-
-// TraverseWith is Traverse on an explicitly-configured engine. Whatever the
-// worker count — and whether rounds prune or scan exhaustively — the pick
-// sequence is identical to TraverseReference's: every exact score is the
-// bit-exact EIS its materialized combination would have, pruning only skips
-// candidates whose margin-widened admissible bound cannot reach the round
-// leader, and the round winner resolves to the lowest candidate index among
-// the top scores.
-func TraverseWith(src *table.Table, cands []*table.Table, enc Encoding, opts TraverseOptions) []int {
-	picked, _ := TraverseContext(context.Background(), src, cands, enc, opts)
-	return picked
-}
-
-// TraverseContext is TraverseWith under a context. Cancellation is checked
-// at every greedy round boundary and polled inside the scoring pool, so a
-// canceled traversal stops within one round: the pool drains cleanly (no
-// goroutine outlives the call) and ctx.Err() is returned with nil picks.
+// TraverseContext implements Algorithm 1: given candidate tables (renamed,
+// keyed), greedily pick the subset whose simulated integration maximizes
+// EIS, stopping when adding any remaining candidate no longer improves it.
+// It returns the indices of the originating tables, in pick order. Whatever
+// the worker count, the pick sequence is identical to TraverseReference's:
+// every exact score is the bit-exact EIS its materialized combination would
+// have, pruning only skips candidates whose margin-widened admissible bound
+// cannot reach the round leader, and the round winner resolves to the lowest
+// candidate index among the top scores.
+//
+// Cancellation is checked at every greedy round boundary and polled inside
+// the scoring pool, so a canceled traversal stops within one round: the pool
+// drains cleanly (no goroutine outlives the call) and ctx.Err() is returned
+// with nil picks.
 func TraverseContext(ctx context.Context, src *table.Table, cands []*table.Table, enc Encoding, opts TraverseOptions) ([]int, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -87,7 +70,6 @@ func TraverseContext(ctx context.Context, src *table.Table, cands []*table.Table
 		return nil, err
 	}
 	e.onRound = opts.OnRound
-	e.exhaustive = opts.Exhaustive
 	picked, err := e.traverse()
 	if err != nil {
 		return nil, err
@@ -135,9 +117,6 @@ type engine struct {
 	done <-chan struct{}
 	// onRound, when non-nil, observes every greedy pick.
 	onRound func(round, pick int, score float64)
-	// exhaustive disables pruning (every round scores every remaining
-	// candidate) — the benchmark baseline.
-	exhaustive bool
 	// stats counts scored/pruned candidate-rounds and greedy rounds.
 	stats TraverseStats
 
@@ -382,9 +361,6 @@ func (e *engine) traverse() ([]int, error) {
 		copy(scratch[p], e.contrib)
 		arenas[p] = new(kernelArena)
 	}
-	if e.exhaustive {
-		return e.traverseExhaustive(picked, start, mostCorrect, scores, scratch, arenas)
-	}
 	return e.traversePruned(picked, start, mostCorrect, scratch, arenas)
 }
 
@@ -493,66 +469,6 @@ func (e *engine) traversePruned(picked []int, start int, mostCorrect float64, sc
 			if ent.idx != bestIdx {
 				heap.push(ent)
 			}
-		}
-	}
-	return picked, nil
-}
-
-// traverseExhaustive runs the pre-PR9 rounds: every remaining candidate
-// exact-scored every round, winner by deterministic index-order scan. Kept as
-// the benchmark baseline and the simplest statement of what pruning must
-// reproduce.
-func (e *engine) traverseExhaustive(picked []int, start int, mostCorrect float64, scores []float64, scratch [][]float64, arenas []*kernelArena) ([]int, error) {
-	n := len(e.cands)
-	// remaining stays sorted: built in index order, removals preserve order,
-	// so the winner scan below matches the reference's deterministic order.
-	remaining := make([]int, 0, n-1)
-	for i := 0; i < n; i++ {
-		if i != start {
-			remaining = append(remaining, i)
-		}
-	}
-	round := 1
-	for len(remaining) > 0 {
-		// Round boundary: the named preemption point. The scoring pool below
-		// also polls, so even a wide round stops promptly and drains cleanly.
-		if err := e.ctx.Err(); err != nil {
-			return nil, err
-		}
-		e.forEach(len(remaining), func(worker, j int) {
-			scores[remaining[j]] = e.scoreCand(&e.cands[remaining[j]], scratch[worker], arenas[worker])
-		})
-		if err := e.ctx.Err(); err != nil {
-			return nil, err
-		}
-		e.stats.CandidatesScored += len(remaining)
-		next, nextScore := -1, mostCorrect
-		for _, i := range remaining {
-			if scores[i] > nextScore {
-				next, nextScore = i, scores[i]
-			}
-		}
-		if next < 0 {
-			break // integration found no more of S's values: converged
-		}
-		picked = append(picked, next)
-		for j, i := range remaining {
-			if i == next {
-				remaining = append(remaining[:j], remaining[j+1:]...)
-				break
-			}
-		}
-		e.absorb(&e.cands[next])
-		for _, id := range e.cands[next].touched {
-			for p := range scratch {
-				scratch[p][id] = e.contrib[id]
-			}
-		}
-		mostCorrect = nextScore
-		round++
-		e.stats.Rounds = round
-		if e.onRound != nil {
-			e.onRound(round, next, nextScore)
 		}
 	}
 	return picked, nil

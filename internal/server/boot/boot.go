@@ -47,7 +47,7 @@ func OpenLake(o LakeOptions, warnf Warnf) (*lake.Lake, error) {
 	for _, e := range errs {
 		warnf.printf("warning: %v", e)
 	}
-	if l.Len() == 0 {
+	if l.Snapshot().Len() == 0 {
 		return nil, fmt.Errorf("no tables loaded from %s", o.Dir)
 	}
 	if o.StoreDir != "" {
@@ -87,6 +87,7 @@ type IndexOutcome struct {
 // A directory with no index files is a silent fresh build.
 func AdoptIndexes(session *core.Reclaimer, dir string, warnf Warnf) (IndexOutcome, error) {
 	l := session.Lake()
+	snap := l.Snapshot()
 	loaded, caughtUp := false, 0
 	ix, err := index.LoadIndexSetDir(dir)
 	switch {
@@ -94,9 +95,9 @@ func AdoptIndexes(session *core.Reclaimer, dir string, warnf Warnf) (IndexOutcom
 		if !errors.Is(err, index.ErrNoIndexFiles) {
 			warnf.printf("warning: indexes at %s unusable (%v); rebuilding", dir, err)
 		}
-	case ix.Inverted == nil || !ix.Inverted.Covers(l) || ix.LSH != nil && !ix.LSH.Covers(l) ||
-		ix.Semantic != nil && !ix.Semantic.Covers(l):
-		if n, ok := catchUpIndexes(l, ix, warnf); ok {
+	case ix.Inverted == nil || !ix.Inverted.Covers(snap) || ix.LSH != nil && !ix.LSH.Covers(snap) ||
+		ix.Semantic != nil && !ix.Semantic.Covers(snap):
+		if n, ok := catchUpIndexes(l, snap, ix, warnf); ok {
 			caughtUp = n
 			loaded = true
 		} else {
@@ -137,8 +138,11 @@ func AdoptIndexes(session *core.Reclaimer, dir string, warnf Warnf) (IndexOutcom
 // only grew, the missing tables are inserted incrementally. ok=false means
 // the gap is not add-only — a schema changed, or covered tables hold values
 // the persisted dictionary has never seen — and the caller must rebuild.
-func catchUpIndexes(l *lake.Lake, ix *index.IndexSet, warnf Warnf) (added int, ok bool) {
-	covered, missing, ok := ix.Gap(l)
+// snap is the lake's snapshot the gap is judged against; the catch-up itself
+// runs on the snapshot the dictionary adoption publishes (CatchUp re-checks
+// the gap there).
+func catchUpIndexes(l *lake.Lake, snap *lake.Snapshot, ix *index.IndexSet, warnf Warnf) (added int, ok bool) {
+	covered, missing, ok := ix.Gap(snap)
 	if !ok || len(missing) == 0 {
 		return 0, false
 	}

@@ -344,7 +344,10 @@ func encodeItem(item core.BatchItem, omit bool) StreamItem {
 // one new epoch. Mutations bypass the admission gate — they are catalog
 // bookkeeping, not pipeline work, and shedding writes behind a queue of
 // reads would invert the priority — but they do count as in-flight work for
-// the drain.
+// the drain. The response's table count is read off the snapshot the batch
+// published: applyMu keeps another apply from landing in between, which makes
+// the (epoch, tables) pair exact whenever this server is the lake's only
+// writer, as it is in gentd.
 func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	if !s.begin() {
 		s.writeError(w, ErrDraining)
@@ -369,7 +372,11 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		}
 		muts = append(muts, m)
 	}
-	epoch, err := s.session.Lake().Apply(r.Context(), muts...)
+	l := s.session.Lake()
+	s.applyMu.Lock()
+	epoch, err := l.Apply(r.Context(), muts...)
+	snap := l.Snapshot()
+	s.applyMu.Unlock()
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -378,7 +385,7 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(ApplyResponse{ //nolint:errcheck
 		Epoch:    epoch.String(),
 		EpochSeq: epoch.Seq,
-		Tables:   s.session.Lake().Len(),
+		Tables:   snap.Len(),
 	})
 }
 

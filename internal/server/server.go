@@ -79,6 +79,9 @@ type Server struct {
 
 	mu       sync.Mutex
 	draining bool
+	// applyMu serializes /v1/lake/apply: each batch and the snapshot pin
+	// that reports its table count run back to back.
+	applyMu sync.Mutex
 	// inflight tracks admitted work so Drain can wait for it even when the
 	// http.Server's own connection drain is bypassed (tests driving the
 	// Handler directly).

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -417,6 +418,62 @@ func TestServerConcurrentQueriesRacingApply(t *testing.T) {
 	}
 	if !r2.Cached || r2.EpochSeq != final.Seq {
 		t.Fatalf("post-race repeat: cached=%v epoch=%s, want hit at %s", r2.Cached, r2.Epoch, final)
+	}
+}
+
+// inProcess is an http.RoundTripper that serves each request straight from
+// a handler, so concurrent clients contend on the handler itself rather than
+// on loopback sockets.
+type inProcess struct{ h http.Handler }
+
+func (p inProcess) RoundTrip(req *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	p.h.ServeHTTP(rec, req)
+	return rec.Result(), nil
+}
+
+// TestServerConcurrentApplyReportsItsEpoch: concurrent applies each Put one
+// fresh table, so the lake at epoch seq s holds exactly base + (s − base seq)
+// tables. Every response must report the table count of the epoch it names,
+// not of whatever epoch a racing apply has since published. The race is a
+// scheduling accident, so the run is long enough to provoke it reliably:
+// without the fix, 8 × 100 applies on 2 CPUs mis-report 10–50 of them.
+func TestServerConcurrentApplyReportsItsEpoch(t *testing.T) {
+	_, l := scenario()
+	srv := server.New(core.NewReclaimer(l, core.DefaultConfig()), server.Config{})
+	ctx := context.Background()
+	base := l.Snapshot()
+	baseTables, baseSeq := base.Len(), base.Epoch().Seq
+
+	const clients, applies = 8, 100
+	var wg sync.WaitGroup
+	errCh := make(chan error, clients*applies)
+	for w := 0; w < clients; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c := client.New("http://gentd", &http.Client{Transport: inProcess{srv.Handler()}})
+			for i := 0; i < applies; i++ {
+				fresh := table.New(fmt.Sprintf("fresh_%d_%d", w, i), "k", "v")
+				fresh.AddRow(table.S(fmt.Sprintf("fk-%d-%d", w, i)), table.S("fv"))
+				ar, err := c.Apply(ctx, client.Put(fresh))
+				if err != nil {
+					errCh <- fmt.Errorf("apply: %w", err)
+					return
+				}
+				if want := baseTables + int(ar.EpochSeq-baseSeq); ar.Tables != want {
+					errCh <- fmt.Errorf("apply at %s reports %d tables, want %d", ar.Epoch, ar.Tables, want)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Error(err)
+	}
+	if got := l.Snapshot().Len(); got != baseTables+clients*applies {
+		t.Fatalf("lake holds %d tables after the run, want %d", got, baseTables+clients*applies)
 	}
 }
 

@@ -251,7 +251,8 @@ type ApplyRequest struct {
 	Mutations []MutationJSON `json:"mutations"`
 }
 
-// ApplyResponse reports the epoch the batch produced.
+// ApplyResponse reports the epoch the batch produced and the lake's table
+// count at that epoch.
 type ApplyResponse struct {
 	Epoch    string `json:"epoch"`
 	EpochSeq uint64 `json:"epoch_seq"`

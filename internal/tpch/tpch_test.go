@@ -8,8 +8,8 @@ import (
 
 func TestGenerateShape(t *testing.T) {
 	l := Generate(Small)
-	if l.Len() != 8 {
-		t.Fatalf("generated %d tables, want 8", l.Len())
+	if n := l.Snapshot().Len(); n != 8 {
+		t.Fatalf("generated %d tables, want 8", n)
 	}
 	for _, name := range TableNames {
 		tb := l.Snapshot().Get(name)
