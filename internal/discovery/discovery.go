@@ -88,6 +88,12 @@ type Candidate struct {
 	// Semantic marks a candidate the semantic channel assembled — its Score
 	// is cosine-based and its rows were not aligned-tuple verified.
 	Semantic bool
+
+	// form is the interned form of Table (renames keep row order) and dict
+	// the dictionary its IDs come from, carried from assembly so subsumption
+	// and Expand never re-intern; nil on hand-built and expanded candidates.
+	form *table.Interned
+	dict *table.Dict
 }
 
 // DiscoverWithSnapContext runs the full Table Discovery phase over one
@@ -362,19 +368,15 @@ type idSets struct {
 	// q is the Source interned against the pool/index dictionary (overlaid).
 	q   *table.Interned
 	tau float64
-	// internedOf carries each assembled candidate's interned form (shared
-	// with its pool table — renames preserve row order) to removeSubsumed.
-	internedOf map[*Candidate]*table.Interned
 }
 
 func newIDSets(pool *lake.Snapshot, ix *index.Inverted, src *table.Table, tau float64) *idSets {
 	return &idSets{
-		pool:       pool,
-		ix:         ix,
-		src:        src,
-		q:          table.InternTable(table.NewOverlay(ix.Dict()), src),
-		tau:        tau,
-		internedOf: make(map[*Candidate]*table.Interned),
+		pool: pool,
+		ix:   ix,
+		src:  src,
+		q:    table.InternTable(table.NewOverlay(ix.Dict()), src),
+		tau:  tau,
 	}
 }
 
@@ -418,9 +420,7 @@ func (s *idSets) assemble(name string) (*Candidate, bool) {
 	if !alignedTuplesQualifyIDs(it, s.q, s.src, matched, s.tau) {
 		return nil, false
 	}
-	c := &Candidate{Table: renamed, Sources: []string{name}}
-	s.internedOf[c] = it
-	return c, true
+	return &Candidate{Table: renamed, Sources: []string{name}, form: it.Retargeted(renamed), dict: s.pool.Dict()}, true
 }
 
 // removeSubsumed drops any candidate whose columns and column values are all
@@ -432,10 +432,9 @@ func (s *idSets) assemble(name string) (*Candidate, bool) {
 func (s *idSets) removeSubsumed(cands []*Candidate) []*Candidate {
 	sets := make([]map[string][]uint32, len(cands)) // cand -> colName -> sorted IDs
 	for i, c := range cands {
-		it := s.internedOf[c]
 		m := make(map[string][]uint32, len(c.Table.Cols))
 		for ci, name := range c.Table.Cols {
-			m[name] = it.ColumnIDs(ci)
+			m[name] = c.form.ColumnIDs(ci)
 		}
 		sets[i] = m
 	}

@@ -195,10 +195,8 @@ func TestSubsumedCandidateRemoval(t *testing.T) {
 	small := &Candidate{Table: table.New("small", "Name"), Sources: []string{"small"}}
 	small.Table.AddRow(table.S("Smith"))
 	dict := table.NewDict()
-	sets := &idSets{internedOf: map[*Candidate]*table.Interned{
-		big:   table.InternTable(dict, big.Table),
-		small: table.InternTable(dict, small.Table),
-	}}
+	big.form, small.form = table.InternTable(dict, big.Table), table.InternTable(dict, small.Table)
+	sets := &idSets{}
 	got := sets.removeSubsumed([]*Candidate{big, small})
 	if len(got) != 1 || got[0].Sources[0] != "big" {
 		t.Errorf("subsumed candidate survived: %v", candidateNames(got))

@@ -2,7 +2,9 @@ package discovery
 
 import (
 	"context"
+	"encoding/binary"
 	"sort"
+	"strings"
 
 	"gent/internal/table"
 )
@@ -11,12 +13,23 @@ import (
 // column(s) are joined, along a join path over the candidate graph, with
 // candidates that have them, so that every candidate's tuples can be aligned
 // with Source tuples by key value. Following the algorithm's objective, a
-// path is chosen to "cover the most source key values": joins are
-// materialized incrementally and scored by how many distinct Source key
+// path is chosen to "cover the most source key values": joins are computed
+// incrementally along the path and scored by how many distinct Source key
 // values the joined result actually contains (summed edge weights alone can
 // prefer long paths whose accumulated natural join is empty). Candidates
 // with no join path to a key-bearing candidate are dropped — their tuples
 // can never be aligned.
+//
+// Expand runs on interned IDs: edge weights, join matches and key coverage
+// compare dictionary IDs, which is Value.Key equality (numeric respellings
+// match, nulls never join). A candidate discovery assembled carries its
+// row-aligned interned form and the dictionary it was interned under; the
+// Source, and any candidate carrying no form (or a form under another
+// dictionary), is interned through one query-scoped overlay of that
+// dictionary, so IDs from two dictionaries never meet. A join path is held
+// as row-index tuples, and a Table is built only for the winning path. A
+// join step whose result would exceed expandMaxRows rows is abandoned while
+// its matches are counted, before any row is emitted.
 func Expand(cands []*Candidate, src *table.Table, opts Options) []*Candidate {
 	out, _ := expandContext(context.Background(), cands, src, opts)
 	return out
@@ -29,40 +42,26 @@ func expandContext(ctx context.Context, cands []*Candidate, src *table.Table, op
 	if len(keyCols) == 0 {
 		return cands, nil
 	}
-	hasKey := func(t *table.Table) bool { return t.HasCols(keyCols...) }
-
-	// Edge weights order the DFS children: number of distinct shared join
-	// values between candidate tables.
-	n := len(cands)
-	weights := make([][]int, n)
-	for i := range weights {
-		weights[i] = make([]int, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			_, shared := table.EstimateJoinSize(cands[i].Table, cands[j].Table)
-			weights[i][j], weights[j][i] = shared, shared
-		}
-	}
-
 	maxDepth := opts.MaxJoinDepth
 	if maxDepth <= 0 {
 		maxDepth = 3
 	}
 
-	srcKeys := table.NewKeyIndex(src)
-
-	out := make([]*Candidate, 0, n)
+	var x *expander // built at the first key-less candidate: nothing else reads it
+	out := make([]*Candidate, 0, len(cands))
 	for i, c := range cands {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if hasKey(c.Table) {
+		if c.Table.HasCols(keyCols...) {
 			out = append(out, c)
 			continue
 		}
-		joined, path := bestKeyCoveringJoin(i, cands, weights, keyCols, srcKeys, maxDepth)
-		if joined == nil {
+		if x == nil {
+			x = newExpander(cands, src)
+		}
+		path, joined := x.bestKeyCoveringJoin(i, maxDepth)
+		if path == nil {
 			continue // unalignable: no join path reaches the Source key
 		}
 		sources := make([]string, 0, len(path))
@@ -86,7 +85,7 @@ func expandContext(ctx context.Context, cands []*Candidate, src *table.Table, op
 			}
 		}
 		out = append(out, &Candidate{
-			Table:   joined.Project(proj...).DropDuplicates(),
+			Table:   x.materialize(path, joined, proj),
 			Sources: dedupeStrings(sources),
 			Score:   c.Score,
 		})
@@ -94,48 +93,313 @@ func expandContext(ctx context.Context, cands []*Candidate, src *table.Table, op
 	return out, nil
 }
 
-// keyCoverage counts how many distinct Source key values appear in t.
-func keyCoverage(t *table.Table, srcKeys *table.KeyIndex) int {
-	idx, ok := srcKeys.ColsIn(t)
-	if !ok {
-		return 0
-	}
-	seen := make([]bool, srcKeys.Len())
-	n := 0
-	for _, r := range t.Rows {
-		if id, ok := srcKeys.Lookup(r, idx); ok && !seen[id] {
-			seen[id] = true
-			n++
-		}
-	}
-	return n
-}
-
 // expandMaxRows caps intermediate joins so a bad path cannot blow up.
 const expandMaxRows = 100000
 
-// bestKeyCoveringJoin searches simple paths from start (DFS over positive
-// edges, bounded depth and branching), materializing the join along the way,
-// and returns the joined table covering the most Source key values.
-func bestKeyCoveringJoin(start int, cands []*Candidate, weights [][]int,
-	keyCols []string, srcKeys *table.KeyIndex, maxDepth int) (*table.Table, []int) {
+// expander is one Expand call's ID forms and memos; none outlives the call.
+type expander struct {
+	cands   []*Candidate
+	keyCols []string
+	// forms[i] is cands[i]'s row-aligned interned form. Every form and every
+	// srcKeys tuple is in one ID space.
+	forms []*table.Interned
+	// srcKeys maps the packed ID tuple of a Source row's key cells to the
+	// row's table.KeyIndex id; nKeys is the number of ids.
+	srcKeys map[string]int
+	nKeys   int
+	// weights[a*n+b] memoizes the edge weight of candidates a and b; -1 until
+	// the DFS first reads it.
+	weights []int32
+	// indexes memoizes rowIndex by (candidate, columns).
+	indexes map[string]*rowIndex
+}
 
-	var bestTable *table.Table
+func newExpander(cands []*Candidate, src *table.Table) *expander {
+	var dict *table.Dict
+	for _, c := range cands {
+		if c.carriesForm() {
+			dict = c.dict
+			break
+		}
+	}
+	if dict == nil {
+		dict = table.NewDict()
+	}
+	o := table.NewOverlay(dict)
+	x := &expander{
+		cands:   cands,
+		keyCols: src.KeyCols(),
+		forms:   make([]*table.Interned, len(cands)),
+		weights: make([]int32, len(cands)*len(cands)),
+		indexes: make(map[string]*rowIndex),
+	}
+	for i, c := range cands {
+		if c.carriesForm() && c.dict == dict {
+			x.forms[i] = c.form
+		} else {
+			x.forms[i] = table.InternTable(o, c.Table)
+		}
+	}
+	for i := range x.weights {
+		x.weights[i] = -1
+	}
+	keys := table.NewKeyIndex(src)
+	x.srcKeys = make(map[string]int, keys.Len())
+	x.nKeys = keys.Len()
+	var b []byte
+	for r, id := range keys.RowIDs() {
+		if id < 0 {
+			continue
+		}
+		b = b[:0]
+		for _, k := range src.Key {
+			b = binary.LittleEndian.AppendUint32(b, o.InternValue(src.Rows[r][k]))
+		}
+		x.srcKeys[string(b)] = id
+	}
+	return x
+}
+
+// carriesForm reports whether c holds a usable interned form: one bound to
+// its current table.
+func (c *Candidate) carriesForm() bool { return c.form != nil && c.form.Table == c.Table }
+
+// weight is the edge weight of candidates a and b: the number of distinct
+// non-null ID tuples they share over their common column names.
+func (x *expander) weight(a, b int) int {
+	n := len(x.cands)
+	if w := x.weights[a*n+b]; w >= 0 {
+		return int(w)
+	}
+	lo, hi := min(a, b), max(a, b)
+	tlo, thi := x.cands[lo].Table, x.cands[hi].Table
+	shared := table.CommonCols(tlo, thi)
+	clo, chi := make([]int, len(shared)), make([]int, len(shared))
+	for i, name := range shared {
+		clo[i], chi[i] = tlo.ColIndex(name), thi.ColIndex(name)
+	}
+	w := 0
+	switch len(shared) {
+	case 0:
+	case 1:
+		w = table.IntersectIDs(x.forms[lo].ColumnIDs(clo[0]), x.forms[hi].ColumnIDs(chi[0]))
+	default:
+		// A row index's buckets are exactly the distinct non-null tuples.
+		small, big := x.rowIndex(lo, clo).buckets, x.rowIndex(hi, chi).buckets
+		if len(small) > len(big) {
+			small, big = big, small
+		}
+		for k := range small {
+			if _, ok := big[k]; ok {
+				w++
+			}
+		}
+	}
+	x.weights[a*n+b], x.weights[b*n+a] = int32(w), int32(w)
+	return w
+}
+
+// rowIndex is the build side of an ID-tuple hash join over one candidate:
+// each distinct non-null tuple of the indexed columns maps to its rows, which
+// are chained through next in row order.
+type rowIndex struct {
+	buckets map[string]bucket
+	next    []int32
+}
+
+// bucket is one tuple's rows: the first, then next[first], ..., n in all.
+type bucket struct{ first, n int32 }
+
+// rowIndex returns candidate c's row index over cols, built on first use.
+func (x *expander) rowIndex(c int, cols []int) *rowIndex {
+	key := make([]byte, 0, 4*(len(cols)+1))
+	for _, v := range append([]int{c}, cols...) {
+		key = binary.LittleEndian.AppendUint32(key, uint32(v))
+	}
+	if ix, ok := x.indexes[string(key)]; ok {
+		return ix
+	}
+	refs := make([]colRef, len(cols))
+	for i, col := range cols {
+		refs[i] = colRef{col: col, ids: x.forms[c].Cols[col]}
+	}
+	nrows := len(refs[0].ids)
+	ix := &rowIndex{buckets: make(map[string]bucket, nrows), next: make([]int32, nrows)}
+	var buf [64]byte
+	for r := nrows - 1; r >= 0; r-- { // backwards, so each chain runs in row order
+		k, ok := pack(buf[:0], []int32{int32(r)}, refs)
+		if !ok {
+			continue
+		}
+		bk, seen := ix.buckets[string(k)]
+		if seen {
+			ix.next[r] = bk.first
+		}
+		ix.buckets[string(k)] = bucket{first: int32(r), n: bk.n + 1}
+	}
+	x.indexes[string(key)] = ix
+	return ix
+}
+
+// joined is the natural join along a path prefix, as row-index tuples: tuple
+// r is rows[r*width : (r+1)*width], one row index per path table. Its columns
+// follow table.InnerJoin's layout — the prefix's columns, then the next
+// table's columns the prefix lacks — so an output column takes its value from
+// the leftmost path table that has it.
+type joined struct {
+	cols  []string
+	at    []colRef // at[c] supplies cols[c]
+	width int
+	rows  []int32
+}
+
+// colRef is one path table's column: its path position, its index in that
+// candidate's table, and its IDs.
+type colRef struct {
+	pos, col int
+	ids      []uint32
+}
+
+func (p *joined) len() int { return len(p.rows) / p.width }
+
+func (p *joined) tuple(r int) []int32 { return p.rows[r*p.width : (r+1)*p.width] }
+
+// ref returns the column named name (its first occurrence, as ColIndex
+// reads it).
+func (p *joined) ref(name string) (colRef, bool) {
+	for c, have := range p.cols {
+		if have == name {
+			return p.at[c], true
+		}
+	}
+	return colRef{}, false
+}
+
+// pack appends the IDs tuple holds in refs to b; ok is false at a null.
+func pack(b []byte, tuple []int32, refs []colRef) ([]byte, bool) {
+	for _, ref := range refs {
+		id := ref.ids[tuple[ref.pos]]
+		if id == table.NullID {
+			return nil, false
+		}
+		b = binary.LittleEndian.AppendUint32(b, id)
+	}
+	return b, true
+}
+
+// start is the one-table path prefix of candidate c.
+func (x *expander) start(c int) *joined {
+	t := x.cands[c].Table
+	p := &joined{cols: t.Cols, at: make([]colRef, len(t.Cols)), width: 1, rows: make([]int32, len(t.Rows))}
+	for col := range t.Cols {
+		p.at[col] = colRef{pos: 0, col: col, ids: x.forms[c].Cols[col]}
+	}
+	for r := range p.rows {
+		p.rows[r] = int32(r)
+	}
+	return p
+}
+
+// join is p extended by candidate b as table.InnerJoin extends it: on every
+// column of p that b also has (nulls never join), p's tuples in order, each
+// followed by its matching rows of b in theirs, under p's columns and then
+// b's columns p lacks. It is nil when the join is empty or would exceed
+// expandMaxRows rows, counted before any is emitted.
+func (x *expander) join(p *joined, b int) *joined {
+	tb := x.cands[b].Table
+	var on []colRef
+	var bcols []int
+	for _, name := range p.cols {
+		if j := tb.ColIndex(name); j >= 0 {
+			ref, _ := p.ref(name)
+			on = append(on, ref)
+			bcols = append(bcols, j)
+		}
+	}
+	if len(on) == 0 {
+		return nil
+	}
+	ix := x.rowIndex(b, bcols)
+	matches := make([]bucket, p.len())
+	total := 0
+	var buf [64]byte
+	for r := range matches {
+		if k, ok := pack(buf[:0], p.tuple(r), on); ok {
+			matches[r] = ix.buckets[string(k)]
+			if total += int(matches[r].n); total > expandMaxRows {
+				return nil
+			}
+		}
+	}
+	if total == 0 {
+		return nil
+	}
+
+	out := &joined{
+		cols:  append(make([]string, 0, len(p.cols)+len(tb.Cols)), p.cols...),
+		at:    append(make([]colRef, 0, len(p.cols)+len(tb.Cols)), p.at...),
+		width: p.width + 1,
+		rows:  make([]int32, 0, total*(p.width+1)),
+	}
+	for j, name := range tb.Cols {
+		if _, shared := p.ref(name); !shared {
+			out.cols = append(out.cols, name)
+			out.at = append(out.at, colRef{pos: p.width, col: j, ids: x.forms[b].Cols[j]})
+		}
+	}
+	for r, m := range matches {
+		for br, k := m.first, m.n; k > 0; br, k = ix.next[br], k-1 {
+			out.rows = append(append(out.rows, p.tuple(r)...), br)
+		}
+	}
+	return out
+}
+
+// keyCoverage counts the distinct Source key values p's tuples carry; ok is
+// false when p lacks a key column.
+func (x *expander) keyCoverage(p *joined) (cover int, ok bool) {
+	keys := make([]colRef, len(x.keyCols))
+	for i, name := range x.keyCols {
+		if keys[i], ok = p.ref(name); !ok {
+			return 0, false
+		}
+	}
+	seen := make([]bool, x.nKeys)
+	var buf [64]byte
+	for r := 0; r < p.len(); r++ {
+		k, ok := pack(buf[:0], p.tuple(r), keys)
+		if !ok {
+			continue
+		}
+		if id, ok := x.srcKeys[string(k)]; ok && !seen[id] {
+			seen[id] = true
+			cover++
+		}
+	}
+	return cover, true
+}
+
+// bestKeyCoveringJoin searches simple paths from start (DFS over positive
+// edges, bounded depth and branching), joining along the way, and returns
+// the path and join covering the most Source key values; nil when none
+// covers any.
+func (x *expander) bestKeyCoveringJoin(start, maxDepth int) ([]int, *joined) {
+	var best *joined
 	var bestPath []int
 	bestCover := 0
 	bestLen := 1 << 30
 
 	path := []int{start}
-	onPath := map[int]bool{start: true}
+	onPath := make([]bool, len(x.cands))
+	onPath[start] = true
 
-	var rec func(cur *table.Table, node, depth int)
-	rec = func(cur *table.Table, node, depth int) {
-		if cur.HasCols(keyCols...) {
-			cover := keyCoverage(cur, srcKeys)
+	var rec func(cur *joined, node, depth int)
+	rec = func(cur *joined, node, depth int) {
+		if cover, ok := x.keyCoverage(cur); ok {
 			if cover > bestCover || (cover == bestCover && cover > 0 && len(path) < bestLen) {
 				bestCover = cover
 				bestLen = len(path)
-				bestTable = cur
+				best = cur
 				bestPath = append([]int(nil), path...)
 			}
 			return // the key is reached; longer paths only risk losing rows
@@ -145,8 +409,11 @@ func bestKeyCoveringJoin(start int, cands []*Candidate, weights [][]int,
 		}
 		type child struct{ idx, w int }
 		children := make([]child, 0)
-		for next, w := range weights[node] {
-			if w > 0 && !onPath[next] {
+		for next := range x.cands {
+			if onPath[next] {
+				continue
+			}
+			if w := x.weight(node, next); w > 0 {
 				children = append(children, child{next, w})
 			}
 		}
@@ -160,19 +427,58 @@ func bestKeyCoveringJoin(start int, cands []*Candidate, weights [][]int,
 			children = children[:6]
 		}
 		for _, ch := range children {
-			j := table.InnerJoin(cur, cands[ch.idx].Table)
-			if len(j.Rows) == 0 || len(j.Rows) > expandMaxRows {
+			j := x.join(cur, ch.idx)
+			if j == nil {
 				continue
 			}
 			onPath[ch.idx] = true
 			path = append(path, ch.idx)
 			rec(j, ch.idx, depth+1)
 			path = path[:len(path)-1]
-			delete(onPath, ch.idx)
+			onPath[ch.idx] = false
 		}
 	}
-	rec(cands[start].Table, start, 0)
-	return bestTable, bestPath
+	rec(x.start(start), start, 0)
+	return bestPath, best
+}
+
+// materialize builds the distinct rows of p, the join along path, over the
+// named columns, skipping names p lacks: table.InnerJoin along path, then
+// Project(cols...).DropDuplicates(), with duplicates found by ID tuple (null
+// included) before any row is built.
+func (x *expander) materialize(path []int, p *joined, cols []string) *table.Table {
+	names := make([]string, len(path))
+	for i, ci := range path {
+		names[i] = x.cands[ci].Table.Name
+	}
+	var kept []string
+	var refs []colRef
+	for _, name := range cols {
+		if ref, ok := p.ref(name); ok {
+			kept = append(kept, name)
+			refs = append(refs, ref)
+		}
+	}
+	t := table.New(strings.Join(names, "⋈"), kept...)
+	seen := make(map[string]bool, p.len())
+	var b []byte
+	for r := 0; r < p.len(); r++ {
+		tuple := p.tuple(r)
+		b = b[:0]
+		for _, ref := range refs {
+			b = binary.LittleEndian.AppendUint32(b, ref.ids[tuple[ref.pos]])
+		}
+		if seen[string(b)] {
+			continue
+		}
+		seen[string(b)] = true
+		row := make(table.Row, len(refs))
+		for k, ref := range refs {
+			row[k] = x.cands[path[ref.pos]].Table.Rows[tuple[ref.pos]][ref.col]
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	return t
 }
 
 func dedupeStrings(in []string) []string {

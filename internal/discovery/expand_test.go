@@ -2,6 +2,8 @@ package discovery
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"gent/internal/table"
@@ -142,5 +144,48 @@ func TestKeyCoverage(t *testing.T) {
 	}
 	if got := keyCoverage(tb.Project("x"), keys); got != 0 {
 		t.Errorf("coverage without the key column = %d, want 0", got)
+	}
+}
+
+// TestExpandAbandonsOverCapJoinEarly: a join step past expandMaxRows is
+// dropped while its matches are counted, not after the product is built.
+// Two key-less 600-row candidates share one constant column (a 360 000-row
+// product in either direction); a reaches the key through p, b reaches
+// nothing.
+func TestExpandAbandonsOverCapJoinEarly(t *testing.T) {
+	src := expandSource(5)
+	a := &Candidate{Table: table.New("a", "fk", "c", "x"), Sources: []string{"a"}}
+	b := &Candidate{Table: table.New("b", "c", "y"), Sources: []string{"b"}}
+	for i := 0; i < 600; i++ {
+		a.Table.AddRow(table.S(fmt.Sprintf("fk%d", i%5)), table.S("same"), table.N(float64(i)))
+		b.Table.AddRow(table.S("same"), table.N(float64(i)))
+	}
+	p := &Candidate{Table: table.New("p", "fk", "ok"), Sources: []string{"p"}}
+	for i := 0; i < 5; i++ {
+		p.Table.AddRow(table.S(fmt.Sprintf("fk%d", i)), table.S(fmt.Sprintf("ok%d", i)))
+	}
+
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := Expand([]*Candidate{a, b, p}, src, DefaultOptions())
+	runtime.ReadMemStats(&after)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb > 16 {
+		t.Errorf("Expand allocated %.1f MB; an over-cap join must be abandoned before it is built", mb)
+	}
+
+	if len(got) != 2 || got[1] != p {
+		t.Fatalf("got %d candidates, want a's expansion and p", len(got))
+	}
+	e := got[0]
+	if !reflect.DeepEqual(e.Sources, []string{"a", "p"}) || e.Table.Name != "a⋈p" ||
+		!reflect.DeepEqual(e.Table.Cols, []string{"ok", "fk", "c", "x"}) || len(e.Table.Rows) != 600 {
+		t.Fatalf("expansion is %v %s%v with %d rows, want [a p] a⋈p[ok fk c x] with 600",
+			e.Sources, e.Table.Name, e.Table.Cols, len(e.Table.Rows))
+	}
+	for i, r := range e.Table.Rows {
+		if r[0].Str != fmt.Sprintf("ok%d", i%5) || r[1].Str != fmt.Sprintf("fk%d", i%5) || r[3].Num != float64(i) {
+			t.Fatalf("row %d is %v", i, r)
+		}
 	}
 }

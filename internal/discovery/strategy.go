@@ -252,7 +252,8 @@ func assembleSemantic(snap *lake.Snapshot, name string, ms []semMatch, src *tabl
 	if len(matched) == 0 {
 		return nil, false
 	}
-	return &Candidate{Table: renamed, Sources: []string{name}, Semantic: true}, true
+	return &Candidate{Table: renamed, Sources: []string{name}, Semantic: true,
+		form: snap.Interned(name).Retargeted(renamed), dict: snap.Dict()}, true
 }
 
 // mergeHybrid unions the two channels' candidates and reranks: a table both

@@ -205,41 +205,3 @@ func CrossProduct(a, b *Table) *Table {
 	}
 	return out
 }
-
-// EstimateJoinSize estimates |a ⋈ b| on their shared columns with the
-// standard formula |a|·|b| / max(V(a,C), V(b,C)); Expand uses it for edge
-// weights. The second result is the number of distinct shared join values,
-// used as the "covers the most source key values" signal.
-func EstimateJoinSize(a, b *Table) (estimate float64, sharedValues int) {
-	shared := CommonCols(a, b)
-	if len(shared) == 0 || len(a.Rows) == 0 || len(b.Rows) == 0 {
-		return 0, 0
-	}
-	ia, ib := colIndices(a, shared), colIndices(b, shared)
-	da := make(map[string]bool)
-	for _, r := range a.Rows {
-		if k, ok := joinKey(r, ia); ok {
-			da[k] = true
-		}
-	}
-	db := make(map[string]bool)
-	for _, r := range b.Rows {
-		if k, ok := joinKey(r, ib); ok {
-			db[k] = true
-		}
-	}
-	common := 0
-	for k := range da {
-		if db[k] {
-			common++
-		}
-	}
-	maxD := len(da)
-	if len(db) > maxD {
-		maxD = len(db)
-	}
-	if maxD == 0 {
-		return 0, 0
-	}
-	return float64(len(a.Rows)) * float64(len(b.Rows)) / float64(maxD), common
-}

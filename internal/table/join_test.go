@@ -85,19 +85,6 @@ func TestCrossProduct(t *testing.T) {
 	}
 }
 
-func TestEstimateJoinSize(t *testing.T) {
-	est, shared := EstimateJoinSize(figA(), figB())
-	if shared != 3 {
-		t.Errorf("shared join values = %d, want 3", shared)
-	}
-	if est != 3 { // 3*3/max(3,3)
-		t.Errorf("estimate = %v, want 3", est)
-	}
-	if est, shared := EstimateJoinSize(figB(), New("z", "other")); est != 0 || shared != 0 {
-		t.Error("no shared columns must estimate 0")
-	}
-}
-
 // keyedPair generates pairs of minimal-form tables that share exactly one
 // column "k" whose values are unique within each table — the regime in which
 // the representative-operator lemmas (Appendix A) hold and κ is confluent.
