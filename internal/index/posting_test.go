@@ -90,9 +90,9 @@ func TestPostingCorruption(t *testing.T) {
 	bad := [][]byte{
 		nil,
 		{},
-		{0x7f, 1, 2},         // unknown tag
-		valid[:1],            // count missing
-		valid[:len(valid)-1], // truncated list
+		{0x7f, 1, 2},                             // unknown tag
+		valid[:1],                                // count missing
+		valid[:len(valid)-1],                     // truncated list
 		append(append([]byte{}, valid...), 0x01), // trailing byte
 	}
 	// Non-increasing delta: n=2, first=5, gap=0.

@@ -120,7 +120,8 @@ func (in *Integrator) guardedComplement(t *table.Table) *table.Table {
 		}
 		out.Rows = append(out.Rows, rows...)
 	}
-	return out.DropDuplicates()
+	out.Rows = in.distinct(out.Rows)
+	return out
 }
 
 // guardedSubsume removes duplicates and subsumed tuples, keeping a subsumed
@@ -139,15 +140,18 @@ func (in *Integrator) guardedSubsume(t *table.Table) *table.Table {
 			continue
 		}
 		alive := make([]bool, len(rows))
-		for i := range alive {
+		counts := make([]int, len(rows))
+		for i, r := range rows {
 			alive[i] = true
+			counts[i] = r.NonNullCount()
 		}
 		for i := range rows {
 			if !alive[i] {
 				continue
 			}
 			for j := range rows {
-				if i == j || !alive[j] {
+				// Only a row with strictly more non-null cells can subsume.
+				if i == j || !alive[j] || counts[j] <= counts[i] {
 					continue
 				}
 				if table.Subsumes(rows[j], rows[i]) && s.e(rows[j]) >= s.e(rows[i]) {
@@ -162,7 +166,8 @@ func (in *Integrator) guardedSubsume(t *table.Table) *table.Table {
 			}
 		}
 	}
-	return out.DropDuplicates()
+	out.Rows = in.distinct(out.Rows)
+	return out
 }
 
 // groupByKey splits rows by source key id, groups in first-seen order.
@@ -181,7 +186,7 @@ func groupByKey(t *table.Table, s *tupleScorer) (groups [][]table.Row, aligned [
 			groups = append(groups, nil)
 			aligned = append(aligned, ok)
 		}
-		groups[g] = append(groups[g], r.Clone())
+		groups[g] = append(groups[g], r)
 	}
 	return groups, aligned
 }

@@ -9,15 +9,15 @@ package integrate
 
 import (
 	"context"
-	"fmt"
+	"encoding/binary"
 	"strings"
 
 	"gent/internal/table"
 )
 
 // Integrator reclaims one Source Table from sets of originating tables. It
-// is stateful only for label identities, so one Integrator must be used for
-// one Source.
+// is stateful for label identities and row identities, so one Integrator
+// must be used for one Source, by one goroutine at a time.
 //
 // Every source-key decision — ProjectSelect membership, labeling slots, the
 // guards' row grouping and scoring — goes through one table.KeyIndex over
@@ -36,12 +36,17 @@ type Integrator struct {
 	labels  []int64
 	labelOf map[int64]bool
 	nextID  int64
+	// vals names the cell values distinct has seen, over every fold step;
+	// buf is its packing scratch.
+	vals *table.ValueMap
+	buf  []byte
 }
 
 // New prepares an Integrator for the given Source Table, which must have a
 // key.
 func New(src *table.Table) *Integrator {
-	in := &Integrator{src: src, keys: table.NewKeyIndex(src), labelOf: make(map[int64]bool)}
+	in := &Integrator{src: src, keys: table.NewKeyIndex(src), labelOf: make(map[int64]bool),
+		vals: table.NewValueMap(len(src.Rows))}
 	in.labels = make([]int64, in.keys.Len()*len(src.Cols))
 	in.labeledSrc = in.labelSourceNulls(src)
 	return in
@@ -144,9 +149,12 @@ func (in *Integrator) ReclaimContext(ctx context.Context, origs []*table.Table) 
 	// InnerUnion (line 4): merge tables with identical column-name sets.
 	unioned := innerUnionGroups(kept)
 
-	// LabelSourceNulls (line 5) and TakeMinimalForm (line 6).
+	// LabelSourceNulls (line 5) and TakeMinimalForm (line 6). Keyed on the
+	// Source key's columns, MinimalForm reduces one source-key group at a
+	// time: every row's key is a non-null Source key after ProjectSelect.
 	for i, t := range unioned {
 		labeled := in.labelSourceNulls(t)
+		labeled.Key, _ = in.keys.ColsIn(labeled)
 		unioned[i] = table.MinimalForm(labeled)
 	}
 
@@ -173,62 +181,77 @@ func (in *Integrator) ReclaimContext(ctx context.Context, origs []*table.Table) 
 		acc = in.guardedSubsume(acc)
 	}
 
-	// RemoveLabeledNulls (line 14) and schema padding (lines 15–16).
-	out := in.removeLabels(acc)
-	out = out.PadNullColumns(src.Cols)
-	reordered, err := out.ReorderCols(src.Cols)
-	if err != nil {
-		panic(fmt.Sprintf("integrate: unreachable: %v", err))
+	// RemoveLabeledNulls (line 14) and schema padding (lines 15–16) in one
+	// pass: every tuple is rebuilt in the Source's column order, null in a
+	// column no originating table had and wherever it holds a label.
+	out := table.New("reclaimed:"+src.Name, src.Cols...)
+	at := make([]int, len(src.Cols))
+	for i, name := range src.Cols {
+		at[i] = acc.ColIndex(name)
 	}
-	reordered.Name = "reclaimed:" + src.Name
-	reordered.Key = nil
-	return reordered.DropDuplicates(), nil
+	out.Rows = make([]table.Row, 0, len(acc.Rows))
+	for _, r := range acc.Rows {
+		nr := make(table.Row, len(at)) // all table.Null, the zero Value
+		for i, j := range at {
+			if j >= 0 && !(r[j].Kind == table.KindLabel && in.labelOf[r[j].ID]) {
+				nr[i] = r[j]
+			}
+		}
+		out.Rows = append(out.Rows, nr)
+	}
+	out.Rows = in.distinct(out.Rows)
+	return out, nil
+}
+
+// distinct drops repeated rows in place, keeping first occurrences (and so
+// their spellings) in order. Rows are told apart as Table.DropDuplicates
+// tells them apart, by their cells' ValueMap ids, but through one map shared
+// by every step of the fold, so each value is interned once per Integrator.
+func (in *Integrator) distinct(rows []table.Row) []table.Row {
+	seen := make(map[string]struct{}, len(rows))
+	out := rows[:0]
+	for _, r := range rows {
+		b := in.buf[:0]
+		for _, v := range r {
+			id, _ := in.vals.Intern(v) // a null packs as 0, which Intern never assigns
+			b = binary.LittleEndian.AppendUint32(b, id)
+		}
+		in.buf = b
+		if _, dup := seen[string(b)]; !dup {
+			seen[string(b)] = struct{}{}
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // labelSourceNulls replaces, in t, every null that sits in a slot where the
 // Source is also null (same key, same column) with that slot's unique label.
+// Only rows it labels are copied; the others are shared with t.
 func (in *Integrator) labelSourceNulls(t *table.Table) *table.Table {
 	src := in.src
-	keyIdx, ok := in.keys.ColsIn(t)
-	if !ok {
-		return t.Clone()
-	}
+	keyIdx, _ := in.keys.ColsIn(t) // nil matches no row: nothing is labeled
 	srcColOf := make([]int, len(t.Cols))
 	for i, name := range t.Cols {
 		srcColOf[i] = src.ColIndex(name)
 	}
 	out := table.New(t.Name, t.Cols...)
 	out.Key = append([]int(nil), t.Key...)
+	out.Rows = make([]table.Row, 0, len(t.Rows))
 	for _, r := range t.Rows {
-		id, ok := in.keys.Lookup(r, keyIdx)
-		if !ok {
-			out.Rows = append(out.Rows, r.Clone())
-			continue
-		}
-		srow := src.Rows[in.keys.Rep(id)]
-		nr := r.Clone()
-		for i := range nr {
-			if sc := srcColOf[i]; sc >= 0 && nr[i].IsNull() && srow[sc].IsNull() {
-				nr[i] = in.label(id, sc)
+		if id, ok := in.keys.Lookup(r, keyIdx); ok {
+			srow := src.Rows[in.keys.Rep(id)]
+			copied := false
+			for i, v := range r {
+				if sc := srcColOf[i]; sc >= 0 && v.IsNull() && srow[sc].IsNull() {
+					if !copied {
+						r, copied = r.Clone(), true
+					}
+					r[i] = in.label(id, sc)
+				}
 			}
 		}
-		out.Rows = append(out.Rows, nr)
-	}
-	return out
-}
-
-// removeLabels reverts this Integrator's labels back to nulls.
-func (in *Integrator) removeLabels(t *table.Table) *table.Table {
-	out := table.New(t.Name, t.Cols...)
-	out.Key = append([]int(nil), t.Key...)
-	for _, r := range t.Rows {
-		nr := r.Clone()
-		for i, v := range nr {
-			if v.Kind == table.KindLabel && in.labelOf[v.ID] {
-				nr[i] = table.Null
-			}
-		}
-		out.Rows = append(out.Rows, nr)
+		out.Rows = append(out.Rows, r)
 	}
 	return out
 }

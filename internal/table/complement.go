@@ -1,5 +1,7 @@
 package table
 
+import "math"
+
 // Complements reports whether t1 and t2 (same schema) complement each other:
 // they agree on every attribute where both are non-null, share at least one
 // non-null value, and each has a non-null value where the other has a null.
@@ -40,62 +42,95 @@ func MergeComplement(t1, t2 Row) Row {
 // pairs until no pair complements. Merged inputs are replaced by their merge;
 // the result has no complementing tuples.
 func Complement(t *Table) *Table {
-	rows := make([]Row, 0, len(t.Rows))
-	seen := make(map[string]bool, len(t.Rows))
-	for _, r := range t.Rows {
-		k := r.Key()
-		if !seen[k] {
-			seen[k] = true
-			rows = append(rows, r.Clone())
-		}
-	}
+	x := newReducer(len(t.Rows))
+	rows := append([]Row(nil), t.Rows...) // merges land in these slots
+	return reduced(t, rows, x.complement(rows, x.distinct(rows, slots(len(rows)))))
+}
 
-	// Fixpoint: scan for a complementing pair, merge, rescan. Each merge
-	// removes a tuple, so at most len(rows)-1 merges happen and termination
-	// is guaranteed.
-	for {
-		merged := false
+// complement applies κ to the distinct rows at the ascending slots at: the
+// first complementing pair in slot order is merged into the earlier slot and
+// the later slot is dropped, rescanning until no pair complements. Each merge
+// removes a slot, so at most len(at)-1 merges happen. Merges can converge to
+// equal tuples, which are then deduplicated. It returns the surviving slots,
+// ascending.
+func (x *reducer) complement(rows []Row, at []int) []int {
+	n := len(at)
+	for merged := true; merged; {
+		merged = false
 	scan:
-		for i := 0; i < len(rows); i++ {
-			for j := i + 1; j < len(rows); j++ {
-				if Complements(rows[i], rows[j]) {
-					m := MergeComplement(rows[i], rows[j])
-					rows[i] = m
-					rows = append(rows[:j], rows[j+1:]...)
+		for a := 0; a < len(at); a++ {
+			for b := a + 1; b < len(at); b++ {
+				if Complements(rows[at[a]], rows[at[b]]) {
+					rows[at[a]] = MergeComplement(rows[at[a]], rows[at[b]])
+					at = append(at[:b], at[b+1:]...)
 					merged = true
 					break scan
 				}
 			}
 		}
-		if !merged {
-			break
-		}
 	}
-
-	out := New(t.Name, t.Cols...)
-	out.Key = append([]int(nil), t.Key...)
-	// Re-deduplicate: merges can converge to equal tuples.
-	seen = make(map[string]bool, len(rows))
-	for _, r := range rows {
-		k := r.Key()
-		if !seen[k] {
-			seen[k] = true
-			out.Rows = append(out.Rows, r)
-		}
+	if len(at) < n {
+		at = x.distinct(rows, at)
 	}
-	return out
+	return at
 }
 
 // MinimalForm removes duplicates and applies β and κ to fixpoint, yielding a
 // table with no duplicate, subsumable or complementable tuples — the
-// precondition of the representative-operators theorem (Theorem 8).
+// precondition of the representative-operators theorem (Theorem 8). One κ
+// pass and then one β pass reach the fixpoint: κ leaves no complementing
+// pair, β only removes rows (which creates none), and β drops every row that
+// a row surviving it subsumes.
+//
+// A keyed table is reduced one key group at a time: rows are partitioned by
+// their t.Key tuple (NewKeyIndex), and κ and β run inside each group. This
+// is exact. Rows complement or subsume only when they are Equal on every
+// cell both hold, and Value.Equal implies equal Value.Key, so rows whose
+// non-null key tuples differ never interact. The one exception is a
+// non-finite number, which is Equal to its text ("NaN", "+Inf") as a string
+// of another key; a table with such a key cell, or with a null key cell, is
+// reduced whole. Nor does the partition change the order: every row keeps
+// its slot, a merge lands in the earlier row's slot, and the survivors are
+// emitted in slot order, as the whole-table fixpoint leaves them. The pair
+// scans are then quadratic in a group's size, not in the table's.
 func MinimalForm(t *Table) *Table {
-	cur := t
-	for {
-		next := Subsume(Complement(cur))
-		if len(next.Rows) == len(cur.Rows) && EqualRows(next, cur) {
-			return next
+	x := newReducer(len(t.Rows))
+	rows := append([]Row(nil), t.Rows...) // merges land in these slots
+	keep := make([]bool, len(rows))
+	for _, g := range keyGroups(t, x.distinct(rows, slots(len(rows)))) {
+		for _, i := range x.subsume(rows, x.complement(rows, g)) {
+			keep[i] = true
 		}
-		cur = next
 	}
+	at := make([]int, 0, len(rows))
+	for i, k := range keep {
+		if k {
+			at = append(at, i)
+		}
+	}
+	return reduced(t, rows, at)
+}
+
+// keyGroups splits the ascending slots at (rows of t) by t's key tuple into
+// ascending groups. It returns at as the only group when t has no key or a
+// key cell that is null or a non-finite number, where a split is not exact
+// (see MinimalForm).
+func keyGroups(t *Table, at []int) [][]int {
+	if len(t.Key) == 0 {
+		return [][]int{at}
+	}
+	for _, r := range t.Rows {
+		for _, k := range t.Key {
+			if v := r[k]; v.IsNull() || v.Kind == KindNumber && (math.IsNaN(v.Num) || math.IsInf(v.Num, 0)) {
+				return [][]int{at}
+			}
+		}
+	}
+	x := NewKeyIndex(t)
+	ids := x.RowIDs()
+	groups := make([][]int, x.Len())
+	for _, i := range at {
+		groups[ids[i]] = append(groups[ids[i]], i)
+	}
+	return groups
 }

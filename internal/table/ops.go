@@ -111,17 +111,7 @@ func (t *Table) Rename(mapping map[string]string) *Table {
 
 // DropDuplicates removes duplicate rows, keeping first occurrences.
 func (t *Table) DropDuplicates() *Table {
-	out := New(t.Name, t.Cols...)
-	out.Key = append([]int(nil), t.Key...)
-	seen := make(map[string]bool, len(t.Rows))
-	for _, r := range t.Rows {
-		k := r.Key()
-		if !seen[k] {
-			seen[k] = true
-			out.Rows = append(out.Rows, r.Clone())
-		}
-	}
-	return out
+	return reduced(t, t.Rows, newReducer(len(t.Rows)).distinct(t.Rows, slots(len(t.Rows))))
 }
 
 // PadNullColumns returns t extended with a null column for every name in

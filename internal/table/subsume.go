@@ -24,53 +24,37 @@ func Subsumes(t1, t2 Row) bool {
 // collapse exact duplicates to one copy. The result contains no subsumable
 // pair.
 func Subsume(t *Table) *Table {
-	out := New(t.Name, t.Cols...)
-	out.Key = append([]int(nil), t.Key...)
-	if len(t.Rows) == 0 {
-		return out
-	}
-
 	// Deduplicate first; β removes duplicates implicitly (a duplicate is the
 	// degenerate "equal on all shared non-nulls, nothing extra" case the
 	// paper folds into minimal form).
-	uniq := make([]Row, 0, len(t.Rows))
-	seen := make(map[string]bool, len(t.Rows))
-	for _, r := range t.Rows {
-		k := r.Key()
-		if !seen[k] {
-			seen[k] = true
-			uniq = append(uniq, r.Clone())
-		}
-	}
+	x := newReducer(len(t.Rows))
+	return reduced(t, t.Rows, x.subsume(t.Rows, x.distinct(t.Rows, slots(len(t.Rows)))))
+}
 
-	// Bucket rows by non-null count, descending: a row can only be subsumed
-	// by a row with strictly more non-nulls, so each row need only be checked
-	// against richer rows.
-	alive := make([]bool, len(uniq))
-	for i := range alive {
-		alive[i] = true
+// subsume applies β to the distinct rows at the ascending slots at, visiting
+// them in slot order: a row is dropped when a row not yet dropped subsumes
+// it. Only a row with strictly more non-null cells can subsume another, so a
+// pair is compared only when its count says it might; a dropped row's count
+// is set to -1, which also rules it out as a subsumer. It returns the
+// surviving slots, ascending.
+func (x *reducer) subsume(rows []Row, at []int) []int {
+	counts := x.counts[:0]
+	for _, i := range at {
+		counts = append(counts, rows[i].NonNullCount())
 	}
-	counts := make([]int, len(uniq))
-	for i, r := range uniq {
-		counts[i] = r.NonNullCount()
-	}
-	for i := range uniq {
-		if !alive[i] {
-			continue
-		}
-		for j := range uniq {
-			if i == j || !alive[j] || counts[j] <= counts[i] {
-				continue
-			}
-			if Subsumes(uniq[j], uniq[i]) {
-				alive[i] = false
+	x.counts = counts
+	for a, i := range at {
+		for b, j := range at {
+			if counts[b] > counts[a] && Subsumes(rows[j], rows[i]) {
+				counts[a] = -1
 				break
 			}
 		}
 	}
-	for i, r := range uniq {
-		if alive[i] {
-			out.Rows = append(out.Rows, r)
+	out := at[:0]
+	for a, i := range at {
+		if counts[a] >= 0 {
+			out = append(out, i)
 		}
 	}
 	return out

@@ -130,7 +130,9 @@ func (v Value) Equal(w Value) bool {
 
 // Key returns a canonical form usable as a map key; distinct keys imply
 // unequal values and vice versa (numeric-text strings share the matching
-// number's key, mirroring Equal's cross-kind text comparison).
+// number's key, mirroring Equal's cross-kind text comparison). The one
+// exception is a non-finite number, which only N builds: Equal matches it to
+// its text ("NaN", "+Inf") as a string, whose key is the string's.
 //
 // Key output never contains a bare \x00, \x01 or \x02 outside the leading
 // kind marker: string bodies are escaped (see keyEscape), so keys can be
