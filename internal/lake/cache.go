@@ -17,11 +17,12 @@ import (
 // v4 cache: every interned form stays resident until its table leaves the
 // catalog. With a byte budget set, least-recently-used forms are evicted once
 // the resident set exceeds the budget — spilled to the segment store when one
-// is attached, dropped otherwise — and re-materialized transparently on the
-// next request, from the store (a block read, no re-hashing) or by
-// re-interning. Eviction never invalidates a pinned snapshot: the dictionary
-// is append-only, so a reloaded or re-interned form carries exactly the IDs
-// the evicted one did, and query results are bit-identical either way.
+// is attached and does not already hold them, dropped otherwise — and
+// re-materialized transparently on the next request, from the store (one
+// file read, no re-hashing) or by re-interning. Eviction never invalidates a
+// pinned snapshot: the dictionary is append-only, so a reloaded or
+// re-interned form carries exactly the IDs the evicted one did, and query
+// results are bit-identical either way.
 type internState struct {
 	mu   sync.Mutex
 	dict *table.Dict
@@ -52,11 +53,18 @@ type cacheEntry struct {
 	fp   uint64 // content fingerprint of the table the form was built from
 	size int64
 	elem *list.Element
+	// from is the segment store the form was loaded from, nil for a form
+	// interned (or retargeted) in memory. Evicting a form whose from is the
+	// attached store writes nothing: its segment is already there.
+	from *table.SegmentStore
 }
 
 // CacheStats counts resident-cache traffic. Loads are segment-store
 // re-materializations, Reinterns the fallback when no store (or no valid
-// segment) is available; Spills counts successful evict-time segment writes.
+// segment) is available. Spills counts successful evict-time segment writes:
+// only forms interned in memory, or loaded from a store SetSegmentStore has
+// since replaced, are written; a form loaded from the attached store is
+// dropped as is, counted under Evictions alone.
 type CacheStats struct {
 	Resident      int
 	ResidentBytes int64
@@ -83,9 +91,9 @@ func newInternState(d *table.Dict) *internState {
 // inserted form is never the eviction victim (it is at the LRU front and the
 // loop leaves at least one resident), so a caller holding the returned form
 // can use it safely.
-func (st *internState) insertLocked(t *table.Table, fp uint64, it *table.Interned) {
+func (st *internState) insertLocked(t *table.Table, fp uint64, it *table.Interned, from *table.SegmentStore) {
 	size := it.MemBytes()
-	e := &cacheEntry{it: it, fp: fp, size: size}
+	e := &cacheEntry{it: it, fp: fp, size: size, from: from}
 	e.elem = st.lru.PushFront(t)
 	st.cache[t] = e
 	st.residentBytes += size
@@ -94,7 +102,10 @@ func (st *internState) insertLocked(t *table.Table, fp uint64, it *table.Interne
 }
 
 // enforceBudgetLocked evicts from the LRU tail until the resident set fits
-// the budget, always keeping at least one form resident.
+// the budget, always keeping at least one form resident. A victim loaded from
+// the attached store is dropped without a write: Load verified its segment,
+// and Load re-verifies everything it reads, so a segment lost since costs one
+// re-intern, never a wrong result.
 func (st *internState) enforceBudgetLocked() {
 	if st.budget <= 0 {
 		return
@@ -103,7 +114,7 @@ func (st *internState) enforceBudgetLocked() {
 		back := st.lru.Back()
 		t := back.Value.(*table.Table)
 		e := st.cache[t]
-		if st.store != nil {
+		if st.store != nil && e.from != st.store {
 			if err := st.store.Write(e.it, e.fp, st.dict); err != nil {
 				// The form is still reproducible by re-interning; dropping it
 				// without a segment only costs time, never correctness.
@@ -181,7 +192,7 @@ func (st *internState) ensureLocked(names []string, byName map[string]*table.Tab
 	}
 	for i, n := range missing {
 		t := byName[n]
-		st.insertLocked(t, fps[n], pres[i].Merge(st.dict))
+		st.insertLocked(t, fps[n], pres[i].Merge(st.dict), nil)
 	}
 }
 
@@ -221,13 +232,13 @@ func (st *internState) materializeLocked(t *table.Table, fp uint64) *table.Inter
 	if st.store != nil {
 		if it, err := st.store.Load(t, fp, st.dict); err == nil {
 			st.stats.Loads++
-			st.insertLocked(t, fp, it)
+			st.insertLocked(t, fp, it, st.store)
 			return it
 		}
 	}
 	st.stats.Reinterns++
 	it := table.PreInternTable(t).Merge(st.dict)
-	st.insertLocked(t, fp, it)
+	st.insertLocked(t, fp, it, nil)
 	return it
 }
 
@@ -268,7 +279,8 @@ func (st *internState) retarget(pairs [][2]*table.Table) {
 	defer st.mu.Unlock()
 	for _, p := range pairs {
 		if e, ok := st.cache[p[0]]; ok {
-			st.insertLocked(p[1], e.fp, e.it.Retargeted(p[1]))
+			// No store: the segment on disk is under the old name.
+			st.insertLocked(p[1], e.fp, e.it.Retargeted(p[1]), nil)
 		} else if fp, was := st.ever[p[0]]; was {
 			// The old form is on disk (or reproducible); record the new
 			// pointer so the rename stays lazy instead of forcing a bulk

@@ -1,9 +1,7 @@
 package lake
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -22,7 +20,7 @@ func cacheTestTable(name string, rows int) *table.Table {
 	return t
 }
 
-func addAll(t *testing.T, l *Lake, tables ...*table.Table) {
+func addAll(t testing.TB, l *Lake, tables ...*table.Table) {
 	t.Helper()
 	muts := make([]Mutation, len(tables))
 	for i, tab := range tables {
@@ -237,17 +235,25 @@ func TestOpenMissingSegmentFallsBack(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsForgedTableShapes: table shapes in catalog.gob are bytes
-// from disk like any others — a ragged row, a duplicate column name or an
-// out-of-range key index must fail Open with table.ErrShape instead of
-// opening cleanly and panicking inside a later query.
+// TestOpenRejectsForgedTableShapes: table shapes in the catalog are bytes
+// from disk like any others — a duplicate column name or an out-of-range key
+// index must fail Open with table.ErrShape instead of opening cleanly and
+// panicking inside a later query, and a name used twice with
+// ErrCorruptCatalog. The forgeries go through the catalog encoder, so the
+// checksum holds and only these checks stand between them and a query. The
+// flat format cannot express a ragged row: a short row shifts the cell
+// stream, which fails as ErrCorruptCatalog.
 func TestOpenRejectsForgedTableShapes(t *testing.T) {
-	forgeries := map[string]func(*table.Table){
-		"ragged row":       func(tb *table.Table) { tb.Rows[1] = tb.Rows[1][:1] },
-		"duplicate column": func(tb *table.Table) { tb.Cols[1] = tb.Cols[0] },
-		"key out of range": func(tb *table.Table) { tb.Key = []int{len(tb.Cols)} },
+	forgeries := map[string]struct {
+		forge func(*table.Table)
+		want  error
+	}{
+		"ragged row":       {func(tb *table.Table) { tb.Rows[1] = tb.Rows[1][:1] }, ErrCorruptCatalog},
+		"duplicate column": {func(tb *table.Table) { tb.Cols[1] = tb.Cols[0] }, table.ErrShape},
+		"key out of range": {func(tb *table.Table) { tb.Key = []int{len(tb.Cols)} }, table.ErrShape},
+		"duplicate name":   {func(tb *table.Table) { tb.Name = "good" }, ErrCorruptCatalog},
 	}
-	for name, forge := range forgeries {
+	for name, f := range forgeries {
 		t.Run(name, func(t *testing.T) {
 			l := New()
 			addAll(t, l, cacheTestTable("good", 4), cacheTestTable("bad", 4))
@@ -256,26 +262,20 @@ func TestOpenRejectsForgedTableShapes(t *testing.T) {
 				t.Fatal(err)
 			}
 			path := filepath.Join(dir, catalogFileName)
-			f, err := os.Open(path)
+			c, err := readCatalog(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var d catalogDisk
-			err = gob.NewDecoder(f).Decode(&d)
-			f.Close()
+			f.forge(c.tables[1])
+			b, err := appendCatalog(nil, c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			forge(d.Tables[1])
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(d); err != nil {
+			if err := os.WriteFile(path, b, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := Open(dir); !errors.Is(err, table.ErrShape) {
-				t.Fatalf("Open = %v, want table.ErrShape", err)
+			if _, err := Open(dir); !errors.Is(err, f.want) {
+				t.Fatalf("Open = %v, want %v", err, f.want)
 			}
 		})
 	}

@@ -286,9 +286,25 @@ func (d *Dict) PrefixOf(o *Dict) bool {
 
 // NewDictFromSnapshot rebuilds a dictionary from a persisted snapshot,
 // reassigning each entry its original ID. Duplicate or null entries mean the
-// snapshot was not produced by Snapshot and are rejected.
+// snapshot was not produced by Snapshot and are rejected. The maps are sized
+// from the snapshot up front, so a restore never rehashes.
 func NewDictFromSnapshot(entries []DictEntry) (*Dict, error) {
-	d := NewDict()
+	var nstr, nnum int
+	for _, e := range entries {
+		switch e.Kind {
+		case KindString:
+			nstr++
+		case KindNumber:
+			nnum++
+		}
+	}
+	d := &Dict{
+		strs:    make(map[string]uint32, nstr),
+		nums:    make(map[uint64]uint32, nnum),
+		labels:  make(map[int64]uint32, len(entries)-nstr-nnum),
+		entries: make([]DictEntry, 0, len(entries)),
+		fpLen:   -1,
+	}
 	for i, e := range entries {
 		switch e.Kind {
 		case KindString, KindNumber, KindLabel:

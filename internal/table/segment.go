@@ -9,11 +9,10 @@ import (
 )
 
 // Segment files are the on-disk columnar form of an Interned table: the
-// [][]uint32 cell columns and the sorted distinct-ID sets, block-written so a
-// loader can seek straight to any column, with a footer describing the
-// blocks. The format is deliberately raw — fixed-width little-endian IDs, no
-// gob — so a 100K-table lake can spill and re-load forms with one bounded
-// read per block and no decoder allocations beyond the slices themselves.
+// [][]uint32 cell columns and the sorted distinct-ID sets, block-written,
+// with a footer describing the blocks. The format is deliberately raw —
+// fixed-width little-endian IDs, no gob — so a 100K-table lake can spill and
+// re-load forms with one read per file and one ID slab per form.
 //
 // Layout:
 //
@@ -46,21 +45,6 @@ const (
 // wrong magic, inconsistent block geometry, or stamps that fail verification.
 var ErrSegmentCorrupt = errors.New("table: corrupt segment file")
 
-// InternedSource resolves a table to its interned (columnar ID) form —
-// satisfied trivially by a resident *Interned and by a *Segment that loads
-// the form from disk on demand.
-type InternedSource interface {
-	Resolve(t *Table) (*Interned, error)
-}
-
-// Resolve returns the resident form itself: an Interned is its own source.
-func (it *Interned) Resolve(t *Table) (*Interned, error) {
-	if t != nil && t != it.Table {
-		return it.Retargeted(t), nil
-	}
-	return it, nil
-}
-
 // MemBytes estimates the heap bytes the form's ID payload occupies (cells
 // plus distinct sets; the Table itself is not counted) — the unit the lake's
 // resident-cache budget is accounted in.
@@ -76,8 +60,8 @@ func (it *Interned) MemBytes() int64 {
 }
 
 // Segment is the parsed footer of a segment file: everything needed to
-// validate and lazily load the interned form, without the ID blocks
-// themselves. Open with OpenSegmentFile; Resolve reads the blocks.
+// validate the interned form, without the ID blocks themselves. Open with
+// OpenSegmentFile; SegmentStore.Load reads footer and blocks in one read.
 type Segment struct {
 	path string
 	// Name is the table name the segment was written for.
@@ -231,7 +215,9 @@ func readSegmentMeta(r io.ReaderAt, size int64) (*Segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ncols > segMaxCols || nrows > segMaxRows {
+	// Every column's set length takes at least one footer byte, which bounds
+	// ncols before it sizes setLens.
+	if ncols > segMaxCols || ncols > uint64(len(footer)) || nrows > segMaxRows {
 		return nil, errors.New("dimensions out of range")
 	}
 	seg.ncols, seg.nrows = int(ncols), int(nrows)
@@ -274,70 +260,58 @@ func readSegmentMeta(r io.ReaderAt, size int64) (*Segment, error) {
 	return seg, nil
 }
 
-// Resolve reads the segment's ID blocks and binds them to t, which must have
-// the segment's dimensions (the caller is responsible for checking the
-// content fingerprint and dictionary stamp first — SegmentStore does both).
-// The file is opened, block-read and closed within the call, so resolving
-// 100K tables never holds 100K descriptors.
-func (s *Segment) Resolve(t *Table) (*Interned, error) {
-	if t == nil {
-		return nil, fmt.Errorf("%w: %s: nil table", ErrSegmentCorrupt, s.path)
-	}
+// decode binds the ID blocks of data — the whole segment file s was parsed
+// from — to t, which must have the segment's dimensions. Every column and
+// distinct set is a 3-index slice of one []uint32 slab. IDs beyond the
+// stamped dictionary length and distinct sets that are not strictly
+// increasing non-null IDs fail with ErrSegmentCorrupt. The caller checks the
+// content fingerprint and dictionary stamp first (SegmentStore.Load does).
+func (s *Segment) decode(data []byte, t *Table) (*Interned, error) {
 	if len(t.Cols) != s.ncols || len(t.Rows) != s.nrows {
 		return nil, fmt.Errorf("%w: %s: table %s is %dx%d, segment is %dx%d",
 			ErrSegmentCorrupt, s.path, t.Name, len(t.Cols), len(t.Rows), s.ncols, s.nrows)
 	}
-	f, err := os.Open(s.path)
-	if err != nil {
-		return nil, fmt.Errorf("table: %w", err)
+	n := s.ncols * s.nrows
+	for _, l := range s.setLens {
+		n += l
 	}
-	defer f.Close()
-
+	// readSegmentMeta checked the geometry against the file size, so the
+	// blocks are exactly n IDs after the header.
+	blocks := data[len(segHeaderMagic):]
+	slab := make([]uint32, n)
 	maxID := uint32(s.DictLen)
-	readBlock := func(off int64, n int, sorted bool) ([]uint32, error) {
-		buf := make([]byte, n*4)
-		if _, err := f.ReadAt(buf, off); err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrSegmentCorrupt, s.path, err)
+	for i := range slab {
+		id := binary.LittleEndian.Uint32(blocks[i*4:])
+		if id > maxID {
+			return nil, fmt.Errorf("%w: %s: ID %d beyond stamped dictionary length %d",
+				ErrSegmentCorrupt, s.path, id, s.DictLen)
 		}
-		ids := make([]uint32, n)
-		prev := uint32(0)
-		for i := range ids {
-			id := binary.LittleEndian.Uint32(buf[i*4:])
-			if id > maxID {
-				return nil, fmt.Errorf("%w: %s: ID %d beyond stamped dictionary length %d",
-					ErrSegmentCorrupt, s.path, id, s.DictLen)
-			}
-			if sorted && (id <= prev || id == NullID) {
-				return nil, fmt.Errorf("%w: %s: distinct set not strictly increasing",
-					ErrSegmentCorrupt, s.path)
-			}
-			ids[i] = id
-			prev = id
-		}
-		return ids, nil
+		slab[i] = id
 	}
-
 	it := &Interned{
 		Table: t,
 		Cols:  make([][]uint32, s.ncols),
 		sets:  make([][]uint32, s.ncols),
 	}
-	off := int64(len(segHeaderMagic))
-	for c := 0; c < s.ncols; c++ {
-		ids, err := readBlock(off, s.nrows, false)
-		if err != nil {
-			return nil, err
-		}
-		it.Cols[c] = ids
-		off += int64(s.nrows) * 4
+	next := func(l int) []uint32 {
+		b := slab[:l:l]
+		slab = slab[l:]
+		return b
 	}
-	for c := 0; c < s.ncols; c++ {
-		ids, err := readBlock(off, s.setLens[c], true)
-		if err != nil {
-			return nil, err
+	for c := range it.Cols {
+		it.Cols[c] = next(s.nrows)
+	}
+	for c := range it.sets {
+		set := next(s.setLens[c])
+		prev := NullID
+		for _, id := range set {
+			if id <= prev {
+				return nil, fmt.Errorf("%w: %s: distinct set not strictly increasing",
+					ErrSegmentCorrupt, s.path)
+			}
+			prev = id
 		}
-		it.sets[c] = ids
-		off += int64(s.setLens[c]) * 4
+		it.sets[c] = set
 	}
 	return it, nil
 }

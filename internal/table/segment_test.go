@@ -1,6 +1,8 @@
 package table
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -35,9 +37,13 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if seg.Name != "cities" || seg.TableFP != fp || seg.DictLen != dictLen || seg.DictFP != dictFP {
 		t.Fatalf("footer mismatch: %+v", seg)
 	}
-	got, err := seg.Resolve(tab)
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("resolve: %v", err)
+		t.Fatal(err)
+	}
+	got, err := loadSegment(path, raw, tab, fp, d)
+	if err != nil {
+		t.Fatalf("load: %v", err)
 	}
 	if !reflect.DeepEqual(got.Cols, it.Cols) {
 		t.Fatalf("cols mismatch:\n got %v\nwant %v", got.Cols, it.Cols)
@@ -46,22 +52,6 @@ func TestSegmentRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got.ColumnIDs(c), it.ColumnIDs(c)) {
 			t.Fatalf("set %d mismatch: got %v want %v", c, got.ColumnIDs(c), it.ColumnIDs(c))
 		}
-	}
-}
-
-func TestInternedIsItsOwnSource(t *testing.T) {
-	tab := segTestTable("self")
-	it := InternTable(NewDict(), tab)
-	var src InternedSource = it
-	got, err := src.Resolve(tab)
-	if err != nil || got != it {
-		t.Fatalf("Resolve = %v, %v; want the form itself", got, err)
-	}
-	ren := tab.Clone()
-	ren.Name = "renamed"
-	got, err = src.Resolve(ren)
-	if err != nil || got.Table != ren {
-		t.Fatalf("Resolve(renamed) = %+v, %v; want retargeted form", got, err)
 	}
 }
 
@@ -143,21 +133,23 @@ func TestSegmentCorruptionIsTypedError(t *testing.T) {
 			t.Errorf("%s: open succeeded, want error", name)
 		}
 	}
-	// A flipped ID that lands beyond the stamped dictionary length must fail
-	// at Resolve time.
+	// An ID one past the stamped dictionary length must fail the load: the
+	// footer still parses and both stamps still verify.
 	bad := append([]byte{}, raw...)
-	bad[9] = 0xff // inside the first column block
-	bad[10] = 0xff
-	bad[11] = 0xff
-	if err := os.WriteFile(path, bad, 0o644); err != nil {
-		t.Fatal(err)
+	binary.LittleEndian.PutUint32(bad[8:], uint32(dictLen)+1) // first cell
+	if _, err := readSegmentMeta(bytes.NewReader(bad), int64(len(bad))); err != nil {
+		t.Fatalf("footer after in-block flip: %v (geometry unchanged, footer must still parse)", err)
 	}
-	seg, err := OpenSegmentFile(path)
-	if err != nil {
-		t.Fatalf("open after in-block flip: %v (geometry unchanged, footer must still parse)", err)
+	if _, err := loadSegment(path, bad, tab, fp, d); !errors.Is(err, ErrSegmentCorrupt) {
+		t.Fatalf("load with out-of-dict ID = %v, want ErrSegmentCorrupt", err)
 	}
-	if _, err := seg.Resolve(tab); !errors.Is(err, ErrSegmentCorrupt) {
-		t.Fatalf("resolve with out-of-dict ID = %v, want ErrSegmentCorrupt", err)
+	// So must a distinct set that is not strictly increasing: repeat the
+	// first ID of the first column's set (it has two distinct cities).
+	dup := append([]byte{}, raw...)
+	set := 8 + len(tab.Rows)*len(tab.Cols)*4
+	copy(dup[set+4:set+8], raw[set:set+4])
+	if _, err := loadSegment(path, dup, tab, fp, d); !errors.Is(err, ErrSegmentCorrupt) {
+		t.Fatalf("load with a repeated set ID = %v, want ErrSegmentCorrupt", err)
 	}
 }
 
@@ -199,17 +191,21 @@ func TestDictPrefixStamp(t *testing.T) {
 	}
 }
 
-// FuzzSegmentFooter pins the segment parser to the satellite contract:
-// arbitrary bytes on disk either parse as a structurally consistent segment
-// or fail with a clean error — never a panic, never an absurd allocation.
+// FuzzSegmentFooter pins the one-read segment loader to the satellite
+// contract: arbitrary bytes on disk either load as a structurally consistent
+// form or fail with ErrSegmentCorrupt — never a panic, never an absurd
+// allocation. Bytes whose footer parses are also decoded against a
+// dimension-matching table, so the block checks see inputs the stamps would
+// otherwise turn away.
 func FuzzSegmentFooter(f *testing.F) {
 	tab := segTestTable("fuzzseed")
 	d := NewDict()
 	it := InternTable(d, tab)
+	fp := Fingerprint(tab)
 	dictLen, dictFP := d.PrefixStamp()
 	dir := f.TempDir()
 	seedPath := filepath.Join(dir, "seed.seg")
-	if err := WriteSegmentFile(seedPath, it, Fingerprint(tab), dictLen, dictFP); err != nil {
+	if err := WriteSegmentFile(seedPath, it, fp, dictLen, dictFP); err != nil {
 		f.Fatal(err)
 	}
 	seed, err := os.ReadFile(seedPath)
@@ -222,17 +218,15 @@ func FuzzSegmentFooter(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p := filepath.Join(t.TempDir(), "f.seg")
-		if err := os.WriteFile(p, data, 0o644); err != nil {
-			t.Skip()
+		got, err := loadSegment("f.seg", data, tab, fp, d)
+		if err != nil && !errors.Is(err, ErrSegmentCorrupt) {
+			t.Fatalf("load error %v is not ErrSegmentCorrupt", err)
 		}
-		seg, err := OpenSegmentFile(p)
-		if err != nil {
-			return // clean rejection is the contract
+		if err == nil {
+			consistentForm(t, got, dictLen)
 		}
-		// A parsed segment must be internally consistent enough to attempt a
-		// resolve against a dimension-matching table without panicking.
-		if seg.ncols > 64 || seg.nrows > 4096 {
+		seg, err := readSegmentMeta(bytes.NewReader(data), int64(len(data)))
+		if err != nil || seg.ncols > 64 || seg.nrows > 4096 {
 			return
 		}
 		tt := New(seg.Name + "x")
@@ -243,6 +237,39 @@ func FuzzSegmentFooter(f *testing.F) {
 		for r := 0; r < seg.nrows; r++ {
 			tt.Rows = append(tt.Rows, make(Row, seg.ncols))
 		}
-		seg.Resolve(tt) //nolint:errcheck // only panics matter here
+		got, err = seg.decode(data, tt)
+		if err != nil && !errors.Is(err, ErrSegmentCorrupt) {
+			t.Fatalf("decode error %v is not ErrSegmentCorrupt", err)
+		}
+		if err == nil {
+			consistentForm(t, got, seg.DictLen)
+		}
 	})
+}
+
+// consistentForm checks what a loaded form promises its readers: one column
+// per table column, row-aligned, IDs within the stamped dictionary, and
+// strictly increasing non-null distinct sets.
+func consistentForm(t *testing.T, it *Interned, dictLen int) {
+	t.Helper()
+	if len(it.Cols) != len(it.Table.Cols) {
+		t.Fatalf("%d columns for a %d-column table", len(it.Cols), len(it.Table.Cols))
+	}
+	for c, col := range it.Cols {
+		if len(col) != len(it.Table.Rows) {
+			t.Fatalf("column %d has %d cells for %d rows", c, len(col), len(it.Table.Rows))
+		}
+		for _, id := range col {
+			if int(id) > dictLen {
+				t.Fatalf("ID %d beyond dictionary length %d", id, dictLen)
+			}
+		}
+		prev := NullID
+		for _, id := range it.ColumnIDs(c) {
+			if id <= prev {
+				t.Fatalf("column %d set not strictly increasing", c)
+			}
+			prev = id
+		}
+	}
 }

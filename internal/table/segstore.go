@@ -1,6 +1,7 @@
 package table
 
 import (
+	"bytes"
 	"fmt"
 	"net/url"
 	"os"
@@ -56,14 +57,25 @@ func (st *SegmentStore) Write(it *Interned, fp uint64, d *Dict) error {
 
 // Load resolves a table's interned form from its segment, verifying the
 // segment was written for exactly these contents (fp = Fingerprint(t))
-// under a prefix of this dictionary. Any mismatch or corruption is an error;
-// callers fall back to re-interning.
+// under a prefix of this dictionary. The file is read whole in one read and
+// its footer and blocks are parsed from memory. Any mismatch or corruption
+// is an error; callers fall back to re-interning.
 func (st *SegmentStore) Load(t *Table, fp uint64, d *Dict) (*Interned, error) {
 	path := st.SegmentPath(t.Name)
-	seg, err := OpenSegmentFile(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("table: %w", err)
 	}
+	return loadSegment(path, data, t, fp, d)
+}
+
+// loadSegment is Load on a segment file's bytes, read from path.
+func loadSegment(path string, data []byte, t *Table, fp uint64, d *Dict) (*Interned, error) {
+	seg, err := readSegmentMeta(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrSegmentCorrupt, path, err)
+	}
+	seg.path = path
 	if seg.Name != t.Name {
 		return nil, fmt.Errorf("%w: %s: segment written for table %q, want %q",
 			ErrSegmentCorrupt, path, seg.Name, t.Name)
@@ -76,5 +88,5 @@ func (st *SegmentStore) Load(t *Table, fp uint64, d *Dict) (*Interned, error) {
 		return nil, fmt.Errorf("%w: %s: dictionary prefix stamp does not verify",
 			ErrSegmentCorrupt, path)
 	}
-	return seg.Resolve(t)
+	return seg.decode(data, t)
 }
