@@ -39,22 +39,16 @@ import (
 	"time"
 
 	"gent/internal/core"
-	"gent/internal/discovery"
-	"gent/internal/embed"
 	"gent/internal/server/boot"
 	"gent/internal/table"
 )
 
 func main() {
 	var (
+		shared     = boot.RegisterFlags(flag.CommandLine)
 		sourcePath = flag.String("source", "", "path to the Source Table CSV (required)")
-		lakeDir    = flag.String("lake", "", "directory of lake CSVs (required)")
 		outPath    = flag.String("out", "", "write the reclaimed table to this CSV")
-		tau        = flag.Float64("tau", 0.2, "set-overlap threshold τ")
-		topK       = flag.Int("topk", 0, "first-stage LSH retrieval size (0 = search the whole lake)")
-		maxCands   = flag.Int("max-candidates", 15, "candidate set cap")
 		keySpec    = flag.String("key", "", "comma-separated key columns (default: mined)")
-		indexDir   = flag.String("index-dir", "", "load persisted lake indexes from this directory, or build and save them there")
 		explain    = flag.Bool("explain", false, "print a per-tuple reclamation breakdown")
 		jsonOut    = flag.Bool("json", false, "print the result as JSON instead of text")
 		quiet      = flag.Bool("q", false, "print only the report line")
@@ -62,15 +56,10 @@ func main() {
 		progress   = flag.Bool("progress", false, "stream per-phase progress events to stderr")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		storeDir   = flag.String("store-dir", "", "spill evicted interned tables to segment files under this directory (created if missing)")
-		maxResMB   = flag.Int("max-resident-mb", 0, "cap resident interned-table memory at this many MiB (0 = unbounded; evicted forms reload from -store-dir, or re-intern without one)")
 		stats      = flag.Bool("stats", false, "print resident-cache statistics to stderr on exit (including error and deadline exits)")
-		strategy   = flag.String("strategy", "", "discovery strategy: syntactic (default), semantic, or hybrid")
-		semTau     = flag.Float64("semantic-tau", 0, "semantic cosine threshold (0 = default)")
-		vectors    = flag.String("vectors", "", "word-vector file (fasttext text format) for the semantic channel; default: built-in hashed n-gram embedder")
 	)
 	flag.Parse()
-	if *sourcePath == "" || *lakeDir == "" {
+	if *sourcePath == "" || shared.Lake.Dir == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -128,11 +117,7 @@ func main() {
 		}
 	}
 
-	l, err := boot.OpenLake(boot.LakeOptions{
-		Dir:           *lakeDir,
-		StoreDir:      *storeDir,
-		MaxResidentMB: *maxResMB,
-	}, warnLine)
+	l, err := boot.OpenLake(shared.Lake, boot.Stderr)
 	if err != nil {
 		fatal(err)
 	}
@@ -150,43 +135,20 @@ func main() {
 		}
 	}
 
-	cfg := core.DefaultConfig()
-	cfg.Discovery.Tau = *tau
-	cfg.Discovery.MaxCandidates = *maxCands
-	cfg.Discovery.FirstStageTopK = *topK
-	if *strategy != "" {
-		strat, err := discovery.ParseStrategy(*strategy)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Discovery.Strategy = strat
+	cfg, err := shared.Config()
+	if err != nil {
+		fatal(err)
 	}
-	cfg.Discovery.SemanticTau = *semTau
-	if *vectors != "" {
-		emb, err := embed.LoadVectorFile(*vectors)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Discovery.Embedder = emb
-	}
-
 	session := core.NewReclaimer(l, cfg)
-	if *indexDir != "" {
+	if shared.IndexDir != "" {
 		// The load/catch-up/rebuild cascade lives in internal/server/boot,
 		// shared with gentd so the two front ends cannot drift.
-		out, err := boot.AdoptIndexes(session, *indexDir, warnLine)
+		out, err := boot.AdoptIndexes(session, shared.IndexDir, boot.Stderr)
 		if err != nil {
 			fatal(err)
 		}
 		if !*quiet {
-			switch out.Action {
-			case "caught_up":
-				fmt.Printf("indexes at %s caught up (+%d tables) and saved\n", *indexDir, out.Added)
-			case "loaded":
-				fmt.Printf("indexes loaded from %s\n", *indexDir)
-			default:
-				fmt.Printf("indexes built and saved to %s\n", *indexDir)
-			}
+			fmt.Println(out.Message(shared.IndexDir))
 		}
 	}
 
@@ -257,12 +219,6 @@ func main() {
 	} else if !*quiet {
 		fmt.Print(res.Reclaimed.String())
 	}
-}
-
-// warnLine is the boot.Warnf both open paths report through: one stderr
-// line per diagnostic, exactly as previous releases printed.
-func warnLine(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
 }
 
 // progressLine renders one structured phase event for -progress.

@@ -9,28 +9,26 @@
 // 503, in-flight requests finish (bounded by -drain-timeout), the listener
 // closes, exit 0.
 //
-// Client modes drive a running server:
+// Smoke mode checks a running server instead:
 //
-//	gentd -loaddrive http://host:8080 -source q.csv [-duration 10s]
-//	      [-concurrency 4] [-mutate-every 50]
 //	gentd -smoke http://host:8080 -source q.csv
 //
-// -loaddrive reports throughput and latency percentiles; -smoke asserts the
-// serving contract end to end (cache miss → hit → epoch bump → invalidation)
-// and exits non-zero on any violation.
+// asserts the serving contract end to end (cache miss → hit → epoch bump →
+// invalidation) and exits non-zero on any violation. Load is measured by the
+// gentd_churn workload of the bench command, not by gentd itself.
 //
 // Usage:
 //
 //	gentd -lake ./lake [-addr :8080] [-index-dir ./lake.idx]
 //	      [-store-dir ./lake.seg] [-max-resident-mb 256]
 //	      [-tau 0.2] [-topk 0] [-max-candidates 15]
+//	      [-strategy hybrid] [-semantic-tau 0.6] [-vectors vectors.txt]
 //	      [-workers 0] [-queue 0] [-request-timeout 60s]
 //	      [-drain-timeout 30s] [-cache-mb 64]
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -42,8 +40,6 @@ import (
 	"time"
 
 	"gent/internal/core"
-	"gent/internal/discovery"
-	"gent/internal/embed"
 	"gent/internal/server"
 	"gent/internal/server/boot"
 	"gent/internal/server/client"
@@ -52,87 +48,41 @@ import (
 
 func main() {
 	var (
+		shared     = boot.RegisterFlags(flag.CommandLine)
 		addr       = flag.String("addr", ":8080", "listen address")
-		lakeDir    = flag.String("lake", "", "directory of lake CSVs (required in serve mode)")
-		indexDir   = flag.String("index-dir", "", "load persisted lake indexes from this directory, or build and save them there")
-		storeDir   = flag.String("store-dir", "", "spill evicted interned tables to segment files under this directory")
-		maxResMB   = flag.Int("max-resident-mb", 0, "cap resident interned-table memory at this many MiB (0 = unbounded)")
-		tau        = flag.Float64("tau", 0.2, "set-overlap threshold τ")
-		topK       = flag.Int("topk", 0, "first-stage LSH retrieval size (0 = search the whole lake)")
-		maxCands   = flag.Int("max-candidates", 15, "candidate set cap")
 		workers    = flag.Int("workers", 0, "concurrent reclaim slots (0 = session traverse workers, else GOMAXPROCS)")
 		queue      = flag.Int("queue", 0, "admission queue depth beyond the slots (0 = 4x workers)")
 		reqTimeout = flag.Duration("request-timeout", 60*time.Second, "maximum wall time per reclaim request")
 		drainTO    = flag.Duration("drain-timeout", 30*time.Second, "how long to wait for in-flight requests on shutdown")
 		cacheMB    = flag.Int("cache-mb", 64, "result-cache byte budget in MiB (0 = default, negative = disabled)")
-		strategy   = flag.String("strategy", "", "default discovery strategy: syntactic (default), semantic, or hybrid (clients may override per request)")
-		semTau     = flag.Float64("semantic-tau", 0, "semantic cosine threshold (0 = default)")
-		vectors    = flag.String("vectors", "", "word-vector file (fasttext text format) for the semantic channel; default: built-in hashed n-gram embedder")
-
-		loaddrive   = flag.String("loaddrive", "", "drive load against a running gentd at this base URL instead of serving")
-		smoke       = flag.String("smoke", "", "run the serving-contract smoke against a running gentd at this base URL instead of serving")
-		sourcePath  = flag.String("source", "", "source CSV for -loaddrive / -smoke")
-		duration    = flag.Duration("duration", 10*time.Second, "-loaddrive run length")
-		concurrency = flag.Int("concurrency", 4, "-loaddrive closed-loop workers")
-		mutateEvery = flag.Int("mutate-every", 0, "-loaddrive: interleave one epoch-rolling Apply every N requests (0 = read-only)")
-		omitTable   = flag.Bool("omit-table", false, "-loaddrive: skip result payloads, measure latency only")
+		smoke      = flag.String("smoke", "", "run the serving-contract smoke against a running gentd at this base URL instead of serving")
+		sourcePath = flag.String("source", "", "source CSV for -smoke")
 	)
 	flag.Parse()
 
-	switch {
-	case *loaddrive != "":
-		os.Exit(runLoadDrive(*loaddrive, *sourcePath, *duration, *concurrency, *mutateEvery, *omitTable))
-	case *smoke != "":
+	if *smoke != "" {
 		os.Exit(runSmoke(*smoke, *sourcePath))
 	}
-
-	if *lakeDir == "" {
+	if shared.Lake.Dir == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	l, err := boot.OpenLake(boot.LakeOptions{
-		Dir:           *lakeDir,
-		StoreDir:      *storeDir,
-		MaxResidentMB: *maxResMB,
-	}, warnLine)
+	l, err := boot.OpenLake(shared.Lake, boot.Stderr)
 	if err != nil {
 		fatal(err)
 	}
-
-	cfg := core.DefaultConfig()
-	cfg.Discovery.Tau = *tau
-	cfg.Discovery.MaxCandidates = *maxCands
-	cfg.Discovery.FirstStageTopK = *topK
-	if *strategy != "" {
-		strat, err := discovery.ParseStrategy(*strategy)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Discovery.Strategy = strat
-	}
-	cfg.Discovery.SemanticTau = *semTau
-	if *vectors != "" {
-		emb, err := embed.LoadVectorFile(*vectors)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Discovery.Embedder = emb
+	cfg, err := shared.Config()
+	if err != nil {
+		fatal(err)
 	}
 	session := core.NewReclaimer(l, cfg)
-	if *indexDir != "" {
-		out, err := boot.AdoptIndexes(session, *indexDir, warnLine)
+	if shared.IndexDir != "" {
+		out, err := boot.AdoptIndexes(session, shared.IndexDir, boot.Stderr)
 		if err != nil {
 			fatal(err)
 		}
-		switch out.Action {
-		case "caught_up":
-			fmt.Printf("gentd: indexes at %s caught up (+%d tables) and saved\n", *indexDir, out.Added)
-		case "loaded":
-			fmt.Printf("gentd: indexes loaded from %s\n", *indexDir)
-		default:
-			fmt.Printf("gentd: indexes built and saved to %s\n", *indexDir)
-		}
+		fmt.Println("gentd: " + out.Message(shared.IndexDir))
 	}
 
 	srv := server.New(session, server.Config{
@@ -180,59 +130,27 @@ func main() {
 	fmt.Println("gentd: drained, bye")
 }
 
-// runLoadDrive is the -loaddrive client mode.
-func runLoadDrive(base, sourcePath string, dur time.Duration, conc, mutateEvery int, omit bool) int {
-	src, err := loadSource(sourcePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gentd: %v\n", err)
-		return 1
-	}
-	c := client.New(base, nil)
-	var opts *server.ReclaimOptions
-	if omit {
-		opts = &server.ReclaimOptions{OmitTable: true}
-	}
-	fmt.Printf("gentd: driving %s for %s with %d workers\n", base, dur, conc)
-	rep, err := c.Drive(context.Background(), []*table.Table{src}, client.DriveOptions{
-		Concurrency: conc,
-		Duration:    dur,
-		Options:     opts,
-		MutateEvery: mutateEvery,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gentd: %v\n", err)
-		return 1
-	}
-	fmt.Printf("requests=%d errors=%d shed=%d cache_hits=%d mutations=%d\n",
-		rep.Requests, rep.Errors, rep.Shed, rep.CacheHits, rep.Mutations)
-	fmt.Printf("throughput=%.1f req/s p50=%s p95=%s p99=%s max=%s\n",
-		rep.Throughput, rep.P50.Round(time.Microsecond), rep.P95.Round(time.Microsecond),
-		rep.P99.Round(time.Microsecond), rep.Max.Round(time.Microsecond))
-	if rep.Errors > 0 {
-		return 1
-	}
-	return 0
-}
-
 // runSmoke asserts the serving contract against a live server: health, a
 // cold query (cache miss), the identical query again (cache hit, observable
 // both in the X-Gent-Cache header and the /metrics counter), an Apply rolling
 // the epoch, and the query once more (miss again — the bump invalidated the
-// cache). Any violation is a non-zero exit with a line saying which.
-func runSmoke(base, sourcePath string) int {
-	src, err := loadSource(sourcePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gentd: %v\n", err)
-		return 1
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	c := client.New(base, nil)
-
+// cache). Any violation is a non-zero exit with a line saying which, and the
+// table the smoke put is dropped again whichever way it exits.
+func runSmoke(base, sourcePath string) (code int) {
 	fail := func(format string, args ...any) int {
 		fmt.Fprintf(os.Stderr, "gentd: smoke FAIL: "+format+"\n", args...)
 		return 1
 	}
+	if sourcePath == "" {
+		return fail("-source is required")
+	}
+	src, err := table.LoadCSVFile(sourcePath)
+	if err != nil {
+		return fail("source: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	c := client.New(base, nil)
 
 	if err := c.Health(ctx); err != nil {
 		return fail("health: %v", err)
@@ -274,6 +192,14 @@ func runSmoke(base, sourcePath string) int {
 	if err != nil {
 		return fail("apply: %v", err)
 	}
+	defer func() {
+		// Its own context: the smoke's may be the reason it is exiting.
+		dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer dcancel()
+		if _, err := c.Apply(dctx, client.Drop("smoke_churn")); err != nil {
+			code = fail("cleanup drop: %v", err)
+		}
+	}()
 	if ar.EpochSeq <= r2.EpochSeq {
 		return fail("apply did not advance the epoch (%s -> %s)", r2.Epoch, ar.Epoch)
 	}
@@ -289,22 +215,8 @@ func runSmoke(base, sourcePath string) int {
 	if r3.EpochSeq != ar.EpochSeq {
 		return fail("post-apply query pinned epoch %s, want %s", r3.Epoch, ar.Epoch)
 	}
-	if _, err := c.Apply(ctx, client.Drop("smoke_churn")); err != nil {
-		return fail("cleanup drop: %v", err)
-	}
 	fmt.Println("smoke: epoch bump invalidated the cache; all checks passed")
 	return 0
-}
-
-func loadSource(path string) (*table.Table, error) {
-	if path == "" {
-		return nil, errors.New("-source is required in client modes")
-	}
-	return table.LoadCSVFile(path)
-}
-
-func warnLine(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
 }
 
 func fatal(err error) {

@@ -10,11 +10,11 @@ import (
 	"gent/internal/lake"
 )
 
-// storeTables is the corpus size the storage benchmark and footprint test
-// run at. The acceptance corpus is LargeCorpusTables; the default here keeps
-// the suite fast, and GENT_TABLES scales it up for acceptance runs:
+// storeTables is the corpus size the footprint test runs at. The acceptance
+// corpus is LargeCorpusTables; the default here keeps the suite fast, and
+// GENT_TABLES scales it up for acceptance runs:
 //
-//	GENT_TABLES=100000 go test -run StoreBounded -bench ReclaimStore ./internal/benchmark
+//	GENT_TABLES=100000 go test -run StoreBounded ./internal/benchmark
 func storeTables(tb testing.TB) int {
 	tb.Helper()
 	if v := os.Getenv("GENT_TABLES"); v != "" {
@@ -46,58 +46,6 @@ func storeCorpus(tb testing.TB) *TPTR {
 		tb.Fatal(err)
 	}
 	return corpus
-}
-
-// BenchmarkReclaimStore measures one reclaim over the `large`-preset corpus
-// served from the storage tier, cold and warm:
-//
-//   - cold: every iteration re-opens the persisted lake (empty resident
-//     cache, substrates built from segment loads) and runs one query — the
-//     first-query-after-restart cost;
-//   - warm: one session reclaims repeatedly under the same byte budget —
-//     the steady-state cost, where substrates are shared and only evicted
-//     table forms page in.
-//
-// Both run with the resident budget at a quarter of the corpus's interned
-// footprint, so the cache is genuinely paging, not just resident.
-func BenchmarkReclaimStore(b *testing.B) {
-	corpus := storeCorpus(b)
-	src := corpus.Sources[0]
-	dir := b.TempDir()
-	if err := corpus.Lake.Persist(dir); err != nil {
-		b.Fatal(err)
-	}
-	budget := corpus.Lake.CacheStats().ResidentBytes / 4
-
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			l, err := lake.Open(dir)
-			if err != nil {
-				b.Fatal(err)
-			}
-			l.SetResidentBudget(budget)
-			if _, err := core.NewReclaimer(l, core.DefaultConfig()).ReclaimContext(context.Background(), src); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		l, err := lake.Open(dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		l.SetResidentBudget(budget)
-		session := core.NewReclaimer(l, core.DefaultConfig())
-		if _, err := session.ReclaimContext(context.Background(), src); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := session.ReclaimContext(context.Background(), src); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // TestStoreBoundedFootprint is the beyond-RAM acceptance check at test

@@ -1,25 +1,84 @@
-// Package boot is the shared lake-open and index-adoption plumbing of the
-// two front ends, cmd/gent (one-shot CLI) and cmd/gentd (server). Both need
-// exactly the same sequence — load the lake, attach the storage tier, adopt
-// or build persisted indexes with the load/catch-up/rebuild cascade — and
-// before this package each carried its own copy, which is how front ends
-// drift. The cascade lives here once; the front ends only format its
-// outcome.
+// Package boot is the shared flag, lake-open and index-adoption plumbing of
+// the two front ends, cmd/gent (one-shot CLI) and cmd/gentd (server). Both
+// need exactly the same sequence — read the lake and discovery flags, load
+// the lake, attach the storage tier, adopt or build persisted indexes with
+// the load/catch-up/rebuild cascade — and before this package each carried
+// its own copy, which is how front ends drift. It lives here once.
 package boot
 
 import (
 	"errors"
+	"flag"
 	"fmt"
+	"os"
 
 	"gent/internal/core"
+	"gent/internal/discovery"
+	"gent/internal/embed"
 	"gent/internal/index"
 	"gent/internal/lake"
 	"gent/internal/table"
 )
 
+// Flags are the settings both front ends take: where the lake and its
+// indexes live, and how discovery runs.
+type Flags struct {
+	Lake          LakeOptions
+	IndexDir      string
+	Tau           float64
+	TopK          int
+	MaxCandidates int
+	Strategy      string
+	SemanticTau   float64
+	Vectors       string
+}
+
+// RegisterFlags defines the shared flags on fs.
+func RegisterFlags(fs *flag.FlagSet) *Flags {
+	f := &Flags{}
+	fs.StringVar(&f.Lake.Dir, "lake", "", "directory of lake CSVs (required to reclaim or serve)")
+	fs.StringVar(&f.IndexDir, "index-dir", "", "load persisted lake indexes from this directory, or build and save them there")
+	fs.StringVar(&f.Lake.StoreDir, "store-dir", "", "spill evicted interned tables to segment files under this directory (created if missing)")
+	fs.IntVar(&f.Lake.MaxResidentMB, "max-resident-mb", 0, "cap resident interned-table memory at this many MiB (0 = unbounded; evicted forms reload from -store-dir, or re-intern without one)")
+	fs.Float64Var(&f.Tau, "tau", 0.2, "set-overlap threshold τ")
+	fs.IntVar(&f.TopK, "topk", 0, "first-stage LSH retrieval size (0 = search the whole lake)")
+	fs.IntVar(&f.MaxCandidates, "max-candidates", 15, "candidate set cap")
+	fs.StringVar(&f.Strategy, "strategy", "", "discovery strategy: syntactic (default), semantic, or hybrid")
+	fs.Float64Var(&f.SemanticTau, "semantic-tau", 0, "semantic cosine threshold (0 = default)")
+	fs.StringVar(&f.Vectors, "vectors", "", "word-vector file (fasttext text format) for the semantic channel; default: built-in hashed n-gram embedder")
+	return f
+}
+
+// Config is the session configuration the flags describe.
+func (f *Flags) Config() (core.Config, error) {
+	cfg := core.DefaultConfig()
+	cfg.Discovery.Tau = f.Tau
+	cfg.Discovery.MaxCandidates = f.MaxCandidates
+	cfg.Discovery.FirstStageTopK = f.TopK
+	if f.Strategy != "" {
+		strat, err := discovery.ParseStrategy(f.Strategy)
+		if err != nil {
+			return cfg, err
+		}
+		cfg.Discovery.Strategy = strat
+	}
+	cfg.Discovery.SemanticTau = f.SemanticTau
+	if f.Vectors != "" {
+		emb, err := embed.LoadVectorFile(f.Vectors)
+		if err != nil {
+			return cfg, err
+		}
+		cfg.Discovery.Embedder = emb
+	}
+	return cfg, nil
+}
+
 // Warnf receives non-fatal diagnostics (unreadable lake files, unusable
 // persisted indexes). Nil discards them.
 type Warnf func(format string, args ...any)
+
+// Stderr is the Warnf the front ends use: one stderr line per diagnostic.
+func Stderr(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
 
 func (f Warnf) printf(format string, args ...any) {
 	if f != nil {
@@ -71,6 +130,18 @@ type IndexOutcome struct {
 	Action string
 	// Added is the table count a catch-up inserted.
 	Added int
+}
+
+// Message is the one line a front end prints for the outcome at dir.
+func (o IndexOutcome) Message(dir string) string {
+	switch o.Action {
+	case "caught_up":
+		return fmt.Sprintf("indexes at %s caught up (+%d tables) and saved", dir, o.Added)
+	case "loaded":
+		return "indexes loaded from " + dir
+	default:
+		return "indexes built and saved to " + dir
+	}
 }
 
 // AdoptIndexes wires persisted discovery indexes under dir into the
