@@ -62,15 +62,15 @@
 // # Coverage of the storage tier
 //
 // The beyond-RAM storage layer (the lake's budgeted resident cache and
-// Persist/Open, table segment I/O, the sharded compressed inverted index)
+// Persist/Open, table segment I/O, the compressed inverted index)
 // introduced no new analyzer: the existing invariants generalize to it and
 // the suite checks it like any other library code. Its goroutine pools —
-// the chunked sharded index build, per-shard probe fan-out, parallel
-// pre-interning — are WaitGroup- or channel-tied per nakedgo; its session
-// and lake read paths pin one snapshot per function per snappin; its
-// persistence and segment-verification errors wrap causes with %w per
-// phaseerr; and eviction, spill and reload run entirely under the cache's
-// own lock with no context roots, keeping ctxflow silent.
+// the parallel index build, the probe fan-out, parallel pre-interning — are
+// WaitGroup- or channel-tied per nakedgo; its session and lake read paths
+// pin one snapshot per function per snappin; its persistence and
+// segment-verification errors wrap causes with %w per phaseerr; and
+// eviction, spill and reload (whose segment read alone runs outside the
+// cache's lock) have no context roots, keeping ctxflow silent.
 //
 // # Coverage of the semantic channel
 //

@@ -46,15 +46,13 @@ type Config struct {
 	// RequireCandidates makes an empty discovery result fail with
 	// ErrNoCandidates instead of integrating nothing.
 	RequireCandidates bool
-	// IndexShards selects the number of value-ID-hash shards of the inverted
-	// substrate a Reclaimer session builds; ≤ 1 means one shard. Query results
-	// are bit-identical across shard counts; shards only parallelize builds,
-	// persistence and large probes. Measured at 8 shards on 2 CPUs
-	// (benchmark.BuildLargePreset, seed 11): a 1 500-table lake builds in
-	// 42–50 ms allocating 16.9 MB, a 32-table one in 1.1–2.5 ms / 0.57 MB.
-	// It is a session-level knob: the substrate is built once per lake epoch
-	// from the session configuration, so per-call options cannot change it
-	// mid-epoch.
+	// IndexShards is the fan-out width of large probes of the inverted
+	// substrate a Reclaimer session builds: a probe of many query values is
+	// split over this many goroutines; ≤ 1 probes inline. Query results are
+	// bit-identical for every value, and builds and persistence do not
+	// depend on it (the postings are one slab indexed by value ID). It is a
+	// session-level knob: the substrate is built once per lake epoch from the
+	// session configuration, so per-call options cannot change it mid-epoch.
 	IndexShards int
 }
 

@@ -58,8 +58,8 @@ func WithoutTraversal() Option {
 	return func(c *Config) { c.SkipTraversal = true }
 }
 
-// WithIndexShards selects the shard count of the inverted substrate a
-// Reclaimer session builds; ≤ 1 means one shard (see Config.IndexShards).
+// WithIndexShards sets the probe fan-out width of the inverted substrate a
+// Reclaimer session builds; ≤ 1 probes inline (see Config.IndexShards).
 // Session-level: it takes effect through the Config passed to NewReclaimer,
 // not per call (the substrate is shared across an epoch's queries).
 func WithIndexShards(n int) Option {

@@ -42,7 +42,7 @@ func TestLayeredLSHMatchesRebuild(t *testing.T) {
 			},
 			save: func(ix *MinHashLSH, w *bytes.Buffer, fp uint64) error { return ix.save(w, fp) },
 			reload: func(r *bytes.Buffer, d *table.Dict) (*MinHashLSH, error) {
-				return LoadMinHashLSH(r, d)
+				return loadMinHashLSH(r, d)
 			},
 		})
 	})
@@ -63,7 +63,7 @@ func TestLayeredLSHMatchesRebuild(t *testing.T) {
 			},
 			save: func(ix *CosineLSH, w *bytes.Buffer, fp uint64) error { return ix.save(w, fp) },
 			reload: func(r *bytes.Buffer, d *table.Dict) (*CosineLSH, error) {
-				return LoadCosineLSH(r, d)
+				return loadCosineLSH(r, d)
 			},
 		})
 	})

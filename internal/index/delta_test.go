@@ -80,11 +80,9 @@ func flatPostingsView(ix *Inverted) map[uint32][]ColumnRef {
 		})
 		out[id] = cp
 	}
-	for s := range ix.base.shards {
-		for id := range ix.base.shards[s].lists {
-			if _, over := ix.idOver[id]; !over {
-				put(id, ix.base.materialize(id))
-			}
+	for id := uint32(0); int(id) < ix.base.ids(); id++ {
+		if _, over := ix.idOver[id]; !over {
+			put(id, ix.base.materialize(id))
 		}
 	}
 	for id, refs := range ix.idOver {

@@ -182,17 +182,14 @@ func (s *IndexSet) CatchUp(snap *lake.Snapshot) (added int, ok bool) {
 	return len(missing), true
 }
 
-// On-disk layout of a persisted IndexSet: one file per substrate (the
-// inverted index: one meta file plus one per shard, persist_shard.go) plus
-// the shared value dictionary and the epoch stamp under the set's directory.
-// legacyInvertedFileName is the pre-sharding single-file inverted index,
-// which this release no longer reads or writes.
+// On-disk layout of a persisted IndexSet: one file per substrate
+// (inverted.bin, persist_inverted.go; minhash.gob; semantic.gob) plus the
+// shared value dictionary and the epoch stamp under the set's directory.
 const (
-	legacyInvertedFileName = "inverted.gob"
-	minhashFileName        = "minhash.gob"
-	semanticFileName       = "semantic.gob"
-	dictFileName           = "dict.gob"
-	epochFileName          = "epoch.gob"
+	minhashFileName  = "minhash.gob"
+	semanticFileName = "semantic.gob"
+	dictFileName     = "dict.gob"
+	epochFileName    = "epoch.gob"
 )
 
 // SaveDir persists the set's non-nil members under dir (created if needed)
@@ -238,8 +235,7 @@ func (s *IndexSet) SaveDir(dir string) error {
 	}
 	// One rule for every member: present → written, absent → its files from
 	// an earlier save removed, so nothing stale is ever paired with the fresh
-	// files under their shared fingerprint. The inverted meta file goes before
-	// its shards: shards without a meta file are ignored at load.
+	// files under their shared fingerprint.
 	save := func(name string, write func(io.Writer) error) func() error {
 		return func() error { return saveFile(filepath.Join(dir, name), write) }
 	}
@@ -248,8 +244,8 @@ func (s *IndexSet) SaveDir(dir string) error {
 		write   func() error
 		files   []string // glob patterns, relative to dir
 	}{
-		{s.Inverted != nil, func() error { return saveInvertedSharded(dir, s.Inverted, fp) },
-			[]string{shardMetaFileName, shardFileGlob}},
+		{s.Inverted != nil, func() error { return saveInverted(filepath.Join(dir, invertedFileName), s.Inverted, fp) },
+			[]string{invertedFileName}},
 		{s.LSH != nil, save(minhashFileName, func(w io.Writer) error { return s.LSH.save(w, fp) }),
 			[]string{minhashFileName}},
 		{s.Semantic != nil, save(semanticFileName, func(w io.Writer) error { return s.Semantic.save(w, fp) }),
@@ -257,7 +253,7 @@ func (s *IndexSet) SaveDir(dir string) error {
 		{!s.Epoch.IsZero(), save(epochFileName, func(w io.Writer) error { return saveEpoch(w, s.Epoch, fp) }),
 			[]string{epochFileName}},
 		// A directory never holds two inverted representations.
-		{false, nil, []string{legacyInvertedFileName}},
+		{false, nil, []string{legacyInvertedFileName, v4MetaFileName, v4ShardFileGlob}},
 	}
 	for _, m := range members {
 		if m.present {
@@ -289,53 +285,50 @@ func removeFiles(dir string, patterns ...string) error {
 }
 
 // LoadIndexSetDir reads whichever substrates are present under dir, loading
-// the dictionary first so the substrates can be wired to it. It is an error
-// for neither substrate to exist, for a substrate to be present without the
-// dictionary file (a dict/index mismatch on disk), or for the only inverted
-// index to be a pre-sharding inverted.gob (ErrStaleFormat: rebuild); a
-// missing substrate loads as nil so callers can lazily build it.
+// the dictionary first so the substrates can be wired to it. A directory
+// whose only inverted index is in a retired format (a v4 sharded set or a
+// pre-sharding inverted.gob) fails with ErrStaleFormat: rebuild. One with
+// neither an inverted nor a MinHash index fails with ErrNoIndexFiles, and
+// one with substrates but no dictionary file (a dict/index mismatch on disk)
+// with ErrDictRequired. A missing substrate loads as nil so callers can
+// lazily build it.
 func LoadIndexSetDir(dir string) (*IndexSet, error) {
-	s := &IndexSet{}
-	dictPath := filepath.Join(dir, dictFileName)
-	if _, err := os.Stat(dictPath); err == nil {
-		d, err := LoadDictFile(dictPath)
-		if err != nil {
-			return nil, err
-		}
-		s.Dict = d
-	}
-	if fileExists(filepath.Join(dir, shardMetaFileName)) {
-		inv, err := loadInvertedSharded(dir, s.Dict)
-		if err != nil {
-			return nil, err
-		}
-		s.Inverted = inv
-	} else if fileExists(filepath.Join(dir, legacyInvertedFileName)) {
+	has := func(name string) bool { return fileExists(filepath.Join(dir, name)) }
+	switch {
+	case has(invertedFileName):
+	case has(v4MetaFileName):
+		return nil, fmt.Errorf("%w (v4 sharded %s)", ErrStaleFormat, v4MetaFileName)
+	case has(legacyInvertedFileName):
 		return nil, fmt.Errorf("%w (pre-sharding %s)", ErrStaleFormat, legacyInvertedFileName)
-	}
-	lshPath := filepath.Join(dir, minhashFileName)
-	if _, err := os.Stat(lshPath); err == nil {
-		lsh, err := LoadMinHashLSHFile(lshPath, s.Dict)
-		if err != nil {
-			return nil, err
-		}
-		s.LSH = lsh
-	}
-	semPath := filepath.Join(dir, semanticFileName)
-	if _, err := os.Stat(semPath); err == nil {
-		sem, err := LoadCosineLSHFile(semPath, s.Dict)
-		if err != nil {
-			return nil, err
-		}
-		s.Semantic = sem
-	}
-	if s.Inverted == nil && s.LSH == nil {
+	case !has(minhashFileName):
 		return nil, fmt.Errorf("%w under %s", ErrNoIndexFiles, dir)
+	}
+	if !has(dictFileName) {
+		return nil, fmt.Errorf("%w: %s missing under %s", ErrDictRequired, dictFileName, dir)
+	}
+	d, err := LoadDictFile(filepath.Join(dir, dictFileName))
+	if err != nil {
+		return nil, err
+	}
+	s := &IndexSet{Dict: d}
+	if has(invertedFileName) {
+		if s.Inverted, err = loadInverted(filepath.Join(dir, invertedFileName), d); err != nil {
+			return nil, err
+		}
+	}
+	if has(minhashFileName) {
+		if s.LSH, err = loadMinHashLSHFile(filepath.Join(dir, minhashFileName), d); err != nil {
+			return nil, err
+		}
+	}
+	if has(semanticFileName) {
+		if s.Semantic, err = loadCosineLSHFile(filepath.Join(dir, semanticFileName), d); err != nil {
+			return nil, err
+		}
 	}
 	epochPath := filepath.Join(dir, epochFileName)
 	if _, err := os.Stat(epochPath); err == nil {
-		// A loaded substrate implies the dictionary loaded too.
-		fp := s.Dict.Fingerprint()
+		fp := d.Fingerprint()
 		e, err := readFile(epochPath, func(r io.Reader) (lake.Epoch, error) { return loadEpoch(r, fp) })
 		if err != nil {
 			return nil, err

@@ -6,10 +6,10 @@
 // for the semantic channel.
 //
 // The two ID-keyed substrates are built over the lake's interned (value-ID)
-// form, and each has exactly one representation: the inverted index keys
-// compressed, hash-sharded postings by dictionary ID, and MinHash hashes an
-// ID's 8 bytes instead of the value's text, so each distinct value is hashed
-// once at intern time and never re-hashed per build or per probe. The two LSH
+// form, and each has exactly one representation: the inverted index keeps
+// compressed postings in one slab indexed by dictionary ID, and MinHash
+// hashes an ID's 8 bytes instead of the value's text, so each distinct value
+// is hashed once at intern time and never re-hashed per build or per probe. The two LSH
 // indexes are one data structure — the layered banded core in banded.go —
 // instantiated at two payload types; MinHashLSH and CosineLSH add only what
 // differs (the payload function, the band keys, the scoring, the disk
@@ -33,14 +33,14 @@ type ColumnRef struct {
 	Col   int
 }
 
-// DefaultShards is the shard count BuildInverted and BuildIndexSet use, and
-// the default of core.Config.IndexShards.
+// DefaultShards is the probe fan-out width BuildInverted and BuildIndexSet
+// use, and the default of core.Config.IndexShards.
 const DefaultShards = 8
 
 // Inverted maps each distinct cell value ID to the lake columns containing
 // it, enabling exact set-overlap search (the JOSIE role in the paper).
-// Postings live as compressed blocks in value-ID-hash shards (shard.go); one
-// shard is the degenerate case.
+// Postings live as compressed blocks in one slab indexed by value ID
+// (store.go).
 //
 // The index is incrementally maintainable: WithDelta derives a new index
 // with tables added or removed without rescanning the rest of the corpus.
@@ -51,9 +51,9 @@ const DefaultShards = 8
 type Inverted struct {
 	// dict is the value dictionary the postings are keyed under.
 	dict *table.Dict
-	// base is the compressed, sharded posting store, immutable and shared by
-	// every index derived from it until a compaction copies it.
-	base *shardedForm
+	// base is the compressed posting store, immutable and shared by every
+	// index derived from it until a compaction copies it.
+	base *postingStore
 	// idOver overrides the base per ID for incrementally maintained
 	// indexes: a present entry (even an empty slice) wins over the base.
 	// Immutable once the index is published.
@@ -119,8 +119,8 @@ func (ix *Inverted) RebindDict(d *table.Dict) {
 	}
 }
 
-// Shards returns the index's shard count.
-func (ix *Inverted) Shards() int { return ix.base.n }
+// Shards returns the index's probe fan-out width.
+func (ix *Inverted) Shards() int { return ix.base.fanOut }
 
 // countID adds one ID's live postings (override layer over base) into
 // counts.
@@ -137,10 +137,10 @@ func (ix *Inverted) countID(id uint32, counts map[ColumnRef]int) {
 }
 
 // countIDs produces the overlap counts for a resolved query ID set, fanning
-// out across shards for large probes. Counting is additive, so both paths
+// out across goroutines for large probes. Counting is additive, so both paths
 // yield identical totals.
 func (ix *Inverted) countIDs(query []uint32) map[ColumnRef]int {
-	if ix.base.n > 1 && len(query) >= shardProbeFanOut {
+	if ix.base.fanOut > 1 && len(query) >= shardProbeFanOut {
 		return ix.countIDsSharded(query)
 	}
 	counts := make(map[ColumnRef]int)
@@ -252,18 +252,16 @@ func (ix *Inverted) verifyTables(c *lake.Snapshot, names []string) bool {
 		_, ok := ix.idOver[id]
 		return ok
 	}
-	sh := ix.base
-	for s := range sh.shards {
-		for id, b := range sh.shards[s].lists {
-			if overridden(id) {
-				continue
-			}
-			forEachPosting(b, func(cid uint32) {
-				if int(cid) < len(sh.refs) {
-					mark(id, sh.refs[cid])
-				}
-			})
+	ps := ix.base
+	for id := uint32(0); int(id) < ps.ids(); id++ {
+		if overridden(id) {
+			continue
 		}
+		forEachPosting(ps.block(id), func(cid uint32) {
+			if int(cid) < len(ps.refs) {
+				mark(id, ps.refs[cid])
+			}
+		})
 	}
 	for id, refs := range ix.idOver {
 		for _, ref := range refs {
@@ -380,7 +378,7 @@ func (ix *Inverted) WithDelta(added, removed []*table.Interned) *Inverted {
 	}
 
 	if len(over) > ix.base.nlists/2+overCompactionSlack {
-		nix.base = flattenSharded(ix.base, over)
+		nix.base = flattenStore(ix.base, over)
 	} else {
 		nix.idOver = over
 	}
@@ -389,9 +387,9 @@ func (ix *Inverted) WithDelta(added, removed []*table.Interned) *Inverted {
 
 // compactedBase returns the base with any override layer folded in — what
 // persistence writes.
-func (ix *Inverted) compactedBase() *shardedForm {
+func (ix *Inverted) compactedBase() *postingStore {
 	if ix.idOver == nil {
 		return ix.base
 	}
-	return flattenSharded(ix.base, ix.idOver)
+	return flattenStore(ix.base, ix.idOver)
 }

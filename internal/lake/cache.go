@@ -43,7 +43,11 @@ type internState struct {
 	// (intern the whole snapshot's missing set in deterministic bulk order),
 	// and is what makes bulk interning idempotent under eviction pressure —
 	// EnsureInterned never re-interns an evicted form just to evict it again.
-	ever  map[*table.Table]uint64
+	ever map[*table.Table]uint64
+	// gen counts sweeps and store replacements. A segment load that started
+	// at another gen does not insert its form: the table may have been
+	// edited in place, or the form may come from a store no longer attached.
+	gen   uint64
 	stats CacheStats
 }
 
@@ -199,47 +203,72 @@ func (st *internState) ensureLocked(names []string, byName map[string]*table.Tab
 // internedOf returns t's interned form: the resident one, a reload of an
 // evicted one, or — for a never-interned table — the form produced by
 // interning all of the snapshot's missing tables in deterministic order.
+//
+// A segment load runs without st.mu, so readers of resident forms and loads
+// of other tables never wait behind a disk read. Two misses on one table may
+// both load it; the first to re-lock inserts its form and the other returns
+// that one. Both loads count under Loads, so every miss of an evicted form
+// is one Load or one Reintern.
 func (st *internState) internedOf(t *table.Table, names []string, byName map[string]*table.Table, fps map[string]uint64) *table.Interned {
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	if e, ok := st.cache[t]; ok {
 		st.stats.Hits++
 		st.lru.MoveToFront(e.elem)
+		st.mu.Unlock()
 		return e.it
 	}
 	st.stats.Misses++
-	if fp, was := st.ever[t]; was {
-		return st.materializeLocked(t, fp)
-	}
-	st.ensureLocked(names, byName, fps)
-	if e, ok := st.cache[t]; ok {
-		return e.it
-	}
-	// t belongs to an older snapshot and was swept; re-materialize it alone.
-	// The dictionary is append-only, so the form is identical to the swept
-	// one — eviction and sweeping bound memory, never change results.
-	fp, ok := fps[t.Name]
-	if !ok || byName[t.Name] != t {
-		fp = table.Fingerprint(t)
-	}
-	return st.materializeLocked(t, fp)
-}
-
-// materializeLocked brings one table's form back: a segment-store load when
-// possible (no re-hashing — IDs come off disk and are verified against the
-// dictionary prefix stamp), a solo re-intern otherwise.
-func (st *internState) materializeLocked(t *table.Table, fp uint64) *table.Interned {
-	if st.store != nil {
-		if it, err := st.store.Load(t, fp, st.dict); err == nil {
-			st.stats.Loads++
-			st.insertLocked(t, fp, it, st.store)
-			return it
+	fp, was := st.ever[t]
+	if !was {
+		st.ensureLocked(names, byName, fps)
+		if e, ok := st.cache[t]; ok {
+			st.mu.Unlock()
+			return e.it
+		}
+		// t belongs to an older snapshot and was swept; re-materialize it
+		// alone. The dictionary is append-only, so the form is identical to
+		// the swept one — eviction and sweeping bound memory, never change
+		// results.
+		var ok bool
+		if fp, ok = fps[t.Name]; !ok || byName[t.Name] != t {
+			fp = table.Fingerprint(t)
 		}
 	}
-	st.stats.Reinterns++
-	it := table.PreInternTable(t).Merge(st.dict)
-	st.insertLocked(t, fp, it, nil)
-	return it
+	store, gen := st.store, st.gen
+	st.mu.Unlock()
+
+	// Load verifies the segment against fp and the dictionary's prefix
+	// stamp; the dictionary is safe for concurrent use and append-only. A
+	// missing, stale or corrupt segment is not an error here: the form is
+	// re-interned below.
+	var loaded *table.Interned
+	if store != nil {
+		loaded, _ = store.Load(t, fp, st.dict)
+	}
+
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if loaded != nil {
+		st.stats.Loads++
+	}
+	if e, ok := st.cache[t]; ok {
+		st.lru.MoveToFront(e.elem)
+		return e.it
+	}
+	switch {
+	case loaded == nil:
+		// No store or no valid segment: a solo re-intern, under the lock so
+		// it orders with every other merge into the dictionary.
+		st.stats.Reinterns++
+		it := table.PreInternTable(t).Merge(st.dict)
+		st.insertLocked(t, fp, it, nil)
+		return it
+	case st.gen == gen:
+		st.insertLocked(t, fp, loaded, store)
+	}
+	// Otherwise a sweep or a new store came in between: the form is right
+	// for this caller's snapshot but is not cached.
+	return loaded
 }
 
 // sweep evicts cached forms and intern records of tables absent from the
@@ -250,6 +279,7 @@ func (st *internState) materializeLocked(t *table.Table, fp uint64) *table.Inter
 func (st *internState) sweep(live map[string]*table.Table, evict []*table.Table) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	st.gen++
 	for t, e := range st.cache {
 		if live[t.Name] != t {
 			st.removeLocked(t, e)
@@ -316,8 +346,9 @@ func (st *internState) configure(budget int64, store *table.SegmentStore) {
 	if budget >= 0 {
 		st.budget = budget
 	}
-	if store != nil {
+	if store != nil && store != st.store {
 		st.store = store
+		st.gen++
 	}
 	st.enforceBudgetLocked()
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"gent/internal/table"
@@ -278,5 +279,81 @@ func TestOpenRejectsForgedTableShapes(t *testing.T) {
 				t.Fatalf("Open = %v, want %v", err, f.want)
 			}
 		})
+	}
+}
+
+// TestConcurrentPagedLoads: goroutines page the forms of a persisted lake in
+// under a budget of a quarter of its footprint. Segment loads run outside
+// the cache lock, and on every other round all goroutines ask for the same
+// table at once. Every form must equal the fully resident one, and the
+// counters must add up: every call is a hit or a miss, and every miss of an
+// evicted form is exactly one segment load.
+func TestConcurrentPagedLoads(t *testing.T) {
+	src := New()
+	var tabs []*table.Table
+	for i := 0; i < 24; i++ {
+		tabs = append(tabs, cacheTestTable(fmt.Sprintf("t%d", i), 40))
+	}
+	addAll(t, src, tabs...)
+	dir := t.TempDir()
+	if err := src.Persist(dir); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]*table.Interned, len(tabs))
+	for _, tab := range tabs {
+		want[tab.Name] = ref.Snapshot().Interned(tab.Name)
+	}
+	footprint := ref.CacheStats().ResidentBytes
+
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.SetResidentBudget(footprint / 4)
+	snap := l.Snapshot()
+	const workers, rounds = 8, 60
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for r := 0; r < rounds; r++ {
+				name := tabs[r%len(tabs)].Name
+				if r%2 == 1 {
+					name = tabs[(r*7+w)%len(tabs)].Name
+				}
+				got, exp := snap.Interned(name), want[name]
+				same := reflect.DeepEqual(got.Cols, exp.Cols)
+				for c := range exp.Table.Cols {
+					same = same && reflect.DeepEqual(got.ColumnIDs(c), exp.ColumnIDs(c))
+				}
+				if !same {
+					t.Errorf("worker %d round %d: paged form of %s diverged from the resident one", w, r, name)
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	st := l.CacheStats()
+	if st.Hits+st.Misses != workers*rounds {
+		t.Errorf("hits %d + misses %d != %d calls", st.Hits, st.Misses, workers*rounds)
+	}
+	if st.Loads+st.Reinterns != st.Misses || st.Reinterns != 0 {
+		t.Errorf("loads %d + reinterns %d != misses %d (every miss should load its segment)",
+			st.Loads, st.Reinterns, st.Misses)
+	}
+	if st.Loads == 0 || st.Evictions == 0 {
+		t.Errorf("the budget never paged: %+v", st)
+	}
+	if st.Resident > 1 && st.ResidentBytes > st.Budget {
+		t.Errorf("resident %d bytes over the %d-byte budget", st.ResidentBytes, st.Budget)
 	}
 }
