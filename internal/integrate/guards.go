@@ -120,8 +120,7 @@ func (in *Integrator) guardedComplement(t *table.Table) *table.Table {
 		}
 		out.Rows = append(out.Rows, rows...)
 	}
-	out.Rows = in.distinct(out.Rows)
-	return out
+	return out.DropDuplicates()
 }
 
 // guardedSubsume removes duplicates and subsumed tuples, keeping a subsumed
@@ -166,8 +165,7 @@ func (in *Integrator) guardedSubsume(t *table.Table) *table.Table {
 			}
 		}
 	}
-	out.Rows = in.distinct(out.Rows)
-	return out
+	return out.DropDuplicates()
 }
 
 // groupByKey splits rows by source key id, groups in first-seen order.

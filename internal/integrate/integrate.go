@@ -9,15 +9,14 @@ package integrate
 
 import (
 	"context"
-	"encoding/binary"
 	"strings"
 
 	"gent/internal/table"
 )
 
 // Integrator reclaims one Source Table from sets of originating tables. It
-// is stateful for label identities and row identities, so one Integrator
-// must be used for one Source, by one goroutine at a time.
+// is stateful for label identities, so one Integrator must be used for one
+// Source, by one goroutine at a time.
 //
 // Every source-key decision — ProjectSelect membership, labeling slots, the
 // guards' row grouping and scoring — goes through one table.KeyIndex over
@@ -36,17 +35,12 @@ type Integrator struct {
 	labels  []int64
 	labelOf map[int64]bool
 	nextID  int64
-	// vals names the cell values distinct has seen, over every fold step;
-	// buf is its packing scratch.
-	vals *table.ValueMap
-	buf  []byte
 }
 
 // New prepares an Integrator for the given Source Table, which must have a
 // key.
 func New(src *table.Table) *Integrator {
-	in := &Integrator{src: src, keys: table.NewKeyIndex(src), labelOf: make(map[int64]bool),
-		vals: table.NewValueMap(len(src.Rows))}
+	in := &Integrator{src: src, keys: table.NewKeyIndex(src), labelOf: make(map[int64]bool)}
 	in.labels = make([]int64, in.keys.Len()*len(src.Cols))
 	in.labeledSrc = in.labelSourceNulls(src)
 	return in
@@ -183,7 +177,8 @@ func (in *Integrator) ReclaimContext(ctx context.Context, origs []*table.Table) 
 
 	// RemoveLabeledNulls (line 14) and schema padding (lines 15–16) in one
 	// pass: every tuple is rebuilt in the Source's column order, null in a
-	// column no originating table had and wherever it holds a label.
+	// column no originating table had and wherever it holds a label. Rows
+	// that turn out equal are then dropped, first occurrences kept.
 	out := table.New("reclaimed:"+src.Name, src.Cols...)
 	at := make([]int, len(src.Cols))
 	for i, name := range src.Cols {
@@ -199,30 +194,7 @@ func (in *Integrator) ReclaimContext(ctx context.Context, origs []*table.Table) 
 		}
 		out.Rows = append(out.Rows, nr)
 	}
-	out.Rows = in.distinct(out.Rows)
-	return out, nil
-}
-
-// distinct drops repeated rows in place, keeping first occurrences (and so
-// their spellings) in order. Rows are told apart as Table.DropDuplicates
-// tells them apart, by their cells' ValueMap ids, but through one map shared
-// by every step of the fold, so each value is interned once per Integrator.
-func (in *Integrator) distinct(rows []table.Row) []table.Row {
-	seen := make(map[string]struct{}, len(rows))
-	out := rows[:0]
-	for _, r := range rows {
-		b := in.buf[:0]
-		for _, v := range r {
-			id, _ := in.vals.Intern(v) // a null packs as 0, which Intern never assigns
-			b = binary.LittleEndian.AppendUint32(b, id)
-		}
-		in.buf = b
-		if _, dup := seen[string(b)]; !dup {
-			seen[string(b)] = struct{}{}
-			out = append(out, r)
-		}
-	}
-	return out
+	return out.DropDuplicates(), nil
 }
 
 // labelSourceNulls replaces, in t, every null that sits in a slot where the

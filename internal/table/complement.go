@@ -42,7 +42,7 @@ func MergeComplement(t1, t2 Row) Row {
 // pairs until no pair complements. Merged inputs are replaced by their merge;
 // the result has no complementing tuples.
 func Complement(t *Table) *Table {
-	x := newReducer(len(t.Rows))
+	x := new(reducer)
 	rows := append([]Row(nil), t.Rows...) // merges land in these slots
 	return reduced(t, rows, x.complement(rows, x.distinct(rows, slots(len(rows)))))
 }
@@ -94,7 +94,7 @@ func (x *reducer) complement(rows []Row, at []int) []int {
 // emitted in slot order, as the whole-table fixpoint leaves them. The pair
 // scans are then quadratic in a group's size, not in the table's.
 func MinimalForm(t *Table) *Table {
-	x := newReducer(len(t.Rows))
+	x := new(reducer)
 	rows := append([]Row(nil), t.Rows...) // merges land in these slots
 	keep := make([]bool, len(rows))
 	for _, g := range keyGroups(t, x.distinct(rows, slots(len(rows)))) {

@@ -30,15 +30,15 @@ const NullID uint32 = 0
 //     (as Key does), ±0 share one entry, and all NaNs share one entry. ID
 //     equality is therefore Key-string equality, which is what lets the
 //     ID-based pipelines reproduce the string-based reference bit for bit.
+//     entryOf forms the class and a classIndex numbers it, the same pair an
+//     Overlay, PreInternTable and KeyIndex number values with.
 //   - NullID (0) is reserved for ⊥ and never assigned.
 //
 // All methods are safe for concurrent use; lookups take a read lock and
 // interning upgrades to a write lock only on first sight of a value.
 type Dict struct {
 	mu      sync.RWMutex
-	strs    map[string]uint32
-	nums    map[uint64]uint32
-	labels  map[int64]uint32
+	idx     classIndex
 	entries []DictEntry
 	// fp memoizes Fingerprint over the first fpLen entries; fpLen is -1
 	// until the first computation (0 must not alias "empty dict hashed").
@@ -65,12 +65,7 @@ type DictEntry struct {
 
 // NewDict returns an empty dictionary.
 func NewDict() *Dict {
-	return &Dict{
-		strs:   make(map[string]uint32),
-		nums:   make(map[uint64]uint32),
-		labels: make(map[int64]uint32),
-		fpLen:  -1,
-	}
+	return &Dict{idx: newClassIndex(0, 0, 0), fpLen: -1}
 }
 
 // canonicalBits collapses floats onto Key()'s equivalence classes: ±0 share
@@ -85,10 +80,13 @@ func canonicalBits(f float64) uint64 {
 	return math.Float64bits(f)
 }
 
-// entryOf maps a non-null value to its dictionary entry form, applying the
-// same equivalence classes as Value.Key.
+// entryOf maps a value to its class, applying the same equivalence classes
+// as Value.Key: the dictionary entry form of a non-null value, and the zero
+// entry (KindNull), which no dictionary holds, for a null.
 func entryOf(v Value) DictEntry {
 	switch v.Kind {
+	case KindNull:
+		return DictEntry{}
 	case KindLabel:
 		return DictEntry{Kind: KindLabel, Label: v.ID}
 	case KindNumber:
@@ -101,20 +99,70 @@ func entryOf(v Value) DictEntry {
 	}
 }
 
-// find looks an entry up under a held lock.
-func (d *Dict) find(e DictEntry) (uint32, bool) {
+// classIndex is the one index from value classes to uint32 IDs: the Dict,
+// an Overlay's local IDs, PreInternTable's scratch and each KeyIndex key
+// position hold one. A class is a non-null entry as entryOf forms it, and
+// each kind keys its own typed map, so a lookup hashes one string, uint64 or
+// int64 and never allocates. It takes no locks: a holder shared across
+// goroutines locks around it.
+type classIndex struct {
+	strs   map[string]uint32
+	nums   map[uint64]uint32
+	labels map[int64]uint32
+}
+
+// newClassIndex returns an empty index sized for about strs string, nums
+// number and labels label classes.
+func newClassIndex(strs, nums, labels int) classIndex {
+	return classIndex{
+		strs:   make(map[string]uint32, strs),
+		nums:   make(map[uint64]uint32, nums),
+		labels: make(map[int64]uint32, labels),
+	}
+}
+
+// find returns the ID bound to e's class.
+func (c *classIndex) find(e DictEntry) (uint32, bool) {
 	switch e.Kind {
 	case KindString:
-		id, ok := d.strs[e.Str]
+		id, ok := c.strs[e.Str]
 		return id, ok
 	case KindNumber:
-		id, ok := d.nums[e.Bits]
+		id, ok := c.nums[e.Bits]
 		return id, ok
 	default:
-		id, ok := d.labels[e.Label]
+		id, ok := c.labels[e.Label]
 		return id, ok
 	}
 }
+
+// lookup returns the ID of a non-null v's class: find(entryOf(v)), with
+// the common case, text that is not a number, taken straight to the string
+// map without building the entry.
+func (c *classIndex) lookup(v Value) (uint32, bool) {
+	if v.Kind == KindString {
+		if _, num := parseDecimal(v.Str); !num {
+			id, ok := c.strs[v.Str]
+			return id, ok
+		}
+	}
+	return c.find(entryOf(v))
+}
+
+// add binds e's class, which must be unbound, to id.
+func (c *classIndex) add(e DictEntry, id uint32) {
+	switch e.Kind {
+	case KindString:
+		c.strs[e.Str] = id
+	case KindNumber:
+		c.nums[e.Bits] = id
+	default:
+		c.labels[e.Label] = id
+	}
+}
+
+// size returns the number of bound classes.
+func (c *classIndex) size() int { return len(c.strs) + len(c.nums) + len(c.labels) }
 
 // InternValue returns v's ID, assigning the next one on first sight. Nulls
 // return NullID without touching the dictionary.
@@ -126,28 +174,25 @@ func (d *Dict) InternValue(v Value) uint32 {
 }
 
 func (d *Dict) internEntry(e DictEntry) uint32 {
-	d.mu.RLock()
-	id, ok := d.find(e)
-	d.mu.RUnlock()
-	if ok {
+	if id, ok := d.lookup(e); ok {
 		return id
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if id, ok := d.find(e); ok {
-		return id
-	}
-	id = uint32(len(d.entries)) + 1
-	d.entries = append(d.entries, e)
-	switch e.Kind {
-	case KindString:
-		d.strs[e.Str] = id
-	case KindNumber:
-		d.nums[e.Bits] = id
-	default:
-		d.labels[e.Label] = id
+	id, ok := d.idx.find(e)
+	if !ok {
+		d.entries = append(d.entries, e)
+		id = uint32(len(d.entries))
+		d.idx.add(e, id)
 	}
 	return id
+}
+
+// lookup returns the ID of e's class under the read lock.
+func (d *Dict) lookup(e DictEntry) (uint32, bool) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.idx.find(e)
 }
 
 // LookupValue returns v's ID without interning; ok is false when v's value
@@ -156,10 +201,7 @@ func (d *Dict) LookupValue(v Value) (uint32, bool) {
 	if v.Kind == KindNull {
 		return NullID, true
 	}
-	e := entryOf(v)
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.find(e)
+	return d.lookup(entryOf(v))
 }
 
 // ValueOf reconstructs the value of an assigned ID (numeric entries come
@@ -285,45 +327,41 @@ func (d *Dict) PrefixOf(o *Dict) bool {
 }
 
 // NewDictFromSnapshot rebuilds a dictionary from a persisted snapshot,
-// reassigning each entry its original ID. Duplicate or null entries mean the
-// snapshot was not produced by Snapshot and are rejected. The maps are sized
-// from the snapshot up front, so a restore never rehashes.
+// reassigning each entry its original ID. An entry Snapshot cannot produce —
+// a null or unknown kind, numeric text as a string, a number whose bits are
+// not canonical (-0, a NaN payload), a duplicate — could never be looked up,
+// so the snapshot is rejected. The maps are sized from the snapshot up front,
+// so a restore never rehashes.
 func NewDictFromSnapshot(entries []DictEntry) (*Dict, error) {
 	var nstr, nnum int
-	for _, e := range entries {
+	for i, e := range entries {
 		switch e.Kind {
 		case KindString:
+			if _, num := parseDecimal(e.Str); num {
+				return nil, fmt.Errorf("table: dict entry %d is numeric text %q", i, e.Str)
+			}
 			nstr++
 		case KindNumber:
+			if e.Bits != canonicalBits(math.Float64frombits(e.Bits)) {
+				return nil, fmt.Errorf("table: dict entry %d has non-canonical number bits %#x", i, e.Bits)
+			}
 			nnum++
+		case KindLabel:
+		default:
+			return nil, fmt.Errorf("table: dict entry %d has kind %d", i, e.Kind)
 		}
 	}
 	d := &Dict{
-		strs:    make(map[string]uint32, nstr),
-		nums:    make(map[uint64]uint32, nnum),
-		labels:  make(map[int64]uint32, len(entries)-nstr-nnum),
+		idx:     newClassIndex(nstr, nnum, len(entries)-nstr-nnum),
 		entries: make([]DictEntry, 0, len(entries)),
 		fpLen:   -1,
 	}
 	for i, e := range entries {
-		switch e.Kind {
-		case KindString, KindNumber, KindLabel:
-		default:
-			return nil, fmt.Errorf("table: dict entry %d has kind %d", i, e.Kind)
-		}
-		if _, dup := d.find(e); dup {
+		if _, dup := d.idx.find(e); dup {
 			return nil, fmt.Errorf("table: duplicate dict entry at ID %d", i+1)
 		}
-		id := uint32(i) + 1
 		d.entries = append(d.entries, e)
-		switch e.Kind {
-		case KindString:
-			d.strs[e.Str] = id
-		case KindNumber:
-			d.nums[e.Bits] = id
-		default:
-			d.labels[e.Label] = id
-		}
+		d.idx.add(e, uint32(len(d.entries)))
 	}
 	return d, nil
 }

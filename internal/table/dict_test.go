@@ -3,6 +3,8 @@ package table
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -146,9 +148,48 @@ func TestDictSnapshotRoundTrip(t *testing.T) {
 	if d.PrefixOf(restoredThenGrown) {
 		t.Error("grown dictionary is not a prefix of its old snapshot")
 	}
-	if _, err := NewDictFromSnapshot([]DictEntry{{Kind: KindString, Str: "x"}, {Kind: KindString, Str: "x"}}); err == nil {
-		t.Error("duplicate snapshot entries must be rejected")
+	// Entries Snapshot never produces: no lookup could reach them.
+	for name, entries := range map[string][]DictEntry{
+		"duplicate":          {{Kind: KindString, Str: "x"}, {Kind: KindString, Str: "x"}},
+		"null kind":          {{Kind: KindNull}},
+		"unknown kind":       {{Kind: Kind(9), Str: "x"}},
+		"numeric text":       {{Kind: KindString, Str: "7"}},
+		"numeric text 1e0":   {{Kind: KindString, Str: "a"}, {Kind: KindString, Str: "1e0"}},
+		"negative zero":      {{Kind: KindNumber, Bits: math.Float64bits(math.Copysign(0, -1))}},
+		"NaN payload":        {{Kind: KindNumber, Bits: math.Float64bits(math.NaN()) ^ 1}},
+		"text and -0 (both)": {{Kind: KindString, Str: "7"}, {Kind: KindNumber, Bits: math.Float64bits(math.Copysign(0, -1))}},
+	} {
+		if _, err := NewDictFromSnapshot(entries); err == nil {
+			t.Errorf("%s: snapshot %v must be rejected", name, entries)
+		}
 	}
+}
+
+// FuzzDictSnapshot restores arbitrary entries: NewDictFromSnapshot either
+// rejects them or returns a dictionary whose every ID round-trips through
+// ValueOf and LookupValue and whose Snapshot is the input.
+func FuzzDictSnapshot(f *testing.F) {
+	f.Add(uint8(KindString), "a", uint64(0), int64(0), uint8(KindNumber), "", math.Float64bits(2.5), int64(0))
+	f.Add(uint8(KindString), "7", uint64(0), int64(0), uint8(KindNumber), "", math.Float64bits(math.Copysign(0, -1)), int64(0))
+	f.Add(uint8(KindLabel), "", uint64(0), int64(9), uint8(KindNumber), "", math.Float64bits(math.NaN()), int64(0))
+	f.Add(uint8(KindString), "x", uint64(0), int64(0), uint8(KindString), "x", uint64(0), int64(0))
+	f.Fuzz(func(t *testing.T, k1 uint8, s1 string, b1 uint64, l1 int64, k2 uint8, s2 string, b2 uint64, l2 int64) {
+		in := []DictEntry{{Kind: Kind(k1), Str: s1, Bits: b1, Label: l1}, {Kind: Kind(k2), Str: s2, Bits: b2, Label: l2}}
+		for _, n := range []int{1, 2} {
+			d, err := NewDictFromSnapshot(in[:n])
+			if err != nil {
+				continue
+			}
+			for id := uint32(1); id <= uint32(n); id++ {
+				if got, ok := d.LookupValue(d.ValueOf(id)); !ok || got != id {
+					t.Fatalf("restored %v: LookupValue(ValueOf(%d)) = %d, %v", in[:n], id, got, ok)
+				}
+			}
+			if snap := d.Snapshot(); !slices.Equal(snap, in[:n]) {
+				t.Fatalf("restored %v: Snapshot() = %v", in[:n], snap)
+			}
+		}
+	})
 }
 
 func TestInternTableAndColumnIDs(t *testing.T) {
@@ -182,6 +223,46 @@ func TestInternTableAndColumnIDs(t *testing.T) {
 			t.Errorf("column %d: ID set size %d != string set size %d",
 				c, len(it.ColumnIDs(c)), len(tab.ColumnSet(c)))
 		}
+	}
+}
+
+// TestPreInternMergeMatchesSerial checks the two-phase lake intern: tables
+// pre-interned concurrently and merged in order get exactly the dictionary,
+// cell IDs and column ID sets of one serial InternTable pass.
+func TestPreInternMergeMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	pool := keyPool("x", "7", "007")
+	tabs := make([]*Table, 6)
+	for i := range tabs {
+		tabs[i] = keyedTable(rng.Intn(20), 1, 2, func() Value { return pool[rng.Intn(len(pool))] })
+	}
+	serial := NewDict()
+	want := make([]*Interned, len(tabs))
+	for i, tab := range tabs {
+		want[i] = InternTable(serial, tab)
+	}
+	pre := make([]*PreInterned, len(tabs))
+	var wg sync.WaitGroup
+	for i, tab := range tabs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pre[i] = PreInternTable(tab)
+		}()
+	}
+	wg.Wait()
+	merged := NewDict()
+	for i, p := range pre {
+		got := p.Merge(merged)
+		for c := range tabs[i].Cols {
+			if !slices.Equal(got.Cols[c], want[i].Cols[c]) || !slices.Equal(got.ColumnIDs(c), want[i].ColumnIDs(c)) {
+				t.Fatalf("table %d column %d: merged %v / %v, serial %v / %v",
+					i, c, got.Cols[c], got.ColumnIDs(c), want[i].Cols[c], want[i].ColumnIDs(c))
+			}
+		}
+	}
+	if !slices.Equal(merged.Snapshot(), serial.Snapshot()) {
+		t.Fatalf("merged dictionary %v, serial %v", merged.Snapshot(), serial.Snapshot())
 	}
 }
 

@@ -1,6 +1,9 @@
 package table
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Interned is the columnar ID form of a table: every cell mapped through a
 // Dict once, so the hot paths (index builds, overlap search, alignment)
@@ -19,7 +22,11 @@ type Interned struct {
 
 // InternTable maps every cell of t through d. Labeled nulls intern like any
 // other non-null value.
-func InternTable(d Interner, t *Table) *Interned {
+func InternTable(d Interner, t *Table) *Interned { return internCells(t, d.InternValue) }
+
+// internCells builds t's interned form, mapping every cell through id in row
+// order.
+func internCells(t *Table, id func(Value) uint32) *Interned {
 	it := &Interned{
 		Table: t,
 		Cols:  make([][]uint32, len(t.Cols)),
@@ -30,7 +37,7 @@ func InternTable(d Interner, t *Table) *Interned {
 	}
 	for ri, r := range t.Rows {
 		for c, v := range r {
-			it.Cols[c][ri] = d.InternValue(v)
+			it.Cols[c][ri] = id(v)
 		}
 	}
 	for c := range t.Cols {
@@ -50,7 +57,7 @@ func (it *Interned) Retargeted(t *Table) *Interned {
 	return &Interned{Table: t, Cols: it.Cols, sets: it.sets}
 }
 
-// PreInterned is a table interned against a private scratch dictionary: the
+// PreInterned is a table interned against a private scratch index: the
 // parallel half of a deterministic two-phase lake intern. Several tables can
 // pre-intern concurrently with no shared state; Merge then folds each into
 // the shared dictionary serially, in lake order, reproducing exactly the IDs
@@ -58,14 +65,30 @@ func (it *Interned) Retargeted(t *Table) *Interned {
 // ID at its first occurrence in the same scan order).
 type PreInterned struct {
 	it *Interned
-	// entries is the scratch dictionary's snapshot: local ID i+1 ↔ entries[i].
+	// entries holds the scratch classes in first-sight order: local ID
+	// i+1 ↔ entries[i].
 	entries []DictEntry
 }
 
-// PreInternTable interns t against a fresh private dictionary.
+// PreInternTable interns t against a fresh scratch index. Nothing else
+// touches the index, so it takes no locks.
 func PreInternTable(t *Table) *PreInterned {
-	local := NewDict()
-	return &PreInterned{it: InternTable(local, t), entries: local.Snapshot()}
+	p := &PreInterned{}
+	local := newClassIndex(0, 0, 0)
+	p.it = internCells(t, func(v Value) uint32 {
+		if v.Kind == KindNull {
+			return NullID
+		}
+		id, ok := local.lookup(v)
+		if !ok {
+			e := entryOf(v)
+			p.entries = append(p.entries, e)
+			id = uint32(len(p.entries))
+			local.add(e, id)
+		}
+		return id
+	})
+	return p
 }
 
 // Merge remaps the pre-interned form onto d — interning each distinct value
@@ -81,12 +104,11 @@ func (p *PreInterned) Merge(d *Dict) *Interned {
 			col[ri] = remap[id]
 		}
 	}
-	for c, set := range p.it.sets {
+	for _, set := range p.it.sets {
 		for i, id := range set {
 			set[i] = remap[id] // distinct in, distinct out: remap is injective
 		}
-		sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
-		p.it.sets[c] = set
+		slices.Sort(set)
 	}
 	return p.it
 }
@@ -99,7 +121,7 @@ func distinctSorted(col []uint32) []uint32 {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	n := 0
 	for i, id := range out {
 		if i == 0 || id != out[n-1] {

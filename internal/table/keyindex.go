@@ -8,14 +8,15 @@ import "encoding/binary"
 // Source tuple (they share a key value). Matrix traversal, integration, the
 // metrics and Expand's key coverage all align through it.
 //
-// Each key position numbers its own distinct values (ValueMap local ids); a
-// tuple is the byte string of its positions' local ids, one rule for every
-// arity. Lookups take no locks and never consult the lake dictionary: a
-// value absent from a position matches no indexed key there. A KeyIndex is
-// immutable after NewKeyIndex and safe for concurrent use.
+// Each key position numbers its own distinct value classes in a classIndex
+// (local ids from 1, the classes the Dict assigns IDs by); a tuple is the
+// byte string of its positions' local ids, one rule for every arity. Lookups
+// take no locks and never consult the lake dictionary: a value absent from a
+// position matches no indexed key there. A KeyIndex is immutable after
+// NewKeyIndex and safe for concurrent use.
 type KeyIndex struct {
-	cols []string    // the indexed table's key column names, in key order
-	pos  []*ValueMap // per key position: value → local id (from 1)
+	cols []string     // the indexed table's key column names, in key order
+	pos  []classIndex // per key position: value class → local id (from 1)
 	ids  map[string]int
 	// rowIDs[i] is row i's id, -1 when its key contains a null.
 	rowIDs []int
@@ -28,12 +29,12 @@ type KeyIndex struct {
 func NewKeyIndex(t *Table) *KeyIndex {
 	x := &KeyIndex{
 		cols:   t.KeyCols(),
-		pos:    make([]*ValueMap, len(t.Key)),
+		pos:    make([]classIndex, len(t.Key)),
 		ids:    make(map[string]int, len(t.Rows)),
 		rowIDs: make([]int, len(t.Rows)),
 	}
 	for p := range x.pos {
-		x.pos[p] = NewValueMap(len(t.Rows))
+		x.pos[p] = newClassIndex(len(t.Rows), len(t.Rows), 0)
 	}
 	var buf [keyBufLen]byte
 	for i, r := range t.Rows {
@@ -67,12 +68,14 @@ func (x *KeyIndex) pack(b []byte, r Row, keyCols []int, intern bool) ([]byte, bo
 		return nil, false
 	}
 	for p, c := range keyCols {
-		var id uint32
-		var ok bool
-		if intern {
-			id, ok = x.pos[p].Intern(r[c])
-		} else {
-			id, ok = x.pos[p].Get(r[c])
+		v, pos := r[c], &x.pos[p]
+		if v.Kind == KindNull {
+			return nil, false
+		}
+		id, ok := pos.lookup(v)
+		if !ok && intern {
+			id, ok = uint32(pos.size())+1, true
+			pos.add(entryOf(v), id)
 		}
 		if !ok {
 			return nil, false

@@ -8,8 +8,8 @@ import (
 )
 
 // The unpartitioned κ, β and minimal form as they were before MinimalForm
-// split tables by key and rows were identified by ValueMap ids: whole-table
-// fixpoints over Row.Key deduplication. They are the oracle the production
+// split tables by key and rows were told apart by hashes of their value
+// classes: whole-table fixpoints over Row.Key deduplication. They are the oracle the production
 // forms must reproduce row for row.
 
 func complementOracle(t *Table) *Table {
@@ -226,6 +226,8 @@ func TestMinimalFormMatchesUnpartitioned(t *testing.T) {
 	add("nan cells", []int{0}, []string{"k", "a", "b"},
 		Row{k("1"), N(math.NaN()), Null}, Row{k("1"), N(math.NaN()), Null},
 		Row{k("1"), Null, N(math.NaN())}, Row{k("1"), N(math.NaN()), N(math.NaN())})
+	add("null and empty text", []int{0}, []string{"k", "a"},
+		Row{k("1"), Null}, Row{k("1"), S("")}, Row{k("1"), Null}, Row{k("1"), S("")})
 	add("nan and inf keys", []int{0}, []string{"k", "a", "b"},
 		Row{N(math.NaN()), S("x"), Null}, Row{S("NaN"), Null, S("y")},
 		Row{N(math.Inf(1)), S("x"), Null}, Row{S("+Inf"), Null, S("y")})
@@ -264,6 +266,18 @@ func TestMinimalFormMatchesUnpartitioned(t *testing.T) {
 		}
 		tab := minimalTable(rng.Intn, rng.Intn(30), arity, 1+rng.Intn(3), 2+rng.Intn(6), trial%4 == 0)
 		checkReductions(t, tab)
+	}
+}
+
+// TestReductionsUnderHashCollisions makes every row hash alike, so that
+// deduplication must tell rows apart along one hash chain, and holds the
+// reductions to their oracles on random keyed tables.
+func TestReductionsUnderHashCollisions(t *testing.T) {
+	defer func(h func(Row) uint64) { rowHash = h }(rowHash)
+	rowHash = func(Row) uint64 { return 0 }
+	rng := rand.New(rand.NewSource(30))
+	for trial := 0; trial < 200; trial++ {
+		checkReductions(t, minimalTable(rng.Intn, rng.Intn(30), 1+trial%2, 1+rng.Intn(3), 2+rng.Intn(6), trial%4 == 0))
 	}
 }
 

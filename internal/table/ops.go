@@ -109,9 +109,15 @@ func (t *Table) Rename(mapping map[string]string) *Table {
 	return out
 }
 
-// DropDuplicates removes duplicate rows, keeping first occurrences.
+// DropDuplicates removes duplicate rows, keeping first occurrences (and so
+// their spellings) in order. The result shares t's surviving rows.
 func (t *Table) DropDuplicates() *Table {
-	return reduced(t, t.Rows, newReducer(len(t.Rows)).distinct(t.Rows, slots(len(t.Rows))))
+	out := New(t.Name, t.Cols...)
+	out.Key = append([]int(nil), t.Key...)
+	for _, i := range new(reducer).distinct(t.Rows, slots(len(t.Rows))) {
+		out.Rows = append(out.Rows, t.Rows[i])
+	}
+	return out
 }
 
 // PadNullColumns returns t extended with a null column for every name in

@@ -37,36 +37,13 @@ const overlayIDBit uint32 = 1 << 31
 type Overlay struct {
 	base *Dict
 
-	mu     sync.RWMutex
-	strs   map[string]uint32
-	nums   map[uint64]uint32
-	labels map[int64]uint32
-	n      uint32
+	mu  sync.RWMutex
+	idx classIndex // overlay-local IDs: overlayIDBit | 1, 2, …
 }
 
 // NewOverlay returns an empty overlay over base.
 func NewOverlay(base *Dict) *Overlay {
-	return &Overlay{
-		base:   base,
-		strs:   make(map[string]uint32),
-		nums:   make(map[uint64]uint32),
-		labels: make(map[int64]uint32),
-	}
-}
-
-// find looks an entry up in the overlay's own maps under a held lock.
-func (o *Overlay) find(e DictEntry) (uint32, bool) {
-	switch e.Kind {
-	case KindString:
-		id, ok := o.strs[e.Str]
-		return id, ok
-	case KindNumber:
-		id, ok := o.nums[e.Bits]
-		return id, ok
-	default:
-		id, ok := o.labels[e.Label]
-		return id, ok
-	}
+	return &Overlay{base: base, idx: newClassIndex(0, 0, 0)}
 }
 
 // InternValue implements Interner: base IDs win, unseen values get
@@ -75,30 +52,16 @@ func (o *Overlay) InternValue(v Value) uint32 {
 	if v.Kind == KindNull {
 		return NullID
 	}
-	if id, ok := o.base.LookupValue(v); ok {
-		return id
-	}
 	e := entryOf(v)
-	o.mu.RLock()
-	id, ok := o.find(e)
-	o.mu.RUnlock()
-	if ok {
+	if id, ok := o.lookup(e); ok {
 		return id
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if id, ok := o.find(e); ok {
-		return id
-	}
-	o.n++
-	id = overlayIDBit | o.n
-	switch e.Kind {
-	case KindString:
-		o.strs[e.Str] = id
-	case KindNumber:
-		o.nums[e.Bits] = id
-	default:
-		o.labels[e.Label] = id
+	id, ok := o.idx.find(e)
+	if !ok {
+		id = overlayIDBit | uint32(o.idx.size()+1)
+		o.idx.add(e, id)
 	}
 	return id
 }
@@ -108,13 +71,17 @@ func (o *Overlay) LookupValue(v Value) (uint32, bool) {
 	if v.Kind == KindNull {
 		return NullID, true
 	}
-	if id, ok := o.base.LookupValue(v); ok {
+	return o.lookup(entryOf(v))
+}
+
+// lookup resolves e's class through the base, then the overlay's own IDs.
+func (o *Overlay) lookup(e DictEntry) (uint32, bool) {
+	if id, ok := o.base.lookup(e); ok {
 		return id, true
 	}
-	e := entryOf(v)
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	return o.find(e)
+	return o.idx.find(e)
 }
 
 // Fingerprint summarizes the dictionary's entries in ID order. Two

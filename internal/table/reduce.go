@@ -1,48 +1,77 @@
 package table
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"hash/maphash"
+)
 
 // reducer holds what one deduplication, κ, β or minimal-form call reuses
-// across its passes: the row identity map and β's count scratch. Passes work
-// on row slots — indices into a row slice — so that a key group can be
-// reduced apart from the rest of its table and its survivors still be put
-// back in order.
+// across its passes: distinct's hash-chain scratch and β's count scratch.
+// Passes work on row slots — indices into a row slice — so that a key group
+// can be reduced apart from the rest of its table and its survivors still be
+// put back in order.
 type reducer struct {
-	// vals names each cell by its ValueMap id, so two rows are the same
-	// tuple exactly when their packed ids are (see identity).
-	vals   *ValueMap
-	buf    []byte
+	prev   []int
 	counts []int
 }
 
-func newReducer(rows int) *reducer { return &reducer{vals: NewValueMap(rows)} }
+// rowSeed seeds rowHash. Any seed gives the same result: distinct confirms
+// every hash match with sameRow.
+var rowSeed = maphash.MakeSeed()
 
-// identity packs r's cell ids into the reducer's buffer, valid until the
-// next call. Two rows get the same identity exactly when their Row.Key
-// strings agree — ValueMap classes are Value.Key classes, and a null packs
-// as 0, which Intern never assigns — but no key string is built.
-func (x *reducer) identity(r Row) []byte {
-	b := x.buf[:0]
+// rowHash hashes r's cells by value class (entryOf), so that rows whose
+// Row.Key strings agree hash alike. It is a variable so that tests can force
+// collisions.
+var rowHash = func(r Row) uint64 {
+	var h maphash.Hash
+	h.SetSeed(rowSeed)
+	var b [9]byte
 	for _, v := range r {
-		id, _ := x.vals.Intern(v)
-		b = binary.LittleEndian.AppendUint32(b, id)
+		e := entryOf(v)
+		// entryOf sets at most one payload field, so OR-ing them is exact.
+		b[0] = byte(e.Kind)
+		binary.LittleEndian.PutUint64(b[1:], e.Bits|uint64(e.Label)|uint64(len(e.Str)))
+		h.Write(b[:])
+		h.WriteString(e.Str)
 	}
-	x.buf = b
-	return b
+	return h.Sum64()
+}
+
+// sameRow reports whether two rows of one table agree cell by cell under
+// Value.Key equality, that is whether their Row.Key strings are equal.
+func sameRow(a, b Row) bool {
+	for i, v := range a {
+		if entryOf(v) != entryOf(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // distinct drops, in place, every slot of at whose row repeats an earlier
-// slot's row, keeping first occurrences (and so their spellings) in order.
+// slot's row under Row.Key equality, keeping first occurrences (and so their
+// spellings) in order. Kept rows are chained by rowHash and a new row is
+// compared only along its hash's chain, so no key string is built.
 func (x *reducer) distinct(rows []Row, at []int) []int {
-	seen := make(map[string]struct{}, len(at))
+	// last[h] and prev[k] are 1-based positions in out: the latest kept row
+	// with hash h, and the kept row before out[k] with out[k]'s hash.
+	last := make(map[uint64]int, len(at))
+	prev := x.prev[:0]
 	out := at[:0]
 	for _, i := range at {
-		k := x.identity(rows[i])
-		if _, dup := seen[string(k)]; !dup {
-			seen[string(k)] = struct{}{}
+		h := rowHash(rows[i])
+		head := last[h]
+		k := head
+		for k != 0 && !sameRow(rows[out[k-1]], rows[i]) {
+			k = prev[k-1]
+		}
+		if k == 0 {
 			out = append(out, i)
+			prev = append(prev, head)
+			last[h] = len(out)
 		}
 	}
+	x.prev = prev
 	return out
 }
 

@@ -27,7 +27,7 @@ func Subsume(t *Table) *Table {
 	// Deduplicate first; β removes duplicates implicitly (a duplicate is the
 	// degenerate "equal on all shared non-nulls, nothing extra" case the
 	// paper folds into minimal form).
-	x := newReducer(len(t.Rows))
+	x := new(reducer)
 	return reduced(t, t.Rows, x.subsume(t.Rows, x.distinct(t.Rows, slots(len(t.Rows)))))
 }
 

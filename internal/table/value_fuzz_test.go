@@ -63,7 +63,8 @@ func keyEquivalent(v, w Value) bool {
 
 // FuzzValueKey asserts Value.Key is injective across kinds — two values get
 // the same key exactly when the equivalence oracle says so, equal values
-// never get distinct keys, and the shared dictionary agrees — and that the
+// never get distinct keys, and the dictionary, an Overlay and a KeyIndex
+// agree — and that the
 // '\x01'-joined Row.Key inherits that injectivity: joined keys collide only
 // when every component collides, regardless of embedded control bytes.
 func FuzzValueKey(f *testing.F) {
@@ -72,6 +73,8 @@ func FuzzValueKey(f *testing.F) {
 	f.Add(uint8(1), "a\x01sb", 0.0, int64(0), uint8(1), "a", 0.0, int64(1))
 	f.Add(uint8(3), "", 0.0, int64(5), uint8(1), "\x00L5", 0.0, int64(5))
 	f.Add(uint8(0), "", 0.0, int64(0), uint8(2), "-0", math.Copysign(0, -1), int64(0))
+	f.Add(uint8(0), "", 0.0, int64(0), uint8(1), "", 0.0, int64(0))
+	f.Add(uint8(0), "", 0.0, int64(0), uint8(0), "", 0.0, int64(0))
 	f.Fuzz(func(t *testing.T, k1 uint8, s1 string, n1 float64, id1 int64,
 		k2 uint8, s2 string, n2 float64, id2 int64) {
 		v, w := fuzzValue(k1, s1, n1, id1), fuzzValue(k2, s2, n2, id2)
@@ -85,10 +88,27 @@ func FuzzValueKey(f *testing.F) {
 				v, vk, w, wk, keyEquivalent(v, w))
 		}
 
-		// The dictionary must carve out exactly the same classes.
+		// The dictionary must carve out exactly the same classes, and so must
+		// an Overlay whose base already holds one of the two values and a
+		// KeyIndex over a one-row table of either (a null keys no tuple).
 		d := NewDict()
 		if (d.InternValue(v) == d.InternValue(w)) != (vk == wk) {
 			t.Fatalf("dict IDs diverge from keys: %#v vs %#v", v, w)
+		}
+		for _, pair := range [][2]Value{{v, w}, {w, v}} {
+			base := NewDict()
+			base.InternValue(pair[0])
+			o := NewOverlay(base)
+			if (o.InternValue(pair[1]) == o.InternValue(pair[0])) != (vk == wk) {
+				t.Fatalf("overlay IDs diverge from keys: %#v (in base) vs %#v", pair[0], pair[1])
+			}
+			one := New("one", "k")
+			one.Key = []int{0}
+			one.AddRow(pair[0])
+			_, ok := NewKeyIndex(one).Lookup(Row{pair[1]}, []int{0})
+			if want := vk == wk && !v.IsNull(); ok != want {
+				t.Fatalf("KeyIndex over %#v finds %#v: %v, want %v", pair[0], pair[1], ok, want)
+			}
 		}
 
 		// Component keys must never leak a bare row separator, the property
