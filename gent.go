@@ -400,8 +400,11 @@ func NewServer(r *Reclaimer, cfg ServerConfig) *Server { return server.New(r, cf
 // by SaveIndexes) for injection into a Reclaimer via UseIndexes.
 func LoadIndexes(dir string) (*IndexSet, error) { return index.LoadIndexSetDir(dir) }
 
-// SaveIndexes persists a session's discovery indexes under dir, building any
-// that are not built yet.
+// SaveIndexes persists a session's discovery indexes under dir, building
+// the ones its configuration engages that are not built yet: dict.bin and
+// inverted.bin always, semantic.bin for a non-syntactic strategy. The
+// MinHash-LSH first stage is never persisted; a session that engages it
+// builds it on demand.
 func SaveIndexes(dir string, r *Reclaimer) error { return r.BuildIndexes().SaveDir(dir) }
 
 // MineKey searches for a minimal key of t up to maxArity columns, returning

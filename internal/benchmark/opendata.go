@@ -80,13 +80,18 @@ func openRows(r *rand.Rand, min, max int) int {
 	return int(math.Exp(lo + r.Float64()*(hi-lo)))
 }
 
-// AddOpenData fills a lake with n open-data-portal-shaped tables. The whole
-// batch lands as one epoch turn. Generation is deterministic in (n, seed).
+// AddOpenData draws n open-data-portal-shaped tables and adds the valid
+// ones to the lake: a draw can pick the same measure column twice, and the
+// lake refuses such a table (table.Validate). The whole batch lands as one
+// epoch turn. Generation is deterministic in (n, seed), and a skipped draw
+// still consumes its share of the random stream.
 func AddOpenData(l *lake.Lake, n int, seed int64) {
 	r := rand.New(rand.NewSource(seed))
 	muts := make([]lake.Mutation, 0, n)
 	for i := 0; i < n; i++ {
-		muts = append(muts, lake.Put(openTable(r, i)))
+		if t := openTable(r, i); t.Validate() == nil {
+			muts = append(muts, lake.Put(t))
+		}
 	}
 	if _, err := l.Apply(context.Background(), muts...); err != nil {
 		panic(err)
@@ -145,7 +150,8 @@ func openTable(r *rand.Rand, i int) *table.Table {
 
 // BuildLargePreset composes the `large` corpus: a TP-TR benchmark (the
 // reclaimable core — its Sources stay exactly reclaimable) embedded in
-// open-data volume up to the requested table count. cmd/benchgen -preset
+// open-data volume up to the requested table count, less the open-data draws
+// AddOpenData skips as invalid (about one in eight). cmd/benchgen -preset
 // large materializes it at LargeCorpusTables; tests and benchmarks pass a
 // smaller count (the shape is identical, only the volume scales).
 func BuildLargePreset(tables int, seed int64) (*TPTR, error) {

@@ -27,22 +27,11 @@ func storeTables(tb testing.TB) int {
 	return 600
 }
 
-// storeCorpus builds the `large`-preset corpus minus the open-data tables
-// whose generator drew the same measure column twice: a persisted lake
-// refuses malformed shapes, as the CSV loader and the wire codec do.
+// storeCorpus builds the `large`-preset corpus.
 func storeCorpus(tb testing.TB) *TPTR {
 	tb.Helper()
 	corpus, err := BuildLargePreset(storeTables(tb), 11)
 	if err != nil {
-		tb.Fatal(err)
-	}
-	var drops []lake.Mutation
-	for _, t := range corpus.Lake.Snapshot().Tables() {
-		if t.Validate() != nil {
-			drops = append(drops, lake.Drop(t.Name))
-		}
-	}
-	if _, err := corpus.Lake.Apply(context.Background(), drops...); err != nil {
 		tb.Fatal(err)
 	}
 	return corpus

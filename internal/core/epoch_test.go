@@ -49,6 +49,34 @@ func mutateLake(t *testing.T, l *lake.Lake, wave int) {
 	}
 }
 
+// TestDefaultSessionReleasesAncestors: a default session engages only the
+// inverted index, so once a query has resolved it no ancestor state stays
+// reachable — after 12 rounds of Apply and a query, whether or not
+// BuildIndexes ran first. Waiting on an LSH it never builds would pin the
+// chain at its maxCatchUpChain bound.
+func TestDefaultSessionReleasesAncestors(t *testing.T) {
+	for _, prebuilt := range []bool{false, true} {
+		b := buildTPTR(t)
+		session := NewReclaimer(b.Lake, DefaultConfig())
+		if prebuilt {
+			session.BuildIndexes()
+		}
+		for round := 1; round <= 12; round++ {
+			mutateLake(t, b.Lake, round)
+			if _, err := session.ReclaimContext(context.Background(), b.Sources[0]); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+		states := 0
+		for s := session.cur.Load(); s != nil; s = s.prev.Load() {
+			states++
+		}
+		if states != 1 {
+			t.Fatalf("BuildIndexes first %v: %d states reachable from the current one, want 1", prebuilt, states)
+		}
+	}
+}
+
 // TestSessionTracksEpochsMatchesFresh is the tentpole equivalence pin: a
 // long-lived session whose substrates are maintained incrementally across
 // mutation waves must produce, at every epoch, results bit-identical to a

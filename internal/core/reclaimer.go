@@ -58,8 +58,8 @@ type epochState struct {
 	// shards is the session's Config.IndexShards, captured at state creation.
 	shards int
 	// prev links toward the ancestor states substrate catch-up derives from;
-	// cleared once both substrates are resolved (or at chain-trim time) so
-	// old snapshots do not accumulate.
+	// cleared once every engaged substrate is resolved (or at chain-trim
+	// time) so old snapshots do not accumulate.
 	prev atomic.Pointer[epochState]
 
 	// used flips (under Reclaimer.mu, via acquire) when a query claims this
@@ -70,11 +70,22 @@ type epochState struct {
 	invSlot slot[index.Inverted]
 	lshSlot slot[index.MinHashLSH]
 	semSlot slot[index.CosineLSH]
-	// semEnabled is captured from the session's default discovery strategy at
-	// state creation: only then do chain-trim and prev-release wait for the
-	// semantic substrate (a syntactic session must not pin ancestors for a
-	// substrate it will never build).
-	semEnabled bool
+	// engaged is the session's default configuration's rule, captured at
+	// state creation: chain-trim and prev-release wait only for the
+	// substrates it engages (a default session must not pin ancestors for
+	// an LSH it never builds).
+	engaged engaged
+}
+
+// engaged is the one rule for which substrates beyond the always-needed
+// inverted index a discovery configuration uses at a snapshot: the MinHash
+// LSH when first-stage retrieval applies, the cosine LSH when the strategy
+// is non-syntactic. Queries, WarmFor, BuildIndexes and the ancestor release
+// all read it.
+type engaged struct{ lsh, sem bool }
+
+func engagedBy(snap *lake.Snapshot, opts discovery.Options) engaged {
+	return engaged{lsh: needsFirstStage(snap, opts), sem: opts.Strategy != discovery.StrategySyntactic}
 }
 
 // NewReclaimer creates a session over l with cfg as the default
@@ -109,17 +120,16 @@ func (r *Reclaimer) stateLocked() *epochState {
 	if cur != nil && cur.snap == ls {
 		return cur
 	}
-	ns := &epochState{snap: ls, shards: r.cfg.IndexShards, semEnabled: r.semEnabled()}
+	ns := r.newState(ls)
 	ns.prev.Store(cur)
 	trimChain(ns)
 	r.cur.Store(ns)
 	return ns
 }
 
-// semEnabled reports whether the session's default configuration engages the
-// semantic substrate.
-func (r *Reclaimer) semEnabled() bool {
-	return r.cfg.Discovery.Strategy != discovery.StrategySyntactic
+// newState is a fresh, unresolved state for snapshot ls.
+func (r *Reclaimer) newState(ls *lake.Snapshot) *epochState {
+	return &epochState{snap: ls, shards: r.cfg.IndexShards, engaged: engagedBy(ls, r.cfg.Discovery)}
 }
 
 // acquire resolves and *claims* the epoch state a query will run against.
@@ -156,15 +166,16 @@ func trimChain(head *epochState) {
 	}
 }
 
-// substratesDone reports whether every substrate this session maintains is
+// substratesDone reports whether every substrate this session engages is
 // materialized on s — the point at which older ancestors have nothing left
 // to contribute.
 func (s *epochState) substratesDone() bool {
-	return s.invSlot.ptr.Load() != nil && s.lshSlot.ptr.Load() != nil &&
-		(!s.semEnabled || s.semSlot.ptr.Load() != nil)
+	return s.invSlot.ptr.Load() != nil &&
+		(!s.engaged.lsh || s.lshSlot.ptr.Load() != nil) &&
+		(!s.engaged.sem || s.semSlot.ptr.Load() != nil)
 }
 
-// dropPrevIfDone releases the ancestor chain once every maintained substrate
+// dropPrevIfDone releases the ancestor chain once every engaged substrate
 // exists: nothing left to catch up from, so the old snapshots can be
 // collected.
 func (s *epochState) dropPrevIfDone() {
@@ -288,10 +299,11 @@ func needsFirstStage(snap *lake.Snapshot, opts discovery.Options) bool {
 // back to a per-query fresh build on mismatch.
 func (s *epochState) indexSet(opts discovery.Options) *index.IndexSet {
 	ix := &index.IndexSet{Inverted: s.inverted()}
-	if needsFirstStage(s.snap, opts) {
+	e := engagedBy(s.snap, opts)
+	if e.lsh {
 		ix.LSH = s.lsh()
 	}
-	if opts.Strategy != discovery.StrategySyntactic {
+	if e.sem {
 		ix.Semantic = s.semantic(embed.Resolve(opts.Embedder))
 	}
 	return ix
@@ -367,7 +379,7 @@ func (r *Reclaimer) UseIndexes(ix *index.IndexSet) error {
 	// resolve short-circuits onto them, and a later epoch's catch-up walk must
 	// find an injected set to delta from rather than silently skip it in favor
 	// of a full rebuild. Nil members stay lazy.
-	ns := &epochState{snap: ls, shards: r.cfg.IndexShards, semEnabled: r.semEnabled()}
+	ns := r.newState(ls)
 	ns.invSlot.ptr.Store(ix.Inverted)
 	ns.lshSlot.ptr.Store(ix.LSH)
 	ns.semSlot.ptr.Store(ix.Semantic)
@@ -377,29 +389,13 @@ func (r *Reclaimer) UseIndexes(ix *index.IndexSet) error {
 	return nil
 }
 
-// BuildIndexes eagerly builds (or catches up) every substrate the session's
-// configuration engages for the current epoch — concurrently, their lazy
-// guards are independent — and returns them stamped with the epoch, e.g. to
+// BuildIndexes is WarmFor under the session's default configuration,
+// returning the current epoch's substrates stamped with the epoch, e.g. to
 // persist with IndexSet.SaveDir for later sessions over the same lake. The
-// semantic substrate is included only when the session's default strategy is
-// non-syntactic.
+// LSH and the semantic substrate are included only when that configuration
+// engages them (or an earlier query or injection already resolved them).
 func (r *Reclaimer) BuildIndexes() *index.IndexSet {
-	st := r.acquire()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		st.inverted()
-	}()
-	if st.semEnabled {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st.semantic(embed.Resolve(r.cfg.Discovery.Embedder))
-		}()
-	}
-	st.lsh()
-	wg.Wait()
+	st := r.warm(r.cfg.Discovery)
 	return &index.IndexSet{
 		Inverted: st.invSlot.ptr.Load(),
 		LSH:      st.lshSlot.ptr.Load(),
@@ -417,15 +413,33 @@ func (r *Reclaimer) Warm() *Reclaimer { return r.WarmFor(r.cfg.Discovery) }
 // queries with the given discovery options will need at the lake's current
 // epoch.
 func (r *Reclaimer) WarmFor(opts discovery.Options) *Reclaimer {
-	st := r.acquire()
-	st.inverted()
-	if needsFirstStage(st.snap, opts) {
-		st.lsh()
-	}
-	if opts.Strategy != discovery.StrategySyntactic {
-		st.semantic(embed.Resolve(opts.Embedder))
-	}
+	r.warm(opts)
 	return r
+}
+
+// warm resolves every substrate opts engage at the lake's current epoch —
+// concurrently, their lazy guards are independent — and returns the state.
+func (r *Reclaimer) warm(opts discovery.Options) *epochState {
+	st := r.acquire()
+	e := engagedBy(st.snap, opts)
+	var wg sync.WaitGroup
+	if e.lsh {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st.lsh()
+		}()
+	}
+	if e.sem {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st.semantic(embed.Resolve(opts.Embedder))
+		}()
+	}
+	st.inverted()
+	wg.Wait()
+	return st
 }
 
 // CandidatesContext runs Table Discovery over the shared substrates, pinned

@@ -80,8 +80,8 @@ func dot(a, b []float32) float64 {
 type CosineLSH struct {
 	// dict pins the index to the lake state it was built against; vectors do
 	// not depend on IDs (they embed canonical value text), but persisting
-	// under the dictionary fingerprint keeps semantic.gob provably paired
-	// with the same save the other substrates came from.
+	// under the dictionary fingerprint keeps semantic.bin provably paired
+	// with the same save the inverted index came from.
 	dict *table.Dict
 	// emb re-embeds added tables in WithDelta and query columns at search
 	// time. It is nil after loading a file whose embedder was external

@@ -91,11 +91,6 @@ func flatPostingsView(ix *Inverted) map[uint32][]ColumnRef {
 	return out
 }
 
-// liveSigsView is a MinHash index's live column sketches.
-func liveSigsView(ix *MinHashLSH) map[ColumnRef]signature {
-	return ix.flattened().base
-}
-
 func forms(snap *lake.Snapshot, tables []*table.Table) []*table.Interned {
 	out := make([]*table.Interned, len(tables))
 	for i, tt := range tables {
@@ -159,15 +154,15 @@ func TestGapAndCatchUp(t *testing.T) {
 	if set.Epoch != snap.Epoch() {
 		t.Fatalf("CatchUp stamped %v, want %v", set.Epoch, snap.Epoch())
 	}
-	if !set.Inverted.Covers(snap) || !set.LSH.Covers(snap) {
+	if !set.Inverted.Covers(snap) {
 		t.Fatal("caught-up set does not cover the lake")
+	}
+	if set.LSH != nil {
+		t.Fatal("CatchUp kept an LSH it does not maintain")
 	}
 	fresh := BuildIndexSet(snap)
 	if !reflect.DeepEqual(flatPostingsView(set.Inverted), flatPostingsView(fresh.Inverted)) {
 		t.Fatal("caught-up postings diverge from a fresh build")
-	}
-	if !reflect.DeepEqual(liveSigsView(set.LSH), liveSigsView(fresh.LSH)) {
-		t.Fatal("caught-up sketches diverge from a fresh build")
 	}
 
 	// A schema change under a kept name is not add-only.
@@ -222,7 +217,7 @@ func TestCatchUpRefusesEditedCoveredTable(t *testing.T) {
 }
 
 // TestSaveDirClearsStaleEpochStamp: saving an unstamped set over a stamped
-// directory must not leave the old epoch.gob to be paired with the fresh
+// directory must not leave the old stamp to be paired with the fresh
 // substrates.
 func TestSaveDirClearsStaleEpochStamp(t *testing.T) {
 	l := lake.New()
@@ -250,42 +245,28 @@ func TestSaveDirClearsStaleEpochStamp(t *testing.T) {
 // must not leave the older substrate files behind. The replaced table reuses
 // existing values, so the dictionary — and with it the fingerprint every file
 // is stamped with — is the same at both epochs: nothing at load would refuse
-// epoch-n postings (or sketches) paired with the epoch-n+1 stamp.
+// epoch-n vectors paired with the epoch-n+1 stamp.
 func TestSaveDirRemovesAbsentSubstrates(t *testing.T) {
 	l := lake.New()
 	laketest.Add(l, mk("t1", "a", "b"))
 	laketest.Add(l, mk("t2", "b", "c"))
 	dir := t.TempDir()
-	if err := BuildIndexSet(l.Snapshot()).SaveDir(dir); err != nil {
+	if err := BuildIndexSetFull(l.Snapshot(), DefaultShards, nil).SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	laketest.Add(l, mk("t1", "c", "a")) // epoch n+1, no new values
 	next := BuildIndexSet(l.Snapshot())
 
-	lshOnly := &IndexSet{LSH: next.LSH, Dict: next.Dict, Epoch: next.Epoch}
-	if err := lshOnly.SaveDir(dir); err != nil {
+	invOnly := &IndexSet{Inverted: next.Inverted, Dict: next.Dict, Epoch: next.Epoch}
+	if err := invOnly.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadIndexSetDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Inverted != nil {
-		t.Fatal("stale inverted shards survived an LSH-only save under the new stamp")
-	}
-	if loaded.LSH == nil || loaded.Epoch != next.Epoch {
-		t.Fatalf("LSH-only save did not round-trip: %+v", loaded)
-	}
-
-	invOnly := &IndexSet{Inverted: next.Inverted, Dict: next.Dict, Epoch: next.Epoch}
-	if err := invOnly.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	if loaded, err = LoadIndexSetDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	if loaded.LSH != nil || loaded.Inverted == nil {
-		t.Fatal("stale minhash file survived an inverted-only save")
+	if loaded.Semantic != nil || loaded.Inverted == nil || loaded.Epoch != next.Epoch {
+		t.Fatal("stale semantic file survived an inverted-only save under the new stamp")
 	}
 }
 

@@ -1,196 +1,274 @@
 package index
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"gent/internal/lake"
 	"gent/internal/table"
 )
 
-// Real lakes are indexed once and queried many times, so every substrate
-// persists to disk alongside the value dictionary their IDs are keyed under:
-// the inverted index as one flat checksummed file (persist_inverted.go), the
-// MinHash index here and the semantic index (persist_cosine.go) with
-// encoding/gob. The formats are versioned so a stale index fails loudly
-// instead of answering wrongly:
+// A persisted IndexSet is a directory of flat, checksummed files, each read
+// in one read through table.FlatReader and written through
+// table.WriteFileAtomic:
 //
-//   - v1 files predate the canonical key format this release fixed
-//     (decimal-only numeric text, -0 normalization, separator escaping) and
-//     are rejected — their postings would silently mismatch new Key output.
-//   - Every substrate file carries the fingerprint of the dictionary it was
-//     saved with, verified at load, so a torn save can never pair postings
-//     with the wrong dictionary.
+//   - dict.bin: the set's epoch and the value dictionary its substrates are
+//     keyed under (below);
+//   - inverted.bin: the inverted index (persist_inverted.go);
+//   - semantic.bin: the semantic index, when the set holds one
+//     (persist_cosine.go).
 //
-// Every file goes through table.WriteFileAtomic (saveFile), so a crash
-// mid-write leaves the previous file intact rather than a truncated gob.
-
+// Every substrate file carries the fingerprint of the dictionary saved
+// beside it, verified at load, so a torn save can never pair postings with
+// the wrong dictionary. The MinHash-LSH first stage is not persisted: a
+// rebuild costs about what loading a file did, so a session that engages it
+// builds it on demand. Files of retired layouts — the gob files of earlier
+// releases (dict.gob, epoch.gob, minhash.gob, semantic.gob), a v4 sharded
+// inverted set or a pre-sharding inverted.gob — are never decoded: a
+// directory holding them without a dict.bin fails with ErrStaleFormat, and
+// SaveDir removes them.
+//
+// dict.bin (format v1):
+//
+//	"GENTDICT"     8-byte magic
+//	version        uint32 LE     dictFormatVersion
+//	seq, chain     uint64 LE     the set's Epoch (zero: unstamped)
+//	ndict          uvarint, then ndict entries (table.AppendDictEntries;
+//	               entry i is ID i+1)
+//	crc            uint32 LE     CRC-32C of every byte before it
 const (
-	minhashFormatVersion = 2
-	dictFormatVersion    = 1
+	dictMagic         = "GENTDICT"
+	dictFormatVersion = 1
+	dictFileName      = "dict.bin"
+	// dictHeaderLen is the magic, version and epoch.
+	dictHeaderLen = len(dictMagic) + 4 + 16
 )
+
+// retiredFiles are the glob patterns, relative to an index directory, of
+// the files earlier layouts wrote.
+var retiredFiles = []string{
+	"dict.gob", "epoch.gob", "minhash.gob", "semantic.gob",
+	"inverted.gob", "inverted-shards.gob", "inverted-shard-*.gob",
+}
 
 // ErrDictRequired reports an index directory loaded, or a set saved,
 // without the value dictionary its IDs are keyed under.
 var ErrDictRequired = errors.New("index: ID-keyed index requires its value dictionary")
 
-// ErrStaleFormat reports an index file in a format this release no longer
-// reads — one whose canonical key format differs, a v4 sharded inverted set
-// or a pre-sharding inverted.gob — so callers must rebuild.
+// ErrStaleFormat reports an index directory in a layout this release no
+// longer reads — the gob files of earlier releases, a v4 sharded inverted
+// set or a pre-sharding inverted.gob — so callers must rebuild.
 var ErrStaleFormat = errors.New("index: index file predates the current format")
 
-// ErrDictFingerprint reports an index file whose postings or sketches were
-// built under a different dictionary than the one supplied — a torn or mixed
-// save; the IDs would resolve to the wrong values.
+// ErrDictFingerprint reports an index file whose postings or vectors were
+// saved beside a different dictionary than the one supplied — a torn or
+// mixed save; the IDs would resolve to the wrong values.
 var ErrDictFingerprint = errors.New("index: index/dictionary fingerprint mismatch")
 
-// minhashDisk is the serializable form of MinHashLSH.
-type minhashDisk struct {
-	Version         int
-	Sigs            map[ColumnRef]signature
-	Buckets         map[uint64][]ColumnRef
-	Tables          []string
-	DictFingerprint uint64
+// ErrCorruptIndex reports an index file that cannot be trusted: not in its
+// current format, truncated, failing its checksum, or with counts, offsets,
+// entries or posting blocks that do not add up. Nothing is served from it.
+var ErrCorruptIndex = errors.New("index: corrupt index file")
+
+// ErrNoIndexFiles reports that a directory holds no persisted set at all —
+// a fresh location, as opposed to a corrupt or unreadable one.
+var ErrNoIndexFiles = errors.New("index: no index files")
+
+// appendDictFile appends a dict.bin holding epoch e and the dictionary
+// snapshot entries to b.
+func appendDictFile(b []byte, e lake.Epoch, entries []table.DictEntry) []byte {
+	b = append(b, dictMagic...)
+	b = binary.LittleEndian.AppendUint32(b, dictFormatVersion)
+	b = binary.LittleEndian.AppendUint64(b, e.Seq)
+	b = binary.LittleEndian.AppendUint64(b, e.Chain)
+	b = table.AppendDictEntries(b, entries)
+	return table.AppendCRC(b)
 }
 
-// save writes the MinHash-LSH index stamped with the dictionary fingerprint
-// of the save (the dictionary itself IndexSet.SaveDir persists once for all
-// substrates).
-func (ix *MinHashLSH) save(w io.Writer, fp uint64) error {
-	flat := ix.flattened() // fold any incremental-maintenance layers
-	return gob.NewEncoder(w).Encode(minhashDisk{
-		Version:         minhashFormatVersion,
-		Sigs:            flat.base,
-		Buckets:         flat.buckets,
-		Tables:          flat.tables,
-		DictFingerprint: fp,
-	})
-}
-
-// loadMinHashLSH reads a MinHash-LSH index written by SaveDir. dict is the
-// value dictionary the signatures were sketched under — persisted alongside
-// by IndexSet.SaveDir, which LoadIndexSetDir loads first — and its
-// fingerprint must match the one saved.
-func loadMinHashLSH(r io.Reader, dict *table.Dict) (*MinHashLSH, error) {
-	var d minhashDisk
-	if err := gob.NewDecoder(r).Decode(&d); err != nil {
-		return nil, fmt.Errorf("index: decoding minhash index: %w", err)
+// parseDictFile decodes a dict.bin. A file that is not one, or whose
+// entries table.NewDictFromSnapshot refuses, fails with ErrCorruptIndex.
+func parseDictFile(data []byte) (*table.Dict, lake.Epoch, error) {
+	if len(data) < dictHeaderLen+4 || string(data[:len(dictMagic)]) != dictMagic {
+		return nil, lake.Epoch{}, fmt.Errorf("%w: not a dictionary file", ErrCorruptIndex)
 	}
-	switch d.Version {
-	case minhashFormatVersion:
-	case 1:
-		return nil, fmt.Errorf("%w (minhash index v1)", ErrStaleFormat)
-	default:
-		return nil, fmt.Errorf("index: minhash index format v%d, want v%d",
-			d.Version, minhashFormatVersion)
+	if v := binary.LittleEndian.Uint32(data[len(dictMagic):]); v != dictFormatVersion {
+		return nil, lake.Epoch{}, fmt.Errorf("%w: dictionary format v%d, want v%d", ErrCorruptIndex, v, dictFormatVersion)
 	}
-	if dict.Fingerprint() != d.DictFingerprint {
-		return nil, fmt.Errorf("%w (minhash index)", ErrDictFingerprint)
+	body, ok := table.CheckCRC(data)
+	if !ok {
+		return nil, lake.Epoch{}, fmt.Errorf("%w: dictionary checksum mismatch", ErrCorruptIndex)
 	}
-	return &MinHashLSH{dict: dict, banded: &banded[signature]{
-		bandKeys: bandKeys, base: d.Sigs, buckets: d.Buckets, tables: d.Tables,
-	}}, nil
-}
-
-// epochDisk is the serializable form of an IndexSet's epoch stamp.
-// DictFingerprint pins the stamp to the dictionary snapshot the set was
-// saved with — the same fingerprint every substrate file carries —
-// so a stamp left behind by an older save can never pass itself off as
-// describing newer substrates.
-type epochDisk struct {
-	Version         int
-	Seq             uint64
-	Chain           uint64
-	DictFingerprint uint64
-}
-
-const epochFormatVersion = 1
-
-// saveEpoch writes the lake epoch the set was built or maintained at.
-func saveEpoch(w io.Writer, e lake.Epoch, fp uint64) error {
-	return gob.NewEncoder(w).Encode(epochDisk{
-		Version:         epochFormatVersion,
-		Seq:             e.Seq,
-		Chain:           e.Chain,
-		DictFingerprint: fp,
-	})
-}
-
-// loadEpoch reads an epoch stamp written by saveEpoch; fp must match the
-// fingerprint the stamp was saved under.
-func loadEpoch(r io.Reader, fp uint64) (lake.Epoch, error) {
-	var d epochDisk
-	if err := gob.NewDecoder(r).Decode(&d); err != nil {
-		return lake.Epoch{}, fmt.Errorf("index: decoding epoch stamp: %w", err)
+	d := table.NewFlatReader(body, len(dictMagic)+4)
+	e := lake.Epoch{Seq: d.U64(), Chain: d.U64()}
+	entries := d.DictEntries()
+	if !d.Done() {
+		return nil, lake.Epoch{}, fmt.Errorf("%w: dictionary lengths and counts do not match the file", ErrCorruptIndex)
 	}
-	if d.Version != epochFormatVersion {
-		return lake.Epoch{}, fmt.Errorf("index: epoch stamp format v%d, want v%d",
-			d.Version, epochFormatVersion)
-	}
-	if d.DictFingerprint != fp {
-		return lake.Epoch{}, fmt.Errorf("%w (epoch stamp)", ErrDictFingerprint)
-	}
-	return lake.Epoch{Seq: d.Seq, Chain: d.Chain}, nil
-}
-
-// dictDisk is the serializable form of a value dictionary.
-type dictDisk struct {
-	Version int
-	Entries []table.DictEntry
-}
-
-func saveDictEntries(w io.Writer, entries []table.DictEntry) error {
-	return gob.NewEncoder(w).Encode(dictDisk{
-		Version: dictFormatVersion,
-		Entries: entries,
-	})
-}
-
-// LoadDict reads a dictionary written by SaveDir.
-func LoadDict(r io.Reader) (*table.Dict, error) {
-	var d dictDisk
-	if err := gob.NewDecoder(r).Decode(&d); err != nil {
-		return nil, fmt.Errorf("index: decoding dictionary: %w", err)
-	}
-	if d.Version != dictFormatVersion {
-		return nil, fmt.Errorf("index: dictionary format v%d, want v%d",
-			d.Version, dictFormatVersion)
-	}
-	dict, err := table.NewDictFromSnapshot(d.Entries)
+	dict, err := table.NewDictFromSnapshot(entries)
 	if err != nil {
-		return nil, fmt.Errorf("index: %w", err)
+		return nil, lake.Epoch{}, fmt.Errorf("%w: %v", ErrCorruptIndex, err)
 	}
-	return dict, nil
+	return dict, e, nil
 }
 
-// saveFile is table.WriteFileAtomic under this package's error prefix.
-func saveFile(path string, save func(io.Writer) error) error {
-	if err := table.WriteFileAtomic(path, save); err != nil {
+// SaveDir persists the set under dir (created if needed): the inverted
+// index, the semantic index when the set holds one, and the dictionary with
+// the epoch stamp. It removes the semantic file of an earlier save when the
+// set has none, and every file of a retired layout. The MinHash-LSH is not
+// written (see above). A set without its inverted index or its dictionary is
+// an error.
+//
+// One dictionary snapshot is taken up front: its fingerprint goes into each
+// substrate file and its entries into dict.bin, so the saved files are
+// provably consistent even if the live dictionary grows mid-save. dict.bin
+// is written last: a crash mid-save leaves the previous stamp, which can
+// only make the set look older than its substrates (and so caught up or
+// rebuilt), never newer.
+func (s *IndexSet) SaveDir(dir string) error {
+	if s.Inverted == nil {
+		return errors.New("index: index set without an inverted index")
+	}
+	if s.Dict == nil {
+		return fmt.Errorf("%w: set Dict before SaveDir", ErrDictRequired)
+	}
+	// The fingerprint stamped below certifies the dict/postings pairing, so
+	// it must only ever certify a true one: each substrate's own dictionary
+	// has to be s.Dict or a prefix of it (postings IDs then mean the same
+	// values under s.Dict). A hand-assembled set pairing a loaded substrate
+	// with an unrelated dictionary is refused here rather than persisted as
+	// silent corruption.
+	compatible := func(d *table.Dict) bool {
+		return d == nil || d == s.Dict || d.PrefixOf(s.Dict)
+	}
+	if !compatible(s.Inverted.dict) {
+		return errors.New("index: inverted index was built under a different dictionary than the set's")
+	}
+	if s.Semantic != nil && !compatible(s.Semantic.Dict()) {
+		return errors.New("index: semantic index was built under a different dictionary than the set's")
+	}
+	snap := s.Dict.Snapshot()
+	fp := table.FingerprintSnapshot(snap)
+	if err := saveFile(filepath.Join(dir, invertedFileName), appendInverted(nil, s.Inverted, fp)); err != nil {
+		return err
+	}
+	stale := retiredFiles
+	if s.Semantic != nil {
+		if err := saveFile(filepath.Join(dir, semanticFileName), appendCosine(nil, s.Semantic, fp)); err != nil {
+			return err
+		}
+	} else {
+		stale = append([]string{semanticFileName}, stale...)
+	}
+	if err := removeFiles(dir, stale...); err != nil {
+		return err
+	}
+	return saveFile(filepath.Join(dir, dictFileName), appendDictFile(nil, s.Epoch, snap))
+}
+
+// LoadIndexSetDir reads the set SaveDir wrote under dir: the dictionary and
+// epoch first, then the inverted index and, when present, the semantic index
+// wired to that dictionary. LSH is always nil: a session builds the first
+// stage on demand. A directory without dict.bin or inverted.bin fails with
+// ErrStaleFormat when it holds a retired layout's files (rebuild), with
+// ErrDictRequired when it holds substrates but no dictionary, and otherwise
+// with ErrNoIndexFiles.
+func LoadIndexSetDir(dir string) (*IndexSet, error) {
+	has := func(name string) bool { return fileExists(filepath.Join(dir, name)) }
+	if !has(dictFileName) || !has(invertedFileName) {
+		retired, err := findFiles(dir, retiredFiles...)
+		switch {
+		case err != nil:
+			return nil, err
+		case len(retired) > 0:
+			return nil, fmt.Errorf("%w (%s)", ErrStaleFormat, filepath.Base(retired[0]))
+		case !has(dictFileName) && (has(invertedFileName) || has(semanticFileName)):
+			return nil, fmt.Errorf("%w: %s missing under %s", ErrDictRequired, dictFileName, dir)
+		}
+		return nil, fmt.Errorf("%w under %s", ErrNoIndexFiles, dir)
+	}
+	data, err := readFile(dir, dictFileName)
+	if err != nil {
+		return nil, err
+	}
+	d, epoch, err := parseDictFile(data)
+	if err != nil {
+		return nil, err
+	}
+	s := &IndexSet{Dict: d, Epoch: epoch}
+	if data, err = readFile(dir, invertedFileName); err != nil {
+		return nil, err
+	}
+	if s.Inverted, err = parseInverted(data, d); err != nil {
+		return nil, err
+	}
+	if has(semanticFileName) {
+		if data, err = readFile(dir, semanticFileName); err != nil {
+			return nil, err
+		}
+		if s.Semantic, err = parseCosine(data, d); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// fileExists reports whether path exists (any stat error counts as absent —
+// the subsequent read of a genuinely unreadable file surfaces the real
+// error).
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
+}
+
+// saveFile writes b to path through table.WriteFileAtomic.
+func saveFile(path string, b []byte) error {
+	err := table.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	})
+	if err != nil {
 		return fmt.Errorf("index: %w", err)
 	}
 	return nil
 }
 
-// readFile opens path, hands it to load, and closes it.
-func readFile[T any](path string, load func(io.Reader) (T, error)) (T, error) {
-	f, err := os.Open(path)
+// readFile reads the file name under dir whole.
+func readFile(dir, name string) ([]byte, error) {
+	data, err := os.ReadFile(filepath.Join(dir, name))
 	if err != nil {
-		var zero T
-		return zero, fmt.Errorf("index: %w", err)
+		return nil, fmt.Errorf("index: %w", err)
 	}
-	defer f.Close()
-	return load(f)
+	return data, nil
 }
 
-// loadMinHashLSHFile reads a MinHash index file; dict as in loadMinHashLSH.
-func loadMinHashLSHFile(path string, dict *table.Dict) (*MinHashLSH, error) {
-	return readFile(path, func(r io.Reader) (*MinHashLSH, error) { return loadMinHashLSH(r, dict) })
+// findFiles lists the files under dir matching one of the glob patterns.
+func findFiles(dir string, patterns ...string) ([]string, error) {
+	var out []string
+	for _, pattern := range patterns {
+		paths, err := filepath.Glob(filepath.Join(dir, pattern))
+		if err != nil {
+			return nil, fmt.Errorf("index: %w", err)
+		}
+		out = append(out, paths...)
+	}
+	return out, nil
 }
 
-// LoadDictFile reads a dictionary file.
-func LoadDictFile(path string) (*table.Dict, error) {
-	return readFile(path, LoadDict)
+// removeFiles deletes every file under dir matching one of the glob patterns;
+// none matching is not an error.
+func removeFiles(dir string, patterns ...string) error {
+	paths, err := findFiles(dir, patterns...)
+	if err != nil {
+		return err
+	}
+	for _, p := range paths {
+		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("index: %w", err)
+		}
+	}
+	return nil
 }

@@ -3,11 +3,10 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"gent/internal/lake"
@@ -15,9 +14,10 @@ import (
 	"gent/internal/table"
 )
 
-// TestIndexSetDictRoundTrip persists a full set and reloads it:
-// the dictionary must travel with the substrates, and searches through the
-// reloaded set must match the live one exactly.
+// TestIndexSetDictRoundTrip persists a set and reloads it: exactly
+// dict.bin and inverted.bin are written (the LSH never is), the dictionary
+// travels with the inverted index, and searches through the reloaded set
+// must match the live one exactly.
 func TestIndexSetDictRoundTrip(t *testing.T) {
 	l := buildLake()
 	s := BuildIndexSet(l.Snapshot())
@@ -28,17 +28,23 @@ func TestIndexSetDictRoundTrip(t *testing.T) {
 	if err := s.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{invertedFileName, minhashFileName, dictFileName} {
-		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
-			t.Fatalf("missing persisted file %s: %v", f, err)
-		}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for _, e := range entries {
+		files = append(files, e.Name())
+	}
+	if want := []string{dictFileName, invertedFileName}; !slices.Equal(files, want) {
+		t.Fatalf("SaveDir wrote %v, want %v", files, want)
 	}
 	got, err := LoadIndexSetDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Dict == nil || got.Inverted == nil || got.LSH == nil {
-		t.Fatal("round trip lost a member")
+	if got.Dict == nil || got.Inverted == nil || got.LSH != nil {
+		t.Fatal("round trip lost a member or loaded an LSH")
 	}
 	if !got.Dict.PrefixOf(l.Dict()) || !l.Dict().PrefixOf(got.Dict) {
 		t.Error("reloaded dictionary diverged from the live one")
@@ -59,14 +65,13 @@ func TestIndexSetDictRoundTrip(t *testing.T) {
 // persisted set: loading must fail loudly with ErrDictRequired before any
 // substrate is read (the postings would be meaningless), which is what
 // routes cmd/gent -index-dir into its rebuild-with-warning path. A set
-// holding only one of the two ID-keyed substrates fails the same way.
+// holding the semantic index too fails the same way.
 func TestLoadIndexSetDetectsMissingDict(t *testing.T) {
 	l := buildLake()
-	full := BuildIndexSet(l.Snapshot())
+	full := BuildIndexSetFull(l.Snapshot(), DefaultShards, nil)
 	for _, s := range []*IndexSet{
 		full,
 		{Inverted: full.Inverted, Dict: full.Dict},
-		{LSH: full.LSH, Dict: full.Dict},
 	} {
 		dir := t.TempDir()
 		if err := s.SaveDir(dir); err != nil {
@@ -76,8 +81,7 @@ func TestLoadIndexSetDetectsMissingDict(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := LoadIndexSetDir(dir); !errors.Is(err, ErrDictRequired) {
-			t.Fatalf("inverted %v, minhash %v: got %v, want ErrDictRequired",
-				s.Inverted != nil, s.LSH != nil, err)
+			t.Fatalf("semantic %v: got %v, want ErrDictRequired", s.Semantic != nil, err)
 		}
 	}
 }
@@ -107,11 +111,11 @@ func TestAdoptDictDetectsLakeMismatch(t *testing.T) {
 	extra := table.New("extra", "name")
 	extra.AddRow(table.S("Zephyr"))
 	laketest.Add(grown, extra)
-	d2, err := LoadDictFile(filepath.Join(dir, dictFileName))
+	s2, err := LoadIndexSetDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := grown.AdoptDict(d2); !errors.Is(err, lake.ErrDictMismatch) {
+	if err := grown.AdoptDict(s2.Dict); !errors.Is(err, lake.ErrDictMismatch) {
 		t.Fatalf("got %v, want lake.ErrDictMismatch", err)
 	}
 }
@@ -126,9 +130,7 @@ func TestLoadDetectsDictFingerprintMismatch(t *testing.T) {
 	}
 	other := table.NewDict()
 	other.InternValue(table.S("imposter"))
-	err := saveFile(filepath.Join(dir, dictFileName), func(w io.Writer) error {
-		return saveDictEntries(w, other.Snapshot())
-	})
+	err := saveFile(filepath.Join(dir, dictFileName), appendDictFile(nil, lake.Epoch{}, other.Snapshot()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,36 +139,77 @@ func TestLoadDetectsDictFingerprintMismatch(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsV1Format: files from before the canonical key format change
-// must be rejected, not served — their sketches silently mismatch current
-// Value.Key output for the reclassified value spellings.
+// TestLoadRejectsV1Format: a dictionary file of another format version is
+// refused, not served — its entries could mismatch current Value.Key output.
 func TestLoadRejectsV1Format(t *testing.T) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(minhashDisk{Version: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadMinHashLSH(&buf, nil); !errors.Is(err, ErrStaleFormat) {
-		t.Fatalf("got %v, want ErrStaleFormat", err)
+	b := appendDictFile(nil, lake.Epoch{}, buildLake().Dict().Snapshot())
+	binary.LittleEndian.PutUint32(b[len(dictMagic):], dictFormatVersion+1)
+	if _, _, err := parseDictFile(withChecksum(b)); !errors.Is(err, ErrCorruptIndex) {
+		t.Fatalf("got %v, want ErrCorruptIndex", err)
 	}
 }
 
-// TestLegacyInvertedFile: a directory whose only inverted index is in a
-// retired format — a pre-sharding inverted.gob or a v4 sharded set — fails
-// the load with ErrStaleFormat (whatever the files hold: they are never
-// decoded), and SaveDir removes the leftovers so a directory never holds two
-// inverted representations.
+// TestLoadRejectsGarbage: bytes that are not a dictionary file, and a
+// missing file, fail the load.
+func TestLoadRejectsGarbage(t *testing.T) {
+	for _, data := range [][]byte{nil, []byte("not a dictionary"), []byte(dictMagic + "\x01\x00\x00\x00")} {
+		if _, _, err := parseDictFile(data); !errors.Is(err, ErrCorruptIndex) {
+			t.Errorf("%q: got %v, want ErrCorruptIndex", data, err)
+		}
+	}
+	if _, err := readFile("/nonexistent", dictFileName); err == nil {
+		t.Error("missing file accepted")
+	}
+}
+
+// FuzzIndexDict feeds arbitrary bytes to the dictionary file loader. Any
+// input must give a typed error or a dictionary and epoch whose encoding is
+// the input: the layout is canonical, so decode ∘ encode is the identity.
+func FuzzIndexDict(f *testing.F) {
+	snap := buildLake().Snapshot()
+	valid := appendDictFile(nil, snap.Epoch(), snap.Dict().Snapshot())
+	f.Add(valid)
+	f.Add(appendDictFile(nil, lake.Epoch{}, nil))
+	f.Add(valid[:len(valid)/2])
+	for _, at := range []int{0, len(dictMagic), dictHeaderLen, len(valid) - 5} {
+		b := append([]byte(nil), valid...)
+		b[at] ^= 0x41
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, withChecksum(data)} {
+			d, e, err := parseDictFile(in)
+			if err != nil {
+				if !errors.Is(err, ErrCorruptIndex) {
+					t.Fatalf("untyped error: %v", err)
+				}
+				continue
+			}
+			if got := appendDictFile(nil, e, d.Snapshot()); !bytes.Equal(got, in) {
+				t.Fatalf("decode ∘ encode is not the identity:\n got %x\nwant %x", got, in)
+			}
+		}
+	})
+}
+
+// TestLegacyInvertedFile: a directory whose only index files are in a
+// retired layout — a pre-sharding inverted.gob, a v4 sharded set, the gob
+// dictionary and MinHash files — fails the load with ErrStaleFormat
+// (whatever the files hold: they are never decoded), and SaveDir removes the
+// leftovers so a directory never holds two representations.
 func TestLegacyInvertedFile(t *testing.T) {
 	l := buildLake()
 	s := BuildIndexSet(l.Snapshot())
 	for _, legacy := range [][]string{
-		{legacyInvertedFileName},
-		{v4MetaFileName, "inverted-shard-000.gob", "inverted-shard-001.gob"},
+		{"inverted.gob"},
+		{"inverted-shards.gob", "inverted-shard-000.gob", "inverted-shard-001.gob"},
+		{"dict.gob", "epoch.gob", "minhash.gob"},
 	} {
 		dir := t.TempDir()
 		if err := s.SaveDir(dir); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.Remove(filepath.Join(dir, invertedFileName)); err != nil {
+		if err := os.Remove(filepath.Join(dir, dictFileName)); err != nil {
 			t.Fatal(err)
 		}
 		for _, name := range legacy {
@@ -182,7 +225,7 @@ func TestLegacyInvertedFile(t *testing.T) {
 		}
 		for _, name := range legacy {
 			if fileExists(filepath.Join(dir, name)) {
-				t.Fatalf("SaveDir left %s beside %s", name, invertedFileName)
+				t.Fatalf("SaveDir left %s beside %s", name, dictFileName)
 			}
 		}
 		if _, err := LoadIndexSetDir(dir); err != nil {

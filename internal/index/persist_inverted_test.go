@@ -1,24 +1,21 @@
 package index
 
 import (
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"maps"
 	"reflect"
 	"testing"
+
+	"gent/internal/table"
 )
 
 // withChecksum returns b with its CRC-32C trailer recomputed, so a forged
 // field reaches the structural checks instead of failing the checksum.
 func withChecksum(b []byte) []byte {
-	out := append([]byte(nil), b...)
-	if len(out) < 4 {
-		return out
+	if len(b) < 4 {
+		return append([]byte(nil), b...)
 	}
-	body := out[:len(out)-4]
-	binary.LittleEndian.PutUint32(out[len(body):], crc32.Checksum(body, castagnoli))
-	return out
+	return table.AppendCRC(append([]byte(nil), b[:len(b)-4]...))
 }
 
 // FuzzInvertedFile feeds arbitrary bytes to the inverted index loader. Any

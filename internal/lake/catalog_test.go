@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
 	"math"
 	"os"
@@ -22,7 +21,9 @@ func decodeCatalog(b []byte) (*catalog, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("%w: %d-byte file", ErrCorruptCatalog, len(b))
 	}
-	return parseCatalog(string(b), crc32.Checksum(b[:len(b)-4], castagnoli))
+	h := table.NewCRC()
+	h.Write(b[:len(b)-4])
+	return parseCatalog(string(b), h.Sum32())
 }
 
 // exactTable reports a and b equal the way reflect.DeepEqual does — nil and
@@ -193,8 +194,7 @@ func TestOpenRejectsCorruptCatalog(t *testing.T) {
 
 // withChecksum returns body followed by its CRC-32C trailer.
 func withChecksum(body []byte) []byte {
-	sum := crc32.Checksum(body, castagnoli)
-	return append(body[:len(body):len(body)], byte(sum), byte(sum>>8), byte(sum>>16), byte(sum>>24))
+	return table.AppendCRC(body[:len(body):len(body)])
 }
 
 // TestOpenRefusesGobCatalog: a directory persisted before format v2 holds

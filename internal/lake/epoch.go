@@ -221,7 +221,9 @@ func Diff(old, new *Snapshot) (added, removed []*table.Table, ok bool) {
 // Apply atomically applies a batch of mutations and returns the new epoch.
 // The batch is validated first and applied all-or-nothing, in order (so a
 // batch may Put a table and Rename it in one epoch); an invalid batch leaves
-// the lake at its current epoch with an ErrBadMutation-wrapped cause.
+// the lake at its current epoch with an ErrBadMutation-wrapped cause. A Put
+// of a table that fails table.Validate is invalid, its error also wrapping
+// table.ErrShape: the lake holds only tables it can persist and reload.
 //
 // Apply publishes a fresh immutable Snapshot; queries already running stay
 // pinned RCU-style to the snapshot they started on and are never torn. The
@@ -244,6 +246,9 @@ func (l *Lake) Apply(ctx context.Context, muts ...Mutation) (Epoch, error) {
 			}
 			if m.table.Name == "" {
 				return cur.epoch, fmt.Errorf("%w: %s: empty table name", ErrBadMutation, m)
+			}
+			if err := m.table.Validate(); err != nil {
+				return cur.epoch, fmt.Errorf("%w: %s: %w", ErrBadMutation, m, err)
 			}
 		case opDrop:
 			if m.name == "" {

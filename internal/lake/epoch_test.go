@@ -139,6 +139,35 @@ func TestApplyRejectsBadBatches(t *testing.T) {
 	}
 }
 
+// TestApplyRejectsMalformedTables: a Put of a table that fails
+// table.Validate — a duplicate column, a ragged row, a key out of range — is
+// refused with table.ErrShape, in a batch of otherwise valid mutations too,
+// and leaves the lake as it was. Persist, the CSV loader and the wire refuse
+// such a table, so the lake must never hold one.
+func TestApplyRejectsMalformedTables(t *testing.T) {
+	ctx := context.Background()
+	l := New()
+	if _, err := l.Apply(ctx, Put(mkTable("keep", "v"))); err != nil {
+		t.Fatal(err)
+	}
+	before := l.Epoch()
+	dupCol := table.New("dup", "a", "a")
+	dupCol.AddRow(table.S("x"), table.S("y"))
+	ragged := table.New("ragged", "a", "b")
+	ragged.Rows = append(ragged.Rows, table.Row{table.S("x")})
+	badKey := table.New("badkey", "a")
+	badKey.Key = []int{1}
+	for _, bad := range []*table.Table{dupCol, ragged, badKey} {
+		_, err := l.Apply(ctx, Put(mkTable("fresh", "v")), Put(bad))
+		if !errors.Is(err, table.ErrShape) || !errors.Is(err, ErrBadMutation) {
+			t.Errorf("%s: err = %v, want ErrBadMutation wrapping table.ErrShape", bad.Name, err)
+		}
+	}
+	if l.Epoch() != before || l.Snapshot().Get("fresh") != nil {
+		t.Fatal("a batch with a malformed table was applied")
+	}
+}
+
 // TestEpochChainDeterminism: equal mutation histories produce equal epochs;
 // diverging content produces diverging chains even at equal Seq.
 func TestEpochChainDeterminism(t *testing.T) {

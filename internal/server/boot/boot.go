@@ -166,8 +166,7 @@ func AdoptIndexes(session *core.Reclaimer, dir string, warnf Warnf) (IndexOutcom
 		if !errors.Is(err, index.ErrNoIndexFiles) {
 			warnf.printf("warning: indexes at %s unusable (%v); rebuilding", dir, err)
 		}
-	case ix.Inverted == nil || !ix.Inverted.Covers(snap) || ix.LSH != nil && !ix.LSH.Covers(snap) ||
-		ix.Semantic != nil && !ix.Semantic.Covers(snap):
+	case !ix.Inverted.Covers(snap) || ix.Semantic != nil && !ix.Semantic.Covers(snap):
 		if n, ok := catchUpIndexes(l, snap, ix, warnf); ok {
 			caughtUp = n
 			loaded = true

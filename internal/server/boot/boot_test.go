@@ -64,26 +64,48 @@ func TestAdoptIndexesRebuildsForeignDictionary(t *testing.T) {
 	}
 }
 
-// TestAdoptIndexesRebuildsLegacyDirectory: a directory holding only a
-// pre-sharding inverted.gob is warned about, rebuilt in the current format
-// (the legacy file removed), and loads cleanly on the next start.
+// TestAdoptIndexesRebuildsLegacyDirectory: a directory in a retired layout —
+// a pre-sharding inverted.gob alone, or the gob dictionary, epoch, MinHash
+// and semantic files beside a v5 inverted.bin — is warned about, rebuilt in
+// the current format with every retired file removed, and loads cleanly on
+// the next start.
 func TestAdoptIndexesRebuildsLegacyDirectory(t *testing.T) {
-	dir := t.TempDir()
-	legacy := filepath.Join(dir, "inverted.gob")
-	if err := os.WriteFile(legacy, []byte("a pre-sharding inverted index"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out, warnings := adopt(t, twoTableLake("ours"), dir)
-	if out.Action != "built" {
-		t.Fatalf("legacy directory: action %q, want built", out.Action)
-	}
-	if len(warnings) != 1 || !strings.Contains(warnings[0], index.ErrStaleFormat.Error()) {
-		t.Fatalf("warnings = %q, want one naming the stale format", warnings)
-	}
-	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
-		t.Fatalf("rebuild left the legacy file behind (stat: %v)", err)
-	}
-	if out, warnings := adopt(t, twoTableLake("ours"), dir); out.Action != "loaded" || len(warnings) != 0 {
-		t.Fatalf("next start: action %q, warnings %q; want a clean load", out.Action, warnings)
+	gobs := []string{"dict.gob", "epoch.gob", "minhash.gob", "semantic.gob"}
+	for name, c := range map[string]struct {
+		inverted bool // a v5 inverted.bin beside the legacy files
+		legacy   []string
+	}{
+		"pre-sharding":   {false, []string{"inverted.gob"}},
+		"gob dictionary": {true, gobs},
+	} {
+		dir := t.TempDir()
+		if c.inverted {
+			if err := index.BuildIndexSet(twoTableLake("ours").Snapshot()).SaveDir(dir); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Remove(filepath.Join(dir, "dict.bin")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, f := range c.legacy {
+			if err := os.WriteFile(filepath.Join(dir, f), []byte("an earlier layout's file"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out, warnings := adopt(t, twoTableLake("ours"), dir)
+		if out.Action != "built" {
+			t.Fatalf("%s: action %q, want built", name, out.Action)
+		}
+		if len(warnings) != 1 || !strings.Contains(warnings[0], index.ErrStaleFormat.Error()) {
+			t.Fatalf("%s: warnings = %q, want one naming the stale format", name, warnings)
+		}
+		for _, f := range c.legacy {
+			if _, err := os.Stat(filepath.Join(dir, f)); !os.IsNotExist(err) {
+				t.Fatalf("%s: rebuild left %s behind (stat: %v)", name, f, err)
+			}
+		}
+		if out, warnings := adopt(t, twoTableLake("ours"), dir); out.Action != "loaded" || len(warnings) != 0 {
+			t.Fatalf("%s: next start: action %q, warnings %q; want a clean load", name, out.Action, warnings)
+		}
 	}
 }
