@@ -5,7 +5,7 @@
 // Usage:
 //
 //	benchgen -out ./bench [-base 30] [-null 0.5] [-err 0.5] [-seed 11]
-//	         [-distractors 0] [-t2d 0] [-preset large|wide|semantic]
+//	         [-distractors 0] [-t2d 0] [-preset large|wide]
 //	         [-tables 100000] [-slices 24]
 //
 // The `large` preset materializes the beyond-RAM acceptance corpus: the TP-TR
@@ -42,7 +42,7 @@ func main() {
 		distractors = flag.Int("distractors", 0, "additional distractor web tables")
 		t2d         = flag.Int("t2d", 0, "also generate a T2D-style corpus of this size")
 		maxRows     = flag.Int("max-source-rows", 1000, "cap per Source Table")
-		preset      = flag.String("preset", "", `corpus preset: "large" embeds TP-TR in open-data-shaped volume, "wide" multiplies candidates per source, "semantic" adds value-translated twins only the semantic channel can discover`)
+		preset      = flag.String("preset", "", `corpus preset: "large" embeds TP-TR in open-data-shaped volume, "wide" multiplies candidates per source`)
 		tables      = flag.Int("tables", benchmark.LargeCorpusTables, "total table count for -preset large")
 		slices      = flag.Int("slices", benchmark.WidePresetSlices, "per-original slice count for -preset wide")
 	)
@@ -59,8 +59,6 @@ func main() {
 		b, err = benchmark.BuildLargePreset(*tables, *seed)
 	case "wide":
 		b, err = benchmark.BuildWidePreset(*slices, *seed)
-	case "semantic":
-		b, err = benchmark.BuildSemanticPreset(*seed)
 	case "":
 		opts := benchmark.DefaultTPTROptions()
 		opts.Scale.Base = *base

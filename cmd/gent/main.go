@@ -21,7 +21,6 @@
 //
 //	gent -source source.csv -lake ./lake [-out reclaimed.csv] [-tau 0.2]
 //	     [-topk 0] [-max-candidates 15] [-key id,name] [-index-dir ./lake.idx]
-//	     [-strategy hybrid] [-semantic-tau 0.6] [-vectors vectors.txt]
 //	     [-timeout 30s] [-progress] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	     [-store-dir ./lake.seg] [-max-resident-mb 256] [-stats]
 package main
@@ -135,11 +134,7 @@ func main() {
 		}
 	}
 
-	cfg, err := shared.Config()
-	if err != nil {
-		fatal(err)
-	}
-	session := core.NewReclaimer(l, cfg)
+	session := core.NewReclaimer(l, shared.Config())
 	if shared.IndexDir != "" {
 		// The load/catch-up/rebuild cascade lives in internal/server/boot,
 		// shared with gentd so the two front ends cannot drift.

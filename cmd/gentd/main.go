@@ -22,7 +22,6 @@
 //	gentd -lake ./lake [-addr :8080] [-index-dir ./lake.idx]
 //	      [-store-dir ./lake.seg] [-max-resident-mb 256]
 //	      [-tau 0.2] [-topk 0] [-max-candidates 15]
-//	      [-strategy hybrid] [-semantic-tau 0.6] [-vectors vectors.txt]
 //	      [-workers 0] [-queue 0] [-request-timeout 60s]
 //	      [-drain-timeout 30s] [-cache-mb 64]
 package main
@@ -72,11 +71,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg, err := shared.Config()
-	if err != nil {
-		fatal(err)
-	}
-	session := core.NewReclaimer(l, cfg)
+	session := core.NewReclaimer(l, shared.Config())
 	if shared.IndexDir != "" {
 		out, err := boot.AdoptIndexes(session, shared.IndexDir, boot.Stderr)
 		if err != nil {

@@ -97,7 +97,6 @@ import (
 
 	"gent/internal/core"
 	"gent/internal/discovery"
-	"gent/internal/embed"
 	"gent/internal/index"
 	"gent/internal/lake"
 	"gent/internal/matrix"
@@ -135,14 +134,8 @@ type (
 	// Instance Divergence, DKL, ...).
 	Report = metrics.Report
 	// DiscoveryOptions tunes candidate retrieval (τ, caps, LSH first
-	// stage, strategy, semantic knobs).
+	// stage).
 	DiscoveryOptions = discovery.Options
-	// DiscoveryStrategy selects the discovery channel(s): syntactic
-	// (default), semantic, or hybrid; see WithDiscoveryStrategy.
-	DiscoveryStrategy = discovery.Strategy
-	// Embedder turns a column's distinct canonical values into a vector for
-	// the semantic channel; see DiscoveryOptions.Embedder.
-	Embedder = embed.Embedder
 	// Candidate is a discovered table with lake provenance.
 	Candidate = discovery.Candidate
 	// Explanation is a per-tuple reclamation breakdown (call
@@ -287,22 +280,6 @@ func WithTraverseWorkers(n int) Option { return core.WithTraverseWorkers(n) }
 // WithDiscovery replaces the discovery options for this call.
 func WithDiscovery(opts DiscoveryOptions) Option { return core.WithDiscovery(opts) }
 
-// Discovery strategies for WithDiscoveryStrategy.
-const (
-	StrategySyntactic = discovery.StrategySyntactic
-	StrategySemantic  = discovery.StrategySemantic
-	StrategyHybrid    = discovery.StrategyHybrid
-)
-
-// WithDiscoveryStrategy selects the discovery channel(s) — syntactic (the
-// default), semantic, or hybrid — without replacing the other discovery
-// options.
-func WithDiscoveryStrategy(s DiscoveryStrategy) Option { return core.WithDiscoveryStrategy(s) }
-
-// ParseStrategy maps a strategy name ("syntactic", "semantic", "hybrid";
-// "" means syntactic) to its DiscoveryStrategy.
-func ParseStrategy(name string) (DiscoveryStrategy, error) { return discovery.ParseStrategy(name) }
-
 // WithObserver attaches a ProgressObserver to this call.
 func WithObserver(obs ProgressObserver) Option { return core.WithObserver(obs) }
 
@@ -402,9 +379,8 @@ func LoadIndexes(dir string) (*IndexSet, error) { return index.LoadIndexSetDir(d
 
 // SaveIndexes persists a session's discovery indexes under dir, building
 // the ones its configuration engages that are not built yet: dict.bin and
-// inverted.bin always, semantic.bin for a non-syntactic strategy. The
-// MinHash-LSH first stage is never persisted; a session that engages it
-// builds it on demand.
+// inverted.bin. The MinHash-LSH first stage is never persisted; a session
+// that engages it builds it on demand.
 func SaveIndexes(dir string, r *Reclaimer) error { return r.BuildIndexes().SaveDir(dir) }
 
 // MineKey searches for a minimal key of t up to maxArity columns, returning

@@ -72,20 +72,6 @@
 // eviction, spill and reload (whose segment read alone runs outside the
 // cache's lock) have no context roots, keeping ctxflow silent.
 //
-// # Coverage of the semantic channel
-//
-// The semantic discovery channel (internal/embed's embedding substrate and
-// cosine-LSH index, the strategy dispatch in internal/discovery, the
-// Reclaimer's semantic epoch state) likewise rides the existing invariants.
-// Its parallel embedding build and the IndexSet's concurrent substrate
-// construction are WaitGroup-tied per nakedgo; the session's semantic
-// substrate is published through the same once-guarded atomic pointer
-// discipline as the other substrates, and every consumer reads it off one
-// pinned epoch state per snappin; persistence and vector-codec errors wrap
-// their causes with %w per phaseerr; and the channel adds no context roots
-// — strategy dispatch threads the caller's ctx through finishDiscover into
-// the semantic search, keeping ctxflow silent.
-//
 // # Architecture
 //
 // The suite does not depend on golang.org/x/tools. Package framework is a

@@ -54,10 +54,6 @@ type TPTR struct {
 	// IntegratingSets maps a source name to the variant tables derived from
 	// the originals its query used — the "w/ int. set" inputs.
 	IntegratingSets map[string][]string
-	// TranslatedSets maps a source name to the value-translated twins of the
-	// originals its query used — the semantic-channel discovery targets the
-	// `semantic` preset adds (see AddTranslatedVariants). Nil on other builds.
-	TranslatedSets map[string][]string
 }
 
 // BuildTPTR constructs a TP-TR benchmark.

@@ -101,10 +101,6 @@ type Result struct {
 	// exact-scored vs pruned by the admissible bound, and greedy rounds. Zero
 	// when traversal was skipped (Config.SkipTraversal) or had no candidates.
 	Traversal matrix.TraverseStats
-	// Discovery is the per-channel candidate accounting of the discovery
-	// phase: which strategy ran and how many candidates each channel
-	// contributed before merging and expansion.
-	Discovery discovery.DiscoverStats
 	Timing    Timing
 	// Epoch is the lake epoch the run was pinned to — the catalog version
 	// every phase read. A server keys result caches by it: two runs over the
@@ -161,31 +157,20 @@ func (r *Reclaimer) reclaimPipeline(ctx context.Context, st *epochState, src *ta
 	}
 	res.Key = append([]int(nil), src.Key...)
 
-	// Table Discovery. The stats hook is chained onto a copy of the run's
-	// discovery options — the caller's Config (and any OnStats it set) is
-	// never mutated.
+	// Table Discovery.
 	if err := ctx.Err(); err != nil {
 		return fail(PhaseDiscovery, err)
 	}
-	dopts := cfg.Discovery
-	userStats := dopts.OnStats
-	dopts.OnStats = func(s discovery.DiscoverStats) {
-		res.Discovery = s
-		if userStats != nil {
-			userStats(s)
-		}
-	}
 	emit(obs, ProgressEvent{Source: src.Name, Epoch: epoch, Phase: PhaseDiscovery, Kind: EventPhaseStarted})
 	start := time.Now()
-	cands, err := r.rawCandidates(ctx, st, src, dopts)
+	cands, err := r.rawCandidates(ctx, st, src, cfg.Discovery)
 	res.Timing.Discover = time.Since(start)
 	if err != nil {
 		return fail(PhaseDiscovery, err)
 	}
 	res.CandidateCount = len(cands)
 	emit(obs, ProgressEvent{Source: src.Name, Epoch: epoch, Phase: PhaseDiscovery, Kind: EventPhaseDone,
-		Elapsed: res.Timing.Discover, Count: len(cands), Strategy: res.Discovery.Strategy.String(),
-		CandsSyntactic: res.Discovery.SyntacticCandidates, CandsSemantic: res.Discovery.SemanticCandidates})
+		Elapsed: res.Timing.Discover, Count: len(cands)})
 	if cfg.RequireCandidates && len(cands) == 0 {
 		return fail(PhaseDiscovery, ErrNoCandidates)
 	}

@@ -65,14 +65,6 @@ type ProgressEvent struct {
 	// leader. Scored+Pruned is the work an unpruned traversal would have done.
 	Scored int
 	Pruned int
-	// Strategy names the discovery strategy the run used ("syntactic",
-	// "semantic", "hybrid"), on the discovery EventPhaseDone.
-	Strategy string
-	// CandsSyntactic and CandsSemantic are the per-channel candidate counts
-	// before merging, on the discovery EventPhaseDone — the per-strategy
-	// series a server's metrics export.
-	CandsSyntactic int
-	CandsSemantic  int
 }
 
 // ProgressObserver receives structured phase events from a reclamation run.

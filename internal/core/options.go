@@ -40,13 +40,6 @@ func WithDiscovery(opts discovery.Options) Option {
 	return func(c *Config) { c.Discovery = opts }
 }
 
-// WithDiscoveryStrategy selects the discovery channel(s) — syntactic (the
-// default), semantic, or hybrid — without replacing the other discovery
-// options.
-func WithDiscoveryStrategy(s discovery.Strategy) Option {
-	return func(c *Config) { c.Discovery.Strategy = s }
-}
-
 // WithObserver attaches a ProgressObserver to the run.
 func WithObserver(obs ProgressObserver) Option {
 	return func(c *Config) { c.Observer = obs }

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"gent/internal/discovery"
-	"gent/internal/embed"
 	"gent/internal/index"
 	"gent/internal/lake"
 	"gent/internal/table"
@@ -69,23 +68,11 @@ type epochState struct {
 
 	invSlot slot[index.Inverted]
 	lshSlot slot[index.MinHashLSH]
-	semSlot slot[index.CosineLSH]
-	// engaged is the session's default configuration's rule, captured at
-	// state creation: chain-trim and prev-release wait only for the
-	// substrates it engages (a default session must not pin ancestors for
-	// an LSH it never builds).
-	engaged engaged
-}
-
-// engaged is the one rule for which substrates beyond the always-needed
-// inverted index a discovery configuration uses at a snapshot: the MinHash
-// LSH when first-stage retrieval applies, the cosine LSH when the strategy
-// is non-syntactic. Queries, WarmFor, BuildIndexes and the ancestor release
-// all read it.
-type engaged struct{ lsh, sem bool }
-
-func engagedBy(snap *lake.Snapshot, opts discovery.Options) engaged {
-	return engaged{lsh: needsFirstStage(snap, opts), sem: opts.Strategy != discovery.StrategySyntactic}
+	// engagesLSH is needsFirstStage under the session's default
+	// configuration, captured at state creation: chain-trim and prev-release
+	// wait for the LSH only when it holds (a default session must not pin
+	// ancestors for an LSH it never builds).
+	engagesLSH bool
 }
 
 // NewReclaimer creates a session over l with cfg as the default
@@ -129,7 +116,7 @@ func (r *Reclaimer) stateLocked() *epochState {
 
 // newState is a fresh, unresolved state for snapshot ls.
 func (r *Reclaimer) newState(ls *lake.Snapshot) *epochState {
-	return &epochState{snap: ls, shards: r.cfg.IndexShards, engaged: engagedBy(ls, r.cfg.Discovery)}
+	return &epochState{snap: ls, shards: r.cfg.IndexShards, engagesLSH: needsFirstStage(ls, r.cfg.Discovery)}
 }
 
 // acquire resolves and *claims* the epoch state a query will run against.
@@ -170,9 +157,7 @@ func trimChain(head *epochState) {
 // materialized on s — the point at which older ancestors have nothing left
 // to contribute.
 func (s *epochState) substratesDone() bool {
-	return s.invSlot.ptr.Load() != nil &&
-		(!s.engaged.lsh || s.lshSlot.ptr.Load() != nil) &&
-		(!s.engaged.sem || s.semSlot.ptr.Load() != nil)
+	return s.invSlot.ptr.Load() != nil && (!s.engagesLSH || s.lshSlot.ptr.Load() != nil)
 }
 
 // dropPrevIfDone releases the ancestor chain once every engaged substrate
@@ -239,26 +224,6 @@ func (s *epochState) lsh() *index.MinHashLSH {
 		func() *index.MinHashLSH { return index.BuildMinHashLSH(s.snap) })
 }
 
-// semantic returns the state's cosine-LSH substrate; emb is the (resolved)
-// embedder a fresh build would use. The substrate is built once per state
-// under the first caller's embedder — discovery falls back to a per-query
-// fresh build when a later query's embedder fingerprint differs. Its vectors
-// are not ID-keyed, so any dictionary will do and only the snapshot diff
-// gates maintainability (WithDelta itself refuses when the embedder is
-// absent); the dictionary is rebound so the maintained index persists under
-// the current pairing.
-func (s *epochState) semantic(emb embed.Embedder) *index.CosineLSH {
-	return resolve(s, func(e *epochState) *slot[index.CosineLSH] { return &e.semSlot },
-		func(base *index.CosineLSH, old, new *lake.Snapshot) *index.CosineLSH {
-			nix := deltaVia(new.Dict(), base.WithDelta, old, new)
-			if nix != nil {
-				nix.RebindDict(new.Dict())
-			}
-			return nix
-		},
-		func() *index.CosineLSH { return index.BuildCosineLSH(s.snap, emb) })
-}
-
 // deltaVia catches a substrate keyed under dict and built at the old snapshot
 // up to new through its withDelta, fed the interned-form delta bridging the
 // two. It returns nil when no table-level delta applies: the snapshot diff
@@ -288,23 +253,20 @@ func internForms(snap *lake.Snapshot, tables []*table.Table) []*table.Interned {
 	return out
 }
 
-// needsFirstStage reports whether opts engage the LSH retriever on snap.
+// needsFirstStage reports whether opts engage the LSH retriever on snap —
+// the one rule for which substrate beyond the always-needed inverted index a
+// discovery configuration uses. Queries, WarmFor, BuildIndexes and the
+// ancestor release all read it.
 func needsFirstStage(snap *lake.Snapshot, opts discovery.Options) bool {
 	return opts.FirstStageTopK > 0 && snap.Len() > opts.FirstStageTopK
 }
 
 // indexSet assembles the substrates one query needs at this state, building
-// missing ones. The semantic substrate is attached for non-syntactic
-// strategies; discovery itself verifies the embedder fingerprint and falls
-// back to a per-query fresh build on mismatch.
+// missing ones.
 func (s *epochState) indexSet(opts discovery.Options) *index.IndexSet {
 	ix := &index.IndexSet{Inverted: s.inverted()}
-	e := engagedBy(s.snap, opts)
-	if e.lsh {
+	if needsFirstStage(s.snap, opts) {
 		ix.LSH = s.lsh()
-	}
-	if e.sem {
-		ix.Semantic = s.semantic(embed.Resolve(opts.Embedder))
 	}
 	return ix
 }
@@ -361,19 +323,9 @@ func (r *Reclaimer) UseIndexes(ix *index.IndexSet) error {
 		if ix.LSH != nil {
 			ix.LSH.RebindDict(d)
 		}
-		if ix.Semantic != nil {
-			ix.Semantic.RebindDict(d)
-		}
 	} else if ix.Inverted != nil && ix.Inverted.Dict() != ls.Dict() {
 		return fmt.Errorf("core: %w: inverted index is keyed under a different dictionary than the lake's",
 			lake.ErrDictMismatch)
-	}
-	// A semantic substrate persisted under an external embedder loads without
-	// one; reunite it with the session's embedder when the fingerprints match
-	// so queries and deltas can use it (a mismatch leaves it detached, and
-	// discovery rebuilds fresh per query rather than mixing vector spaces).
-	if ix.Semantic != nil && !ix.Semantic.Embeddable() {
-		ix.Semantic.AttachEmbedder(embed.Resolve(r.cfg.Discovery.Embedder))
 	}
 	// Publish the injected substrates into their slots right away: the lazy
 	// resolve short-circuits onto them, and a later epoch's catch-up walk must
@@ -382,7 +334,6 @@ func (r *Reclaimer) UseIndexes(ix *index.IndexSet) error {
 	ns := r.newState(ls)
 	ns.invSlot.ptr.Store(ix.Inverted)
 	ns.lshSlot.ptr.Store(ix.LSH)
-	ns.semSlot.ptr.Store(ix.Semantic)
 	ns.prev.Store(r.cur.Load())
 	trimChain(ns)
 	r.cur.Store(ns)
@@ -392,14 +343,13 @@ func (r *Reclaimer) UseIndexes(ix *index.IndexSet) error {
 // BuildIndexes is WarmFor under the session's default configuration,
 // returning the current epoch's substrates stamped with the epoch, e.g. to
 // persist with IndexSet.SaveDir for later sessions over the same lake. The
-// LSH and the semantic substrate are included only when that configuration
-// engages them (or an earlier query or injection already resolved them).
+// LSH is included only when that configuration engages it (or an earlier
+// query or injection already resolved it).
 func (r *Reclaimer) BuildIndexes() *index.IndexSet {
 	st := r.warm(r.cfg.Discovery)
 	return &index.IndexSet{
 		Inverted: st.invSlot.ptr.Load(),
 		LSH:      st.lshSlot.ptr.Load(),
-		Semantic: st.semSlot.ptr.Load(),
 		Dict:     st.snap.Dict(),
 		Epoch:    st.snap.Epoch(),
 	}
@@ -421,20 +371,12 @@ func (r *Reclaimer) WarmFor(opts discovery.Options) *Reclaimer {
 // concurrently, their lazy guards are independent — and returns the state.
 func (r *Reclaimer) warm(opts discovery.Options) *epochState {
 	st := r.acquire()
-	e := engagedBy(st.snap, opts)
 	var wg sync.WaitGroup
-	if e.lsh {
+	if needsFirstStage(st.snap, opts) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			st.lsh()
-		}()
-	}
-	if e.sem {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st.semantic(embed.Resolve(opts.Embedder))
 		}()
 	}
 	st.inverted()

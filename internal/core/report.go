@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"gent/internal/discovery"
 	"gent/internal/table"
 )
 
@@ -22,7 +21,6 @@ type jsonReport struct {
 	TimingMS    jsonTiming        `json:"timing_ms"`
 	Tuples      *jsonTupleCounts  `json:"tuples,omitempty"`
 	Traversal   *jsonTraversal    `json:"traversal,omitempty"`
-	Discovery   *jsonDiscovery    `json:"discovery,omitempty"`
 }
 
 type jsonMetrics struct {
@@ -63,15 +61,6 @@ type jsonTraversal struct {
 	Rounds int `json:"rounds"`
 	Scored int `json:"candidates_scored"`
 	Pruned int `json:"candidates_pruned"`
-}
-
-// jsonDiscovery is the discovery phase's per-channel accounting, present
-// only when a non-syntactic strategy ran — default-configured reports stay
-// byte-identical to earlier releases.
-type jsonDiscovery struct {
-	Strategy  string `json:"strategy"`
-	Syntactic int    `json:"syntactic_candidates"`
-	Semantic  int    `json:"semantic_candidates"`
 }
 
 // WriteJSON renders the result as indented JSON. When src is non-nil the
@@ -117,13 +106,6 @@ func (r *Result) WriteJSON(w io.Writer, src *table.Table) error {
 			Rounds: r.Traversal.Rounds,
 			Scored: r.Traversal.CandidatesScored,
 			Pruned: r.Traversal.CandidatesPruned,
-		}
-	}
-	if r.Discovery.Strategy != discovery.StrategySyntactic {
-		rep.Discovery = &jsonDiscovery{
-			Strategy:  r.Discovery.Strategy.String(),
-			Syntactic: r.Discovery.SyntacticCandidates,
-			Semantic:  r.Discovery.SemanticCandidates,
 		}
 	}
 	for _, c := range r.Originating {

@@ -4,10 +4,6 @@
 // columns to the Source columns they align with, subsumed-candidate removal,
 // and the Expand join-path search (Algorithm 5) that gives every candidate
 // the Source Table's key.
-//
-// Retrieval is strategy-pluggable (see Strategy): the default syntactic
-// channel above, a semantic channel over internal/embed's cosine-LSH
-// substrate, or a hybrid that unions and reranks both.
 package discovery
 
 import (
@@ -17,7 +13,6 @@ import (
 	"sort"
 	"sync"
 
-	"gent/internal/embed"
 	"gent/internal/index"
 	"gent/internal/lake"
 	"gent/internal/table"
@@ -43,24 +38,6 @@ type Options struct {
 	// 15) — the second redundancy control, disabled together with
 	// Diversify in the ablation.
 	RemoveSubsumed bool
-	// Strategy selects the discovery channel(s); the zero value keeps the
-	// purely syntactic pipeline, bit-identical to before strategies existed.
-	Strategy Strategy
-	// SemanticTau is the minimum cosine for a semantic column match;
-	// <= 0 means DefaultSemanticTau.
-	SemanticTau float64
-	// SemanticTopK caps semantic matches retrieved per Source column;
-	// <= 0 means DefaultSemanticTopK.
-	SemanticTopK int
-	// SemanticWeight scales semantic scores when hybrid-merging into the
-	// syntactic ranking; <= 0 means DefaultSemanticWeight.
-	SemanticWeight float64
-	// Embedder embeds Source columns (and the lake, when no usable prebuilt
-	// semantic index is supplied); nil means the built-in embedder.
-	Embedder embed.Embedder
-	// OnStats, when set, receives per-channel candidate counts once per
-	// discovery run, before expansion.
-	OnStats func(DiscoverStats)
 }
 
 // DefaultOptions mirror the paper's configuration at our scales.
@@ -81,13 +58,8 @@ type Candidate struct {
 	Table *table.Table
 	// Sources lists the lake tables this candidate came from.
 	Sources []string
-	// Score is the averaged diversified overlap score that ranked it. For a
-	// semantic-channel candidate it is the averaged cosine (weighted, under
-	// the hybrid strategy).
+	// Score is the averaged diversified overlap score that ranked it.
 	Score float64
-	// Semantic marks a candidate the semantic channel assembled — its Score
-	// is cosine-based and its rows were not aligned-tuple verified.
-	Semantic bool
 
 	// form is the interned form of Table (renames keep row order) and dict
 	// the dictionary its IDs come from, carried from assembly so subsumption
@@ -116,33 +88,29 @@ func DiscoverWithSnapContext(ctx context.Context, snap *lake.Snapshot, ix *index
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var syn []*Candidate
-	if opts.Strategy != StrategySemantic {
-		inv := ix.Inverted
-		if inv == nil {
-			inv = index.BuildInverted(snap)
+	inv := ix.Inverted
+	if inv == nil {
+		inv = index.BuildInverted(snap)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
+	pool := snap
+	if opts.FirstStageTopK > 0 && snap.Len() > opts.FirstStageTopK {
+		lsh := ix.LSH
+		if lsh == nil {
+			lsh = index.BuildMinHashLSH(snap)
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		pool := snap
-		if opts.FirstStageTopK > 0 && snap.Len() > opts.FirstStageTopK {
-			lsh := ix.LSH
-			if lsh == nil {
-				lsh = index.BuildMinHashLSH(snap)
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			pool = firstStagePool(snap, lsh, src, opts.FirstStageTopK)
-		}
-		var err error
-		syn, err = setSimilarityContext(ctx, pool, inv, src, opts)
-		if err != nil {
-			return nil, err
-		}
+		pool = firstStagePool(snap, lsh, src, opts.FirstStageTopK)
 	}
-	return finishDiscover(ctx, snap, ix.Semantic, syn, src, opts)
+	cands, err := setSimilarityContext(ctx, pool, inv, src, opts)
+	if err != nil {
+		return nil, err
+	}
+	return expandContext(ctx, cands, src, opts)
 }
 
 // firstStagePool restricts the search pool to the LSH retriever's top-k
@@ -511,7 +479,7 @@ func diversify(ranked []perColumnCandidate, prevOverlap func(prev, cur perColumn
 }
 
 // renamePair is one (candidate column, Source column) containment match
-// feeding the greedy schema-matching assignment.
+// feeding renameToSourceIDs' greedy assignment.
 type renamePair struct {
 	tCol, sCol int
 	overlap    float64
@@ -535,12 +503,6 @@ func renameToSourceIDs(t *table.Table, it, q *table.Interned, src *table.Table, 
 			}
 		}
 	}
-	return assignRename(t, src, pairs)
-}
-
-// assignRename is the greedy one-to-one assignment, highest containment
-// first, then the rename itself.
-func assignRename(t, src *table.Table, pairs []renamePair) (*table.Table, map[string]int) {
 	sort.Slice(pairs, func(i, j int) bool {
 		if pairs[i].overlap != pairs[j].overlap {
 			return pairs[i].overlap > pairs[j].overlap

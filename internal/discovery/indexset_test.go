@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -89,5 +90,59 @@ func TestDiscoverWithLazyLSH(t *testing.T) {
 	shared := discoverWith(t, l, &index.IndexSet{Inverted: index.BuildInverted(l.Snapshot())}, src, opts)
 	if fresh := discover(t, l, src, opts); !reflect.DeepEqual(fresh, shared) {
 		t.Error("nil-LSH discovery diverged from fresh build")
+	}
+}
+
+// poolIndexedDiscover runs discovery the one-shot way — its inverted index
+// built over the first-stage pool only — so the equivalence test below pins
+// the layered entry point, which indexes the whole snapshot, to it
+// bit-for-bit.
+func poolIndexedDiscover(t *testing.T, snap *lake.Snapshot, src *table.Table, opts Options) []*Candidate {
+	t.Helper()
+	ctx := context.Background()
+	pool := snap
+	if opts.FirstStageTopK > 0 && snap.Len() > opts.FirstStageTopK {
+		pool = firstStagePool(snap, index.BuildMinHashLSH(snap), src, opts.FirstStageTopK)
+	}
+	cands, err := setSimilarityContext(ctx, pool, index.BuildInverted(pool), src, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := expandContext(ctx, cands, src, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestDiscoverMatchesPoolIndexedPipeline pins DiscoverWithSnapContext, with
+// fresh and with prebuilt substrates, to the pool-indexed pipeline: the
+// whole-snapshot inverted index must yield bit-identical candidates.
+func TestDiscoverMatchesPoolIndexedPipeline(t *testing.T) {
+	l := exampleLake()
+	src := exampleSource()
+	snap := l.Snapshot()
+	for _, opts := range []Options{
+		DefaultOptions(),
+		func() Options { o := DefaultOptions(); o.FirstStageTopK = 2; return o }(),
+	} {
+		want := poolIndexedDiscover(t, snap, src, opts)
+
+		got, err := DiscoverWithSnapContext(context.Background(), snap, &index.IndexSet{}, src, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("fresh-build discovery diverged from the pool-indexed pipeline:\n got %v\nwant %v", got, want)
+		}
+
+		// Prebuilt substrates.
+		gotWith, err := DiscoverWithSnapContext(context.Background(), snap, index.BuildIndexSet(snap), src, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotWith, want) {
+			t.Fatal("prebuilt-substrate discovery diverged from the pool-indexed pipeline")
+		}
 	}
 }

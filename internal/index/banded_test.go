@@ -7,80 +7,40 @@ import (
 	"sort"
 	"testing"
 
-	"gent/internal/embed"
 	"gent/internal/lake"
 	"gent/internal/lake/laketest"
 	"gent/internal/table"
 )
 
-// layeredCase adapts one wrapper of the layered banded-LSH core (W, over
-// payload P) to the shared maintenance spec.
-type layeredCase[W, P any] struct {
-	build func(*lake.Snapshot) W
-	delta func(ix W, added, removed []*table.Interned) W
-	core  func(W) *banded[P]
-	probe func(ix W, q *table.Table) any
-	// roundTrip saves and reloads an index under dict; nil for a wrapper
-	// that is never persisted.
-	roundTrip func(ix W, dict *table.Dict) (W, error)
-}
-
-// TestLayeredLSHMatchesRebuild is the one maintenance spec of the layered
-// core, run through both wrappers: a seeded program of add / drop / replace /
-// rename / re-add-after-drop mutations, long enough to drop override-resident
-// tables and to cross the compaction threshold, where after every step the
-// maintained index must answer like a fresh build over the same snapshot,
-// persist like one (the persisted wrapper), and have left its receiver
-// exactly as it was.
+// TestLayeredLSHMatchesRebuild is the maintenance spec of the layered
+// core: a seeded program of add / drop / replace / rename /
+// re-add-after-drop mutations, long enough to drop override-resident tables
+// and to cross the compaction threshold, where after every step the
+// maintained index must answer like a fresh build over the same snapshot and
+// have left its receiver exactly as it was.
 func TestLayeredLSHMatchesRebuild(t *testing.T) {
-	t.Run("minhash", func(t *testing.T) {
-		runLayeredSpec(t, layeredCase[*MinHashLSH, signature]{
-			build: func(s *lake.Snapshot) *MinHashLSH { return BuildMinHashLSH(s) },
-			delta: (*MinHashLSH).WithDelta,
-			core:  func(ix *MinHashLSH) *banded[signature] { return ix.banded },
-			probe: func(ix *MinHashLSH, q *table.Table) any {
-				return [][]Ranked{ix.TopK(q, 1), ix.TopK(q, 3), ix.TopK(q, 10)}
-			},
-		})
-	})
-	t.Run("cosine", func(t *testing.T) {
-		// A low dimension keeps the many rebuilds and compactions cheap; the
-		// maintenance logic under test does not depend on it.
-		emb := embed.NewNGramEmbedder(16, 3, 7)
-		runLayeredSpec(t, layeredCase[*CosineLSH, []float32]{
-			build: func(s *lake.Snapshot) *CosineLSH { return BuildCosineLSH(s, emb) },
-			delta: (*CosineLSH).WithDelta,
-			core:  func(ix *CosineLSH) *banded[[]float32] { return ix.banded },
-			probe: func(ix *CosineLSH, q *table.Table) any {
-				var out [][]CosineMatch
-				for c := range q.Cols {
-					out = append(out, ix.SearchColumn(q, c, 0.2, 10))
-				}
-				return out
-			},
-			roundTrip: func(ix *CosineLSH, d *table.Dict) (*CosineLSH, error) {
-				return parseCosine(appendCosine(nil, ix, d.Fingerprint()), d)
-			},
-		})
-	})
+	t.Run("minhash", runLayeredSpec)
 }
 
 // layeredView canonicalizes a core for comparison: the live payloads, the
 // table list sorted, and each bucket's members sorted (bucket order depends
 // on insertion history, which maintenance and compaction legitimately
 // change; membership must not).
-type layeredView[P any] struct {
-	payloads map[ColumnRef]P
-	tables   []string
-	buckets  map[uint64][]ColumnRef
+type layeredView struct {
+	sigs    map[ColumnRef]signature
+	tables  []string
+	buckets map[uint64][]ColumnRef
 }
 
-func viewOf[P any](b *banded[P]) layeredView[P] {
-	flat := b.flattened()
-	v := layeredView[P]{
-		payloads: flat.base,
-		tables:   append([]string(nil), flat.tables...),
-		buckets:  make(map[uint64][]ColumnRef, len(flat.buckets)),
+func viewOf(b *banded) layeredView {
+	flat := b
+	if len(b.over) > 0 || len(b.dead) > 0 {
+		flat = b.compacted()
+	}
+	v := layeredView{
+		sigs:    flat.base,
+		tables:  append([]string(nil), flat.tables...),
+		buckets: make(map[uint64][]ColumnRef, len(flat.buckets)),
 	}
 	sort.Strings(v.tables)
 	for bk, refs := range flat.buckets {
@@ -98,15 +58,12 @@ func viewOf[P any](b *banded[P]) layeredView[P] {
 
 func mapIdentity(m any) uintptr { return reflect.ValueOf(m).Pointer() }
 
-func runLayeredSpec[W, P any](t *testing.T, c layeredCase[W, P]) {
-	saveLoad := func(ix W, dict *table.Dict) W {
-		t.Helper()
-		got, err := c.roundTrip(ix, dict)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
+// probeAll answers q at three cut-offs.
+func probeAll(ix *MinHashLSH, q *table.Table) [][]Ranked {
+	return [][]Ranked{ix.TopK(q, 1), ix.TopK(q, 3), ix.TopK(q, 10)}
+}
+
+func runLayeredSpec(t *testing.T) {
 	// What the program must have exercised by the end, across all seeds.
 	var reAdds, overrideDrops, baseDrops, compactions int
 
@@ -120,7 +77,7 @@ func runLayeredSpec[W, P any](t *testing.T, c layeredCase[W, P]) {
 		}
 		prev := l.Snapshot()
 		prev.EnsureInterned()
-		maintained := c.build(prev)
+		maintained := BuildMinHashLSH(prev)
 		var dropped []string // every name ever dropped, for resurrection
 		wasDropped := make(map[string]bool)
 		probes := []*table.Table{randomTable(rng, "probe0"), randomTable(rng, "probe1")}
@@ -145,7 +102,7 @@ func runLayeredSpec[W, P any](t *testing.T, c layeredCase[W, P]) {
 			}
 			snap.EnsureInterned()
 
-			before := c.core(maintained)
+			before := maintained.banded
 			for _, at := range added {
 				if wasDropped[at.Name] {
 					reAdds++
@@ -163,26 +120,26 @@ func runLayeredSpec[W, P any](t *testing.T, c layeredCase[W, P]) {
 				}
 			}
 			beforeView := viewOf(before)
-			var beforeAnswers []any
+			var beforeAnswers [][][]Ranked
 			for _, q := range probes {
-				beforeAnswers = append(beforeAnswers, c.probe(maintained, q))
+				beforeAnswers = append(beforeAnswers, probeAll(maintained, q))
 			}
 
-			next := c.delta(maintained, forms(snap, added), forms(prev, removed))
-			fresh := c.build(snap)
+			next := maintained.WithDelta(forms(snap, added), forms(prev, removed))
+			fresh := BuildMinHashLSH(snap)
 			at := fmt.Sprintf("seed %d step %d", seed, step)
 
 			// The receiver is untouched, and still answers as before.
-			if !reflect.DeepEqual(viewOf(c.core(maintained)), beforeView) {
+			if !reflect.DeepEqual(viewOf(maintained.banded), beforeView) {
 				t.Fatalf("%s: WithDelta mutated its receiver", at)
 			}
 			for i, q := range probes {
-				if !reflect.DeepEqual(c.probe(maintained, q), beforeAnswers[i]) {
+				if !reflect.DeepEqual(probeAll(maintained, q), beforeAnswers[i]) {
 					t.Fatalf("%s: the receiver answers differently after WithDelta", at)
 				}
 			}
 			// Short of a compaction, the base storage is shared, not copied.
-			after := c.core(next)
+			after := next.banded
 			if len(after.over)+len(after.dead) == 0 && len(added)+len(removed) > 0 {
 				compactions++
 			} else if mapIdentity(after.base) != mapIdentity(before.base) ||
@@ -192,29 +149,18 @@ func runLayeredSpec[W, P any](t *testing.T, c layeredCase[W, P]) {
 
 			// The maintained index equals a fresh build: contents, coverage,
 			// answers.
-			if !reflect.DeepEqual(viewOf(after), viewOf(c.core(fresh))) {
+			if !reflect.DeepEqual(viewOf(after), viewOf(fresh.banded)) {
 				t.Fatalf("%s: maintained index diverged from a fresh build", at)
 			}
 			if !after.Covers(snap) {
 				t.Fatalf("%s: maintained index does not cover the snapshot", at)
 			}
 			probe := randomTable(rng, "probe")
-			if got, want := c.probe(next, probe), c.probe(fresh, probe); !reflect.DeepEqual(got, want) {
+			if got, want := probeAll(next, probe), probeAll(fresh, probe); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: probe diverged:\n got %v\nwant %v", at, got, want)
 			}
 
 			maintained, prev = next, snap
-			if c.roundTrip == nil {
-				continue
-			}
-			// And it persists like one: save→load of either is the same index.
-			loaded, loadedFresh := saveLoad(next, snap.Dict()), saveLoad(fresh, snap.Dict())
-			if !reflect.DeepEqual(viewOf(c.core(loaded)), viewOf(c.core(loadedFresh))) {
-				t.Fatalf("%s: reloaded maintained index diverged from the reloaded fresh build", at)
-			}
-			if got, want := c.probe(loaded, probe), c.probe(fresh, probe); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: reloaded index answers differently:\n got %v\nwant %v", at, got, want)
-			}
 		}
 	}
 	if reAdds == 0 || overrideDrops == 0 || baseDrops == 0 || compactions == 0 {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
@@ -241,32 +243,50 @@ func TestSaveDirClearsStaleEpochStamp(t *testing.T) {
 	}
 }
 
-// TestSaveDirRemovesAbsentSubstrates: a partial save over a fuller directory
-// must not leave the older substrate files behind. The replaced table reuses
-// existing values, so the dictionary — and with it the fingerprint every file
-// is stamped with — is the same at both epochs: nothing at load would refuse
-// epoch-n vectors paired with the epoch-n+1 stamp.
+// TestSaveDirRemovesAbsentSubstrates: files a current save does not write —
+// the semantic.bin a hybrid session of the retired semantic channel saved
+// beside dict.bin and inverted.bin, or the gob files of an earlier layout —
+// never stop the directory from loading, and the next save removes them. The
+// replaced table reuses existing values, so the dictionary — and with it the
+// fingerprint every file is stamped with — is the same at both epochs:
+// nothing at load would refuse a leftover paired with the epoch-n+1 stamp.
 func TestSaveDirRemovesAbsentSubstrates(t *testing.T) {
-	l := lake.New()
-	laketest.Add(l, mk("t1", "a", "b"))
-	laketest.Add(l, mk("t2", "b", "c"))
-	dir := t.TempDir()
-	if err := BuildIndexSetFull(l.Snapshot(), DefaultShards, nil).SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	laketest.Add(l, mk("t1", "c", "a")) // epoch n+1, no new values
-	next := BuildIndexSet(l.Snapshot())
-
-	invOnly := &IndexSet{Inverted: next.Inverted, Dict: next.Dict, Epoch: next.Epoch}
-	if err := invOnly.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadIndexSetDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Semantic != nil || loaded.Inverted == nil || loaded.Epoch != next.Epoch {
-		t.Fatal("stale semantic file survived an inverted-only save under the new stamp")
+	for _, leftovers := range [][]string{
+		{"semantic.bin"},
+		{"dict.gob", "epoch.gob", "minhash.gob", "semantic.gob"},
+	} {
+		l := lake.New()
+		laketest.Add(l, mk("t1", "a", "b"))
+		laketest.Add(l, mk("t2", "b", "c"))
+		dir := t.TempDir()
+		if err := BuildIndexSet(l.Snapshot()).SaveDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range leftovers {
+			if err := os.WriteFile(filepath.Join(dir, f), []byte("GVEC an earlier release's file"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := LoadIndexSetDir(dir); err != nil {
+			t.Fatalf("%v beside a current save: %v", leftovers, err)
+		}
+		laketest.Add(l, mk("t1", "c", "a")) // epoch n+1, no new values
+		next := BuildIndexSet(l.Snapshot())
+		if err := next.SaveDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range leftovers {
+			if _, err := os.Stat(filepath.Join(dir, f)); !os.IsNotExist(err) {
+				t.Fatalf("save left %s behind (stat: %v)", f, err)
+			}
+		}
+		loaded, err := LoadIndexSetDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded.Inverted == nil || loaded.Epoch != next.Epoch {
+			t.Fatalf("%v: reload after the save is not the new set", leftovers)
+		}
 	}
 }
 

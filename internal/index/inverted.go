@@ -1,22 +1,20 @@
 // Package index implements the discovery substrates Gen-T retrieves
 // candidates with: an exact value-level inverted index supporting JOSIE-style
-// set-overlap search over lake columns, a MinHash-LSH index that stands in
-// for Starmie's learned retriever as the scalable top-k first stage on large
-// lakes, and a cosine-LSH index over column embedding vectors (internal/embed)
-// for the semantic channel.
+// set-overlap search over lake columns, and a MinHash-LSH index that stands
+// in for Starmie's learned retriever as the scalable top-k first stage on
+// large lakes.
 //
-// The two ID-keyed substrates are built over the lake's interned (value-ID)
-// form, and each has exactly one representation: the inverted index keeps
-// compressed postings in one slab indexed by dictionary ID, and MinHash
-// hashes an ID's 8 bytes instead of the value's text, so each distinct value
-// is hashed once at intern time and never re-hashed per build or per probe. The two LSH
-// indexes are one data structure — the layered banded core in banded.go —
-// instantiated at two payload types; MinHashLSH and CosineLSH add only what
-// differs (the payload function, the band keys, the scoring, the disk
-// envelope). IndexSet bundles the three with their dictionary and epoch stamp
-// and persists them together. Tests check the inverted index against a
-// brute-force overlap count over the corpus' column sets, and the layered
-// core against fresh builds along random maintenance programs.
+// Both substrates are built over the lake's interned (value-ID) form, and
+// each has exactly one representation: the inverted index keeps compressed
+// postings in one slab indexed by dictionary ID, and MinHash hashes an ID's 8
+// bytes instead of the value's text, so each distinct value is hashed once at
+// intern time and never re-hashed per build or per probe. The LSH keeps its
+// signatures in a layered banded core (banded.go) that takes deltas without
+// re-sketching. IndexSet bundles the two with their dictionary and epoch
+// stamp, and persists the inverted index beside them. Tests check the inverted
+// index against a brute-force overlap count over the corpus' column sets,
+// and the layered core against fresh builds along random maintenance
+// programs.
 package index
 
 import (

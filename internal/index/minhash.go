@@ -69,12 +69,13 @@ func estimateJaccard(a, b signature) float64 {
 // plays Starmie's role: a scalable, recall-oriented top-k table retriever
 // over a large lake whose output Set Similarity verifies exactly. Columns are
 // sketched over their interned value IDs, and so are query columns. Storage,
-// probing and incremental maintenance are the shared layered core (banded);
-// what is MinHash's own is the sketch, its band keys and TopK's scoring.
+// probing and incremental maintenance are the layered core (banded); what is
+// MinHashLSH's own is the dictionary queries resolve through and TopK's
+// scoring.
 type MinHashLSH struct {
 	// dict translates query values to IDs at TopK time.
 	dict *table.Dict
-	*banded[signature]
+	*banded
 }
 
 // BuildMinHashLSH sketches and buckets every column of the corpus over
@@ -83,15 +84,15 @@ func BuildMinHashLSH(l *lake.Snapshot) *MinHashLSH {
 	return buildMinHashLSH(l, runtime.GOMAXPROCS(0))
 }
 
-func sketchInterned(it *table.Interned) columnPayloads[signature] {
-	var cols columnPayloads[signature]
+func sketchInterned(it *table.Interned) columnSketches {
+	var cols columnSketches
 	for c := range it.Table.Cols {
 		ids := it.ColumnIDs(c)
 		if len(ids) == 0 {
 			continue
 		}
 		cols.refs = append(cols.refs, ColumnRef{Table: it.Table.Name, Col: c})
-		cols.vals = append(cols.vals, sketchIDs(ids))
+		cols.sigs = append(cols.sigs, sketchIDs(ids))
 	}
 	return cols
 }
@@ -99,10 +100,10 @@ func sketchInterned(it *table.Interned) columnPayloads[signature] {
 func buildMinHashLSH(l *lake.Snapshot, workers int) *MinHashLSH {
 	l.EnsureInterned()
 	tables := l.Tables()
-	sketch := func(i int) columnPayloads[signature] {
+	sketch := func(i int) columnSketches {
 		return sketchInterned(l.Interned(tables[i].Name))
 	}
-	return &MinHashLSH{dict: l.Dict(), banded: buildBanded(bandKeys, l.Names(), workers, sketch)}
+	return &MinHashLSH{dict: l.Dict(), banded: buildBanded(l.Names(), workers, sketch)}
 }
 
 func bandKeys(sig signature) []uint64 {
@@ -170,7 +171,7 @@ func (ix *MinHashLSH) TopK(query *table.Table, k int) []Ranked {
 				return
 			}
 			seen[ref] = true
-			j := estimateJaccard(qsig, ix.payload(ref))
+			j := estimateJaccard(qsig, ix.sigOf(ref))
 			if j == 0 {
 				return
 			}
@@ -220,5 +221,5 @@ func (ix *MinHashLSH) RebindDict(d *table.Dict) {
 // inserted; the receiver is unchanged and shares its base storage with the
 // result (see banded.withDelta).
 func (ix *MinHashLSH) WithDelta(added, removed []*table.Interned) *MinHashLSH {
-	return &MinHashLSH{dict: ix.dict, banded: ix.withDelta(sketchInterned, added, removed)}
+	return &MinHashLSH{dict: ix.dict, banded: ix.withDelta(added, removed)}
 }

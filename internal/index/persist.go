@@ -18,19 +18,18 @@ import (
 //
 //   - dict.bin: the set's epoch and the value dictionary its substrates are
 //     keyed under (below);
-//   - inverted.bin: the inverted index (persist_inverted.go);
-//   - semantic.bin: the semantic index, when the set holds one
-//     (persist_cosine.go).
+//   - inverted.bin: the inverted index (persist_inverted.go).
 //
-// Every substrate file carries the fingerprint of the dictionary saved
-// beside it, verified at load, so a torn save can never pair postings with
-// the wrong dictionary. The MinHash-LSH first stage is not persisted: a
-// rebuild costs about what loading a file did, so a session that engages it
-// builds it on demand. Files of retired layouts — the gob files of earlier
-// releases (dict.gob, epoch.gob, minhash.gob, semantic.gob), a v4 sharded
-// inverted set or a pre-sharding inverted.gob — are never decoded: a
-// directory holding them without a dict.bin fails with ErrStaleFormat, and
-// SaveDir removes them.
+// inverted.bin carries the fingerprint of the dictionary saved beside it,
+// verified at load, so a torn save can never pair postings with the wrong
+// dictionary. The MinHash-LSH first stage is not persisted: a rebuild costs
+// about what loading a file did, so a session that engages it builds it on
+// demand. Files of retired layouts — the gob files of earlier releases
+// (dict.gob, epoch.gob, minhash.gob, semantic.gob), a v4 sharded inverted
+// set, a pre-sharding inverted.gob, or the semantic.bin of the retired
+// semantic discovery channel — are never decoded: a directory holding them
+// without a dict.bin and an inverted.bin fails with ErrStaleFormat, a
+// directory with both loads and ignores them, and SaveDir removes them.
 //
 // dict.bin (format v1):
 //
@@ -51,7 +50,7 @@ const (
 // retiredFiles are the glob patterns, relative to an index directory, of
 // the files earlier layouts wrote.
 var retiredFiles = []string{
-	"dict.gob", "epoch.gob", "minhash.gob", "semantic.gob",
+	"dict.gob", "epoch.gob", "minhash.gob", "semantic.gob", "semantic.bin",
 	"inverted.gob", "inverted-shards.gob", "inverted-shard-*.gob",
 }
 
@@ -64,8 +63,8 @@ var ErrDictRequired = errors.New("index: ID-keyed index requires its value dicti
 // set or a pre-sharding inverted.gob — so callers must rebuild.
 var ErrStaleFormat = errors.New("index: index file predates the current format")
 
-// ErrDictFingerprint reports an index file whose postings or vectors were
-// saved beside a different dictionary than the one supplied — a torn or
+// ErrDictFingerprint reports an index file whose postings were saved beside
+// a different dictionary than the one supplied — a torn or
 // mixed save; the IDs would resolve to the wrong values.
 var ErrDictFingerprint = errors.New("index: index/dictionary fingerprint mismatch")
 
@@ -116,14 +115,12 @@ func parseDictFile(data []byte) (*table.Dict, lake.Epoch, error) {
 }
 
 // SaveDir persists the set under dir (created if needed): the inverted
-// index, the semantic index when the set holds one, and the dictionary with
-// the epoch stamp. It removes the semantic file of an earlier save when the
-// set has none, and every file of a retired layout. The MinHash-LSH is not
-// written (see above). A set without its inverted index or its dictionary is
-// an error.
+// index, and the dictionary with the epoch stamp. It removes every file of a
+// retired layout. The MinHash-LSH is not written (see above). A set without
+// its inverted index or its dictionary is an error.
 //
-// One dictionary snapshot is taken up front: its fingerprint goes into each
-// substrate file and its entries into dict.bin, so the saved files are
+// One dictionary snapshot is taken up front: its fingerprint goes into
+// inverted.bin and its entries into dict.bin, so the saved files are
 // provably consistent even if the live dictionary grows mid-save. dict.bin
 // is written last: a crash mid-save leaves the previous stamp, which can
 // only make the set look older than its substrates (and so caught up or
@@ -136,46 +133,31 @@ func (s *IndexSet) SaveDir(dir string) error {
 		return fmt.Errorf("%w: set Dict before SaveDir", ErrDictRequired)
 	}
 	// The fingerprint stamped below certifies the dict/postings pairing, so
-	// it must only ever certify a true one: each substrate's own dictionary
-	// has to be s.Dict or a prefix of it (postings IDs then mean the same
-	// values under s.Dict). A hand-assembled set pairing a loaded substrate
-	// with an unrelated dictionary is refused here rather than persisted as
-	// silent corruption.
-	compatible := func(d *table.Dict) bool {
-		return d == nil || d == s.Dict || d.PrefixOf(s.Dict)
-	}
-	if !compatible(s.Inverted.dict) {
+	// it must only ever certify a true one: the inverted index's own
+	// dictionary has to be s.Dict or a prefix of it (postings IDs then mean
+	// the same values under s.Dict). A hand-assembled set pairing a loaded
+	// index with an unrelated dictionary is refused here rather than
+	// persisted as silent corruption.
+	if d := s.Inverted.dict; d != nil && d != s.Dict && !d.PrefixOf(s.Dict) {
 		return errors.New("index: inverted index was built under a different dictionary than the set's")
-	}
-	if s.Semantic != nil && !compatible(s.Semantic.Dict()) {
-		return errors.New("index: semantic index was built under a different dictionary than the set's")
 	}
 	snap := s.Dict.Snapshot()
 	fp := table.FingerprintSnapshot(snap)
 	if err := saveFile(filepath.Join(dir, invertedFileName), appendInverted(nil, s.Inverted, fp)); err != nil {
 		return err
 	}
-	stale := retiredFiles
-	if s.Semantic != nil {
-		if err := saveFile(filepath.Join(dir, semanticFileName), appendCosine(nil, s.Semantic, fp)); err != nil {
-			return err
-		}
-	} else {
-		stale = append([]string{semanticFileName}, stale...)
-	}
-	if err := removeFiles(dir, stale...); err != nil {
+	if err := removeFiles(dir, retiredFiles...); err != nil {
 		return err
 	}
 	return saveFile(filepath.Join(dir, dictFileName), appendDictFile(nil, s.Epoch, snap))
 }
 
 // LoadIndexSetDir reads the set SaveDir wrote under dir: the dictionary and
-// epoch first, then the inverted index and, when present, the semantic index
-// wired to that dictionary. LSH is always nil: a session builds the first
-// stage on demand. A directory without dict.bin or inverted.bin fails with
-// ErrStaleFormat when it holds a retired layout's files (rebuild), with
-// ErrDictRequired when it holds substrates but no dictionary, and otherwise
-// with ErrNoIndexFiles.
+// epoch first, then the inverted index wired to that dictionary. LSH is
+// always nil: a session builds the first stage on demand. A directory
+// without dict.bin or inverted.bin fails with ErrStaleFormat when it holds a
+// retired layout's files (rebuild), with ErrDictRequired when it holds an
+// inverted index but no dictionary, and otherwise with ErrNoIndexFiles.
 func LoadIndexSetDir(dir string) (*IndexSet, error) {
 	has := func(name string) bool { return fileExists(filepath.Join(dir, name)) }
 	if !has(dictFileName) || !has(invertedFileName) {
@@ -185,7 +167,7 @@ func LoadIndexSetDir(dir string) (*IndexSet, error) {
 			return nil, err
 		case len(retired) > 0:
 			return nil, fmt.Errorf("%w (%s)", ErrStaleFormat, filepath.Base(retired[0]))
-		case !has(dictFileName) && (has(invertedFileName) || has(semanticFileName)):
+		case !has(dictFileName) && has(invertedFileName):
 			return nil, fmt.Errorf("%w: %s missing under %s", ErrDictRequired, dictFileName, dir)
 		}
 		return nil, fmt.Errorf("%w under %s", ErrNoIndexFiles, dir)
@@ -204,14 +186,6 @@ func LoadIndexSetDir(dir string) (*IndexSet, error) {
 	}
 	if s.Inverted, err = parseInverted(data, d); err != nil {
 		return nil, err
-	}
-	if has(semanticFileName) {
-		if data, err = readFile(dir, semanticFileName); err != nil {
-			return nil, err
-		}
-		if s.Semantic, err = parseCosine(data, d); err != nil {
-			return nil, err
-		}
 	}
 	return s, nil
 }

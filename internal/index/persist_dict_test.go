@@ -64,25 +64,17 @@ func TestIndexSetDictRoundTrip(t *testing.T) {
 // TestLoadIndexSetDetectsMissingDict removes the dictionary file from a
 // persisted set: loading must fail loudly with ErrDictRequired before any
 // substrate is read (the postings would be meaningless), which is what
-// routes cmd/gent -index-dir into its rebuild-with-warning path. A set
-// holding the semantic index too fails the same way.
+// routes cmd/gent -index-dir into its rebuild-with-warning path.
 func TestLoadIndexSetDetectsMissingDict(t *testing.T) {
-	l := buildLake()
-	full := BuildIndexSetFull(l.Snapshot(), DefaultShards, nil)
-	for _, s := range []*IndexSet{
-		full,
-		{Inverted: full.Inverted, Dict: full.Dict},
-	} {
-		dir := t.TempDir()
-		if err := s.SaveDir(dir); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Remove(filepath.Join(dir, dictFileName)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadIndexSetDir(dir); !errors.Is(err, ErrDictRequired) {
-			t.Fatalf("semantic %v: got %v, want ErrDictRequired", s.Semantic != nil, err)
-		}
+	dir := t.TempDir()
+	if err := BuildIndexSet(buildLake().Snapshot()).SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, dictFileName)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadIndexSetDir(dir); !errors.Is(err, ErrDictRequired) {
+		t.Fatalf("got %v, want ErrDictRequired", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -37,6 +38,11 @@ const (
 	// size of one byte each.
 	minRefBytes = 3
 )
+
+// compareRefs orders column refs by table, then column.
+func compareRefs(a, b ColumnRef) int {
+	return cmp.Or(cmp.Compare(a.Table, b.Table), cmp.Compare(a.Col, b.Col))
+}
 
 // appendInverted appends ix's file form to b, folding any override layer
 // first, stamped with the dictionary fingerprint fp.

@@ -13,8 +13,6 @@ import (
 	"os"
 
 	"gent/internal/core"
-	"gent/internal/discovery"
-	"gent/internal/embed"
 	"gent/internal/index"
 	"gent/internal/lake"
 	"gent/internal/table"
@@ -28,9 +26,6 @@ type Flags struct {
 	Tau           float64
 	TopK          int
 	MaxCandidates int
-	Strategy      string
-	SemanticTau   float64
-	Vectors       string
 }
 
 // RegisterFlags defines the shared flags on fs.
@@ -43,34 +38,16 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	fs.Float64Var(&f.Tau, "tau", 0.2, "set-overlap threshold τ")
 	fs.IntVar(&f.TopK, "topk", 0, "first-stage LSH retrieval size (0 = search the whole lake)")
 	fs.IntVar(&f.MaxCandidates, "max-candidates", 15, "candidate set cap")
-	fs.StringVar(&f.Strategy, "strategy", "", "discovery strategy: syntactic (default), semantic, or hybrid")
-	fs.Float64Var(&f.SemanticTau, "semantic-tau", 0, "semantic cosine threshold (0 = default)")
-	fs.StringVar(&f.Vectors, "vectors", "", "word-vector file (fasttext text format) for the semantic channel; default: built-in hashed n-gram embedder")
 	return f
 }
 
 // Config is the session configuration the flags describe.
-func (f *Flags) Config() (core.Config, error) {
+func (f *Flags) Config() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Discovery.Tau = f.Tau
 	cfg.Discovery.MaxCandidates = f.MaxCandidates
 	cfg.Discovery.FirstStageTopK = f.TopK
-	if f.Strategy != "" {
-		strat, err := discovery.ParseStrategy(f.Strategy)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Discovery.Strategy = strat
-	}
-	cfg.Discovery.SemanticTau = f.SemanticTau
-	if f.Vectors != "" {
-		emb, err := embed.LoadVectorFile(f.Vectors)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Discovery.Embedder = emb
-	}
-	return cfg, nil
+	return cfg
 }
 
 // Warnf receives non-fatal diagnostics (unreadable lake files, unusable
@@ -166,7 +143,7 @@ func AdoptIndexes(session *core.Reclaimer, dir string, warnf Warnf) (IndexOutcom
 		if !errors.Is(err, index.ErrNoIndexFiles) {
 			warnf.printf("warning: indexes at %s unusable (%v); rebuilding", dir, err)
 		}
-	case !ix.Inverted.Covers(snap) || ix.Semantic != nil && !ix.Semantic.Covers(snap):
+	case !ix.Inverted.Covers(snap):
 		if n, ok := catchUpIndexes(l, snap, ix, warnf); ok {
 			caughtUp = n
 			loaded = true

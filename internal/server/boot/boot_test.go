@@ -68,23 +68,29 @@ func TestAdoptIndexesRebuildsForeignDictionary(t *testing.T) {
 // a pre-sharding inverted.gob alone, or the gob dictionary, epoch, MinHash
 // and semantic files beside a v5 inverted.bin — is warned about, rebuilt in
 // the current format with every retired file removed, and loads cleanly on
-// the next start.
+// the next start. A current save with a leftover semantic.bin (what a hybrid
+// session of the retired semantic discovery channel wrote) still loads as
+// is.
 func TestAdoptIndexesRebuildsLegacyDirectory(t *testing.T) {
 	gobs := []string{"dict.gob", "epoch.gob", "minhash.gob", "semantic.gob"}
 	for name, c := range map[string]struct {
 		inverted bool // a v5 inverted.bin beside the legacy files
+		dict     bool // and its dict.bin
 		legacy   []string
 	}{
-		"pre-sharding":   {false, []string{"inverted.gob"}},
-		"gob dictionary": {true, gobs},
+		"pre-sharding":   {false, false, []string{"inverted.gob"}},
+		"gob dictionary": {true, false, gobs},
+		"hybrid session": {true, true, []string{"semantic.bin"}},
 	} {
 		dir := t.TempDir()
 		if c.inverted {
 			if err := index.BuildIndexSet(twoTableLake("ours").Snapshot()).SaveDir(dir); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.Remove(filepath.Join(dir, "dict.bin")); err != nil {
-				t.Fatal(err)
+			if !c.dict {
+				if err := os.Remove(filepath.Join(dir, "dict.bin")); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		for _, f := range c.legacy {
@@ -93,6 +99,12 @@ func TestAdoptIndexesRebuildsLegacyDirectory(t *testing.T) {
 			}
 		}
 		out, warnings := adopt(t, twoTableLake("ours"), dir)
+		if c.dict {
+			if out.Action != "loaded" || len(warnings) != 0 {
+				t.Fatalf("%s: action %q, warnings %q; want a clean load", name, out.Action, warnings)
+			}
+			continue
+		}
 		if out.Action != "built" {
 			t.Fatalf("%s: action %q, want built", name, out.Action)
 		}

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"sync"
 
-	"gent/internal/discovery"
 	"gent/internal/lake"
 )
 
@@ -172,11 +171,6 @@ func cacheKey(srcFP uint64, o *ReclaimOptions) uint64 {
 	mix(uint64(int64(o.Tau * 1e9)))
 	mix(uint64(int64(o.MaxCandidates)))
 	mix(uint64(int64(o.FirstStageTopK)))
-	// Normalized, so "" and "syntactic" (the same question) share a key.
-	// Unknown names never get here — queryOptions 400s before the lookup.
-	strat, _ := discovery.ParseStrategy(o.Strategy)
-	mix(uint64(strat))
-	mix(uint64(int64(o.SemanticTau * 1e9)))
 	var flags uint64
 	if o.RequireCandidates {
 		flags |= 1

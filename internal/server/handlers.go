@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"gent/internal/core"
-	"gent/internal/discovery"
 	"gent/internal/lake"
 	"gent/internal/server/boot"
 	"gent/internal/table"
@@ -104,24 +103,13 @@ func (s *Server) requestCtx(r *http.Request, o *ReclaimOptions) (context.Context
 }
 
 // queryOptions translates wire options into per-call pipeline options,
-// layering the metrics observer under any session-configured one. An unknown
-// strategy name is the one malformed knob, reported for a 400.
-func (s *Server) queryOptions(o *ReclaimOptions) ([]core.Option, error) {
+// layering the metrics observer under any session-configured one.
+func (s *Server) queryOptions(o *ReclaimOptions) []core.Option {
 	cfg := s.session.Config()
 	d := cfg.Discovery
 	if o != nil {
-		if o.Strategy != "" {
-			strat, err := discovery.ParseStrategy(o.Strategy)
-			if err != nil {
-				return nil, err
-			}
-			d.Strategy = strat
-		}
 		if o.Tau > 0 {
 			d.Tau = o.Tau
-		}
-		if o.SemanticTau > 0 {
-			d.SemanticTau = o.SemanticTau
 		}
 		if o.MaxCandidates > 0 {
 			d.MaxCandidates = o.MaxCandidates
@@ -140,7 +128,7 @@ func (s *Server) queryOptions(o *ReclaimOptions) ([]core.Option, error) {
 	if o != nil && o.RequireCandidates {
 		opts = append(opts, core.WithRequireCandidates())
 	}
-	return opts, nil
+	return opts
 }
 
 // handleReclaim serves POST /v1/reclaim: one source, one result, fronted by
@@ -161,11 +149,7 @@ func (s *Server) handleReclaim(w http.ResponseWriter, r *http.Request) {
 		writeBadRequest(w, err)
 		return
 	}
-	qopts, err := s.queryOptions(req.Options)
-	if err != nil {
-		writeBadRequest(w, err)
-		return
-	}
+	qopts := s.queryOptions(req.Options)
 	ctx, cancel := s.requestCtx(r, req.Options)
 	defer cancel()
 	if err := s.admit.acquire(ctx); err != nil {
@@ -260,11 +244,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	opts, err := s.queryOptions(req.Options)
-	if err != nil {
-		writeBadRequest(w, err)
-		return
-	}
+	opts := s.queryOptions(req.Options)
 	ctx, cancel := s.requestCtx(r, req.Options)
 	defer cancel()
 	if err := s.admit.acquire(ctx); err != nil {
@@ -298,11 +278,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	opts, err := s.queryOptions(req.Options)
-	if err != nil {
-		writeBadRequest(w, err)
-		return
-	}
+	opts := s.queryOptions(req.Options)
 	ctx, cancel := s.requestCtx(r, req.Options)
 	defer cancel()
 	if err := s.admit.acquire(ctx); err != nil {

@@ -36,10 +36,9 @@ type metricSet struct {
 	// admissible bound. Their ratio is the live pruning effectiveness.
 	traverseScored uint64
 	traversePruned uint64
-	// discoveryCands accumulates discovery candidates surfaced per channel
-	// ("syntactic", "semantic") across runs — how much each channel of the
-	// configured strategy actually contributes.
-	discoveryCands map[string]uint64
+	// discoveryCands accumulates, across runs, the candidates discovery
+	// handed to Matrix Traversal.
+	discoveryCands uint64
 }
 
 type reqKey struct {
@@ -74,10 +73,9 @@ func (h *histogram) observe(seconds float64) {
 
 func newMetricSet() *metricSet {
 	return &metricSet{
-		requests:       make(map[reqKey]uint64),
-		phase:          make(map[core.Phase]*histogram),
-		latency:        make(map[string]*histogram),
-		discoveryCands: make(map[string]uint64),
+		requests: make(map[reqKey]uint64),
+		phase:    make(map[core.Phase]*histogram),
+		latency:  make(map[string]*histogram),
 	}
 }
 
@@ -101,8 +99,7 @@ func (m *metricSet) observer() core.ProgressObserver {
 			m.traversePruned += uint64(ev.Pruned)
 		}
 		if ev.Phase == core.PhaseDiscovery {
-			m.discoveryCands["syntactic"] += uint64(ev.CandsSyntactic)
-			m.discoveryCands["semantic"] += uint64(ev.CandsSemantic)
+			m.discoveryCands += uint64(ev.Count)
 		}
 		m.mu.Unlock()
 	})
@@ -189,16 +186,9 @@ func (m *metricSet) render(w io.Writer, cache ResultCacheStats, gauges map[strin
 	fmt.Fprintf(w, "# TYPE gentd_traverse_candidates_pruned_total counter\n")
 	fmt.Fprintf(w, "gentd_traverse_candidates_pruned_total %d\n", m.traversePruned)
 
-	fmt.Fprintf(w, "# HELP gentd_discovery_candidates_total Discovery candidates surfaced, by channel.\n")
+	fmt.Fprintf(w, "# HELP gentd_discovery_candidates_total Candidates discovery handed to Matrix Traversal.\n")
 	fmt.Fprintf(w, "# TYPE gentd_discovery_candidates_total counter\n")
-	chans := make([]string, 0, len(m.discoveryCands))
-	for c := range m.discoveryCands {
-		chans = append(chans, c)
-	}
-	sort.Strings(chans)
-	for _, c := range chans {
-		fmt.Fprintf(w, "gentd_discovery_candidates_total{strategy=%q} %d\n", c, m.discoveryCands[c])
-	}
+	fmt.Fprintf(w, "gentd_discovery_candidates_total %d\n", m.discoveryCands)
 
 	names := make([]string, 0, len(gauges))
 	for n := range gauges {

@@ -2,10 +2,13 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -56,10 +59,11 @@ func startServer(t testing.TB, cfg server.Config) (*table.Table, *server.Server,
 
 // TestServerReclaimCacheLifecycle walks the serving contract end to end over
 // a real connection: cold query misses, identical query hits (header and
-// /metrics agree), Apply bumps the epoch and invalidates, the next query
-// misses again and pins the new epoch.
+// /metrics agree), a query carrying the options of the retired semantic
+// discovery channel is served the default answer, Apply bumps the epoch and
+// invalidates, the next query misses again and pins the new epoch.
 func TestServerReclaimCacheLifecycle(t *testing.T) {
-	src, _, c := startServer(t, server.Config{})
+	src, srv, c := startServer(t, server.Config{})
 	ctx := context.Background()
 
 	if err := c.Health(ctx); err != nil {
@@ -99,6 +103,28 @@ func TestServerReclaimCacheLifecycle(t *testing.T) {
 	}
 	if m["gentd_result_cache_hits_total"] != 1 {
 		t.Errorf("metrics hits = %g, want 1", m["gentd_result_cache_hits_total"])
+	}
+
+	// An older client still sends "strategy" and "semantic_tau". The
+	// decoder ignores unknown fields, so the request asks the default
+	// question and gets the default answer, from the default's cache entry.
+	srcJSON, err := json.Marshal(server.EncodeTable(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"source": %s, "options": {"strategy": "hybrid", "semantic_tau": 0.6}}`, srcJSON)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/reclaim", strings.NewReader(body)))
+	if rec.Code != http.StatusOK || rec.Header().Get("X-Gent-Cache") != "hit" {
+		t.Fatalf("hybrid-strategy request: status %d, cache %q; want 200 from the default's entry",
+			rec.Code, rec.Header().Get("X-Gent-Cache"))
+	}
+	var legacy server.ReclaimResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &legacy); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(legacy, r1.ReclaimResponse) {
+		t.Fatalf("hybrid-strategy request answered %+v, want the default answer %+v", legacy, r1.ReclaimResponse)
 	}
 
 	// Apply rolls the epoch; the cache must not survive it.

@@ -93,11 +93,6 @@ type ReclaimOptions struct {
 	// FirstStageTopK overrides the LSH first-stage size when > 0; -1 forces
 	// whole-lake search even if the server default enables the first stage.
 	FirstStageTopK int `json:"first_stage_top_k,omitempty"`
-	// Strategy selects the discovery channel(s): "syntactic", "semantic" or
-	// "hybrid". Empty keeps the session default; anything else is a 400.
-	Strategy string `json:"strategy,omitempty"`
-	// SemanticTau overrides the semantic cosine threshold when > 0.
-	SemanticTau float64 `json:"semantic_tau,omitempty"`
 	// TimeoutMS deadlines this request; clamped to the server's maximum.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// RequireCandidates turns an empty discovery result into an error

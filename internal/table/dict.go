@@ -14,7 +14,7 @@ const NullID uint32 = 0
 
 // Dict is the lake-wide value dictionary: a concurrent, append-only interner
 // mapping cell values to dense uint32 IDs, shared by every substrate built
-// over one lake (inverted index, MinHash-LSH, the semantic index, discovery)
+// over one lake (inverted index, MinHash-LSH, discovery)
 // so that each distinct value is hashed once and every hot path afterwards
 // runs on IDs. Matrix traversal and integration align rows on the Source's
 // own key space instead (KeyIndex) and need no dictionary.
