@@ -91,7 +91,8 @@ type Result struct {
 	// fall back to it for a Source without a key.
 	Key []int
 	// Originating lists the candidates Matrix Traversal selected, in pick
-	// order.
+	// order. Their tables' rows are shared with the lake and read-only: take
+	// a Clone to write.
 	Originating []*discovery.Candidate
 	// CandidateCount is the size of the candidate set before traversal.
 	CandidateCount int

@@ -6,8 +6,11 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
+	"gent/internal/benchmark"
 	"gent/internal/index"
 	"gent/internal/lake"
 	"gent/internal/matrix"
@@ -38,6 +41,132 @@ func TestQueriesDoNotGrowLakeDict(t *testing.T) {
 	if after := b.Lake.Dict().Len(); after != before {
 		t.Fatalf("lake dictionary grew from %d to %d entries while serving queries", before, after)
 	}
+}
+
+// buildWide is benchmark.BuildWidePreset's recipe at test scale: most
+// candidates of a source are slices that lack its key, so Expand joins them.
+func buildWide(t testing.TB) *benchmark.TPTR {
+	t.Helper()
+	o := benchmark.DefaultTPTROptions()
+	o.Scale.Base, o.MaxSourceRows = 30, 60
+	o.NullRate, o.ErrRate = 0.9, 0.5
+	b, err := benchmark.BuildTPTR("tp-tr-wide", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := benchmark.AddWideSlices(b, 4, o.Seed+7); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// lakeRows deep-copies the rows of every table in snap, by name.
+func lakeRows(snap *lake.Snapshot) map[string][]table.Row {
+	out := make(map[string][]table.Row, snap.Len())
+	for _, tb := range snap.Tables() {
+		out[tb.Name] = tb.Clone().Rows
+	}
+	return out
+}
+
+// requireLakeRows fails unless every table of snap still holds exactly the
+// rows, in the order, that lakeRows copied.
+func requireLakeRows(t *testing.T, snap *lake.Snapshot, want map[string][]table.Row) {
+	t.Helper()
+	for name, rows := range want {
+		if got := snap.Get(name).Rows; !reflect.DeepEqual(got, rows) {
+			t.Fatalf("lake table %s changed while serving queries", name)
+		}
+	}
+}
+
+// TestQueriesDoNotMutateLake pins the contract candidates rest on: they
+// share the lake's rows (table.Rename returns a view), so no query — a
+// reclaim, a batch or an explanation, on a keyed corpus or on one whose
+// candidates Expand must join to the key — may write a lake row or reorder
+// a lake table.
+func TestQueriesDoNotMutateLake(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		b    *benchmark.TPTR
+	}{{"keyed", buildTPTR(t)}, {"expand", buildWide(t)}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			snap := tc.b.Lake.Snapshot()
+			before := lakeRows(snap)
+			r := NewReclaimer(tc.b.Lake, DefaultConfig())
+			joined := 0
+			for _, src := range tc.b.Sources {
+				res, err := r.ReclaimContext(ctx, src)
+				if err != nil {
+					t.Fatalf("%s: %v", src.Name, err)
+				}
+				res.Explain(src)
+				for _, c := range res.Originating {
+					if len(c.Sources) > 1 {
+						joined++
+					}
+				}
+			}
+			if _, err := r.ReclaimAllContext(ctx, tc.b.Sources, 2); err != nil {
+				t.Fatal(err)
+			}
+			if tc.name == "expand" && joined == 0 {
+				t.Fatal("no originating table came from an Expand join: the corpus does not exercise Expand")
+			}
+			requireLakeRows(t, snap, before)
+		})
+	}
+}
+
+// TestConcurrentReclaimsShareLakeRows runs reclaims of the same sources in
+// parallel over one snapshot. Every query reads the same lake rows, so under
+// -race a query that writes one is a reported race; the results must also
+// match a sequential run and leave the lake as it was.
+func TestConcurrentReclaimsShareLakeRows(t *testing.T) {
+	b := buildTPTR(t)
+	ctx := context.Background()
+	snap := b.Lake.Snapshot()
+	before := lakeRows(snap)
+	r := NewReclaimer(b.Lake, DefaultConfig())
+	want := make([]*Result, len(b.Sources))
+	for i, src := range b.Sources {
+		res, err := r.ReclaimContext(ctx, src)
+		if err != nil {
+			t.Fatalf("%s: %v", src.Name, err)
+		}
+		want[i] = res
+	}
+	const workers = 3
+	got := make([][]*Result, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[w] = make([]*Result, len(b.Sources))
+			for k := range b.Sources {
+				i := (k + w) % len(b.Sources) // each worker starts elsewhere
+				res, err := r.ReclaimContext(ctx, b.Sources[i])
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				got[w][i] = res
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range got {
+		if errs[w] != nil {
+			t.Fatal(errs[w])
+		}
+		for i, src := range b.Sources {
+			assertSameResult(t, src.Name, want[i], got[w][i])
+		}
+	}
+	requireLakeRows(t, snap, before)
 }
 
 // goldenPipeline is the SHA-256 of every result TestPipelineMatchesGolden

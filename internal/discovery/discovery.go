@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -54,7 +55,8 @@ func DefaultOptions() Options {
 // Candidate is one discovered table, schema-matched to the Source: columns
 // that align with Source columns carry the Source column's name.
 type Candidate struct {
-	// Table is the renamed (and, after Expand, possibly joined) table.
+	// Table is the renamed (and, after Expand, possibly joined) table. Its
+	// rows are shared with the lake and read-only: take a Clone to write.
 	Table *table.Table
 	// Sources lists the lake tables this candidate came from.
 	Sources []string
@@ -398,21 +400,35 @@ func (s *idSets) assemble(name string) (*Candidate, bool) {
 // value sets even though its other cells differ, and pruning the clean table
 // there would be wrong. Exact duplicates keep the higher-ranked copy.
 func (s *idSets) removeSubsumed(cands []*Candidate) []*Candidate {
-	sets := make([]map[string][]uint32, len(cands)) // cand -> colName -> sorted IDs
-	for i, c := range cands {
-		m := make(map[string][]uint32, len(c.Table.Cols))
-		for ci, name := range c.Table.Cols {
-			m[name] = c.form.ColumnIDs(ci)
-		}
-		sets[i] = m
-	}
-	contains := func(big, small map[string][]uint32) bool {
-		for name, vals := range small {
-			b, ok := big[name]
-			if !ok {
-				return false
+	// cols[i][n] is the index in cands[i] of the column named names[n], -1
+	// when cands[i] lacks it.
+	names := make(map[string]int)
+	for _, c := range cands {
+		for _, name := range c.Table.Cols {
+			if _, ok := names[name]; !ok {
+				names[name] = len(names)
 			}
-			if !table.ContainsIDs(b, vals) {
+		}
+	}
+	cols := make([][]int, len(cands))
+	for i, c := range cands {
+		cols[i] = make([]int, len(names))
+		for n := range cols[i] {
+			cols[i][n] = -1
+		}
+		for ci, name := range c.Table.Cols {
+			cols[i][names[name]] = ci
+		}
+	}
+	// contains reports whether candidate b has every column of candidate a,
+	// each holding all of a's values there.
+	contains := func(b, a int) bool {
+		for n, ac := range cols[a] {
+			if ac < 0 {
+				continue
+			}
+			bc := cols[b][n]
+			if bc < 0 || !table.ContainsIDs(cands[b].form.ColumnIDs(bc), cands[a].form.ColumnIDs(ac)) {
 				return false
 			}
 		}
@@ -425,8 +441,8 @@ func (s *idSets) removeSubsumed(cands []*Candidate) []*Candidate {
 			if i == j {
 				continue
 			}
-			if contains(sets[j], sets[i]) {
-				if contains(sets[i], sets[j]) && i < j {
+			if contains(j, i) {
+				if contains(i, j) && i < j {
 					continue // duplicates: keep the earlier (higher ranked) one
 				}
 				subsumed = true
@@ -512,8 +528,8 @@ func renameToSourceIDs(t *table.Table, it, q *table.Interned, src *table.Table, 
 		}
 		return pairs[i].tCol < pairs[j].tCol
 	})
-	tTaken := make(map[int]bool)
-	sTaken := make(map[int]bool)
+	tTaken := make([]bool, len(t.Cols))
+	sTaken := make([]bool, len(src.Cols))
 	matched := make(map[string]int)
 	rename := make(map[string]string)
 	for _, p := range pairs {
@@ -544,48 +560,50 @@ func renameToSourceIDs(t *table.Table, it, q *table.Interned, src *table.Table, 
 // of the candidate whose matched-column values appear in the Source, and
 // verify that within those rows at least one matched column still overlaps
 // the Source column above τ. The candidate's interned form it is row-aligned
-// with the (renamed) candidate, so membership checks read precomputed IDs
-// instead of hashing Value.Key.
+// with the (renamed) candidate, so membership checks read precomputed IDs:
+// a cell is found in the Source column's sorted distinct ID set by binary
+// search, and the aligned values of a column are marked by their position
+// in that set.
 func alignedTuplesQualifyIDs(it, q *table.Interned, src *table.Table, matched map[string]int, tau float64) bool {
 	type mc struct {
 		tCol int
-		set  map[uint32]bool // source column's distinct IDs
-		size int
+		set  []uint32 // the Source column's sorted distinct IDs
+		hit  []bool   // hit[i]: set[i] occurs in an aligned row
 	}
 	mcs := make([]mc, 0, len(matched))
 	for sName, tCol := range matched {
-		ids := q.ColumnIDs(src.ColIndex(sName))
-		set := make(map[uint32]bool, len(ids))
-		for _, id := range ids {
-			set[id] = true
-		}
-		mcs = append(mcs, mc{tCol, set, len(ids)})
+		set := q.ColumnIDs(src.ColIndex(sName))
+		mcs = append(mcs, mc{tCol, set, make([]bool, len(set))})
 	}
-	alignedSets := make([]map[uint32]bool, len(mcs))
-	for i := range alignedSets {
-		alignedSets[i] = make(map[uint32]bool)
-	}
+	// pos[i] is row ri's position in mcs[i].set, -1 when absent or null.
+	pos := make([]int, len(mcs))
 	for ri := 0; ri < len(it.Table.Rows); ri++ {
 		aligned := false
-		for _, m := range mcs {
-			id := it.Cols[m.tCol][ri]
-			if id != table.NullID && m.set[id] {
-				aligned = true
-				break
+		for i, m := range mcs {
+			pos[i] = -1
+			if id := it.Cols[m.tCol][ri]; id != table.NullID {
+				if p, ok := slices.BinarySearch(m.set, id); ok {
+					pos[i], aligned = p, true
+				}
 			}
 		}
 		if !aligned {
 			continue
 		}
-		for i, m := range mcs {
-			id := it.Cols[m.tCol][ri]
-			if id != table.NullID && m.set[id] {
-				alignedSets[i][id] = true
+		for i, p := range pos {
+			if p >= 0 {
+				mcs[i].hit[p] = true
 			}
 		}
 	}
-	for i, m := range mcs {
-		if m.size > 0 && float64(len(alignedSets[i]))/float64(m.size) >= tau {
+	for _, m := range mcs {
+		n := 0
+		for _, h := range m.hit {
+			if h {
+				n++
+			}
+		}
+		if len(m.set) > 0 && float64(n)/float64(len(m.set)) >= tau {
 			return true
 		}
 	}

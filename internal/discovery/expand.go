@@ -3,7 +3,7 @@ package discovery
 import (
 	"context"
 	"encoding/binary"
-	"sort"
+	"slices"
 	"strings"
 
 	"gent/internal/table"
@@ -29,7 +29,10 @@ import (
 // dictionary, so IDs from two dictionaries never meet. A join path is held
 // as row-index tuples, and a Table is built only for the winning path. A
 // join step whose result would exceed expandMaxRows rows is abandoned while
-// its matches are counted, before any row is emitted.
+// its matches are counted, before any row is emitted. Sets of ID tuples —
+// the Source's keys, a join's build side, the winning path's distinct rows —
+// are idTuples: hashed to a uint64 and confirmed ID by ID, one rule for
+// every arity.
 func Expand(cands []*Candidate, src *table.Table, opts Options) []*Candidate {
 	out, _ := expandContext(context.Background(), cands, src, opts)
 	return out
@@ -103,15 +106,21 @@ type expander struct {
 	// forms[i] is cands[i]'s row-aligned interned form. Every form and every
 	// srcKeys tuple is in one ID space.
 	forms []*table.Interned
-	// srcKeys maps the packed ID tuple of a Source row's key cells to the
-	// row's table.KeyIndex id; nKeys is the number of ids.
-	srcKeys map[string]int
-	nKeys   int
+	// srcKeys numbers the Source's distinct non-null key tuples, as ID
+	// tuples. An ID is a Value.Key class, so these are table.KeyIndex's ids.
+	srcKeys *idTuples
 	// weights[a*n+b] memoizes the edge weight of candidates a and b; -1 until
 	// the DFS first reads it.
 	weights []int32
 	// indexes memoizes rowIndex by (candidate, columns).
 	indexes map[string]*rowIndex
+	// Scratch that join and keyCoverage reuse from call to call; neither
+	// keeps it past its return.
+	on      []colRef
+	bcols   []int
+	matches []bucket
+	tuple   []uint32
+	seen    []bool
 }
 
 func newExpander(cands []*Candidate, src *table.Table) *expander {
@@ -143,19 +152,16 @@ func newExpander(cands []*Candidate, src *table.Table) *expander {
 	for i := range x.weights {
 		x.weights[i] = -1
 	}
-	keys := table.NewKeyIndex(src)
-	x.srcKeys = make(map[string]int, keys.Len())
-	x.nKeys = keys.Len()
-	var b []byte
-	for r, id := range keys.RowIDs() {
-		if id < 0 {
-			continue
+	x.srcKeys = newIDTuples(len(src.Key), len(src.Rows))
+	tuple := make([]uint32, len(src.Key))
+rows:
+	for _, r := range src.Rows {
+		for i, k := range src.Key {
+			if tuple[i] = o.InternValue(r[k]); tuple[i] == table.NullID {
+				continue rows
+			}
 		}
-		b = b[:0]
-		for _, k := range src.Key {
-			b = binary.LittleEndian.AppendUint32(b, o.InternValue(src.Rows[r][k]))
-		}
-		x.srcKeys[string(b)] = id
+		x.srcKeys.add(tuple)
 	}
 	return x
 }
@@ -184,13 +190,13 @@ func (x *expander) weight(a, b int) int {
 	case 1:
 		w = table.IntersectIDs(x.forms[lo].ColumnIDs(clo[0]), x.forms[hi].ColumnIDs(chi[0]))
 	default:
-		// A row index's buckets are exactly the distinct non-null tuples.
-		small, big := x.rowIndex(lo, clo).buckets, x.rowIndex(hi, chi).buckets
-		if len(small) > len(big) {
+		// A row index's keys are exactly the distinct non-null tuples.
+		small, big := x.rowIndex(lo, clo).keys, x.rowIndex(hi, chi).keys
+		if small.len() > big.len() {
 			small, big = big, small
 		}
-		for k := range small {
-			if _, ok := big[k]; ok {
+		for k := 0; k < small.len(); k++ {
+			if big.find(small.tuple(k)) >= 0 {
 				w++
 			}
 		}
@@ -200,10 +206,11 @@ func (x *expander) weight(a, b int) int {
 }
 
 // rowIndex is the build side of an ID-tuple hash join over one candidate:
-// each distinct non-null tuple of the indexed columns maps to its rows, which
-// are chained through next in row order.
+// keys numbers the distinct non-null tuples of the indexed columns, and
+// tuple k's rows are buckets[k], chained through next in row order.
 type rowIndex struct {
-	buckets map[string]bucket
+	keys    *idTuples
+	buckets []bucket
 	next    []int32
 }
 
@@ -212,9 +219,10 @@ type bucket struct{ first, n int32 }
 
 // rowIndex returns candidate c's row index over cols, built on first use.
 func (x *expander) rowIndex(c int, cols []int) *rowIndex {
-	key := make([]byte, 0, 4*(len(cols)+1))
-	for _, v := range append([]int{c}, cols...) {
-		key = binary.LittleEndian.AppendUint32(key, uint32(v))
+	var buf [64]byte
+	key := binary.LittleEndian.AppendUint32(buf[:0], uint32(c))
+	for _, col := range cols {
+		key = binary.LittleEndian.AppendUint32(key, uint32(col))
 	}
 	if ix, ok := x.indexes[string(key)]; ok {
 		return ix
@@ -224,18 +232,19 @@ func (x *expander) rowIndex(c int, cols []int) *rowIndex {
 		refs[i] = colRef{col: col, ids: x.forms[c].Cols[col]}
 	}
 	nrows := len(refs[0].ids)
-	ix := &rowIndex{buckets: make(map[string]bucket, nrows), next: make([]int32, nrows)}
-	var buf [64]byte
+	ix := &rowIndex{keys: newIDTuples(len(cols), nrows), buckets: make([]bucket, 0, nrows), next: make([]int32, nrows)}
+	tuple := make([]uint32, len(cols))
 	for r := nrows - 1; r >= 0; r-- { // backwards, so each chain runs in row order
-		k, ok := pack(buf[:0], []int32{int32(r)}, refs)
-		if !ok {
+		if !gather(tuple, []int32{int32(r)}, refs) {
 			continue
 		}
-		bk, seen := ix.buckets[string(k)]
-		if seen {
-			ix.next[r] = bk.first
+		k, added := ix.keys.add(tuple)
+		if added {
+			ix.buckets = append(ix.buckets, bucket{})
+		} else {
+			ix.next[r] = ix.buckets[k].first
 		}
-		ix.buckets[string(k)] = bucket{first: int32(r), n: bk.n + 1}
+		ix.buckets[k] = bucket{first: int32(r), n: ix.buckets[k].n + 1}
 	}
 	x.indexes[string(key)] = ix
 	return ix
@@ -275,16 +284,25 @@ func (p *joined) ref(name string) (colRef, bool) {
 	return colRef{}, false
 }
 
-// pack appends the IDs tuple holds in refs to b; ok is false at a null.
-func pack(b []byte, tuple []int32, refs []colRef) ([]byte, bool) {
-	for _, ref := range refs {
-		id := ref.ids[tuple[ref.pos]]
-		if id == table.NullID {
-			return nil, false
-		}
-		b = binary.LittleEndian.AppendUint32(b, id)
+// resize sets *buf to n elements, reusing its array when it is large enough;
+// the elements' values are unspecified.
+func resize[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
 	}
-	return b, true
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+// gather fills dst with the IDs the path tuple holds in refs; it reports
+// false at a null.
+func gather(dst []uint32, tuple []int32, refs []colRef) bool {
+	for i, ref := range refs {
+		if dst[i] = ref.ids[tuple[ref.pos]]; dst[i] == table.NullID {
+			return false
+		}
+	}
+	return true
 }
 
 // start is the one-table path prefix of candidate c.
@@ -307,8 +325,7 @@ func (x *expander) start(c int) *joined {
 // expandMaxRows rows, counted before any is emitted.
 func (x *expander) join(p *joined, b int) *joined {
 	tb := x.cands[b].Table
-	var on []colRef
-	var bcols []int
+	on, bcols := x.on[:0], x.bcols[:0]
 	for _, name := range p.cols {
 		if j := tb.ColIndex(name); j >= 0 {
 			ref, _ := p.ref(name)
@@ -316,16 +333,21 @@ func (x *expander) join(p *joined, b int) *joined {
 			bcols = append(bcols, j)
 		}
 	}
+	x.on, x.bcols = on, bcols
 	if len(on) == 0 {
 		return nil
 	}
 	ix := x.rowIndex(b, bcols)
-	matches := make([]bucket, p.len())
+	matches := resize(&x.matches, p.len())
+	clear(matches)
 	total := 0
-	var buf [64]byte
+	tuple := resize(&x.tuple, len(on))
 	for r := range matches {
-		if k, ok := pack(buf[:0], p.tuple(r), on); ok {
-			matches[r] = ix.buckets[string(k)]
+		if !gather(tuple, p.tuple(r), on) {
+			continue
+		}
+		if k := ix.keys.find(tuple); k >= 0 {
+			matches[r] = ix.buckets[k]
 			if total += int(matches[r].n); total > expandMaxRows {
 				return nil
 			}
@@ -358,20 +380,20 @@ func (x *expander) join(p *joined, b int) *joined {
 // keyCoverage counts the distinct Source key values p's tuples carry; ok is
 // false when p lacks a key column.
 func (x *expander) keyCoverage(p *joined) (cover int, ok bool) {
-	keys := make([]colRef, len(x.keyCols))
+	keys := resize(&x.on, len(x.keyCols))
 	for i, name := range x.keyCols {
 		if keys[i], ok = p.ref(name); !ok {
 			return 0, false
 		}
 	}
-	seen := make([]bool, x.nKeys)
-	var buf [64]byte
+	seen := resize(&x.seen, x.srcKeys.len())
+	clear(seen)
+	tuple := resize(&x.tuple, len(keys))
 	for r := 0; r < p.len(); r++ {
-		k, ok := pack(buf[:0], p.tuple(r), keys)
-		if !ok {
+		if !gather(tuple, p.tuple(r), keys) {
 			continue
 		}
-		if id, ok := x.srcKeys[string(k)]; ok && !seen[id] {
+		if id := x.srcKeys.find(tuple); id >= 0 && !seen[id] {
 			seen[id] = true
 			cover++
 		}
@@ -392,6 +414,8 @@ func (x *expander) bestKeyCoveringJoin(start, maxDepth int) ([]int, *joined) {
 	path := []int{start}
 	onPath := make([]bool, len(x.cands))
 	onPath[start] = true
+	type child struct{ idx, w int }
+	kids := make([][]child, maxDepth) // kids[depth] is reused by every node at depth
 
 	var rec func(cur *joined, node, depth int)
 	rec = func(cur *joined, node, depth int) {
@@ -407,8 +431,7 @@ func (x *expander) bestKeyCoveringJoin(start, maxDepth int) ([]int, *joined) {
 		if depth >= maxDepth {
 			return
 		}
-		type child struct{ idx, w int }
-		children := make([]child, 0)
+		children := kids[depth][:0]
 		for next := range x.cands {
 			if onPath[next] {
 				continue
@@ -417,11 +440,12 @@ func (x *expander) bestKeyCoveringJoin(start, maxDepth int) ([]int, *joined) {
 				children = append(children, child{next, w})
 			}
 		}
-		sort.Slice(children, func(i, j int) bool {
-			if children[i].w != children[j].w {
-				return children[i].w > children[j].w
+		kids[depth] = children
+		slices.SortFunc(children, func(a, b child) int {
+			if a.w != b.w {
+				return b.w - a.w
 			}
-			return children[i].idx < children[j].idx
+			return a.idx - b.idx
 		})
 		if len(children) > 6 {
 			children = children[:6]
@@ -460,23 +484,32 @@ func (x *expander) materialize(path []int, p *joined, cols []string) *table.Tabl
 		}
 	}
 	t := table.New(strings.Join(names, "⋈"), kept...)
-	seen := make(map[string]bool, p.len())
-	var b []byte
+	seen := newIDTuples(len(refs), p.len())
+	ids := make([]uint32, len(refs))
+	var distinct []int // p's first tuple of each distinct row, in order
 	for r := 0; r < p.len(); r++ {
 		tuple := p.tuple(r)
-		b = b[:0]
-		for _, ref := range refs {
-			b = binary.LittleEndian.AppendUint32(b, ref.ids[tuple[ref.pos]])
+		for k, ref := range refs {
+			ids[k] = ref.ids[tuple[ref.pos]]
 		}
-		if seen[string(b)] {
-			continue
+		if _, added := seen.add(ids); added {
+			distinct = append(distinct, r)
 		}
-		seen[string(b)] = true
-		row := make(table.Row, len(refs))
+	}
+	if len(distinct) == 0 {
+		return t
+	}
+	// One array holds every cell, and each row is a capped slice of it.
+	w := len(refs)
+	cells := make([]table.Value, len(distinct)*w)
+	t.Rows = make([]table.Row, len(distinct))
+	for i, r := range distinct {
+		tuple := p.tuple(r)
+		row := cells[i*w : (i+1)*w : (i+1)*w]
 		for k, ref := range refs {
 			row[k] = x.cands[path[ref.pos]].Table.Rows[tuple[ref.pos]][ref.col]
 		}
-		t.Rows = append(t.Rows, row)
+		t.Rows[i] = row
 	}
 	return t
 }
@@ -491,4 +524,75 @@ func dedupeStrings(in []string) []string {
 		}
 	}
 	return out
+}
+
+// idTuples numbers distinct ID tuples of one width densely, in the order
+// they are first added. It is an open-addressing hash table: a tuple's slot
+// is searched from its idTupleHash onwards, and every occupied slot on the
+// way is confirmed ID by ID, so no byte key is built. A tuple may hold
+// NullID; callers that want nulls to match nothing skip such tuples
+// themselves.
+type idTuples struct {
+	width int
+	ids   []uint32 // tuple k is ids[k*width : (k+1)*width]
+	n     int
+	// slots holds 1 + a tuple number, 0 when empty; its length is a power of
+	// two at least twice the capacity, so a search always meets an empty
+	// slot.
+	slots []int32
+}
+
+// newIDTuples makes an idTuples for at most capacity distinct tuples. Every
+// caller knows that bound: the rows the tuples are taken from.
+func newIDTuples(width, capacity int) *idTuples {
+	size := 8
+	for size < 2*capacity {
+		size <<= 1
+	}
+	return &idTuples{width: width, ids: make([]uint32, 0, capacity*width), slots: make([]int32, size)}
+}
+
+// idTupleHash hashes an ID tuple by multiply-and-fold, which spreads the
+// dense IDs a dictionary assigns over a table's low bits. Any hash gives the
+// same results, since every match is confirmed ID by ID; it is a variable so
+// that tests can force collisions.
+var idTupleHash = func(tuple []uint32) uint64 {
+	var h uint64
+	for _, id := range tuple {
+		h = (h ^ uint64(id)) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	return h
+}
+
+func (s *idTuples) len() int { return s.n }
+
+func (s *idTuples) tuple(k int) []uint32 { return s.ids[k*s.width : (k+1)*s.width] }
+
+// slot returns the slot holding tuple, or the empty slot it would take.
+func (s *idTuples) slot(tuple []uint32) int {
+	mask := len(s.slots) - 1
+	for i := int(idTupleHash(tuple)) & mask; ; i = (i + 1) & mask {
+		if k := s.slots[i]; k == 0 || slices.Equal(s.tuple(int(k-1)), tuple) {
+			return i
+		}
+	}
+}
+
+// find returns tuple's number, or -1 when it was never added.
+func (s *idTuples) find(tuple []uint32) int { return int(s.slots[s.slot(tuple)]) - 1 }
+
+// add returns tuple's number, numbering it next when it is new (added).
+func (s *idTuples) add(tuple []uint32) (k int, added bool) {
+	i := s.slot(tuple)
+	if k := s.slots[i]; k != 0 {
+		return int(k - 1), false
+	}
+	if 2*(s.n+1) > len(s.slots) {
+		panic("discovery: idTuples over capacity")
+	}
+	s.ids = append(s.ids, tuple...)
+	s.n++
+	s.slots[i] = int32(s.n)
+	return s.n - 1, true
 }

@@ -440,3 +440,31 @@ func FuzzExpandParity(f *testing.F) {
 		sameExpansion(t, "fuzz", Expand(cands, src, opts), oracleExpand(cands, src, opts))
 	})
 }
+
+// TestExpandUnderTupleHashCollisions forces every ID tuple to one hash, so
+// each probe of the Source keys, a join's build side and the winning path's
+// distinct rows walks a single chain: confirming every match ID by ID must
+// leave Expand's picks and materialized tables as they are, and as the
+// oracle's.
+func TestExpandUnderTupleHashCollisions(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	type trial struct {
+		src   *table.Table
+		cands []*Candidate
+		opts  Options
+		want  []*Candidate
+	}
+	trials := make([]trial, 30)
+	for i := range trials {
+		src, cands, opts := randomExpandCorpus(rng)
+		trials[i] = trial{src, cands, opts, Expand(cands, src, opts)}
+	}
+	defer func(h func([]uint32) uint64) { idTupleHash = h }(idTupleHash)
+	idTupleHash = func([]uint32) uint64 { return 0 }
+	for i, tr := range trials {
+		label := fmt.Sprintf("trial %d", i)
+		got := Expand(tr.cands, tr.src, tr.opts)
+		sameExpansion(t, label, got, tr.want)
+		sameExpansion(t, label, got, oracleExpand(tr.cands, tr.src, tr.opts))
+	}
+}

@@ -97,10 +97,12 @@ func NumCompare(col, op string, bound float64) Predicate {
 	}
 }
 
-// Rename returns a copy of t with columns renamed per the mapping; columns
-// absent from the mapping keep their names.
+// Rename returns a view of t with columns renamed per the mapping; columns
+// absent from the mapping keep their names. The view has its own Cols, Key
+// and Rows slices over t's rows (see the package doc), so reordering or
+// extending its rows leaves t as it was; writing a cell writes t's row too.
 func (t *Table) Rename(mapping map[string]string) *Table {
-	out := t.Clone()
+	out := t.view(len(t.Rows))
 	for i, c := range out.Cols {
 		if n, ok := mapping[c]; ok {
 			out.Cols[i] = n
@@ -121,7 +123,8 @@ func (t *Table) DropDuplicates() *Table {
 }
 
 // PadNullColumns returns t extended with a null column for every name in
-// cols that t lacks (Algorithm 2 line 16).
+// cols that t lacks (Algorithm 2 line 16). When t lacks none, the result is a
+// view over t's rows.
 func (t *Table) PadNullColumns(cols []string) *Table {
 	missing := make([]string, 0)
 	for _, c := range cols {
@@ -130,7 +133,7 @@ func (t *Table) PadNullColumns(cols []string) *Table {
 		}
 	}
 	if len(missing) == 0 {
-		return t.Clone()
+		return t.view(len(t.Rows))
 	}
 	out := New(t.Name, append(append([]string(nil), t.Cols...), missing...)...)
 	out.Key = append([]int(nil), t.Key...)

@@ -131,3 +131,46 @@ func TestReorderCols(t *testing.T) {
 		t.Error("reorder to unknown column should fail")
 	}
 }
+
+// TestViewsShareRows pins the views' allocation contract: Rename, InnerUnion
+// and PadNullColumns with nothing to pad share their input rows, so each
+// allocates the same number of objects over 10 rows as over 10 000; and a
+// view's row order is its own.
+func TestViewsShareRows(t *testing.T) {
+	build := func(n int) *Table {
+		tb := New("t", "k", "v")
+		tb.Key = []int{0}
+		for i := 0; i < n; i++ {
+			tb.AddRow(N(float64(i)), S("x"))
+		}
+		return tb
+	}
+	ops := []struct {
+		name string
+		op   func(a, b *Table) *Table
+	}{
+		{"Rename", func(a, _ *Table) *Table { return a.Rename(map[string]string{"v": "w"}) }},
+		{"InnerUnion", InnerUnion},
+		{"PadNullColumns", func(a, _ *Table) *Table { return a.PadNullColumns([]string{"k", "v"}) }},
+	}
+	for _, tc := range ops {
+		t.Run(tc.name, func(t *testing.T) {
+			var allocs [2]float64
+			for i, n := range []int{10, 10000} {
+				a, b := build(n), build(n)
+				allocs[i] = testing.AllocsPerRun(20, func() { tc.op(a, b) })
+				v := tc.op(a, b)
+				if &v.Rows[0][0] != &a.Rows[0][0] {
+					t.Fatalf("%s over %d rows copied the first row", tc.name, n)
+				}
+				v.Rows[0], v.Rows[n-1] = v.Rows[n-1], v.Rows[0]
+				if a.Rows[0][0].Num != 0 {
+					t.Fatalf("reordering the %s view reordered its input", tc.name)
+				}
+			}
+			if allocs[0] != allocs[1] {
+				t.Fatalf("%s allocates %v objects over 10 rows and %v over 10 000", tc.name, allocs[0], allocs[1])
+			}
+		})
+	}
+}

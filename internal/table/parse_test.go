@@ -1,6 +1,8 @@
 package table
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -71,5 +73,52 @@ func TestKeyEscapingMakesRowKeysInjective(t *testing.T) {
 			t.Errorf("%q and %q escape to the same body %q", prev, s, e)
 		}
 		seen[e] = s
+	}
+}
+
+// referenceDecimal is parseDecimal without its grammar screen: the character
+// screen, then strconv.ParseFloat.
+func referenceDecimal(raw string) (float64, bool) {
+	for i := 0; i < len(raw); i++ {
+		switch c := raw[i]; {
+		case c >= '0' && c <= '9':
+		case c == '+' || c == '-' || c == '.' || c == 'e' || c == 'E':
+		default:
+			return 0, false
+		}
+	}
+	f, err := strconv.ParseFloat(raw, 64)
+	if err != nil {
+		return 0, false
+	}
+	return f, true
+}
+
+// FuzzParseDecimal holds parseDecimal to referenceDecimal on every input:
+// the screen that spares rejected strings an error allocation must not
+// change which strings are numbers, nor their values.
+func FuzzParseDecimal(f *testing.F) {
+	for _, s := range []string{"1995-01-02", "2024-12-31", "1e-5", "-.5", "1-2", "+-1",
+		"1e5e5", "1..2", "1.5E+3", "-", "e", ".", "", "12", "1e999"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, gotOK := parseDecimal(s)
+		want, wantOK := referenceDecimal(s)
+		if gotOK != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("parseDecimal(%q) = %v, %v; reference %v, %v", s, got, gotOK, want, wantOK)
+		}
+	})
+}
+
+// TestParseDateAllocatesNothing pins the reason for parseDecimal's screen: a
+// date-shaped cell is rejected before ParseFloat builds an error.
+func TestParseDateAllocatesNothing(t *testing.T) {
+	raw := strings.Clone("1995-01-02")
+	if n := testing.AllocsPerRun(100, func() { _ = Parse(raw) }); n != 0 {
+		t.Fatalf("Parse(%q) allocates %v objects, want 0", raw, n)
+	}
+	if v := Parse(raw); v.Kind != KindString {
+		t.Fatalf("Parse(%q) = kind %d, want KindString", raw, v.Kind)
 	}
 }

@@ -84,13 +84,16 @@ func slots(n int) []int {
 	return at
 }
 
-// reduced returns a table with t's name, columns and key holding a copy of
-// each row at the slots at, in that order.
+// reduced returns a table with t's name, columns and key over the rows at
+// the slots at, in that order. It shares those rows (see the package doc).
 func reduced(t *Table, rows []Row, at []int) *Table {
 	out := New(t.Name, t.Cols...)
 	out.Key = append([]int(nil), t.Key...)
-	for _, i := range at {
-		out.Rows = append(out.Rows, rows[i].Clone())
+	if len(at) > 0 {
+		out.Rows = make([]Row, len(at))
+	}
+	for k, i := range at {
+		out.Rows[k] = rows[i]
 	}
 	return out
 }

@@ -143,7 +143,20 @@ func (t *Table) KeyCols() []string {
 	return out
 }
 
-// Clone deep-copies the table.
+// view returns a table with t's name and its own copies of t's Cols, Key and
+// Rows slices, whose rows are t's rows; the Rows slice has room for n rows.
+func (t *Table) view(n int) *Table {
+	v := &Table{
+		Name: t.Name,
+		Cols: append([]string(nil), t.Cols...),
+		Key:  append([]int(nil), t.Key...),
+		Rows: make([]Row, len(t.Rows), max(n, len(t.Rows))),
+	}
+	copy(v.Rows, t.Rows)
+	return v
+}
+
+// Clone deep-copies the table: unlike a view, its rows may be written.
 func (t *Table) Clone() *Table {
 	c := &Table{
 		Name: t.Name,

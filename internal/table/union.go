@@ -15,17 +15,24 @@ func SameSchema(a, b *Table) bool {
 }
 
 // InnerUnion returns a ∪ b for tables with equal column-name sets; b's
-// columns are permuted to a's order. It panics if the schemas differ, since
-// callers must check SameSchema first.
+// columns are permuted to a's order. The result shares a's rows, and b's when
+// b's columns are already in a's order (see the package doc). It panics if
+// the schemas differ, since callers must check SameSchema first.
 func InnerUnion(a, b *Table) *Table {
 	if !SameSchema(a, b) {
 		panic("table: InnerUnion on different schemas")
 	}
-	out := a.Clone()
+	out := a.view(len(a.Rows) + len(b.Rows))
 	out.Name = a.Name + "∪" + b.Name
 	perm := make([]int, len(a.Cols))
+	inOrder := true
 	for i, c := range a.Cols {
 		perm[i] = b.ColIndex(c)
+		inOrder = inOrder && perm[i] == i
+	}
+	if inOrder {
+		out.Rows = append(out.Rows, b.Rows...)
+		return out
 	}
 	for _, r := range b.Rows {
 		nr := make(Row, len(a.Cols))

@@ -7,6 +7,15 @@
 // Value comparison is syntactic, as in the paper: two cells are equal when
 // their canonical forms match. Numbers carry a parsed float alongside the
 // canonical string so numeric selections remain possible.
+//
+// Rows are values: no operator writes a Row it did not build. An operator
+// that changes a cell builds a new Row (κ's merged tuples among them), and
+// one that re-lists rows — Rename, InnerUnion, PadNullColumns with nothing
+// to pad, DropDuplicates, Subsume, Complement, MinimalForm — returns a view:
+// a table with its own Cols, Key and Rows slices over the same Row values.
+// A view can be reordered (SortRows) or extended without touching the table
+// it came from. Rows a lake holds are shared with every query this way and
+// are read-only; a caller that writes cells takes a Clone first.
 package table
 
 import (
@@ -73,14 +82,30 @@ func formatNum(f float64) string {
 // ParseFloat understands — hex floats ("0x1p4"), digit-separator underscores
 // ("1_000") and the Inf/NaN words — are not numbers under the paper's
 // syntactic equality and are rejected, so they stay KindString.
+//
+// The screen before ParseFloat also rejects what its grammar never accepts —
+// a sign anywhere but first or right after the exponent mark, a second '.'
+// or a second exponent — so that a date such as "1995-01-02" costs no error
+// allocation.
 func parseDecimal(raw string) (float64, bool) {
+	dots, exps := 0, 0
 	for i := 0; i < len(raw); i++ {
 		switch c := raw[i]; {
 		case c >= '0' && c <= '9':
-		case c == '+' || c == '-' || c == '.' || c == 'e' || c == 'E':
+		case c == '.':
+			dots++
+		case c == 'e' || c == 'E':
+			exps++
+		case c == '+' || c == '-':
+			if i > 0 && raw[i-1] != 'e' && raw[i-1] != 'E' {
+				return 0, false
+			}
 		default:
 			return 0, false
 		}
+	}
+	if dots > 1 || exps > 1 {
+		return 0, false
 	}
 	f, err := strconv.ParseFloat(raw, 64)
 	if err != nil {
