@@ -136,7 +136,7 @@ func main() {
 
 	session := core.NewReclaimer(l, shared.Config())
 	if shared.IndexDir != "" {
-		// The load/catch-up/rebuild cascade lives in internal/server/boot,
+		// The load-or-rebuild cascade lives in internal/server/boot,
 		// shared with gentd so the two front ends cannot drift.
 		out, err := boot.AdoptIndexes(session, shared.IndexDir, boot.Stderr)
 		if err != nil {

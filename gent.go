@@ -71,8 +71,8 @@
 // events carry the pinned Epoch. Persisted index sets are stamped with
 // their epoch too; Reclaimer.UseIndexes accepts a set between epochs (and
 // refuses a stale stamp with ErrEpochMismatch, which wraps
-// ErrSessionStarted), and cmd/gent -index-dir catches a merely-behind
-// persisted set up with a delta instead of rebuilding.
+// ErrSessionStarted), and cmd/gent -index-dir loads a persisted set stamped
+// at the lake's epoch and rebuilds any other.
 //
 // # Serving
 //
@@ -87,8 +87,8 @@
 //	...
 //	srv.Drain(ctx) // 503 on /healthz, refuse new work, wait for the tail
 //
-// cmd/gentd is the ready-made daemon (and its own load driver and smoke
-// client); see the README's Serving section for the endpoint table.
+// cmd/gentd is the ready-made daemon (and its own smoke client); see the
+// README's Serving section for the endpoint table.
 package gent
 
 import (
@@ -362,8 +362,8 @@ func ReclaimContext(ctx context.Context, l *Lake, src *Table, cfg Config, opts .
 // NewReclaimer opens a reusable reclamation session over a lake. Indexes
 // are built lazily on the first query of each lake epoch — incrementally
 // maintained when the lake evolves via Apply — and shared by every query at
-// that epoch: ReclaimContext, ReclaimAllContext and ReclaimStream. Inject persisted ones with Reclaimer.UseIndexes before an
-// epoch's first query.
+// that epoch: ReclaimContext, ReclaimAllContext and ReclaimStream. Inject
+// persisted ones with Reclaimer.UseIndexes before an epoch's first query.
 func NewReclaimer(l *Lake, cfg Config) *Reclaimer { return core.NewReclaimer(l, cfg) }
 
 // NewServer wraps a session in the gentd HTTP surface: mount

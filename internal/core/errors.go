@@ -53,7 +53,7 @@ var (
 // silently return wrong candidates. It wraps ErrSessionStarted, so v2
 // callers matching the old sentinel still catch the refusal.
 var ErrEpochMismatch = &sentinelError{
-	msg:   "core: injected indexes were built at a different lake epoch; rebuild or catch them up first",
+	msg:   "core: injected indexes were built at a different lake epoch; rebuild them first",
 	cause: ErrSessionStarted,
 }
 

@@ -277,10 +277,9 @@ func (s *epochState) indexSet(opts discovery.Options) *index.IndexSet {
 // anything, so the persisted IDs keep meaning the same values; a
 // lake.ErrDictMismatch from that adoption means the lake holds values the
 // persisted dictionary has never seen — the indexes would silently miss
-// them — and the caller should rebuild instead (the cmd/gent -index-dir
-// rebuild-with-warning path). A dictionary-less set whose inverted index is
-// keyed under any dictionary but the lake's own is refused with the same
-// error: its IDs mean nothing here.
+// them — and the caller should rebuild instead. A dictionary-less set whose
+// inverted index is keyed under any dictionary but the lake's own is
+// refused with the same error: its IDs mean nothing here.
 //
 // Ordering contract, relaxed from v2's one-shot rule: injection is allowed
 // between epochs — before the first query of the epoch the lake is
@@ -292,6 +291,8 @@ func (s *epochState) indexSet(opts discovery.Options) *index.IndexSet {
 // exactly, or UseIndexes refuses with ErrEpochMismatch — which wraps
 // ErrSessionStarted, so v2 callers matching the old sentinel still catch
 // it. In-flight queries pinned to older epochs are unaffected either way.
+// Both refusals are boot.AdoptIndexes' rebuild-with-warning path: a
+// persisted set is used exactly as saved or not at all.
 func (r *Reclaimer) UseIndexes(ix *index.IndexSet) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

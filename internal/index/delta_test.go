@@ -131,93 +131,6 @@ func TestWithDeltaSharesAndPreserves(t *testing.T) {
 	}
 }
 
-// TestGapAndCatchUp: a set persisted before the lake grew is caught up
-// add-only; schema changes make the gap non-add-only.
-func TestGapAndCatchUp(t *testing.T) {
-	l := lake.New()
-	laketest.Add(l, mk("t1", "a", "b"))
-	laketest.Add(l, mk("t2", "b", "c"))
-	set := BuildIndexSet(l.Snapshot())
-
-	// Lake grows by one table with novel values.
-	laketest.Add(l, mk("t3", "c", "zzz"))
-	snap := l.Snapshot()
-	covered, missing, ok := set.Gap(snap)
-	if !ok {
-		t.Fatal("add-only gap reported non-add-only")
-	}
-	if !reflect.DeepEqual(covered, []string{"t1", "t2"}) || !reflect.DeepEqual(missing, []string{"t3"}) {
-		t.Fatalf("gap = %v / %v", covered, missing)
-	}
-	added, ok := set.CatchUp(snap)
-	if !ok || added != 1 {
-		t.Fatalf("CatchUp = %d, %v", added, ok)
-	}
-	if set.Epoch != snap.Epoch() {
-		t.Fatalf("CatchUp stamped %v, want %v", set.Epoch, snap.Epoch())
-	}
-	if !set.Inverted.Covers(snap) {
-		t.Fatal("caught-up set does not cover the lake")
-	}
-	if set.LSH != nil {
-		t.Fatal("CatchUp kept an LSH it does not maintain")
-	}
-	fresh := BuildIndexSet(snap)
-	if !reflect.DeepEqual(flatPostingsView(set.Inverted), flatPostingsView(fresh.Inverted)) {
-		t.Fatal("caught-up postings diverge from a fresh build")
-	}
-
-	// A schema change under a kept name is not add-only.
-	l2 := lake.New()
-	laketest.Add(l2, mk("t1", "a"))
-	set2 := BuildIndexSet(l2.Snapshot())
-	wider := table.New("t1", "a", "extra")
-	wider.AddRow(table.S("a"), table.S("e"))
-	laketest.Add(l2, wider)
-	if _, _, ok := set2.Gap(l2.Snapshot()); ok {
-		t.Fatal("schema change reported add-only")
-	}
-	if _, ok := set2.CatchUp(l2.Snapshot()); ok {
-		t.Fatal("CatchUp applied across a schema change")
-	}
-}
-
-// TestCatchUpRefusesEditedCoveredTable: a covered table whose contents
-// changed since the save — even an edit that reuses values already in the
-// persisted dictionary and preserves distinct counts — must fail the
-// catch-up (its postings are stale), not be served and re-stamped as
-// current.
-func TestCatchUpRefusesEditedCoveredTable(t *testing.T) {
-	l := lake.New()
-	laketest.Add(l, mk("edited", "a", "b"))
-	laketest.Add(l, mk("other", "b", "c"))
-	set := BuildIndexSet(l.Snapshot())
-
-	// Edit "edited" in place: swap a -> c. Every value is already in the
-	// persisted dictionary and the distinct count is unchanged, so neither
-	// the dictionary nor the schema can see it. The lake also grows, making
-	// the gap otherwise add-only.
-	laketest.Add(l, mk("edited", "c", "b"))
-	laketest.Add(l, mk("brand_new", "c"))
-	snap := l.Snapshot()
-	if _, _, ok := set.Gap(snap); !ok {
-		t.Fatal("gap should look add-only at the schema level")
-	}
-	if _, ok := set.CatchUp(snap); ok {
-		t.Fatal("CatchUp accepted a covered table with stale postings")
-	}
-
-	// Sanity: without the edit, the same growth catches up fine.
-	l2 := lake.New()
-	laketest.Add(l2, mk("edited", "a", "b"))
-	laketest.Add(l2, mk("other", "b", "c"))
-	set2 := BuildIndexSet(l2.Snapshot())
-	laketest.Add(l2, mk("brand_new", "c"))
-	if added, ok := set2.CatchUp(l2.Snapshot()); !ok || added != 1 {
-		t.Fatalf("clean add-only catch-up = %d, %v", added, ok)
-	}
-}
-
 // TestSaveDirClearsStaleEpochStamp: saving an unstamped set over a stamped
 // directory must not leave the old stamp to be paired with the fresh
 // substrates.

@@ -187,100 +187,17 @@ func (ix *Inverted) ColumnSize(ref ColumnRef) int { return ix.colSizes[ref] }
 // stale entries for removed tables are filtered against the live lake at
 // query time — but a table missing from the index (or indexed under an old
 // schema) would silently never be retrieved correctly. Value-level edits to
-// an already-indexed column are not detectable here (lake.AdoptDict
-// additionally detects values the persisted dictionary has never seen);
-// rebuild the index after editing table contents.
+// an already-indexed column are not detectable here; the set's epoch stamp,
+// which the session checks on injection, is.
 func (ix *Inverted) Covers(l *lake.Snapshot) bool {
 	for _, t := range l.Tables() {
-		if !ix.coversTable(t) {
-			return false
-		}
-	}
-	return true
-}
-
-// coversTable reports whether t is indexed under exactly its current schema.
-func (ix *Inverted) coversTable(t *table.Table) bool {
-	for c := range t.Cols {
-		if _, ok := ix.colSizes[ColumnRef{Table: t.Name, Col: c}]; !ok {
-			return false
-		}
-	}
-	if _, ok := ix.colSizes[ColumnRef{Table: t.Name, Col: len(t.Cols)}]; ok {
-		return false // indexed with more columns than the table now has
-	}
-	return true
-}
-
-// hasTable reports whether any column of the named table is indexed.
-func (ix *Inverted) hasTable(name string) bool {
-	_, ok := ix.colSizes[ColumnRef{Table: name, Col: 0}]
-	return ok
-}
-
-// verifyTables exactly checks the named tables' postings against their
-// current interned forms in snap: one pass over the live postings
-// accumulates each column's indexed distinct count and an order-independent
-// ID-set hash (XOR of a mixed ID hash), compared against the interned
-// column sets. A mismatch means the table's contents changed since it was
-// indexed — its postings are stale even though its schema still matches.
-// The corpus must be interned already.
-func (ix *Inverted) verifyTables(c *lake.Snapshot, names []string) bool {
-	want := make(map[string]bool, len(names))
-	for _, name := range names {
-		want[name] = true
-	}
-	type colSum struct {
-		n    int
-		hash uint64
-	}
-	indexed := make(map[ColumnRef]colSum)
-	mark := func(id uint32, ref ColumnRef) {
-		if want[ref.Table] {
-			cs := indexed[ref]
-			cs.n++
-			cs.hash ^= hashID(id, 0)
-			indexed[ref] = cs
-		}
-	}
-	overridden := func(id uint32) bool {
-		if ix.idOver == nil {
-			return false
-		}
-		_, ok := ix.idOver[id]
-		return ok
-	}
-	ps := ix.base
-	for id := uint32(0); int(id) < ps.ids(); id++ {
-		if overridden(id) {
-			continue
-		}
-		forEachPosting(ps.block(id), func(cid uint32) {
-			if int(cid) < len(ps.refs) {
-				mark(id, ps.refs[cid])
-			}
-		})
-	}
-	for id, refs := range ix.idOver {
-		for _, ref := range refs {
-			mark(id, ref)
-		}
-	}
-	for _, name := range names {
-		it := c.Interned(name)
-		if it == nil {
-			return false
-		}
-		for c := range it.Table.Cols {
-			ids := it.ColumnIDs(c)
-			var cs colSum
-			for _, id := range ids {
-				cs.n++
-				cs.hash ^= hashID(id, 0)
-			}
-			if indexed[ColumnRef{Table: name, Col: c}] != cs {
+		for c := range t.Cols {
+			if _, ok := ix.colSizes[ColumnRef{Table: t.Name, Col: c}]; !ok {
 				return false
 			}
+		}
+		if _, ok := ix.colSizes[ColumnRef{Table: t.Name, Col: len(t.Cols)}]; ok {
+			return false // indexed with more columns than the table now has
 		}
 	}
 	return true

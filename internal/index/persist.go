@@ -123,8 +123,8 @@ func parseDictFile(data []byte) (*table.Dict, lake.Epoch, error) {
 // inverted.bin and its entries into dict.bin, so the saved files are
 // provably consistent even if the live dictionary grows mid-save. dict.bin
 // is written last: a crash mid-save leaves the previous stamp, which can
-// only make the set look older than its substrates (and so caught up or
-// rebuilt), never newer.
+// only make the set look older than its substrates (and so rebuilt), never
+// newer.
 func (s *IndexSet) SaveDir(dir string) error {
 	if s.Inverted == nil {
 		return errors.New("index: index set without an inverted index")

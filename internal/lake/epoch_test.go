@@ -390,56 +390,6 @@ func TestSubsetPinsVersion(t *testing.T) {
 	}
 }
 
-// TestAdoptDictCovering: adoption scoped to covered tables tolerates novel
-// values in the uncovered remainder but still rejects uncovered values in a
-// covered table.
-func TestAdoptDictCovering(t *testing.T) {
-	ctx := context.Background()
-	// The dictionary persisted when only "covered" existed.
-	orig := New()
-	if _, err := orig.Apply(ctx, Put(mkTable("covered", "x", "y"))); err != nil {
-		t.Fatal(err)
-	}
-	orig.EnsureInterned()
-	persisted, err := table.NewDictFromSnapshot(orig.Dict().Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The lake has since grown a table full of novel values.
-	grown := New()
-	if _, err := grown.Apply(ctx, Put(mkTable("covered", "x", "y")), Put(mkTable("later", "novel1", "novel2"))); err != nil {
-		t.Fatal(err)
-	}
-	if err := grown.AdoptDictCovering(persisted, []string{"covered"}); err != nil {
-		t.Fatalf("covering adoption failed: %v", err)
-	}
-	if id, ok := grown.Dict().LookupValue(table.S("x")); !ok || id == 0 {
-		t.Fatal("adopted dictionary lost covered values")
-	}
-
-	// Whole-lake adoption of the same dictionary must still fail: "later"
-	// holds values the persisted indexes would miss.
-	grown2 := New()
-	if _, err := grown2.Apply(ctx, Put(mkTable("covered", "x", "y")), Put(mkTable("later", "novel1", "novel2"))); err != nil {
-		t.Fatal(err)
-	}
-	persisted2, _ := table.NewDictFromSnapshot(persisted.Snapshot())
-	if err := grown2.AdoptDict(persisted2); !errors.Is(err, ErrDictMismatch) {
-		t.Fatalf("whole-lake adoption: %v, want ErrDictMismatch", err)
-	}
-
-	// A covered table with uncovered values fails even scoped.
-	grown3 := New()
-	if _, err := grown3.Apply(ctx, Put(mkTable("covered", "x", "EDITED"))); err != nil {
-		t.Fatal(err)
-	}
-	persisted3, _ := table.NewDictFromSnapshot(persisted.Snapshot())
-	if err := grown3.AdoptDictCovering(persisted3, []string{"covered"}); !errors.Is(err, ErrDictMismatch) {
-		t.Fatalf("scoped adoption of edited table: %v, want ErrDictMismatch", err)
-	}
-}
-
 // TestConcurrentMutateAndQuery hammers Apply and the snapshot reader
 // surface from many goroutines — the exact unsynchronized-map race the
 // snapshot layer fixes — and checks reader self-consistency. Run under -race

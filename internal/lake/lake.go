@@ -84,20 +84,6 @@ var ErrDictMismatch = errors.New("lake: values missing from adopted dictionary")
 // publish a fresh snapshot bound to d; snapshots pinned before the adoption
 // keep the dictionary they started with.
 func (l *Lake) AdoptDict(d *table.Dict) error {
-	return l.adoptDict(d, nil)
-}
-
-// AdoptDictCovering is AdoptDict for a dictionary that only claims to cover
-// the named tables — the persisted-index catch-up path, where tables added
-// to the lake since the indexes were saved legitimately carry values the
-// dictionary has never seen. Only the covered tables are interned eagerly
-// and checked for coverage; the rest intern lazily (growing the dictionary
-// past the adopted prefix, as any new epoch would).
-func (l *Lake) AdoptDictCovering(d *table.Dict, covered []string) error {
-	return l.adoptDict(d, covered)
-}
-
-func (l *Lake) adoptDict(d *table.Dict, covered []string) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	s := l.snap.Load()
@@ -114,11 +100,7 @@ func (l *Lake) adoptDict(d *table.Dict, covered []string) error {
 	ns.ist.store = s.ist.store
 	l.snap.Store(ns)
 	baseline := d.Len()
-	if covered == nil {
-		ns.EnsureInterned()
-	} else {
-		ns.ist.ensure(covered, ns.byName, ns.fps)
-	}
+	ns.EnsureInterned()
 	if grown := d.Len() - baseline; grown > 0 {
 		return fmt.Errorf("%w: %d lake values absent", ErrDictMismatch, grown)
 	}

@@ -1,6 +1,7 @@
 package boot
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -31,8 +32,14 @@ func twoTableLake(prefix string) *lake.Lake {
 // adopt runs AdoptIndexes for a fresh session over l, collecting warnings.
 func adopt(t *testing.T, l *lake.Lake, dir string) (IndexOutcome, []string) {
 	t.Helper()
+	return adoptInto(t, core.NewReclaimer(l, core.DefaultConfig()), dir)
+}
+
+// adoptInto runs AdoptIndexes for session, collecting warnings.
+func adoptInto(t *testing.T, session *core.Reclaimer, dir string) (IndexOutcome, []string) {
+	t.Helper()
 	var warnings []string
-	out, err := AdoptIndexes(core.NewReclaimer(l, core.DefaultConfig()), dir, func(format string, args ...any) {
+	out, err := AdoptIndexes(session, dir, func(format string, args ...any) {
 		warnings = append(warnings, fmt.Sprintf(format, args...))
 	})
 	if err != nil {
@@ -117,6 +124,70 @@ func TestAdoptIndexesRebuildsLegacyDirectory(t *testing.T) {
 			}
 		}
 		if out, warnings := adopt(t, twoTableLake("ours"), dir); out.Action != "loaded" || len(warnings) != 0 {
+			t.Fatalf("%s: next start: action %q, warnings %q; want a clean load", name, out.Action, warnings)
+		}
+	}
+}
+
+// TestAdoptIndexesRebuildsChangedLake: indexes saved before the lake
+// changed — it gained a table, or one cell of an indexed table took a value
+// the saved dictionary already holds, which neither the dictionary nor the
+// schema can see — are warned about and rebuilt, never served stale: a
+// reclaim through the session matches one over a fresh session, and the
+// rebuilt directory loads as-is on the next start.
+func TestAdoptIndexesRebuildsChangedLake(t *testing.T) {
+	extra := table.New("extra", "k", "w")
+	for i := 0; i < 5; i++ {
+		extra.AddRow(table.S(fmt.Sprintf("ours-k%d", i)), table.S(fmt.Sprintf("ours-extra%d", i)))
+	}
+	edited := table.New("left", "k", "v")
+	for i := 0; i < 5; i++ {
+		v := fmt.Sprintf("ours-left%d", i)
+		if i == 2 {
+			v = "ours-right3"
+		}
+		edited.AddRow(table.S(fmt.Sprintf("ours-k%d", i)), table.S(v))
+	}
+	for name, c := range map[string]struct {
+		change *table.Table // put into the lake after the save
+		src    *table.Table
+	}{
+		"grown":  {extra, extra.Project("k", "w")},
+		"edited": {edited, edited.Project("k", "v")},
+	} {
+		changed := func() *lake.Lake {
+			l := twoTableLake("ours")
+			laketest.Add(l, c.change.Clone())
+			return l
+		}
+		c.src.Name, c.src.Key = "source", []int{0}
+		dir := t.TempDir()
+		if out, warnings := adopt(t, twoTableLake("ours"), dir); out.Action != "built" || len(warnings) != 0 {
+			t.Fatalf("%s: first start: action %q, warnings %q; want a silent build", name, out.Action, warnings)
+		}
+
+		session := core.NewReclaimer(changed(), core.DefaultConfig())
+		out, warnings := adoptInto(t, session, dir)
+		if out.Action != "built" || len(warnings) != 1 {
+			t.Fatalf("%s: action %q, warnings %q; want built with one warning", name, out.Action, warnings)
+		}
+		ctx := context.Background()
+		got, err := session.ReclaimContext(ctx, c.src)
+		if err != nil {
+			t.Fatalf("%s: reclaim: %v", name, err)
+		}
+		want, err := core.ReclaimContext(ctx, changed(), c.src, core.DefaultConfig())
+		if err != nil {
+			t.Fatalf("%s: fresh reclaim: %v", name, err)
+		}
+		if !want.Report.PerfectReclamation {
+			t.Fatalf("%s: fresh reclaim is not perfect (EIS %v); the source misses the change", name, want.Report.EIS)
+		}
+		if table.Fingerprint(got.Reclaimed) != table.Fingerprint(want.Reclaimed) || got.Report.EIS != want.Report.EIS {
+			t.Fatalf("%s: reclaim after rebuild (EIS %v) diverges from a fresh session (EIS %v)", name, got.Report.EIS, want.Report.EIS)
+		}
+
+		if out, warnings := adopt(t, changed(), dir); out.Action != "loaded" || len(warnings) != 0 {
 			t.Fatalf("%s: next start: action %q, warnings %q; want a clean load", name, out.Action, warnings)
 		}
 	}

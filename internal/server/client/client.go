@@ -275,8 +275,9 @@ func (c *Client) SaveIndexes(ctx context.Context, dir string) (*server.IndexResp
 	return &out, nil
 }
 
-// LoadIndexes adopts persisted indexes from a server-side directory
-// (loaded, caught up, or rebuilt — the response says which).
+// LoadIndexes adopts persisted indexes from a server-side directory. The
+// response's Action is "loaded" (adopted as-is) or "built" (unusable, so
+// built and saved).
 func (c *Client) LoadIndexes(ctx context.Context, dir string) (*server.IndexResponse, error) {
 	var out server.IndexResponse
 	if _, err := c.do(ctx, http.MethodPost, "/v1/index/load", server.IndexRequest{Dir: dir}, &out); err != nil {

@@ -365,7 +365,7 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleIndexSave serves POST /v1/index/save: build (or catch up) the
+// handleIndexSave serves POST /v1/index/save: build (or bring up to date) the
 // session's substrates and persist them, epoch-stamped, under the given
 // server-side directory.
 func (s *Server) handleIndexSave(w http.ResponseWriter, r *http.Request) {
@@ -398,8 +398,8 @@ func (s *Server) handleIndexSave(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleIndexLoad serves POST /v1/index/load: adopt a persisted index set —
-// loaded when current, caught up when the lake merely grew, rebuilt when
-// unusable — through the same boot path cmd/gent's -index-dir uses.
+// loaded when current, built and saved otherwise — through the same boot
+// path cmd/gent's -index-dir uses.
 func (s *Server) handleIndexLoad(w http.ResponseWriter, r *http.Request) {
 	if !s.begin() {
 		s.writeError(w, ErrDraining)
@@ -428,7 +428,6 @@ func (s *Server) handleIndexLoad(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(IndexResponse{ //nolint:errcheck
 		Action: out.Action,
-		Added:  out.Added,
 		Epoch:  s.session.Lake().Epoch().String(),
 	})
 }

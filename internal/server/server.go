@@ -10,7 +10,7 @@
 //	POST /v1/reclaim/stream  many sources → NDJSON, completion order
 //	POST /v1/lake/apply      Put/Drop/Rename → new epoch
 //	POST /v1/index/save      persist the session's indexes to a directory
-//	POST /v1/index/load      adopt persisted indexes (catch-up or rebuild)
+//	POST /v1/index/load      adopt persisted indexes (load or rebuild)
 //	GET  /v1/stats           epoch, cache and admission statistics
 //	GET  /healthz            200, or 503 while draining
 //	GET  /metrics            Prometheus text exposition

@@ -344,7 +344,8 @@ func TestServerBatchAndStream(t *testing.T) {
 
 // TestServerIndexSaveLoad: indexes saved by one server are adopted as-is by
 // a fresh session over the same lake — the crash-restart path: index once,
-// restart, serve without rebuilding.
+// restart, serve without rebuilding — and rebuilt once the lake has gained a
+// table since the save. The wire answer names exactly what happened.
 func TestServerIndexSaveLoad(t *testing.T) {
 	src, l := scenario()
 	ctx := context.Background()
@@ -375,6 +376,29 @@ func TestServerIndexSaveLoad(t *testing.T) {
 	}
 	if _, err := c2.Reclaim(ctx, src, nil); err != nil {
 		t.Fatalf("reclaim after index load: %v", err)
+	}
+
+	// The lake gains a table; the next start's load must rebuild.
+	grown := table.New("hr_offices", "pid", "office")
+	grown.AddRow(table.S("P000"), table.S("office-0"))
+	laketest.Add(l, grown)
+	srv3 := server.New(core.NewReclaimer(l, core.DefaultConfig()), server.Config{})
+	hs3 := httptest.NewServer(srv3.Handler())
+	defer hs3.Close()
+	resp, err := hs3.Client().Post(hs3.URL+"/v1/index/load", "application/json", strings.NewReader(fmt.Sprintf(`{"dir":%q}`, dir)))
+	if err != nil {
+		t.Fatalf("load over the grown lake: %v", err)
+	}
+	defer resp.Body.Close()
+	var body map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatalf("decode load response: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK || body["action"] != "built" {
+		t.Fatalf("load over the grown lake: status %d, body %v; want 200 and action built", resp.StatusCode, body)
+	}
+	if _, ok := body["added"]; ok {
+		t.Fatalf("load response carries an added key: %v", body)
 	}
 }
 

@@ -260,11 +260,11 @@ type IndexRequest struct {
 	Dir string `json:"dir"`
 }
 
-// IndexResponse reports what the index operation did: "saved", "loaded",
-// "caught_up" (with Added set) or "rebuilt".
+// IndexResponse reports what the index operation did: "saved" (by
+// /v1/index/save), or "loaded" (adopted as-is) or "built" (unusable, so
+// built and saved) by /v1/index/load.
 type IndexResponse struct {
 	Action string `json:"action"`
-	Added  int    `json:"added,omitempty"`
 	Epoch  string `json:"epoch"`
 }
 
