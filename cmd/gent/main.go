@@ -134,7 +134,11 @@ func main() {
 		}
 	}
 
-	session := core.NewReclaimer(l, shared.Config())
+	cfg := shared.Config()
+	if *progress {
+		cfg.Observer = core.ObserverFunc(progressLine)
+	}
+	session := core.NewReclaimer(l, cfg)
 	if shared.IndexDir != "" {
 		// The load-or-rebuild cascade lives in internal/server/boot,
 		// shared with gentd so the two front ends cannot drift.
@@ -153,11 +157,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	var opts []core.Option
-	if *progress {
-		opts = append(opts, core.WithObserver(core.ObserverFunc(progressLine)))
-	}
-	res, err := session.ReclaimContext(ctx, src, opts...)
+	res, err := session.ReclaimContext(ctx, src)
 	if err != nil {
 		var gerr *core.Error
 		if errors.As(err, &gerr) && errors.Is(err, context.DeadlineExceeded) {

@@ -63,8 +63,9 @@ func main() {
 	// A fact-check is a served query: require the lake to actually hold
 	// evidence (no candidates = "cannot verify", a typed error) instead of
 	// silently scoring an all-null table.
-	res, err := gent.ReclaimContext(context.Background(), l, article, gent.DefaultConfig(),
-		gent.WithRequireCandidates())
+	cfg := gent.DefaultConfig()
+	cfg.RequireCandidates = true
+	res, err := gent.ReclaimContext(context.Background(), l, article, cfg)
 	if errors.Is(err, gent.ErrNoCandidates) {
 		fmt.Println("the lake holds no evidence about this table")
 		return

@@ -1,7 +1,7 @@
 // Quickstart: reclaim a small Source Table from an in-memory lake using the
 // public gent API — the paper's Figure 3 running example, end to end, on the
-// context-first surface: a deadline, a progress observer, and per-call
-// options layered over the default configuration.
+// context-first surface: a deadline, and a progress observer set on the
+// default configuration.
 //
 //	go run ./examples/quickstart
 package main
@@ -53,12 +53,13 @@ func main() {
 	// and an observer that narrates each phase as it completes.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	res, err := gent.ReclaimContext(ctx, l, src, gent.DefaultConfig(),
-		gent.WithObserver(gent.ObserverFunc(func(ev gent.ProgressEvent) {
-			if ev.Kind == gent.EventPhaseDone {
-				fmt.Printf("  [%s done in %s]\n", ev.Phase, ev.Elapsed.Round(time.Microsecond))
-			}
-		})))
+	cfg := gent.DefaultConfig()
+	cfg.Observer = gent.ObserverFunc(func(ev gent.ProgressEvent) {
+		if ev.Kind == gent.EventPhaseDone {
+			fmt.Printf("  [%s done in %s]\n", ev.Phase, ev.Elapsed.Round(time.Microsecond))
+		}
+	})
+	res, err := gent.ReclaimContext(ctx, l, src, cfg)
 	if err != nil {
 		panic(err)
 	}

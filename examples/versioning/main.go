@@ -51,8 +51,15 @@ func main() {
 	fmt.Printf("epoch %v: %d tables\n", e1, l.Snapshot().Len())
 
 	// One session serves every query; its indexes are built at the first
-	// query of an epoch and maintained incrementally across epochs.
-	session := gent.NewReclaimer(l, gent.DefaultConfig())
+	// query of an epoch and maintained incrementally across epochs. Every
+	// event of one run carries the epoch the run is pinned to.
+	cfg := gent.DefaultConfig()
+	cfg.Observer = gent.ObserverFunc(func(ev gent.ProgressEvent) {
+		if ev.Kind == gent.EventPhaseDone && ev.Phase == gent.PhaseDiscovery {
+			fmt.Printf("  [%v] discovery: %d candidates\n", ev.Epoch, ev.Count)
+		}
+	})
+	session := gent.NewReclaimer(l, cfg)
 
 	// The Source: the registry's published year view (union of snapshots).
 	src := gent.NewTable("permits_2023", "permit", "street", "status")
@@ -69,14 +76,7 @@ func main() {
 		)
 	}
 
-	// Every event of one run carries the epoch the run is pinned to.
-	observer := gent.WithObserver(gent.ObserverFunc(func(ev gent.ProgressEvent) {
-		if ev.Kind == gent.EventPhaseDone && ev.Phase == gent.PhaseDiscovery {
-			fmt.Printf("  [%v] discovery: %d candidates\n", ev.Epoch, ev.Count)
-		}
-	}))
-
-	res, err := session.ReclaimContext(ctx, src, observer)
+	res, err := session.ReclaimContext(ctx, src)
 	if err != nil {
 		panic(err)
 	}
@@ -103,7 +103,7 @@ func main() {
 	}
 	fmt.Printf("epoch %v: %d tables (indexes will catch up incrementally)\n", e2, l.Snapshot().Len())
 
-	res, err = session.ReclaimContext(ctx, src, observer)
+	res, err = session.ReclaimContext(ctx, src)
 	if err != nil {
 		panic(err)
 	}
@@ -131,7 +131,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	res, err = session.ReclaimContext(ctx, src, observer)
+	res, err = session.ReclaimContext(ctx, src)
 	if err != nil {
 		panic(err)
 	}

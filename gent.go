@@ -18,18 +18,19 @@
 //
 // # The context-first surface
 //
-// Every entry point takes a context and per-call Options layered over the
-// Config, honors cancellation and deadlines at every phase boundary (and at
-// preemption points inside discovery, traversal and integration), and fails
-// with a phase-tagged *Error; Reclaim is the one plain convenience:
+// Every entry point takes a context, runs under one Config, honors
+// cancellation and deadlines at every phase boundary (and at preemption
+// points inside discovery, traversal and integration), and fails with a
+// phase-tagged *Error; Reclaim is the one plain convenience:
 //
 //	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 //	defer cancel()
-//	res, err := gent.ReclaimContext(ctx, lake, src, gent.DefaultConfig(),
-//	    gent.WithTraverseWorkers(4),
-//	    gent.WithObserver(gent.ObserverFunc(func(ev gent.ProgressEvent) {
-//	        log.Printf("%s %s %s", ev.Source, ev.Phase, ev.Kind)
-//	    })))
+//	cfg := gent.DefaultConfig()
+//	cfg.TraverseWorkers = 4
+//	cfg.Observer = gent.ObserverFunc(func(ev gent.ProgressEvent) {
+//	    log.Printf("%s %s %s", ev.Source, ev.Phase, ev.Kind)
+//	})
+//	res, err := gent.ReclaimContext(ctx, lake, src, cfg)
 //	var gerr *gent.Error
 //	if errors.As(err, &gerr) {
 //	    log.Printf("failed in %s after %s: %v", gerr.Phase, gerr.Timing.Total(), gerr.Err)
@@ -47,6 +48,13 @@
 //	    // items arrive in completion order, memory bounded by workers
 //	}
 //	items, err := r.ReclaimAllContext(ctx, sources, workers) // collected, input order
+//
+// A query under another configuration — an ablation, a parameter sweep —
+// goes through a handle on the same session, which reuses its indexes:
+//
+//	ablate := gent.DefaultConfig()
+//	ablate.SkipTraversal = true
+//	res, err = r.WithConfig(ablate).ReclaimContext(ctx, src)
 //
 // # The epoch-versioned surface
 //
@@ -120,10 +128,6 @@ type (
 	LakeStats = lake.Stats
 	// Config tunes a reclamation run.
 	Config = core.Config
-	// Option adjusts one run's Config — see WithEncoding, WithDiscovery,
-	// WithTraverseWorkers, WithObserver, WithoutTraversal, WithKeyMaxArity,
-	// WithRequireCandidates.
-	Option = core.Option
 	// Result is a reclamation outcome: reclaimed table, originating tables,
 	// metrics and timing.
 	Result = core.Result
@@ -143,9 +147,10 @@ type (
 	Explanation = core.Explanation
 	// TupleStatus classifies one source tuple's reclamation outcome.
 	TupleStatus = core.TupleStatus
-	// Reclaimer is a reusable session over one lake: the discovery indexes
-	// are built once per lake epoch — incrementally maintained across
-	// epochs — and shared across all of its queries.
+	// Reclaimer is a handle on a reusable session over one lake: the
+	// discovery indexes are built once per lake epoch — incrementally
+	// maintained across epochs — and shared across all of its queries, and
+	// across every handle Reclaimer.WithConfig derives.
 	Reclaimer = core.Reclaimer
 	// Epoch identifies one version of a lake's catalog; see Lake.Apply.
 	Epoch = lake.Epoch
@@ -171,7 +176,7 @@ type (
 	// Phase names one pipeline stage (see PhaseDiscovery et al.).
 	Phase = core.Phase
 	// ProgressObserver receives structured phase events from a run; attach
-	// one with WithObserver or Config.Observer.
+	// one with Config.Observer.
 	ProgressObserver = core.ProgressObserver
 	// ProgressEvent is one structured observation (phase started/done, or a
 	// traversal round's pick and score).
@@ -241,7 +246,7 @@ var (
 	// ErrNoKey: the Source Table has no declared key and none can be mined.
 	ErrNoKey = core.ErrNoKey
 	// ErrNoCandidates: discovery found nothing (only under
-	// WithRequireCandidates).
+	// Config.RequireCandidates).
 	ErrNoCandidates = core.ErrNoCandidates
 	// ErrSessionStarted: Reclaimer.UseIndexes was called after the current
 	// epoch's first query (v3 relaxed the v2 one-shot rule: a new lake epoch
@@ -266,39 +271,6 @@ func Drop(name string) Mutation { return lake.Drop(name) }
 // RenameTable moves a table to a new name at the next epoch, sharing the
 // stored rows (no copy, no re-interning).
 func RenameTable(oldName, newName string) Mutation { return lake.Rename(oldName, newName) }
-
-// Per-call options, layered over a Config by ReclaimContext,
-// Reclaimer.ReclaimContext, ReclaimStream and ReclaimAllContext.
-
-// WithEncoding selects the matrix encoding (ThreeValued or TwoValued).
-func WithEncoding(enc matrix.Encoding) Option { return core.WithEncoding(enc) }
-
-// WithTraverseWorkers bounds the Matrix Traversal scoring pool (<= 0 uses
-// GOMAXPROCS).
-func WithTraverseWorkers(n int) Option { return core.WithTraverseWorkers(n) }
-
-// WithDiscovery replaces the discovery options for this call.
-func WithDiscovery(opts DiscoveryOptions) Option { return core.WithDiscovery(opts) }
-
-// WithObserver attaches a ProgressObserver to this call.
-func WithObserver(obs ProgressObserver) Option { return core.WithObserver(obs) }
-
-// WithoutTraversal integrates every candidate without Matrix Traversal (the
-// "no pruning" ablation).
-func WithoutTraversal() Option { return core.WithoutTraversal() }
-
-// WithKeyMaxArity bounds key mining when the Source has no declared key.
-func WithKeyMaxArity(n int) Option { return core.WithKeyMaxArity(n) }
-
-// WithIndexShards sets the fan-out width of large probes of the inverted
-// substrate a Reclaimer session builds; ≤ 1 probes inline. Results are
-// bit-identical for every value. Session-level: pass it through the Config
-// given to NewReclaimer.
-func WithIndexShards(n int) Option { return core.WithIndexShards(n) }
-
-// WithRequireCandidates turns an empty discovery result into
-// ErrNoCandidates instead of an all-null reclamation.
-func WithRequireCandidates() Option { return core.WithRequireCandidates() }
 
 // Null is the missing value ⊥.
 var Null = table.Null
@@ -343,26 +315,26 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 
 // Reclaim runs the full Gen-T pipeline: Table Discovery, Matrix Traversal
 // and Table Integration. The Source must have a key, or one minable within
-// Config.KeyMaxArity columns. The discovery indexes are rebuilt on every
-// call; use a Reclaimer to amortize them over many queries. It is
-// ReclaimContext under context.Background() with no options — the one plain
-// convenience the package keeps.
+// three columns. The discovery indexes are rebuilt on every call; use a
+// Reclaimer to amortize them over many queries. It is ReclaimContext under
+// context.Background() — the one plain convenience the package keeps.
 func Reclaim(l *Lake, src *Table, cfg Config) (*Result, error) {
 	return ReclaimContext(context.Background(), l, src, cfg)
 }
 
-// ReclaimContext is Reclaim under a context and per-call options layered
-// over cfg. Cancellation or deadline expiry aborts at the next phase
-// boundary (or mid-phase preemption point) with a *Error tagging the phase,
-// wrapping ctx.Err(), and carrying the partial Timing.
-func ReclaimContext(ctx context.Context, l *Lake, src *Table, cfg Config, opts ...Option) (*Result, error) {
-	return core.ReclaimContext(ctx, l, src, cfg, opts...)
+// ReclaimContext is Reclaim under a context. Cancellation or deadline
+// expiry aborts at the next phase boundary (or mid-phase preemption point)
+// with a *Error tagging the phase, wrapping ctx.Err(), and carrying the
+// partial Timing.
+func ReclaimContext(ctx context.Context, l *Lake, src *Table, cfg Config) (*Result, error) {
+	return core.ReclaimContext(ctx, l, src, cfg)
 }
 
 // NewReclaimer opens a reusable reclamation session over a lake. Indexes
 // are built lazily on the first query of each lake epoch — incrementally
 // maintained when the lake evolves via Apply — and shared by every query at
-// that epoch: ReclaimContext, ReclaimAllContext and ReclaimStream. Inject
+// that epoch: ReclaimContext, ReclaimAllContext and ReclaimStream, through
+// the returned handle or any Reclaimer.WithConfig derives from it. Inject
 // persisted ones with Reclaimer.UseIndexes before an epoch's first query.
 func NewReclaimer(l *Lake, cfg Config) *Reclaimer { return core.NewReclaimer(l, cfg) }
 

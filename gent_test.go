@@ -148,18 +148,20 @@ func buildSessionScenario() (*Lake, *Table) {
 	return l, src
 }
 
-// TestPublicV2Surface exercises the context-first API end to end: options,
+// TestPublicV2Surface exercises the context-first API end to end: config,
 // observer, deadline, typed errors, and the streaming batch.
 func TestPublicV2Surface(t *testing.T) {
 	l, src := buildSessionScenario()
 
-	// ReclaimContext with options and an observer equals plain Reclaim.
+	// ReclaimContext with a traversal pool and an observer equals plain
+	// Reclaim.
 	events := 0
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	res, err := ReclaimContext(ctx, l, src, DefaultConfig(),
-		WithTraverseWorkers(2),
-		WithObserver(ObserverFunc(func(ProgressEvent) { events++ })))
+	cfg := DefaultConfig()
+	cfg.TraverseWorkers = 2
+	cfg.Observer = ObserverFunc(func(ProgressEvent) { events++ })
+	res, err := ReclaimContext(ctx, l, src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,17 +245,18 @@ func TestPublicV3Surface(t *testing.T) {
 		t.Fatal("rename not applied")
 	}
 
-	// A session query at this epoch reclaims from the renamed catalog and
-	// every observer event carries the pinned epoch.
+	// A session query at this epoch, through a handle carrying an observer,
+	// reclaims from the renamed catalog and every observer event carries the
+	// pinned epoch.
 	src := NewTable("target", "id", "name", "role")
 	src.Key = []int{0}
 	src.AddRow(S("e1"), S("Ada"), S("Engineer"))
 	src.AddRow(S("e2"), S("Grace"), S("Admiral"))
 	r := NewReclaimer(l, DefaultConfig())
 	var epochs []Epoch
-	res, err := r.ReclaimContext(ctx, src, WithObserver(ObserverFunc(func(ev ProgressEvent) {
-		epochs = append(epochs, ev.Epoch)
-	})))
+	observed := DefaultConfig()
+	observed.Observer = ObserverFunc(func(ev ProgressEvent) { epochs = append(epochs, ev.Epoch) })
+	res, err := r.WithConfig(observed).ReclaimContext(ctx, src)
 	if err != nil {
 		t.Fatal(err)
 	}

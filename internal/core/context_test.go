@@ -64,7 +64,9 @@ func TestRequireCandidates(t *testing.T) {
 	if err != nil || res.Reclaimed == nil {
 		t.Fatalf("default path must not error on empty discovery: %v", err)
 	}
-	_, err = ReclaimContext(context.Background(), empty, src, DefaultConfig(), WithRequireCandidates())
+	cfg := DefaultConfig()
+	cfg.RequireCandidates = true
+	_, err = ReclaimContext(context.Background(), empty, src, cfg)
 	if !errors.Is(err, ErrNoCandidates) {
 		t.Fatalf("want ErrNoCandidates, got %v", err)
 	}
@@ -101,14 +103,20 @@ func cancelOn(cancel context.CancelFunc, phase Phase, kind EventKind) ProgressOb
 	})
 }
 
+// observed is the default configuration with obs attached.
+func observed(obs ProgressObserver) Config {
+	cfg := DefaultConfig()
+	cfg.Observer = obs
+	return cfg
+}
+
 // TestCancelMidDiscovery: cancellation raised while discovery runs surfaces
 // as a PhaseDiscovery error wrapping context.Canceled.
 func TestCancelMidDiscovery(t *testing.T) {
 	src, l := buildScenario()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err := ReclaimContext(ctx, l, src, DefaultConfig(),
-		WithObserver(cancelOn(cancel, PhaseDiscovery, EventPhaseStarted)))
+	_, err := ReclaimContext(ctx, l, src, observed(cancelOn(cancel, PhaseDiscovery, EventPhaseStarted)))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -126,8 +134,7 @@ func TestCancelMidTraversalRound(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err := ReclaimContext(ctx, l, src, DefaultConfig(),
-		WithObserver(cancelOn(cancel, PhaseTraversal, EventTraverseRound)))
+	_, err := ReclaimContext(ctx, l, src, observed(cancelOn(cancel, PhaseTraversal, EventTraverseRound)))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -150,8 +157,7 @@ func TestCancelMidIntegration(t *testing.T) {
 	src, l := buildScenario()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err := ReclaimContext(ctx, l, src, DefaultConfig(),
-		WithObserver(cancelOn(cancel, PhaseTraversal, EventPhaseDone)))
+	_, err := ReclaimContext(ctx, l, src, observed(cancelOn(cancel, PhaseTraversal, EventPhaseDone)))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -166,8 +172,8 @@ func TestCancelMidIntegration(t *testing.T) {
 func TestObserverEventSequence(t *testing.T) {
 	src, l := buildScenario()
 	var events []ProgressEvent
-	res, err := ReclaimContext(context.Background(), l, src, DefaultConfig(),
-		WithObserver(ObserverFunc(func(ev ProgressEvent) { events = append(events, ev) })))
+	res, err := ReclaimContext(context.Background(), l, src,
+		observed(ObserverFunc(func(ev ProgressEvent) { events = append(events, ev) })))
 	if err != nil {
 		t.Fatal(err)
 	}

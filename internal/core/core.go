@@ -31,8 +31,6 @@ type Config struct {
 	// Encoding selects three-valued (Gen-T) or two-valued (ablation)
 	// matrices.
 	Encoding matrix.Encoding
-	// KeyMaxArity bounds key mining when the Source has no declared key.
-	KeyMaxArity int
 	// SkipTraversal integrates every candidate without Matrix Traversal —
 	// the "no pruning" ablation.
 	SkipTraversal bool
@@ -52,16 +50,19 @@ type Config struct {
 	// bit-identical for every value, and builds and persistence do not
 	// depend on it (the postings are one slab indexed by value ID). It is a
 	// session-level knob: the substrate is built once per lake epoch from the
-	// session configuration, so per-call options cannot change it mid-epoch.
+	// configuration given to NewReclaimer, so a WithConfig handle cannot
+	// change it mid-epoch.
 	IndexShards int
 }
+
+// keyMaxArity bounds key mining when the Source has no declared key.
+const keyMaxArity = 3
 
 // DefaultConfig mirrors the paper's Gen-T configuration.
 func DefaultConfig() Config {
 	return Config{
 		Discovery:   discovery.DefaultOptions(),
 		Encoding:    matrix.ThreeValued,
-		KeyMaxArity: 3,
 		IndexShards: index.DefaultShards,
 	}
 }
@@ -110,25 +111,33 @@ type Result struct {
 }
 
 // ReclaimContext runs the full Gen-T pipeline for one Source Table over a
-// lake, with per-call options layered over cfg: a one-query session,
-// NewReclaimer(l, cfg).ReclaimContext(ctx, src, opts...), so its substrates
-// are built for this call and dropped with it. Callers issuing many queries
-// over one lake should keep the Reclaimer instead, so indexing happens once.
+// lake under cfg: a one-query session,
+// NewReclaimer(l, cfg).ReclaimContext(ctx, src), so its substrates are built
+// for this call and dropped with it. Callers issuing many queries over one
+// lake should keep the Reclaimer instead, so indexing happens once.
 // Cancellation or deadline expiry aborts the run at the next phase boundary
 // (or mid-phase preemption point) with a phase-tagged *Error wrapping
 // ctx.Err().
-func ReclaimContext(ctx context.Context, l *lake.Lake, src *table.Table, cfg Config, opts ...Option) (*Result, error) {
-	return NewReclaimer(l, cfg).ReclaimContext(ctx, src, opts...)
+func ReclaimContext(ctx context.Context, l *lake.Lake, src *table.Table, cfg Config) (*Result, error) {
+	return NewReclaimer(l, cfg).ReclaimContext(ctx, src)
 }
 
-// reclaimPipeline runs Figure 2 for one Source against one pinned epoch
-// state of session r. Traversal and integration align on the Source's own
-// key space (table.KeyIndex) and need no value dictionary; every observer
-// event the run emits is stamped with the pinned snapshot's epoch.
-func (r *Reclaimer) reclaimPipeline(ctx context.Context, st *epochState, src *table.Table, cfg Config) (*Result, error) {
+// ReclaimContext runs Figure 2 for one Source Table under the handle's
+// configuration. Cancellation aborts at the next phase boundary (or mid-phase
+// preemption point) with a phase-tagged *Error wrapping ctx.Err().
+//
+// The epoch state is resolved exactly once, before any phase: the whole
+// query — discovery, traversal, integration — runs against that snapshot and
+// its substrates, no matter what Apply does to the lake meanwhile.
+// Traversal and integration align on the Source's own key space
+// (table.KeyIndex) and need no value dictionary; every observer event the
+// run emits is stamped with the pinned snapshot's epoch.
+func (r *Reclaimer) ReclaimContext(ctx context.Context, src *table.Table) (*Result, error) {
+	st := r.acquire()
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	cfg := r.cfg
 	obs := cfg.Observer
 	epoch := st.snap.Epoch()
 	res := &Result{Epoch: epoch}
@@ -145,11 +154,7 @@ func (r *Reclaimer) reclaimPipeline(ctx context.Context, st *epochState, src *ta
 		return fail(PhaseSource, fmt.Errorf("core: invalid source: %w", err))
 	}
 	if len(src.Key) == 0 {
-		arity := cfg.KeyMaxArity
-		if arity <= 0 {
-			arity = 3
-		}
-		key := table.MineKey(src, arity)
+		key := table.MineKey(src, keyMaxArity)
 		if key == nil {
 			return fail(PhaseSource, ErrNoKey)
 		}

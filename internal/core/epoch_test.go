@@ -249,7 +249,7 @@ func TestReclaimStreamAcrossEpochSwap(t *testing.T) {
 	})
 
 	items := 0
-	for item := range r.ReclaimStream(context.Background(), srcs, 1, WithObserver(obs)) {
+	for item := range r.WithConfig(observed(obs)).ReclaimStream(context.Background(), srcs, 1) {
 		if item.Err != nil {
 			t.Fatalf("%s: %v", item.Source.Name, item.Err)
 		}

@@ -33,11 +33,11 @@ var (
 	// ErrNoKey is returned when the Source Table has no declared key and none
 	// can be mined.
 	ErrNoKey = errors.New("core: source table has no minable key")
-	// ErrNoCandidates is returned — only under Config.RequireCandidates /
-	// WithRequireCandidates — when Table Discovery finds no candidate tables.
-	// The default pipeline instead integrates nothing and returns an all-null
-	// reclamation, which scores honestly but is indistinguishable from a
-	// served "not found" without this guard.
+	// ErrNoCandidates is returned — only under Config.RequireCandidates —
+	// when Table Discovery finds no candidate tables. The default pipeline
+	// instead integrates nothing and returns an all-null reclamation, which
+	// scores honestly but is indistinguishable from a served "not found"
+	// without this guard.
 	ErrNoCandidates = errors.New("core: discovery found no candidate tables")
 	// ErrSessionStarted is returned by Reclaimer.UseIndexes once the session
 	// has built or served a substrate at the lake's current epoch; injecting

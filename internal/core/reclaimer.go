@@ -13,11 +13,13 @@ import (
 	"gent/internal/table"
 )
 
-// Reclaimer is a reusable reclamation session over one lake — the v3,
-// epoch-versioned session, and the only way the pipeline runs (the one-shot
-// ReclaimContext is a session used once). It builds each substrate at most
-// once per lake epoch — lazily, on the first query that needs it — and
-// serves every query at that epoch from the shared copy.
+// Reclaimer is a handle on a reusable reclamation session over one lake —
+// the v3, epoch-versioned session, and the only way the pipeline runs (the
+// one-shot ReclaimContext is a session used once). A handle is the session
+// plus the Config its queries run under; WithConfig derives another handle
+// on the same session. The session builds each substrate at most once per
+// lake epoch — lazily, on the first query that needs it — and serves every
+// query at that epoch, through any handle, from the shared copy.
 //
 // The session tracks the lake: when lake.Apply publishes a new epoch, the
 // next query catches the substrates up incrementally (index.WithDelta over
@@ -33,6 +35,16 @@ import (
 // mutations. Prebuilt or persisted indexes (index.LoadIndexSetDir) can be
 // injected with UseIndexes before the first query of any epoch.
 type Reclaimer struct {
+	*session
+	// cfg is this handle's configuration; every query method reads it.
+	cfg Config
+}
+
+// session is what every handle of one Reclaimer shares: the lake, the epoch
+// states with their substrates, and the configuration NewReclaimer was given.
+// The substrates' shape — IndexShards, and whether ancestor release waits for
+// the LSH — comes from that configuration alone, never from a handle's.
+type session struct {
 	lake *lake.Lake
 	cfg  Config
 
@@ -75,16 +87,26 @@ type epochState struct {
 	engagesLSH bool
 }
 
-// NewReclaimer creates a session over l with cfg as the default
-// configuration. No indexing happens until the first query (or BuildIndexes).
+// NewReclaimer creates a session over l and returns a handle whose queries
+// run under cfg. The session builds its substrates from cfg too: a handle
+// from WithConfig shares them whatever its own IndexShards says. No indexing
+// happens until the first query (or BuildIndexes).
 func NewReclaimer(l *lake.Lake, cfg Config) *Reclaimer {
-	return &Reclaimer{lake: l, cfg: cfg}
+	return &Reclaimer{session: &session{lake: l, cfg: cfg}, cfg: cfg}
+}
+
+// WithConfig returns a handle on the same session whose queries run under
+// cfg: it shares the lake, the epoch states and their substrates with r, so
+// ablations and parameter sweeps reuse one session's indexes across
+// configurations. r itself is unchanged.
+func (r *Reclaimer) WithConfig(cfg Config) *Reclaimer {
+	return &Reclaimer{session: r.session, cfg: cfg}
 }
 
 // Lake returns the session's lake.
 func (r *Reclaimer) Lake() *lake.Lake { return r.lake }
 
-// Config returns the session's default configuration.
+// Config returns the configuration this handle's queries run under.
 func (r *Reclaimer) Config() Config { return r.cfg }
 
 // state resolves the session's state for the lake's current epoch, creating
@@ -116,7 +138,8 @@ func (r *Reclaimer) stateLocked() *epochState {
 
 // newState is a fresh, unresolved state for snapshot ls.
 func (r *Reclaimer) newState(ls *lake.Snapshot) *epochState {
-	return &epochState{snap: ls, shards: r.cfg.IndexShards, engagesLSH: needsFirstStage(ls, r.cfg.Discovery)}
+	sc := r.session.cfg
+	return &epochState{snap: ls, shards: sc.IndexShards, engagesLSH: needsFirstStage(ls, sc.Discovery)}
 }
 
 // acquire resolves and *claims* the epoch state a query will run against.
@@ -255,7 +278,7 @@ func internForms(snap *lake.Snapshot, tables []*table.Table) []*table.Interned {
 
 // needsFirstStage reports whether opts engage the LSH retriever on snap —
 // the one rule for which substrate beyond the always-needed inverted index a
-// discovery configuration uses. Queries, WarmFor, BuildIndexes and the
+// discovery configuration uses. Queries, Warm, BuildIndexes and the
 // ancestor release all read it.
 func needsFirstStage(snap *lake.Snapshot, opts discovery.Options) bool {
 	return opts.FirstStageTopK > 0 && snap.Len() > opts.FirstStageTopK
@@ -341,13 +364,13 @@ func (r *Reclaimer) UseIndexes(ix *index.IndexSet) error {
 	return nil
 }
 
-// BuildIndexes is WarmFor under the session's default configuration,
-// returning the current epoch's substrates stamped with the epoch, e.g. to
-// persist with IndexSet.SaveDir for later sessions over the same lake. The
-// LSH is included only when that configuration engages it (or an earlier
-// query or injection already resolved it).
+// BuildIndexes is Warm, returning the current epoch's substrates stamped
+// with the epoch, e.g. to persist with IndexSet.SaveDir for later sessions
+// over the same lake. The LSH is included only when the handle's
+// configuration engages it (or an earlier query or injection already
+// resolved it).
 func (r *Reclaimer) BuildIndexes() *index.IndexSet {
-	st := r.warm(r.cfg.Discovery)
+	st := r.warm()
 	return &index.IndexSet{
 		Inverted: st.invSlot.ptr.Load(),
 		LSH:      st.lshSlot.ptr.Load(),
@@ -356,24 +379,21 @@ func (r *Reclaimer) BuildIndexes() *index.IndexSet {
 	}
 }
 
-// Warm eagerly builds the substrates the session's default configuration
-// needs and returns the receiver.
-func (r *Reclaimer) Warm() *Reclaimer { return r.WarmFor(r.cfg.Discovery) }
-
-// WarmFor eagerly builds (or incrementally catches up) the substrates that
-// queries with the given discovery options will need at the lake's current
-// epoch.
-func (r *Reclaimer) WarmFor(opts discovery.Options) *Reclaimer {
-	r.warm(opts)
+// Warm eagerly builds (or incrementally catches up) the substrates the
+// handle's queries need at the lake's current epoch and returns the
+// receiver.
+func (r *Reclaimer) Warm() *Reclaimer {
+	r.warm()
 	return r
 }
 
-// warm resolves every substrate opts engage at the lake's current epoch —
-// concurrently, their lazy guards are independent — and returns the state.
-func (r *Reclaimer) warm(opts discovery.Options) *epochState {
+// warm resolves every substrate the handle's configuration engages at the
+// lake's current epoch — concurrently, their lazy guards are independent —
+// and returns the state.
+func (r *Reclaimer) warm() *epochState {
 	st := r.acquire()
 	var wg sync.WaitGroup
-	if needsFirstStage(st.snap, opts) {
+	if needsFirstStage(st.snap, r.cfg.Discovery) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -406,32 +426,6 @@ func (r *Reclaimer) rawCandidates(ctx context.Context, st *epochState, src *tabl
 		return nil, err
 	}
 	return discovery.DiscoverWithSnapContext(ctx, st.snap, st.indexSet(opts), src, opts)
-}
-
-// ReclaimContext runs the full Gen-T pipeline for one Source Table under
-// per-call options layered over the session's default configuration.
-// Cancellation aborts at the next phase boundary (or mid-phase preemption
-// point) with a phase-tagged *Error wrapping ctx.Err().
-func (r *Reclaimer) ReclaimContext(ctx context.Context, src *table.Table, opts ...Option) (*Result, error) {
-	return r.reclaimConfigured(ctx, src, applyOptions(r.cfg, opts))
-}
-
-// ReclaimWithContext is ReclaimContext under a per-call configuration: cfg
-// replaces the session default entirely (options then layer over cfg), for
-// callers whose per-call configuration must not inherit anything from the
-// session — ablations and parameter sweeps reuse the session's indexes,
-// which depend only on the lake, across configurations.
-func (r *Reclaimer) ReclaimWithContext(ctx context.Context, src *table.Table, cfg Config, opts ...Option) (*Result, error) {
-	return r.reclaimConfigured(ctx, src, applyOptions(cfg, opts))
-}
-
-// reclaimConfigured runs the pipeline for one source under a fully-resolved
-// per-call configuration — the shared kernel of every Reclaimer query path.
-// The epoch state is resolved exactly once, before any phase: the whole
-// query — discovery, traversal, integration — runs against that snapshot
-// and its substrates, no matter what Apply does to the lake meanwhile.
-func (r *Reclaimer) reclaimConfigured(ctx context.Context, src *table.Table, cfg Config) (*Result, error) {
-	return r.reclaimPipeline(ctx, r.acquire(), src, cfg)
 }
 
 // SplitTraverseWorkers sizes each source's Matrix Traversal pool under an

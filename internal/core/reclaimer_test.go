@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"gent/internal/benchmark"
 	"gent/internal/index"
+	"gent/internal/matrix"
 	"gent/internal/table"
 )
 
@@ -154,5 +156,71 @@ func TestReclaimAllEmptyAndDefaults(t *testing.T) {
 	}
 	if !items[0].Result.Report.PerfectReclamation {
 		t.Error("scenario not reclaimed through the batch API")
+	}
+}
+
+// TestHandlesShareSubstrates: two handles of one session serve one set of
+// substrates, whatever their configurations.
+func TestHandlesShareSubstrates(t *testing.T) {
+	_, l := buildScenario()
+	r := NewReclaimer(l, DefaultConfig())
+	c := DefaultConfig()
+	c.Encoding = matrix.TwoValued
+	a, b := r.BuildIndexes().Inverted, r.WithConfig(c).BuildIndexes().Inverted
+	if a == nil || a != b {
+		t.Fatalf("handles built separate inverted indexes: %p vs %p", a, b)
+	}
+}
+
+// TestWithConfigLeavesReceiverUnchanged: a query through a derived handle
+// runs under the handle's configuration and leaves the receiver's alone.
+func TestWithConfigLeavesReceiverUnchanged(t *testing.T) {
+	src, l := buildScenario()
+	r := NewReclaimer(l, DefaultConfig())
+	c := DefaultConfig()
+	c.SkipTraversal = true
+	c.Discovery.Tau = 0.5
+	h := r.WithConfig(c)
+	res, err := h.ReclaimContext(context.Background(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Traversal != (matrix.TraverseStats{}) {
+		t.Errorf("handle with SkipTraversal ran traversal: %+v", res.Traversal)
+	}
+	if !reflect.DeepEqual(r.Config(), DefaultConfig()) {
+		t.Errorf("receiver config changed: %+v", r.Config())
+	}
+	if !reflect.DeepEqual(h.Config(), c) {
+		t.Errorf("handle config = %+v, want %+v", h.Config(), c)
+	}
+}
+
+// TestWithConfigBuildsAtSessionWidth: IndexShards is a session setting; a
+// handle asking for another width still gets the session's substrate.
+func TestWithConfigBuildsAtSessionWidth(t *testing.T) {
+	_, l := buildScenario()
+	cfg := DefaultConfig()
+	cfg.IndexShards = 3
+	r := NewReclaimer(l, cfg)
+	c := cfg
+	c.IndexShards = 1
+	if got := r.WithConfig(c).BuildIndexes().Inverted.Shards(); got != 3 {
+		t.Fatalf("handle built at width %d, want the session's 3", got)
+	}
+}
+
+// TestUseIndexesRefusedAcrossHandles: the injection window is the session's,
+// so a query through one handle closes it for every other handle.
+func TestUseIndexesRefusedAcrossHandles(t *testing.T) {
+	src, l := buildScenario()
+	r := NewReclaimer(l, DefaultConfig())
+	c := DefaultConfig()
+	c.TraverseWorkers = 1
+	if _, err := r.WithConfig(c).ReclaimContext(context.Background(), src); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.UseIndexes(nil); !errors.Is(err, ErrSessionStarted) {
+		t.Fatalf("UseIndexes after another handle's query: %v, want ErrSessionStarted", err)
 	}
 }

@@ -24,10 +24,10 @@ type BatchItem struct {
 	Err error
 }
 
-// batchConfig resolves the worker count and per-call configuration a batch
-// run uses, splitting traversal workers under the source-level fan-out.
-func (r *Reclaimer) batchConfig(nSrcs, workers int, opts []Option) (int, Config) {
-	cfg := applyOptions(r.cfg, opts)
+// batchConfig resolves the worker count and configuration a batch run uses:
+// the handle's, with traversal workers split under the source-level fan-out.
+func (r *Reclaimer) batchConfig(nSrcs, workers int) (int, Config) {
+	cfg := r.cfg
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -58,13 +58,13 @@ func (r *Reclaimer) batchConfig(nSrcs, workers int, opts []Option) (int, Config)
 // in flight when lake.Apply lands complete on the snapshot they started on,
 // and later items see the new epoch (their observer events carry it).
 //
-// workers <= 0 uses GOMAXPROCS; opts layer over the session configuration.
-// Breaking out of the range cancels the remaining work; a canceled or
-// expired ctx stops dispatch, and in-flight sources yield items whose Err is
-// a phase-tagged *Error wrapping ctx.Err(). Items already completed are
-// still delivered. Every pool goroutine exits before the iterator returns
-// control after its final item.
-func (r *Reclaimer) ReclaimStream(ctx context.Context, srcs []*table.Table, workers int, opts ...Option) iter.Seq[BatchItem] {
+// workers <= 0 uses GOMAXPROCS; every item runs under the handle's
+// configuration. Breaking out of the range cancels the remaining work; a
+// canceled or expired ctx stops dispatch, and in-flight sources yield items
+// whose Err is a phase-tagged *Error wrapping ctx.Err(). Items already
+// completed are still delivered. Every pool goroutine exits before the
+// iterator returns control after its final item.
+func (r *Reclaimer) ReclaimStream(ctx context.Context, srcs []*table.Table, workers int) iter.Seq[BatchItem] {
 	return func(yield func(BatchItem) bool) {
 		if len(srcs) == 0 {
 			return
@@ -72,14 +72,15 @@ func (r *Reclaimer) ReclaimStream(ctx context.Context, srcs []*table.Table, work
 		if ctx == nil {
 			ctx = context.Background()
 		}
-		nWorkers, cfg := r.batchConfig(len(srcs), workers, opts)
+		nWorkers, cfg := r.batchConfig(len(srcs), workers)
+		batch := r.WithConfig(cfg)
 		// Build the shared substrates before fanning out, so the pool starts
 		// on fully-parallel index construction instead of serializing behind
 		// the first query's lazy build — unless the context is already dead,
 		// in which case the workers below fail each source fast (before any
 		// lazy build) and the canceled caller never pays for indexing.
 		if ctx.Err() == nil {
-			r.WarmFor(cfg.Discovery)
+			batch.Warm()
 		}
 
 		sctx, cancel := context.WithCancel(ctx)
@@ -99,7 +100,7 @@ func (r *Reclaimer) ReclaimStream(ctx context.Context, srcs []*table.Table, work
 			go func() {
 				defer wg.Done()
 				for i := range next {
-					res, err := r.reclaimConfigured(sctx, srcs[i], cfg)
+					res, err := batch.ReclaimContext(sctx, srcs[i])
 					select {
 					case out <- BatchItem{Index: i, Source: srcs[i], Result: res, Err: err}:
 					case <-stop:
@@ -151,7 +152,7 @@ func (r *Reclaimer) ReclaimStream(ctx context.Context, srcs []*table.Table, work
 // completed keep their results, and the never-started ones carry the batch
 // error. A batch whose every source finished — even if the deadline fired
 // just after the last item — returns a nil error.
-func (r *Reclaimer) ReclaimAllContext(ctx context.Context, srcs []*table.Table, workers int, opts ...Option) ([]BatchItem, error) {
+func (r *Reclaimer) ReclaimAllContext(ctx context.Context, srcs []*table.Table, workers int) ([]BatchItem, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -159,7 +160,7 @@ func (r *Reclaimer) ReclaimAllContext(ctx context.Context, srcs []*table.Table, 
 	for i, src := range srcs {
 		items[i] = BatchItem{Index: i, Source: src}
 	}
-	for item := range r.ReclaimStream(ctx, srcs, workers, opts...) {
+	for item := range r.ReclaimStream(ctx, srcs, workers) {
 		items[item.Index] = item
 	}
 	// Only work actually left unfinished makes the batch itself fail; an

@@ -26,13 +26,11 @@ type AblationRow struct {
 func AblationMatrixEncoding(ctx context.Context, b *benchmark.TPTR, opts RunOptions) AblationRow {
 	session := sessionFor(b.Lake)
 	run := func(enc matrix.Encoding) metrics.Report {
-		cfg := core.DefaultConfig()
-		cfg.Discovery = opts.Discovery
-		cfg.TraverseWorkers = opts.TraverseWorkers
+		cfg := opts.config()
 		cfg.Encoding = enc
 		reports := make([]metrics.Report, 0, len(b.Sources))
 		for _, src := range b.Sources {
-			res, err := session.ReclaimWithContext(ctx, src, cfg)
+			res, err := session.WithConfig(cfg).ReclaimContext(ctx, src)
 			if err != nil {
 				continue
 			}
@@ -52,13 +50,11 @@ func AblationMatrixEncoding(ctx context.Context, b *benchmark.TPTR, opts RunOpti
 func AblationTraversal(ctx context.Context, b *benchmark.TPTR, opts RunOptions) AblationRow {
 	session := sessionFor(b.Lake)
 	run := func(skip bool) metrics.Report {
-		cfg := core.DefaultConfig()
-		cfg.Discovery = opts.Discovery
-		cfg.TraverseWorkers = opts.TraverseWorkers
+		cfg := opts.config()
 		cfg.SkipTraversal = skip
 		reports := make([]metrics.Report, 0, len(b.Sources))
 		for _, src := range b.Sources {
-			res, err := session.ReclaimWithContext(ctx, src, cfg)
+			res, err := session.WithConfig(cfg).ReclaimContext(ctx, src)
 			if err != nil {
 				continue
 			}
@@ -82,9 +78,7 @@ func AblationDiversify(ctx context.Context, b *benchmark.TPTR, opts RunOptions) 
 	dupLake := lakeWithDuplicates(b)
 	session := core.NewReclaimer(dupLake, core.DefaultConfig())
 	run := func(diversify bool) metrics.Report {
-		cfg := core.DefaultConfig()
-		cfg.Discovery = opts.Discovery
-		cfg.TraverseWorkers = opts.TraverseWorkers
+		cfg := opts.config()
 		// Diversification and subsumed-candidate removal are Algorithm 3's
 		// two redundancy controls; the ablation removes both.
 		cfg.Discovery.Diversify = diversify
@@ -93,7 +87,7 @@ func AblationDiversify(ctx context.Context, b *benchmark.TPTR, opts RunOptions) 
 		cfg.Discovery.MaxCandidates = 10
 		reports := make([]metrics.Report, 0, len(b.Sources))
 		for _, src := range b.Sources {
-			res, err := session.ReclaimWithContext(ctx, src, cfg)
+			res, err := session.WithConfig(cfg).ReclaimContext(ctx, src)
 			if err != nil {
 				continue
 			}
@@ -133,13 +127,11 @@ func lakeWithDuplicates(b *benchmark.TPTR) *lake.Lake {
 // unconditional full disjunction over the same originating tables.
 func AblationGuardedOps(ctx context.Context, b *benchmark.TPTR, opts RunOptions) AblationRow {
 	session := sessionFor(b.Lake)
-	cfg := core.DefaultConfig()
-	cfg.Discovery = opts.Discovery
-	cfg.TraverseWorkers = opts.TraverseWorkers
+	cfg := opts.config()
 	withReports := make([]metrics.Report, 0, len(b.Sources))
 	withoutReports := make([]metrics.Report, 0, len(b.Sources))
 	for _, src := range b.Sources {
-		res, err := session.ReclaimWithContext(ctx, src, cfg)
+		res, err := session.WithConfig(cfg).ReclaimContext(ctx, src)
 		if err != nil {
 			continue
 		}

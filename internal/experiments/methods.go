@@ -62,6 +62,14 @@ type RunOptions struct {
 	TraverseWorkers int
 }
 
+// config is the paper's Gen-T configuration plus the experiment's knobs.
+func (o RunOptions) config() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.Discovery = o.Discovery
+	cfg.TraverseWorkers = o.TraverseWorkers
+	return cfg
+}
+
 // DefaultRunOptions sizes the budgets for the scaled-down benchmarks. The
 // full-disjunction row budget is deliberately tight: ALITE's closure is
 // worst-case exponential and the paper likewise runs it under wall-clock
@@ -148,12 +156,8 @@ func RunContext(ctx context.Context, m Method, in Input, opts RunOptions) Outcom
 			session = sessionFor(in.Lake)
 		}
 		// The run is pinned to the paper's configuration (plus the
-		// experiment's knobs) regardless of how the session was configured —
-		// cfg replaces, options would layer.
-		cfg := core.DefaultConfig()
-		cfg.Discovery = opts.Discovery
-		cfg.TraverseWorkers = opts.TraverseWorkers
-		res, err := session.ReclaimWithContext(ctx, in.Src, cfg)
+		// experiment's knobs) regardless of how the session was configured.
+		res, err := session.WithConfig(opts.config()).ReclaimContext(ctx, in.Src)
 		if err != nil {
 			out = table.New("failed").PadNullColumns(in.Src.Cols)
 			timedOut = errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)

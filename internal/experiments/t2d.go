@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"gent/internal/benchmark"
-	"gent/internal/core"
 	"gent/internal/lake"
 	"gent/internal/table"
 )
@@ -25,7 +24,7 @@ func Table4Context(ctx context.Context, corpus *benchmark.T2D, opts RunOptions) 
 	// while the corpus is whole: each iteration's remove/restore lands as a
 	// pair of lake epochs, and the session's substrates follow them with
 	// small incremental deltas off this warm build.
-	session := sessionFor(corpus.Lake).WarmFor(opts.Discovery)
+	session := sessionFor(corpus.Lake).WithConfig(opts.config()).Warm()
 
 	// The whole corpus is present before the first remove/restore pair, so
 	// one pinned snapshot serves every iteration's source lookup.
@@ -80,13 +79,10 @@ type T2DSelfResult struct {
 // remaining corpus.
 func T2DSelfReclamation(ctx context.Context, corpus *benchmark.T2D, opts RunOptions) T2DSelfResult {
 	var out T2DSelfResult
-	cfg := core.DefaultConfig()
-	cfg.Discovery = opts.Discovery
-	cfg.TraverseWorkers = opts.TraverseWorkers
 	// One warm session (for this run's options) serves all |corpus|
 	// leave-one-out queries; each remove/restore is an epoch pair the
 	// substrates follow incrementally.
-	session := sessionFor(corpus.Lake).WarmFor(opts.Discovery)
+	session := sessionFor(corpus.Lake).WithConfig(opts.config()).Warm()
 	// Pin the whole corpus once: every leave-one-out iteration reads its
 	// source from this snapshot, no matter where the remove/restore churn is.
 	snap := corpus.Lake.Snapshot()
@@ -99,7 +95,7 @@ func T2DSelfReclamation(ctx context.Context, corpus *benchmark.T2D, opts RunOpti
 		src.Key = key
 		corpus.Lake.Apply(ctx, lake.Drop(name))
 		out.SourcesTried++
-		res, err := session.ReclaimWithContext(ctx, src, cfg)
+		res, err := session.ReclaimContext(ctx, src)
 		restore(ctx, corpus, name, src)
 		if err != nil {
 			continue

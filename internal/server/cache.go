@@ -2,13 +2,15 @@ package server
 
 import (
 	"container/list"
+	"math"
 	"sync"
 
+	"gent/internal/core"
 	"gent/internal/lake"
 )
 
 // resultCache is the epoch-keyed result cache: completed single-reclaim
-// responses keyed by (lake epoch, source content fingerprint ⊕ options
+// responses keyed by (lake epoch, source content fingerprint ⊕ configuration
 // fingerprint), held as their serialized response bytes under a byte-budgeted
 // LRU — the same discipline as the lake's resident interned-form cache
 // (internal/lake/cache.go), applied one layer up.
@@ -146,20 +148,17 @@ func (c *resultCache) snapshotStats() ResultCacheStats {
 	return s
 }
 
-// cacheKey folds the source content fingerprint with the request options
-// that change what a run computes. Two requests collide only if they ask the
-// same question of the same bytes — and then sharing the answer is the point.
-func cacheKey(srcFP uint64, o *ReclaimOptions) uint64 {
+// cacheKey folds the source content fingerprint with the resolved
+// configuration (queryConfig's output) and omit_table — everything that
+// changes what a response says. Two requests collide only if they ask the
+// same question of the same bytes — and then sharing the answer is the
+// point. Workers, index width and the observer change how a run goes, not
+// what it computes, and are not mixed; neither is timeout_ms.
+func cacheKey(srcFP uint64, cfg core.Config, omit bool) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
-	if o == nil {
-		// Nil options and the zero struct ask the same question; hash them
-		// identically. (TimeoutMS is deliberately not mixed — it changes how
-		// long a run may take, not what it computes.)
-		o = &ReclaimOptions{}
-	}
 	h := uint64(offset64)
 	mix := func(v uint64) {
 		for i := 0; i < 8; i++ {
@@ -167,16 +166,18 @@ func cacheKey(srcFP uint64, o *ReclaimOptions) uint64 {
 			h *= prime64
 		}
 	}
+	d := cfg.Discovery
 	mix(srcFP)
-	mix(uint64(int64(o.Tau * 1e9)))
-	mix(uint64(int64(o.MaxCandidates)))
-	mix(uint64(int64(o.FirstStageTopK)))
+	mix(math.Float64bits(d.Tau))
+	mix(uint64(int64(d.MaxCandidates)))
+	mix(uint64(int64(d.FirstStageTopK)))
+	mix(uint64(int64(d.MaxJoinDepth)))
+	mix(uint64(int64(cfg.Encoding)))
 	var flags uint64
-	if o.RequireCandidates {
-		flags |= 1
-	}
-	if o.OmitTable {
-		flags |= 2
+	for i, f := range []bool{d.Diversify, d.RemoveSubsumed, cfg.SkipTraversal, cfg.RequireCandidates, omit} {
+		if f {
+			flags |= 1 << i
+		}
 	}
 	mix(flags)
 	return h

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"gent/internal/core"
 	"gent/internal/lake"
 )
 
@@ -124,35 +125,64 @@ func TestResultCacheDisabledAndOversized(t *testing.T) {
 	}
 }
 
+// TestCacheKeySeparatesOptions: the cache key is a function of the resolved
+// configuration, so two requests share a key exactly when queryConfig says
+// they ask the same question.
 func TestCacheKeySeparatesOptions(t *testing.T) {
-	base := cacheKey(42, nil)
+	serverWith := func(cfg core.Config) *Server {
+		return New(core.NewReclaimer(lake.New(), cfg), Config{})
+	}
+	key := func(s *Server, o *ReclaimOptions) uint64 {
+		return cacheKey(42, s.queryConfig(o), o != nil && o.OmitTable)
+	}
+	def := serverWith(core.DefaultConfig())
+	base := key(def, nil)
 	variants := []*ReclaimOptions{
 		{Tau: 0.5},
 		{MaxCandidates: 3},
 		{FirstStageTopK: 8},
-		{FirstStageTopK: -1},
 		{RequireCandidates: true},
 		{OmitTable: true},
 	}
-	seen := map[uint64]string{0: "", base: "nil options"}
-	delete(seen, 0)
+	seen := map[uint64]string{base: "nil options"}
 	for _, o := range variants {
-		k := cacheKey(42, o)
+		k := key(def, o)
 		if prev, dup := seen[k]; dup {
 			t.Fatalf("options %+v collide with %s", o, prev)
 		}
 		seen[k] = fmt.Sprintf("%+v", o)
 	}
-	if cacheKey(43, nil) == base {
+	if cacheKey(43, def.queryConfig(nil), false) == base {
 		t.Fatal("different fingerprints collide")
+	}
+	// A column whose containment is exactly 1/5 passes τ = 0.2 and fails
+	// τ = 0.2000000001: the two must not share an answer.
+	if key(def, &ReclaimOptions{Tau: 0.2}) == key(def, &ReclaimOptions{Tau: 0.2000000001}) {
+		t.Fatal("τ = 0.2 and τ = 0.2000000001 share a cache key")
+	}
+	// An explicit τ equal to the session default asks what an omitted one
+	// does.
+	if key(def, &ReclaimOptions{Tau: core.DefaultConfig().Discovery.Tau}) != base {
+		t.Fatal("explicit default τ split the cache key")
+	}
+	// first_stage_top_k = -1 turns off a first stage only a session default
+	// can turn on: on a default session it asks the same question as 0.
+	if key(def, &ReclaimOptions{FirstStageTopK: -1}) != base {
+		t.Fatal("first_stage_top_k -1 split the key on a session without a first stage")
+	}
+	lshCfg := core.DefaultConfig()
+	lshCfg.Discovery.FirstStageTopK = 8
+	lsh := serverWith(lshCfg)
+	if key(lsh, &ReclaimOptions{FirstStageTopK: -1}) == key(lsh, nil) {
+		t.Fatal("first_stage_top_k -1 did not split the key on a first-stage session")
 	}
 	// TimeoutMS changes how long a run may take, not what it computes — it
 	// must NOT split the cache.
-	if cacheKey(42, &ReclaimOptions{TimeoutMS: 500}) != cacheKey(42, &ReclaimOptions{}) {
+	if key(def, &ReclaimOptions{TimeoutMS: 500}) != key(def, &ReclaimOptions{}) {
 		t.Fatal("timeout_ms split the cache key")
 	}
 	// And the zero options struct answers the same question as nil options.
-	if cacheKey(42, &ReclaimOptions{}) != base {
+	if key(def, &ReclaimOptions{}) != base {
 		t.Fatal("zero options differ from nil options")
 	}
 }

@@ -55,13 +55,9 @@ type Error struct {
 	RetryAfterSec int
 }
 
-// Error formats like the in-process pipeline error.
-func (e *Error) Error() string {
-	if e.Phase != "" && e.Source != "" {
-		return fmt.Sprintf("gentd [%d]: %s: source %q: %s", e.Status, e.Phase, e.Source, e.Msg)
-	}
-	return fmt.Sprintf("gentd [%d]: %s", e.Status, e.Msg)
-}
+// Error formats as "gentd [<status>]: <message>"; the server's message
+// already names the phase and source when there are any.
+func (e *Error) Error() string { return fmt.Sprintf("gentd [%d]: %s", e.Status, e.Msg) }
 
 // Unwrap maps the wire code back to its sentinel; nil for unknown codes.
 func (e *Error) Unwrap() error { return server.SentinelFor(e.Code) }

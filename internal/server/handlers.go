@@ -91,23 +91,24 @@ func writeBadRequest(w http.ResponseWriter, err error) {
 }
 
 // requestCtx layers the per-request deadline over the connection context:
-// the server maximum, clamped tighter by the client's timeout_ms.
+// the server maximum, clamped tighter by the client's timeout_ms. The two are
+// compared in milliseconds, so an oversized timeout_ms cannot overflow the
+// conversion to a Duration.
 func (s *Server) requestCtx(r *http.Request, o *ReclaimOptions) (context.Context, context.CancelFunc) {
 	t := s.cfg.RequestTimeout
-	if o != nil && o.TimeoutMS > 0 {
-		if ct := time.Duration(o.TimeoutMS) * time.Millisecond; ct < t {
-			t = ct
-		}
+	if o != nil && o.TimeoutMS > 0 && o.TimeoutMS < t.Milliseconds() {
+		t = time.Duration(o.TimeoutMS) * time.Millisecond
 	}
 	return context.WithTimeout(r.Context(), t)
 }
 
-// queryOptions translates wire options into per-call pipeline options,
-// layering the metrics observer under any session-configured one.
-func (s *Server) queryOptions(o *ReclaimOptions) []core.Option {
+// queryConfig resolves wire options over the session's configuration — the
+// one place that decides what a wire option means; the result cache keys on
+// its output. The metrics observer layers under any session-configured one.
+func (s *Server) queryConfig(o *ReclaimOptions) core.Config {
 	cfg := s.session.Config()
-	d := cfg.Discovery
 	if o != nil {
+		d := &cfg.Discovery
 		if o.Tau > 0 {
 			d.Tau = o.Tau
 		}
@@ -120,15 +121,12 @@ func (s *Server) queryOptions(o *ReclaimOptions) []core.Option {
 		case o.FirstStageTopK < 0:
 			d.FirstStageTopK = 0
 		}
+		if o.RequireCandidates {
+			cfg.RequireCandidates = true
+		}
 	}
-	opts := []core.Option{
-		core.WithDiscovery(d),
-		core.WithObserver(core.TeeObserver(s.metrics.observer(), cfg.Observer)),
-	}
-	if o != nil && o.RequireCandidates {
-		opts = append(opts, core.WithRequireCandidates())
-	}
-	return opts
+	cfg.Observer = core.TeeObserver(s.metrics.observer(), cfg.Observer)
+	return cfg
 }
 
 // handleReclaim serves POST /v1/reclaim: one source, one result, fronted by
@@ -149,7 +147,7 @@ func (s *Server) handleReclaim(w http.ResponseWriter, r *http.Request) {
 		writeBadRequest(w, err)
 		return
 	}
-	qopts := s.queryOptions(req.Options)
+	cfg := s.queryConfig(req.Options)
 	ctx, cancel := s.requestCtx(r, req.Options)
 	defer cancel()
 	if err := s.admit.acquire(ctx); err != nil {
@@ -161,10 +159,11 @@ func (s *Server) handleReclaim(w http.ResponseWriter, r *http.Request) {
 	defer s.metrics.addInflight(-1)
 
 	// The cache key is the source's content fingerprint (what the bytes say)
-	// folded with the options (what question is being asked); the epoch read
-	// here guards it (what catalog would answer). A hit is a fully-formed
-	// response body — zero pipeline work.
-	key := cacheKey(table.Fingerprint(src), req.Options)
+	// folded with the resolved configuration (what question is being asked);
+	// the epoch read here guards it (what catalog would answer). A hit is a
+	// fully-formed response body — zero pipeline work.
+	omit := req.Options != nil && req.Options.OmitTable
+	key := cacheKey(table.Fingerprint(src), cfg, omit)
 	epoch := s.session.Lake().Epoch()
 	if body := s.cache.get(epoch, key); body != nil {
 		w.Header().Set("Content-Type", "application/json")
@@ -174,12 +173,11 @@ func (s *Server) handleReclaim(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	res, err := s.session.ReclaimContext(ctx, src, qopts...)
+	res, err := s.session.WithConfig(cfg).ReclaimContext(ctx, src)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	omit := req.Options != nil && req.Options.OmitTable
 	body, err := json.Marshal(EncodeResult(src.Name, res, omit))
 	if err != nil {
 		s.writeError(w, fmt.Errorf("encoding response: %w", err))
@@ -244,7 +242,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	opts := s.queryOptions(req.Options)
+	cfg := s.queryConfig(req.Options)
 	ctx, cancel := s.requestCtx(r, req.Options)
 	defer cancel()
 	if err := s.admit.acquire(ctx); err != nil {
@@ -256,7 +254,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer s.metrics.addInflight(-1)
 
 	omit := req.Options != nil && req.Options.OmitTable
-	items, _ := s.session.ReclaimAllContext(ctx, srcs, s.batchWorkers(len(srcs)), opts...)
+	items, _ := s.session.WithConfig(cfg).ReclaimAllContext(ctx, srcs, s.batchWorkers(len(srcs)))
 	resp := BatchResponse{Items: make([]StreamItem, len(items))}
 	for i, item := range items {
 		resp.Items[i] = encodeItem(item, omit)
@@ -278,7 +276,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	opts := s.queryOptions(req.Options)
+	cfg := s.queryConfig(req.Options)
 	ctx, cancel := s.requestCtx(r, req.Options)
 	defer cancel()
 	if err := s.admit.acquire(ctx); err != nil {
@@ -294,7 +292,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
-	for item := range s.session.ReclaimStream(ctx, srcs, s.batchWorkers(len(srcs)), opts...) {
+	for item := range s.session.WithConfig(cfg).ReclaimStream(ctx, srcs, s.batchWorkers(len(srcs))) {
 		if err := enc.Encode(encodeItem(item, omit)); err != nil {
 			// The consumer went away; breaking cancels the remaining work.
 			break

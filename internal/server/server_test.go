@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -257,6 +258,9 @@ func TestServerErrorRoundTrip(t *testing.T) {
 	if cerr.Phase != core.PhaseSource || cerr.Source != "dups" {
 		t.Errorf("wire error phase/source = %q/%q, want source/dups", cerr.Phase, cerr.Source)
 	}
+	if n := strings.Count(err.Error(), `source "dups"`); n != 1 {
+		t.Errorf("client error names the source %d times, want once: %v", n, err)
+	}
 
 	// Disjoint values under require_candidates → 422 no_candidates.
 	alien := table.New("alien", "q", "w")
@@ -282,6 +286,18 @@ func TestServerErrorRoundTrip(t *testing.T) {
 	_, err = c.Apply(ctx, server.MutationJSON{Op: "truncate"})
 	if !errors.As(err, &cerr) || cerr.Status != 400 {
 		t.Fatalf("unknown op err = %v, want 400", err)
+	}
+}
+
+// TestServerClampsOversizedTimeout: a timeout_ms too large to convert to a
+// Duration is clamped to the server's maximum, not overflowed into an
+// already-expired deadline.
+func TestServerClampsOversizedTimeout(t *testing.T) {
+	for _, ms := range []int64{1 << 62, 1e13, math.MaxInt64} {
+		src, _, c := startServer(t, server.Config{})
+		if _, err := c.Reclaim(context.Background(), src, &server.ReclaimOptions{TimeoutMS: ms}); err != nil {
+			t.Errorf("timeout_ms %d: %v, want 200", ms, err)
+		}
 	}
 }
 
