@@ -82,13 +82,20 @@ func flatPostingsView(ix *Inverted) map[uint32][]ColumnRef {
 		})
 		out[id] = cp
 	}
+	refsOf := func(cids []uint32) []ColumnRef {
+		refs := make([]ColumnRef, len(cids))
+		for i, cid := range cids {
+			refs[i] = ix.ref(cid)
+		}
+		return refs
+	}
 	for id := uint32(0); int(id) < ix.base.ids(); id++ {
 		if _, over := ix.idOver[id]; !over {
-			put(id, ix.base.materialize(id))
+			put(id, refsOf(ix.base.columnIDs(id)))
 		}
 	}
-	for id, refs := range ix.idOver {
-		put(id, refs)
+	for id, cids := range ix.idOver {
+		put(id, refsOf(cids))
 	}
 	return out
 }
@@ -128,6 +135,40 @@ func TestWithDeltaSharesAndPreserves(t *testing.T) {
 	}
 	if derived.base != base.base {
 		t.Error("a small delta copied the base instead of sharing it")
+	}
+}
+
+// TestWithDeltaBoundsColumnTable: every delta numbers its added columns past
+// the column table, so a churn that keeps replacing one table — re-touching
+// the same two IDs, never growing the override layer past its threshold —
+// must still compact on the column table's growth, and serve a fresh build's
+// postings throughout.
+func TestWithDeltaBoundsColumnTable(t *testing.T) {
+	l := lake.New()
+	laketest.Add(l, mk("stay", "a", "b", "c"))
+	laketest.Add(l, mk("hot", "a", "x"))
+	prev := l.Snapshot()
+	ix := BuildInverted(prev)
+	first := ix.base
+	for i := 0; i < 4*overCompactionSlack; i++ {
+		laketest.Add(l, mk("hot", "a", fmt.Sprint("x", i%2)))
+		snap := l.Snapshot()
+		added, removed, ok := lake.Diff(prev, snap)
+		if !ok {
+			t.Fatal("diff broke within one lineage")
+		}
+		snap.EnsureInterned()
+		ix = ix.WithDelta(forms(snap, added), forms(prev, removed))
+		if limit := len(ix.base.refs)/2 + overCompactionSlack; len(ix.extra) > limit {
+			t.Fatalf("step %d: %d added columns held past the compaction limit %d", i, len(ix.extra), limit)
+		}
+		if !reflect.DeepEqual(flatPostingsView(ix), flatPostingsView(BuildInverted(snap))) {
+			t.Fatalf("step %d: maintained postings diverge from a fresh build", i)
+		}
+		prev = snap
+	}
+	if ix.base == first {
+		t.Fatal("the column table grew without bound: no delta compacted")
 	}
 }
 

@@ -18,6 +18,7 @@
 package index
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -54,8 +55,14 @@ type Inverted struct {
 	base *postingStore
 	// idOver overrides the base per ID for incrementally maintained
 	// indexes: a present entry (even an empty slice) wins over the base.
-	// Immutable once the index is published.
-	idOver map[uint32][]ColumnRef
+	// Entries are column IDs resolved by ref — 4 bytes a posting rather than
+	// a ColumnRef's 24, so the layer's memory stays near the compressed
+	// base's between compactions. Immutable once the index is published.
+	idOver map[uint32][]uint32
+	// extra extends the base's column table with the columns added since
+	// the base was built: column ID len(base.refs)+i is extra[i]. Shared
+	// with derived indexes, which only ever append to a clipped copy.
+	extra []ColumnRef
 	// colSizes caches each column's distinct-value count for containment
 	// scoring.
 	colSizes map[ColumnRef]int
@@ -120,18 +127,33 @@ func (ix *Inverted) RebindDict(d *table.Dict) {
 // Shards returns the index's probe fan-out width.
 func (ix *Inverted) Shards() int { return ix.base.fanOut }
 
+// ref resolves a column ID of the override layer.
+func (ix *Inverted) ref(cid uint32) ColumnRef {
+	if n := uint32(len(ix.base.refs)); cid >= n {
+		return ix.extra[cid-n]
+	}
+	return ix.base.refs[cid]
+}
+
+// countOver adds id's override-layer postings into counts, reporting false
+// when the base holds id's postings instead.
+func (ix *Inverted) countOver(id uint32, counts map[ColumnRef]int) bool {
+	if ix.idOver == nil {
+		return false
+	}
+	cids, ok := ix.idOver[id]
+	for _, cid := range cids {
+		counts[ix.ref(cid)]++
+	}
+	return ok
+}
+
 // countID adds one ID's live postings (override layer over base) into
 // counts.
 func (ix *Inverted) countID(id uint32, counts map[ColumnRef]int) {
-	if ix.idOver != nil {
-		if refs, ok := ix.idOver[id]; ok {
-			for _, ref := range refs {
-				counts[ref]++
-			}
-			return
-		}
+	if !ix.countOver(id, counts) {
+		ix.base.count(id, counts)
 	}
-	ix.base.count(id, counts)
 }
 
 // countIDs produces the overlap counts for a resolved query ID set, fanning
@@ -205,9 +227,10 @@ func (ix *Inverted) Covers(l *lake.Snapshot) bool {
 
 // overCompactionSlack is the override-layer size (relative to the base, plus
 // a small absolute allowance) past which WithDelta flattens the two layers
-// back into one base. Compaction copies the whole index once, so it must be
-// rare; the slack fraction bounds the steady-state search overhead (one
-// extra map lookup per probed ID) times the memory held by overridden
+// back into one base; the same allowance over half the base's column table
+// bounds the added columns. Compaction copies the whole index once, so it
+// must be rare; the slack fraction bounds the steady-state search overhead
+// (one extra map lookup per probed ID) times the memory held by overridden
 // entries.
 const overCompactionSlack = 64
 
@@ -234,11 +257,12 @@ func (ix *Inverted) WithDelta(added, removed []*table.Interned) *Inverted {
 	nix := &Inverted{
 		dict:     ix.dict,
 		base:     ix.base,
+		extra:    slices.Clip(ix.extra),
 		colSizes: make(map[ColumnRef]int, len(ix.colSizes)),
 	}
-	over := make(map[uint32][]ColumnRef, len(ix.idOver)+len(touched))
-	for id, refs := range ix.idOver {
-		over[id] = refs
+	over := make(map[uint32][]uint32, len(ix.idOver)+len(touched))
+	for id, cids := range ix.idOver {
+		over[id] = cids
 	}
 	for ref, n := range ix.colSizes {
 		if !removedNames[ref.Table] {
@@ -252,48 +276,54 @@ func (ix *Inverted) WithDelta(added, removed []*table.Interned) *Inverted {
 	owned := make(map[uint32]bool, len(touched))
 
 	// Removals first: rewrite every touched ID's postings without the
-	// removed tables' refs, copying (never mutating) the shared slices.
+	// removed tables' columns, copying (never mutating) the shared slices.
 	for id := range touched {
 		cur, ok := over[id]
 		if !ok {
-			cur = ix.base.materialize(id)
+			cur = ix.base.columnIDs(id)
 		}
-		kept := make([]ColumnRef, 0, len(cur))
-		for _, ref := range cur {
-			if !removedNames[ref.Table] {
-				kept = append(kept, ref)
+		kept := make([]uint32, 0, len(cur))
+		for _, cid := range cur {
+			if !removedNames[nix.ref(cid).Table] {
+				kept = append(kept, cid)
 			}
 		}
 		over[id] = kept
 		owned[id] = true
 	}
-	// Then additions, copying each current postings slice once and
-	// appending in place afterwards.
+	// Then additions: each added column takes the next column ID, and each
+	// current postings slice is copied once and appended in place afterwards.
 	for _, it := range added {
 		t := it.Table
 		for c := range t.Cols {
 			ref := ColumnRef{Table: t.Name, Col: c}
+			cid := uint32(len(nix.base.refs) + len(nix.extra))
+			nix.extra = append(nix.extra, ref)
 			ids := it.ColumnIDs(c)
 			nix.colSizes[ref] = len(ids)
 			for _, id := range ids {
 				if owned[id] {
-					over[id] = append(over[id], ref)
+					over[id] = append(over[id], cid)
 					continue
 				}
 				cur, ok := over[id]
 				if !ok {
-					cur = ix.base.materialize(id)
+					cur = ix.base.columnIDs(id)
 				}
-				nw := make([]ColumnRef, len(cur), len(cur)+len(added))
+				nw := make([]uint32, len(cur), len(cur)+len(added))
 				copy(nw, cur)
-				over[id] = append(nw, ref)
+				over[id] = append(nw, cid)
 				owned[id] = true
 			}
 		}
 	}
 
-	if len(over) > ix.base.nlists/2+overCompactionSlack {
-		nix.base = flattenStore(ix.base, over)
+	// Removed tables' columns stay in extra until a compaction drops them,
+	// so a churn that keeps re-touching the same IDs compacts on extra's
+	// growth too.
+	if len(over) > ix.base.nlists/2+overCompactionSlack ||
+		len(nix.extra) > len(ix.base.refs)/2+overCompactionSlack {
+		nix.base, nix.extra = flattenStore(ix.base, over, nix.ref), nil
 	} else {
 		nix.idOver = over
 	}
@@ -306,5 +336,5 @@ func (ix *Inverted) compactedBase() *postingStore {
 	if ix.idOver == nil {
 		return ix.base
 	}
-	return flattenStore(ix.base, ix.idOver)
+	return flattenStore(ix.base, ix.idOver, ix.ref)
 }

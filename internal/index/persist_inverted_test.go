@@ -68,7 +68,7 @@ func FuzzInvertedFile(f *testing.F) {
 		}
 		ix.SearchIDs(allIDs)
 		for id := range allIDs {
-			ix.base.materialize(uint32(id))
+			ix.base.columnIDs(uint32(id))
 		}
 	})
 }

@@ -86,16 +86,17 @@ func (ps *postingStore) count(id uint32, counts map[ColumnRef]int) {
 	})
 }
 
-// materialize decodes id's postings to column references, nil when absent.
-func (ps *postingStore) materialize(id uint32) []ColumnRef {
+// columnIDs decodes id's postings to the column IDs the store's ref table
+// resolves, nil when absent.
+func (ps *postingStore) columnIDs(id uint32) []uint32 {
 	b := ps.block(id)
 	if len(b) == 0 {
 		return nil
 	}
-	out := make([]ColumnRef, 0, postingLen(b))
+	out := make([]uint32, 0, postingLen(b))
 	forEachPosting(b, func(cid uint32) {
 		if int(cid) < len(ps.refs) {
-			out = append(out, ps.refs[cid])
+			out = append(out, cid)
 		}
 	})
 	return out
@@ -220,13 +221,8 @@ func (ix *Inverted) countIDsSharded(query []uint32) map[ColumnRef]int {
 	counts := make(map[ColumnRef]int)
 	parts := make([][]uint32, ps.fanOut)
 	for _, id := range query {
-		if ix.idOver != nil {
-			if refs, ok := ix.idOver[id]; ok {
-				for _, ref := range refs {
-					counts[ref]++
-				}
-				continue
-			}
+		if ix.countOver(id, counts) {
+			continue
 		}
 		s := shardOf(id, ps.fanOut)
 		parts[s] = append(parts[s], id)
@@ -253,14 +249,15 @@ func (ix *Inverted) countIDsSharded(query []uint32) map[ColumnRef]int {
 // flattenStore is compaction: one pass over the base's slab into a new one,
 // copying every untouched block and re-encoding every overridden ID, with
 // the ref table extended for columns the base never saw. The override
-// layer's refs arrive unsorted relative to colIDs, so each rewritten list is
-// sorted before encoding; overridden IDs are visited in ID order, so new
-// colIDs are assigned deterministically.
-func flattenStore(ps *postingStore, over map[uint32][]ColumnRef) *postingStore {
+// layer's column IDs are resolved by ref and renumbered against the new ref
+// table, where a column the base already has keeps its ID. The renumbered
+// lists arrive unsorted, so each is sorted before encoding; overridden IDs
+// are visited in ID order, so new colIDs are assigned deterministically.
+func flattenStore(ps *postingStore, over map[uint32][]uint32, ref func(uint32) ColumnRef) *postingStore {
 	ns := &postingStore{fanOut: ps.fanOut, refs: slices.Clone(ps.refs)}
 	refIDs := make(map[ColumnRef]uint32, len(ns.refs))
-	for cid, ref := range ns.refs {
-		refIDs[ref] = uint32(cid)
+	for cid, r := range ns.refs {
+		refIDs[r] = uint32(cid)
 	}
 	overIDs := make([]uint32, 0, len(over))
 	for id := range over {
@@ -270,19 +267,20 @@ func flattenStore(ps *postingStore, over map[uint32][]ColumnRef) *postingStore {
 	nids := ps.ids()
 	rewritten := make(map[uint32][]byte, len(over))
 	for _, id := range overIDs {
-		refs := over[id]
+		cids := over[id]
 		nids = max(nids, int(id)+1)
-		if len(refs) == 0 {
+		if len(cids) == 0 {
 			rewritten[id] = nil
 			continue
 		}
-		colIDs := make([]uint32, len(refs))
-		for i, ref := range refs {
-			cid, ok := refIDs[ref]
+		colIDs := make([]uint32, len(cids))
+		for i, oc := range cids {
+			r := ref(oc)
+			cid, ok := refIDs[r]
 			if !ok {
 				cid = uint32(len(ns.refs))
-				ns.refs = append(ns.refs, ref)
-				refIDs[ref] = cid
+				ns.refs = append(ns.refs, r)
+				refIDs[r] = cid
 			}
 			colIDs[i] = cid
 		}
