@@ -13,9 +13,12 @@
 //
 //	gentd -smoke http://host:8080 -source q.csv
 //
-// asserts the serving contract end to end (cache miss → hit → epoch bump →
-// invalidation) and exits non-zero on any violation. Load is measured by the
-// gentd_churn workload of the bench command, not by gentd itself.
+// asserts the serving contract end to end (cache miss → hit → batch and
+// stream → epoch bump → invalidation → index save and load → rename) and
+// exits non-zero on any violation. The index steps write a temporary
+// directory the server must be able to reach, so point -smoke at a server on
+// the same host. Load is measured by the gentd_churn workload of the bench
+// command, not by gentd itself.
 //
 // Usage:
 //
@@ -34,6 +37,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -126,11 +130,14 @@ func main() {
 }
 
 // runSmoke asserts the serving contract against a live server: health, a
-// cold query (cache miss), the identical query again (cache hit, observable
-// both in the X-Gent-Cache header and the /metrics counter), an Apply rolling
-// the epoch, and the query once more (miss again — the bump invalidated the
-// cache). Any violation is a non-zero exit with a line saying which, and the
-// table the smoke put is dropped again whichever way it exits.
+// cold query (cache miss) whose reclaimed rows decode with the source's
+// columns, the identical query again (cache hit, observable both in the
+// X-Gent-Cache header and the /metrics counter), the source twice as a batch
+// and as a stream, an Apply rolling the epoch, the query once more (miss
+// again — the bump invalidated the cache), an index save and load, and a
+// Rename. Any violation is a non-zero exit with a line saying which, and the
+// table the smoke put is dropped again, under whichever name it holds,
+// whichever way the smoke exits.
 func runSmoke(base, sourcePath string) (code int) {
 	fail := func(format string, args ...any) int {
 		fmt.Fprintf(os.Stderr, "gentd: smoke FAIL: "+format+"\n", args...)
@@ -163,7 +170,15 @@ func runSmoke(base, sourcePath string) (code int) {
 	if r1.Cached {
 		return fail("cold reclaim reported a cache hit")
 	}
-	fmt.Printf("smoke: cold query at %s: EIS=%.3f (miss, as expected)\n", r1.Epoch, r1.Metrics.EIS)
+	got, err := r1.Table()
+	if err != nil {
+		return fail("decoding the reclaimed table: %v", err)
+	}
+	if got == nil || !slices.Equal(got.Cols, src.Cols) {
+		return fail("reclaimed table does not decode with the source's columns %v", src.Cols)
+	}
+	fmt.Printf("smoke: cold query at %s: EIS=%.3f, %d rows (miss, as expected)\n",
+		r1.Epoch, r1.Metrics.EIS, len(got.Rows))
 
 	r2, err := c.Reclaim(ctx, src, nil)
 	if err != nil {
@@ -181,8 +196,14 @@ func runSmoke(base, sourcePath string) (code int) {
 	}
 	fmt.Printf("smoke: repeated query served from cache (hits=%g)\n", m["gentd_result_cache_hits_total"])
 
+	if err := smokeBatch(ctx, c, src, r1.Metrics.EIS); err != nil {
+		return fail("%v", err)
+	}
+	fmt.Println("smoke: batch and stream of two sources match the single query")
+
+	churnName := "smoke_churn"
 	churn := src.Clone()
-	churn.Name = "smoke_churn"
+	churn.Name = churnName
 	ar, err := c.Apply(ctx, client.Put(churn))
 	if err != nil {
 		return fail("apply: %v", err)
@@ -191,7 +212,7 @@ func runSmoke(base, sourcePath string) (code int) {
 		// Its own context: the smoke's may be the reason it is exiting.
 		dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer dcancel()
-		if _, err := c.Apply(dctx, client.Drop("smoke_churn")); err != nil {
+		if _, err := c.Apply(dctx, client.Drop(churnName)); err != nil {
 			code = fail("cleanup drop: %v", err)
 		}
 	}()
@@ -210,8 +231,93 @@ func runSmoke(base, sourcePath string) (code int) {
 	if r3.EpochSeq != ar.EpochSeq {
 		return fail("post-apply query pinned epoch %s, want %s", r3.Epoch, ar.Epoch)
 	}
-	fmt.Println("smoke: epoch bump invalidated the cache; all checks passed")
+	fmt.Println("smoke: epoch bump invalidated the cache")
+
+	if err := smokeIndexes(ctx, c, ar.Epoch); err != nil {
+		return fail("%v", err)
+	}
+	fmt.Println("smoke: indexes saved; a load at an epoch already served rebuilt them")
+
+	renamed := churnName + "_renamed"
+	rr, err := c.Apply(ctx, client.Rename(churnName, renamed))
+	if err != nil {
+		return fail("rename: %v", err)
+	}
+	churnName = renamed
+	if rr.EpochSeq <= ar.EpochSeq || rr.Tables != ar.Tables {
+		return fail("rename moved the lake from %s (%d tables) to %s (%d tables)",
+			ar.Epoch, ar.Tables, rr.Epoch, rr.Tables)
+	}
+	fmt.Printf("smoke: rename rolled the epoch to %s; all checks passed\n", rr.Epoch)
 	return 0
+}
+
+// smokeBatch reclaims the source twice as one batch and as one stream: each
+// must answer two items, the batch in input order, every one with the single
+// query's EIS.
+func smokeBatch(ctx context.Context, c *client.Client, src *table.Table, eis float64) error {
+	pair := []*table.Table{src, src}
+	check := func(how string, items []client.Item) error {
+		if len(items) != len(pair) {
+			return fmt.Errorf("%s answered %d items for %d sources", how, len(items), len(pair))
+		}
+		for _, it := range items {
+			if it.Err != nil {
+				return fmt.Errorf("%s item %d: %v", how, it.Index, it.Err)
+			}
+			if it.Result.Metrics.EIS != eis {
+				return fmt.Errorf("%s item %d: EIS %v, the single query's %v", how, it.Index, it.Result.Metrics.EIS, eis)
+			}
+		}
+		return nil
+	}
+	items, err := c.ReclaimBatch(ctx, pair, nil)
+	if err != nil {
+		return fmt.Errorf("batch: %w", err)
+	}
+	for i, it := range items {
+		if it.Index != i {
+			return fmt.Errorf("batch item %d carries index %d: not in input order", i, it.Index)
+		}
+	}
+	if err := check("batch", items); err != nil {
+		return err
+	}
+	var streamed []client.Item
+	if err := c.ReclaimStream(ctx, pair, nil, func(it client.Item) bool {
+		streamed = append(streamed, it)
+		return true
+	}); err != nil {
+		return fmt.Errorf("stream: %w", err)
+	}
+	return check("stream", streamed)
+}
+
+// smokeIndexes saves the session's indexes into a fresh directory and loads
+// them back. The save builds the substrates at the current epoch, so the
+// session has already served that epoch and the load must refuse the set
+// and rebuild it (Reclaimer.UseIndexes' injection window).
+func smokeIndexes(ctx context.Context, c *client.Client, epoch string) error {
+	dir, err := os.MkdirTemp("", "gentd-smoke-idx-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	saved, err := c.SaveIndexes(ctx, dir)
+	if err != nil {
+		return fmt.Errorf("index save: %w", err)
+	}
+	if saved.Action != "saved" || saved.Epoch != epoch {
+		return fmt.Errorf("index save answered %q at %s, want \"saved\" at %s", saved.Action, saved.Epoch, epoch)
+	}
+	loaded, err := c.LoadIndexes(ctx, dir)
+	if err != nil {
+		return fmt.Errorf("index load: %w", err)
+	}
+	if loaded.Action != "built" || loaded.Epoch != epoch {
+		return fmt.Errorf("index load answered %q at %s, want \"built\" at %s", loaded.Action, loaded.Epoch, epoch)
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"gent/internal/core"
+	"gent/internal/lake"
 	"gent/internal/server"
 	"gent/internal/server/boot"
 )
@@ -22,10 +23,10 @@ func (w forceHit) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// TestSmokeDropsChurnTableOnFailure: a smoke that fails after its Put — here
-// the post-Apply reclaim claims a stale cache hit — must still drop the
-// table it put, so a failed smoke leaves the served lake as it found it.
-func TestSmokeDropsChurnTableOnFailure(t *testing.T) {
+// smokeFixture writes a two-table lake and a source both tables jointly
+// hold, and opens the lake.
+func smokeFixture(t *testing.T) (source string, l *lake.Lake) {
+	t.Helper()
 	dir := t.TempDir()
 	write := func(name, body string) string {
 		t.Helper()
@@ -40,12 +41,34 @@ func TestSmokeDropsChurnTableOnFailure(t *testing.T) {
 	}
 	write("lake/names.csv", "id,name\ne1,Ada\ne2,Grace\n")
 	write("lake/roles.csv", "id,role\ne1,Engineer\ne2,Admiral\n")
-	source := write("source.csv", "id,name,role\ne1,Ada,Engineer\ne2,Grace,Admiral\n")
-
+	source = write("source.csv", "id,name,role\ne1,Ada,Engineer\ne2,Grace,Admiral\n")
 	l, err := boot.OpenLake(boot.LakeOptions{Dir: filepath.Join(dir, "lake")}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return source, l
+}
+
+// TestSmokePasses runs every smoke step against an in-process server: it
+// passes and leaves the lake's tables as it found them.
+func TestSmokePasses(t *testing.T) {
+	source, l := smokeFixture(t)
+	before := l.Snapshot().Names()
+	hs := httptest.NewServer(server.New(core.NewReclaimer(l, core.DefaultConfig()), server.Config{}).Handler())
+	defer hs.Close()
+	if code := runSmoke(hs.URL, source); code != 0 {
+		t.Fatalf("smoke exited %d", code)
+	}
+	if after := l.Snapshot().Names(); !slices.Equal(after, before) {
+		t.Fatalf("smoke left the lake with tables %v, found %v", after, before)
+	}
+}
+
+// TestSmokeDropsChurnTableOnFailure: a smoke that fails after its Put — here
+// the post-Apply reclaim claims a stale cache hit — must still drop the
+// table it put, so a failed smoke leaves the served lake as it found it.
+func TestSmokeDropsChurnTableOnFailure(t *testing.T) {
+	source, l := smokeFixture(t)
 	h := server.New(core.NewReclaimer(l, core.DefaultConfig()), server.Config{}).Handler()
 	var applied, forced atomic.Bool
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -32,7 +32,7 @@ func TestIntegrateFD(t *testing.T) {
 	if res.TimedOut {
 		t.Fatal("unexpected timeout")
 	}
-	rec, _ := metrics.RecallPrecision(src, res.Table)
+	rec := metrics.Evaluate(src, res.Table).Recall
 	if rec != 1 {
 		t.Errorf("FD should recover all source tuples, recall = %v\n%s", rec, res.Table)
 	}
@@ -56,7 +56,8 @@ func TestIntegratePSFiltersForeign(t *testing.T) {
 			t.Error("ALITE-PS must select away foreign keys")
 		}
 	}
-	rec, pre := metrics.RecallPrecision(src, res.Table)
+	r := metrics.Evaluate(src, res.Table)
+	rec, pre := r.Recall, r.Precision
 	if rec != 1 || pre != 1 {
 		t.Errorf("PS variant on clean partitions: rec=%v pre=%v", rec, pre)
 	}

@@ -27,7 +27,7 @@ func TestIntegratePSKeepsKeylessTables(t *testing.T) {
 	customers.AddRow(table.S("c2"), table.S("Worcester"))
 
 	res := IntegratePS(src, []*table.Table{orders, customers}, Options{})
-	rec, _ := metrics.RecallPrecision(src, res.Table)
+	rec := metrics.Evaluate(src, res.Table).Recall
 	if rec != 1 {
 		t.Errorf("keyless table not integrated: recall = %v\n%s", rec, res.Table)
 	}

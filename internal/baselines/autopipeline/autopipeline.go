@@ -4,14 +4,14 @@
 // {σ, π, ∪, ⋈, ⟕, ⟗} for the pipeline whose output best matches the target
 // table. The original is closed source and RL-based; per the paper we use
 // the query-search variant: bounded best-first search scored against the
-// target.
+// target. A result carries the pipeline it synthesized, rendered in
+// relational-algebra notation, alongside its output table.
 package autopipeline
 
 import (
 	"sort"
 
 	"gent/internal/metrics"
-	"gent/internal/query"
 	"gent/internal/table"
 )
 
@@ -37,11 +37,13 @@ func DefaultOptions() Options {
 // Result is a synthesis outcome.
 type Result struct {
 	Table *table.Table
-	// Pipeline is the synthesized query plan (before the trailing π/σ that
-	// finalizes every pipeline against the target); nil when there were no
+	// Pipeline is the synthesized pipeline (before the trailing π/σ that
+	// finalizes every pipeline against the target), rendered over the input
+	// tables' names as nested binary operators: "((a ⋈ b) ∪ c)", with ⟕
+	// and ⟗ for the left and full outer joins. It is "" when there were no
 	// inputs. This is what a by-target system actually delivers — the
 	// pipeline, not just its output.
-	Pipeline query.Plan
+	Pipeline string
 	// TimedOut reports the node budget was exhausted before the search
 	// frontier emptied.
 	TimedOut bool
@@ -51,7 +53,7 @@ type Result struct {
 
 type state struct {
 	t     *table.Table
-	plan  query.Plan
+	plan  string
 	score float64
 	depth int
 }
@@ -74,7 +76,7 @@ func Synthesize(target *table.Table, inputs []*table.Table, opts Options) Result
 	frontier := make([]state, 0, len(inputs))
 	for _, in := range inputs {
 		frontier = append(frontier, state{
-			t: in, plan: query.Materialized{T: in}, score: score(in),
+			t: in, plan: in.Name, score: score(in),
 		})
 	}
 	sortStates(frontier)
@@ -125,25 +127,21 @@ search:
 }
 
 // applyOps generates successor states of combining cur with input table in
-// by each operator in the allowed set, recording the plan node applied.
+// by each operator in the allowed set, recording the operator applied.
 func applyOps(cur state, in *table.Table, maxRows int) []state {
 	out := make([]state, 0, 4)
-	leaf := query.Materialized{T: in}
-	keep := func(t *table.Table, p query.Plan) {
+	keep := func(t *table.Table, op string) {
 		if len(t.Rows) > 0 && (maxRows <= 0 || len(t.Rows) <= maxRows) {
-			out = append(out, state{t: t, plan: p})
+			out = append(out, state{t: t, plan: "(" + cur.plan + " " + op + " " + in.Name + ")"})
 		}
 	}
 	if table.SameSchema(cur.t, in) {
-		keep(table.InnerUnion(cur.t, in), query.Union{Left: cur.plan, Right: leaf})
+		keep(table.InnerUnion(cur.t, in), "∪")
 	}
 	if len(table.CommonCols(cur.t, in)) > 0 {
-		keep(table.InnerJoin(cur.t, in),
-			query.Join{Left: cur.plan, Right: leaf, Kind: query.InnerJoin})
-		keep(table.LeftJoin(cur.t, in),
-			query.Join{Left: cur.plan, Right: leaf, Kind: query.LeftJoin})
-		keep(table.FullOuterJoin(cur.t, in),
-			query.Join{Left: cur.plan, Right: leaf, Kind: query.FullOuterJoin})
+		keep(table.InnerJoin(cur.t, in), "⋈")
+		keep(table.LeftJoin(cur.t, in), "⟕")
+		keep(table.FullOuterJoin(cur.t, in), "⟗")
 	}
 	return out
 }

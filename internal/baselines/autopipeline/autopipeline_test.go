@@ -2,7 +2,6 @@ package autopipeline
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"gent/internal/metrics"
@@ -90,15 +89,13 @@ func TestSynthesizeRecordsPipeline(t *testing.T) {
 	depts := tgt.Project("id", "dept")
 	depts.Name = "depts"
 	res := Synthesize(tgt, []*table.Table{names, depts}, DefaultOptions())
-	if res.Pipeline == nil {
-		t.Fatal("no pipeline recorded")
+	// The best pipeline joins the two vertical halves back together. ⟕
+	// and ⟗ build the same table but are tried after ⋈, and only a
+	// strictly better score replaces the best.
+	if want := "(names ⋈ depts)"; res.Pipeline != want {
+		t.Errorf("Pipeline = %q, want %q", res.Pipeline, want)
 	}
-	rendered := res.Pipeline.String()
-	if !strings.Contains(rendered, "names") || !strings.Contains(rendered, "depts") {
-		t.Errorf("pipeline does not mention its inputs: %s", rendered)
-	}
-	tabs := res.Pipeline.Tables()
-	if len(tabs) != 2 {
-		t.Errorf("pipeline tables = %v", tabs)
+	if res := Synthesize(tgt, nil, DefaultOptions()); res.Pipeline != "" {
+		t.Errorf("Pipeline with no inputs = %q, want \"\"", res.Pipeline)
 	}
 }

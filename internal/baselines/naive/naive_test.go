@@ -32,7 +32,8 @@ func TestIntegrateShape(t *testing.T) {
 	left := src.Project("id", "a")
 	right := src.Project("id", "b")
 	got := Integrate(src, []*table.Table{left, right}, Options{})
-	rec, pre := metrics.RecallPrecision(src, got)
+	r := metrics.Evaluate(src, got)
+	rec, pre := r.Recall, r.Precision
 	if rec != 0 {
 		t.Errorf("naive integrator should not reconstruct full tuples, rec=%v", rec)
 	}
@@ -52,7 +53,7 @@ func TestIntegrateKeepsErroneousValues(t *testing.T) {
 		r[1] = table.S("WRONG")
 	}
 	got := Integrate(src, []*table.Table{bad}, Options{})
-	kl := metrics.ConditionalKL(src, got)
+	kl := metrics.Evaluate(src, got).DKL
 	if kl < 1 {
 		t.Errorf("erroneous values should give high DKL, got %v", kl)
 	}

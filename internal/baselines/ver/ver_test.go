@@ -22,7 +22,8 @@ func TestDiscoverSingleTableViews(t *testing.T) {
 	wide.AddRow(table.S("p2"), table.S("Bob"), table.S("Worcester"))
 	wide.AddRow(table.S("p3"), table.S("Eve"), table.S("Salem")) // extra tuple
 	got := Discover(src, []*table.Table{wide}, DefaultOptions())
-	rec, pre := metrics.RecallPrecision(src, got)
+	r := metrics.Evaluate(src, got)
+	rec, pre := r.Recall, r.Precision
 	if rec == 0 {
 		t.Errorf("Ver found no source values:\n%s", got)
 	}

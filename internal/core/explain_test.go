@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"reflect"
@@ -127,15 +128,15 @@ func TestExplainKeylessSource(t *testing.T) {
 	if got, want := res.Explain(keyless).Summary(), res.Explain(src).Summary(); got != want {
 		t.Errorf("keyless Explain: %s, want the mined key's %s", got, want)
 	}
-	js, err := res.JSON(keyless)
-	if err != nil {
+	var js bytes.Buffer
+	if err := res.WriteJSON(&js, keyless); err != nil {
 		t.Fatal(err)
 	}
 	var rep struct {
 		KeyColumns []string         `json:"key_columns"`
 		Tuples     *jsonTupleCounts `json:"tuples"`
 	}
-	if err := json.Unmarshal([]byte(js), &rep); err != nil {
+	if err := json.Unmarshal(js.Bytes(), &rep); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(rep.KeyColumns, []string{"k"}) || rep.Tuples == nil || rep.Tuples.Missing != 1 {

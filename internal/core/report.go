@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"gent/internal/table"
@@ -121,15 +120,6 @@ func (r *Result) WriteJSON(w io.Writer, src *table.Table) error {
 		return fmt.Errorf("core: encoding report: %w", err)
 	}
 	return nil
-}
-
-// JSON returns the report as a string (convenience for logs and tests).
-func (r *Result) JSON(src *table.Table) (string, error) {
-	var b strings.Builder
-	if err := r.WriteJSON(&b, src); err != nil {
-		return "", err
-	}
-	return b.String(), nil
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -13,10 +13,11 @@ func TestWriteJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := res.JSON(src)
-	if err != nil {
+	var b strings.Builder
+	if err := res.WriteJSON(&b, src); err != nil {
 		t.Fatal(err)
 	}
+	out := b.String()
 	var parsed map[string]any
 	if err := json.Unmarshal([]byte(out), &parsed); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, out)
@@ -52,10 +53,11 @@ func TestWriteJSONWithoutSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := res.JSON(nil)
-	if err != nil {
+	var b strings.Builder
+	if err := res.WriteJSON(&b, nil); err != nil {
 		t.Fatal(err)
 	}
+	out := b.String()
 	if strings.Contains(out, "\"tuples\"") {
 		t.Error("tuple counts present without a source")
 	}

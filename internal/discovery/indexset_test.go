@@ -38,7 +38,7 @@ func TestDiscoverWithMatchesFreshBuild(t *testing.T) {
 		opts := DefaultOptions()
 		opts.FirstStageTopK = topk
 		fresh := discover(t, l, src, opts)
-		shared := discoverWith(t, l, index.BuildIndexSet(l.Snapshot()), src, opts)
+		shared := discoverWith(t, l, index.BuildIndexSetSharded(l.Snapshot(), index.DefaultShards), src, opts)
 		if !reflect.DeepEqual(fresh, shared) {
 			t.Errorf("topk=%d: shared-index discovery diverged from fresh build", topk)
 		}
@@ -52,7 +52,7 @@ func TestDiscoverWithMatchesFreshBuild(t *testing.T) {
 func TestDiscoverWithStaleIndex(t *testing.T) {
 	src := exampleSource()
 	l := noisyExampleLake(50)
-	ix := index.BuildIndexSet(l.Snapshot())
+	ix := index.BuildIndexSetSharded(l.Snapshot(), index.DefaultShards)
 
 	laketest.Remove(l, "lakeC")
 	for i := 0; i < 10; i++ {
@@ -137,7 +137,7 @@ func TestDiscoverMatchesPoolIndexedPipeline(t *testing.T) {
 		}
 
 		// Prebuilt substrates.
-		gotWith, err := DiscoverWithSnapContext(context.Background(), snap, index.BuildIndexSet(snap), src, opts)
+		gotWith, err := DiscoverWithSnapContext(context.Background(), snap, index.BuildIndexSetSharded(snap, index.DefaultShards), src, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,6 @@
 package index
 
-import (
-	"gent/internal/table"
-
-	"gent/internal/lake"
-)
+import "gent/internal/table"
 
 // banded is the layered banded-LSH core behind MinHashLSH: one signature per
 // lake column filed under the band keys it hashes to, so a probe with a
@@ -28,8 +24,6 @@ type banded struct {
 	over        map[ColumnRef]signature
 	bucketsOver map[uint64][]ColumnRef
 	dead        map[ColumnRef]bool
-	// tables names the tables present when the index was built or maintained.
-	tables []string
 }
 
 // columnSketches is one table's indexable columns and their signatures, in
@@ -39,18 +33,17 @@ type columnSketches struct {
 	sigs []signature
 }
 
-// buildBanded computes every table's columns — the dominant cost — on up to
-// workers goroutines, then files them in corpus order, so the index is
-// identical to a sequential build.
-func buildBanded(tables []string, workers int, columns func(i int) columnSketches) *banded {
-	parts := make([]columnSketches, len(tables))
-	forEachTable(len(tables), workers, func(i int) {
+// buildBanded computes the columns of each of n tables — the dominant cost —
+// on up to workers goroutines, then files them in corpus order, so the index
+// is identical to a sequential build.
+func buildBanded(n, workers int, columns func(i int) columnSketches) *banded {
+	parts := make([]columnSketches, n)
+	forEachTable(n, workers, func(i int) {
 		parts[i] = columns(i)
 	})
 	b := &banded{
 		base:    make(map[ColumnRef]signature),
 		buckets: make(map[uint64][]ColumnRef),
-		tables:  tables,
 	}
 	for _, cols := range parts {
 		for i, ref := range cols.refs {
@@ -65,11 +58,10 @@ func buildBanded(tables []string, workers int, columns func(i int) columnSketche
 
 // bandedOver returns the single-layer index whose base is sigs itself, each
 // column filed under the band keys its signature determines.
-func bandedOver(sigs map[ColumnRef]signature, nbuckets int, tables []string) *banded {
+func bandedOver(sigs map[ColumnRef]signature, nbuckets int) *banded {
 	b := &banded{
 		base:    sigs,
 		buckets: make(map[uint64][]ColumnRef, nbuckets),
-		tables:  tables,
 	}
 	for ref, sig := range sigs {
 		for _, bk := range bandKeys(sig) {
@@ -115,23 +107,6 @@ func (b *banded) probe(keys []uint64, visit func(ColumnRef)) {
 	}
 }
 
-// Covers reports whether every table of the corpus was present when this
-// index was built or maintained. Stale entries for since-removed tables are
-// tolerated (they are filtered against the live lake at query time), but a
-// lake table absent from the index would silently never surface.
-func (b *banded) Covers(l *lake.Snapshot) bool {
-	have := make(map[string]bool, len(b.tables))
-	for _, name := range b.tables {
-		have[name] = true
-	}
-	for _, t := range l.Tables() {
-		if !have[t.Name] {
-			return false
-		}
-	}
-	return true
-}
-
 // withDelta returns a new index reflecting the receiver with the removed
 // tables' columns tombstoned and the added tables' columns sketched and
 // inserted; the receiver is unchanged, and the two share the base signature
@@ -155,9 +130,7 @@ func (b *banded) withDelta(added, removed []*table.Interned) *banded {
 		nb.dead[ref] = true
 	}
 
-	removedNames := make(map[string]bool, len(removed))
 	for _, it := range removed {
-		removedNames[it.Table.Name] = true
 		for c := range it.Table.Cols {
 			ref := ColumnRef{Table: it.Table.Name, Col: c}
 			if sig, over := nb.over[ref]; over {
@@ -192,21 +165,6 @@ func (b *banded) withDelta(added, removed []*table.Interned) *banded {
 		}
 	}
 
-	nb.tables = make([]string, 0, len(b.tables)+len(added))
-	inTables := make(map[string]bool, len(b.tables)+len(added))
-	for _, name := range b.tables {
-		if !removedNames[name] && !inTables[name] {
-			nb.tables = append(nb.tables, name)
-			inTables[name] = true
-		}
-	}
-	for _, it := range added {
-		if !inTables[it.Table.Name] {
-			nb.tables = append(nb.tables, it.Table.Name)
-			inTables[it.Table.Name] = true
-		}
-	}
-
 	if len(nb.dead)+len(nb.over) > len(nb.base)/2+overCompactionSlack {
 		return nb.compacted()
 	}
@@ -238,5 +196,5 @@ func (b *banded) compacted() *banded {
 	for ref, sig := range b.over {
 		live[ref] = sig
 	}
-	return bandedOver(live, len(b.buckets), b.tables)
+	return bandedOver(live, len(b.buckets))
 }

@@ -179,11 +179,11 @@ func TestSaveDirClearsStaleEpochStamp(t *testing.T) {
 	l := lake.New()
 	laketest.Add(l, mk("t", "a"))
 	dir := t.TempDir()
-	stamped := BuildIndexSet(l.Snapshot())
+	stamped := BuildIndexSetSharded(l.Snapshot(), DefaultShards)
 	if err := stamped.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	unstamped := BuildIndexSet(l.Snapshot())
+	unstamped := BuildIndexSetSharded(l.Snapshot(), DefaultShards)
 	unstamped.Epoch = lake.Epoch{}
 	if err := unstamped.SaveDir(dir); err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestSaveDirRemovesAbsentSubstrates(t *testing.T) {
 		laketest.Add(l, mk("t1", "a", "b"))
 		laketest.Add(l, mk("t2", "b", "c"))
 		dir := t.TempDir()
-		if err := BuildIndexSet(l.Snapshot()).SaveDir(dir); err != nil {
+		if err := BuildIndexSetSharded(l.Snapshot(), DefaultShards).SaveDir(dir); err != nil {
 			t.Fatal(err)
 		}
 		for _, f := range leftovers {
@@ -225,7 +225,7 @@ func TestSaveDirRemovesAbsentSubstrates(t *testing.T) {
 			t.Fatalf("%v beside a current save: %v", leftovers, err)
 		}
 		laketest.Add(l, mk("t1", "c", "a")) // epoch n+1, no new values
-		next := BuildIndexSet(l.Snapshot())
+		next := BuildIndexSetSharded(l.Snapshot(), DefaultShards)
 		if err := next.SaveDir(dir); err != nil {
 			t.Fatal(err)
 		}
@@ -251,9 +251,9 @@ func TestEpochStampRoundTrip(t *testing.T) {
 	l := lake.New()
 	laketest.Add(l, mk("t", "a", "b"))
 	snap := l.Snapshot()
-	set := BuildIndexSet(snap)
+	set := BuildIndexSetSharded(snap, DefaultShards)
 	if set.Epoch != snap.Epoch() {
-		t.Fatalf("BuildIndexSet stamped %v, want %v", set.Epoch, snap.Epoch())
+		t.Fatalf("BuildIndexSetSharded stamped %v, want %v", set.Epoch, snap.Epoch())
 	}
 	dir := t.TempDir()
 	if err := set.SaveDir(dir); err != nil {

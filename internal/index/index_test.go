@@ -127,3 +127,6 @@ func TestEstimateJaccardIdentical(t *testing.T) {
 		t.Errorf("disjoint sets estimate %v, want ~0", got)
 	}
 }
+
+// ColumnSize returns the distinct-value count of an indexed column.
+func (ix *Inverted) ColumnSize(ref ColumnRef) int { return ix.colSizes[ref] }

@@ -31,11 +31,6 @@ type IndexSet struct {
 	Epoch lake.Epoch
 }
 
-// BuildIndexSet is BuildIndexSetSharded at DefaultShards.
-func BuildIndexSet(l *lake.Snapshot) *IndexSet {
-	return BuildIndexSetSharded(l, DefaultShards)
-}
-
 // BuildIndexSetSharded builds both substrates over the snapshot, each with a
 // parallel per-table scan, and the two builds themselves running
 // concurrently; shards is BuildInvertedSharded's. The set is stamped with the

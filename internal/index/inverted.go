@@ -32,8 +32,8 @@ type ColumnRef struct {
 	Col   int
 }
 
-// DefaultShards is the probe fan-out width BuildInverted and BuildIndexSet
-// use, and the default of core.Config.IndexShards.
+// DefaultShards is the probe fan-out width BuildInverted uses, and the
+// default of core.Config.IndexShards.
 const DefaultShards = 8
 
 // Inverted maps each distinct cell value ID to the lake columns containing
@@ -200,9 +200,6 @@ func rankOverlaps(counts map[ColumnRef]int, qlen int) []Overlap {
 	})
 	return out
 }
-
-// ColumnSize returns the distinct-value count of an indexed column.
-func (ix *Inverted) ColumnSize(ref ColumnRef) int { return ix.colSizes[ref] }
 
 // Covers reports whether every table of the corpus appears in the index with
 // its current column count. A persisted index may serve a lake it covers —

@@ -103,7 +103,7 @@ func buildMinHashLSH(l *lake.Snapshot, workers int) *MinHashLSH {
 	sketch := func(i int) columnSketches {
 		return sketchInterned(l.Interned(tables[i].Name))
 	}
-	return &MinHashLSH{dict: l.Dict(), banded: buildBanded(l.Names(), workers, sketch)}
+	return &MinHashLSH{dict: l.Dict(), banded: buildBanded(len(tables), workers, sketch)}
 }
 
 func bandKeys(sig signature) []uint64 {

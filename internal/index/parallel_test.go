@@ -61,9 +61,9 @@ func TestParallelMinHashMatchesSequential(t *testing.T) {
 
 func TestIndexSetRoundTrip(t *testing.T) {
 	l := randomLake(20, 9)
-	s := BuildIndexSet(l.Snapshot())
+	s := BuildIndexSetSharded(l.Snapshot(), DefaultShards)
 	if s.Inverted == nil || s.LSH == nil {
-		t.Fatal("BuildIndexSet must build both substrates")
+		t.Fatal("BuildIndexSetSharded must build both substrates")
 	}
 	dir := filepath.Join(t.TempDir(), "indexes")
 	if err := s.SaveDir(dir); err != nil {

@@ -20,9 +20,9 @@ import (
 // must match the live one exactly.
 func TestIndexSetDictRoundTrip(t *testing.T) {
 	l := buildLake()
-	s := BuildIndexSet(l.Snapshot())
+	s := BuildIndexSetSharded(l.Snapshot(), DefaultShards)
 	if s.Dict == nil {
-		t.Fatal("BuildIndexSet must carry the lake dictionary")
+		t.Fatal("BuildIndexSetSharded must carry the lake dictionary")
 	}
 	dir := t.TempDir()
 	if err := s.SaveDir(dir); err != nil {
@@ -67,7 +67,7 @@ func TestIndexSetDictRoundTrip(t *testing.T) {
 // routes cmd/gent -index-dir into its rebuild-with-warning path.
 func TestLoadIndexSetDetectsMissingDict(t *testing.T) {
 	dir := t.TempDir()
-	if err := BuildIndexSet(buildLake().Snapshot()).SaveDir(dir); err != nil {
+	if err := BuildIndexSetSharded(buildLake().Snapshot(), DefaultShards).SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(filepath.Join(dir, dictFileName)); err != nil {
@@ -84,7 +84,7 @@ func TestLoadIndexSetDetectsMissingDict(t *testing.T) {
 // silently missing those values.
 func TestAdoptDictDetectsLakeMismatch(t *testing.T) {
 	dir := t.TempDir()
-	if err := BuildIndexSet(buildLake().Snapshot()).SaveDir(dir); err != nil {
+	if err := BuildIndexSetSharded(buildLake().Snapshot(), DefaultShards).SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	s, err := LoadIndexSetDir(dir)
@@ -117,7 +117,7 @@ func TestAdoptDictDetectsLakeMismatch(t *testing.T) {
 // loudly instead of resolving IDs against the wrong values.
 func TestLoadDetectsDictFingerprintMismatch(t *testing.T) {
 	dir := t.TempDir()
-	if err := BuildIndexSet(buildLake().Snapshot()).SaveDir(dir); err != nil {
+	if err := BuildIndexSetSharded(buildLake().Snapshot(), DefaultShards).SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	other := table.NewDict()
@@ -191,7 +191,7 @@ func FuzzIndexDict(f *testing.F) {
 // leftovers so a directory never holds two representations.
 func TestLegacyInvertedFile(t *testing.T) {
 	l := buildLake()
-	s := BuildIndexSet(l.Snapshot())
+	s := BuildIndexSetSharded(l.Snapshot(), DefaultShards)
 	for _, legacy := range [][]string{
 		{"inverted.gob"},
 		{"inverted-shards.gob", "inverted-shard-000.gob", "inverted-shard-001.gob"},

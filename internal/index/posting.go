@@ -169,18 +169,6 @@ func postingLen(b []byte) int {
 	return int(n)
 }
 
-// decodePosting materializes a block's ID list, validating it completely —
-// the slow sibling of forEachPosting for the rare paths (WithDelta rewrites,
-// verification) that need a slice.
-func decodePosting(b []byte) ([]uint32, error) {
-	if _, err := checkPosting(b); err != nil {
-		return nil, err
-	}
-	out := make([]uint32, 0, postingLen(b))
-	forEachPosting(b, func(id uint32) { out = append(out, id) })
-	return out, nil
-}
-
 // checkPosting fully validates an untrusted posting block and returns its
 // largest ID (0 for an empty list): every load-time path runs it once, so
 // the in-place iteration afterwards can trust the bytes. Malformed input

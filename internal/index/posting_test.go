@@ -167,3 +167,15 @@ func FuzzPostingCodec(f *testing.F) {
 		}
 	})
 }
+
+// decodePosting materializes a block's ID list, validating it completely —
+// the slow sibling of forEachPosting for the rare paths (WithDelta rewrites,
+// verification) that need a slice.
+func decodePosting(b []byte) ([]uint32, error) {
+	if _, err := checkPosting(b); err != nil {
+		return nil, err
+	}
+	out := make([]uint32, 0, postingLen(b))
+	forEachPosting(b, func(id uint32) { out = append(out, id) })
+	return out, nil
+}

@@ -133,10 +133,9 @@ func TestReclaimHorizontalUnion(t *testing.T) {
 	for _, kv := range [][2]string{{"k1", "v1"}, {"k2", "v2"}, {"k3", "v3"}} {
 		src.AddRow(table.S(kv[0]), table.S(kv[1]))
 	}
-	top := src.Select(table.ColIn("k", map[string]bool{table.S("k1").Key(): true}))
-	rest := src.Select(table.ColIn("k", map[string]bool{
-		table.S("k2").Key(): true, table.S("k3").Key(): true,
-	}))
+	isK1 := func(_ *table.Table, r table.Row) bool { return r[0].Equal(table.S("k1")) }
+	top := src.Select(isK1)
+	rest := src.Select(func(t *table.Table, r table.Row) bool { return !isK1(t, r) })
 	got := reclaim(t, New(src), []*table.Table{top, rest})
 	if rep := metrics.Evaluate(src, got); !rep.PerfectReclamation {
 		t.Errorf("horizontal partition not reclaimed: %+v\n%s", rep, got)

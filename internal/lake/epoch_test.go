@@ -286,14 +286,8 @@ func TestInPlaceEditRePut(t *testing.T) {
 		t.Fatal("in-place edit re-Put did not move the epoch")
 	}
 	after := l.Snapshot()
-	id, ok := after.Dict().LookupValue(table.S("new"))
-	if !ok {
-		after.EnsureInterned()
-		id, ok = after.Dict().LookupValue(table.S("new"))
-	}
-	if !ok {
-		t.Fatal("edited value never interned")
-	}
+	after.EnsureInterned()
+	id := after.Dict().InternValue(table.S("new"))
 	got := after.Interned("t").ColumnIDs(0)
 	if len(got) != 1 || got[0] != id {
 		t.Fatalf("interned form still serves pre-edit contents: %v (want [%d])", got, id)

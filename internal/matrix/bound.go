@@ -70,24 +70,6 @@ func admissibleMargin(rows int) float64 {
 	return 16 * ulp1 * float64(rows)
 }
 
-// bounds computes both admissible bounds on how much a candidate can add to
-// the current integration's EIS in one pass over its touched keys. loose
-// lifts every touched key to the maximal contribution 1, weighted by its
-// source-row count — non-negative and non-increasing across rounds, so it is
-// what the heap stores. tight caps each key at the 1-mask-union contribution
-// instead (see the file comment) — never above loose, valid only against the
-// current combined state, so it gates the exact scorer but never enters the
-// heap. A tight value of exactly 0 is the same kind of certificate as a
-// loose 0: float addition of its non-negative terms yields 0 only if every
-// touched key's cap already equals its contribution, squeezing the merged
-// contribution (cap-bounded above, monotonicity-bounded below) to bit-equal
-// the cached one, so the exact score equals mostCorrect bit-for-bit.
-// The two are separate passes so the round loop can pay for the tight
-// bound's word scans only on candidates the loose bound failed to prune.
-func (e *engine) bounds(c *candidate) (loose, tight float64) {
-	return e.looseBound(c), e.tightBound(c)
-}
-
 // looseBound is the heap's bound: O(touched), no word scans.
 func (e *engine) looseBound(c *candidate) float64 {
 	n := len(e.rowKey)
@@ -102,7 +84,13 @@ func (e *engine) looseBound(c *candidate) float64 {
 }
 
 // tightBound is the per-pop gate: O(touched·pwords), valid only against the
-// current combined state.
+// current combined state. It caps each touched key at the 1-mask-union
+// contribution (see the file comment), so it is never above looseBound. A
+// tight value of exactly 0 is the same kind of certificate as a loose 0:
+// float addition of its non-negative terms yields 0 only if every touched
+// key's cap already equals its contribution, squeezing the merged
+// contribution (cap-bounded above, monotonicity-bounded below) to bit-equal
+// the cached one, so the exact score equals mostCorrect bit-for-bit.
 func (e *engine) tightBound(c *candidate) float64 {
 	n := len(e.rowKey)
 	if n == 0 {

@@ -143,3 +143,9 @@ func TestBoundHeapOrdering(t *testing.T) {
 		}
 	}
 }
+
+// bounds returns both admissible bounds on how much a candidate can add to
+// the current integration's EIS, for the tests that hold them side by side.
+func (e *engine) bounds(c *candidate) (loose, tight float64) {
+	return e.looseBound(c), e.tightBound(c)
+}

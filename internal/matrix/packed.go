@@ -45,20 +45,6 @@ func fullBytes(m uint64) uint64 {
 	return (m >> 7) * 0xff
 }
 
-// packCodes packs Equation 4 int8 codes into words uint64 words.
-func packCodes(code []int8, words int) []uint64 {
-	w := make([]uint64, words)
-	for c, v := range code {
-		w[c>>3] |= uint64(uint8(v)) << ((c & 7) * 8)
-	}
-	return w
-}
-
-// packTuple converts an unpacked aligned tuple, keeping its cached α−δ.
-func (s *Shape) packTuple(t tuple) ptuple {
-	return ptuple{words: packCodes(t.code, s.pwords), ad: t.ad}
-}
-
 // onesMask ORs the 0x80-flag 1-code masks of every tuple in list into a
 // fresh pwords-long mask: bit 7 of byte c&7 of word c>>3 is set iff some
 // tuple codes column c as a match. Since or() is an element-wise max, any

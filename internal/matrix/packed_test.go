@@ -203,3 +203,17 @@ func TestKernelArenaSlicesSurviveGrowth(t *testing.T) {
 		}
 	}
 }
+
+// packCodes packs Equation 4 int8 codes into words uint64 words.
+func packCodes(code []int8, words int) []uint64 {
+	w := make([]uint64, words)
+	for c, v := range code {
+		w[c>>3] |= uint64(uint8(v)) << ((c & 7) * 8)
+	}
+	return w
+}
+
+// packTuple converts an unpacked aligned tuple, keeping its cached α−δ.
+func (s *Shape) packTuple(t tuple) ptuple {
+	return ptuple{words: packCodes(t.code, s.pwords), ad: t.ad}
+}

@@ -175,8 +175,8 @@ func newEngine(ctx context.Context, src *table.Table, cands []*table.Table, enc 
 }
 
 // packCandidate aligns and encodes one candidate table per Equation 4,
-// emitting the engine's packed form directly — FromTable fused with
-// packTuple. The code values, the cached α−δ, and the duplicate-tuple
+// emitting the engine's packed form directly — FromTable fused with the
+// word packing. The code values, the cached α−δ, and the duplicate-tuple
 // skipping match FromTable exactly (byte-equal packed words iff equal int8
 // codes), so the engine scores the same tuples the reference does; only the
 // allocation shape differs: every aligned tuple's words live in one

@@ -147,12 +147,8 @@ func eisOf(a *Alignment) float64 {
 	return sum / float64(len(a.Source.Rows))
 }
 
-// InstanceSimilarity returns the (non-error-aware) instance similarity of
-// Equation 2.
-func InstanceSimilarity(s, t *table.Table) float64 {
-	return instanceSimilarityOf(Align(s, t))
-}
-
+// instanceSimilarityOf returns the (non-error-aware) instance similarity
+// of Equation 2.
 func instanceSimilarityOf(a *Alignment) float64 {
 	if len(a.Source.Rows) == 0 {
 		return 1
@@ -170,18 +166,9 @@ func instanceSimilarityOf(a *Alignment) float64 {
 	return sum / float64(len(a.Source.Rows))
 }
 
-// InstanceDivergence is 1 − InstanceSimilarity; 0 is ideal.
-func InstanceDivergence(s, t *table.Table) float64 {
-	return 1 - InstanceSimilarity(s, t)
-}
-
-// RecallPrecision returns the TDR-derived Rec = |S∩Ŝ|/|S| and Pre =
+// recallPrecisionOf returns the TDR-derived Rec = |S∩Ŝ|/|S| and Pre =
 // |S∩Ŝ|/|Ŝ| over distinct whole tuples (Ŝ reshaped to S's schema first).
 // An empty reclaimed table has precision 0.
-func RecallPrecision(s, t *table.Table) (rec, pre float64) {
-	return recallPrecisionOf(Align(s, t))
-}
-
 func recallPrecisionOf(a *Alignment) (rec, pre float64) {
 	sSet := make(map[string]bool, len(a.Source.Rows))
 	for _, r := range a.Source.Rows {
@@ -231,16 +218,12 @@ func (a *Alignment) bestAligned(i int) (table.Row, bool) {
 	return best, true
 }
 
-// ConditionalKL computes the penalized conditional KL-divergence of
+// conditionalKLOf computes the penalized conditional KL-divergence of
 // Appendix E (Equations 11–12): per non-key column, the per-key penalty
 // −log(Q(x|k)·(1−Q(¬x|k))) averaged over source keys, summed over columns,
 // and normalized by Q(K)·n where Q(K) is the (smoothed) fraction of source
 // keys found in the reclaimed table. Matching values cost ~0, nullified
 // values cost −log ε, erroneous values cost ~−2·log ε. 0 is ideal.
-func ConditionalKL(s, t *table.Table) float64 {
-	return conditionalKLOf(Align(s, t))
-}
-
 func conditionalKLOf(a *Alignment) float64 {
 	s := a.Source
 	if len(s.Rows) == 0 || a.NonKey == 0 {
@@ -289,8 +272,10 @@ type Report struct {
 	Recall      float64
 	Precision   float64
 	F1          float64
-	InstDiv     float64
-	DKL         float64
+	// InstDiv is the Instance Divergence 1 − InstanceSim; 0 is ideal.
+	InstDiv float64
+	// DKL is the penalized conditional KL-divergence; 0 is ideal.
+	DKL float64
 	// SizeRatio is |T| cells over |S| cells, the scalability measure of
 	// Figure 8(b).
 	SizeRatio float64

@@ -45,11 +45,11 @@ func near(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 func TestExample6InstanceSimilarity(t *testing.T) {
 	s := example6Source()
 	// Paper: Ŝ1 → 0.833, Ŝ2 → 0.75.
-	if got := InstanceSimilarity(s, example6S1()); !near(got, 10.0/12.0) {
-		t.Errorf("InstanceSimilarity(S, Ŝ1) = %v, want 0.8333", got)
+	if got := Evaluate(s, example6S1()).InstanceSim; !near(got, 10.0/12.0) {
+		t.Errorf("Evaluate(S, Ŝ1).InstanceSim = %v, want 0.8333", got)
 	}
-	if got := InstanceSimilarity(s, example6S2()); !near(got, 0.75) {
-		t.Errorf("InstanceSimilarity(S, Ŝ2) = %v, want 0.75", got)
+	if got := Evaluate(s, example6S2()).InstanceSim; !near(got, 0.75) {
+		t.Errorf("Evaluate(S, Ŝ2).InstanceSim = %v, want 0.75", got)
 	}
 }
 
@@ -103,22 +103,22 @@ func TestEISMultipleAlignedTakesMax(t *testing.T) {
 
 func TestRecallPrecision(t *testing.T) {
 	s := example6Source()
-	rec, pre := RecallPrecision(s, s)
-	if rec != 1 || pre != 1 {
-		t.Errorf("self Rec/Pre = %v/%v", rec, pre)
+	r := Evaluate(s, s)
+	if r.Recall != 1 || r.Precision != 1 {
+		t.Errorf("self Rec/Pre = %v/%v", r.Recall, r.Precision)
 	}
 	// Half-overlapping reclamation.
 	t2 := table.New("t", s.Cols...)
 	t2.Rows = append(t2.Rows, s.Rows[0].Clone())
 	t2.AddRow(table.N(9), table.S("Extra"), table.N(1), table.Null, table.Null)
-	rec, pre = RecallPrecision(s, t2)
-	if !near(rec, 1.0/3.0) || !near(pre, 0.5) {
-		t.Errorf("Rec/Pre = %v/%v, want 1/3, 1/2", rec, pre)
+	r = Evaluate(s, t2)
+	if !near(r.Recall, 1.0/3.0) || !near(r.Precision, 0.5) {
+		t.Errorf("Rec/Pre = %v/%v, want 1/3, 1/2", r.Recall, r.Precision)
 	}
 	// Empty reclaimed table.
-	rec, pre = RecallPrecision(s, table.New("e", s.Cols...))
-	if rec != 0 || pre != 0 {
-		t.Errorf("empty Rec/Pre = %v/%v", rec, pre)
+	r = Evaluate(s, table.New("e", s.Cols...))
+	if r.Recall != 0 || r.Precision != 0 {
+		t.Errorf("empty Rec/Pre = %v/%v", r.Recall, r.Precision)
 	}
 }
 
@@ -128,9 +128,8 @@ func TestRecallPrecisionColumnPermutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, pre := RecallPrecision(s, perm)
-	if rec != 1 || pre != 1 {
-		t.Errorf("column permutation broke Rec/Pre: %v/%v", rec, pre)
+	if r := Evaluate(s, perm); r.Recall != 1 || r.Precision != 1 {
+		t.Errorf("column permutation broke Rec/Pre: %v/%v", r.Recall, r.Precision)
 	}
 }
 
@@ -152,27 +151,27 @@ func TestInstanceDivergence(t *testing.T) {
 	// has self-divergence 1/12 here (Smith's null Gender can never "match").
 	// This mirrors the paper's own Example 6 arithmetic, where Ŝ2's
 	// (0, Smith, —, —, Bachelors) scores 2/4, not 3/4.
-	if got := InstanceDivergence(s, s); !near(got, 1.0/12.0) {
+	if got := Evaluate(s, s).InstDiv; !near(got, 1.0/12.0) {
 		t.Errorf("self divergence = %v, want 1/12", got)
 	}
-	if got := InstanceDivergence(s, example6S2()); !near(got, 0.25) {
+	if got := Evaluate(s, example6S2()).InstDiv; !near(got, 0.25) {
 		t.Errorf("divergence(Ŝ2) = %v, want 0.25", got)
 	}
 	// A null-free source is exactly self-similar.
 	nf := table.New("nf", "ID", "x")
 	nf.Key = []int{0}
 	nf.AddRow(table.N(1), table.S("a"))
-	if got := InstanceDivergence(nf, nf); !near(got, 0) {
+	if got := Evaluate(nf, nf).InstDiv; !near(got, 0) {
 		t.Errorf("null-free self divergence = %v, want 0", got)
 	}
 }
 
 func TestConditionalKLOrdering(t *testing.T) {
 	s := example6Source()
-	perfect := ConditionalKL(s, s)
-	nullified := ConditionalKL(s, example6S2())
-	erroneous := ConditionalKL(s, example6S1())
-	missing := ConditionalKL(s, table.New("e", s.Cols...))
+	perfect := Evaluate(s, s).DKL
+	nullified := Evaluate(s, example6S2()).DKL
+	erroneous := Evaluate(s, example6S1()).DKL
+	missing := Evaluate(s, table.New("e", s.Cols...)).DKL
 	if perfect > 0.01 {
 		t.Errorf("DKL(S,S) = %v, want ~0 (only smoothing cost)", perfect)
 	}
@@ -254,9 +253,8 @@ func TestInstanceSimilarityNeverBelowEISReach(t *testing.T) {
 	// Property: divergence measures stay in range and DKL is non-negative.
 	s := example6Source()
 	prop := func(p randReclaimed) bool {
-		is := InstanceSimilarity(s, p.T)
-		kl := ConditionalKL(s, p.T)
-		return is >= 0 && is <= 1 && kl >= 0 && !math.IsNaN(kl)
+		r := Evaluate(s, p.T)
+		return r.InstanceSim >= 0 && r.InstanceSim <= 1 && r.DKL >= 0 && !math.IsNaN(r.DKL)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
@@ -267,8 +265,7 @@ func TestPerfectReclamationIffEISOne(t *testing.T) {
 	// Property: Rec = Pre = 1 implies EIS = 1 (identical instances).
 	s := example6Source()
 	prop := func(p randReclaimed) bool {
-		rec, pre := RecallPrecision(s, p.T)
-		if rec == 1 && pre == 1 {
+		if r := Evaluate(s, p.T); r.Recall == 1 && r.Precision == 1 {
 			return near(EIS(s, p.T), 1)
 		}
 		return true

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -87,6 +88,38 @@ func TestAdmissionShedsWith429(t *testing.T) {
 	var e ErrorJSON
 	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Code != "overloaded" {
 		t.Fatalf("body = %s (err %v), want code overloaded", rec.Body, err)
+	}
+
+	releaseWaiter()
+	wg.Wait()
+	<-s.admit.slots
+}
+
+// TestMetricsReadAdmissionGate: /metrics renders gentd_inflight and
+// gentd_queued from the admission gate itself, so a request parked for a
+// slot shows as queued and the slot's holder as in flight, whichever
+// endpoint holds it.
+func TestMetricsReadAdmissionGate(t *testing.T) {
+	_, l := smallScenario()
+	s := New(core.NewReclaimer(l, core.DefaultConfig()), Config{Workers: 1, Queue: 1})
+	s.admit.slots <- struct{}{}
+	waitCtx, releaseWaiter := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		s.admit.acquire(waitCtx) //nolint:errcheck
+	}()
+	for s.admit.stats().Waiting == 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	rec := httptest.NewRecorder()
+	s.handleMetrics(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, want := range []string{"\ngentd_inflight 1\n", "\ngentd_queued 1\n"} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("/metrics lacks %q:\n%s", strings.TrimSpace(want), rec.Body)
+		}
 	}
 
 	releaseWaiter()

@@ -54,7 +54,7 @@ func adoptInto(t *testing.T, session *core.Reclaimer, dir string) (IndexOutcome,
 // next start.
 func TestAdoptIndexesRebuildsForeignDictionary(t *testing.T) {
 	dir := t.TempDir()
-	foreign := index.BuildIndexSet(twoTableLake("theirs").Snapshot())
+	foreign := index.BuildIndexSetSharded(twoTableLake("theirs").Snapshot(), index.DefaultShards)
 	foreign.Epoch = lake.Epoch{} // unstamped, so the dictionary is what refuses it
 	if err := foreign.SaveDir(dir); err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestAdoptIndexesRebuildsLegacyDirectory(t *testing.T) {
 	} {
 		dir := t.TempDir()
 		if c.inverted {
-			if err := index.BuildIndexSet(twoTableLake("ours").Snapshot()).SaveDir(dir); err != nil {
+			if err := index.BuildIndexSetSharded(twoTableLake("ours").Snapshot(), index.DefaultShards).SaveDir(dir); err != nil {
 				t.Fatal(err)
 			}
 			if !c.dict {

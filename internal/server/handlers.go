@@ -155,8 +155,6 @@ func (s *Server) handleReclaim(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.admit.release()
-	s.metrics.addInflight(1)
-	defer s.metrics.addInflight(-1)
 
 	// The cache key is the source's content fingerprint (what the bytes say)
 	// folded with the resolved configuration (what question is being asked);
@@ -250,8 +248,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.admit.release()
-	s.metrics.addInflight(1)
-	defer s.metrics.addInflight(-1)
 
 	omit := req.Options != nil && req.Options.OmitTable
 	items, _ := s.session.WithConfig(cfg).ReclaimAllContext(ctx, srcs, s.batchWorkers(len(srcs)))
@@ -284,8 +280,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.admit.release()
-	s.metrics.addInflight(1)
-	defer s.metrics.addInflight(-1)
 
 	omit := req.Options != nil && req.Options.OmitTable
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -468,10 +462,14 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.session.Lake().Snapshot()
 	resident := s.session.Lake().CacheStats()
+	admission := s.admit.stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.metrics.render(w, s.cache.snapshotStats(), map[string]float64{
 		"gentd_epoch_seq":            float64(snap.Epoch().Seq),
 		"gentd_lake_tables":          float64(snap.Len()),
 		"gentd_resident_cache_bytes": float64(resident.ResidentBytes),
+		// Every admitted request holds a slot, index save/load included.
+		"gentd_inflight": float64(admission.Running),
+		"gentd_queued":   float64(admission.Waiting),
 	})
 }

@@ -10,8 +10,8 @@ import (
 	"gent/internal/core"
 )
 
-// metricSet is gentd's telemetry: request/response counters, admission
-// gauges, result-cache traffic, and per-phase latency histograms fed by the
+// metricSet is gentd's telemetry: request/response counters, the shed
+// count, result-cache traffic, and per-phase latency histograms fed by the
 // pipeline's own ProgressObserver — the structured events every run already
 // emits. Rendered in the Prometheus text exposition format at /metrics with
 // no dependency beyond fmt.
@@ -21,10 +21,6 @@ type metricSet struct {
 	requests map[reqKey]uint64
 	// shed counts admissions refused with 429.
 	shed uint64
-	// inflight is the number of admitted requests currently running.
-	inflight int64
-	// queued is the number of requests waiting for an admission slot.
-	queued int64
 	// cacheHits / cacheMisses mirror the result cache's own counters but are
 	// bumped at serve time, so a scrape between request and counter update
 	// cannot go backwards.
@@ -124,21 +120,9 @@ func (m *metricSet) shedOne() {
 	m.mu.Unlock()
 }
 
-func (m *metricSet) addInflight(d int64) {
-	m.mu.Lock()
-	m.inflight += d
-	m.mu.Unlock()
-}
-
-func (m *metricSet) addQueued(d int64) {
-	m.mu.Lock()
-	m.queued += d
-	m.mu.Unlock()
-}
-
 // render writes the exposition text. gauges holds point-in-time values the
-// server owns (epoch seq, table count, cache occupancy), passed in so the
-// metric set needs no back-pointer.
+// server owns (epoch seq, table count, cache occupancy, admission-gate
+// occupancy), passed in so the metric set needs no back-pointer.
 func (m *metricSet) render(w io.Writer, cache ResultCacheStats, gauges map[string]float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -161,10 +145,6 @@ func (m *metricSet) render(w io.Writer, cache ResultCacheStats, gauges map[strin
 
 	fmt.Fprintf(w, "# TYPE gentd_shed_total counter\n")
 	fmt.Fprintf(w, "gentd_shed_total %d\n", m.shed)
-	fmt.Fprintf(w, "# TYPE gentd_inflight gauge\n")
-	fmt.Fprintf(w, "gentd_inflight %d\n", m.inflight)
-	fmt.Fprintf(w, "# TYPE gentd_queued gauge\n")
-	fmt.Fprintf(w, "gentd_queued %d\n", m.queued)
 
 	fmt.Fprintf(w, "# HELP gentd_result_cache Epoch-keyed result cache traffic.\n")
 	fmt.Fprintf(w, "# TYPE gentd_result_cache_hits_total counter\n")

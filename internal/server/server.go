@@ -120,9 +120,6 @@ func New(session *core.Reclaimer, cfg Config) *Server {
 	}
 }
 
-// Session returns the server's Reclaimer.
-func (s *Server) Session() *core.Reclaimer { return s.session }
-
 // Handler returns the server's routes. Mount it on any http.Server; cmd/
 // gentd owns the listener so the library spawns no goroutines of its own.
 func (s *Server) Handler() http.Handler {

@@ -423,9 +423,13 @@ func TestServerIndexSaveLoad(t *testing.T) {
 // response must be a valid result pinned to some epoch the lake actually
 // held, cache hits included, while Apply rolls the lake forward underneath.
 func TestServerConcurrentQueriesRacingApply(t *testing.T) {
-	src, srv, c := startServer(t, server.Config{})
+	src, _, c := startServer(t, server.Config{})
 	ctx := context.Background()
-	start := srv.Session().Lake().Epoch().Seq
+	st, err := c.Stats(ctx, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := st.EpochSeq
 
 	const queriers, rounds, mutations = 4, 6, 8
 	var wg sync.WaitGroup
@@ -467,23 +471,26 @@ func TestServerConcurrentQueriesRacingApply(t *testing.T) {
 
 	// The run must end where the mutations left the lake, and a fresh query
 	// both pins that epoch and caches under it.
-	final := srv.Session().Lake().Epoch()
-	if final.Seq != start+mutations {
-		t.Fatalf("final epoch %s, want seq %d", final, start+mutations)
+	final, err := c.Stats(ctx, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.EpochSeq != start+mutations {
+		t.Fatalf("final epoch %s, want seq %d", final.Epoch, start+mutations)
 	}
 	r, err := c.Reclaim(ctx, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.EpochSeq != final.Seq {
-		t.Fatalf("post-race query pinned %s, want %s", r.Epoch, final)
+	if r.EpochSeq != final.EpochSeq {
+		t.Fatalf("post-race query pinned %s, want %s", r.Epoch, final.Epoch)
 	}
 	r2, err := c.Reclaim(ctx, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r2.Cached || r2.EpochSeq != final.Seq {
-		t.Fatalf("post-race repeat: cached=%v epoch=%s, want hit at %s", r2.Cached, r2.Epoch, final)
+	if !r2.Cached || r2.EpochSeq != final.EpochSeq {
+		t.Fatalf("post-race repeat: cached=%v epoch=%s, want hit at %s", r2.Cached, r2.Epoch, final.Epoch)
 	}
 }
 

@@ -195,15 +195,6 @@ func (d *Dict) lookup(e DictEntry) (uint32, bool) {
 	return d.idx.find(e)
 }
 
-// LookupValue returns v's ID without interning; ok is false when v's value
-// class has never been interned (nulls report NullID, true).
-func (d *Dict) LookupValue(v Value) (uint32, bool) {
-	if v.Kind == KindNull {
-		return NullID, true
-	}
-	return d.lookup(entryOf(v))
-}
-
 // ValueOf reconstructs the value of an assigned ID (numeric entries come
 // back as canonical-text numbers). It panics on an unassigned non-null ID,
 // which is always a programming error under the stability contract.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -278,4 +279,19 @@ func TestIDSetOps(t *testing.T) {
 	if !HasID(a, 5) || HasID(a, 4) {
 		t.Error("HasID wrong")
 	}
+}
+
+// HasID reports membership of id in a sorted distinct ID slice.
+func HasID(a []uint32, id uint32) bool {
+	i := sort.Search(len(a), func(i int) bool { return a[i] >= id })
+	return i < len(a) && a[i] == id
+}
+
+// LookupValue returns v's ID without interning; ok is false when v's value
+// class has never been interned (nulls report NullID, true).
+func (d *Dict) LookupValue(v Value) (uint32, bool) {
+	if v.Kind == KindNull {
+		return NullID, true
+	}
+	return d.lookup(entryOf(v))
 }

@@ -2,7 +2,6 @@ package table
 
 import (
 	"slices"
-	"sort"
 )
 
 // Interned is the columnar ID form of a table: every cell mapped through a
@@ -163,10 +162,4 @@ func ContainsIDs(a, b []uint32) bool {
 		i++
 	}
 	return true
-}
-
-// HasID reports membership of id in a sorted distinct ID slice.
-func HasID(a []uint32, id uint32) bool {
-	i := sort.Search(len(a), func(i int) bool { return a[i] >= id })
-	return i < len(a) && a[i] == id
 }

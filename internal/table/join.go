@@ -54,7 +54,7 @@ func joinedSchema(a, b *Table, shared []string) ([]string, []int) {
 }
 
 // InnerJoin returns the natural equi-join of a and b on their shared columns.
-// With no shared columns the result is empty (use CrossProduct explicitly).
+// With no shared columns the result is empty.
 func InnerJoin(a, b *Table) *Table {
 	shared := CommonCols(a, b)
 	cols, extras := joinedSchema(a, b, shared)
@@ -187,21 +187,6 @@ func FullOuterJoin(a, b *Table) *Table {
 			nr[len(a.Cols)+i] = rb[j]
 		}
 		out.Rows = append(out.Rows, nr)
-	}
-	return out
-}
-
-// CrossProduct returns a × b; the tables must not share column names.
-func CrossProduct(a, b *Table) *Table {
-	cols := append(append([]string(nil), a.Cols...), b.Cols...)
-	out := New(a.Name+"×"+b.Name, cols...)
-	for _, ra := range a.Rows {
-		for _, rb := range b.Rows {
-			nr := make(Row, 0, len(cols))
-			nr = append(nr, ra.Clone()...)
-			nr = append(nr, rb.Clone()...)
-			out.Rows = append(out.Rows, nr)
-		}
 	}
 	return out
 }

@@ -190,3 +190,18 @@ func TestLemma15CrossProductViaRepresentativeOps(t *testing.T) {
 		t.Errorf("cross product via κ-closure wrong:\n%s", got)
 	}
 }
+
+// CrossProduct returns a × b; the tables must not share column names.
+func CrossProduct(a, b *Table) *Table {
+	cols := append(append([]string(nil), a.Cols...), b.Cols...)
+	out := New(a.Name+"×"+b.Name, cols...)
+	for _, ra := range a.Rows {
+		for _, rb := range b.Rows {
+			nr := make(Row, 0, len(cols))
+			nr = append(nr, ra.Clone()...)
+			nr = append(nr, rb.Clone()...)
+			out.Rows = append(out.Rows, nr)
+		}
+	}
+	return out
+}

@@ -174,3 +174,20 @@ func TestViewsShareRows(t *testing.T) {
 		})
 	}
 }
+
+// ColEquals builds a predicate matching rows whose named column equals v.
+func ColEquals(col string, v Value) Predicate {
+	return func(t *Table, r Row) bool {
+		i := t.ColIndex(col)
+		return i >= 0 && r[i].Equal(v)
+	}
+}
+
+// ColIn builds a predicate matching rows whose named column's value is in the
+// given canonical-key set. Null never matches.
+func ColIn(col string, keys map[string]bool) Predicate {
+	return func(t *Table, r Row) bool {
+		i := t.ColIndex(col)
+		return i >= 0 && !r[i].IsNull() && keys[r[i].Key()]
+	}
+}

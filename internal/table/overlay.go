@@ -14,9 +14,6 @@ type Interner interface {
 	// InternValue returns v's ID, assigning one on first sight; nulls
 	// report NullID.
 	InternValue(v Value) uint32
-	// LookupValue returns v's ID without interning; ok is false when v's
-	// value class has never been seen.
-	LookupValue(v Value) (uint32, bool)
 }
 
 // overlayIDBit marks overlay-local IDs. The shared dictionary assigns dense
@@ -64,14 +61,6 @@ func (o *Overlay) InternValue(v Value) uint32 {
 		o.idx.add(e, id)
 	}
 	return id
-}
-
-// LookupValue implements Interner.
-func (o *Overlay) LookupValue(v Value) (uint32, bool) {
-	if v.Kind == KindNull {
-		return NullID, true
-	}
-	return o.lookup(entryOf(v))
 }
 
 // lookup resolves e's class through the base, then the overlay's own IDs.

@@ -69,3 +69,12 @@ func TestFingerprintTracksEntries(t *testing.T) {
 		t.Fatal("FingerprintSnapshot must agree with Fingerprint")
 	}
 }
+
+// LookupValue returns v's ID without interning, resolving through the base
+// first; ok is false when neither has seen v's value class.
+func (o *Overlay) LookupValue(v Value) (uint32, bool) {
+	if v.Kind == KindNull {
+		return NullID, true
+	}
+	return o.lookup(entryOf(v))
+}

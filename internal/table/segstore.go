@@ -31,9 +31,6 @@ func NewSegmentStore(dir string) (*SegmentStore, error) {
 	return &SegmentStore{dir: dir}, nil
 }
 
-// Dir returns the store's directory.
-func (st *SegmentStore) Dir() string { return st.dir }
-
 // SegmentPath returns the file a table's segment lives at. Names are
 // path-escaped, so any valid table name maps to exactly one flat file.
 func (st *SegmentStore) SegmentPath(name string) string {

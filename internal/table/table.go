@@ -3,7 +3,6 @@ package table
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -15,19 +14,6 @@ func (r Row) Clone() Row {
 	c := make(Row, len(r))
 	copy(c, r)
 	return c
-}
-
-// Equal reports whether two rows have identical values position-wise.
-func (r Row) Equal(s Row) bool {
-	if len(r) != len(s) {
-		return false
-	}
-	for i := range r {
-		if !r[i].Equal(s[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Key returns a canonical form of the row usable as a map key.
@@ -170,19 +156,6 @@ func (t *Table) Clone() *Table {
 	return c
 }
 
-// Column returns all values of the named column, or nil if absent.
-func (t *Table) Column(name string) []Value {
-	i := t.ColIndex(name)
-	if i < 0 {
-		return nil
-	}
-	out := make([]Value, len(t.Rows))
-	for j, r := range t.Rows {
-		out[j] = r[i]
-	}
-	return out
-}
-
 // ColumnSet returns the distinct non-null values of column i, keyed by their
 // canonical form.
 func (t *Table) ColumnSet(i int) map[string]bool {
@@ -271,20 +244,6 @@ func SameInstance(a, b *Table) bool {
 		}
 	}
 	return true
-}
-
-// SortRows orders rows deterministically (leftmost column first); useful for
-// stable rendering and golden tests.
-func (t *Table) SortRows() {
-	sort.Slice(t.Rows, func(i, j int) bool {
-		a, b := t.Rows[i], t.Rows[j]
-		for k := range a {
-			if c := a[k].Compare(b[k]); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
 }
 
 // String renders a small table for debugging.

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"sort"
 	"strings"
 	"testing"
 )
@@ -148,4 +149,31 @@ func TestNumCells(t *testing.T) {
 	if got := figSource().NumCells(); got != 15 {
 		t.Errorf("NumCells = %d, want 15", got)
 	}
+}
+
+// Equal reports whether two rows have identical values position-wise.
+func (r Row) Equal(s Row) bool {
+	if len(r) != len(s) {
+		return false
+	}
+	for i := range r {
+		if !r[i].Equal(s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// SortRows orders rows deterministically (leftmost column first); useful for
+// stable rendering and golden tests.
+func (t *Table) SortRows() {
+	sort.Slice(t.Rows, func(i, j int) bool {
+		a, b := t.Rows[i], t.Rows[j]
+		for k := range a {
+			if c := a[k].Compare(b[k]); c != 0 {
+				return c < 0
+			}
+		}
+		return false
+	})
 }

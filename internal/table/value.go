@@ -13,7 +13,7 @@
 // one that re-lists rows — Rename, InnerUnion, PadNullColumns with nothing
 // to pad, DropDuplicates, Subsume, Complement, MinimalForm — returns a view:
 // a table with its own Cols, Key and Rows slices over the same Row values.
-// A view can be reordered (SortRows) or extended without touching the table
+// A view can be reordered or extended without touching the table
 // it came from. Rows a lake holds are shared with every query this way and
 // are read-only; a caller that writes cells takes a Clone first.
 package table
@@ -203,48 +203,6 @@ func keyEscape(s string) string {
 		}
 	}
 	return b.String()
-}
-
-// Compare orders values deterministically: nulls first, then numbers by
-// value, then strings lexicographically, then labels by identity.
-func (v Value) Compare(w Value) int {
-	r := func(k Kind) int {
-		switch k {
-		case KindNull:
-			return 0
-		case KindNumber:
-			return 1
-		case KindString:
-			return 2
-		default:
-			return 3
-		}
-	}
-	if a, b := r(v.Kind), r(w.Kind); a != b {
-		return a - b
-	}
-	switch v.Kind {
-	case KindNull:
-		return 0
-	case KindNumber:
-		switch {
-		case v.Num < w.Num:
-			return -1
-		case v.Num > w.Num:
-			return 1
-		}
-		return 0
-	case KindLabel:
-		switch {
-		case v.ID < w.ID:
-			return -1
-		case v.ID > w.ID:
-			return 1
-		}
-		return 0
-	default:
-		return strings.Compare(v.Str, w.Str)
-	}
 }
 
 // String renders the value for display; nulls render as "—" like the paper's

@@ -3,6 +3,7 @@ package table
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -136,5 +137,47 @@ func TestValueTextRoundTrip(t *testing.T) {
 		if !got.Equal(v) {
 			t.Errorf("Parse(Text(%v)) = %v, want equal", v, got)
 		}
+	}
+}
+
+// Compare orders values deterministically: nulls first, then numbers by
+// value, then strings lexicographically, then labels by identity.
+func (v Value) Compare(w Value) int {
+	r := func(k Kind) int {
+		switch k {
+		case KindNull:
+			return 0
+		case KindNumber:
+			return 1
+		case KindString:
+			return 2
+		default:
+			return 3
+		}
+	}
+	if a, b := r(v.Kind), r(w.Kind); a != b {
+		return a - b
+	}
+	switch v.Kind {
+	case KindNull:
+		return 0
+	case KindNumber:
+		switch {
+		case v.Num < w.Num:
+			return -1
+		case v.Num > w.Num:
+			return 1
+		}
+		return 0
+	case KindLabel:
+		switch {
+		case v.ID < w.ID:
+			return -1
+		case v.ID > w.ID:
+			return 1
+		}
+		return 0
+	default:
+		return strings.Compare(v.Str, w.Str)
 	}
 }

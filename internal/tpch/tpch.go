@@ -176,27 +176,6 @@ func Generate(s Scale) *lake.Lake {
 	return l
 }
 
-// PrimaryKey returns the key column name of a TPC-H table ("" for tables
-// with composite keys).
-func PrimaryKey(name string) string {
-	switch name {
-	case "region":
-		return "regionkey"
-	case "nation":
-		return "nationkey"
-	case "supplier":
-		return "suppkey"
-	case "customer":
-		return "custkey"
-	case "part":
-		return "partkey"
-	case "orders":
-		return "orderkey"
-	default:
-		return "" // partsupp and lineitem have composite keys
-	}
-}
-
 func key(prefix string, i int) table.Value {
 	return table.S(fmt.Sprintf("%s#%06d", prefix, i))
 }

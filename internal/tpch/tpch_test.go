@@ -97,3 +97,24 @@ func TestJoinsWorkByColumnName(t *testing.T) {
 		t.Errorf("orders⋈customer = %d rows, want %d", j.NumRows(), l.Snapshot().Get("orders").NumRows())
 	}
 }
+
+// PrimaryKey returns the key column name of a TPC-H table ("" for tables
+// with composite keys).
+func PrimaryKey(name string) string {
+	switch name {
+	case "region":
+		return "regionkey"
+	case "nation":
+		return "nationkey"
+	case "supplier":
+		return "suppkey"
+	case "customer":
+		return "custkey"
+	case "part":
+		return "partkey"
+	case "orders":
+		return "orderkey"
+	default:
+		return "" // partsupp and lineitem have composite keys
+	}
+}
