@@ -20,6 +20,10 @@
 // goroutine carries //lint:allow nakedgo with the reason. Main packages,
 // examples and _test.go files are exempt: commands own their process
 // lifetime, and test goroutines are bounded by the test.
+//
+// A loop over independent work items does not write its own pool: it calls
+// par.For (internal/par), which bounds the goroutines at the width the
+// caller passes and joins them before returning.
 package nakedgo
 
 import (

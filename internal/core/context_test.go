@@ -326,7 +326,8 @@ func TestReclaimStreamEarlyBreak(t *testing.T) {
 // TestReclaimStreamCancelMidBatch: canceling the caller's context mid-stream
 // still delivers the items that completed, surfaces phase-tagged
 // cancellation errors for in-flight sources, and leaks nothing. The
-// collector totalizes: unfinished sources carry the PhaseBatch error.
+// collector totalizes: unfinished sources carry the PhaseBatch error, and
+// under a ctx done before the call that is every source.
 func TestReclaimStreamCancelMidBatch(t *testing.T) {
 	src, l := buildScenario()
 	srcs := make([]*table.Table, 16)
@@ -365,9 +366,14 @@ func TestReclaimStreamCancelMidBatch(t *testing.T) {
 	}
 	waitNoExtraGoroutines(t, baseline)
 
-	// The collector keeps the batch total and reports the batch error.
+	// A ctx already done dispatches no source: the stream yields nothing,
+	// and the collector keeps the batch total with the batch error on every
+	// item.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	cancel2()
+	for item := range r.ReclaimStream(ctx2, srcs, 2) {
+		t.Errorf("dead ctx dispatched source %d (err %v)", item.Index, item.Err)
+	}
 	items, err := r.ReclaimAllContext(ctx2, srcs, 2)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want batch error wrapping context.Canceled, got %v", err)
@@ -380,8 +386,9 @@ func TestReclaimStreamCancelMidBatch(t *testing.T) {
 		t.Fatalf("collector returned %d items for %d sources", len(items), len(srcs))
 	}
 	for i, item := range items {
-		if item.Result == nil && item.Err == nil {
-			t.Errorf("item %d has neither result nor error", i)
+		var ierr *Error
+		if !errors.As(item.Err, &ierr) || ierr.Phase != PhaseBatch {
+			t.Errorf("item %d: want the PhaseBatch error, got result %v, err %v", i, item.Result != nil, item.Err)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 
+	"gent/internal/par"
 	"gent/internal/table"
 )
 
@@ -62,8 +63,9 @@ func (r *Reclaimer) batchConfig(nSrcs, workers int) (int, Config) {
 // configuration. Breaking out of the range cancels the remaining work; a
 // canceled or expired ctx stops dispatch, and in-flight sources yield items
 // whose Err is a phase-tagged *Error wrapping ctx.Err(). Items already
-// completed are still delivered. Every pool goroutine exits before the
-// iterator returns control after its final item.
+// completed are still delivered; a ctx already done at the start dispatches
+// no source, so the stream yields nothing. Every pool goroutine exits before
+// the iterator returns control after its final item.
 func (r *Reclaimer) ReclaimStream(ctx context.Context, srcs []*table.Table, workers int) iter.Seq[BatchItem] {
 	return func(yield func(BatchItem) bool) {
 		if len(srcs) == 0 {
@@ -77,8 +79,8 @@ func (r *Reclaimer) ReclaimStream(ctx context.Context, srcs []*table.Table, work
 		// Build the shared substrates before fanning out, so the pool starts
 		// on fully-parallel index construction instead of serializing behind
 		// the first query's lazy build — unless the context is already dead,
-		// in which case the workers below fail each source fast (before any
-		// lazy build) and the canceled caller never pays for indexing.
+		// in which case no source is dispatched and the canceled caller never
+		// pays for indexing.
 		if ctx.Err() == nil {
 			batch.Warm()
 		}
@@ -93,35 +95,20 @@ func (r *Reclaimer) ReclaimStream(ctx context.Context, srcs []*table.Table, work
 		// honoring the completed-items contract.
 		stop := make(chan struct{})
 		out := make(chan BatchItem, nWorkers)
-		next := make(chan int)
 		var wg sync.WaitGroup
-		for w := 0; w < nWorkers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					res, err := batch.ReclaimContext(sctx, srcs[i])
-					select {
-					case out <- BatchItem{Index: i, Source: srcs[i], Result: res, Err: err}:
-					case <-stop:
-						return
-					}
-				}
-			}()
-		}
+		wg.Add(1)
 		go func() {
-			defer close(next)
-			for i := range srcs {
+			defer wg.Done()
+			defer close(out)
+			// A done sctx stops dispatch. Skipped sources yield no item:
+			// ReclaimAllContext gives them the batch error.
+			_ = par.For(sctx, len(srcs), nWorkers, func(_, i int) {
+				res, err := batch.ReclaimContext(sctx, srcs[i])
 				select {
-				case next <- i:
-				case <-sctx.Done():
-					return
+				case out <- BatchItem{Index: i, Source: srcs[i], Result: res, Err: err}:
+				case <-stop:
 				}
-			}
-		}()
-		go func() {
-			wg.Wait()
-			close(out)
+			})
 		}()
 		// Teardown runs deferred so the pool is torn down on every exit —
 		// normal completion, an early break (yield false), or the consumer's

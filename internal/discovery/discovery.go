@@ -12,10 +12,10 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"gent/internal/index"
 	"gent/internal/lake"
+	"gent/internal/par"
 	"gent/internal/table"
 )
 
@@ -130,62 +130,6 @@ func firstStagePool(snap *lake.Snapshot, lsh *index.MinHashLSH, src *table.Table
 	return snap.Subset(names)
 }
 
-// searchColumns probes the inverted index for every non-empty Source column
-// concurrently — the per-column probe loop, and discovery's mid-phase
-// preemption point: a canceled ctx stops the probes at the next column and
-// drains the pool before returning. The result aligns 1:1 with the Source's
-// columns; probe must return nil for columns with no distinct values and a
-// (possibly empty) non-nil slice otherwise, the distinction the query-column
-// denominator rests on.
-func searchColumns(ctx context.Context, ncols int, probe func(ci int) []index.Overlap) ([][]index.Overlap, error) {
-	done := ctx.Done()
-	canceled := func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
-	out := make([][]index.Overlap, ncols)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > ncols {
-		workers = ncols
-	}
-	if workers <= 1 {
-		for ci := 0; ci < ncols; ci++ {
-			if canceled() {
-				return nil, ctx.Err()
-			}
-			out[ci] = probe(ci)
-		}
-		return out, nil
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ci := range next {
-				if canceled() {
-					continue // keep draining so the dispatch loop cannot block
-				}
-				out[ci] = probe(ci)
-			}
-		}()
-	}
-	for ci := 0; ci < ncols; ci++ {
-		next <- ci
-	}
-	close(next)
-	wg.Wait()
-	if canceled() {
-		return nil, ctx.Err()
-	}
-	return out, nil
-}
-
 // perColumnCandidate is one lake column qualifying for one Source column.
 type perColumnCandidate struct {
 	tableName string
@@ -236,8 +180,13 @@ func setSimilarityContext(ctx context.Context, pool *lake.Snapshot, ix *index.In
 
 	// Per-column index probes are independent and dominate retrieval cost on
 	// wide sources, so they fan out over a worker pool; score accumulation
-	// below stays in column order to keep the ranking deterministic.
-	overlapsByCol, err := searchColumns(ctx, len(src.Cols), sets.probe)
+	// below stays in column order to keep the ranking deterministic. The
+	// probe loop is discovery's mid-phase preemption point: a canceled ctx
+	// stops it at the next column.
+	overlapsByCol := make([][]index.Overlap, len(src.Cols))
+	err := par.For(ctx, len(src.Cols), runtime.GOMAXPROCS(0), func(_, ci int) {
+		overlapsByCol[ci] = sets.probe(ci)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -2,13 +2,13 @@ package experiments
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"gent/internal/benchmark"
 	"gent/internal/core"
 	"gent/internal/lake"
 	"gent/internal/metrics"
+	"gent/internal/par"
 )
 
 // MethodScores aggregates one method's results over a benchmark's sources —
@@ -52,8 +52,16 @@ func RunEffectivenessContext(ctx context.Context, name string, b *benchmark.TPTR
 	res := EffectivenessResult{Benchmark: name}
 	session := sessionFor(b.Lake)
 
+	// Source-level fan-out already saturates the CPU: unless the caller
+	// pinned a traversal pool, split the cores between the two levels so
+	// concurrent sources do not each spin a GOMAXPROCS traversal engine.
+	if opts.Parallel > 1 && opts.TraverseWorkers <= 0 {
+		opts.TraverseWorkers = core.SplitTraverseWorkers(min(opts.Parallel, len(b.Sources)))
+	}
+	// The loop itself ignores cancellation so every source gets a row; each
+	// method run sees ctx and reports its own timeout.
 	outs := make([]map[Method]Outcome, len(b.Sources))
-	runSource := func(i int) {
+	_ = par.For(context.WithoutCancel(ctx), len(b.Sources), opts.Parallel, func(_, i int) {
 		src := b.Sources[i]
 		cands := sessionCandidates(ctx, session, src, opts.Discovery)
 		in := Input{
@@ -68,39 +76,7 @@ func RunEffectivenessContext(ctx context.Context, name string, b *benchmark.TPTR
 			byMethod[m] = RunContext(ctx, m, in, opts)
 		}
 		outs[i] = byMethod
-	}
-
-	if workers := opts.Parallel; workers > 1 {
-		// Source-level fan-out already saturates the CPU: unless the caller
-		// pinned a traversal pool, split the cores between the two levels so
-		// concurrent sources do not each spin a GOMAXPROCS traversal engine.
-		if opts.TraverseWorkers <= 0 {
-			eff := workers
-			if eff > len(b.Sources) {
-				eff = len(b.Sources)
-			}
-			if eff < 1 {
-				eff = 1
-			}
-			opts.TraverseWorkers = core.SplitTraverseWorkers(eff)
-		}
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for i := range b.Sources {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				runSource(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range b.Sources {
-			runSource(i)
-		}
-	}
+	})
 
 	perMethod := make(map[Method][]Outcome)
 	for i, src := range b.Sources {

@@ -1,6 +1,11 @@
 package index
 
-import "gent/internal/table"
+import (
+	"context"
+
+	"gent/internal/par"
+	"gent/internal/table"
+)
 
 // banded is the layered banded-LSH core behind MinHashLSH: one signature per
 // lake column filed under the band keys it hashes to, so a probe with a
@@ -38,7 +43,7 @@ type columnSketches struct {
 // is identical to a sequential build.
 func buildBanded(n, workers int, columns func(i int) columnSketches) *banded {
 	parts := make([]columnSketches, n)
-	forEachTable(n, workers, func(i int) {
+	par.For(context.Background(), n, workers, func(_, i int) {
 		parts[i] = columns(i)
 	})
 	b := &banded{

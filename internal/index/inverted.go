@@ -20,7 +20,6 @@ package index
 import (
 	"slices"
 	"sort"
-	"sync"
 
 	"gent/internal/lake"
 	"gent/internal/table"
@@ -71,35 +70,6 @@ type Inverted struct {
 // BuildInverted is BuildInvertedSharded at DefaultShards.
 func BuildInverted(l *lake.Snapshot) *Inverted {
 	return BuildInvertedSharded(l, DefaultShards)
-}
-
-// forEachTable runs fn(i) for i in [0, n) on up to workers goroutines.
-func forEachTable(n, workers int, fn func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }
 
 // Overlap holds one column's exact overlap with a query value set.

@@ -1,11 +1,13 @@
 package index
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"slices"
 
 	"gent/internal/lake"
+	"gent/internal/par"
 )
 
 // The posting store of the inverted index: every value ID's posting list is
@@ -139,7 +141,7 @@ func buildInvertedSharded(l *lake.Snapshot, fanOut, workers int) *Inverted {
 	sets := make([][]uint32, len(tables))
 	sizes := make([]int, len(ps.refs))
 	maxIDs := make([]uint32, len(tables))
-	forEachTable(len(tables), workers, func(k int) {
+	par.For(context.Background(), len(tables), workers, func(_, k int) {
 		it := l.Interned(tables[k].Name)
 		n := 0
 		for c := range tables[k].Cols {
@@ -188,7 +190,7 @@ func buildInvertedSharded(l *lake.Snapshot, fanOut, workers int) *Inverted {
 	// slab in place, ID ranges in parallel.
 	ps.off = make([]uint32, nids+1)
 	chunks := (nids + encodeChunk - 1) / encodeChunk
-	forEachTable(chunks, workers, func(ch int) {
+	par.For(context.Background(), chunks, workers, func(_, ch int) {
 		for id := ch * encodeChunk; id < min((ch+1)*encodeChunk, nids); id++ {
 			if ids := list(id); len(ids) > 0 {
 				ps.off[id+1] = uint32(postingSize(ids))
@@ -197,7 +199,7 @@ func buildInvertedSharded(l *lake.Snapshot, fanOut, workers int) *Inverted {
 	})
 	ps.nlists = nonZero(ps.off)
 	ps.slab = make([]byte, prefixSum(ps.off))
-	forEachTable(chunks, workers, func(ch int) {
+	par.For(context.Background(), chunks, workers, func(_, ch int) {
 		for id := ch * encodeChunk; id < min((ch+1)*encodeChunk, nids); id++ {
 			if ids := list(id); len(ids) > 0 {
 				appendPosting(ps.slab[ps.off[id]:ps.off[id]:ps.off[id+1]], ids)
@@ -228,7 +230,7 @@ func (ix *Inverted) countIDsSharded(query []uint32) map[ColumnRef]int {
 		parts[s] = append(parts[s], id)
 	}
 	locals := make([]map[ColumnRef]int, ps.fanOut)
-	forEachTable(ps.fanOut, runtime.GOMAXPROCS(0), func(s int) {
+	par.For(context.Background(), ps.fanOut, runtime.GOMAXPROCS(0), func(_, s int) {
 		if len(parts[s]) == 0 {
 			return
 		}

@@ -2,9 +2,11 @@ package lake
 
 import (
 	"container/list"
+	"context"
 	"runtime"
 	"sync"
 
+	"gent/internal/par"
 	"gent/internal/table"
 )
 
@@ -168,32 +170,9 @@ func (st *internState) ensureLocked(names []string, byName map[string]*table.Tab
 		return
 	}
 	pres := make([]*table.PreInterned, len(missing))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(missing) {
-		workers = len(missing)
-	}
-	if workers <= 1 {
-		for i, n := range missing {
-			pres[i] = table.PreInternTable(byName[n])
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					pres[i] = table.PreInternTable(byName[missing[i]])
-				}
-			}()
-		}
-		for i := range missing {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	}
+	par.For(context.Background(), len(missing), runtime.GOMAXPROCS(0), func(_, i int) {
+		pres[i] = table.PreInternTable(byName[missing[i]])
+	})
 	for i, n := range missing {
 		t := byName[n]
 		st.insertLocked(t, fps[n], pres[i].Merge(st.dict), nil)

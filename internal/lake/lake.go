@@ -30,6 +30,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gent/internal/par"
 	"gent/internal/table"
 )
 
@@ -134,32 +135,9 @@ func LoadDir(dir string) (*Lake, []error) {
 		err error
 	}
 	results := make([]loaded, len(paths))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(paths) {
-		workers = len(paths)
-	}
-	if workers > 1 {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					results[i].t, results[i].err = table.LoadCSVFile(paths[i])
-				}
-			}()
-		}
-		for i := range paths {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	} else {
-		for i := range paths {
-			results[i].t, results[i].err = table.LoadCSVFile(paths[i])
-		}
-	}
+	par.For(context.Background(), len(paths), runtime.GOMAXPROCS(0), func(_, i int) {
+		results[i].t, results[i].err = table.LoadCSVFile(paths[i])
+	})
 
 	tables := make([]*table.Table, 0, len(results))
 	for _, r := range results {

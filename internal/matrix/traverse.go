@@ -4,9 +4,8 @@ import (
 	"context"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
+	"gent/internal/par"
 	"gent/internal/table"
 )
 
@@ -110,11 +109,10 @@ type engine struct {
 	shape   *Shape
 	workers int
 
-	// ctx is the traversal context; done is its cancellation channel,
-	// prefetched so the pool and the round loop can poll it cheaply. A
-	// canceled traversal stops within one round.
-	ctx  context.Context
-	done <-chan struct{}
+	// ctx is the traversal context, polled at every round boundary and by
+	// the scoring pool before each claim. A canceled traversal stops within
+	// one round.
+	ctx context.Context
 	// onRound, when non-nil, observes every greedy pick.
 	onRound func(round, pick int, score float64)
 	// stats counts scored/pruned candidate-rounds and greedy rounds.
@@ -154,7 +152,7 @@ func newEngine(ctx context.Context, src *table.Table, cands []*table.Table, enc 
 	if workers < 1 {
 		workers = 1
 	}
-	e := &engine{shape: NewShape(src), workers: workers, ctx: ctx, done: ctx.Done()}
+	e := &engine{shape: NewShape(src), workers: workers, ctx: ctx}
 	e.rowKey = e.shape.keys.RowIDs()
 	e.numKeys = e.shape.numKeys()
 	e.keyCount = make([]int, e.numKeys)
@@ -168,7 +166,9 @@ func newEngine(ctx context.Context, src *table.Table, cands []*table.Table, enc 
 	// align to dense source-key ids and code into 8-columns-per-word tuples
 	// with no intermediate int8 matrix (packCandidate).
 	e.cands = make([]candidate, len(cands))
-	e.forEach(len(cands), func(_, i int) {
+	// A canceled ctx may leave candidates unpacked; TraverseContext checks
+	// ctx before the engine is used.
+	_ = par.For(ctx, len(cands), workers, func(_, i int) {
 		e.cands[i] = e.packCandidate(cands[i], enc)
 	})
 	return e
@@ -267,56 +267,6 @@ outer:
 	return false
 }
 
-// canceled reports whether the engine's context has been canceled.
-func (e *engine) canceled() bool {
-	select {
-	case <-e.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// forEach runs f(worker, 0..n-1) on the engine's bounded worker pool. Each
-// index is processed exactly once unless the engine's context is canceled,
-// in which case workers stop claiming new indexes and drain — the caller
-// must check cancellation after forEach returns and discard the (partial)
-// results. The pool never outlives the call.
-func (e *engine) forEach(n int, f func(worker, i int)) {
-	w := e.workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			if e.canceled() {
-				return
-			}
-			f(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for p := 0; p < w; p++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				if e.canceled() {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(worker, i)
-			}
-		}(p)
-	}
-	wg.Wait()
-}
-
 func (e *engine) traverse() ([]int, error) {
 	n := len(e.cands)
 	if n == 0 {
@@ -328,8 +278,8 @@ func (e *engine) traverse() ([]int, error) {
 	// helps here — with nothing integrated yet every candidate must be
 	// looked at once.
 	scores := make([]float64, n)
-	e.forEach(n, func(_, i int) { scores[i] = e.standalone(&e.cands[i]) })
-	if err := e.ctx.Err(); err != nil {
+	err := par.For(e.ctx, n, e.workers, func(_, i int) { scores[i] = e.standalone(&e.cands[i]) })
+	if err != nil {
 		return nil, err
 	}
 	e.stats.CandidatesScored += n
@@ -425,10 +375,10 @@ func (e *engine) traversePruned(picked []int, start int, mostCorrect float64, sc
 			if len(batch) == 0 {
 				continue
 			}
-			e.forEach(len(batch), func(worker, j int) {
+			err := par.For(e.ctx, len(batch), e.workers, func(worker, j int) {
 				batchScores[j] = e.scoreCand(&e.cands[batch[j].idx], scratch[worker], arenas[worker])
 			})
-			if err := e.ctx.Err(); err != nil {
+			if err != nil {
 				return nil, err
 			}
 			scored += len(batch)

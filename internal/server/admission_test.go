@@ -82,8 +82,8 @@ func TestAdmissionShedsWith429(t *testing.T) {
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", rec.Code)
 	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Error("429 without Retry-After")
+	if got := rec.Header().Get("Retry-After"); got != "1" {
+		t.Errorf("429 Retry-After = %q, want \"1\"", got)
 	}
 	var e ErrorJSON
 	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Code != "overloaded" {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"gent/internal/core"
@@ -61,11 +60,14 @@ func (s *Server) begin() bool {
 
 func (s *Server) end() { s.inflight.Done() }
 
+// retryAfter is the Retry-After hint on every 429, in seconds.
+const retryAfter = "1"
+
 // writeError renders err with its mapped status; 429 carries Retry-After.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	status := StatusFor(err)
 	if status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+		w.Header().Set("Retry-After", retryAfter)
 		s.metrics.shedOne()
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -59,9 +59,6 @@ type Config struct {
 	// RequestTimeout caps every reclaim request's wall time; client-supplied
 	// timeout_ms clamps to it. <= 0 defaults to 60s.
 	RequestTimeout time.Duration
-	// RetryAfter is the Retry-After hint on 429 responses. <= 0 defaults to
-	// 1s.
-	RetryAfter time.Duration
 	// CacheBytes budgets the epoch-keyed result cache; 0 defaults to 64 MiB,
 	// negative disables caching.
 	CacheBytes int64
@@ -104,9 +101,6 @@ func New(session *core.Reclaimer, cfg Config) *Server {
 	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 60 * time.Second
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
 	}
 	if cfg.CacheBytes == 0 {
 		cfg.CacheBytes = 64 << 20
