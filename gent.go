@@ -346,11 +346,15 @@ func NewReclaimer(l *Lake, cfg Config) *Reclaimer { return core.NewReclaimer(l, 
 func NewServer(r *Reclaimer, cfg ServerConfig) *Server { return server.New(r, cfg) }
 
 // LoadIndexes reads a lake's persisted discovery indexes from dir (written
-// by SaveIndexes) for injection into a Reclaimer via UseIndexes.
+// by SaveIndexes) for injection into a Reclaimer via UseIndexes, which
+// binds them to the lake's own value dictionary: the saved file carries
+// the epoch and that dictionary's prefix stamp, not the dictionary, so
+// UseIndexes refuses a lake that changed or whose values intern to other
+// IDs.
 func LoadIndexes(dir string) (*IndexSet, error) { return index.LoadIndexSetDir(dir) }
 
 // SaveIndexes persists a session's discovery indexes under dir, building
-// the ones its configuration engages that are not built yet: dict.bin and
+// the ones its configuration engages that are not built yet: one file,
 // inverted.bin. The MinHash-LSH first stage is never persisted; a session
 // that engages it builds it on demand.
 func SaveIndexes(dir string, r *Reclaimer) error { return r.BuildIndexes().SaveDir(dir) }

@@ -14,7 +14,7 @@
 // internal/analysis/clean_test.go pins the repo gentlint-clean from inside
 // the test suite. A finding is fixed or carries a reviewed suppression:
 //
-//	ls = r.lake.Snapshot() //lint:allow snappin AdoptDict republished the snapshot; re-pin deliberately
+//	cur := l.Snapshot() //lint:allow snappin the snapshots on both sides of the Apply are what Diff compares
 //
 // The directive (package directive) suppresses the named analyzers on its
 // own line and the line below it; a //lint:allow that names no analyzer is
@@ -33,8 +33,9 @@
 // state across two loads, and a concurrent Apply between them produced
 // torn reads the -race suite only caught under a focused interleaving
 // rerun. Within one function there is no legitimate reason to observe two
-// epochs; code that genuinely must re-resolve (UseIndexes re-pins after
-// dictionary adoption republishes the snapshot) annotates the second load.
+// epochs; code that genuinely must observe two (the benchmark's churn
+// mirror diffs the snapshots on both sides of an Apply) annotates the
+// second load.
 //
 // phaseerr — errors crossing a phase boundary in internal/core, discovery,
 // matrix, and integrate are *core.Error values tagging their Phase, and

@@ -233,7 +233,7 @@ func resolve[T any](s *epochState, of func(*epochState) *slot[T],
 func (s *epochState) inverted() *index.Inverted {
 	return resolve(s, func(e *epochState) *slot[index.Inverted] { return &e.invSlot },
 		func(base *index.Inverted, old, new *lake.Snapshot) *index.Inverted {
-			return deltaVia(base.Dict(), base.WithDelta, old, new)
+			return deltaVia(base.WithDelta, old, new)
 		},
 		func() *index.Inverted { return index.BuildInvertedSharded(s.snap, s.shards) })
 }
@@ -242,22 +242,20 @@ func (s *epochState) inverted() *index.Inverted {
 func (s *epochState) lsh() *index.MinHashLSH {
 	return resolve(s, func(e *epochState) *slot[index.MinHashLSH] { return &e.lshSlot },
 		func(base *index.MinHashLSH, old, new *lake.Snapshot) *index.MinHashLSH {
-			return deltaVia(base.Dict(), base.WithDelta, old, new)
+			return deltaVia(base.WithDelta, old, new)
 		},
 		func() *index.MinHashLSH { return index.BuildMinHashLSH(s.snap) })
 }
 
-// deltaVia catches a substrate keyed under dict and built at the old snapshot
-// up to new through its withDelta, fed the interned-form delta bridging the
-// two. It returns nil when no table-level delta applies: the snapshot diff
-// refuses (dictionary adoption or an in-place edit in between), or the
-// substrate is not keyed under the new snapshot's dictionary (an injected LSH
-// index sketched under a foreign dictionary, which must not have
-// current-dictionary IDs mixed into it).
-func deltaVia[T any](dict *table.Dict, withDelta func(added, removed []*table.Interned) *T,
-	old, new *lake.Snapshot) *T {
+// deltaVia catches a substrate built at the old snapshot up to new through
+// its withDelta, fed the interned-form delta bridging the two. It returns
+// nil when no table-level delta applies: the snapshot diff refuses (an
+// in-place edit in between). Every substrate in a slot is keyed under the
+// lake's one dictionary — built from the snapshot, or bound to it by
+// UseIndexes — so the delta's IDs mean what the substrate's do.
+func deltaVia[T any](withDelta func(added, removed []*table.Interned) *T, old, new *lake.Snapshot) *T {
 	at, rt, ok := lake.Diff(old, new)
-	if !ok || dict != new.Dict() {
+	if !ok {
 		return nil
 	}
 	return withDelta(internForms(new, at), internForms(old, rt))
@@ -295,14 +293,12 @@ func (s *epochState) indexSet(opts discovery.Options) *index.IndexSet {
 }
 
 // UseIndexes injects prebuilt or persisted substrates for the lake's
-// current epoch. Nil members of ix are still built lazily. When ix carries a
-// value dictionary (a persisted set), the lake adopts it before interning
-// anything, so the persisted IDs keep meaning the same values; a
-// lake.ErrDictMismatch from that adoption means the lake holds values the
-// persisted dictionary has never seen — the indexes would silently miss
-// them — and the caller should rebuild instead. A dictionary-less set whose
-// inverted index is keyed under any dictionary but the lake's own is
-// refused with the same error: its IDs mean nothing here.
+// current epoch. Nil members of ix are still built lazily. The set is bound
+// to the lake's own dictionary first (IndexSet.Bind): a persisted set's
+// inverted index must verify the dictionary prefix stamp it was saved under,
+// and substrates built in this process must be keyed under the lake's
+// dictionary itself. Either refusal is lake.ErrDictMismatch — the IDs would
+// resolve to the wrong values — and the caller should rebuild instead.
 //
 // Ordering contract, relaxed from v2's one-shot rule: injection is allowed
 // between epochs — before the first query of the epoch the lake is
@@ -329,27 +325,9 @@ func (r *Reclaimer) UseIndexes(ix *index.IndexSet) error {
 	if !ix.Epoch.IsZero() && ix.Epoch != ls.Epoch() {
 		return fmt.Errorf("%w: indexes stamped %v, lake at %v", ErrEpochMismatch, ix.Epoch, ls.Epoch())
 	}
-	if ix.Dict != nil {
-		if err := r.lake.AdoptDict(ix.Dict); err != nil {
-			return err
-		}
-		// Adoption may publish a fresh snapshot bound to the adopted
-		// dictionary; the injected state must pin that one.
-		ls = r.lake.Snapshot() //lint:allow snappin AdoptDict republished the snapshot; re-pin deliberately
-		// The lake's dictionary is authoritative after adoption (it may be a
-		// superset the persisted one is a prefix of); rebind the substrates
-		// so their probes resolve through it and discovery's interned fast
-		// path recognizes the shared dictionary.
-		d := ls.Dict()
-		if ix.Inverted != nil {
-			ix.Inverted.RebindDict(d)
-		}
-		if ix.LSH != nil {
-			ix.LSH.RebindDict(d)
-		}
-	} else if ix.Inverted != nil && ix.Inverted.Dict() != ls.Dict() {
-		return fmt.Errorf("core: %w: inverted index is keyed under a different dictionary than the lake's",
-			lake.ErrDictMismatch)
+	ix, err := ix.Bind(ls)
+	if err != nil {
+		return err
 	}
 	// Publish the injected substrates into their slots right away: the lazy
 	// resolve short-circuits onto them, and a later epoch's catch-up walk must

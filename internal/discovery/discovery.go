@@ -30,8 +30,6 @@ type Options struct {
 	// Starmie stand-in) and restricts Set Similarity to its top-k tables —
 	// the configuration used on large lakes.
 	FirstStageTopK int
-	// MaxJoinDepth bounds Expand's join-path length.
-	MaxJoinDepth int
 	// Diversify toggles Algorithm 4 (on in Gen-T; the ablation bench turns
 	// it off).
 	Diversify bool
@@ -46,7 +44,6 @@ func DefaultOptions() Options {
 	return Options{
 		Tau:            0.2,
 		MaxCandidates:  15,
-		MaxJoinDepth:   3,
 		Diversify:      true,
 		RemoveSubsumed: true,
 	}
@@ -112,7 +109,7 @@ func DiscoverWithSnapContext(ctx context.Context, snap *lake.Snapshot, ix *index
 	if err != nil {
 		return nil, err
 	}
-	return expandContext(ctx, cands, src, opts)
+	return expandContext(ctx, cands, src, maxJoinDepth)
 }
 
 // firstStagePool restricts the search pool to the LSH retriever's top-k

@@ -32,22 +32,21 @@ import (
 // its matches are counted, before any row is emitted. Sets of ID tuples —
 // the Source's keys, a join's build side, the winning path's distinct rows —
 // are idTuples: hashed to a uint64 and confirmed ID by ID, one rule for
-// every arity.
-func Expand(cands []*Candidate, src *table.Table, opts Options) []*Candidate {
-	out, _ := expandContext(context.Background(), cands, src, opts)
+// every arity. A join path is at most maxJoinDepth steps long; no option
+// changes the expansion, and opts is taken for symmetry with the other
+// discovery entry points.
+func Expand(cands []*Candidate, src *table.Table, _ Options) []*Candidate {
+	out, _ := expandContext(context.Background(), cands, src, maxJoinDepth)
 	return out
 }
 
-// expandContext is Expand under a context: the per-candidate join-path
-// search loop checks cancellation before each candidate.
-func expandContext(ctx context.Context, cands []*Candidate, src *table.Table, opts Options) ([]*Candidate, error) {
+// expandContext is Expand under a context with join paths of at most
+// maxDepth steps: the per-candidate join-path search loop checks
+// cancellation before each candidate.
+func expandContext(ctx context.Context, cands []*Candidate, src *table.Table, maxDepth int) ([]*Candidate, error) {
 	keyCols := src.KeyCols()
 	if len(keyCols) == 0 {
 		return cands, nil
-	}
-	maxDepth := opts.MaxJoinDepth
-	if maxDepth <= 0 {
-		maxDepth = 3
 	}
 
 	var x *expander // built at the first key-less candidate: nothing else reads it
@@ -98,6 +97,9 @@ func expandContext(ctx context.Context, cands []*Candidate, src *table.Table, op
 
 // expandMaxRows caps intermediate joins so a bad path cannot blow up.
 const expandMaxRows = 100000
+
+// maxJoinDepth bounds Expand's join-path length (the paper's configuration).
+const maxJoinDepth = 3
 
 // expander is one Expand call's ID forms and memos; none outlives the call.
 type expander struct {

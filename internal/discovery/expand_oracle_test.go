@@ -21,7 +21,7 @@ import (
 // a full table.InnerJoin materialized at every step of every explored path.
 
 // oracleExpand is the string-keyed Algorithm 5: Expand's reference.
-func oracleExpand(cands []*Candidate, src *table.Table, opts Options) []*Candidate {
+func oracleExpand(cands []*Candidate, src *table.Table, maxDepth int) []*Candidate {
 	keyCols := src.KeyCols()
 	if len(keyCols) == 0 {
 		return cands
@@ -40,11 +40,6 @@ func oracleExpand(cands []*Candidate, src *table.Table, opts Options) []*Candida
 			shared := oracleSharedJoinValues(cands[i].Table, cands[j].Table)
 			weights[i][j], weights[j][i] = shared, shared
 		}
-	}
-
-	maxDepth := opts.MaxJoinDepth
-	if maxDepth <= 0 {
-		maxDepth = 3
 	}
 
 	srcKeys := table.NewKeyIndex(src)
@@ -226,9 +221,8 @@ func (c *byteChooser) Intn(n int) int {
 // duplicated column name or a key-less Source — where some candidates carry
 // interned forms (under one of two dictionaries, or bound to another table)
 // and some carry none.
-func randomExpandCorpus(ch expandChooser) (*table.Table, []*Candidate, Options) {
-	opts := DefaultOptions()
-	opts.MaxJoinDepth = ch.Intn(5) // 0 means the default depth, 3
+func randomExpandCorpus(ch expandChooser) (*table.Table, []*Candidate, int) {
+	depth := ch.Intn(5) // join depths 0 (no join) to 4
 	numeric := func(i int) table.Value {
 		switch ch.Intn(3) {
 		case 0:
@@ -319,7 +313,13 @@ func randomExpandCorpus(ch expandChooser) (*table.Table, []*Candidate, Options) 
 		}
 		cands[ci] = c
 	}
-	return src, cands, opts
+	return src, cands, depth
+}
+
+// expandAt is Expand with join paths of at most depth steps.
+func expandAt(cands []*Candidate, src *table.Table, depth int) []*Candidate {
+	out, _ := expandContext(context.Background(), cands, src, depth)
+	return out
 }
 
 // sameExpansion fails unless got and want agree on order, Sources, Score,
@@ -362,8 +362,8 @@ func TestExpandMatchesOracle(t *testing.T) {
 	t.Run("random", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(24))
 		for trial := 0; trial < 150; trial++ {
-			src, cands, opts := randomExpandCorpus(rng)
-			sameExpansion(t, fmt.Sprintf("trial %d", trial), Expand(cands, src, opts), oracleExpand(cands, src, opts))
+			src, cands, depth := randomExpandCorpus(rng)
+			sameExpansion(t, fmt.Sprintf("trial %d", trial), expandAt(cands, src, depth), oracleExpand(cands, src, depth))
 		}
 	})
 
@@ -382,7 +382,7 @@ func TestExpandMatchesOracle(t *testing.T) {
 			p.AddRow(table.S(fmt.Sprintf("fk%d", i)), table.S(fmt.Sprintf("ok%d", i)))
 		}
 		cands := []*Candidate{{Table: a, Sources: []string{"a"}}, {Table: b, Sources: []string{"b"}}, {Table: p, Sources: []string{"p"}}}
-		sameExpansion(t, "over-cap", Expand(cands, src, DefaultOptions()), oracleExpand(cands, src, DefaultOptions()))
+		sameExpansion(t, "over-cap", Expand(cands, src, DefaultOptions()), oracleExpand(cands, src, maxJoinDepth))
 	})
 
 	corpus := func(t *testing.T, b *benchmark.TPTR, opts Options) {
@@ -398,7 +398,7 @@ func TestExpandMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameExpansion(t, src.Name, got, oracleExpand(pre, src, opts))
+			sameExpansion(t, src.Name, got, oracleExpand(pre, src, maxJoinDepth))
 		}
 	}
 	t.Run("tp-tr-small", func(t *testing.T) {
@@ -436,8 +436,8 @@ func FuzzExpandParity(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		src, cands, opts := randomExpandCorpus(&byteChooser{data})
-		sameExpansion(t, "fuzz", Expand(cands, src, opts), oracleExpand(cands, src, opts))
+		src, cands, depth := randomExpandCorpus(&byteChooser{data})
+		sameExpansion(t, "fuzz", expandAt(cands, src, depth), oracleExpand(cands, src, depth))
 	})
 }
 
@@ -451,20 +451,20 @@ func TestExpandUnderTupleHashCollisions(t *testing.T) {
 	type trial struct {
 		src   *table.Table
 		cands []*Candidate
-		opts  Options
+		depth int
 		want  []*Candidate
 	}
 	trials := make([]trial, 30)
 	for i := range trials {
-		src, cands, opts := randomExpandCorpus(rng)
-		trials[i] = trial{src, cands, opts, Expand(cands, src, opts)}
+		src, cands, depth := randomExpandCorpus(rng)
+		trials[i] = trial{src, cands, depth, expandAt(cands, src, depth)}
 	}
 	defer func(h func([]uint32) uint64) { idTupleHash = h }(idTupleHash)
 	idTupleHash = func([]uint32) uint64 { return 0 }
 	for i, tr := range trials {
 		label := fmt.Sprintf("trial %d", i)
-		got := Expand(tr.cands, tr.src, tr.opts)
+		got := expandAt(tr.cands, tr.src, tr.depth)
 		sameExpansion(t, label, got, tr.want)
-		sameExpansion(t, label, got, oracleExpand(tr.cands, tr.src, tr.opts))
+		sameExpansion(t, label, got, oracleExpand(tr.cands, tr.src, tr.depth))
 	}
 }

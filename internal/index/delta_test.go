@@ -198,15 +198,17 @@ func TestSaveDirClearsStaleEpochStamp(t *testing.T) {
 }
 
 // TestSaveDirRemovesAbsentSubstrates: files a current save does not write —
-// the semantic.bin a hybrid session of the retired semantic channel saved
-// beside dict.bin and inverted.bin, or the gob files of an earlier layout —
-// never stop the directory from loading, and the next save removes them. The
-// replaced table reuses existing values, so the dictionary — and with it the
-// fingerprint every file is stamped with — is the same at both epochs:
-// nothing at load would refuse a leftover paired with the epoch-n+1 stamp.
+// the semantic.bin a hybrid session of the retired semantic channel saved,
+// the dict.bin that sat beside a v5 inverted.bin, or the gob files of an
+// earlier layout — never stop the directory from loading, and the next save
+// removes them. The replaced table reuses existing values, so the
+// dictionary — and with it the stamp the file carries — is the same at both
+// epochs: nothing at load would refuse a leftover paired with the epoch-n+1
+// stamp.
 func TestSaveDirRemovesAbsentSubstrates(t *testing.T) {
 	for _, leftovers := range [][]string{
 		{"semantic.bin"},
+		{"dict.bin"},
 		{"dict.gob", "epoch.gob", "minhash.gob", "semantic.gob"},
 	} {
 		l := lake.New()

@@ -11,10 +11,10 @@
 // intern time and never re-hashed per build or per probe. The LSH keeps its
 // signatures in a layered banded core (banded.go) that takes deltas without
 // re-sketching. IndexSet bundles the two with their dictionary and epoch
-// stamp, and persists the inverted index beside them. Tests check the inverted
-// index against a brute-force overlap count over the corpus' column sets,
-// and the layered core against fresh builds along random maintenance
-// programs.
+// stamp, and persists the inverted index stamped with both. Tests check the
+// inverted index against a brute-force overlap count over the corpus'
+// column sets, and the layered core against fresh builds along random
+// maintenance programs.
 package index
 
 import (
@@ -47,8 +47,14 @@ const DefaultShards = 8
 // when the override grows past a fraction of it — so a chain of small deltas
 // stays as fast to search as a fresh build.
 type Inverted struct {
-	// dict is the value dictionary the postings are keyed under.
+	// dict is the value dictionary the postings are keyed under; nil for an
+	// index LoadIndexSetDir read until IndexSet.Bind binds it.
 	dict *table.Dict
+	// savedLen and savedFP are, for an index read from disk, the
+	// Dict.PrefixStamp it was saved under: the dictionary it binds to must
+	// verify them.
+	savedLen int
+	savedFP  uint64
 	// base is the compressed posting store, immutable and shared by every
 	// index derived from it until a compaction copies it.
 	base *postingStore
@@ -82,17 +88,9 @@ type Overlap struct {
 	Containment float64
 }
 
-// Dict returns the value dictionary the index is keyed under.
+// Dict returns the value dictionary the index is keyed under (nil for an
+// index read from disk and not yet bound).
 func (ix *Inverted) Dict() *table.Dict { return ix.dict }
-
-// RebindDict points the index at d, which must assign every ID this index
-// references identically — e.g. the live lake dictionary a persisted
-// index's dictionary is a prefix snapshot of.
-func (ix *Inverted) RebindDict(d *table.Dict) {
-	if d != nil {
-		ix.dict = d
-	}
-}
 
 // Shards returns the index's probe fan-out width.
 func (ix *Inverted) Shards() int { return ix.base.fanOut }

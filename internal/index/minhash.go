@@ -205,17 +205,6 @@ func (ix *MinHashLSH) TopK(query *table.Table, k int) []Ranked {
 	return out
 }
 
-// Dict returns the value dictionary the index sketches through.
-func (ix *MinHashLSH) Dict() *table.Dict { return ix.dict }
-
-// RebindDict points the index at d, which must assign every ID the
-// signatures were sketched from identically; see Inverted.RebindDict.
-func (ix *MinHashLSH) RebindDict(d *table.Dict) {
-	if d != nil {
-		ix.dict = d
-	}
-}
-
 // WithDelta returns a new index reflecting the receiver with the removed
 // tables' sketches tombstoned and the added tables' columns sketched and
 // inserted; the receiver is unchanged and shares its base storage with the

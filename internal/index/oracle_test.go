@@ -150,14 +150,14 @@ func checkSpec(t *testing.T, label string, ix *Inverted, corpus *lake.Snapshot, 
 func saveLoad(t *testing.T, ix *Inverted, snap *lake.Snapshot) *Inverted {
 	t.Helper()
 	dir := t.TempDir()
-	if err := (&IndexSet{Inverted: ix, Dict: snap.Dict(), Epoch: snap.Epoch()}).SaveDir(dir); err != nil {
+	if err := (&IndexSet{Inverted: ix, Epoch: snap.Epoch()}).SaveDir(dir); err != nil {
 		t.Fatalf("SaveDir: %v", err)
 	}
 	loaded, err := LoadIndexSetDir(dir)
 	if err != nil {
 		t.Fatalf("LoadIndexSetDir: %v", err)
 	}
-	return loaded.Inverted
+	return bound(t, loaded, snap).Inverted
 }
 
 // TestInvertedMatchesSpec is the index's differential test: at every shard

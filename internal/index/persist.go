@@ -1,72 +1,47 @@
 package index
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 
-	"gent/internal/lake"
 	"gent/internal/table"
 )
 
-// A persisted IndexSet is a directory of flat, checksummed files, each read
-// in one read through table.FlatReader and written through
-// table.WriteFileAtomic:
-//
-//   - dict.bin: the set's epoch and the value dictionary its substrates are
-//     keyed under (below);
-//   - inverted.bin: the inverted index (persist_inverted.go).
-//
-// inverted.bin carries the fingerprint of the dictionary saved beside it,
-// verified at load, so a torn save can never pair postings with the wrong
-// dictionary. The MinHash-LSH first stage is not persisted: a rebuild costs
-// about what loading a file did, so a session that engages it builds it on
-// demand. Files of retired layouts — the gob files of earlier releases
-// (dict.gob, epoch.gob, minhash.gob, semantic.gob), a v4 sharded inverted
-// set, a pre-sharding inverted.gob, or the semantic.bin of the retired
-// semantic discovery channel — are never decoded: a directory holding them
-// without a dict.bin and an inverted.bin fails with ErrStaleFormat, a
-// directory with both loads and ignores them, and SaveDir removes them.
-//
-// dict.bin (format v1):
-//
-//	"GENTDICT"     8-byte magic
-//	version        uint32 LE     dictFormatVersion
-//	seq, chain     uint64 LE     the set's Epoch (zero: unstamped)
-//	ndict          uvarint, then ndict entries (table.AppendDictEntries;
-//	               entry i is ID i+1)
-//	crc            uint32 LE     CRC-32C of every byte before it
-const (
-	dictMagic         = "GENTDICT"
-	dictFormatVersion = 1
-	dictFileName      = "dict.bin"
-	// dictHeaderLen is the magic, version and epoch.
-	dictHeaderLen = len(dictMagic) + 4 + 16
-)
+// A persisted IndexSet is one flat, checksummed file, inverted.bin
+// (persist_inverted.go), read in one read through table.FlatReader and
+// written through table.WriteFileAtomic. It carries the set's epoch and the
+// Dict.PrefixStamp of the dictionary its IDs were assigned under, but not the
+// dictionary itself: a loaded set serves a lake whose own dictionary verifies
+// that stamp (IndexSet.Bind), exactly as a segment file does. The MinHash-LSH
+// first stage is not persisted: a rebuild costs about what loading a file
+// did, so a session that engages it builds it on demand. Files of retired
+// layouts — the gob files of earlier releases (dict.gob, epoch.gob,
+// minhash.gob, semantic.gob), a v4 sharded inverted set, a pre-sharding
+// inverted.gob, the semantic.bin of the retired semantic discovery channel,
+// or the dict.bin that sat beside a v5 inverted.bin — are never decoded: a
+// directory holding them without a current inverted.bin fails with
+// ErrStaleFormat, a directory with one loads and ignores them, and SaveDir
+// removes them.
 
 // retiredFiles are the glob patterns, relative to an index directory, of
 // the files earlier layouts wrote.
 var retiredFiles = []string{
 	"dict.gob", "epoch.gob", "minhash.gob", "semantic.gob", "semantic.bin",
-	"inverted.gob", "inverted-shards.gob", "inverted-shard-*.gob",
+	"inverted.gob", "inverted-shards.gob", "inverted-shard-*.gob", "dict.bin",
 }
 
-// ErrDictRequired reports an index directory loaded, or a set saved,
-// without the value dictionary its IDs are keyed under.
+// ErrDictRequired reports a set saved whose inverted index is bound to no
+// dictionary — one LoadIndexSetDir returned, before IndexSet.Bind.
 var ErrDictRequired = errors.New("index: ID-keyed index requires its value dictionary")
 
 // ErrStaleFormat reports an index directory in a layout this release no
-// longer reads — the gob files of earlier releases, a v4 sharded inverted
-// set or a pre-sharding inverted.gob — so callers must rebuild.
+// longer reads — an inverted.bin of an earlier format version, the gob files
+// of earlier releases, a v4 sharded inverted set or a pre-sharding
+// inverted.gob — so callers must rebuild.
 var ErrStaleFormat = errors.New("index: index file predates the current format")
-
-// ErrDictFingerprint reports an index file whose postings were saved beside
-// a different dictionary than the one supplied — a torn or
-// mixed save; the IDs would resolve to the wrong values.
-var ErrDictFingerprint = errors.New("index: index/dictionary fingerprint mismatch")
 
 // ErrCorruptIndex reports an index file that cannot be trusted: not in its
 // current format, truncated, failing its checksum, or with counts, offsets,
@@ -77,117 +52,52 @@ var ErrCorruptIndex = errors.New("index: corrupt index file")
 // a fresh location, as opposed to a corrupt or unreadable one.
 var ErrNoIndexFiles = errors.New("index: no index files")
 
-// appendDictFile appends a dict.bin holding epoch e and the dictionary
-// snapshot entries to b.
-func appendDictFile(b []byte, e lake.Epoch, entries []table.DictEntry) []byte {
-	b = append(b, dictMagic...)
-	b = binary.LittleEndian.AppendUint32(b, dictFormatVersion)
-	b = binary.LittleEndian.AppendUint64(b, e.Seq)
-	b = binary.LittleEndian.AppendUint64(b, e.Chain)
-	b = table.AppendDictEntries(b, entries)
-	return table.AppendCRC(b)
-}
-
-// parseDictFile decodes a dict.bin. A file that is not one, or whose
-// entries table.NewDictFromSnapshot refuses, fails with ErrCorruptIndex.
-func parseDictFile(data []byte) (*table.Dict, lake.Epoch, error) {
-	if len(data) < dictHeaderLen+4 || string(data[:len(dictMagic)]) != dictMagic {
-		return nil, lake.Epoch{}, fmt.Errorf("%w: not a dictionary file", ErrCorruptIndex)
-	}
-	if v := binary.LittleEndian.Uint32(data[len(dictMagic):]); v != dictFormatVersion {
-		return nil, lake.Epoch{}, fmt.Errorf("%w: dictionary format v%d, want v%d", ErrCorruptIndex, v, dictFormatVersion)
-	}
-	body, ok := table.CheckCRC(data)
-	if !ok {
-		return nil, lake.Epoch{}, fmt.Errorf("%w: dictionary checksum mismatch", ErrCorruptIndex)
-	}
-	d := table.NewFlatReader(body, len(dictMagic)+4)
-	e := lake.Epoch{Seq: d.U64(), Chain: d.U64()}
-	entries := d.DictEntries()
-	if !d.Done() {
-		return nil, lake.Epoch{}, fmt.Errorf("%w: dictionary lengths and counts do not match the file", ErrCorruptIndex)
-	}
-	dict, err := table.NewDictFromSnapshot(entries)
-	if err != nil {
-		return nil, lake.Epoch{}, fmt.Errorf("%w: %v", ErrCorruptIndex, err)
-	}
-	return dict, e, nil
-}
-
-// SaveDir persists the set under dir (created if needed): the inverted
-// index, and the dictionary with the epoch stamp. It removes every file of a
-// retired layout. The MinHash-LSH is not written (see above). A set without
-// its inverted index or its dictionary is an error.
-//
-// One dictionary snapshot is taken up front: its fingerprint goes into
-// inverted.bin and its entries into dict.bin, so the saved files are
-// provably consistent even if the live dictionary grows mid-save. dict.bin
-// is written last: a crash mid-save leaves the previous stamp, which can
-// only make the set look older than its substrates (and so rebuilt), never
-// newer.
+// SaveDir persists the set under dir (created if needed) as one inverted.bin
+// stamped with the set's epoch and the prefix stamp of the dictionary the
+// inverted index is keyed under, and removes every file of a retired layout.
+// The MinHash-LSH is not written (see above). A set without its inverted
+// index, or whose index is bound to no dictionary, is an error.
 func (s *IndexSet) SaveDir(dir string) error {
 	if s.Inverted == nil {
 		return errors.New("index: index set without an inverted index")
 	}
-	if s.Dict == nil {
-		return fmt.Errorf("%w: set Dict before SaveDir", ErrDictRequired)
+	d := s.Inverted.dict
+	if d == nil {
+		return fmt.Errorf("%w: bind the set before SaveDir", ErrDictRequired)
 	}
-	// The fingerprint stamped below certifies the dict/postings pairing, so
-	// it must only ever certify a true one: the inverted index's own
-	// dictionary has to be s.Dict or a prefix of it (postings IDs then mean
-	// the same values under s.Dict). A hand-assembled set pairing a loaded
-	// index with an unrelated dictionary is refused here rather than
-	// persisted as silent corruption.
-	if d := s.Inverted.dict; d != nil && d != s.Dict && !d.PrefixOf(s.Dict) {
-		return errors.New("index: inverted index was built under a different dictionary than the set's")
-	}
-	snap := s.Dict.Snapshot()
-	fp := table.FingerprintSnapshot(snap)
-	if err := saveFile(filepath.Join(dir, invertedFileName), appendInverted(nil, s.Inverted, fp)); err != nil {
+	n, fp := d.PrefixStamp()
+	if err := saveFile(filepath.Join(dir, invertedFileName), appendInverted(nil, s.Inverted, s.Epoch, n, fp)); err != nil {
 		return err
 	}
-	if err := removeFiles(dir, retiredFiles...); err != nil {
-		return err
-	}
-	return saveFile(filepath.Join(dir, dictFileName), appendDictFile(nil, s.Epoch, snap))
+	return removeFiles(dir, retiredFiles...)
 }
 
-// LoadIndexSetDir reads the set SaveDir wrote under dir: the dictionary and
-// epoch first, then the inverted index wired to that dictionary. LSH is
-// always nil: a session builds the first stage on demand. A directory
-// without dict.bin or inverted.bin fails with ErrStaleFormat when it holds a
-// retired layout's files (rebuild), with ErrDictRequired when it holds an
-// inverted index but no dictionary, and otherwise with ErrNoIndexFiles.
+// LoadIndexSetDir reads the set SaveDir wrote under dir. Its inverted index
+// is bound to no dictionary yet: IndexSet.Bind verifies it against a lake's
+// before anything resolves a value through it. LSH is always nil: a session
+// builds the first stage on demand. A directory without inverted.bin fails
+// with ErrStaleFormat when it holds a retired layout's files (rebuild), and
+// otherwise with ErrNoIndexFiles.
 func LoadIndexSetDir(dir string) (*IndexSet, error) {
-	has := func(name string) bool { return fileExists(filepath.Join(dir, name)) }
-	if !has(dictFileName) || !has(invertedFileName) {
+	if !fileExists(filepath.Join(dir, invertedFileName)) {
 		retired, err := findFiles(dir, retiredFiles...)
 		switch {
 		case err != nil:
 			return nil, err
 		case len(retired) > 0:
 			return nil, fmt.Errorf("%w (%s)", ErrStaleFormat, filepath.Base(retired[0]))
-		case !has(dictFileName) && has(invertedFileName):
-			return nil, fmt.Errorf("%w: %s missing under %s", ErrDictRequired, dictFileName, dir)
 		}
 		return nil, fmt.Errorf("%w under %s", ErrNoIndexFiles, dir)
 	}
-	data, err := readFile(dir, dictFileName)
+	data, err := readFile(dir, invertedFileName)
 	if err != nil {
 		return nil, err
 	}
-	d, epoch, err := parseDictFile(data)
+	inv, epoch, err := parseInverted(data)
 	if err != nil {
 		return nil, err
 	}
-	s := &IndexSet{Dict: d, Epoch: epoch}
-	if data, err = readFile(dir, invertedFileName); err != nil {
-		return nil, err
-	}
-	if s.Inverted, err = parseInverted(data, d); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return &IndexSet{Inverted: inv, Epoch: epoch}, nil
 }
 
 // fileExists reports whether path exists (any stat error counts as absent —

@@ -4,17 +4,21 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 
+	"gent/internal/lake"
 	"gent/internal/table"
 )
 
-// Inverted-index persistence (format v5) is one flat file, inverted.bin,
+// Inverted-index persistence (format v6) is one flat file, inverted.bin,
 // read in one read and checksummed end to end:
 //
 //	"GENTINVX"   8-byte magic
 //	version      uint32 LE     invertedFormatVersion
-//	dict fp      uint64 LE     fingerprint of the dictionary saved beside it
+//	seq, chain   uint64 LE     the set's Epoch (zero: unstamped)
+//	dict n, fp   uint64 LE     the Dict.PrefixStamp the IDs were assigned
+//	                           under: IDs 1..n, hashing to fp
 //	fan-out      uint32 LE     the probe fan-out width (Inverted.Shards)
 //	nrefs        uvarint, then per colID: table name str, column uvarint,
 //	             size uvarint (the column's distinct count + 1; 0 for a
@@ -27,13 +31,15 @@ import (
 // in-memory posting store verbatim, so a load checks them — offsets
 // monotone and in range, every block passing checkPosting, every colID
 // naming a column — and then adopts the slab by slicing the read. Earlier
-// formats are never decoded (persist.go's retiredFiles).
+// formats are never decoded: an earlier version fails with ErrStaleFormat
+// as well as ErrCorruptIndex (persist.go).
 const (
 	invertedMagic         = "GENTINVX"
-	invertedFormatVersion = 5
+	invertedFormatVersion = 6
 	invertedFileName      = "inverted.bin"
-	// invertedHeaderLen is the magic, version, fingerprint and fan-out.
-	invertedHeaderLen = len(invertedMagic) + 4 + 8 + 4
+	// invertedHeaderLen is the magic, version, epoch, dictionary stamp and
+	// fan-out.
+	invertedHeaderLen = len(invertedMagic) + 4 + 16 + 16 + 4
 	// minRefBytes is the shortest ref record: an empty name, a column and a
 	// size of one byte each.
 	minRefBytes = 3
@@ -45,8 +51,8 @@ func compareRefs(a, b ColumnRef) int {
 }
 
 // appendInverted appends ix's file form to b, folding any override layer
-// first, stamped with the dictionary fingerprint fp.
-func appendInverted(b []byte, ix *Inverted, fp uint64) []byte {
+// first, stamped with epoch e and the dictionary prefix stamp (n, fp).
+func appendInverted(b []byte, ix *Inverted, e lake.Epoch, n int, fp uint64) []byte {
 	ps := ix.compactedBase()
 	// A column added by a delta that has no non-null value is sized but
 	// owns no posting, so it may be missing from refs: give it a colID too.
@@ -66,6 +72,9 @@ func appendInverted(b []byte, ix *Inverted, fp uint64) []byte {
 
 	b = append(b, invertedMagic...)
 	b = binary.LittleEndian.AppendUint32(b, invertedFormatVersion)
+	b = binary.LittleEndian.AppendUint64(b, e.Seq)
+	b = binary.LittleEndian.AppendUint64(b, e.Chain)
+	b = binary.LittleEndian.AppendUint64(b, uint64(n))
 	b = binary.LittleEndian.AppendUint64(b, fp)
 	b = binary.LittleEndian.AppendUint32(b, uint32(ps.fanOut))
 	b = binary.AppendUvarint(b, uint64(len(refs)))
@@ -86,27 +95,36 @@ func appendInverted(b []byte, ix *Inverted, fp uint64) []byte {
 	return table.AppendCRC(b)
 }
 
-// parseInverted decodes an inverted index file. The returned index's slab is
-// a slice of data, so data must not be modified afterwards.
-func parseInverted(data []byte, dict *table.Dict) (*Inverted, error) {
-	if len(data) < invertedHeaderLen+4 || string(data[:len(invertedMagic)]) != invertedMagic {
-		return nil, fmt.Errorf("%w: not an inverted index file", ErrCorruptIndex)
+// parseInverted decodes an inverted index file into an index bound to no
+// dictionary (IndexSet.Bind binds it) and the set's epoch. The index's slab
+// is a slice of data, so data must not be modified afterwards.
+func parseInverted(data []byte) (*Inverted, lake.Epoch, error) {
+	if len(data) < len(invertedMagic)+4 || string(data[:len(invertedMagic)]) != invertedMagic {
+		return nil, lake.Epoch{}, fmt.Errorf("%w: not an inverted index file", ErrCorruptIndex)
 	}
 	if v := binary.LittleEndian.Uint32(data[len(invertedMagic):]); v != invertedFormatVersion {
-		return nil, fmt.Errorf("%w: format v%d, want v%d", ErrCorruptIndex, v, invertedFormatVersion)
+		if v < invertedFormatVersion {
+			return nil, lake.Epoch{}, fmt.Errorf("%w (%w: format v%d, want v%d)", ErrStaleFormat, ErrCorruptIndex, v, invertedFormatVersion)
+		}
+		return nil, lake.Epoch{}, fmt.Errorf("%w: format v%d, want v%d", ErrCorruptIndex, v, invertedFormatVersion)
 	}
 	body, ok := table.CheckCRC(data)
+	if len(body) < invertedHeaderLen {
+		return nil, lake.Epoch{}, fmt.Errorf("%w: truncated header", ErrCorruptIndex)
+	}
 	if !ok {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorruptIndex)
+		return nil, lake.Epoch{}, fmt.Errorf("%w: checksum mismatch", ErrCorruptIndex)
 	}
-	if binary.LittleEndian.Uint64(data[len(invertedMagic)+4:]) != dict.Fingerprint() {
-		return nil, fmt.Errorf("%w (inverted index)", ErrDictFingerprint)
+	d := table.NewFlatReader(body, len(invertedMagic)+4)
+	e := lake.Epoch{Seq: d.U64(), Chain: d.U64()}
+	dictLen, dictFP := d.U64(), d.U64()
+	fanOut := d.U32()
+	if dictLen > math.MaxUint32 {
+		return nil, lake.Epoch{}, fmt.Errorf("%w: %d-entry dictionary stamp", ErrCorruptIndex, dictLen)
 	}
-	fanOut := binary.LittleEndian.Uint32(data[len(invertedMagic)+12:])
 	if fanOut < 1 || fanOut > maxFanOut {
-		return nil, fmt.Errorf("%w: fan-out %d", ErrCorruptIndex, fanOut)
+		return nil, lake.Epoch{}, fmt.Errorf("%w: fan-out %d", ErrCorruptIndex, fanOut)
 	}
-	d := table.NewFlatReader(body, invertedHeaderLen)
 	ps := &postingStore{fanOut: int(fanOut)}
 
 	nrefs := d.Count(minRefBytes)
@@ -122,10 +140,10 @@ func parseInverted(data []byte, dict *table.Dict) (*Inverted, error) {
 		ref := ColumnRef{Table: name, Col: d.Int()}
 		size := d.Uvarint()
 		if d.Bad() {
-			return nil, fmt.Errorf("%w: truncated column table", ErrCorruptIndex)
+			return nil, lake.Epoch{}, fmt.Errorf("%w: truncated column table", ErrCorruptIndex)
 		}
 		if seen[ref] {
-			return nil, fmt.Errorf("%w: duplicate column %s/%d", ErrCorruptIndex, ref.Table, ref.Col)
+			return nil, lake.Epoch{}, fmt.Errorf("%w: duplicate column %s/%d", ErrCorruptIndex, ref.Table, ref.Col)
 		}
 		seen[ref] = true
 		ps.refs[cid] = ref
@@ -134,22 +152,22 @@ func parseInverted(data []byte, dict *table.Dict) (*Inverted, error) {
 		}
 	}
 
-	// The dictionary bounds the IDs: one past its length would let a query
-	// overlay's transient ID match postings.
+	// The stamped dictionary bounds the IDs: one past its length would let a
+	// query overlay's transient ID match postings.
 	nids := d.Count(4)
-	if d.Bad() || nids > dict.Len()+1 {
-		return nil, fmt.Errorf("%w: %d posting IDs over a %d-entry dictionary", ErrCorruptIndex, nids, dict.Len())
+	if d.Bad() || uint64(nids) > dictLen+1 {
+		return nil, lake.Epoch{}, fmt.Errorf("%w: %d posting IDs over a %d-entry dictionary", ErrCorruptIndex, nids, dictLen)
 	}
 	ps.off = make([]uint32, nids+1)
 	for id := range ps.off {
 		ps.off[id] = d.U32()
 	}
 	if d.Bad() || ps.off[0] != 0 || int64(ps.off[nids]) != int64(len(body)-d.Offset()) {
-		return nil, fmt.Errorf("%w: offsets do not match the slab", ErrCorruptIndex)
+		return nil, lake.Epoch{}, fmt.Errorf("%w: offsets do not match the slab", ErrCorruptIndex)
 	}
 	for id := 0; id < nids; id++ {
 		if ps.off[id+1] < ps.off[id] {
-			return nil, fmt.Errorf("%w: offsets decrease at ID %d", ErrCorruptIndex, id)
+			return nil, lake.Epoch{}, fmt.Errorf("%w: offsets decrease at ID %d", ErrCorruptIndex, id)
 		}
 	}
 	ps.slab = body[d.Offset():len(body):len(body)]
@@ -160,12 +178,12 @@ func parseInverted(data []byte, dict *table.Dict) (*Inverted, error) {
 		}
 		last, err := checkPosting(b)
 		if err != nil {
-			return nil, fmt.Errorf("%w: ID %d: %w", ErrCorruptIndex, id, err)
+			return nil, lake.Epoch{}, fmt.Errorf("%w: ID %d: %w", ErrCorruptIndex, id, err)
 		}
 		if postingLen(b) == 0 || int64(last) >= int64(nrefs) {
-			return nil, fmt.Errorf("%w: ID %d has no postings or references an unknown column", ErrCorruptIndex, id)
+			return nil, lake.Epoch{}, fmt.Errorf("%w: ID %d has no postings or references an unknown column", ErrCorruptIndex, id)
 		}
 		ps.nlists++
 	}
-	return &Inverted{dict: dict, base: ps, colSizes: colSizes}, nil
+	return &Inverted{base: ps, colSizes: colSizes, savedLen: int(dictLen), savedFP: dictFP}, e, nil
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"gent/internal/lake"
 	"gent/internal/table"
 )
 
@@ -19,15 +20,18 @@ func withChecksum(b []byte) []byte {
 }
 
 // FuzzInvertedFile feeds arbitrary bytes to the inverted index loader. Any
-// input must give a typed error or an index whose postings, column sizes
-// and probes equal a fresh build's; the same bytes with the checksum
-// recomputed — which reach the structural checks — must give a typed error
-// or an index that answers every probe without panicking.
+// input must give a typed error or an index whose epoch, dictionary stamp,
+// postings, column sizes and probes equal a fresh build's, and which binds
+// to the lake's dictionary; the same bytes with the checksum recomputed —
+// which reach the structural checks — must give a typed error or an index
+// that answers every probe without panicking and binds or is refused with
+// lake.ErrDictMismatch.
 func FuzzInvertedFile(f *testing.F) {
 	snap := buildLake().Snapshot()
 	fresh := BuildInvertedSharded(snap, 3)
 	dict := snap.Dict()
-	valid := appendInverted(nil, fresh, dict.Fingerprint())
+	n, fp := dict.PrefixStamp()
+	valid := appendInverted(nil, fresh, snap.Epoch(), n, fp)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:len(valid)-1])
@@ -43,25 +47,28 @@ func FuzzInvertedFile(f *testing.F) {
 	}
 	wantProbe := fresh.SearchIDs(allIDs)
 
-	typed := func(err error) bool {
-		return errors.Is(err, ErrCorruptIndex) || errors.Is(err, ErrDictFingerprint)
-	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ix, err := parseInverted(append([]byte(nil), data...), dict)
+		ix, e, err := parseInverted(append([]byte(nil), data...))
 		switch {
-		case err != nil && !typed(err):
+		case err != nil && !errors.Is(err, ErrCorruptIndex):
 			t.Fatalf("untyped error: %v", err)
 		case err == nil:
+			if e != snap.Epoch() || ix.savedLen != n || ix.savedFP != fp {
+				t.Fatal("loaded epoch or dictionary stamp differs from the saved one")
+			}
 			if !reflect.DeepEqual(flatPostingsView(ix), wantPostings) || !maps.Equal(ix.colSizes, fresh.colSizes) {
 				t.Fatal("loaded postings or column sizes differ from a fresh build")
 			}
 			if !reflect.DeepEqual(ix.SearchIDs(allIDs), wantProbe) {
 				t.Fatal("loaded probe differs from a fresh build's")
 			}
+			if _, err := (&IndexSet{Inverted: ix}).Bind(snap); err != nil {
+				t.Fatalf("a valid file does not bind: %v", err)
+			}
 		}
-		ix, err = parseInverted(withChecksum(data), dict)
+		ix, _, err = parseInverted(withChecksum(data))
 		if err != nil {
-			if !typed(err) {
+			if !errors.Is(err, ErrCorruptIndex) {
 				t.Fatalf("untyped error with checksum fixed: %v", err)
 			}
 			return
@@ -69,6 +76,9 @@ func FuzzInvertedFile(f *testing.F) {
 		ix.SearchIDs(allIDs)
 		for id := range allIDs {
 			ix.base.columnIDs(uint32(id))
+		}
+		if _, err := (&IndexSet{Inverted: ix}).Bind(snap); err != nil && !errors.Is(err, lake.ErrDictMismatch) {
+			t.Fatalf("untyped bind error: %v", err)
 		}
 	})
 }

@@ -114,6 +114,7 @@ func TestShardedIndexSetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadIndexSetDir: %v", err)
 	}
+	loaded = bound(t, loaded, snap)
 	if loaded.Inverted.Shards() != 4 {
 		t.Fatalf("loaded set has %d shards, want 4", loaded.Inverted.Shards())
 	}
@@ -183,7 +184,8 @@ func TestShardedPersistCorruption(t *testing.T) {
 	// A column table cut to one column: postings name columns it lacks.
 	short := *set.Inverted.base
 	short.refs = short.refs[:1]
-	unknown := appendInverted(nil, &Inverted{base: &short}, set.Dict.Fingerprint())
+	n, fp := set.Dict.PrefixStamp()
+	unknown := appendInverted(nil, &Inverted{base: &short}, set.Epoch, n, fp)
 	for name, b := range map[string][]byte{
 		"truncated":            valid[:len(valid)/2],
 		"bit flip":             flipped,
@@ -204,23 +206,19 @@ func TestShardedPersistCorruption(t *testing.T) {
 		}
 	}
 
-	// A dictionary that diverged from the saved one must be rejected.
-	if err := set.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
+	// A file saved over another lake loads, but does not bind to this one.
 	foreign := lake.New()
 	ft := table.New("f", "a")
 	ft.AddRow(table.S("unrelated"))
 	laketest.Add(foreign, ft)
-	fset := BuildIndexSetSharded(foreign.Snapshot(), 3)
-	fdir := t.TempDir()
-	if err := fset.SaveDir(fdir); err != nil {
+	if err := BuildIndexSetSharded(foreign.Snapshot(), 3).SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Rename(filepath.Join(fdir, dictFileName), filepath.Join(dir, dictFileName)); err != nil {
+	loaded, err := LoadIndexSetDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadIndexSetDir(dir); !errors.Is(err, ErrDictFingerprint) {
-		t.Fatalf("foreign dictionary load = %v, want ErrDictFingerprint", err)
+	if _, err := loaded.Bind(l.Snapshot()); !errors.Is(err, lake.ErrDictMismatch) {
+		t.Fatalf("foreign dictionary bind = %v, want lake.ErrDictMismatch", err)
 	}
 }

@@ -299,13 +299,6 @@ func (st *internState) retarget(pairs [][2]*table.Table) {
 	}
 }
 
-// used reports whether anything has been interned (or adopted) yet.
-func (st *internState) used() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.ever) > 0 || len(st.cache) > 0 || st.dict.Len() > 0
-}
-
 // snapshotStats returns a copy of the counters plus the current residency.
 func (st *internState) snapshotStats() CacheStats {
 	st.mu.Lock()

@@ -187,7 +187,7 @@ func TestPersistOpenRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Names(), want.Names()) {
 		t.Fatalf("names: got %v, want %v", got.Names(), want.Names())
 	}
-	if got.Dict().Fingerprint() != want.Dict().Fingerprint() {
+	if !reflect.DeepEqual(got.Dict().Snapshot(), want.Dict().Snapshot()) {
 		t.Fatal("dictionary lineage not restored")
 	}
 	for _, n := range want.Names() {

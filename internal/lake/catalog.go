@@ -30,8 +30,7 @@ import (
 // kind's payload: nothing for a null, a str for a string, a str and the
 // float64 bits (uint64 LE) for a number — its spelling and its value both
 // survive — and a varint for a label. A dictionary entry is its Kind byte and
-// a str, the canonical bits or a varint label (table.AppendDictEntries, the
-// layout the index directory's dict.bin shares).
+// a str, the canonical bits or a varint label (table.AppendDictEntries).
 //
 // Decoding works on one string holding the whole file: every string cell and
 // dictionary string is a substring of it, and each table's rows are slices

@@ -185,7 +185,7 @@ func (s *Snapshot) Subset(names []string) *Snapshot {
 // judged by content fingerprint, not pointer identity: re-Putting the same
 // table object after an in-place edit reads as a replacement. ok is false
 // when no table-level delta can bridge the snapshots — they do not share a
-// dictionary (the lake adopted one in between), or a table was edited in
+// dictionary (they are snapshots of two lakes), or a table was edited in
 // place under the same pointer, whose pre-edit form (the one substrates
 // were built from) no longer exists to subtract.
 func Diff(old, new *Snapshot) (added, removed []*table.Table, ok bool) {

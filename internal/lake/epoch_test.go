@@ -253,12 +253,8 @@ func TestSnapshotDiff(t *testing.T) {
 		t.Error("replacement did not carry old and new pointers")
 	}
 
-	// A dictionary adoption breaks the lineage: Diff refuses.
-	l2 := New()
-	if err := l2.AdoptDict(table.NewDict()); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := Diff(s1, l2.Snapshot()); ok {
+	// Another lake is another dictionary lineage: Diff refuses.
+	if _, _, ok := Diff(s1, New().Snapshot()); ok {
 		t.Fatal("Diff ok across dictionary lineages")
 	}
 }
@@ -314,49 +310,6 @@ func TestInPlaceEditRePut(t *testing.T) {
 	added, removed, ok := Diff(after, l.Snapshot())
 	if !ok || len(added) != 0 || len(removed) != 0 {
 		t.Fatalf("content-identical replacement diffed as a change: ok=%v +%d -%d", ok, len(added), len(removed))
-	}
-}
-
-// TestAdoptDictKeepsFingerprints: dictionary adoption republishes the
-// snapshot with a fresh intern state but must not discard the content
-// fingerprints — an identical re-Put afterwards is still a no-op and Diff
-// still bridges by content.
-func TestAdoptDictKeepsFingerprints(t *testing.T) {
-	ctx := context.Background()
-	// A persisted dictionary covering the lake's values.
-	orig := New()
-	if _, err := orig.Apply(ctx, Put(mkTable("t", "x"))); err != nil {
-		t.Fatal(err)
-	}
-	orig.EnsureInterned()
-	persisted, err := table.NewDictFromSnapshot(orig.Dict().Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	l := New()
-	tt := mkTable("t", "x")
-	if _, err := l.Apply(ctx, Put(tt)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AdoptDict(persisted); err != nil {
-		t.Fatal(err)
-	}
-	e := l.Epoch()
-	// An identical re-Put must stay a no-op after adoption.
-	if _, err := l.Apply(ctx, Put(tt)); err != nil {
-		t.Fatal(err)
-	}
-	if l.Epoch() != e {
-		t.Fatalf("identical re-Put after AdoptDict moved the epoch: %v -> %v", e, l.Epoch())
-	}
-	before := l.Snapshot()
-	if _, err := l.Apply(ctx, Put(tt.Clone())); err != nil {
-		t.Fatal(err)
-	}
-	if added, removed, ok := Diff(before, l.Snapshot()); !ok || len(added)+len(removed) != 0 {
-		t.Fatalf("content-identical clone after AdoptDict diffed as a change: ok=%v +%d -%d",
-			ok, len(added), len(removed))
 	}
 }
 

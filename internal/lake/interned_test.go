@@ -96,23 +96,3 @@ func TestSubsetSharing(t *testing.T) {
 		t.Error("subset must share cached interned forms")
 	}
 }
-
-func TestAdoptDictPrefixCompatibility(t *testing.T) {
-	l := internedLake()
-	l.EnsureInterned()
-	snap, err := table.NewDictFromSnapshot(l.Dict().Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A snapshot of this lake's dictionary is prefix-compatible even though
-	// the lake is already interned.
-	if err := l.AdoptDict(snap); err != nil {
-		t.Fatalf("prefix-compatible adoption failed: %v", err)
-	}
-	// A diverged dictionary is refused.
-	other := table.NewDict()
-	other.InternValue(table.S("divergent"))
-	if err := l.AdoptDict(other); err == nil {
-		t.Fatal("diverged dictionary adopted into an interned lake")
-	}
-}

@@ -35,11 +35,12 @@ import (
 )
 
 // Lake is an epoch-versioned catalog of data lake tables addressed by name.
-// All methods are safe for concurrent use: mutations (Apply, AdoptDict)
-// serialize on an internal lock and publish immutable snapshots; readers pin
-// one with Snapshot and are lock-free.
+// All methods are safe for concurrent use: mutations (Apply) serialize on an
+// internal lock and publish immutable snapshots; readers pin one with
+// Snapshot and are lock-free. The value dictionary is fixed by New or Open
+// for the lake's whole life.
 type Lake struct {
-	// mu serializes mutations (Apply, AdoptDict); readers never take it.
+	// mu serializes mutations (Apply); readers never take it.
 	mu   sync.Mutex
 	snap atomic.Pointer[Snapshot]
 }
@@ -64,49 +65,10 @@ func (l *Lake) Dict() *table.Dict { return l.Snapshot().Dict() }
 // cached interned form yet.
 func (l *Lake) EnsureInterned() { l.Snapshot().EnsureInterned() }
 
-// ErrDictMismatch reports that an adopted dictionary does not cover the
-// lake's values — the persisted indexes keyed under it would silently miss
-// those values, so callers must rebuild.
-var ErrDictMismatch = errors.New("lake: values missing from adopted dictionary")
-
-// AdoptDict makes the lake compatible with a persisted dictionary, so
-// persisted ID-keyed indexes stay meaningful over this lake. If the lake has
-// not interned anything yet, d becomes the lake's dictionary and every table
-// of the current snapshot is interned against it; ErrDictMismatch reports
-// lake values d has never seen — the persisted indexes would silently miss
-// them, so callers should rebuild (the lake stays consistent: the dictionary
-// only grew). If the lake is already interned, adoption succeeds exactly
-// when d is a prefix of the lake's dictionary (a snapshot of it, as a set
-// persisted from this very lake is) — every persisted ID already means the
-// same value here and the lake's own dictionary remains authoritative; use
-// Dict() for lookups after a successful adoption.
-//
-// Adoption does not bump the epoch — the catalog is unchanged — but it does
-// publish a fresh snapshot bound to d; snapshots pinned before the adoption
-// keep the dictionary they started with.
-func (l *Lake) AdoptDict(d *table.Dict) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	s := l.snap.Load()
-	if s.ist.used() {
-		if d.PrefixOf(s.ist.dict) {
-			return nil
-		}
-		return fmt.Errorf("%w: lake interned under a diverged dictionary", ErrDictMismatch)
-	}
-	ns := &Snapshot{epoch: s.epoch, names: s.names, byName: s.byName, fps: s.fps, ist: newInternState(d)}
-	// The replacement state inherits the residency configuration — adopting
-	// a dictionary must not silently drop the budget or detach the store.
-	ns.ist.budget = s.ist.budget
-	ns.ist.store = s.ist.store
-	l.snap.Store(ns)
-	baseline := d.Len()
-	ns.EnsureInterned()
-	if grown := d.Len() - baseline; grown > 0 {
-		return fmt.Errorf("%w: %d lake values absent", ErrDictMismatch, grown)
-	}
-	return nil
-}
+// ErrDictMismatch reports persisted or prebuilt indexes keyed under a
+// dictionary other than the lake's: their IDs would resolve to the wrong
+// values, so callers must rebuild.
+var ErrDictMismatch = errors.New("lake: indexes keyed under a different dictionary")
 
 // LoadDir reads every *.csv file under dir (recursively) into a lake,
 // parsing files concurrently. Unreadable or malformed files are skipped and

@@ -18,9 +18,9 @@ import (
 // hold their interned forms, so a re-opened lake serves interned forms by
 // reading segments instead of re-hashing every cell — and because the
 // dictionary rides along, every ID on disk keeps meaning exactly the value it
-// did when persisted. Persisted index sets (index.SaveDir) saved against this
-// lake remain adoptable after Open: the epoch and dictionary lineage are
-// restored verbatim.
+// did when persisted. Index sets saved against this lake (IndexSet.SaveDir)
+// still bind after Open: the epoch and dictionary are restored verbatim, so
+// the dictionary prefix stamp an index file carries verifies.
 const (
 	catalogFileName = "catalog.bin"
 	// legacyCatalogFileName is the retired gob catalog (format v1). Open

@@ -2,6 +2,7 @@ package boot
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -72,32 +73,36 @@ func TestAdoptIndexesRebuildsForeignDictionary(t *testing.T) {
 }
 
 // TestAdoptIndexesRebuildsLegacyDirectory: a directory in a retired layout —
-// a pre-sharding inverted.gob alone, or the gob dictionary, epoch, MinHash
-// and semantic files beside a v5 inverted.bin — is warned about, rebuilt in
-// the current format with every retired file removed, and loads cleanly on
-// the next start. A current save with a leftover semantic.bin (what a hybrid
-// session of the retired semantic discovery channel wrote) still loads as
-// is.
+// a pre-sharding inverted.gob alone, or a v5 inverted.bin beside the gob
+// dictionary, epoch, MinHash and semantic files or beside the dict.bin it
+// was saved with — is warned about, rebuilt in the current format with every
+// retired file removed, and loads cleanly on the next start. A current save
+// with a leftover semantic.bin (what a hybrid session of the retired
+// semantic discovery channel wrote) still loads as is.
 func TestAdoptIndexesRebuildsLegacyDirectory(t *testing.T) {
 	gobs := []string{"dict.gob", "epoch.gob", "minhash.gob", "semantic.gob"}
+	// A v5 inverted.bin: the magic, the version and then bytes this release
+	// never reads.
+	v5 := append(binary.LittleEndian.AppendUint32([]byte("GENTINVX"), 5), make([]byte, 64)...)
 	for name, c := range map[string]struct {
-		inverted bool // a v5 inverted.bin beside the legacy files
-		dict     bool // and its dict.bin
-		legacy   []string
+		current bool // a current save beside the legacy files
+		v5      bool // a v5 inverted.bin beside the legacy files
+		legacy  []string
 	}{
 		"pre-sharding":   {false, false, []string{"inverted.gob"}},
-		"gob dictionary": {true, false, gobs},
-		"hybrid session": {true, true, []string{"semantic.bin"}},
+		"gob dictionary": {false, true, gobs},
+		"v5 dictionary":  {false, true, []string{"dict.bin"}},
+		"hybrid session": {true, false, []string{"semantic.bin"}},
 	} {
 		dir := t.TempDir()
-		if c.inverted {
+		if c.current {
 			if err := index.BuildIndexSetSharded(twoTableLake("ours").Snapshot(), index.DefaultShards).SaveDir(dir); err != nil {
 				t.Fatal(err)
 			}
-			if !c.dict {
-				if err := os.Remove(filepath.Join(dir, "dict.bin")); err != nil {
-					t.Fatal(err)
-				}
+		}
+		if c.v5 {
+			if err := os.WriteFile(filepath.Join(dir, "inverted.bin"), v5, 0o644); err != nil {
+				t.Fatal(err)
 			}
 		}
 		for _, f := range c.legacy {
@@ -106,7 +111,7 @@ func TestAdoptIndexesRebuildsLegacyDirectory(t *testing.T) {
 			}
 		}
 		out, warnings := adopt(t, twoTableLake("ours"), dir)
-		if c.dict {
+		if c.current {
 			if out.Action != "loaded" || len(warnings) != 0 {
 				t.Fatalf("%s: action %q, warnings %q; want a clean load", name, out.Action, warnings)
 			}
@@ -190,5 +195,53 @@ func TestAdoptIndexesRebuildsChangedLake(t *testing.T) {
 		if out, warnings := adopt(t, changed(), dir); out.Action != "loaded" || len(warnings) != 0 {
 			t.Fatalf("%s: next start: action %q, warnings %q; want a clean load", name, out.Action, warnings)
 		}
+	}
+}
+
+// TestAdoptIndexesRestartOverCSVLake is the restart path over a lake of CSV
+// files, the case that rests on deterministic interning: nothing of the
+// dictionary is persisted, so a fresh lake.LoadDir of the same files must
+// intern the very dictionary the saved index's stamp names. The first start
+// builds and saves, a restart on the same files loads as-is, and a restart
+// after one CSV was edited rebuilds with one warning.
+func TestAdoptIndexesRestartOverCSVLake(t *testing.T) {
+	l := twoTableLake("ours")
+	mixed := table.New("mixed", "k", "n", "note")
+	for i := 0; i < 20; i++ {
+		note := table.S(fmt.Sprintf("note %d", i%7))
+		if i%5 == 0 {
+			note = table.Null
+		}
+		mixed.AddRow(table.S(fmt.Sprintf("ours-k%d", i%5)), table.N(float64(i)/4), note)
+	}
+	laketest.Add(l, mixed)
+	lakeDir, idxDir := t.TempDir(), t.TempDir()
+	if err := l.SaveDir(lakeDir); err != nil {
+		t.Fatal(err)
+	}
+	start := func() (IndexOutcome, []string) {
+		t.Helper()
+		l, errs := lake.LoadDir(lakeDir)
+		if len(errs) > 0 {
+			t.Fatalf("LoadDir: %v", errs)
+		}
+		return adopt(t, l, idxDir)
+	}
+	if out, warnings := start(); out.Action != "built" || len(warnings) != 0 {
+		t.Fatalf("first start: action %q, warnings %q; want a silent build", out.Action, warnings)
+	}
+	if out, warnings := start(); out.Action != "loaded" || len(warnings) != 0 {
+		t.Fatalf("restart: action %q, warnings %q; want a clean load", out.Action, warnings)
+	}
+	path := filepath.Join(lakeDir, "left.csv")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(strings.Replace(string(data), "ours-left3", "ours-left33", 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out, warnings := start(); out.Action != "built" || len(warnings) != 1 {
+		t.Fatalf("restart after an edit: action %q, warnings %q; want built with one warning", out.Action, warnings)
 	}
 }

@@ -171,7 +171,6 @@ func cacheKey(srcFP uint64, cfg core.Config, omit bool) uint64 {
 	mix(math.Float64bits(d.Tau))
 	mix(uint64(int64(d.MaxCandidates)))
 	mix(uint64(int64(d.FirstStageTopK)))
-	mix(uint64(int64(d.MaxJoinDepth)))
 	mix(uint64(int64(cfg.Encoding)))
 	var flags uint64
 	for i, f := range []bool{d.Diversify, d.RemoveSubsumed, cfg.SkipTraversal, cfg.RequireCandidates, omit} {

@@ -3,7 +3,9 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -75,12 +77,16 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	json.NewEncoder(w).Encode(encodeError(err)) //nolint:errcheck // nothing to do about a failed error write
 }
 
-// decodeJSON reads one bounded JSON body.
+// decodeJSON reads one bounded JSON body: exactly one JSON value, with
+// nothing but whitespace after it.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
 	dec := json.NewDecoder(r.Body)
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("decoding request: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("decoding request: data after the JSON value")
 	}
 	return nil
 }

@@ -575,3 +575,49 @@ func TestServerDrainOverHTTP(t *testing.T) {
 		t.Fatalf("stats during drain: %+v, %v", st, err)
 	}
 }
+
+// TestServerRejectsTrailingBytes: a request body is exactly one JSON value.
+// Anything but whitespace after it — garbage, a second value, a stray
+// closing brace — is a 400 bad_request on every endpoint that reads a body,
+// and nothing of the request is carried out; trailing whitespace is fine.
+func TestServerRejectsTrailingBytes(t *testing.T) {
+	src, l := scenario()
+	srv := server.New(core.NewReclaimer(l, core.DefaultConfig()), server.Config{})
+	srcJSON, err := json.Marshal(server.EncodeTable(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, err := json.Marshal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := l.Epoch()
+	post := func(path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec
+	}
+	for _, c := range []struct{ path, body string }{
+		{"/v1/reclaim", fmt.Sprintf(`{"source": %s}`, srcJSON)},
+		{"/v1/reclaim/batch", fmt.Sprintf(`{"sources": [%s]}`, srcJSON)},
+		{"/v1/reclaim/stream", fmt.Sprintf(`{"sources": [%s]}`, srcJSON)},
+		{"/v1/index/save", fmt.Sprintf(`{"dir": %s}`, dir)},
+		{"/v1/index/load", fmt.Sprintf(`{"dir": %s}`, dir)},
+		{"/v1/lake/apply", `{"mutations": [{"op": "drop", "name": "noise"}]}`},
+	} {
+		for _, tail := range []string{" trailing garbage {", "{}", "}", "]", ` "x"`, "\n0"} {
+			rec := post(c.path, c.body+tail)
+			var e server.ErrorJSON
+			if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Code != "bad_request" {
+				t.Errorf("%s with %q after the body: status %d, body %s; want 400 bad_request",
+					c.path, tail, rec.Code, rec.Body.Bytes())
+			}
+		}
+		if rec := post(c.path, c.body+" \n\t\r\n"); rec.Code != http.StatusOK {
+			t.Errorf("%s with trailing whitespace: status %d, body %s; want 200", c.path, rec.Code, rec.Body.Bytes())
+		}
+	}
+	if epoch := l.Epoch(); epoch.Seq != before.Seq+1 {
+		t.Errorf("the lake went from %v to %v: a rejected apply mutated it, or the accepted one did not", before, epoch)
+	}
+}

@@ -40,16 +40,13 @@ type Dict struct {
 	mu      sync.RWMutex
 	idx     classIndex
 	entries []DictEntry
-	// fp memoizes Fingerprint over the first fpLen entries; fpLen is -1
-	// until the first computation (0 must not alias "empty dict hashed").
-	fp    uint64
-	fpLen int
 	// chain[i] is the chained fingerprint of the first i entries (chain[0]
 	// covers the empty prefix), extended lazily — append-only entries make
 	// every computed prefix permanent. PrefixStamp/VerifyPrefixStamp read it
-	// in O(1) amortized, which is what lets thousands of segment files each
-	// carry (and check) the stamp of the dictionary length they were written
-	// at without an O(dict) hash per file.
+	// in O(1) amortized, which is what lets thousands of segment files and
+	// the inverted index file each carry (and check) the stamp of the
+	// dictionary length they were written at without an O(dict) hash per
+	// file.
 	chain []uint64
 }
 
@@ -65,7 +62,7 @@ type DictEntry struct {
 
 // NewDict returns an empty dictionary.
 func NewDict() *Dict {
-	return &Dict{idx: newClassIndex(0, 0, 0), fpLen: -1}
+	return &Dict{idx: newClassIndex(0, 0, 0)}
 }
 
 // canonicalBits collapses floats onto Key()'s equivalence classes: ±0 share
@@ -265,8 +262,8 @@ func (d *Dict) extendChainLocked(n int) {
 }
 
 // PrefixStamp returns the dictionary's current length and the chained
-// fingerprint of exactly that prefix — the stamp a segment file written under
-// this dictionary carries. Because entries are append-only, a stamp taken now
+// fingerprint of exactly that prefix — the stamp a segment file or an
+// inverted index file written under this dictionary carries. Because entries are append-only, a stamp taken now
 // stays verifiable for the life of the lake, however much the dictionary
 // grows afterwards.
 func (d *Dict) PrefixStamp() (n int, fp uint64) {
@@ -291,30 +288,6 @@ func (d *Dict) VerifyPrefixStamp(n int, fp uint64) bool {
 	}
 	d.extendChainLocked(n)
 	return d.chain[n] == fp
-}
-
-// PrefixOf reports whether d's entries are a prefix of o's — every ID
-// assigned by d means the same value under o. A dictionary is always a
-// prefix of itself, and a Snapshot-restored dictionary is a prefix of the
-// live dictionary it was snapshotted from (append-only growth), which is
-// what lets persisted ID-keyed indexes serve a lake whose dictionary has
-// since grown.
-func (d *Dict) PrefixOf(o *Dict) bool {
-	if d == o {
-		return true
-	}
-	oe := o.Snapshot()
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if len(d.entries) > len(oe) {
-		return false
-	}
-	for i, e := range d.entries {
-		if oe[i] != e {
-			return false
-		}
-	}
-	return true
 }
 
 // NewDictFromSnapshot rebuilds a dictionary from a persisted snapshot,
@@ -345,7 +318,6 @@ func NewDictFromSnapshot(entries []DictEntry) (*Dict, error) {
 	d := &Dict{
 		idx:     newClassIndex(nstr, nnum, len(entries)-nstr-nnum),
 		entries: make([]DictEntry, 0, len(entries)),
-		fpLen:   -1,
 	}
 	for i, e := range entries {
 		if _, dup := d.idx.find(e); dup {

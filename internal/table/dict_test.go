@@ -138,16 +138,16 @@ func TestDictSnapshotRoundTrip(t *testing.T) {
 			t.Errorf("restored LookupValue(%v) = %d, %v; want %d", v, got, ok, want[i])
 		}
 	}
-	if !restored.PrefixOf(d) || !d.PrefixOf(restored) {
-		t.Error("snapshot restore must be mutually prefix-compatible")
+	n, fp := d.PrefixStamp()
+	if !restored.VerifyPrefixStamp(n, fp) {
+		t.Error("snapshot restore must carry the original's stamp")
 	}
-	restoredThenGrown, _ := NewDictFromSnapshot(d.Snapshot())
 	d.InternValue(S("later"))
-	if !restoredThenGrown.PrefixOf(d) {
-		t.Error("snapshot must stay a prefix of the grown original")
+	if !d.VerifyPrefixStamp(n, fp) {
+		t.Error("the grown original must still verify its old stamp")
 	}
-	if d.PrefixOf(restoredThenGrown) {
-		t.Error("grown dictionary is not a prefix of its old snapshot")
+	if grown, gfp := d.PrefixStamp(); restored.VerifyPrefixStamp(grown, gfp) {
+		t.Error("the restore verified a stamp past its entries")
 	}
 	// Entries Snapshot never produces: no lookup could reach them.
 	for name, entries := range map[string][]DictEntry{

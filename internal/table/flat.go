@@ -6,8 +6,8 @@ import (
 	"hash/crc32"
 )
 
-// The flat file layouts — the lake catalog, the index directory's dictionary
-// and inverted files — share one vocabulary: little-endian fixed
+// The flat file layouts — the lake catalog and the index directory's
+// inverted file — share one vocabulary: little-endian fixed
 // integers, uvarint counts and lengths, a str as a uvarint length and the
 // bytes, and a CRC-32C trailer over every byte before it. This file holds the
 // pieces they share: the trailer, the str and dictionary-entry encoders, and

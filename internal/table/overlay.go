@@ -1,9 +1,6 @@
 package table
 
-import (
-	"hash/fnv"
-	"sync"
-)
+import "sync"
 
 // Interner is the value-interning capability the ID-based hot paths run on.
 // *Dict is the lake-wide implementation; *Overlay layers query-local
@@ -71,46 +68,4 @@ func (o *Overlay) lookup(e DictEntry) (uint32, bool) {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
 	return o.idx.find(e)
-}
-
-// Fingerprint summarizes the dictionary's entries in ID order. Two
-// dictionaries share a fingerprint only if they assign every ID identically,
-// which is what the persisted substrates check at load time to fail loudly
-// on a dict/index file mismatch (e.g. a torn save). The hash is memoized
-// against the entry count — valid because entries are append-only — so
-// repeated checks (each substrate of a loaded IndexSet) pay for one pass.
-func (d *Dict) Fingerprint() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.fpLen != len(d.entries) {
-		d.fp = FingerprintSnapshot(d.entries)
-		d.fpLen = len(d.entries)
-	}
-	return d.fp
-}
-
-// FingerprintSnapshot is Fingerprint over an explicit Snapshot, for callers
-// that must pin one consistent view across several writes.
-func FingerprintSnapshot(entries []DictEntry) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(x >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	for _, e := range entries {
-		h.Write([]byte{byte(e.Kind)})
-		switch e.Kind {
-		case KindString:
-			put(uint64(len(e.Str)))
-			h.Write([]byte(e.Str))
-		case KindNumber:
-			put(e.Bits)
-		default:
-			put(uint64(e.Label))
-		}
-	}
-	return h.Sum64()
 }

@@ -48,25 +48,29 @@ func TestOverlayKeepsBaseClean(t *testing.T) {
 	}
 }
 
+// TestFingerprintTracksEntries: a dictionary's prefix stamp — the
+// fingerprint persisted files bind to — is a function of its entries alone.
 func TestFingerprintTracksEntries(t *testing.T) {
+	stamp := func(d *Dict) [2]uint64 {
+		n, fp := d.PrefixStamp()
+		return [2]uint64{uint64(n), fp}
+	}
 	a, b := NewDict(), NewDict()
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatal("empty dictionaries must share a fingerprint")
+	if stamp(a) != stamp(b) {
+		t.Fatal("empty dictionaries must share a stamp")
 	}
 	a.InternValue(S("x"))
-	if a.Fingerprint() == b.Fingerprint() {
-		t.Fatal("fingerprint must change when entries are added")
+	if stamp(a) == stamp(b) {
+		t.Fatal("stamp must change when entries are added")
 	}
 	b.InternValue(S("x"))
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatal("identical entries must share a fingerprint")
+	if stamp(a) != stamp(b) {
+		t.Fatal("identical entries must share a stamp")
 	}
+	a.InternValue(S("y"))
 	b.InternValue(N(1))
-	if a.Fingerprint() == b.Fingerprint() {
-		t.Fatal("diverged dictionaries must not share a fingerprint")
-	}
-	if FingerprintSnapshot(a.Snapshot()) != a.Fingerprint() {
-		t.Fatal("FingerprintSnapshot must agree with Fingerprint")
+	if stamp(a) == stamp(b) {
+		t.Fatal("diverged dictionaries must not share a stamp")
 	}
 }
 
