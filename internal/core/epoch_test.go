@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"gent/internal/index"
 	"gent/internal/lake"
 	"gent/internal/lake/laketest"
 	"gent/internal/matrix"
@@ -50,10 +51,10 @@ func mutateLake(t *testing.T, l *lake.Lake, wave int) {
 }
 
 // TestDefaultSessionReleasesAncestors: a default session engages only the
-// inverted index, so once a query has resolved it no ancestor state stays
-// reachable — after 12 rounds of Apply and a query, whether or not
-// BuildIndexes ran first. Waiting on an LSH it never builds would pin the
-// chain at its maxCatchUpChain bound.
+// inverted index, so after 12 rounds of Apply and a query — whether or not
+// BuildIndexes ran first — its one catch-up base is the inverted index at
+// the current snapshot, and it holds no LSH base: no older snapshot stays
+// reachable.
 func TestDefaultSessionReleasesAncestors(t *testing.T) {
 	for _, prebuilt := range []bool{false, true} {
 		b := buildTPTR(t)
@@ -67,12 +68,12 @@ func TestDefaultSessionReleasesAncestors(t *testing.T) {
 				t.Fatalf("round %d: %v", round, err)
 			}
 		}
-		states := 0
-		for s := session.cur.Load(); s != nil; s = s.prev.Load() {
-			states++
+		snap := b.Lake.Snapshot()
+		if inv := session.inv.Load(); inv == nil || inv.snap != snap || inv.sub != session.cur.Load().invSlot.ptr.Load() {
+			t.Fatalf("BuildIndexes first %v: the inverted base is not the current snapshot's index", prebuilt)
 		}
-		if states != 1 {
-			t.Fatalf("BuildIndexes first %v: %d states reachable from the current one, want 1", prebuilt, states)
+		if session.lsh.Load() != nil {
+			t.Fatalf("BuildIndexes first %v: a default session holds an LSH base", prebuilt)
 		}
 	}
 }
@@ -373,4 +374,156 @@ func TestConcurrentApplyAndReclaim(t *testing.T) {
 	queriers.Wait() // churn runs for the queriers' whole lifetime
 	close(stop)
 	wg.Wait()
+}
+
+// TestSessionCatchesUpAcrossManyEpochs: ten Applys with no query in between
+// are caught up from the session's one base per substrate kind, and every
+// query after them matches a fresh session bit for bit, with and without
+// the LSH first stage. The bases come from Warm, or from an injected set
+// no query ever served.
+func TestSessionCatchesUpAcrossManyEpochs(t *testing.T) {
+	for _, topK := range []int{0, 8} {
+		for _, injected := range []bool{false, true} {
+			label := fmt.Sprintf("topk %d injected %v", topK, injected)
+			b := buildTPTR(t)
+			cfg := DefaultConfig()
+			cfg.Discovery.FirstStageTopK = topK
+			session := NewReclaimer(b.Lake, cfg)
+			if injected {
+				if err := session.UseIndexes(NewReclaimer(b.Lake, cfg).BuildIndexes()); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+			} else {
+				session.Warm()
+			}
+			if session.inv.Load() == nil || (topK > 0) != (session.lsh.Load() != nil) {
+				t.Fatalf("%s: the session does not hold exactly one base per engaged substrate", label)
+			}
+			for wave := 1; wave <= 10; wave++ {
+				mutateLake(t, b.Lake, wave)
+			}
+			fresh := NewReclaimer(b.Lake, cfg)
+			for _, src := range b.Sources[:3] {
+				want, err := fresh.ReclaimContext(context.Background(), src)
+				if err != nil {
+					t.Fatalf("%s %s: fresh: %v", label, src.Name, err)
+				}
+				got, err := session.ReclaimContext(context.Background(), src)
+				if err != nil {
+					t.Fatalf("%s %s: session: %v", label, src.Name, err)
+				}
+				assertSameResult(t, label+" "+src.Name, want, got)
+			}
+		}
+	}
+}
+
+// TestConcurrentLateResolveAtOlderEpoch: a query pinned at epoch E that
+// resolves its substrates only after a query at E+1 has finished derives
+// them from the newer base, a delta backwards, and matches a fresh session
+// at E bit for bit; the E+1 base stays the newest.
+func TestConcurrentLateResolveAtOlderEpoch(t *testing.T) {
+	for _, topK := range []int{0, 8} {
+		t.Run(fmt.Sprintf("topk=%d", topK), func(t *testing.T) {
+			b := buildTPTR(t)
+			cfg := DefaultConfig()
+			cfg.Discovery.FirstStageTopK = topK
+			src := b.Sources[0]
+			ctx := context.Background()
+			session := NewReclaimer(b.Lake, cfg).Warm()
+			mutateLake(t, b.Lake, 1)
+			want, err := NewReclaimer(b.Lake, cfg).ReclaimContext(ctx, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// The query at E claims its state at entry and blocks at the start
+			// of discovery, before it resolves a substrate.
+			reached, release := make(chan struct{}), make(chan struct{})
+			var releaseOnce sync.Once
+			unblock := func() { releaseOnce.Do(func() { close(release) }) }
+			defer unblock()
+			pinned := cfg
+			var blockOnce sync.Once
+			pinned.Observer = ObserverFunc(func(ev ProgressEvent) {
+				if ev.Phase == PhaseDiscovery && ev.Kind == EventPhaseStarted {
+					blockOnce.Do(func() {
+						close(reached)
+						<-release
+					})
+				}
+			})
+			type outcome struct {
+				res *Result
+				err error
+			}
+			late := make(chan outcome, 1)
+			go func() {
+				res, err := session.WithConfig(pinned).ReclaimContext(ctx, src)
+				late <- outcome{res, err}
+			}()
+			<-reached
+
+			mutateLake(t, b.Lake, 2)
+			next := b.Lake.Snapshot()
+			wantNext, err := NewReclaimer(b.Lake, cfg).ReclaimContext(ctx, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotNext, err := session.ReclaimContext(ctx, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResult(t, "E+1", wantNext, gotNext)
+
+			unblock()
+			o := <-late
+			if o.err != nil {
+				t.Fatalf("late query at E: %v", o.err)
+			}
+			assertSameResult(t, "late at E", want, o.res)
+			if session.inv.Load().snap != next {
+				t.Error("the late resolve at E replaced the newer inverted base")
+			}
+			if topK > 0 && session.lsh.Load().snap != next {
+				t.Error("the late resolve at E replaced the newer LSH base")
+			}
+		})
+	}
+}
+
+// TestUseIndexesRefusesUnstampedLoadedSet: a set read from disk binds only
+// at exactly the lake's current epoch, even one saved without a stamp. Here
+// the lake has since gained a table: the saved dictionary prefix still
+// verifies, but the postings miss the new table, so UseIndexes refuses with
+// ErrEpochMismatch. A set built in this process keeps the zero stamp as a
+// wildcard.
+func TestUseIndexesRefusesUnstampedLoadedSet(t *testing.T) {
+	b := buildTPTR(t)
+	built := NewReclaimer(b.Lake, DefaultConfig()).BuildIndexes()
+	built.Epoch = lake.Epoch{}
+	dir := t.TempDir()
+	if err := built.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	gained := table.New("gained", "gk", "gv")
+	gained.AddRow(table.S("gained-key"), table.S("Zephyr"))
+	if _, err := b.Lake.Apply(context.Background(), lake.Put(gained)); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := index.LoadIndexSetDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Inverted.Covers(b.Lake.Snapshot()) {
+		t.Fatal("precondition: the saved set covers the grown lake")
+	}
+	if err := NewReclaimer(b.Lake, DefaultConfig()).UseIndexes(loaded); !errors.Is(err, ErrEpochMismatch) {
+		t.Fatalf("unstamped loaded set over a grown lake: %v, want ErrEpochMismatch", err)
+	}
+	inProcess := NewReclaimer(b.Lake, DefaultConfig()).BuildIndexes()
+	inProcess.Epoch = lake.Epoch{}
+	if err := NewReclaimer(b.Lake, DefaultConfig()).UseIndexes(inProcess); err != nil {
+		t.Fatalf("unstamped in-process set: %v", err)
+	}
 }

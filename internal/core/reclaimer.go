@@ -10,6 +10,7 @@ import (
 	"gent/internal/discovery"
 	"gent/internal/index"
 	"gent/internal/lake"
+	"gent/internal/par"
 	"gent/internal/table"
 )
 
@@ -24,12 +25,13 @@ import (
 // The session tracks the lake: when lake.Apply publishes a new epoch, the
 // next query catches the substrates up incrementally (index.WithDelta over
 // the snapshot diff — add/remove postings and sketch deltas, no corpus
-// rescan), falling back to a full rebuild only when no maintainable
-// ancestor substrate exists. Queries are pinned RCU-style: each one resolves
-// the current epoch state once at entry and runs discovery, traversal and
-// integration against that immutable snapshot and its substrates, so
-// in-flight queries are never torn by concurrent mutations — they complete
-// on the epoch they started on.
+// rescan) from the newest substrate of each kind the session holds, across
+// any number of epochs, falling back to a full rebuild only when it holds
+// none or no table-level delta bridges the two snapshots. Queries are pinned
+// RCU-style: each one resolves the current epoch state once at entry and
+// runs discovery, traversal and integration against that immutable snapshot
+// and its substrates, so in-flight queries are never torn by concurrent
+// mutations — they complete on the epoch they started on.
 //
 // A Reclaimer is safe for concurrent use, including concurrently with lake
 // mutations. Prebuilt or persisted indexes (index.LoadIndexSetDir) can be
@@ -41,37 +43,37 @@ type Reclaimer struct {
 }
 
 // session is what every handle of one Reclaimer shares: the lake, the epoch
-// states with their substrates, and the configuration NewReclaimer was given.
-// The substrates' shape — IndexShards, and whether ancestor release waits for
-// the LSH — comes from that configuration alone, never from a handle's.
+// states with their substrates, the newest substrate of each kind, and the
+// configuration NewReclaimer was given. The substrates' shape (IndexShards)
+// comes from that configuration alone, never from a handle's.
 type session struct {
 	lake *lake.Lake
 	cfg  Config
 
-	// mu serializes epoch-state transitions (catch-up and injection); the
+	// mu serializes epoch-state transitions (a new epoch and injection); the
 	// per-query fast path is one atomic load plus a snapshot-pointer compare.
 	mu  sync.Mutex
 	cur atomic.Pointer[epochState]
+
+	// inv and lsh are the newest substrate of each kind the session has
+	// resolved or been given: the base the next epoch's catch-up derives
+	// from. Each pins at most one snapshot besides the current one.
+	inv atomic.Pointer[base[index.Inverted]]
+	lsh atomic.Pointer[base[index.MinHashLSH]]
 }
 
-// maxCatchUpChain bounds how many not-yet-materialized epoch states a
-// substrate delta may span (the snapshot diff bridges any gap in one step;
-// the bound only caps how much history the chain pins in memory before a
-// full rebuild is preferred).
-const maxCatchUpChain = 8
+// base is a substrate paired with the snapshot it is current at.
+type base[T any] struct {
+	snap *lake.Snapshot
+	sub  *T
+}
 
 // epochState is the session's view of one lake epoch: the pinned snapshot
 // plus the substrates built, maintained or injected for it. Substrates are
-// still lazy per epoch — built on the first query that needs them,
-// incrementally when an ancestor state has a maintainable copy.
+// lazy per epoch — built on the first query that needs them, incrementally
+// when the session holds a base of that kind.
 type epochState struct {
 	snap *lake.Snapshot
-	// shards is the session's Config.IndexShards, captured at state creation.
-	shards int
-	// prev links toward the ancestor states substrate catch-up derives from;
-	// cleared once every engaged substrate is resolved (or at chain-trim
-	// time) so old snapshots do not accumulate.
-	prev atomic.Pointer[epochState]
 
 	// used flips (under Reclaimer.mu, via acquire) when a query claims this
 	// state — the point after which injection would mix substrates across
@@ -80,11 +82,6 @@ type epochState struct {
 
 	invSlot slot[index.Inverted]
 	lshSlot slot[index.MinHashLSH]
-	// engagesLSH is needsFirstStage under the session's default
-	// configuration, captured at state creation: chain-trim and prev-release
-	// wait for the LSH only when it holds (a default session must not pin
-	// ancestors for an LSH it never builds).
-	engagesLSH bool
 }
 
 // NewReclaimer creates a session over l and returns a handle whose queries
@@ -110,8 +107,8 @@ func (r *Reclaimer) Lake() *lake.Lake { return r.lake }
 func (r *Reclaimer) Config() Config { return r.cfg }
 
 // state resolves the session's state for the lake's current epoch, creating
-// (and chaining) a fresh one when the lake has moved on. The fast path — the
-// lake hasn't moved — is two atomic loads.
+// a fresh one when the lake has moved on. The fast path — the lake hasn't
+// moved — is two atomic loads.
 func (r *Reclaimer) state() *epochState {
 	ls := r.lake.Snapshot()
 	if cur := r.cur.Load(); cur != nil && cur.snap == ls {
@@ -125,21 +122,12 @@ func (r *Reclaimer) state() *epochState {
 // stateLocked is state's slow path; r.mu must be held.
 func (r *Reclaimer) stateLocked() *epochState {
 	ls := r.lake.Snapshot()
-	cur := r.cur.Load()
-	if cur != nil && cur.snap == ls {
+	if cur := r.cur.Load(); cur != nil && cur.snap == ls {
 		return cur
 	}
-	ns := r.newState(ls)
-	ns.prev.Store(cur)
-	trimChain(ns)
+	ns := &epochState{snap: ls}
 	r.cur.Store(ns)
 	return ns
-}
-
-// newState is a fresh, unresolved state for snapshot ls.
-func (r *Reclaimer) newState(ls *lake.Snapshot) *epochState {
-	sc := r.session.cfg
-	return &epochState{snap: ls, shards: sc.IndexShards, engagesLSH: needsFirstStage(ls, sc.Discovery)}
 }
 
 // acquire resolves and *claims* the epoch state a query will run against.
@@ -162,36 +150,6 @@ func (r *Reclaimer) acquire() *epochState {
 	return st
 }
 
-// trimChain cuts the ancestor chain after maxCatchUpChain hops, or right
-// after the first state that already has every substrate built (nothing
-// older can contribute anything newer states need).
-func trimChain(head *epochState) {
-	n := 0
-	for s := head; s != nil; s = s.prev.Load() {
-		n++
-		if n > maxCatchUpChain || (s != head && s.substratesDone()) {
-			s.prev.Store(nil)
-			return
-		}
-	}
-}
-
-// substratesDone reports whether every substrate this session engages is
-// materialized on s — the point at which older ancestors have nothing left
-// to contribute.
-func (s *epochState) substratesDone() bool {
-	return s.invSlot.ptr.Load() != nil && (!s.engagesLSH || s.lshSlot.ptr.Load() != nil)
-}
-
-// dropPrevIfDone releases the ancestor chain once every engaged substrate
-// exists: nothing left to catch up from, so the old snapshots can be
-// collected.
-func (s *epochState) dropPrevIfDone() {
-	if s.substratesDone() {
-		s.prev.Store(nil)
-	}
-}
-
 // slot is one substrate of an epoch state, lazy per epoch: ptr is published
 // by the first resolve that needs it — or up front by UseIndexes, which the
 // lazy path then finds already there.
@@ -200,65 +158,58 @@ type slot[T any] struct {
 	ptr  atomic.Pointer[T]
 }
 
-// resolve returns the substrate in s's slot (of picks the slot, on s and on
-// its ancestors), materializing it on first use: an injected copy as is, else
-// delta from the nearest ancestor that has one, else — no ancestor, or delta
-// returned nil because nothing table-level bridges the two snapshots — a
-// fresh build over the pinned snapshot.
-func resolve[T any](s *epochState, of func(*epochState) *slot[T],
-	delta func(base *T, old, new *lake.Snapshot) *T, build func() *T) *T {
-	sl := of(s)
+// resolve returns the substrate in sl for snapshot snap, materializing it on
+// first use: an injected copy as is, else withDelta from the newest base of
+// its kind, else — no base yet, or no table-level delta bridges the two
+// snapshots — a fresh build. It then offers the result as the newest base.
+// The base only moves forward by epoch: a query pinned to an older epoch
+// that resolves late derives from the newer base (lake.Diff works in either
+// direction) and leaves it in place.
+func resolve[T any](sl *slot[T], snap *lake.Snapshot, newest *atomic.Pointer[base[T]],
+	withDelta func(base *T, added, removed []*table.Interned) *T, build func(*lake.Snapshot) *T) *T {
 	sl.once.Do(func() {
-		if sl.ptr.Load() != nil {
-			return
-		}
-		for a := s.prev.Load(); a != nil; a = a.prev.Load() {
-			base := of(a).ptr.Load()
-			if base == nil {
-				continue
+		sub := sl.ptr.Load()
+		if sub == nil {
+			if b := newest.Load(); b != nil {
+				sub = deltaVia(withDelta, b, snap)
 			}
-			if nix := delta(base, a.snap, s.snap); nix != nil {
-				sl.ptr.Store(nix)
-				return
+			if sub == nil {
+				sub = build(snap)
 			}
-			break // unmaintainable from here: rebuild
+			sl.ptr.Store(sub)
 		}
-		sl.ptr.Store(build())
+		for b := newest.Load(); b == nil || b.snap.Epoch().Seq < snap.Epoch().Seq; b = newest.Load() {
+			if newest.CompareAndSwap(b, &base[T]{snap: snap, sub: sub}) {
+				break
+			}
+		}
 	})
-	s.dropPrevIfDone()
 	return sl.ptr.Load()
 }
 
-// inverted returns the state's exact-overlap substrate.
-func (s *epochState) inverted() *index.Inverted {
-	return resolve(s, func(e *epochState) *slot[index.Inverted] { return &e.invSlot },
-		func(base *index.Inverted, old, new *lake.Snapshot) *index.Inverted {
-			return deltaVia(base.WithDelta, old, new)
-		},
-		func() *index.Inverted { return index.BuildInvertedSharded(s.snap, s.shards) })
+// inverted returns st's exact-overlap substrate.
+func (s *session) inverted(st *epochState) *index.Inverted {
+	return resolve(&st.invSlot, st.snap, &s.inv, (*index.Inverted).WithDelta,
+		func(snap *lake.Snapshot) *index.Inverted { return index.BuildInvertedSharded(snap, s.cfg.IndexShards) })
 }
 
-// lsh returns the state's MinHash-LSH first stage.
-func (s *epochState) lsh() *index.MinHashLSH {
-	return resolve(s, func(e *epochState) *slot[index.MinHashLSH] { return &e.lshSlot },
-		func(base *index.MinHashLSH, old, new *lake.Snapshot) *index.MinHashLSH {
-			return deltaVia(base.WithDelta, old, new)
-		},
-		func() *index.MinHashLSH { return index.BuildMinHashLSH(s.snap) })
+// firstStage returns st's MinHash-LSH first stage.
+func (s *session) firstStage(st *epochState) *index.MinHashLSH {
+	return resolve(&st.lshSlot, st.snap, &s.lsh, (*index.MinHashLSH).WithDelta, index.BuildMinHashLSH)
 }
 
-// deltaVia catches a substrate built at the old snapshot up to new through
-// its withDelta, fed the interned-form delta bridging the two. It returns
-// nil when no table-level delta applies: the snapshot diff refuses (an
-// in-place edit in between). Every substrate in a slot is keyed under the
-// lake's one dictionary — built from the snapshot, or bound to it by
-// UseIndexes — so the delta's IDs mean what the substrate's do.
-func deltaVia[T any](withDelta func(added, removed []*table.Interned) *T, old, new *lake.Snapshot) *T {
-	at, rt, ok := lake.Diff(old, new)
+// deltaVia catches b's substrate up (or back) to snap through withDelta, fed
+// the interned-form delta bridging the two snapshots. It returns nil when no
+// table-level delta applies: the snapshot diff refuses (an in-place edit in
+// between). Every substrate in a slot is keyed under the lake's one
+// dictionary — built from the snapshot, or bound to it by UseIndexes — so
+// the delta's IDs mean what the substrate's do.
+func deltaVia[T any](withDelta func(base *T, added, removed []*table.Interned) *T, b *base[T], snap *lake.Snapshot) *T {
+	at, rt, ok := lake.Diff(b.snap, snap)
 	if !ok {
 		return nil
 	}
-	return withDelta(internForms(new, at), internForms(old, rt))
+	return withDelta(b.sub, internForms(snap, at), internForms(b.snap, rt))
 }
 
 // internForms resolves tables to their interned forms under the snapshot
@@ -276,18 +227,17 @@ func internForms(snap *lake.Snapshot, tables []*table.Table) []*table.Interned {
 
 // needsFirstStage reports whether opts engage the LSH retriever on snap —
 // the one rule for which substrate beyond the always-needed inverted index a
-// discovery configuration uses. Queries, Warm, BuildIndexes and the
-// ancestor release all read it.
+// discovery configuration uses. Queries, Warm and BuildIndexes all read it.
 func needsFirstStage(snap *lake.Snapshot, opts discovery.Options) bool {
 	return opts.FirstStageTopK > 0 && snap.Len() > opts.FirstStageTopK
 }
 
-// indexSet assembles the substrates one query needs at this state, building
-// missing ones.
-func (s *epochState) indexSet(opts discovery.Options) *index.IndexSet {
-	ix := &index.IndexSet{Inverted: s.inverted()}
-	if needsFirstStage(s.snap, opts) {
-		ix.LSH = s.lsh()
+// indexSet assembles the substrates one query needs at st, building missing
+// ones.
+func (s *session) indexSet(st *epochState, opts discovery.Options) *index.IndexSet {
+	ix := &index.IndexSet{Inverted: s.inverted(st)}
+	if needsFirstStage(st.snap, opts) {
+		ix.LSH = s.firstStage(st)
 	}
 	return ix
 }
@@ -306,12 +256,15 @@ func (s *epochState) indexSet(opts discovery.Options) *index.IndexSet {
 // epoch, injection would silently mix substrates across that epoch's
 // queries, so UseIndexes returns ErrSessionStarted; after the lake moves to
 // a new epoch, injection opens again. A set stamped with an epoch (as every
-// set persisted by this release is) must match the lake's current epoch
-// exactly, or UseIndexes refuses with ErrEpochMismatch — which wraps
+// set BuildIndexes returns is) must match the lake's current epoch exactly,
+// or UseIndexes refuses with ErrEpochMismatch — which wraps
 // ErrSessionStarted, so v2 callers matching the old sentinel still catch
-// it. In-flight queries pinned to older epochs are unaffected either way.
-// Both refusals are boot.AdoptIndexes' rebuild-with-warning path: a
-// persisted set is used exactly as saved or not at all.
+// it. A set read by index.LoadIndexSetDir must match exactly even when its
+// stamp is the zero Epoch: only the stamp says which tables and values its
+// postings cover. The zero stamp stays a wildcard for substrates built in
+// this process. In-flight queries pinned to older epochs are unaffected
+// either way. Every refusal is boot.AdoptIndexes' rebuild-with-warning path:
+// a persisted set is used exactly as saved or not at all.
 func (r *Reclaimer) UseIndexes(ix *index.IndexSet) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -322,22 +275,32 @@ func (r *Reclaimer) UseIndexes(ix *index.IndexSet) error {
 	if ix == nil {
 		return nil
 	}
+	mismatch := fmt.Errorf("%w: indexes stamped %v, lake at %v", ErrEpochMismatch, ix.Epoch, ls.Epoch())
 	if !ix.Epoch.IsZero() && ix.Epoch != ls.Epoch() {
-		return fmt.Errorf("%w: indexes stamped %v, lake at %v", ErrEpochMismatch, ix.Epoch, ls.Epoch())
+		return mismatch
 	}
+	loaded := ix.Inverted != nil && ix.Inverted.Dict() == nil
 	ix, err := ix.Bind(ls)
 	if err != nil {
 		return err
 	}
-	// Publish the injected substrates into their slots right away: the lazy
-	// resolve short-circuits onto them, and a later epoch's catch-up walk must
-	// find an injected set to delta from rather than silently skip it in favor
-	// of a full rebuild. Nil members stay lazy.
-	ns := r.newState(ls)
+	// Unstamped, a set read from disk could be current at any epoch. It is
+	// refused after Bind, so a foreign dictionary is reported as such.
+	if loaded && ix.Epoch != ls.Epoch() {
+		return mismatch
+	}
+	// Publish the injected substrates into their slots, where the lazy
+	// resolve finds them, and as the newest bases, so a later epoch derives
+	// from them even if no query runs at this one. Nil members stay lazy.
+	ns := &epochState{snap: ls}
 	ns.invSlot.ptr.Store(ix.Inverted)
 	ns.lshSlot.ptr.Store(ix.LSH)
-	ns.prev.Store(r.cur.Load())
-	trimChain(ns)
+	if ix.Inverted != nil {
+		r.inv.Store(&base[index.Inverted]{snap: ls, sub: ix.Inverted})
+	}
+	if ix.LSH != nil {
+		r.lsh.Store(&base[index.MinHashLSH]{snap: ls, sub: ix.LSH})
+	}
 	r.cur.Store(ns)
 	return nil
 }
@@ -370,16 +333,11 @@ func (r *Reclaimer) Warm() *Reclaimer {
 // and returns the state.
 func (r *Reclaimer) warm() *epochState {
 	st := r.acquire()
-	var wg sync.WaitGroup
+	resolvers := []func(){func() { r.inverted(st) }}
 	if needsFirstStage(st.snap, r.cfg.Discovery) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st.lsh()
-		}()
+		resolvers = append(resolvers, func() { r.firstStage(st) })
 	}
-	st.inverted()
-	wg.Wait()
+	par.For(context.Background(), len(resolvers), len(resolvers), func(_, i int) { resolvers[i]() })
 	return st
 }
 
@@ -403,7 +361,7 @@ func (r *Reclaimer) rawCandidates(ctx context.Context, st *epochState, src *tabl
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return discovery.DiscoverWithSnapContext(ctx, st.snap, st.indexSet(opts), src, opts)
+	return discovery.DiscoverWithSnapContext(ctx, st.snap, r.indexSet(st, opts), src, opts)
 }
 
 // SplitTraverseWorkers sizes each source's Matrix Traversal pool under an

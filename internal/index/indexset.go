@@ -1,10 +1,11 @@
 package index
 
 import (
+	"context"
 	"fmt"
-	"sync"
 
 	"gent/internal/lake"
+	"gent/internal/par"
 	"gent/internal/table"
 )
 
@@ -71,17 +72,11 @@ func (s *IndexSet) Bind(snap *lake.Snapshot) (*IndexSet, error) {
 // snapshot's dictionary and epoch.
 func BuildIndexSetSharded(l *lake.Snapshot, shards int) *IndexSet {
 	s := &IndexSet{}
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		s.Inverted = BuildInvertedSharded(l, shards)
-	}()
-	go func() {
-		defer wg.Done()
-		s.LSH = BuildMinHashLSH(l)
-	}()
-	wg.Wait()
+	builds := []func(){
+		func() { s.Inverted = BuildInvertedSharded(l, shards) },
+		func() { s.LSH = BuildMinHashLSH(l) },
+	}
+	par.For(context.Background(), len(builds), len(builds), func(_, i int) { builds[i]() })
 	s.Dict = l.Dict()
 	s.Epoch = l.Epoch()
 	return s

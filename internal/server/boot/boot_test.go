@@ -198,6 +198,45 @@ func TestAdoptIndexesRebuildsChangedLake(t *testing.T) {
 	}
 }
 
+// TestAdoptIndexesRebuildsUnstampedSet: a set saved without an epoch stamp
+// cannot say which lake contents its postings hold, so it is warned about
+// and rebuilt even where the catalog and the dictionary prefix still verify
+// (here the lake interned its tables, then one cell took a value the saved
+// dictionary lacks), and the rebuilt, stamped directory loads as-is on the
+// next start.
+func TestAdoptIndexesRebuildsUnstampedSet(t *testing.T) {
+	dir := t.TempDir()
+	unstamped := index.BuildIndexSetSharded(twoTableLake("ours").Snapshot(), index.DefaultShards)
+	unstamped.Epoch = lake.Epoch{}
+	if err := unstamped.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	edited := table.New("left", "k", "v")
+	for i := 0; i < 5; i++ {
+		v := fmt.Sprintf("ours-left%d", i)
+		if i == 2 {
+			v = "ours-zephyr"
+		}
+		edited.AddRow(table.S(fmt.Sprintf("ours-k%d", i)), table.S(v))
+	}
+	changed := func() *lake.Lake {
+		l := twoTableLake("ours")
+		l.Snapshot().EnsureInterned()
+		laketest.Add(l, edited.Clone())
+		return l
+	}
+	out, warnings := adopt(t, changed(), dir)
+	if out.Action != "built" {
+		t.Fatalf("unstamped set: action %q, want built", out.Action)
+	}
+	if len(warnings) != 1 || !strings.Contains(warnings[0], core.ErrEpochMismatch.Error()) {
+		t.Fatalf("warnings = %q, want one naming the epoch mismatch", warnings)
+	}
+	if out, warnings := adopt(t, changed(), dir); out.Action != "loaded" || len(warnings) != 0 {
+		t.Fatalf("next start: action %q, warnings %q; want a clean load", out.Action, warnings)
+	}
+}
+
 // TestAdoptIndexesRestartOverCSVLake is the restart path over a lake of CSV
 // files, the case that rests on deterministic interning: nothing of the
 // dictionary is persisted, so a fresh lake.LoadDir of the same files must
