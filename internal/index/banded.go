@@ -15,9 +15,8 @@ import (
 // tables' columns into an override layer and tombstones the removed tables'
 // base columns instead of rewriting the shared base maps; probes skip
 // tombstoned and superseded base entries; and once the dead weight passes
-// len(base)/2 + overCompactionSlack (inverted.go) the layers are folded back
-// into one base without re-sketching a column (a signature determines its
-// band keys).
+// len(base)/2 + overCompactionSlack the layers are folded back into one base
+// without re-sketching a column (a signature determines its band keys).
 // All maps are immutable once the index is published, so any number of
 // derived indexes share the base storage.
 type banded struct {
@@ -30,6 +29,20 @@ type banded struct {
 	bucketsOver map[uint64][]ColumnRef
 	dead        map[ColumnRef]bool
 }
+
+// overCompactionSlack is the layered core's dead weight (override entries
+// plus tombstones, past half the base) at which withDelta folds the layers
+// back into one base. Compaction rebuilds every bucket once, so it must be
+// rare; the slack bounds what probes pay meanwhile for skipping dead base
+// entries.
+//
+// The core keeps its layers, unlike the inverted index (store.go), because
+// here they pay for themselves: a delta rebuilds no bucket map. On a
+// gentd_churn-shaped lake (3 032 tables, 19 477 columns; 24 deltas of 8 Puts
+// and 8 Drops; 2 CPUs), a one-layer delta that rebuilt the bucket maps took
+// about 79 ms and allocated 20.9 MB a delta, against 1.3 ms and 0.72 MB for
+// the layered one.
+const overCompactionSlack = 64
 
 // columnSketches is one table's indexable columns and their signatures, in
 // column order.

@@ -129,4 +129,4 @@ func TestEstimateJaccardIdentical(t *testing.T) {
 }
 
 // ColumnSize returns the distinct-value count of an indexed column.
-func (ix *Inverted) ColumnSize(ref ColumnRef) int { return ix.colSizes[ref] }
+func (ix *Inverted) ColumnSize(ref ColumnRef) int { return sizesView(ix)[ref] }

@@ -3,6 +3,7 @@ package index
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -135,8 +136,8 @@ func checkSpec(t *testing.T, label string, ix *Inverted, corpus *lake.Snapshot, 
 			}
 		}
 	}
-	if len(ix.colSizes) != ncols {
-		t.Fatalf("%s: %d columns indexed, corpus has %d", label, len(ix.colSizes), ncols)
+	if n := len(sizesView(ix)); n != ncols {
+		t.Fatalf("%s: %d columns indexed, corpus has %d", label, n, ncols)
 	}
 	for q := 0; q < 10; q++ {
 		query := randomQuery(rng)
@@ -160,11 +161,35 @@ func saveLoad(t *testing.T, ix *Inverted, snap *lake.Snapshot) *Inverted {
 	return bound(t, loaded, snap).Inverted
 }
 
+// checkMaintained holds a maintained index to a fresh build of its snapshot:
+// the same postings and column sizes, no column twice in its column table,
+// and a column table no longer than the most columns the lake has held.
+func checkMaintained(t *testing.T, label string, ix, fresh *Inverted, peak int) {
+	t.Helper()
+	if !reflect.DeepEqual(flatPostingsView(ix), flatPostingsView(fresh)) {
+		t.Fatalf("%s: maintained postings diverge from a fresh build", label)
+	}
+	if !maps.Equal(sizesView(ix), sizesView(fresh)) {
+		t.Fatalf("%s: maintained column sizes diverge from a fresh build", label)
+	}
+	seen := make(map[ColumnRef]bool, len(ix.ps.refs))
+	for _, ref := range ix.ps.refs {
+		if seen[ref] {
+			t.Fatalf("%s: column %s/%d twice in the column table", label, ref.Table, ref.Col)
+		}
+		seen[ref] = true
+	}
+	if len(ix.ps.refs) > peak {
+		t.Fatalf("%s: %d colIDs, but the lake never held more than %d columns", label, len(ix.ps.refs), peak)
+	}
+}
+
 // TestInvertedMatchesSpec is the index's differential test: at every shard
-// count the one index form must equal the brute-force specification when
-// freshly built, along a chain of WithDelta maintenance steps (where it must
-// also hold the same postings as a fresh build of the same snapshot), after
-// a forced compaction, and after a save→load round trip of each of those.
+// count the index must equal the brute-force specification when freshly
+// built, along a chain of WithDelta maintenance steps (where it must also
+// match a fresh build of the same snapshot, see checkMaintained), after a
+// delta wider than the whole index, and after a save→load round trip of
+// each of those.
 func TestInvertedMatchesSpec(t *testing.T) {
 	for _, nshards := range []int{1, 3, 8} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -180,8 +205,21 @@ func TestInvertedMatchesSpec(t *testing.T) {
 			checkSpec(t, label+", fresh", ix, prev, rng)
 			checkSpec(t, label+", fresh, loaded", saveLoad(t, ix, prev), prev, rng)
 
-			layered := 0
-			for step := 0; step < 30; step++ {
+			peak := liveColumns(prev)
+			step := func(at string, snap *lake.Snapshot) {
+				t.Helper()
+				peak = max(peak, liveColumns(snap))
+				fresh := BuildInvertedSharded(snap, nshards)
+				loaded := saveLoad(t, ix, snap)
+				checkSpec(t, at, ix, snap, rng)
+				checkSpec(t, at+", loaded", loaded, snap, rng)
+				checkMaintained(t, at, ix, fresh, peak)
+				checkMaintained(t, at+", loaded", loaded, fresh, peak)
+				if ix.Shards() != nshards || loaded.Shards() != nshards {
+					t.Fatalf("%s: a delta changed the shard count to %d", at, ix.Shards())
+				}
+			}
+			for i := 0; i < 30; i++ {
 				applyRandomMutation(t, rng, l, &nextID)
 				snap := l.Snapshot()
 				added, removed, ok := lake.Diff(prev, snap)
@@ -190,27 +228,13 @@ func TestInvertedMatchesSpec(t *testing.T) {
 				}
 				snap.EnsureInterned()
 				ix = ix.WithDelta(forms(snap, added), forms(prev, removed))
-				if ix.idOver != nil {
-					layered++
-				}
-				at := fmt.Sprintf("%s, step %d", label, step)
-				checkSpec(t, at, ix, snap, rng)
-				if !reflect.DeepEqual(flatPostingsView(ix), flatPostingsView(BuildInvertedSharded(snap, nshards))) {
-					t.Fatalf("%s: maintained postings diverge from a fresh build", at)
-				}
-				if step%10 == 9 {
-					checkSpec(t, at+", loaded", saveLoad(t, ix, snap), snap, rng)
-				}
+				step(fmt.Sprintf("%s, step %d", label, i), snap)
 				prev = snap
 			}
-			if layered == 0 {
-				t.Fatalf("%s: the delta chain never carried an override layer", label)
-			}
 
-			// One table with far more novel values than the compaction slack
-			// folds the override layer back into a fresh base.
+			// One table with more novel values than the index has IDs.
 			wide := table.New("wide", "w")
-			for i := 0; i < 4*overCompactionSlack+ix.base.nlists; i++ {
+			for i := 0; i < 2*ix.ps.ids()+64; i++ {
 				wide.AddRow(table.S(fmt.Sprintf("novel%d", i)))
 			}
 			if _, err := l.Apply(context.Background(), lake.Put(wide)); err != nil {
@@ -219,14 +243,7 @@ func TestInvertedMatchesSpec(t *testing.T) {
 			snap := l.Snapshot()
 			snap.EnsureInterned()
 			ix = ix.WithDelta([]*table.Interned{snap.Interned("wide")}, nil)
-			if ix.idOver != nil {
-				t.Fatalf("%s: a delta wider than the base did not compact", label)
-			}
-			if ix.Shards() != nshards {
-				t.Fatalf("%s: compaction changed the shard count to %d", label, ix.Shards())
-			}
-			checkSpec(t, label+", compacted", ix, snap, rng)
-			checkSpec(t, label+", compacted, loaded", saveLoad(t, ix, snap), snap, rng)
+			step(label+", wide", snap)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -22,7 +21,7 @@ import (
 //	fan-out      uint32 LE     the probe fan-out width (Inverted.Shards)
 //	nrefs        uvarint, then per colID: table name str, column uvarint,
 //	             size uvarint (the column's distinct count + 1; 0 for a
-//	             column no longer indexed)
+//	             free colID, whose column was removed)
 //	nids         uvarint, then nids+1 offsets, uint32 LE each
 //	slab         the posting blocks, off[nids] bytes
 //	crc          uint32 LE     CRC-32C of every byte before it
@@ -30,7 +29,7 @@ import (
 // A str is a uvarint length and the bytes. The offsets and the slab are the
 // in-memory posting store verbatim, so a load checks them — offsets
 // monotone and in range, every block passing checkPosting, every colID
-// naming a column — and then adopts the slab by slicing the read. Earlier
+// naming a column that is not free — and then adopts the slab by slicing the read. Earlier
 // formats are never decoded: an earlier version fails with ErrStaleFormat
 // as well as ErrCorruptIndex (persist.go).
 const (
@@ -45,31 +44,10 @@ const (
 	minRefBytes = 3
 )
 
-// compareRefs orders column refs by table, then column.
-func compareRefs(a, b ColumnRef) int {
-	return cmp.Or(cmp.Compare(a.Table, b.Table), cmp.Compare(a.Col, b.Col))
-}
-
-// appendInverted appends ix's file form to b, folding any override layer
-// first, stamped with epoch e and the dictionary prefix stamp (n, fp).
+// appendInverted appends ix's file form to b, stamped with epoch e and the
+// dictionary prefix stamp (n, fp).
 func appendInverted(b []byte, ix *Inverted, e lake.Epoch, n int, fp uint64) []byte {
-	ps := ix.compactedBase()
-	// A column added by a delta that has no non-null value is sized but
-	// owns no posting, so it may be missing from refs: give it a colID too.
-	refs := ps.refs
-	known := make(map[ColumnRef]bool, len(refs))
-	for _, ref := range refs {
-		known[ref] = true
-	}
-	var extra []ColumnRef
-	for ref := range ix.colSizes {
-		if !known[ref] {
-			extra = append(extra, ref)
-		}
-	}
-	slices.SortFunc(extra, compareRefs)
-	refs = append(slices.Clip(refs), extra...)
-
+	ps := ix.ps
 	b = append(b, invertedMagic...)
 	b = binary.LittleEndian.AppendUint32(b, invertedFormatVersion)
 	b = binary.LittleEndian.AppendUint64(b, e.Seq)
@@ -77,15 +55,11 @@ func appendInverted(b []byte, ix *Inverted, e lake.Epoch, n int, fp uint64) []by
 	b = binary.LittleEndian.AppendUint64(b, uint64(n))
 	b = binary.LittleEndian.AppendUint64(b, fp)
 	b = binary.LittleEndian.AppendUint32(b, uint32(ps.fanOut))
-	b = binary.AppendUvarint(b, uint64(len(refs)))
-	for _, ref := range refs {
+	b = binary.AppendUvarint(b, uint64(len(ps.refs)))
+	for cid, ref := range ps.refs {
 		b = table.AppendStr(b, ref.Table)
 		b = binary.AppendUvarint(b, uint64(ref.Col))
-		size := uint64(0)
-		if n, ok := ix.colSizes[ref]; ok {
-			size = uint64(n) + 1
-		}
-		b = binary.AppendUvarint(b, size)
+		b = binary.AppendUvarint(b, uint64(ps.sizes[cid]+1))
 	}
 	b = binary.AppendUvarint(b, uint64(ps.ids()))
 	for _, o := range ps.off {
@@ -129,7 +103,7 @@ func parseInverted(data []byte) (*Inverted, lake.Epoch, error) {
 
 	nrefs := d.Count(minRefBytes)
 	ps.refs = make([]ColumnRef, nrefs)
-	colSizes := make(map[ColumnRef]int, nrefs)
+	ps.sizes = make([]int, nrefs)
 	seen := make(map[ColumnRef]bool, nrefs)
 	var name string
 	for cid := range ps.refs {
@@ -146,10 +120,7 @@ func parseInverted(data []byte) (*Inverted, lake.Epoch, error) {
 			return nil, lake.Epoch{}, fmt.Errorf("%w: duplicate column %s/%d", ErrCorruptIndex, ref.Table, ref.Col)
 		}
 		seen[ref] = true
-		ps.refs[cid] = ref
-		if size > 0 {
-			colSizes[ref] = int(size - 1)
-		}
+		ps.refs[cid], ps.sizes[cid] = ref, int(size)-1
 	}
 
 	// The stamped dictionary bounds the IDs: one past its length would let a
@@ -171,6 +142,9 @@ func parseInverted(data []byte) (*Inverted, lake.Epoch, error) {
 		}
 	}
 	ps.slab = body[d.Offset():len(body):len(body)]
+	// A delta hands a free colID to the next added column, so a posting
+	// left on one would land in that column.
+	free := slices.ContainsFunc(ps.sizes, func(n int) bool { return n < 0 })
 	for id := 0; id < nids; id++ {
 		b := ps.slab[ps.off[id]:ps.off[id+1]]
 		if len(b) == 0 {
@@ -183,7 +157,13 @@ func parseInverted(data []byte) (*Inverted, lake.Epoch, error) {
 		if postingLen(b) == 0 || int64(last) >= int64(nrefs) {
 			return nil, lake.Epoch{}, fmt.Errorf("%w: ID %d has no postings or references an unknown column", ErrCorruptIndex, id)
 		}
-		ps.nlists++
+		if free {
+			held := false
+			forEachPosting(b, func(cid uint32) { held = held || ps.sizes[cid] < 0 })
+			if held {
+				return nil, lake.Epoch{}, fmt.Errorf("%w: ID %d has a posting in a free column", ErrCorruptIndex, id)
+			}
+		}
 	}
-	return &Inverted{base: ps, colSizes: colSizes, savedLen: int(dictLen), savedFP: dictFP}, e, nil
+	return &Inverted{ps: ps, savedLen: int(dictLen), savedFP: dictFP}, e, nil
 }

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"errors"
 	"maps"
 	"reflect"
@@ -19,6 +20,55 @@ func withChecksum(b []byte) []byte {
 	return table.AppendCRC(append([]byte(nil), b[:len(b)-4]...))
 }
 
+// maintainedLake returns a lake's snapshot with an index of it maintained by
+// deltas, whose column table holds both a free colID and colIDs reused by
+// other columns: "cities" gives way to a three-column table that takes its
+// two colIDs and a new one, and comes back when that table goes, leaving the
+// new colID free.
+func maintainedLake(tb testing.TB) (*lake.Snapshot, *Inverted) {
+	tb.Helper()
+	l := buildLake()
+	prev := l.Snapshot()
+	ix := BuildInvertedSharded(prev, 3)
+	cities := prev.Get("cities")
+	wide := table.New("wide", "a", "b", "c")
+	wide.AddRow(table.S("Boston"), table.S("Lowell"), table.N(7))
+	for _, muts := range [][]lake.Mutation{
+		{lake.Drop("cities"), lake.Put(wide)},
+		{lake.Drop("wide"), lake.Put(cities)},
+	} {
+		if _, err := l.Apply(context.Background(), muts...); err != nil {
+			tb.Fatal(err)
+		}
+		snap := l.Snapshot()
+		added, removed, _ := lake.Diff(prev, snap)
+		snap.EnsureInterned()
+		ix = ix.WithDelta(forms(snap, added), forms(prev, removed))
+		prev = snap
+	}
+	return prev, ix
+}
+
+// TestMaintainedInvertedFile: a file saved from a maintained index with free
+// and reused colIDs loads, binds, and serves a fresh build's postings,
+// column sizes and probes.
+func TestMaintainedInvertedFile(t *testing.T) {
+	snap, ix := maintainedLake(t)
+	if live := liveColumns(snap); len(ix.ps.refs) != live+1 {
+		t.Fatalf("%d colIDs for %d columns, want one free colID and the rest reused", len(ix.ps.refs), live)
+	}
+	loaded := saveLoad(t, ix, snap)
+	fresh := BuildInvertedSharded(snap, 3)
+	checkMaintained(t, "loaded", loaded, fresh, liveColumns(snap)+1)
+	all := make([]uint32, snap.Dict().Len()+1)
+	for i := range all {
+		all[i] = uint32(i)
+	}
+	if !reflect.DeepEqual(loaded.SearchIDs(all), fresh.SearchIDs(all)) {
+		t.Fatal("loaded probe differs from a fresh build's")
+	}
+}
+
 // FuzzInvertedFile feeds arbitrary bytes to the inverted index loader. Any
 // input must give a typed error or an index whose epoch, dictionary stamp,
 // postings, column sizes and probes equal a fresh build's, and which binds
@@ -27,7 +77,7 @@ func withChecksum(b []byte) []byte {
 // that answers every probe without panicking and binds or is refused with
 // lake.ErrDictMismatch.
 func FuzzInvertedFile(f *testing.F) {
-	snap := buildLake().Snapshot()
+	snap, maintained := maintainedLake(f)
 	fresh := BuildInvertedSharded(snap, 3)
 	dict := snap.Dict()
 	n, fp := dict.PrefixStamp()
@@ -40,7 +90,8 @@ func FuzzInvertedFile(f *testing.F) {
 		b[at] ^= 0x41
 		f.Add(b)
 	}
-	wantPostings := flatPostingsView(fresh)
+	f.Add(appendInverted(nil, maintained, snap.Epoch(), n, fp))
+	wantPostings, wantSizes := flatPostingsView(fresh), sizesView(fresh)
 	allIDs := make([]uint32, dict.Len()+2)
 	for i := range allIDs {
 		allIDs[i] = uint32(i)
@@ -56,7 +107,7 @@ func FuzzInvertedFile(f *testing.F) {
 			if e != snap.Epoch() || ix.savedLen != n || ix.savedFP != fp {
 				t.Fatal("loaded epoch or dictionary stamp differs from the saved one")
 			}
-			if !reflect.DeepEqual(flatPostingsView(ix), wantPostings) || !maps.Equal(ix.colSizes, fresh.colSizes) {
+			if !reflect.DeepEqual(flatPostingsView(ix), wantPostings) || !maps.Equal(sizesView(ix), wantSizes) {
 				t.Fatal("loaded postings or column sizes differ from a fresh build")
 			}
 			if !reflect.DeepEqual(ix.SearchIDs(allIDs), wantProbe) {
@@ -74,9 +125,7 @@ func FuzzInvertedFile(f *testing.F) {
 			return
 		}
 		ix.SearchIDs(allIDs)
-		for id := range allIDs {
-			ix.base.columnIDs(uint32(id))
-		}
+		flatPostingsView(ix)
 		if _, err := (&IndexSet{Inverted: ix}).Bind(snap); err != nil && !errors.Is(err, lake.ErrDictMismatch) {
 			t.Fatalf("untyped bind error: %v", err)
 		}

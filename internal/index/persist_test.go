@@ -259,7 +259,7 @@ func TestLoadRejectsForgedShardCount(t *testing.T) {
 	// The column count is the first uvarint after the header; the ID count
 	// follows the column table.
 	_, w := binary.Uvarint(valid[invertedHeaderLen:])
-	for _, n := range []uint64{1 << 40, 1 << 20, uint64(len(s.Inverted.base.refs)) + 1} {
+	for _, n := range []uint64{1 << 40, 1 << 20, uint64(len(s.Inverted.ps.refs)) + 1} {
 		b := append([]byte(nil), valid[:invertedHeaderLen]...)
 		b = binary.AppendUvarint(b, n)
 		b = append(b, valid[invertedHeaderLen+w:]...)
@@ -267,9 +267,9 @@ func TestLoadRejectsForgedShardCount(t *testing.T) {
 			t.Fatalf("column count %d: got %v, want ErrCorruptIndex", n, err)
 		}
 	}
-	ids := s.Inverted.base.ids()
+	ids := s.Inverted.ps.ids()
 	w = uvarintLen(uint64(ids))
-	idsAt := len(valid) - 4 - len(s.Inverted.base.slab) - 4*len(s.Inverted.base.off) - w
+	idsAt := len(valid) - 4 - len(s.Inverted.ps.slab) - 4*len(s.Inverted.ps.off) - w
 	if got, _ := binary.Uvarint(valid[idsAt:]); int(got) != ids {
 		t.Fatalf("ID count located wrongly: read %d, want %d", got, ids)
 	}

@@ -31,13 +31,6 @@ const (
 // whose population disagrees with its declared count.
 var ErrCorruptPosting = errors.New("index: corrupt posting block")
 
-// encodePosting compresses a sorted strictly-increasing ID list, choosing the
-// smaller of the two encodings. The empty list encodes (a delta block with
-// n=0), though index builds never store one.
-func encodePosting(ids []uint32) []byte {
-	return appendPosting(make([]byte, 0, postingSize(ids)), ids)
-}
-
 // postingSize is the length of ids' block: the smaller of the two encodings.
 func postingSize(ids []uint32) int {
 	delta, bitmap := postingSizes(ids)
@@ -97,7 +90,7 @@ func uvarintLen(v uint64) int {
 }
 
 // forEachPosting iterates a posting block's IDs in ascending order. It is the
-// trusted hot path: blocks built by encodePosting or admitted by checkPosting
+// trusted hot path: blocks built by appendPosting or admitted by checkPosting
 // iterate exactly; malformed bytes terminate the walk early but can never
 // panic or loop.
 func forEachPosting(b []byte, f func(uint32)) {

@@ -8,6 +8,13 @@ import (
 	"testing"
 )
 
+// encodePosting compresses a sorted strictly-increasing ID list, choosing the
+// smaller of the two encodings. The empty list encodes (a delta block with
+// n=0), though index builds never store one.
+func encodePosting(ids []uint32) []byte {
+	return appendPosting(make([]byte, 0, postingSize(ids)), ids)
+}
+
 func roundTripPosting(t *testing.T, ids []uint32) {
 	t.Helper()
 	b := encodePosting(ids)

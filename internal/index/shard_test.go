@@ -1,7 +1,6 @@
 package index
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"gent/internal/lake"
@@ -45,49 +45,6 @@ func TestShardedFanOutProbe(t *testing.T) {
 		if got := searchValues(BuildInvertedSharded(snap, nshards), query...); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%d shards: large probe diverged from the specification:\n got %v\nwant %v", nshards, got, want)
 		}
-	}
-}
-
-// TestShardedCompaction forces the override layer past the compaction
-// threshold in one delta: the derived index must flatten back to a pure base
-// (no override layer), hold the postings of a fresh build, and leave the
-// receiver's base untouched.
-func TestShardedCompaction(t *testing.T) {
-	l := lake.New()
-	seedTab := table.New("seed", "a")
-	seedTab.AddRow(table.S("anchor"))
-	laketest.Add(l, seedTab)
-	snap := l.Snapshot()
-	base := BuildInvertedSharded(snap, 4)
-	if n := base.base.nlists; n >= 10 {
-		t.Fatalf("seed base unexpectedly large: %d lists", n)
-	}
-
-	// One added table with far more novel values than baseLen/2 + slack.
-	wide := table.New("wide", "w")
-	wide.AddRow(table.S("anchor"))
-	for i := 0; i < 200; i++ {
-		wide.AddRow(table.S(fmt.Sprintf("novel%d", i)))
-	}
-	if _, err := l.Apply(context.Background(), lake.Put(wide)); err != nil {
-		t.Fatal(err)
-	}
-	snap2 := l.Snapshot()
-	snap2.EnsureInterned()
-	derived := base.WithDelta([]*table.Interned{snap2.Interned("wide")}, nil)
-	if derived.idOver != nil {
-		t.Fatalf("delta of %d novel IDs over a %d-list base did not compact",
-			201, base.base.nlists)
-	}
-	if derived.base == base.base {
-		t.Fatal("compaction mutated the shared base instead of copying")
-	}
-	if base.base.nlists != 1 {
-		t.Fatalf("receiver base changed: %d lists", base.base.nlists)
-	}
-	fresh := BuildInvertedSharded(snap2, 4)
-	if !reflect.DeepEqual(flatPostingsView(derived), flatPostingsView(fresh)) {
-		t.Fatal("compacted postings diverge from a fresh build")
 	}
 }
 
@@ -161,10 +118,10 @@ func TestShardedPersistCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slabAt := len(valid) - 4 - len(set.Inverted.base.slab)
-	firstBlock := slabAt + int(set.Inverted.base.off[1])
-	for id := 1; set.Inverted.base.off[id] == set.Inverted.base.off[id-1]; id++ {
-		firstBlock = slabAt + int(set.Inverted.base.off[id])
+	slabAt := len(valid) - 4 - len(set.Inverted.ps.slab)
+	firstBlock := slabAt + int(set.Inverted.ps.off[1])
+	for id := 1; set.Inverted.ps.off[id] == set.Inverted.ps.off[id-1]; id++ {
+		firstBlock = slabAt + int(set.Inverted.ps.off[id])
 	}
 	forge := func(at int, v byte) []byte {
 		b := append([]byte(nil), valid...)
@@ -176,27 +133,34 @@ func TestShardedPersistCorruption(t *testing.T) {
 	// One bit of the first column's table name: structurally still valid,
 	// so only the checksum can tell.
 	renamed := append([]byte(nil), valid...)
-	refs := set.Inverted.base.refs
+	refs := set.Inverted.ps.refs
 	renamed[invertedHeaderLen+uvarintLen(uint64(len(refs)))+uvarintLen(uint64(len(refs[0].Table)))] ^= 0x01
 	// The next-to-last offset zeroed: the offsets decrease inside the slab.
 	decreasing := append([]byte(nil), valid...)
 	binary.LittleEndian.PutUint32(decreasing[slabAt-8:], 0)
 	// A column table cut to one column: postings name columns it lacks.
-	short := *set.Inverted.base
+	short := *set.Inverted.ps
 	short.refs = short.refs[:1]
 	n, fp := set.Dict.PrefixStamp()
-	unknown := appendInverted(nil, &Inverted{base: &short}, set.Epoch, n, fp)
+	unknown := appendInverted(nil, &Inverted{ps: &short}, set.Epoch, n, fp)
+	// A column that holds a posting marked free: a delta would hand the
+	// posting on to the next column added.
+	freed := *set.Inverted.ps
+	freed.sizes = slices.Clone(freed.sizes)
+	freed.sizes[postedColumn(set.Inverted)] = -1
+	inFree := appendInverted(nil, &Inverted{ps: &freed}, set.Epoch, n, fp)
 	for name, b := range map[string][]byte{
-		"truncated":            valid[:len(valid)/2],
-		"bit flip":             flipped,
-		"renamed column":       renamed,
-		"trailing byte":        append(append([]byte(nil), valid...), 0),
-		"unknown posting tag":  forge(firstBlock, 0x7f),
-		"offset past the slab": forge(slabAt-1, 0xff),
-		"wrong magic":          forge(0, 'X'),
-		"older format version": forge(len(invertedMagic), 4),
-		"decreasing offsets":   withChecksum(decreasing),
-		"unknown column":       unknown,
+		"truncated":                valid[:len(valid)/2],
+		"bit flip":                 flipped,
+		"renamed column":           renamed,
+		"trailing byte":            append(append([]byte(nil), valid...), 0),
+		"unknown posting tag":      forge(firstBlock, 0x7f),
+		"offset past the slab":     forge(slabAt-1, 0xff),
+		"wrong magic":              forge(0, 'X'),
+		"older format version":     forge(len(invertedMagic), 4),
+		"decreasing offsets":       withChecksum(decreasing),
+		"unknown column":           unknown,
+		"posting in a free column": inFree,
 	} {
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
@@ -220,5 +184,15 @@ func TestShardedPersistCorruption(t *testing.T) {
 	}
 	if _, err := loaded.Bind(l.Snapshot()); !errors.Is(err, lake.ErrDictMismatch) {
 		t.Fatalf("foreign dictionary bind = %v, want lake.ErrDictMismatch", err)
+	}
+}
+
+// postedColumn returns a colID that holds a posting in ix.
+func postedColumn(ix *Inverted) uint32 {
+	for id := uint32(0); ; id++ {
+		if b := ix.ps.block(id); len(b) > 0 {
+			last, _ := checkPosting(b)
+			return last
+		}
 	}
 }

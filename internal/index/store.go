@@ -8,6 +8,7 @@ import (
 
 	"gent/internal/lake"
 	"gent/internal/par"
+	"gent/internal/table"
 )
 
 // The posting store of the inverted index: every value ID's posting list is
@@ -23,6 +24,13 @@ import (
 // ascending), then encode ranges of IDs in parallel straight into the slab.
 // It allocates nothing per ID. The slab is also the payload of the index
 // file (persist_inverted.go), so a load adopts it by slicing one read.
+//
+// A delta is one merge pass into a new store (withDelta): runs of untouched
+// blocks are copied whole, and each ID the delta touches is re-encoded from
+// its old list minus the removed columns plus the added ones. A removed
+// column's colID is freed, and added columns take freed colIDs before the
+// table grows — a returning column its own — so refs holds no column twice
+// and never outgrows the most columns the lake has held at once.
 //
 // Large probes fan out: query IDs are partitioned by hash over fanOut
 // goroutines. Results do not depend on the fan-out width: counting is
@@ -53,19 +61,19 @@ func shardOf(id uint32, n int) int {
 }
 
 // postingStore is the compressed posting store under an Inverted. refs is
-// the colID→column table (append-only per derived index; compaction may
-// extend a copy). off has one entry per ID below the store's ID bound plus
-// one; IDs at or past the bound have no postings here.
+// the colID→column table and sizes each column's distinct-value count by
+// colID; a negative size marks a free colID, whose column was removed and
+// which owns no posting. off has one entry per ID below the store's ID bound
+// plus one; IDs at or past the bound have no postings here. A store is
+// immutable once built.
 type postingStore struct {
 	// fanOut is how many goroutines a large probe splits its query over
 	// (core.Config.IndexShards). It never changes a result.
 	fanOut int
 	refs   []ColumnRef
+	sizes  []int
 	off    []uint32
 	slab   []byte
-	// nlists counts the IDs with postings — the compaction threshold's
-	// denominator.
-	nlists int
 }
 
 // block returns id's compressed posting block, empty when absent.
@@ -86,22 +94,6 @@ func (ps *postingStore) count(id uint32, counts map[ColumnRef]int) {
 			counts[ps.refs[cid]]++
 		}
 	})
-}
-
-// columnIDs decodes id's postings to the column IDs the store's ref table
-// resolves, nil when absent.
-func (ps *postingStore) columnIDs(id uint32) []uint32 {
-	b := ps.block(id)
-	if len(b) == 0 {
-		return nil
-	}
-	out := make([]uint32, 0, postingLen(b))
-	forEachPosting(b, func(cid uint32) {
-		if int(cid) < len(ps.refs) {
-			out = append(out, cid)
-		}
-	})
-	return out
 }
 
 // BuildInvertedSharded indexes every distinct non-null value ID of every
@@ -128,7 +120,11 @@ func buildInvertedSharded(l *lake.Snapshot, fanOut, workers int) *Inverted {
 	for i, t := range tables {
 		colBase[i+1] = colBase[i] + uint32(len(t.Cols))
 	}
-	ps := &postingStore{fanOut: min(max(fanOut, 1), maxFanOut), refs: make([]ColumnRef, 0, colBase[len(tables)])}
+	ps := &postingStore{
+		fanOut: min(max(fanOut, 1), maxFanOut),
+		refs:   make([]ColumnRef, 0, colBase[len(tables)]),
+		sizes:  make([]int, colBase[len(tables)]),
+	}
 	for _, t := range tables {
 		for c := range t.Cols {
 			ps.refs = append(ps.refs, ColumnRef{Table: t.Name, Col: c})
@@ -139,7 +135,7 @@ func buildInvertedSharded(l *lake.Snapshot, fanOut, workers int) *Inverted {
 	// build holds the postings rather than the interned forms paged in for
 	// them. Sets are sorted, so a set's last ID is its largest.
 	sets := make([][]uint32, len(tables))
-	sizes := make([]int, len(ps.refs))
+	sizes := ps.sizes
 	maxIDs := make([]uint32, len(tables))
 	par.For(context.Background(), len(tables), workers, func(_, k int) {
 		it := l.Interned(tables[k].Name)
@@ -197,7 +193,6 @@ func buildInvertedSharded(l *lake.Snapshot, fanOut, workers int) *Inverted {
 			}
 		}
 	})
-	ps.nlists = nonZero(ps.off)
 	ps.slab = make([]byte, prefixSum(ps.off))
 	par.For(context.Background(), chunks, workers, func(_, ch int) {
 		for id := ch * encodeChunk; id < min((ch+1)*encodeChunk, nids); id++ {
@@ -207,25 +202,15 @@ func buildInvertedSharded(l *lake.Snapshot, fanOut, workers int) *Inverted {
 		}
 	})
 
-	colSizes := make(map[ColumnRef]int, len(ps.refs))
-	for cid, ref := range ps.refs {
-		colSizes[ref] = sizes[cid]
-	}
-	return &Inverted{dict: l.Dict(), base: ps, colSizes: colSizes}
+	return &Inverted{dict: l.Dict(), ps: ps}
 }
 
-// countIDsSharded is the fan-out probe: query IDs are partitioned by hash,
-// each partition counted on its own goroutine into a private map, and the
+// countSharded is the fan-out probe: query IDs are partitioned by hash, each
+// partition counted on its own goroutine into a private map, and the
 // partials merged additively — the same totals a sequential probe produces.
-// Override-layer IDs are counted inline first; they never reach the store.
-func (ix *Inverted) countIDsSharded(query []uint32) map[ColumnRef]int {
-	ps := ix.base
-	counts := make(map[ColumnRef]int)
+func (ps *postingStore) countSharded(query []uint32) map[ColumnRef]int {
 	parts := make([][]uint32, ps.fanOut)
 	for _, id := range query {
-		if ix.countOver(id, counts) {
-			continue
-		}
 		s := shardOf(id, ps.fanOut)
 		parts[s] = append(parts[s], id)
 	}
@@ -240,6 +225,7 @@ func (ix *Inverted) countIDsSharded(query []uint32) map[ColumnRef]int {
 		}
 		locals[s] = m
 	})
+	counts := make(map[ColumnRef]int)
 	for _, m := range locals {
 		for ref, c := range m {
 			counts[ref] += c
@@ -248,62 +234,147 @@ func (ix *Inverted) countIDsSharded(query []uint32) map[ColumnRef]int {
 	return counts
 }
 
-// flattenStore is compaction: one pass over the base's slab into a new one,
-// copying every untouched block and re-encoding every overridden ID, with
-// the ref table extended for columns the base never saw. The override
-// layer's column IDs are resolved by ref and renumbered against the new ref
-// table, where a column the base already has keeps its ID. The renumbered
-// lists arrive unsorted, so each is sorted before encoding; overridden IDs
-// are visited in ID order, so new colIDs are assigned deterministically.
-func flattenStore(ps *postingStore, over map[uint32][]uint32, ref func(uint32) ColumnRef) *postingStore {
-	ns := &postingStore{fanOut: ps.fanOut, refs: slices.Clone(ps.refs)}
-	refIDs := make(map[ColumnRef]uint32, len(ns.refs))
-	for cid, r := range ns.refs {
-		refIDs[r] = uint32(cid)
+// noCol stands in for a colID in a delta's posting keys: the key only marks
+// its ID as touched by a removed column.
+const noCol = math.MaxUint32
+
+// withDelta returns the store with the removed tables' columns and postings
+// dropped and the added tables' inserted, in one merge pass; the receiver is
+// unchanged.
+func (ps *postingStore) withDelta(added, removed []*table.Interned) *postingStore {
+	const (
+		gone = 1 << iota // the table is among the removed
+		back             // the table is among the added
+	)
+	names := make(map[string]uint8, len(added)+len(removed))
+	for _, it := range removed {
+		names[it.Table.Name] |= gone
 	}
-	overIDs := make([]uint32, 0, len(over))
-	for id := range over {
-		overIDs = append(overIDs, id)
+	for _, it := range added {
+		names[it.Table.Name] |= back
 	}
-	slices.Sort(overIDs)
-	nids := ps.ids()
-	rewritten := make(map[uint32][]byte, len(over))
-	for _, id := range overIDs {
-		cids := over[id]
-		nids = max(nids, int(id)+1)
-		if len(cids) == 0 {
-			rewritten[id] = nil
-			continue
+
+	// Free the removed columns' colIDs, and find the free colID of each
+	// added column the table held before. A table's refs are mostly
+	// adjacent, so a name is looked up once per run.
+	ns := &postingStore{fanOut: ps.fanOut, refs: slices.Clone(ps.refs), sizes: slices.Clone(ps.sizes)}
+	drop := make([]bool, len(ps.refs))
+	own := make(map[ColumnRef]uint32)
+	name, flags := "", names[""]
+	for cid, ref := range ps.refs {
+		if ref.Table != name {
+			name, flags = ref.Table, names[ref.Table]
 		}
-		colIDs := make([]uint32, len(cids))
-		for i, oc := range cids {
-			r := ref(oc)
-			cid, ok := refIDs[r]
-			if !ok {
-				cid = uint32(len(ns.refs))
-				ns.refs = append(ns.refs, r)
-				refIDs[r] = cid
+		if flags&gone != 0 && ns.sizes[cid] >= 0 {
+			drop[cid], ns.sizes[cid] = true, -1
+		}
+		if flags&back != 0 && ns.sizes[cid] < 0 {
+			own[ref] = uint32(cid)
+		}
+	}
+
+	// The delta's postings as id<<32|colID keys, sorted: a noCol key for
+	// each ID a removed column held, and the added columns' postings. An
+	// added column takes its own colID, else the lowest free one, else a
+	// new one; the own ones are claimed first.
+	var keys []uint64
+	for _, it := range removed {
+		for c := range it.Table.Cols {
+			for _, id := range it.ColumnIDs(c) {
+				keys = append(keys, uint64(id)<<32|noCol)
 			}
-			colIDs[i] = cid
 		}
-		slices.Sort(colIDs)
-		rewritten[id] = encodePosting(colIDs)
 	}
-	blockOf := func(id uint32) []byte {
-		if b, ok := rewritten[id]; ok {
-			return b
+	var cids []uint32
+	for _, it := range added {
+		for c := range it.Table.Cols {
+			cid, ok := own[ColumnRef{Table: it.Table.Name, Col: c}]
+			if ok {
+				ns.sizes[cid] = len(it.ColumnIDs(c))
+			} else {
+				cid = noCol
+			}
+			cids = append(cids, cid)
 		}
-		return ps.block(id)
+	}
+	free, k := 0, 0
+	for _, it := range added {
+		for c := range it.Table.Cols {
+			ids, cid := it.ColumnIDs(c), cids[k]
+			k++
+			if cid == noCol {
+				for free < len(ns.sizes) && ns.sizes[free] >= 0 {
+					free++
+				}
+				if free == len(ns.sizes) {
+					ns.refs, ns.sizes = append(ns.refs, ColumnRef{}), append(ns.sizes, 0)
+				}
+				ns.refs[free], ns.sizes[free], cid = ColumnRef{Table: it.Table.Name, Col: c}, len(ids), uint32(free)
+			}
+			for _, id := range ids {
+				keys = append(keys, uint64(id)<<32|uint64(cid))
+			}
+		}
+	}
+	slices.Sort(keys)
+
+	// Re-encode each touched ID's list into patch, in ID order.
+	var (
+		touched []uint32
+		bounds  = []int{0} // touched[i]'s block is patch[bounds[i]:bounds[i+1]]
+		patch   []byte
+		list    []uint32
+		freed   int // the old blocks' bytes of the touched IDs
+	)
+	for i := 0; i < len(keys); {
+		id := uint32(keys[i] >> 32)
+		old := ps.block(id)
+		freed += len(old)
+		list = list[:0]
+		forEachPosting(old, func(cid uint32) {
+			if !drop[cid] {
+				list = append(list, cid)
+			}
+		})
+		for ; i < len(keys) && uint32(keys[i]>>32) == id; i++ {
+			if cid := uint32(keys[i]); cid != noCol {
+				list = append(list, cid)
+			}
+		}
+		if len(list) > 0 {
+			slices.Sort(list)
+			patch = appendPosting(patch, list)
+		}
+		touched = append(touched, id)
+		bounds = append(bounds, len(patch))
+	}
+
+	// Merge: untouched runs copied whole, touched IDs from patch.
+	nold, nids := ps.ids(), ps.ids()
+	if len(touched) > 0 {
+		nids = max(nids, int(touched[len(touched)-1])+1)
+	}
+	if uint64(len(ps.slab)-freed+len(patch)) > math.MaxUint32 {
+		panic("index: inverted index exceeds 2^32 slab bytes")
 	}
 	ns.off = make([]uint32, nids+1)
-	for id := 0; id < nids; id++ {
-		ns.off[id+1] = uint32(len(blockOf(uint32(id))))
+	ns.slab = make([]byte, 0, len(ps.slab)-freed+len(patch))
+	from := 0 // the first ID not yet written
+	copyTo := func(to int) {
+		lo, hi := min(from, nold), min(to, nold)
+		shift := uint32(len(ns.slab)) - ps.off[lo] // modulo 2^32
+		ns.slab = append(ns.slab, ps.slab[ps.off[lo]:ps.off[hi]]...)
+		for id := from; id < to; id++ {
+			ns.off[id+1] = ps.off[min(id+1, nold)] + shift
+		}
 	}
-	ns.nlists = nonZero(ns.off)
-	ns.slab = make([]byte, 0, prefixSum(ns.off))
-	for id := 0; id < nids; id++ {
-		ns.slab = append(ns.slab, blockOf(uint32(id))...)
+	for i, id := range touched {
+		copyTo(int(id))
+		ns.slab = append(ns.slab, patch[bounds[i]:bounds[i+1]]...)
+		ns.off[id+1] = uint32(len(ns.slab))
+		from = int(id) + 1
 	}
+	copyTo(nids)
 	return ns
 }
 
@@ -322,15 +393,4 @@ func prefixSum(a []uint32) uint32 {
 		a[i] = uint32(total)
 	}
 	return uint32(total)
-}
-
-// nonZero counts the non-zero entries of a.
-func nonZero(a []uint32) int {
-	n := 0
-	for _, v := range a {
-		if v > 0 {
-			n++
-		}
-	}
-	return n
 }
