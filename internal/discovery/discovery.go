@@ -109,7 +109,8 @@ func DiscoverWithSnapContext(ctx context.Context, snap *lake.Snapshot, ix *index
 	if err != nil {
 		return nil, err
 	}
-	return expandContext(ctx, cands, src, maxJoinDepth)
+	out, _, err := expandContext(ctx, cands, src, maxJoinDepth)
+	return out, err
 }
 
 // firstStagePool restricts the search pool to the LSH retriever's top-k

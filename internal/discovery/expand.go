@@ -26,34 +26,44 @@ import (
 // row-aligned interned form and the dictionary it was interned under; the
 // Source, and any candidate carrying no form (or a form under another
 // dictionary), is interned through one query-scoped overlay of that
-// dictionary, so IDs from two dictionaries never meet. A join path is held
-// as row-index tuples, and a Table is built only for the winning path. A
-// join step whose result would exceed expandMaxRows rows is abandoned while
-// its matches are counted, before any row is emitted. Sets of ID tuples —
-// the Source's keys, a join's build side, the winning path's distinct rows —
+// dictionary, so IDs from two dictionaries never meet.
+//
+// The path search builds only the joins it extends. A path prefix is held
+// as row-index tuples. A step that completes the key ends its path (a leaf),
+// so a leaf's join is never built: its key coverage is counted straight from
+// the matches of one probe of the leaf's row index. A leaf that carries
+// every key column itself is first bounded by its own key coverage (see
+// ownCover) and skipped when the bound cannot beat the best path so far. A
+// last-level step that would still lack a key column can reach nothing and
+// is skipped unjoined. Only the winning leaf's last step is joined, once,
+// when the search ends, and a Table is built only for that join. A join
+// step whose result would exceed expandMaxRows rows is abandoned while its
+// matches are counted, before any row is emitted. Sets of ID tuples — the
+// Source's keys, a join's build side, the winning path's distinct rows —
 // are idTuples: hashed to a uint64 and confirmed ID by ID, one rule for
 // every arity. A join path is at most maxJoinDepth steps long; no option
 // changes the expansion, and opts is taken for symmetry with the other
 // discovery entry points.
 func Expand(cands []*Candidate, src *table.Table, _ Options) []*Candidate {
-	out, _ := expandContext(context.Background(), cands, src, maxJoinDepth)
+	out, _, _ := expandContext(context.Background(), cands, src, maxJoinDepth)
 	return out
 }
 
 // expandContext is Expand under a context with join paths of at most
-// maxDepth steps: the per-candidate join-path search loop checks
-// cancellation before each candidate.
-func expandContext(ctx context.Context, cands []*Candidate, src *table.Table, maxDepth int) ([]*Candidate, error) {
+// maxDepth steps, also returning the path search's work counters: the
+// per-candidate join-path search loop checks cancellation before each
+// candidate.
+func expandContext(ctx context.Context, cands []*Candidate, src *table.Table, maxDepth int) ([]*Candidate, expandStats, error) {
 	keyCols := src.KeyCols()
 	if len(keyCols) == 0 {
-		return cands, nil
+		return cands, expandStats{}, nil
 	}
 
 	var x *expander // built at the first key-less candidate: nothing else reads it
 	out := make([]*Candidate, 0, len(cands))
 	for i, c := range cands {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, expandStats{}, err
 		}
 		if c.Table.HasCols(keyCols...) {
 			out = append(out, c)
@@ -92,7 +102,10 @@ func expandContext(ctx context.Context, cands []*Candidate, src *table.Table, ma
 			Score:   c.Score,
 		})
 	}
-	return out, nil
+	if x == nil {
+		return out, expandStats{}, nil
+	}
+	return out, x.stats, nil
 }
 
 // expandMaxRows caps intermediate joins so a bad path cannot blow up.
@@ -116,13 +129,27 @@ type expander struct {
 	weights []int32
 	// indexes memoizes rowIndex by (candidate, columns).
 	indexes map[string]*rowIndex
-	// Scratch that join and keyCoverage reuse from call to call; neither
-	// keeps it past its return.
+	// own[c] memoizes ownCover(c); -1 until the search first reads it.
+	own   []int32
+	stats expandStats
+	// Scratch that probe, join, leafKeys and the key counts (countKeys)
+	// reuse from call to call; leafKeys' refs live until the leaf is
+	// counted, and probe's matches until its caller has read them.
 	on      []colRef
 	bcols   []int
+	keys    []colRef
 	matches []bucket
 	tuple   []uint32
+	row     []int32
 	seen    []bool
+}
+
+// expandStats counts one Expand call's path-search work.
+type expandStats struct {
+	built   int // joins built: inner path prefixes and each winner's last step
+	counted int // leaves whose key coverage was counted without a join
+	pruned  int // leaves skipped because their own key coverage cannot win
+	skipped int // last-level steps skipped because they would still lack a key column
 }
 
 func newExpander(cands []*Candidate, src *table.Table) *expander {
@@ -143,6 +170,7 @@ func newExpander(cands []*Candidate, src *table.Table) *expander {
 		forms:   make([]*table.Interned, len(cands)),
 		weights: make([]int32, len(cands)*len(cands)),
 		indexes: make(map[string]*rowIndex),
+		own:     make([]int32, len(cands)),
 	}
 	for i, c := range cands {
 		if c.carriesForm() && c.dict == dict {
@@ -153,6 +181,9 @@ func newExpander(cands []*Candidate, src *table.Table) *expander {
 	}
 	for i := range x.weights {
 		x.weights[i] = -1
+	}
+	for i := range x.own {
+		x.own[i] = -1
 	}
 	x.srcKeys = newIDTuples(len(src.Key), len(src.Rows))
 	tuple := make([]uint32, len(src.Key))
@@ -320,12 +351,12 @@ func (x *expander) start(c int) *joined {
 	return p
 }
 
-// join is p extended by candidate b as table.InnerJoin extends it: on every
-// column of p that b also has (nulls never join), p's tuples in order, each
-// followed by its matching rows of b in theirs, under p's columns and then
-// b's columns p lacks. It is nil when the join is empty or would exceed
-// expandMaxRows rows, counted before any is emitted.
-func (x *expander) join(p *joined, b int) *joined {
+// probe matches p's tuples with candidate b's rows on every column of p
+// that b also has (nulls never join): x.matches[r] is tuple r's rows of b.
+// It returns b's row index on those columns and the number of matches, 0
+// when they share no column. It stops counting, with the later matches
+// unset, once the number exceeds expandMaxRows.
+func (x *expander) probe(p *joined, b int) (*rowIndex, int) {
 	tb := x.cands[b].Table
 	on, bcols := x.on[:0], x.bcols[:0]
 	for _, name := range p.cols {
@@ -337,7 +368,7 @@ func (x *expander) join(p *joined, b int) *joined {
 	}
 	x.on, x.bcols = on, bcols
 	if len(on) == 0 {
-		return nil
+		return nil, 0
 	}
 	ix := x.rowIndex(b, bcols)
 	matches := resize(&x.matches, p.len())
@@ -351,14 +382,24 @@ func (x *expander) join(p *joined, b int) *joined {
 		if k := ix.keys.find(tuple); k >= 0 {
 			matches[r] = ix.buckets[k]
 			if total += int(matches[r].n); total > expandMaxRows {
-				return nil
+				break
 			}
 		}
 	}
-	if total == 0 {
+	return ix, total
+}
+
+// join is p extended by candidate b as table.InnerJoin extends it: on every
+// column of p that b also has (nulls never join), p's tuples in order, each
+// followed by its matching rows of b in theirs, under p's columns and then
+// b's columns p lacks. It is nil when the join is empty or would exceed
+// expandMaxRows rows, counted before any is emitted.
+func (x *expander) join(p *joined, b int) *joined {
+	ix, total := x.probe(p, b)
+	if total == 0 || total > expandMaxRows {
 		return nil
 	}
-
+	tb := x.cands[b].Table
 	out := &joined{
 		cols:  append(make([]string, 0, len(p.cols)+len(tb.Cols)), p.cols...),
 		at:    append(make([]colRef, 0, len(p.cols)+len(tb.Cols)), p.at...),
@@ -371,44 +412,131 @@ func (x *expander) join(p *joined, b int) *joined {
 			out.at = append(out.at, colRef{pos: p.width, col: j, ids: x.forms[b].Cols[j]})
 		}
 	}
-	for r, m := range matches {
+	for r, m := range x.matches {
 		for br, k := m.first, m.n; k > 0; br, k = ix.next[br], k-1 {
 			out.rows = append(append(out.rows, p.tuple(r)...), br)
 		}
 	}
+	x.stats.built++
 	return out
 }
 
-// keyCoverage counts the distinct Source key values p's tuples carry; ok is
-// false when p lacks a key column.
-func (x *expander) keyCoverage(p *joined) (cover int, ok bool) {
-	keys := resize(&x.on, len(x.keyCols))
-	for i, name := range x.keyCols {
-		if keys[i], ok = p.ref(name); !ok {
-			return 0, false
+// leafKeys returns the columns that supply the key of p⋈b, each taken as
+// join lays it out: from p when p has it, else from b at path position
+// p.width. ok is false when p⋈b would still lack a key column; own reports
+// that b has every key column itself. The refs are scratch, valid until
+// the next leafKeys.
+func (x *expander) leafKeys(p *joined, b int) (keys []colRef, own, ok bool) {
+	tb := x.cands[b].Table
+	keys, own = x.keys[:0], true
+	for _, name := range x.keyCols {
+		j := tb.ColIndex(name)
+		own = own && j >= 0
+		if ref, inP := p.ref(name); inP {
+			keys = append(keys, ref)
+		} else if j >= 0 {
+			keys = append(keys, colRef{pos: p.width, col: j, ids: x.forms[b].Cols[j]})
+		} else {
+			return nil, false, false
 		}
 	}
-	seen := resize(&x.seen, x.srcKeys.len())
-	clear(seen)
-	tuple := resize(&x.tuple, len(keys))
-	for r := 0; r < p.len(); r++ {
-		if !gather(tuple, p.tuple(r), keys) {
-			continue
+	x.keys = keys
+	return keys, own, true
+}
+
+// leafCover counts the distinct Source key values p⋈b carries, with keys
+// (from leafKeys) supplying its key columns, without building the join: it
+// reads each match of one probe as the row join would emit. It is 0 when
+// the join is empty or would exceed expandMaxRows rows, as join is nil.
+func (x *expander) leafCover(p *joined, b int, keys []colRef) int {
+	ix, total := x.probe(p, b)
+	if total == 0 || total > expandMaxRows {
+		return 0
+	}
+	x.countKeys(len(keys))
+	row := resize(&x.row, p.width+1)
+	cover := 0
+	for r, m := range x.matches {
+		copy(row, p.tuple(r))
+		for br, k := m.first, m.n; k > 0; br, k = ix.next[br], k-1 {
+			if row[p.width] = br; x.newKey(row, keys) {
+				cover++
+			}
 		}
-		if id := x.srcKeys.find(tuple); id >= 0 && !seen[id] {
-			seen[id] = true
+	}
+	return cover
+}
+
+// countKeys starts a count of distinct Source keys read through width key
+// columns: it clears the keys newKey has marked seen.
+func (x *expander) countKeys(width int) {
+	resize(&x.tuple, width)
+	clear(resize(&x.seen, x.srcKeys.len()))
+}
+
+// newKey reports whether path tuple row holds, in keys, a Source key the
+// count countKeys started has not seen yet, and marks it seen.
+func (x *expander) newKey(row []int32, keys []colRef) bool {
+	if !gather(x.tuple, row, keys) {
+		return false
+	}
+	id := x.srcKeys.find(x.tuple)
+	if id < 0 || x.seen[id] {
+		return false
+	}
+	x.seen[id] = true
+	return true
+}
+
+// ownCover is the number of distinct Source key values among candidate c's
+// own rows; c has every key column. It bounds the key coverage of any path
+// that ends by joining c:
+//
+//	cover(p⋈c) ≤ ownCover(c)
+//
+// Proof. Every row of p⋈c combines a row of p with a row of c that holds the
+// same ID in every column the two share, and a null joins nothing (an inner
+// join only filters and repeats c's rows). A key column p⋈c takes from p is
+// such a shared column, since c has every key column; the others it takes
+// from c. So every non-null key tuple of p⋈c is the key tuple of some row of
+// c, and the Source keys p⋈c covers are among those c covers. A key split
+// between p and c has no such bound: c alone covers nothing.
+//
+// Hence a leaf c whose bound is 0, below the best cover so far, or equal to
+// it on a path no shorter than the best one can never replace the best: the
+// search skips it unprobed and picks the same winner. The bound is counted
+// once per candidate per Expand call.
+func (x *expander) ownCover(c int) int {
+	if x.own[c] >= 0 {
+		return int(x.own[c])
+	}
+	t := x.cands[c].Table
+	refs := make([]colRef, len(x.keyCols))
+	for i, name := range x.keyCols {
+		refs[i] = colRef{ids: x.forms[c].Cols[t.ColIndex(name)]}
+	}
+	x.countKeys(len(refs))
+	cover := 0
+	var row [1]int32
+	for r := range refs[0].ids {
+		if row[0] = int32(r); x.newKey(row[:], refs) {
 			cover++
 		}
 	}
-	return cover, true
+	x.own[c] = int32(cover)
+	return cover
 }
 
 // bestKeyCoveringJoin searches simple paths from start (DFS over positive
-// edges, bounded depth and branching), joining along the way, and returns
-// the path and join covering the most Source key values; nil when none
-// covers any.
+// edges, bounded depth and branching) and returns the path and join
+// covering the most Source key values; nil when none covers any. Ties go
+// to the shorter path, then to the first visited. It joins only the prefixes
+// it extends: a path ends where it first reaches the key (longer paths only
+// risk losing rows), so that last step is counted by leafCover, or skipped
+// when ownCover proves it cannot win, and only the winner's is joined, once
+// the search ends.
 func (x *expander) bestKeyCoveringJoin(start, maxDepth int) ([]int, *joined) {
-	var best *joined
+	var bestPrefix *joined // the winner's join without its last step
 	var bestPath []int
 	bestCover := 0
 	bestLen := 1 << 30
@@ -419,20 +547,10 @@ func (x *expander) bestKeyCoveringJoin(start, maxDepth int) ([]int, *joined) {
 	type child struct{ idx, w int }
 	kids := make([][]child, maxDepth) // kids[depth] is reused by every node at depth
 
+	// rec visits the children of cur, a prefix that lacks a key column and
+	// ends at node, depth steps from start.
 	var rec func(cur *joined, node, depth int)
 	rec = func(cur *joined, node, depth int) {
-		if cover, ok := x.keyCoverage(cur); ok {
-			if cover > bestCover || (cover == bestCover && cover > 0 && len(path) < bestLen) {
-				bestCover = cover
-				bestLen = len(path)
-				best = cur
-				bestPath = append([]int(nil), path...)
-			}
-			return // the key is reached; longer paths only risk losing rows
-		}
-		if depth >= maxDepth {
-			return
-		}
 		children := kids[depth][:0]
 		for next := range x.cands {
 			if onPath[next] {
@@ -453,19 +571,45 @@ func (x *expander) bestKeyCoveringJoin(start, maxDepth int) ([]int, *joined) {
 			children = children[:6]
 		}
 		for _, ch := range children {
-			j := x.join(cur, ch.idx)
-			if j == nil {
+			keys, own, leaf := x.leafKeys(cur, ch.idx)
+			if !leaf {
+				if depth+1 >= maxDepth {
+					x.stats.skipped++
+					continue
+				}
+				j := x.join(cur, ch.idx)
+				if j == nil {
+					continue
+				}
+				onPath[ch.idx] = true
+				path = append(path, ch.idx)
+				rec(j, ch.idx, depth+1)
+				path = path[:len(path)-1]
+				onPath[ch.idx] = false
 				continue
 			}
-			onPath[ch.idx] = true
-			path = append(path, ch.idx)
-			rec(j, ch.idx, depth+1)
-			path = path[:len(path)-1]
-			onPath[ch.idx] = false
+			n := len(path) + 1
+			if own {
+				if bound := x.ownCover(ch.idx); bound == 0 || bound < bestCover || (bound == bestCover && n >= bestLen) {
+					x.stats.pruned++
+					continue
+				}
+			}
+			x.stats.counted++
+			if cover := x.leafCover(cur, ch.idx, keys); cover > bestCover || (cover == bestCover && cover > 0 && n < bestLen) {
+				bestCover, bestLen = cover, n
+				bestPrefix = cur
+				bestPath = append(append(bestPath[:0], path...), ch.idx)
+			}
 		}
 	}
-	rec(x.start(start), start, 0)
-	return bestPath, best
+	if maxDepth > 0 {
+		rec(x.start(start), start, 0)
+	}
+	if bestPath == nil {
+		return nil, nil
+	}
+	return bestPath, x.join(bestPrefix, bestPath[len(bestPath)-1])
 }
 
 // materialize builds the distinct rows of p, the join along path, over the

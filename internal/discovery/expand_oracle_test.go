@@ -318,7 +318,7 @@ func randomExpandCorpus(ch expandChooser) (*table.Table, []*Candidate, int) {
 
 // expandAt is Expand with join paths of at most depth steps.
 func expandAt(cands []*Candidate, src *table.Table, depth int) []*Candidate {
-	out, _ := expandContext(context.Background(), cands, src, depth)
+	out, _, _ := expandContext(context.Background(), cands, src, depth)
 	return out
 }
 
@@ -357,14 +357,28 @@ func sameExpansion(t *testing.T, label string, got, want []*Candidate) {
 // TestExpandMatchesOracle holds the interned Expand to the string-keyed
 // oracle on random corpora, on a join past expandMaxRows, and on every
 // source of TP-TR Small and of a test-scale `wide` corpus through
-// DiscoverWithSnapContext.
+// DiscoverWithSnapContext. The random trials must prune a leaf by its own
+// cover and skip a last-level step somewhere, or a weak generator would let
+// a wrong bound pass unseen.
 func TestExpandMatchesOracle(t *testing.T) {
 	t.Run("random", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(24))
+		var work expandStats
 		for trial := 0; trial < 150; trial++ {
 			src, cands, depth := randomExpandCorpus(rng)
-			sameExpansion(t, fmt.Sprintf("trial %d", trial), expandAt(cands, src, depth), oracleExpand(cands, src, depth))
+			got, st, _ := expandContext(context.Background(), cands, src, depth)
+			sameExpansion(t, fmt.Sprintf("trial %d", trial), got, oracleExpand(cands, src, depth))
+			work.built += st.built
+			work.counted += st.counted
+			work.pruned += st.pruned
+			work.skipped += st.skipped
 		}
+		// The oracle joins every step, so parity holds the own-cover bound
+		// and the last-level skip to it only if the trials reach them.
+		if work.pruned == 0 || work.skipped == 0 {
+			t.Fatalf("the trials never exercise the search's shortcuts: %+v", work)
+		}
+		t.Logf("search work over the trials: %+v", work)
 	})
 
 	t.Run("over-cap", func(t *testing.T) {

@@ -189,3 +189,148 @@ func TestExpandAbandonsOverCapJoinEarly(t *testing.T) {
 		}
 	}
 }
+
+// TestExpandBuildsOnlyTheWinner: a key-less candidate with many key-bearing
+// partners, each of whose joins is 50 000 rows, must cost about one join,
+// not one per partner. Every partner completes the key, so each is a leaf
+// whose coverage is counted from its matches; only the winner is joined.
+// The allocation is measured against the same start with one partner.
+func TestExpandBuildsOnlyTheWinner(t *testing.T) {
+	src := expandSource(20)
+	start := &Candidate{Table: table.New("start", "fk", "x"), Sources: []string{"start"}}
+	for i := 0; i < 500; i++ {
+		start.Table.AddRow(table.S(fmt.Sprintf("fk%d", i%10)), table.N(float64(i)))
+	}
+	// Partner i joins every start row to 100 rows covering ok0..ok9, and
+	// carries i+1 more Source keys on values start lacks: its own cover,
+	// 11+i, always exceeds the best join cover of 10, so no bound prunes it.
+	partner := func(i int) *Candidate {
+		name := fmt.Sprintf("p%d", i)
+		c := &Candidate{Table: table.New(name, "fk", "ok"), Sources: []string{name}}
+		for j := 0; j < 10; j++ {
+			for r := 0; r < 100; r++ {
+				c.Table.AddRow(table.S(fmt.Sprintf("fk%d", j)), table.S(fmt.Sprintf("ok%d", j)))
+			}
+		}
+		for m := 0; m <= i; m++ {
+			c.Table.AddRow(table.S(fmt.Sprintf("zz%d", m)), table.S(fmt.Sprintf("ok%d", 10+m)))
+		}
+		return c
+	}
+	allocated := func(cands []*Candidate) (uint64, []*Candidate) {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := Expand(cands, src, DefaultOptions())
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, got
+	}
+
+	one, _ := allocated([]*Candidate{start, partner(0)})
+	cands := []*Candidate{start}
+	for i := 0; i < 8; i++ {
+		cands = append(cands, partner(i))
+	}
+	many, got := allocated(cands)
+	// One join's tuples are 50 000 × 2 row indexes, 400 kB; six built joins
+	// would add 2 MB over the one-partner run.
+	if many > one+one/2 {
+		t.Errorf("Expand with 8 partners allocated %d kB, with one %d kB: a leaf must be counted, not joined",
+			many>>10, one>>10)
+	}
+	e := got[0]
+	if !reflect.DeepEqual(e.Sources, []string{"start", "p0"}) || len(e.Table.Rows) != 500 {
+		t.Fatalf("expansion is %v with %d rows, want [start p0] with 500", e.Sources, len(e.Table.Rows))
+	}
+
+	x := newExpander(cands, src)
+	x.bestKeyCoveringJoin(0, maxJoinDepth)
+	if want := (expandStats{built: 1, counted: 6}); x.stats != want {
+		t.Errorf("stats = %+v, want %+v", x.stats, want)
+	}
+}
+
+// TestExpandSearchCounters pins each rule of the path search on a corpus
+// built to hit it, through the search's work counters.
+func TestExpandSearchCounters(t *testing.T) {
+	cand := func(name string, cols []string, rows ...[]string) *Candidate {
+		c := &Candidate{Table: table.New(name, cols...), Sources: []string{name}}
+		for _, r := range rows {
+			row := make(table.Row, len(r))
+			for i, v := range r {
+				row[i] = table.S(v)
+			}
+			c.Table.Rows = append(c.Table.Rows, row)
+		}
+		return c
+	}
+	// pairs is n rows (a<i>, b<i>) for i < n.
+	pairs := func(a, b string, n int) [][]string {
+		out := make([][]string, n)
+		for i := range out {
+			out[i] = []string{fmt.Sprintf("%s%d", a, i), fmt.Sprintf("%s%d", b, i)}
+		}
+		return out
+	}
+	search := func(t *testing.T, cands []*Candidate, src *table.Table, depth int, wantPath []int, want expandStats) {
+		t.Helper()
+		x := newExpander(cands, src)
+		path, _ := x.bestKeyCoveringJoin(0, depth)
+		if !reflect.DeepEqual(path, wantPath) {
+			t.Errorf("path = %v, want %v", path, wantPath)
+		}
+		if x.stats != want {
+			t.Errorf("stats = %+v, want %+v", x.stats, want)
+		}
+	}
+
+	t.Run("last-level step lacking the key is skipped", func(t *testing.T) {
+		cands := []*Candidate{
+			cand("start", []string{"fk", "attr"}, pairs("fk", "v", 3)...),
+			cand("mid", []string{"fk", "g"}, pairs("fk", "g", 3)...),
+			cand("p", []string{"fk", "ok"}, pairs("fk", "ok", 3)...),
+		}
+		search(t, cands, expandSource(3), 1, []int{0, 2}, expandStats{built: 1, counted: 1, skipped: 1})
+	})
+
+	t.Run("own cover below the best is pruned", func(t *testing.T) {
+		cands := []*Candidate{
+			cand("start", []string{"fk", "attr"}, pairs("fk", "v", 10)...),
+			cand("strong", []string{"fk", "ok"}, pairs("fk", "ok", 10)...),
+			cand("weak", []string{"fk", "ok"}, pairs("fk", "ok", 3)...),
+		}
+		search(t, cands, expandSource(10), maxJoinDepth, []int{0, 1}, expandStats{built: 1, counted: 1, pruned: 1})
+	})
+
+	t.Run("equal own cover on a longer path is pruned", func(t *testing.T) {
+		// start→direct covers 5 in two tables; start→mid→direct and
+		// start→mid→leaf could cover 5 at best, in three.
+		cands := []*Candidate{
+			cand("start", []string{"fk", "attr"}, pairs("fk", "v", 5)...),
+			cand("direct", []string{"fk", "ok"}, pairs("fk", "ok", 5)...),
+			cand("mid", []string{"fk", "g"}, pairs("fk", "g", 5)...),
+			cand("leaf", []string{"g", "ok"}, pairs("g", "ok", 5)...),
+		}
+		search(t, cands, expandSource(5), maxJoinDepth, []int{0, 1}, expandStats{built: 2, counted: 1, pruned: 2})
+	})
+
+	t.Run("composite key split across two tables is counted", func(t *testing.T) {
+		src := table.New("S", "k", "k2", "attr")
+		src.Key = []int{0, 1}
+		for i := 0; i < 5; i++ {
+			src.AddRow(table.S(fmt.Sprintf("k%d", i)), table.S(fmt.Sprintf("j%d", i)), table.S(fmt.Sprintf("v%d", i)))
+		}
+		start := cand("start", []string{"fk", "k"})
+		for i := 0; i < 5; i++ {
+			start.Table.AddRow(table.S(fmt.Sprintf("fk%d", i)), table.S(fmt.Sprintf("k%d", i)))
+		}
+		// Neither partner carries k, so neither has an own cover: the
+		// weaker one, visited second, is counted too.
+		cands := []*Candidate{
+			start,
+			cand("wide", []string{"fk", "k2"}, pairs("fk", "j", 5)...),
+			cand("narrow", []string{"fk", "k2"}, pairs("fk", "j", 3)...),
+		}
+		search(t, cands, src, maxJoinDepth, []int{0, 1}, expandStats{built: 1, counted: 2})
+	})
+}

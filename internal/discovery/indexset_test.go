@@ -108,7 +108,7 @@ func poolIndexedDiscover(t *testing.T, snap *lake.Snapshot, src *table.Table, op
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := expandContext(ctx, cands, src, maxJoinDepth)
+	out, _, err := expandContext(ctx, cands, src, maxJoinDepth)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
+	"runtime/debug"
 	"time"
 
 	"gent/internal/core"
@@ -20,25 +22,54 @@ import (
 const maxRequestBytes = 256 << 20
 
 // instrument wraps a handler with request counting and latency observation.
+// A handler panic is logged with its stack, counted in
+// gentd_handler_panics_total and recorded under status 500. If nothing has
+// gone out yet the client gets a 500; otherwise (a stream may already have
+// answered 200 and sent lines) the response is aborted with
+// http.ErrAbortHandler, so the client reads a broken body, not a short one
+// that looks complete. http.ErrAbortHandler itself is re-panicked as is.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		defer func() {
+			p := recover()
+			if p == nil {
+				s.metrics.request(endpoint, rec.status, time.Since(start))
+				return
+			}
+			if p == http.ErrAbortHandler {
+				panic(p)
+			}
+			log.Printf("gentd: panic serving %s: %v\n%s", endpoint, p, debug.Stack())
+			s.metrics.panicOne()
+			s.metrics.request(endpoint, http.StatusInternalServerError, time.Since(start))
+			if rec.wrote {
+				panic(http.ErrAbortHandler)
+			}
+			s.writeError(rec, fmt.Errorf("internal error serving %s", endpoint))
+		}()
 		h(rec, r)
-		s.metrics.request(endpoint, rec.status, time.Since(start))
 	}
 }
 
-// statusWriter records the status code a handler wrote, forwarding Flush so
-// the stream endpoint can push NDJSON lines through it.
+// statusWriter records the status code a handler wrote and whether any
+// header went out, forwarding Flush so the stream endpoint can push NDJSON
+// lines through it.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	wrote  bool
 }
 
 func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
+	w.status, w.wrote = code, true
 	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *statusWriter) Write(b []byte) (int, error) {
+	w.wrote = true
+	return w.ResponseWriter.Write(b)
 }
 
 func (w *statusWriter) Flush() {

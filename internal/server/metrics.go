@@ -21,6 +21,8 @@ type metricSet struct {
 	requests map[reqKey]uint64
 	// shed counts admissions refused with 429.
 	shed uint64
+	// panics counts handler panics recovered into a 500.
+	panics uint64
 	// cacheHits / cacheMisses mirror the result cache's own counters but are
 	// bumped at serve time, so a scrape between request and counter update
 	// cannot go backwards.
@@ -120,6 +122,12 @@ func (m *metricSet) shedOne() {
 	m.mu.Unlock()
 }
 
+func (m *metricSet) panicOne() {
+	m.mu.Lock()
+	m.panics++
+	m.mu.Unlock()
+}
+
 // render writes the exposition text. gauges holds point-in-time values the
 // server owns (epoch seq, table count, cache occupancy, admission-gate
 // occupancy), passed in so the metric set needs no back-pointer.
@@ -145,6 +153,9 @@ func (m *metricSet) render(w io.Writer, cache ResultCacheStats, gauges map[strin
 
 	fmt.Fprintf(w, "# TYPE gentd_shed_total counter\n")
 	fmt.Fprintf(w, "gentd_shed_total %d\n", m.shed)
+	fmt.Fprintf(w, "# HELP gentd_handler_panics_total Handler panics recovered into a 500.\n")
+	fmt.Fprintf(w, "# TYPE gentd_handler_panics_total counter\n")
+	fmt.Fprintf(w, "gentd_handler_panics_total %d\n", m.panics)
 
 	fmt.Fprintf(w, "# HELP gentd_result_cache Epoch-keyed result cache traffic.\n")
 	fmt.Fprintf(w, "# TYPE gentd_result_cache_hits_total counter\n")
