@@ -69,7 +69,9 @@ func DefaultConfig() Config {
 
 // Timing breaks a run down by phase.
 type Timing struct {
-	Discover  time.Duration
+	Discover time.Duration
+	// Traverse includes building the Source's key index, which integration
+	// and evaluation then share.
 	Traverse  time.Duration
 	Integrate time.Duration
 	// Evaluate is the effectiveness-evaluation time (metrics.Evaluate of the
@@ -129,9 +131,12 @@ func ReclaimContext(ctx context.Context, l *lake.Lake, src *table.Table, cfg Con
 // The epoch state is resolved exactly once, before any phase: the whole
 // query — discovery, traversal, integration — runs against that snapshot and
 // its substrates, no matter what Apply does to the lake meanwhile.
-// Traversal and integration align on the Source's own key space
-// (table.KeyIndex) and need no value dictionary; every observer event the
-// run emits is stamped with the pinned snapshot's epoch.
+// Traversal, integration and evaluation align on the Source's own key
+// space and need no value dictionary: one table.KeyIndex, built once when
+// traversal starts (after discovery has found candidates) and handed to all
+// three, so no layer re-indexes the Source.
+// Every observer event the run emits is stamped with the pinned snapshot's
+// epoch.
 func (r *Reclaimer) ReclaimContext(ctx context.Context, src *table.Table) (*Result, error) {
 	st := r.acquire()
 	if ctx == nil {
@@ -187,6 +192,9 @@ func (r *Reclaimer) ReclaimContext(ctx context.Context, src *table.Table) (*Resu
 	}
 	emit(obs, ProgressEvent{Source: src.Name, Epoch: epoch, Phase: PhaseTraversal, Kind: EventPhaseStarted})
 	start = time.Now()
+	// The Source's key index, built once for traversal, integration and
+	// evaluation; its build counts in the traversal time.
+	keys := table.NewKeyIndex(src)
 	var picked []*discovery.Candidate
 	if cfg.SkipTraversal {
 		picked = cands
@@ -204,7 +212,7 @@ func (r *Reclaimer) ReclaimContext(ctx context.Context, src *table.Table) (*Resu
 					Kind: EventTraverseRound, Round: round, Pick: pick, Score: score})
 			}
 		}
-		picks, err := matrix.TraverseContext(ctx, src, tables, cfg.Encoding, topts)
+		picks, err := matrix.TraverseKeyed(ctx, src, keys, tables, cfg.Encoding, topts)
 		if err != nil {
 			res.Timing.Traverse = time.Since(start)
 			return fail(PhaseTraversal, err)
@@ -229,7 +237,7 @@ func (r *Reclaimer) ReclaimContext(ctx context.Context, src *table.Table) (*Resu
 	for i, c := range picked {
 		origTables[i] = c.Table
 	}
-	reclaimed, err := integrate.New(src).ReclaimContext(ctx, origTables)
+	reclaimed, err := integrate.NewKeyed(src, keys).ReclaimContext(ctx, origTables)
 	res.Timing.Integrate = time.Since(start)
 	if err != nil {
 		return fail(PhaseIntegration, err)
@@ -243,7 +251,7 @@ func (r *Reclaimer) ReclaimContext(ctx context.Context, src *table.Table) (*Resu
 	// caller already paid the whole pipeline for.
 	emit(obs, ProgressEvent{Source: src.Name, Epoch: epoch, Phase: PhaseEvaluation, Kind: EventPhaseStarted})
 	start = time.Now()
-	res.Report = metrics.Evaluate(src, res.Reclaimed)
+	res.Report = metrics.EvaluateKeyed(src, keys, res.Reclaimed)
 	res.Timing.Evaluate = time.Since(start)
 	emit(obs, ProgressEvent{Source: src.Name, Epoch: epoch, Phase: PhaseEvaluation, Kind: EventPhaseDone,
 		Elapsed: res.Timing.Evaluate, Score: res.Report.EIS})

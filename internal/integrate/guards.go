@@ -7,9 +7,8 @@ import (
 // tupleScorer computes the error-aware similarity E of accumulator tuples
 // against their aligned (labeled) Source tuples — the per-pair guard of
 // Figure 5's integration steps. Rows align through the Integrator's
-// source-key index.
+// source-key index, one key group at a time (reduceGroups).
 type tupleScorer struct {
-	in *Integrator
 	// srcColOf maps a t column index to the labeled source column index.
 	srcColOf []int
 	keyIdx   []int
@@ -21,7 +20,6 @@ type tupleScorer struct {
 func (in *Integrator) scorer(t *table.Table) *tupleScorer {
 	src := in.labeledSrc
 	s := &tupleScorer{
-		in:       in,
 		srcColOf: make([]int, len(t.Cols)),
 		nonKey:   len(src.Cols) - len(src.Key),
 	}
@@ -39,22 +37,10 @@ func (in *Integrator) scorer(t *table.Table) *tupleScorer {
 	return s
 }
 
-// labeledRow resolves the labeled Source row an accumulator row aligns with.
-func (s *tupleScorer) labeledRow(r table.Row) (table.Row, bool) {
-	id, ok := s.in.keys.Lookup(r, s.keyIdx)
-	if !ok {
-		return nil, false
-	}
-	return s.in.labeledSrc.Rows[s.in.keys.Rep(id)], true
-}
-
-// e computes E(srcRow, r) = (α−δ)/n with label-aware matching: a preserved
-// label matches the labeled source, a value over a label counts as an error.
-func (s *tupleScorer) e(r table.Row) float64 {
-	srow, ok := s.labeledRow(r)
-	if !ok {
-		return -1
-	}
+// e computes E(srow, r) = (α−δ)/n for a row r of srow's key group, with
+// label-aware matching: a preserved label matches the labeled source, a
+// value over a label counts as an error.
+func (s *tupleScorer) e(srow, r table.Row) float64 {
 	alpha, delta := 0, 0
 	for i, v := range r {
 		if s.isKey[i] || s.srcColOf[i] < 0 {
@@ -85,42 +71,34 @@ func (in *Integrator) guardedComplement(t *table.Table) *table.Table {
 	if s == nil {
 		return t
 	}
-	groups, aligned := groupByKey(t, s)
-	out := table.New(t.Name, t.Cols...)
-	for g, rows := range groups {
-		if !aligned[g] {
-			out.Rows = append(out.Rows, rows...)
-			continue
-		}
+	return in.reduceGroups(t, s.keyIdx, func(srow table.Row, grp []table.Row) []table.Row {
 		// Fixpoint merge within the group.
 		for {
 			merged := false
 		scan:
-			for i := 0; i < len(rows); i++ {
-				for j := i + 1; j < len(rows); j++ {
-					if !table.Complements(rows[i], rows[j]) {
+			for i := 0; i < len(grp); i++ {
+				for j := i + 1; j < len(grp); j++ {
+					if !table.Complements(grp[i], grp[j]) {
 						continue
 					}
-					m := table.MergeComplement(rows[i], rows[j])
+					m := table.MergeComplement(grp[i], grp[j])
 					// Strict improvement: a merge that adds as many
 					// erroneous values as correct ones would block the
 					// correct values from ever merging in.
-					em := s.e(m)
-					if em > s.e(rows[i]) && em > s.e(rows[j]) {
-						rows[i] = m
-						rows = append(rows[:j], rows[j+1:]...)
+					em := s.e(srow, m)
+					if em > s.e(srow, grp[i]) && em > s.e(srow, grp[j]) {
+						grp[i] = m
+						grp = append(grp[:j], grp[j+1:]...)
 						merged = true
 						break scan
 					}
 				}
 			}
 			if !merged {
-				break
+				return grp
 			}
 		}
-		out.Rows = append(out.Rows, rows...)
-	}
-	return out.DropDuplicates()
+	})
 }
 
 // guardedSubsume removes duplicates and subsumed tuples, keeping a subsumed
@@ -131,60 +109,63 @@ func (in *Integrator) guardedSubsume(t *table.Table) *table.Table {
 	if s == nil {
 		return table.Subsume(t)
 	}
-	groups, aligned := groupByKey(t, s)
-	out := table.New(t.Name, t.Cols...)
-	for g, rows := range groups {
-		if !aligned[g] {
-			out.Rows = append(out.Rows, rows...)
-			continue
-		}
-		alive := make([]bool, len(rows))
-		counts := make([]int, len(rows))
-		for i, r := range rows {
+	alive := make([]bool, len(t.Rows))
+	counts := make([]int, len(t.Rows))
+	return in.reduceGroups(t, s.keyIdx, func(srow table.Row, grp []table.Row) []table.Row {
+		alive, counts := alive[:len(grp)], counts[:len(grp)]
+		for i, r := range grp {
 			alive[i] = true
 			counts[i] = r.NonNullCount()
 		}
-		for i := range rows {
+		for i := range grp {
 			if !alive[i] {
 				continue
 			}
-			for j := range rows {
+			for j := range grp {
 				// Only a row with strictly more non-null cells can subsume.
 				if i == j || !alive[j] || counts[j] <= counts[i] {
 					continue
 				}
-				if table.Subsumes(rows[j], rows[i]) && s.e(rows[j]) >= s.e(rows[i]) {
+				if table.Subsumes(grp[j], grp[i]) && s.e(srow, grp[j]) >= s.e(srow, grp[i]) {
 					alive[i] = false
 					break
 				}
 			}
 		}
-		for i, r := range rows {
+		kept := grp[:0]
+		for i, r := range grp {
 			if alive[i] {
-				out.Rows = append(out.Rows, r)
+				kept = append(kept, r)
 			}
 		}
-	}
-	return out.DropDuplicates()
+		return kept
+	})
 }
 
-// groupByKey splits rows by source key id, groups in first-seen order.
-// Rows that align with no Source tuple (a null or foreign key) form one
-// pass-through group, flagged false in aligned: no guard can score them, so
-// they are never merged and never subsumed. ReclaimContext never produces
-// such rows — ProjectSelect keeps only Source-keyed ones.
-func groupByKey(t *table.Table, s *tupleScorer) (groups [][]table.Row, aligned []bool) {
-	slot := make(map[int]int)
-	for _, r := range t.Rows {
-		id, ok := s.in.keys.Lookup(r, s.keyIdx)
-		g, seen := slot[id]
-		if !seen {
-			g = len(groups)
-			slot[id] = g
-			groups = append(groups, nil)
-			aligned = append(aligned, ok)
-		}
-		groups[g] = append(groups[g], r)
+// reduceGroups runs reduce on each source-key group of t's rows (looked up
+// at keyIdx; KeyIndex.Groups) with the group's labeled Source row, and
+// returns a table of t's name and columns holding the rows reduce returns,
+// group after group, without duplicates. reduce may reorder, rewrite and
+// drop the rows of the group it is given. Rows that align with no Source
+// tuple (a null or foreign key) form one pass-through group, kept as it is:
+// no guard can score them, so they are never merged and never subsumed.
+// ReclaimContext never produces such rows — ProjectSelect keeps only
+// Source-keyed ones. The survivors move down into the prefix of the grouped
+// copy of t's rows, which never passes the start of the group being reduced.
+func (in *Integrator) reduceGroups(t *table.Table, keyIdx []int, reduce func(srow table.Row, grp []table.Row) []table.Row) *table.Table {
+	pos, ids, ends := in.keys.Groups(t.Rows, keyIdx, in.group)
+	rows := make([]table.Row, len(pos))
+	for i, p := range pos {
+		rows[p] = t.Rows[i]
 	}
-	return groups, aligned
+	out, start := rows[:0], 0
+	for g, id := range ids {
+		grp := rows[start:ends[g]]
+		start = ends[g]
+		if id >= 0 {
+			grp = reduce(in.labeledSrc.Rows[in.keys.Rep(id)], grp)
+		}
+		out = append(out, grp...)
+	}
+	return (&table.Table{Name: t.Name, Cols: t.Cols, Rows: out}).DropDuplicates()
 }

@@ -22,21 +22,35 @@ func TestScorerE(t *testing.T) {
 	if s == nil {
 		t.Fatal("scorer failed")
 	}
+	// e scores a row against the labeled Source row of its key group.
+	e := func(r table.Row) float64 {
+		_, ids, _ := in.keys.Groups([]table.Row{r}, s.keyIdx, in.group)
+		if ids[0] < 0 {
+			t.Fatalf("row %v aligns with no Source row", r)
+		}
+		return s.e(in.labeledSrc.Rows[in.keys.Rep(ids[0])], r)
+	}
 	perfect := table.Row{table.S("k1"), table.S("a1"), table.S("b1")}
-	if got := s.e(perfect); got != 1 {
+	if got := e(perfect); got != 1 {
 		t.Errorf("E(perfect) = %v", got)
 	}
 	nullified := table.Row{table.S("k1"), table.S("a1"), table.Null}
-	if got := s.e(nullified); got != 0.5 {
+	if got := e(nullified); got != 0.5 {
 		t.Errorf("E(nullified) = %v", got)
 	}
 	erroneous := table.Row{table.S("k1"), table.S("a1"), table.S("WRONG")}
-	if got := s.e(erroneous); got != 0 {
+	if got := e(erroneous); got != 0 {
 		t.Errorf("E(erroneous) = %v, want (1-1)/2", got)
 	}
+	// A foreign key falls in the pass-through group, which no guard scores.
 	foreign := table.Row{table.S("nope"), table.S("x"), table.S("y")}
-	if got := s.e(foreign); got != -1 {
-		t.Errorf("E(foreign key) = %v, want -1", got)
+	mixed := &table.Table{Cols: acc.Cols, Rows: []table.Row{perfect, foreign, erroneous, foreign}}
+	pos, ids, ends := in.keys.Groups(mixed.Rows, s.keyIdx, in.group)
+	if !slices.Equal(pos, []int32{0, 2, 1, 3}) || !slices.Equal(ids, []int{0, -1}) || !slices.Equal(ends, []int{2, 4}) {
+		t.Errorf("Groups = %v %v %v, want the k1 group then the pass-through group, two rows each", pos, ids, ends)
+	}
+	if got := in.guardedSubsume(mixed); got.NumRows() != 3 {
+		t.Errorf("guardedSubsume kept %d rows, want k1's two and one foreign row", got.NumRows())
 	}
 	// A preserved label counts as a match: k2's b is a labeled source null.
 	labeled := in.labelSourceNulls(func() *table.Table {
@@ -44,7 +58,7 @@ func TestScorerE(t *testing.T) {
 		a.AddRow(table.S("k2"), table.S("a2"), table.Null)
 		return a
 	}())
-	if got := s.e(labeled.Rows[0]); got != 1 {
+	if got := e(labeled.Rows[0]); got != 1 {
 		t.Errorf("E(label-preserving) = %v, want 1", got)
 	}
 }

@@ -18,10 +18,10 @@ import (
 // is stateful for label identities, so one Integrator must be used for one
 // Source, by one goroutine at a time.
 //
-// Every source-key decision — ProjectSelect membership, labeling slots, the
-// guards' row grouping and scoring — goes through one table.KeyIndex over
-// the Source: a source-local key space, so integration needs no value
-// dictionary.
+// Every source-key decision — ProjectSelect membership, labeling slots,
+// minimal form's key groups, the guards' row grouping and scoring — goes
+// through one table.KeyIndex over the Source: a source-local key space, so
+// integration needs no value dictionary.
 type Integrator struct {
 	src *table.Table
 	// keys numbers the Source's key tuples. labeledSrc shares the Source's
@@ -35,21 +35,28 @@ type Integrator struct {
 	labels  []int64
 	labelOf map[int64]bool
 	nextID  int64
+	// group is the scratch of the key grouping (KeyIndex.Groups) in
+	// MinimalForm and the guards; all zeros between calls.
+	group []int32
 }
 
 // New prepares an Integrator for the given Source Table, which must have a
 // key.
-func New(src *table.Table) *Integrator {
-	in := &Integrator{src: src, keys: table.NewKeyIndex(src), labelOf: make(map[int64]bool)}
-	in.labels = make([]int64, in.keys.Len()*len(src.Cols))
-	in.labeledSrc = in.labelSourceNulls(src)
-	return in
-}
+func New(src *table.Table) *Integrator { return NewKeyed(src, table.NewKeyIndex(src)) }
 
 // NewWith is New; dict is ignored. Integration aligns through the Source's
 // own table.KeyIndex and needs no value dictionary — the function remains so
 // existing callers compile.
 func NewWith(src *table.Table, dict table.Interner) *Integrator { return New(src) }
+
+// NewKeyed is New over keys, an index the caller already built over src
+// (table.NewKeyIndex(src)) and shares with the query's other layers.
+func NewKeyed(src *table.Table, keys *table.KeyIndex) *Integrator {
+	in := &Integrator{src: src, keys: keys, labelOf: make(map[int64]bool), group: make([]int32, keys.Len())}
+	in.labels = make([]int64, keys.Len()*len(src.Cols))
+	in.labeledSrc = in.labelSourceNulls(src)
+	return in
+}
 
 // label returns the stable label for a (source key id, source column) slot:
 // the same slot gets the same label in every table, so labeled tuples still
@@ -65,18 +72,17 @@ func (in *Integrator) label(id, col int) table.Value {
 }
 
 // ProjectSelect applies Algorithm 2 line 3 to one originating table using
-// the Integrator's source-key index: project onto the Source's columns and
-// keep only rows whose key values appear in the Source. Tables that do not
-// carry the Source's key columns return nil — their rows can never align
+// the Integrator's source-key index: keep only rows whose key values appear
+// in the Source and project them onto the Source's columns. Tables that do
+// not carry the Source's key columns return nil — their rows can never align
 // with a Source tuple, and Expand guarantees Gen-T's originating tables
-// carry the key. It also returns nil when nothing of the Source's schema or
-// key set remains.
+// carry the key. It also returns nil when no row's key is the Source's.
 func (in *Integrator) ProjectSelect(t *table.Table) *table.Table {
-	p := t.Project(in.src.Cols...)
-	if len(p.Cols) == 0 || len(p.Rows) == 0 || !p.HasCols(in.src.KeyCols()...) {
+	keyIdx, ok := in.keys.ColsIn(t)
+	if !ok {
 		return nil
 	}
-	return selectKeyed(in.keys, p)
+	return selectProject(in.src, in.keys, keyIdx, t)
 }
 
 // ProjectSelect is the one-shot form of Integrator.ProjectSelect for callers
@@ -86,30 +92,51 @@ func (in *Integrator) ProjectSelect(t *table.Table) *table.Table {
 // full-disjunction consumers (ALITE-PS) can still combine them through other
 // shared columns.
 func ProjectSelect(src, t *table.Table) *table.Table {
-	p := t.Project(src.Cols...)
-	if len(p.Cols) == 0 || len(p.Rows) == 0 {
-		return nil
-	}
-	if !p.HasCols(src.KeyCols()...) {
+	if !t.HasCols(src.KeyCols()...) {
+		p := t.Project(src.Cols...)
+		if len(p.Cols) == 0 || len(p.Rows) == 0 {
+			return nil
+		}
 		p.Key = nil
 		return p.DropDuplicates()
 	}
-	return selectKeyed(table.NewKeyIndex(src), p)
+	keys := table.NewKeyIndex(src)
+	keyIdx, _ := keys.ColsIn(t)
+	return selectProject(src, keys, keyIdx, t)
 }
 
-// selectKeyed keeps the rows of an already-projected table (carrying the
-// Source's key columns) whose key values appear in the Source.
-func selectKeyed(keys *table.KeyIndex, p *table.Table) *table.Table {
-	p.Key = nil
-	keyIdx, _ := keys.ColsIn(p)
-	sel := table.New(p.Name, p.Cols...)
-	for _, r := range p.Rows {
+// selectProject keeps the rows of t whose key tuple (at keyIdx) keys knows
+// and projects only those onto the Source's columns that t has, in the
+// Source's order as Table.Project does. The result has no key; it is nil
+// when no row is kept.
+func selectProject(src *table.Table, keys *table.KeyIndex, keyIdx []int, t *table.Table) *table.Table {
+	kept := make([]int32, 0, len(t.Rows))
+	for i, r := range t.Rows {
 		if _, ok := keys.Lookup(r, keyIdx); ok {
-			sel.Rows = append(sel.Rows, r)
+			kept = append(kept, int32(i))
 		}
 	}
-	if len(sel.Rows) == 0 {
+	if len(kept) == 0 {
 		return nil
+	}
+	idx := make([]int, 0, len(src.Cols))
+	names := make([]string, 0, len(src.Cols))
+	for _, c := range src.Cols {
+		if i := t.ColIndex(c); i >= 0 {
+			idx = append(idx, i)
+			names = append(names, c)
+		}
+	}
+	sel := &table.Table{Name: t.Name, Cols: names, Rows: make([]table.Row, len(kept))}
+	// One slab holds every kept row's cells; each row is capped to its own
+	// range, so no row can grow into the next.
+	cells := make([]table.Value, len(kept)*len(idx))
+	for k, i := range kept {
+		nr := cells[k*len(idx) : (k+1)*len(idx) : (k+1)*len(idx)]
+		for j, c := range idx {
+			nr[j] = t.Rows[i][c]
+		}
+		sel.Rows[k] = nr
 	}
 	return sel
 }
@@ -143,13 +170,13 @@ func (in *Integrator) ReclaimContext(ctx context.Context, origs []*table.Table) 
 	// InnerUnion (line 4): merge tables with identical column-name sets.
 	unioned := innerUnionGroups(kept)
 
-	// LabelSourceNulls (line 5) and TakeMinimalForm (line 6). Keyed on the
-	// Source key's columns, MinimalForm reduces one source-key group at a
-	// time: every row's key is a non-null Source key after ProjectSelect.
+	// LabelSourceNulls (line 5) and TakeMinimalForm (line 6). Grouped by
+	// the Source's key ids, MinimalForm reduces one source-key group at a
+	// time: every row's key is a Source key after ProjectSelect.
 	for i, t := range unioned {
 		labeled := in.labelSourceNulls(t)
 		labeled.Key, _ = in.keys.ColsIn(labeled)
-		unioned[i] = table.MinimalForm(labeled)
+		unioned[i] = table.MinimalForm(labeled, in.keys, in.group)
 	}
 
 	// Integration loop (lines 7–13): outer union one table at a time, then

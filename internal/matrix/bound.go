@@ -98,10 +98,10 @@ func (e *engine) tightBound(c *candidate) float64 {
 	}
 	s := e.shape
 	tight := 0.0
-	for _, id := range c.touched {
+	for k, id := range c.touched {
 		capAd := 0
 		comb := e.combinedOnes[id]
-		for w, m := range c.ones[id] {
+		for w, m := range c.onesOf(k, s.pwords) {
 			if comb != nil {
 				m |= comb[w]
 			}

@@ -20,7 +20,7 @@ func TestBoundAdmissible(t *testing.T) {
 	for trial := 0; trial < 80; trial++ {
 		src, cands := randomCorpus(rng)
 		for _, enc := range []Encoding{ThreeValued, TwoValued} {
-			e := newEngine(context.Background(), src, cands, enc, 1)
+			e := newEngine(context.Background(), NewShape(src), cands, enc, 1)
 			e.reset(&e.cands[0])
 			// Advance to a random engine state, checking loose-bound
 			// monotonicity across every absorb.

@@ -223,7 +223,7 @@ func TestDeltaScorerMatchesMaterialized(t *testing.T) {
 			for i, c := range cands {
 				mats[i] = FromTable(shape, c, enc)
 			}
-			e := newEngine(context.Background(), src, cands, enc, 1)
+			e := newEngine(context.Background(), NewShape(src), cands, enc, 1)
 			e.reset(&e.cands[0])
 			combined := mats[0]
 			// Advance both by absorbing a random prefix of candidates.

@@ -58,8 +58,11 @@ type Shape struct {
 
 // NewShape prepares the matrix shape for a Source Table, which must have a
 // key.
-func NewShape(src *table.Table) *Shape {
-	s := &Shape{Src: src, isKey: make([]bool, len(src.Cols)), keys: table.NewKeyIndex(src)}
+func NewShape(src *table.Table) *Shape { return newShape(src, table.NewKeyIndex(src)) }
+
+// newShape is NewShape over keys, an index already built over src.
+func newShape(src *table.Table, keys *table.KeyIndex) *Shape {
+	s := &Shape{Src: src, isKey: make([]bool, len(src.Cols)), keys: keys}
 	for _, k := range src.Key {
 		s.isKey[k] = true
 	}

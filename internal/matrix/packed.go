@@ -45,13 +45,12 @@ func fullBytes(m uint64) uint64 {
 	return (m >> 7) * 0xff
 }
 
-// onesMask ORs the 0x80-flag 1-code masks of every tuple in list into a
-// fresh pwords-long mask: bit 7 of byte c&7 of word c>>3 is set iff some
-// tuple codes column c as a match. Since or() is an element-wise max, any
-// or-merge of any subset of list codes a 1 only where this mask is flagged —
-// the fact the tight pruning bound rests on (see bound.go).
-func onesMask(list []ptuple, pwords int) []uint64 {
-	m := make([]uint64, pwords)
+// orOnes ORs the 0x80-flag 1-code masks of every tuple in list into m, a
+// pwords-long mask, and returns m: bit 7 of byte c&7 of word c>>3 is set iff
+// some tuple codes column c as a match. Since or() is an element-wise max,
+// any or-merge of any subset of list codes a 1 only where this mask is
+// flagged — the fact the tight pruning bound rests on (see bound.go).
+func orOnes(m []uint64, list []ptuple) []uint64 {
 	for _, t := range list {
 		for w, v := range t.words {
 			m[w] |= one80(v)

@@ -1,8 +1,11 @@
 package matrix
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"gent/internal/table"
@@ -216,4 +219,83 @@ func packCodes(code []int8, words int) []uint64 {
 // packTuple converts an unpacked aligned tuple, keeping its cached α−δ.
 func (s *Shape) packTuple(t tuple) ptuple {
 	return ptuple{words: packCodes(t.code, s.pwords), ad: t.ad}
+}
+
+// TestPackCandidateMatchesFromTable holds the compact packed candidate to
+// FromTable on the seeded corpora: the same keys, ascending, and per key the
+// same tuples in the same order with the same α−δ and 1-code mask.
+func TestPackCandidateMatchesFromTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 40; trial++ {
+		src, cands := randomCorpus(rng)
+		for _, enc := range []Encoding{ThreeValued, TwoValued} {
+			shape := NewShape(src)
+			e := newEngine(context.Background(), shape, cands, enc, 2)
+			for ci, cand := range cands {
+				m, c := FromTable(shape, cand, enc), &e.cands[ci]
+				if len(c.touched) != len(m.rows) {
+					t.Fatalf("trial %d cand %d: %d keys touched, FromTable has %d", trial, ci, len(c.touched), len(m.rows))
+				}
+				for k, id := range c.touched {
+					if k > 0 && id <= c.touched[k-1] {
+						t.Fatalf("trial %d cand %d: touched ids %v not ascending", trial, ci, c.touched)
+					}
+					want, got := m.rows[int(id)], c.list(k)
+					if len(got) != len(want) {
+						t.Fatalf("trial %d cand %d key %d: %d tuples, FromTable has %d", trial, ci, id, len(got), len(want))
+					}
+					mask := make([]uint64, shape.pwords)
+					for i, tp := range got {
+						if !equalCodes(unpack(tp.words, len(src.Cols)), want[i].code) || tp.ad != want[i].ad {
+							t.Fatalf("trial %d cand %d key %d tuple %d differs from FromTable", trial, ci, id, i)
+						}
+						for w, v := range tp.words {
+							mask[w] |= one80(v)
+						}
+					}
+					if !slices.Equal(c.onesOf(k, shape.pwords), mask) {
+						t.Fatalf("trial %d cand %d key %d: 1-code mask differs", trial, ci, id)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPackCandidateSizedByAlignedRows packs one candidate of 10 aligned rows
+// against a 20-key and a 20 000-key Source: what packing allocates follows
+// the rows that align, not the Source's key count.
+func TestPackCandidateSizedByAlignedRows(t *testing.T) {
+	source := func(keys int) *table.Table {
+		src := table.New("S", "id", "a", "b")
+		src.Key = []int{0}
+		for i := 0; i < keys; i++ {
+			src.AddRow(table.S(fmt.Sprintf("k%d", i)), table.S(fmt.Sprintf("a%d", i)), table.Null)
+		}
+		return src
+	}
+	cand := table.New("C", "b", "id", "a")
+	for i := 0; i < 10; i++ {
+		cand.AddRow(table.S("b"), table.S(fmt.Sprintf("k%d", 2*i)), table.S(fmt.Sprintf("a%d", 2*i)))
+	}
+	cand.AddRow(table.S("b"), table.S("not a key"), table.S("a"))
+	allocated := func(keys int) uint64 {
+		e := newEngine(context.Background(), NewShape(source(keys)), nil, ThreeValued, 1)
+		sc := new(packScratch)
+		if c := e.packCandidate(cand, ThreeValued, sc); len(c.touched) != 10 || len(c.tuples) != 10 {
+			t.Fatalf("%d keys: packed %d keys and %d tuples, want 10 and 10", keys, len(c.touched), len(c.tuples))
+		}
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 100; i++ {
+			e.packCandidate(cand, ThreeValued, sc)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, big := allocated(20), allocated(20000)
+	if big >= 2*small {
+		t.Errorf("packing 10 aligned rows allocated %d B against 20 000 keys, %d B against 20: want under 2×", big, small)
+	}
 }

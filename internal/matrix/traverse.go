@@ -3,6 +3,7 @@ package matrix
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sort"
 
 	"gent/internal/par"
@@ -61,10 +62,17 @@ type TraverseStats struct {
 // drains cleanly (no goroutine outlives the call) and ctx.Err() is returned
 // with nil picks.
 func TraverseContext(ctx context.Context, src *table.Table, cands []*table.Table, enc Encoding, opts TraverseOptions) ([]int, error) {
+	return TraverseKeyed(ctx, src, table.NewKeyIndex(src), cands, enc, opts)
+}
+
+// TraverseKeyed is TraverseContext over keys, an index the caller already
+// built over src (table.NewKeyIndex(src)) and shares with the query's other
+// layers.
+func TraverseKeyed(ctx context.Context, src *table.Table, keys *table.KeyIndex, cands []*table.Table, enc Encoding, opts TraverseOptions) ([]int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	e := newEngine(ctx, src, cands, enc, opts.Workers)
+	e := newEngine(ctx, newShape(src, keys), cands, enc, opts.Workers)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -82,16 +90,30 @@ func TraverseContext(ctx context.Context, src *table.Table, cands []*table.Table
 // candidate is one candidate matrix re-indexed for the engine: bit-packed
 // aligned-tuple lists addressed by dense source-key id instead of key string,
 // so scoring never hashes a key and the per-key kernel runs 8 columns per
-// word.
+// word. It is compact: its size follows the rows that align, not the
+// Source's key count.
 type candidate struct {
-	// lists[id] holds the candidate's packed aligned tuples for source key id;
-	// nil when the candidate does not touch that key.
-	lists [][]ptuple
-	// ones[id] is the OR of lists[id]'s 1-code masks — the static half of the
-	// tight pruning bound's per-key α cap (bound.go).
-	ones [][]uint64
 	// touched lists the key ids with aligned tuples, in ascending order.
-	touched []int
+	touched []int32
+	// off[k]:off[k+1] is touched[k]'s range of tuples.
+	off []int32
+	// tuples holds the packed aligned tuples, key by key in touched order
+	// and in row order within a key.
+	tuples []ptuple
+	// ones[k*pwords:(k+1)*pwords] is the OR of touched[k]'s 1-code masks —
+	// the static half of the tight pruning bound's per-key α cap (bound.go).
+	ones []uint64
+}
+
+// list returns touched[k]'s packed tuples, capped so that no append can
+// reach the next key's.
+func (c *candidate) list(k int) []ptuple {
+	return c.tuples[c.off[k]:c.off[k+1]:c.off[k+1]]
+}
+
+// onesOf returns touched[k]'s 1-code mask, pwords long.
+func (c *candidate) onesOf(k, pwords int) []uint64 {
+	return c.ones[k*pwords : (k+1)*pwords : (k+1)*pwords]
 }
 
 // engine is the incremental, parallel traversal state for one source: the
@@ -135,13 +157,13 @@ type engine struct {
 	combined [][]ptuple
 	// contrib[id] caches contribution(combined[id]).
 	contrib []float64
-	// combinedOnes[id] caches onesMask(combined[id]) — the dynamic half of
+	// combinedOnes[id] caches orOnes over combined[id] — the dynamic half of
 	// the tight pruning bound — refreshed alongside contrib; nil for keys the
 	// integration has no tuples for.
 	combinedOnes [][]uint64
 }
 
-func newEngine(ctx context.Context, src *table.Table, cands []*table.Table, enc Encoding, workers int) *engine {
+func newEngine(ctx context.Context, shape *Shape, cands []*table.Table, enc Encoding, workers int) *engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -152,7 +174,7 @@ func newEngine(ctx context.Context, src *table.Table, cands []*table.Table, enc 
 	if workers < 1 {
 		workers = 1
 	}
-	e := &engine{shape: NewShape(src), workers: workers, ctx: ctx}
+	e := &engine{shape: shape, workers: workers, ctx: ctx}
 	e.rowKey = e.shape.keys.RowIDs()
 	e.numKeys = e.shape.numKeys()
 	e.keyCount = make([]int, e.numKeys)
@@ -166,88 +188,157 @@ func newEngine(ctx context.Context, src *table.Table, cands []*table.Table, enc 
 	// align to dense source-key ids and code into 8-columns-per-word tuples
 	// with no intermediate int8 matrix (packCandidate).
 	e.cands = make([]candidate, len(cands))
-	// A canceled ctx may leave candidates unpacked; TraverseContext checks
+	scratch := make([]packScratch, workers)
+	// A canceled ctx may leave candidates unpacked; TraverseKeyed checks
 	// ctx before the engine is used.
-	_ = par.For(ctx, len(cands), workers, func(_, i int) {
-		e.cands[i] = e.packCandidate(cands[i], enc)
+	_ = par.For(ctx, len(cands), workers, func(worker, i int) {
+		e.cands[i] = e.packCandidate(cands[i], enc, &scratch[worker])
 	})
 	return e
+}
+
+// packScratch is one packing worker's scratch, reused across the
+// candidates it packs.
+type packScratch struct {
+	// count[id] counts the candidate's rows aligned with key id, then marks
+	// where id's rows end in order; it is all zeros between candidates.
+	count []int32
+	// ids[i] is row i's key id, -1 when the row aligns with none.
+	ids []int32
+	// touched lists the key ids the candidate's rows align with.
+	touched []int32
+	// order lists the aligned rows by key id, in row order within a key.
+	order []int32
+	// words and tups hold the encoded tuples before duplicates are dropped.
+	words []uint64
+	tups  []ptuple
 }
 
 // packCandidate aligns and encodes one candidate table per Equation 4,
 // emitting the engine's packed form directly — FromTable fused with the
 // word packing. The code values, the cached α−δ, and the duplicate-tuple
 // skipping match FromTable exactly (byte-equal packed words iff equal int8
-// codes), so the engine scores the same tuples the reference does; only the
-// allocation shape differs: every aligned tuple's words live in one
-// per-candidate slab sized by the row count, so encoding a row allocates
-// nothing and the GC sees one object instead of thousands.
-func (e *engine) packCandidate(cand *table.Table, enc Encoding) candidate {
+// codes), so the engine scores the same tuples the reference does. Each row
+// is looked up once; a counting pass then orders the aligned rows by key id
+// (row order kept within a key), and they are encoded into sc. What the
+// candidate keeps is sized by what survives: one slice of touched ids and
+// offsets, one of tuples, and one word slab holding the tuples' words and
+// then the keys' 1-code masks — so the GC sees a handful of objects, and
+// nothing the candidate keeps grows with the Source's key count.
+func (e *engine) packCandidate(cand *table.Table, enc Encoding, sc *packScratch) candidate {
 	s := e.shape
 	src := s.Src
-	c := candidate{lists: make([][]ptuple, e.numKeys), ones: make([][]uint64, e.numKeys)}
 	colMap, keyMap, ok := s.align(cand)
 	if !ok {
-		return c // cannot align without the key
+		return candidate{} // cannot align without the key
 	}
-
-	// The aligned tuple count is bounded by the row count, so one slab holds
-	// every tuple's words without ever reallocating — handed-out sub-slices
-	// stay valid for the engine's lifetime.
-	slab := make([]uint64, 0, len(cand.Rows)*s.pwords)
-	scratch := make([]uint64, s.pwords)
+	if len(sc.count) < e.numKeys {
+		sc.count = make([]int32, e.numKeys)
+	}
+	count, ids, touched := sc.count, sc.ids[:0], sc.touched[:0]
 	for _, r := range cand.Rows {
 		id, ok := s.keys.Lookup(r, keyMap)
 		if !ok {
+			ids = append(ids, -1)
 			continue
 		}
-		srow := src.Rows[s.keys.Rep(id)]
-		for w := range scratch {
-			scratch[w] = 0
+		if count[id] == 0 {
+			touched = append(touched, int32(id))
 		}
-		ad := 0
-		for j := range src.Cols {
-			var cv table.Value
-			if colMap[j] >= 0 {
-				cv = r[colMap[j]]
-			} else {
-				cv = table.Null
-			}
-			var b uint64
-			switch {
-			case srow[j].Equal(cv):
-				b = 0x01
-				if !s.isKey[j] {
-					ad++
+		count[id]++
+		ids = append(ids, int32(id))
+	}
+	slices.Sort(touched)
+	// count[id] becomes where id's rows start in order, then, once they are
+	// placed, where they end.
+	aligned := int32(0)
+	for _, id := range touched {
+		n := count[id]
+		count[id] = aligned
+		aligned += n
+	}
+	order := slices.Grow(sc.order[:0], int(aligned))[:aligned]
+	for i, id := range ids {
+		if id >= 0 {
+			order[count[id]] = int32(i)
+			count[id]++
+		}
+	}
+	sc.ids, sc.touched, sc.order = ids, touched, order
+
+	ix := make([]int32, 2*len(touched)+1)
+	c := candidate{touched: ix[:len(touched)], off: ix[len(touched):len(touched)]}
+	copy(c.touched, touched)
+
+	// Encode into scratch: words is sized once, so the tuples' sub-slices
+	// stay valid while the later keys are encoded.
+	pw := s.pwords
+	words := slices.Grow(sc.words[:0], int(aligned)*pw)
+	tups := sc.tups[:0]
+	start := int32(0)
+	for _, id := range touched {
+		end := count[id]
+		count[id] = 0
+		c.off = append(c.off, int32(len(tups)))
+		srow := src.Rows[s.keys.Rep(int(id))]
+		for _, i := range order[start:end] {
+			r := cand.Rows[i]
+			at := len(words)
+			words = words[:at+pw]
+			code := words[at:]
+			clear(code)
+			ad := 0
+			for j := range src.Cols {
+				var cv table.Value
+				if colMap[j] >= 0 {
+					cv = r[colMap[j]]
+				} else {
+					cv = table.Null
 				}
-			case !srow[j].IsNull() && cv.IsNull():
-				// 0x00: nullified.
-			default:
-				// Contradiction: differing non-nulls, or a non-null where
-				// the Source has a (correct) null.
-				if enc == ThreeValued {
-					b = 0xFF
+				var b uint64
+				switch {
+				case srow[j].Equal(cv):
+					b = 0x01
 					if !s.isKey[j] {
-						ad--
+						ad++
+					}
+				case !srow[j].IsNull() && cv.IsNull():
+					// 0x00: nullified.
+				default:
+					// Contradiction: differing non-nulls, or a non-null
+					// where the Source has a (correct) null.
+					if enc == ThreeValued {
+						b = 0xFF
+						if !s.isKey[j] {
+							ad--
+						}
 					}
 				}
+				if b != 0 {
+					code[j>>3] |= b << ((j & 7) * 8)
+				}
 			}
-			if b != 0 {
-				scratch[j>>3] |= b << ((j & 7) * 8)
+			if dupPacked(tups[c.off[len(c.off)-1]:], code) {
+				words = words[:at]
+				continue
 			}
+			tups = append(tups, ptuple{words: code[:pw:pw], ad: ad})
 		}
-		if dupPacked(c.lists[id], scratch) {
-			continue
-		}
-		start := len(slab)
-		slab = append(slab, scratch...)
-		c.lists[id] = append(c.lists[id], ptuple{words: slab[start : start+s.pwords], ad: ad})
+		start = end
 	}
-	for id, list := range c.lists {
-		if list != nil {
-			c.touched = append(c.touched, id)
-			c.ones[id] = onesMask(list, s.pwords)
-		}
+	c.off = append(c.off, int32(len(tups)))
+	sc.words, sc.tups = words, tups
+
+	// Copy what survived into the candidate's own storage.
+	c.tuples = make([]ptuple, len(tups))
+	slab := make([]uint64, (len(tups)+len(touched))*pw)
+	copy(slab, words)
+	for i, t := range tups {
+		c.tuples[i] = ptuple{words: slab[i*pw : (i+1)*pw : (i+1)*pw], ad: t.ad}
+	}
+	c.ones = slab[len(tups)*pw:]
+	for k := range touched {
+		orOnes(c.onesOf(k, pw), c.list(k))
 	}
 	return c
 }
@@ -273,12 +364,19 @@ func (e *engine) traverse() ([]int, error) {
 		return nil, nil
 	}
 
+	// Per-worker scratch, indexed by key id: zeros while the standalone
+	// scan runs, then a mirror of the contribution cache.
+	scratch := make([][]float64, e.workers)
+	for p := range scratch {
+		scratch[p] = make([]float64, e.numKeys)
+	}
+
 	// GetStartTable: the candidate with the best standalone score, scored
 	// concurrently (standalone EIS reads only cached α−δ counts). No bound
 	// helps here — with nothing integrated yet every candidate must be
 	// looked at once.
 	scores := make([]float64, n)
-	err := par.For(e.ctx, n, e.workers, func(_, i int) { scores[i] = e.standalone(&e.cands[i]) })
+	err := par.For(e.ctx, n, e.workers, func(worker, i int) { scores[i] = e.standalone(&e.cands[i], scratch[worker]) })
 	if err != nil {
 		return nil, err
 	}
@@ -304,10 +402,8 @@ func (e *engine) traverse() ([]int, error) {
 	// its touched slots after each candidate, and absorb refreshes only the
 	// winner's touched slots, so the mirrors stay exact without per-round
 	// full copies. Arenas hold each worker's throwaway merge tuples.
-	scratch := make([][]float64, e.workers)
 	arenas := make([]*kernelArena, e.workers)
 	for p := range scratch {
-		scratch[p] = make([]float64, e.numKeys)
 		copy(scratch[p], e.contrib)
 		arenas[p] = new(kernelArena)
 	}
@@ -426,16 +522,26 @@ func (e *engine) traversePruned(picked []int, start int, mostCorrect float64, sc
 
 // standalone is the candidate's own EIS: its raw (unnormalized, uncombined)
 // aligned-tuple lists evaluated per source row, exactly as Matrix.EIS does.
-func (e *engine) standalone(c *candidate) float64 {
+// The touched keys' contributions go into scratch (all zeros on entry, and
+// again on return), and every source row adds its key's slot in row order:
+// a key the candidate does not touch adds 0, as Matrix.EIS's empty list
+// does, so the sum is bit-identical.
+func (e *engine) standalone(c *candidate, scratch []float64) float64 {
 	n := len(e.rowKey)
 	if n == 0 {
 		return 1
 	}
+	for k, id := range c.touched {
+		scratch[id] = e.shape.contributionPacked(c.list(k))
+	}
 	sum := 0.0
 	for _, id := range e.rowKey {
 		if id >= 0 {
-			sum += e.shape.contributionPacked(c.lists[id])
+			sum += scratch[id]
 		}
+	}
+	for _, id := range c.touched {
+		scratch[id] = 0
 	}
 	return sum / float64(n)
 }
@@ -444,16 +550,14 @@ func (e *engine) standalone(c *candidate) float64 {
 // reference's `combined := mats[start]`), caching per-key contributions.
 func (e *engine) reset(c *candidate) {
 	e.combined = make([][]ptuple, e.numKeys)
-	copy(e.combined, c.lists)
 	e.contrib = make([]float64, e.numKeys)
 	e.combinedOnes = make([][]uint64, e.numKeys)
-	for id, list := range e.combined {
-		e.contrib[id] = e.shape.contributionPacked(list)
-		if list != nil {
-			// The start candidate's own mask is exact here and absorb never
-			// mutates a candidate's masks, so sharing it is safe.
-			e.combinedOnes[id] = c.ones[id]
-		}
+	for k, id := range c.touched {
+		e.combined[id] = c.list(k)
+		e.contrib[id] = e.shape.contributionPacked(e.combined[id])
+		// The start candidate's own mask is exact here and absorb never
+		// mutates a candidate's masks, so sharing it is safe.
+		e.combinedOnes[id] = c.onesOf(k, e.shape.pwords)
 	}
 }
 
@@ -461,12 +565,13 @@ func (e *engine) reset(c *candidate) {
 // materialization, so its merged tuples come from the heap, not an arena —
 // refreshing just the keys the winner touches.
 func (e *engine) absorb(c *candidate) {
-	for _, id := range c.touched {
-		e.combined[id] = e.shape.combinePacked(nil, e.combined[id], c.lists[id])
+	pw := e.shape.pwords
+	for k, id := range c.touched {
+		e.combined[id] = e.shape.combinePacked(nil, e.combined[id], c.list(k))
 		e.contrib[id] = e.shape.contributionPacked(e.combined[id])
 		// Recompute rather than OR in the winner's mask: normalize can drop
 		// whole tuples, so the fresh mask is at least as tight.
-		e.combinedOnes[id] = onesMask(e.combined[id], e.shape.pwords)
+		e.combinedOnes[id] = orOnes(make([]uint64, pw), e.combined[id])
 	}
 }
 
@@ -482,9 +587,9 @@ func (e *engine) scoreCand(c *candidate, scratch []float64, ar *kernelArena) flo
 	if n == 0 {
 		return 1
 	}
-	for _, id := range c.touched {
+	for k, id := range c.touched {
 		ar.reset()
-		scratch[id] = e.shape.contributionPacked(e.shape.combinePacked(ar, e.combined[id], c.lists[id]))
+		scratch[id] = e.shape.contributionPacked(e.shape.combinePacked(ar, e.combined[id], c.list(k)))
 	}
 	sum := 0.0
 	for _, id := range e.rowKey {

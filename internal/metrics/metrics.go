@@ -11,6 +11,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 
 	"gent/internal/table"
 )
@@ -38,18 +39,25 @@ type Alignment struct {
 
 // Align reshapes T to S's schema and groups its tuples by S's key. S must
 // have a key.
-func Align(s, t *table.Table) *Alignment {
-	padded := t.PadNullColumns(s.Cols)
-	reshaped, err := padded.ReorderCols(s.Cols)
-	if err != nil {
-		// PadNullColumns guarantees every column exists.
-		panic("metrics: unreachable reorder failure: " + err.Error())
+func Align(s, t *table.Table) *Alignment { return align(s, table.NewKeyIndex(s), t) }
+
+// align is Align over keys, an index already built over s. A T whose
+// columns are S's, in S's order — every reclamation integrate produces — is
+// read through a view of its rows, not copied.
+func align(s *table.Table, keys *table.KeyIndex, t *table.Table) *Alignment {
+	reshaped := t.PadNullColumns(s.Cols)
+	if !slices.Equal(reshaped.Cols, s.Cols) {
+		var err error
+		if reshaped, err = reshaped.ReorderCols(s.Cols); err != nil {
+			// PadNullColumns guarantees every column exists.
+			panic("metrics: unreachable reorder failure: " + err.Error())
+		}
 	}
 	reshaped.Key = append([]int(nil), s.Key...)
 	a := &Alignment{
 		Source:    s,
 		Reclaimed: reshaped,
-		Keys:      table.NewKeyIndex(s),
+		Keys:      keys,
 		KeyIdx:    make(map[int]bool, len(s.Key)),
 	}
 	a.ByKey = make([][]table.Row, a.Keys.Len())
@@ -285,8 +293,12 @@ type Report struct {
 
 // Evaluate computes the full Report for reclaimed table t against source s,
 // aligning t once for every measure.
-func Evaluate(s, t *table.Table) Report {
-	a := Align(s, t)
+func Evaluate(s, t *table.Table) Report { return EvaluateKeyed(s, table.NewKeyIndex(s), t) }
+
+// EvaluateKeyed is Evaluate over keys, an index the caller already built over
+// s (table.NewKeyIndex(s)) and shares with the query's other layers.
+func EvaluateKeyed(s *table.Table, keys *table.KeyIndex, t *table.Table) Report {
+	a := align(s, keys, t)
 	rec, pre := recallPrecisionOf(a)
 	inst := instanceSimilarityOf(a)
 	r := Report{

@@ -1,6 +1,9 @@
 package table
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Complements reports whether t1 and t2 (same schema) complement each other:
 // they agree on every attribute where both are non-null, share at least one
@@ -82,23 +85,27 @@ func (x *reducer) complement(rows []Row, at []int) []int {
 // pair, β only removes rows (which creates none), and β drops every row that
 // a row surviving it subsumes.
 //
-// A keyed table is reduced one key group at a time: rows are partitioned by
-// their t.Key tuple (NewKeyIndex), and κ and β run inside each group. This
-// is exact. Rows complement or subsume only when they are Equal on every
-// cell both hold, and Value.Equal implies equal Value.Key, so rows whose
-// non-null key tuples differ never interact. The one exception is a
-// non-finite number, which is Equal to its text ("NaN", "+Inf") as a string
-// of another key; a table with such a key cell, or with a null key cell, is
-// reduced whole. Nor does the partition change the order: every row keeps
-// its slot, a merge lands in the earlier row's slot, and the survivors are
-// emitted in slot order, as the whole-table fixpoint leaves them. The pair
-// scans are then quadratic in a group's size, not in the table's.
-func MinimalForm(t *Table) *Table {
-	x := new(reducer)
+// The table is reduced one key group at a time: rows are partitioned by the
+// id x gives their key tuple — x's key columns, found in t by name — and κ
+// and β run inside each group. x may index t itself (NewKeyIndex(t)) or
+// another table, such as the Source a lake table aligns with. This is exact.
+// Rows complement or subsume only when they are Equal on every cell both
+// hold, and Value.Equal implies equal Value.Key, so rows whose non-null key
+// tuples differ never interact. The one exception is a non-finite number,
+// which is Equal to its text ("NaN", "+Inf") as a string of another key; a
+// table with such a key cell, a null key cell, a key tuple x does not index
+// or no column for one of x's keys is reduced whole. Nor does the partition
+// change the order: every row keeps its slot, a merge lands in the earlier
+// row's slot, and the survivors are emitted in slot order, as the
+// whole-table fixpoint leaves them. The pair scans are then quadratic in a
+// group's size, not in the table's. group is the grouping's scratch, as
+// KeyIndex.Groups takes it: x.Len() long and all zeros, and left so.
+func MinimalForm(t *Table, x *KeyIndex, group []int32) *Table {
+	r := new(reducer)
 	rows := append([]Row(nil), t.Rows...) // merges land in these slots
 	keep := make([]bool, len(rows))
-	for _, g := range keyGroups(t, x.distinct(rows, slots(len(rows)))) {
-		for _, i := range x.subsume(rows, x.complement(rows, g)) {
+	for _, g := range keyGroups(t, x, r.distinct(rows, slots(len(rows))), group) {
+		for _, i := range r.subsume(rows, r.complement(rows, g)) {
 			keep[i] = true
 		}
 	}
@@ -111,26 +118,45 @@ func MinimalForm(t *Table) *Table {
 	return reduced(t, rows, at)
 }
 
-// keyGroups splits the ascending slots at (rows of t) by t's key tuple into
-// ascending groups. It returns at as the only group when t has no key or a
-// key cell that is null or a non-finite number, where a split is not exact
-// (see MinimalForm).
-func keyGroups(t *Table, at []int) [][]int {
-	if len(t.Key) == 0 {
-		return [][]int{at}
+// keyGroups splits the ascending slots at (distinct rows of t) by the id x
+// gives their key tuple (KeyIndex.Groups, through group) into ascending
+// groups, in first-seen order. It returns at as the only group where a
+// split is not exact (see MinimalForm). Only the slots in at are looked at:
+// a row distinct dropped repeats a kept row's value classes, and so its
+// key's verdict.
+func keyGroups(t *Table, x *KeyIndex, at []int, group []int32) [][]int {
+	whole := [][]int{at}
+	keyCols, ok := x.ColsIn(t)
+	if !ok {
+		return whole
 	}
-	for _, r := range t.Rows {
-		for _, k := range t.Key {
-			if v := r[k]; v.IsNull() || v.Kind == KindNumber && (math.IsNaN(v.Num) || math.IsInf(v.Num, 0)) {
-				return [][]int{at}
+	rows := t.Rows // at is every slot when distinct dropped none
+	if len(at) < len(rows) {
+		rows = make([]Row, len(at))
+		for k, i := range at {
+			rows[k] = t.Rows[i]
+		}
+	}
+	for _, r := range rows {
+		for _, c := range keyCols {
+			if v := r[c]; v.Kind == KindNumber && (math.IsNaN(v.Num) || math.IsInf(v.Num, 0)) {
+				return whole
 			}
 		}
 	}
-	x := NewKeyIndex(t)
-	ids := x.RowIDs()
-	groups := make([][]int, x.Len())
-	for _, i := range at {
-		groups[ids[i]] = append(groups[ids[i]], i)
+	pos, ids, ends := x.Groups(rows, keyCols, group)
+	if slices.Contains(ids, -1) { // a null key cell, or a tuple x does not index
+		return whole
+	}
+	flat := make([]int, len(at))
+	for k, p := range pos {
+		flat[p] = at[k]
+	}
+	groups := make([][]int, len(ids))
+	start := 0
+	for g, end := range ends {
+		groups[g] = flat[start:end:end]
+		start = end
 	}
 	return groups
 }
