@@ -13,8 +13,8 @@
 //
 //	gentd -smoke http://host:8080 -source q.csv
 //
-// asserts the serving contract end to end (cache miss → hit → batch and
-// stream → epoch bump → invalidation → index save and load → rename) and
+// asserts the serving contract end to end (cache miss → hit → stream →
+// epoch bump → invalidation → index save and load → rename) and
 // exits non-zero on any violation. The index steps write a temporary
 // directory the server must be able to reach, so point -smoke at a server on
 // the same host. Load is measured by the gentd_churn workload of the bench
@@ -132,8 +132,8 @@ func main() {
 // runSmoke asserts the serving contract against a live server: health, a
 // cold query (cache miss) whose reclaimed rows decode with the source's
 // columns, the identical query again (cache hit, observable both in the
-// X-Gent-Cache header and the /metrics counter), the source twice as a batch
-// and as a stream, an Apply rolling the epoch, the query once more (miss
+// X-Gent-Cache header and the /metrics counter), the source twice as one
+// stream, an Apply rolling the epoch, the query once more (miss
 // again — the bump invalidated the cache), an index save and load, and a
 // Rename. Any violation is a non-zero exit with a line saying which, and the
 // table the smoke put is dropped again, under whichever name it holds,
@@ -196,10 +196,10 @@ func runSmoke(base, sourcePath string) (code int) {
 	}
 	fmt.Printf("smoke: repeated query served from cache (hits=%g)\n", m["gentd_result_cache_hits_total"])
 
-	if err := smokeBatch(ctx, c, src, r1.Metrics.EIS); err != nil {
+	if err := smokeStream(ctx, c, src, r1.Metrics.EIS); err != nil {
 		return fail("%v", err)
 	}
-	fmt.Println("smoke: batch and stream of two sources match the single query")
+	fmt.Println("smoke: stream of two sources matches the single query")
 
 	churnName := "smoke_churn"
 	churn := src.Clone()
@@ -252,45 +252,29 @@ func runSmoke(base, sourcePath string) (code int) {
 	return 0
 }
 
-// smokeBatch reclaims the source twice as one batch and as one stream: each
-// must answer two items, the batch in input order, every one with the single
-// query's EIS.
-func smokeBatch(ctx context.Context, c *client.Client, src *table.Table, eis float64) error {
+// smokeStream reclaims the source twice as one stream: it must answer two
+// items, every one with the single query's EIS.
+func smokeStream(ctx context.Context, c *client.Client, src *table.Table, eis float64) error {
 	pair := []*table.Table{src, src}
-	check := func(how string, items []client.Item) error {
-		if len(items) != len(pair) {
-			return fmt.Errorf("%s answered %d items for %d sources", how, len(items), len(pair))
-		}
-		for _, it := range items {
-			if it.Err != nil {
-				return fmt.Errorf("%s item %d: %v", how, it.Index, it.Err)
-			}
-			if it.Result.Metrics.EIS != eis {
-				return fmt.Errorf("%s item %d: EIS %v, the single query's %v", how, it.Index, it.Result.Metrics.EIS, eis)
-			}
-		}
-		return nil
-	}
-	items, err := c.ReclaimBatch(ctx, pair, nil)
-	if err != nil {
-		return fmt.Errorf("batch: %w", err)
-	}
-	for i, it := range items {
-		if it.Index != i {
-			return fmt.Errorf("batch item %d carries index %d: not in input order", i, it.Index)
-		}
-	}
-	if err := check("batch", items); err != nil {
-		return err
-	}
-	var streamed []client.Item
+	var items []client.Item
 	if err := c.ReclaimStream(ctx, pair, nil, func(it client.Item) bool {
-		streamed = append(streamed, it)
+		items = append(items, it)
 		return true
 	}); err != nil {
 		return fmt.Errorf("stream: %w", err)
 	}
-	return check("stream", streamed)
+	if len(items) != len(pair) {
+		return fmt.Errorf("stream answered %d items for %d sources", len(items), len(pair))
+	}
+	for _, it := range items {
+		if it.Err != nil {
+			return fmt.Errorf("stream item %d: %v", it.Index, it.Err)
+		}
+		if it.Result.Metrics.EIS != eis {
+			return fmt.Errorf("stream item %d: EIS %v, the single query's %v", it.Index, it.Result.Metrics.EIS, eis)
+		}
+	}
+	return nil
 }
 
 // smokeIndexes saves the session's indexes into a fresh directory and loads

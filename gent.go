@@ -85,7 +85,7 @@
 // # Serving
 //
 // The same session goes on a port: NewServer wraps a Reclaimer in gentd's
-// HTTP/JSON surface — single, batch and NDJSON-streamed reclamation,
+// HTTP/JSON surface — single and NDJSON-streamed reclamation,
 // Apply-over-the-wire, index save/load, /metrics — with bounded admission
 // (shed with 429 past the queue), per-request deadlines, an epoch-keyed
 // result cache invalidated by the next Apply, and graceful drain:

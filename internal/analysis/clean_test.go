@@ -7,8 +7,8 @@ import (
 	"gent/internal/analysis/framework"
 )
 
-// TestRepoIsGentlintClean runs the whole suite over the whole module — the
-// same sweep CI's gentlint job performs. Every finding must either be fixed
+// TestRepoIsGentlintClean runs the whole suite over the whole module, tests
+// included: it is the suite's one driver. Every finding must either be fixed
 // or carry a reviewed //lint:allow; a failure here means a new invariant
 // violation crept in.
 func TestRepoIsGentlintClean(t *testing.T) {

@@ -3,16 +3,13 @@
 // paid to learn — each analyzer encodes either a bug that shipped here or a
 // discipline whose erosion produced one.
 //
-// The suite runs from cmd/gentlint, standalone over package patterns or as
-// a go vet tool:
+// The suite runs as a test: TestRepoIsGentlintClean
+// (internal/analysis/clean_test.go) loads the whole module, tests included,
+// and fails on every finding, so `go test ./...` enforces it and
 //
-//	go build -o "$(go env GOPATH)/bin/gentlint" ./cmd/gentlint
-//	gentlint ./...
-//	go vet -vettool=$(which gentlint) ./...
+//	go test ./internal/analysis
 //
-// CI runs both drivers (the gentlint job), and
-// internal/analysis/clean_test.go pins the repo gentlint-clean from inside
-// the test suite. A finding is fixed or carries a reviewed suppression:
+// runs it alone. A finding is fixed or carries a reviewed suppression:
 //
 //	cur := l.Snapshot() //lint:allow snappin the snapshots on both sides of the Apply are what Diff compares
 //
@@ -79,8 +76,7 @@
 // self-contained reimplementation of the slice of go/analysis the suite
 // needs: a loader over `go list -export` (type-checking against build-cache
 // export data, including test-augmented package variants), an Analyzer/Pass
-// vocabulary, a diagnostics runner with directive-aware suppression, and a
-// unitchecker-protocol driver so `go vet -vettool` works. Package
-// analysistest mirrors x/tools' analysistest: testdata packages under each
-// analyzer carry `// want "regexp"` expectations.
+// vocabulary, and a diagnostics runner with directive-aware suppression.
+// Package analysistest mirrors x/tools' analysistest: testdata packages
+// under each analyzer carry `// want "regexp"` expectations.
 package analysis

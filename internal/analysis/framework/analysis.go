@@ -5,11 +5,11 @@
 // The build environment intentionally carries no third-party modules, so
 // rather than importing x/tools this package reimplements the small slice of
 // it the gentlint suite needs — the Analyzer/Pass/Diagnostic contract here
-// (analysis.go), a `go list -export`-backed package loader (load.go), a
-// runner that applies //lint:allow suppression (run.go), and the `go vet
-// -vettool` unitchecker protocol (unitchecker.go). Analyzers written against
-// it look like ordinary x/tools analyzers and could be ported to the real
-// framework by swapping imports.
+// (analysis.go), a `go list -export`-backed package loader (load.go) and a
+// runner that applies //lint:allow suppression (run.go). The module-wide
+// driver is a test (internal/analysis/clean_test.go). Analyzers written
+// against it look like ordinary x/tools analyzers and could be ported to the
+// real framework by swapping imports.
 package framework
 
 import (
@@ -23,7 +23,7 @@ import (
 
 // Analyzer describes one static check. Name is the identifier used in
 // diagnostics and in //lint:allow directives; Doc is the one-paragraph
-// human description shown by `gentlint -list`.
+// human description of the invariant it checks.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -69,13 +69,10 @@ type Diagnostic struct {
 	Analyzer string
 	Pos      token.Position
 	Message  string
-	// Suppressed marks findings covered by a //lint:allow directive; drivers
-	// keep them (for -show-suppressed and for tests) but do not fail on them.
+	// Suppressed marks findings covered by a //lint:allow directive; the
+	// runner keeps them (tests check the suppression path) but callers do
+	// not fail on them.
 	Suppressed bool
-}
-
-func (d Diagnostic) String() string {
-	return fmt.Sprintf("%s: %s (%s)", d.Pos, d.Message, d.Analyzer)
 }
 
 // Pass carries one analyzer's view of one package, plus the report sink.

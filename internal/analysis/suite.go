@@ -8,8 +8,8 @@ import (
 	"gent/internal/analysis/snappin"
 )
 
-// Suite returns the gentlint analyzers, in the order they are run and
-// listed. Each is independent; cmd/gentlint's -only flag selects subsets.
+// Suite returns the gentlint analyzers, in the order they are run. Each is
+// independent; an analyzer's own tests run it alone.
 func Suite() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		ctxflow.Analyzer,

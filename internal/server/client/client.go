@@ -141,7 +141,7 @@ func (c *Client) Reclaim(ctx context.Context, src *table.Table, opts *server.Rec
 	return &out, nil
 }
 
-// Item is one source's outcome within a batch or stream.
+// Item is one source's outcome within a stream.
 type Item struct {
 	// Index is the source's position in the request.
 	Index int
@@ -169,25 +169,12 @@ func decodeItem(wi server.StreamItem) Item {
 	return item
 }
 
-// ReclaimBatch reclaims every source, items back in input order, each
-// failing alone.
-func (c *Client) ReclaimBatch(ctx context.Context, srcs []*table.Table, opts *server.ReclaimOptions) ([]Item, error) {
-	req := server.BatchRequest{Sources: encodeSources(srcs), Options: opts}
-	var out server.BatchResponse
-	if _, err := c.do(ctx, http.MethodPost, "/v1/reclaim/batch", req, &out); err != nil {
-		return nil, err
-	}
-	items := make([]Item, 0, len(out.Items))
-	for _, wi := range out.Items {
-		items = append(items, decodeItem(wi))
-	}
-	return items, nil
-}
-
 // ReclaimStream reclaims every source and calls fn with each item as its
-// NDJSON line arrives — completion order, not input order. fn returning
-// false stops the stream (the server cancels the remaining work when the
-// connection closes).
+// NDJSON line arrives — completion order, not input order; each source fails
+// alone, as an item whose Err is set. fn returning false stops the stream
+// (the server cancels the remaining work when the connection closes). A line
+// is as long as its item: no size cap applies. A stream the server cut off
+// (a body that ends inside a chunk) is an error, never a clean end.
 func (c *Client) ReclaimStream(ctx context.Context, srcs []*table.Table, opts *server.ReclaimOptions, fn func(Item) bool) error {
 	req := server.BatchRequest{Sources: encodeSources(srcs), Options: opts}
 	b, err := json.Marshal(req)
@@ -207,25 +194,18 @@ func (c *Client) ReclaimStream(ctx context.Context, srcs []*table.Table, opts *s
 	if resp.StatusCode != http.StatusOK {
 		return decodeErrorBody(resp)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 64<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
+	dec := json.NewDecoder(resp.Body)
+	for {
 		var wi server.StreamItem
-		if err := json.Unmarshal(line, &wi); err != nil {
-			return fmt.Errorf("client: decoding stream line: %w", err)
+		if err := dec.Decode(&wi); err == io.EOF {
+			return nil
+		} else if err != nil {
+			return fmt.Errorf("client: reading stream: %w", err)
 		}
 		if !fn(decodeItem(wi)) {
 			return nil
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("client: reading stream: %w", err)
-	}
-	return nil
 }
 
 func encodeSources(srcs []*table.Table) []*server.TableJSON {

@@ -230,7 +230,7 @@ func (s *Server) handleReclaim(w http.ResponseWriter, r *http.Request) {
 	w.Write(body) //nolint:errcheck
 }
 
-// decodeBatch reads and materializes a batch request's sources.
+// decodeBatch reads and materializes a stream request's sources.
 func decodeBatch(w http.ResponseWriter, r *http.Request) (*BatchRequest, []*table.Table, bool) {
 	var req BatchRequest
 	if err := decodeJSON(w, r, &req); err != nil {
@@ -265,37 +265,6 @@ func (s *Server) batchWorkers(n int) int {
 		w = 1
 	}
 	return w
-}
-
-// handleBatch serves POST /v1/reclaim/batch: items in input order, each
-// failing alone (a keyless source is a 200 response with an error item).
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if !s.begin() {
-		s.writeError(w, ErrDraining)
-		return
-	}
-	defer s.end()
-	req, srcs, ok := decodeBatch(w, r)
-	if !ok {
-		return
-	}
-	cfg := s.queryConfig(req.Options)
-	ctx, cancel := s.requestCtx(r, req.Options)
-	defer cancel()
-	if err := s.admit.acquire(ctx); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	defer s.admit.release()
-
-	omit := req.Options != nil && req.Options.OmitTable
-	items, _ := s.session.WithConfig(cfg).ReclaimAllContext(ctx, srcs, s.batchWorkers(len(srcs)))
-	resp := BatchResponse{Items: make([]StreamItem, len(items))}
-	for i, item := range items {
-		resp.Items[i] = encodeItem(item, omit)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp) //nolint:errcheck
 }
 
 // handleStream serves POST /v1/reclaim/stream: NDJSON, one StreamItem per
@@ -336,7 +305,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// encodeItem renders one batch/stream item.
+// encodeItem renders one stream item.
 func encodeItem(item core.BatchItem, omit bool) StreamItem {
 	out := StreamItem{Index: item.Index}
 	if item.Err != nil {

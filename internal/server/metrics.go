@@ -79,7 +79,7 @@ func newMetricSet() *metricSet {
 
 // observer returns the ProgressObserver that feeds the phase histograms; one
 // observation per completed phase, tagged with the pipeline's own phase
-// names. Safe for concurrent use (batch runs interleave).
+// names. Safe for concurrent use (a stream's queries interleave).
 func (m *metricSet) observer() core.ProgressObserver {
 	return core.ObserverFunc(func(ev core.ProgressEvent) {
 		if ev.Kind != core.EventPhaseDone {

@@ -6,7 +6,6 @@
 // package puts it on a port as HTTP/JSON:
 //
 //	POST /v1/reclaim         one source  → one result
-//	POST /v1/reclaim/batch   many sources → items in input order
 //	POST /v1/reclaim/stream  many sources → NDJSON, completion order
 //	POST /v1/lake/apply      Put/Drop/Rename → new epoch
 //	POST /v1/index/save      persist the session's indexes to a directory
@@ -119,7 +118,6 @@ func New(session *core.Reclaimer, cfg Config) *Server {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/reclaim", s.instrument("reclaim", s.handleReclaim))
-	mux.HandleFunc("POST /v1/reclaim/batch", s.instrument("batch", s.handleBatch))
 	mux.HandleFunc("POST /v1/reclaim/stream", s.instrument("stream", s.handleStream))
 	mux.HandleFunc("POST /v1/lake/apply", s.instrument("apply", s.handleApply))
 	mux.HandleFunc("POST /v1/index/save", s.instrument("index_save", s.handleIndexSave))

@@ -301,10 +301,10 @@ func TestServerClampsOversizedTimeout(t *testing.T) {
 	}
 }
 
-// TestServerBatchAndStream: the batch endpoint answers in input order with
-// per-item failures; the stream endpoint delivers the same items as NDJSON
-// in completion order.
-func TestServerBatchAndStream(t *testing.T) {
+// TestServerStream: the stream endpoint delivers one NDJSON item per
+// source, in completion order, each failing alone: a keyless source is an
+// error item inside the 200 stream, and omit_table drops the rows.
+func TestServerStream(t *testing.T) {
 	src, _, c := startServer(t, server.Config{})
 	ctx := context.Background()
 
@@ -313,28 +313,12 @@ func TestServerBatchAndStream(t *testing.T) {
 	dup.AddRow(table.S("x"), table.S("y"))
 	srcs := []*table.Table{src, dup, src.Clone()}
 
-	items, err := c.ReclaimBatch(ctx, srcs, nil)
-	if err != nil {
-		t.Fatalf("batch: %v", err)
-	}
-	if len(items) != 3 {
-		t.Fatalf("batch returned %d items, want 3", len(items))
-	}
-	for i, it := range items {
-		if it.Index != i {
-			t.Errorf("item %d carries index %d — batch must answer in input order", i, it.Index)
+	items := make(map[int]client.Item)
+	err := c.ReclaimStream(ctx, srcs, &server.ReclaimOptions{OmitTable: true}, func(it client.Item) bool {
+		if _, dupIndex := items[it.Index]; dupIndex || it.Index < 0 || it.Index >= len(srcs) {
+			t.Errorf("stream item carries index %d: want each of 0..%d exactly once", it.Index, len(srcs)-1)
 		}
-	}
-	if items[0].Err != nil || items[2].Err != nil {
-		t.Errorf("clean sources failed: %v / %v", items[0].Err, items[2].Err)
-	}
-	if !errors.Is(items[1].Err, core.ErrNoKey) {
-		t.Errorf("keyless batch item err = %v, want ErrNoKey", items[1].Err)
-	}
-
-	got := map[int]bool{}
-	err = c.ReclaimStream(ctx, srcs, &server.ReclaimOptions{OmitTable: true}, func(it client.Item) bool {
-		got[it.Index] = true
+		items[it.Index] = it
 		if it.Result != nil && it.Result.Reclaimed != nil {
 			t.Error("omit_table stream item carried rows")
 		}
@@ -343,8 +327,18 @@ func TestServerBatchAndStream(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stream: %v", err)
 	}
-	if len(got) != 3 {
-		t.Fatalf("stream delivered %d items, want 3", len(got))
+	if len(items) != len(srcs) {
+		t.Fatalf("stream delivered %d distinct items, want %d", len(items), len(srcs))
+	}
+	if items[0].Err != nil || items[2].Err != nil {
+		t.Errorf("clean sources failed: %v / %v", items[0].Err, items[2].Err)
+	}
+	if !errors.Is(items[1].Err, core.ErrNoKey) {
+		t.Errorf("keyless stream item err = %v, want ErrNoKey", items[1].Err)
+	}
+	var cerr *client.Error
+	if !errors.As(items[1].Err, &cerr) || cerr.Status != http.StatusOK {
+		t.Errorf("keyless stream item err = %#v, want a *client.Error inside the 200 body", items[1].Err)
 	}
 
 	// Early stop: the client consuming one item and bailing must not error.
@@ -599,7 +593,6 @@ func TestServerRejectsTrailingBytes(t *testing.T) {
 	}
 	for _, c := range []struct{ path, body string }{
 		{"/v1/reclaim", fmt.Sprintf(`{"source": %s}`, srcJSON)},
-		{"/v1/reclaim/batch", fmt.Sprintf(`{"sources": [%s]}`, srcJSON)},
 		{"/v1/reclaim/stream", fmt.Sprintf(`{"sources": [%s]}`, srcJSON)},
 		{"/v1/index/save", fmt.Sprintf(`{"dir": %s}`, dir)},
 		{"/v1/index/load", fmt.Sprintf(`{"dir": %s}`, dir)},

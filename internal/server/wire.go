@@ -110,7 +110,7 @@ type ReclaimRequest struct {
 	Options *ReclaimOptions `json:"options,omitempty"`
 }
 
-// BatchRequest is the body of POST /v1/reclaim/batch and /v1/reclaim/stream.
+// BatchRequest is the body of POST /v1/reclaim/stream.
 type BatchRequest struct {
 	Sources []*TableJSON    `json:"sources"`
 	Options *ReclaimOptions `json:"options,omitempty"`
@@ -194,18 +194,14 @@ func EncodeResult(src string, res *core.Result, omitTable bool) *ReclaimResponse
 	return out
 }
 
-// StreamItem is one NDJSON line of POST /v1/reclaim/stream and one element
-// of a batch response: either Result or Error is set. Items stream in
-// completion order; Index correlates them with the request's sources.
+// StreamItem is one NDJSON line of POST /v1/reclaim/stream: either Result or
+// Error is set (a keyless source is an error item inside the 200 stream).
+// Items stream in completion order; Index correlates them with the
+// request's sources.
 type StreamItem struct {
 	Index  int              `json:"index"`
 	Result *ReclaimResponse `json:"result,omitempty"`
 	Error  *ErrorJSON       `json:"error,omitempty"`
-}
-
-// BatchResponse is the body of POST /v1/reclaim/batch: items in input order.
-type BatchResponse struct {
-	Items []StreamItem `json:"items"`
 }
 
 // MutationJSON is one catalog edit for POST /v1/lake/apply.
