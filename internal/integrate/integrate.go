@@ -9,7 +9,6 @@ package integrate
 
 import (
 	"context"
-	"strings"
 
 	"gent/internal/table"
 )
@@ -19,25 +18,28 @@ import (
 // Source, by one goroutine at a time.
 //
 // Every source-key decision — ProjectSelect membership, labeling slots,
-// minimal form's key groups, the guards' row grouping and scoring — goes
+// minimal form's key groups, the fold's key groups and guard scoring — goes
 // through one table.KeyIndex over the Source: a source-local key space, so
-// integration needs no value dictionary.
+// integration needs no value dictionary. ReclaimContext writes each kept
+// row once, at the Source's width and column order, and folds the tables
+// together one Source key group at a time.
 type Integrator struct {
-	src *table.Table
-	// keys numbers the Source's key tuples. labeledSrc shares the Source's
-	// row order and key cells, so keys addresses both.
+	src  *table.Table
 	keys *table.KeyIndex
-	// labeledSrc is the Source with its nulls replaced by labels, so EIS
-	// evaluation rewards preserving a correct null and penalizes filling it.
-	labeledSrc *table.Table
+	// labeled[id] is the Source's tuple of key id with its nulls replaced by
+	// labels, so EIS evaluation rewards preserving a correct null and
+	// penalizes filling it.
+	labeled []table.Row
+	// isKey flags the Source's key columns, which the guards do not score.
+	isKey []bool
 	// labels[id*len(src.Cols)+c] is the label of the (source key id, source
-	// column c) slot; 0 until first use.
-	labels  []int64
-	labelOf map[int64]bool
-	nextID  int64
-	// group is the scratch of the key grouping (KeyIndex.Groups) in
-	// MinimalForm and the guards; all zeros between calls.
-	group []int32
+	// column c) slot; 0 until first use. Labels are numbered 1..nextID.
+	labels []int64
+	nextID int64
+	// group is MinimalForm's key-grouping scratch (KeyIndex.Groups); all
+	// zeros between calls. counts is the β guard's scratch.
+	group  []int32
+	counts []int
 }
 
 // New prepares an Integrator for the given Source Table, which must have a
@@ -52,9 +54,20 @@ func NewWith(src *table.Table, dict table.Interner) *Integrator { return New(src
 // NewKeyed is New over keys, an index the caller already built over src
 // (table.NewKeyIndex(src)) and shares with the query's other layers.
 func NewKeyed(src *table.Table, keys *table.KeyIndex) *Integrator {
-	in := &Integrator{src: src, keys: keys, labelOf: make(map[int64]bool), group: make([]int32, keys.Len())}
+	in := &Integrator{src: src, keys: keys, group: make([]int32, keys.Len())}
 	in.labels = make([]int64, keys.Len()*len(src.Cols))
-	in.labeledSrc = in.labelSourceNulls(src)
+	in.isKey = make([]bool, len(src.Cols))
+	for _, k := range src.Key {
+		in.isKey[k] = true
+	}
+	in.labeled = make([]table.Row, keys.Len())
+	w := len(src.Cols)
+	cells := make([]table.Value, keys.Len()*w)
+	for id := range in.labeled {
+		r := cells[id*w : (id+1)*w : (id+1)*w]
+		copy(r, src.Rows[keys.Rep(id)])
+		in.labeled[id] = in.labelNulls(id, r)
+	}
 	return in
 }
 
@@ -66,9 +79,21 @@ func (in *Integrator) label(id, col int) table.Value {
 	if *slot == 0 {
 		in.nextID++
 		*slot = in.nextID
-		in.labelOf[in.nextID] = true
 	}
 	return table.Label(*slot)
+}
+
+// labelNulls replaces, in r (a row at the Source's width and column order),
+// every null in a slot where the Source's tuple of key id is also null with
+// that slot's label, and returns r.
+func (in *Integrator) labelNulls(id int, r table.Row) table.Row {
+	srow := in.src.Rows[in.keys.Rep(id)]
+	for c, v := range r {
+		if v.IsNull() && srow[c].IsNull() {
+			r[c] = in.label(id, c)
+		}
+	}
+	return r
 }
 
 // ProjectSelect applies Algorithm 2 line 3 to one originating table using
@@ -77,51 +102,26 @@ func (in *Integrator) label(id, col int) table.Value {
 // not carry the Source's key columns return nil — their rows can never align
 // with a Source tuple, and Expand guarantees Gen-T's originating tables
 // carry the key. It also returns nil when no row's key is the Source's.
+//
+// Rows are projected onto the Source's columns that t has, in the Source's
+// order as Table.Project does; the result has no key.
 func (in *Integrator) ProjectSelect(t *table.Table) *table.Table {
 	keyIdx, ok := in.keys.ColsIn(t)
 	if !ok {
 		return nil
 	}
-	return selectProject(in.src, in.keys, keyIdx, t)
-}
-
-// ProjectSelect is the one-shot form of Integrator.ProjectSelect for callers
-// without an Integrator; it indexes the Source's keys on every call. Unlike
-// the integrator path — Gen-T's ReclaimContext, which drops key-less
-// tables — it keeps key-less tables (projected and deduplicated), because its
-// full-disjunction consumers (ALITE-PS) can still combine them through other
-// shared columns.
-func ProjectSelect(src, t *table.Table) *table.Table {
-	if !t.HasCols(src.KeyCols()...) {
-		p := t.Project(src.Cols...)
-		if len(p.Cols) == 0 || len(p.Rows) == 0 {
-			return nil
-		}
-		p.Key = nil
-		return p.DropDuplicates()
-	}
-	keys := table.NewKeyIndex(src)
-	keyIdx, _ := keys.ColsIn(t)
-	return selectProject(src, keys, keyIdx, t)
-}
-
-// selectProject keeps the rows of t whose key tuple (at keyIdx) keys knows
-// and projects only those onto the Source's columns that t has, in the
-// Source's order as Table.Project does. The result has no key; it is nil
-// when no row is kept.
-func selectProject(src *table.Table, keys *table.KeyIndex, keyIdx []int, t *table.Table) *table.Table {
 	kept := make([]int32, 0, len(t.Rows))
 	for i, r := range t.Rows {
-		if _, ok := keys.Lookup(r, keyIdx); ok {
+		if _, ok := in.keys.Lookup(r, keyIdx); ok {
 			kept = append(kept, int32(i))
 		}
 	}
 	if len(kept) == 0 {
 		return nil
 	}
-	idx := make([]int, 0, len(src.Cols))
-	names := make([]string, 0, len(src.Cols))
-	for _, c := range src.Cols {
+	idx := make([]int, 0, len(in.src.Cols))
+	names := make([]string, 0, len(in.src.Cols))
+	for _, c := range in.src.Cols {
 		if i := t.ColIndex(c); i >= 0 {
 			idx = append(idx, i)
 			names = append(names, c)
@@ -141,148 +141,193 @@ func selectProject(src *table.Table, keys *table.KeyIndex, keyIdx []int, t *tabl
 	return sel
 }
 
+// ProjectSelect is the one-shot form of Integrator.ProjectSelect for callers
+// without an Integrator; it indexes the Source's keys on every call. Unlike
+// the integrator path — Gen-T's ReclaimContext, which drops key-less
+// tables — it keeps key-less tables (projected and deduplicated), because its
+// full-disjunction consumers (ALITE-PS) can still combine them through other
+// shared columns.
+func ProjectSelect(src, t *table.Table) *table.Table {
+	if !t.HasCols(src.KeyCols()...) {
+		p := t.Project(src.Cols...)
+		if len(p.Cols) == 0 || len(p.Rows) == 0 {
+			return nil
+		}
+		p.Key = nil
+		return p.DropDuplicates()
+	}
+	return (&Integrator{src: src, keys: table.NewKeyIndex(src)}).ProjectSelect(t)
+}
+
+// widen is ReclaimContext's ProjectSelect: it keeps the rows of t whose key
+// tuple at keyIdx is a Source key, as ProjectSelect does, but writes each
+// once, into one slab, at the Source's width and column order, with its
+// correct nulls labeled (LabelSourceNulls, line 5) in the columns t has and
+// a plain null in every column t lacks. It counts each kept row in size,
+// by key id. sig tells apart the sets of Source columns tables have, the
+// grouping InnerUnion (line 4) goes by.
+func (in *Integrator) widen(t *table.Table, keyIdx []int, size []int) (rows []table.Row, sig string) {
+	w := len(in.src.Cols)
+	at, has := make([]int, w), make([]byte, w) // t's column of each Source column, -1 if none
+	for c, name := range in.src.Cols {
+		if at[c] = t.ColIndex(name); at[c] >= 0 {
+			has[c] = 1
+		}
+	}
+	ids, n := make([]int32, len(t.Rows)), 0
+	for i, r := range t.Rows {
+		id, ok := in.keys.Lookup(r, keyIdx) // -1 when !ok
+		if ids[i] = int32(id); ok {
+			size[id]++
+			n++
+		}
+	}
+	cells, rows := make([]table.Value, n*w), make([]table.Row, 0, n)
+	for i, r := range t.Rows {
+		id := int(ids[i])
+		if id < 0 {
+			continue
+		}
+		k, srow := len(rows), in.src.Rows[in.keys.Rep(id)]
+		nr := cells[k*w : (k+1)*w : (k+1)*w]
+		for c, j := range at {
+			switch {
+			case j < 0:
+			case r[j].IsNull() && srow[c].IsNull():
+				nr[c] = in.label(id, c)
+			default:
+				nr[c] = r[j]
+			}
+		}
+		rows = append(rows, nr)
+	}
+	return rows, string(has)
+}
+
 // ReclaimContext integrates the originating tables into a possible reclaimed
 // Source Table with exactly the Source's schema. Cancellation is checked
 // before each originating table's ProjectSelect and before each step of the
 // outer-union fold (the integration loop's per-table guarded merge is the
 // expensive unit of work), returning ctx.Err() with a nil table.
+//
+// The fold (lines 7–13) keeps the accumulator as Source key groups: each
+// step appends the next table's rows to the groups of their keys (a new
+// group goes last, in first-seen order), labels the correct nulls in the
+// columns the table lacks, and runs the Figure 5 guards (reduce) on the
+// groups it touched — every group of the first table. This is the
+// step-by-step fold of Algorithm 2, which outer-unions the whole
+// accumulator, relabels the nulls ⊎ introduces and runs each guard over
+// every group, row for row and in order:
+//
+//   - Every row joins the fold at the Source's width with all its correct
+//     nulls labeled. A column c that no table folded so far has holds, in
+//     every row of key group id, the same cell: label (id, c) where the
+//     Source's tuple is null, a null elsewhere (a κ merge of two such rows
+//     holds it too). κ and β compare rows of one group, whose key cells
+//     already share a non-null value (Equal key cells) or already disagree
+//     (a respelling such as S("7.0") beside N(7), or NaN), so a cell all
+//     rows hold alike changes no Complements or Subsumes verdict; it adds
+//     the same to every row's NonNullCount, and to every row's guard score
+//     and every merge's, so no comparison moves; and it never tells two
+//     rows apart. Once a folded table has c, ⊎ pads the rows without it
+//     with nulls that the relabeling turns into exactly these cells.
+//   - Rows of different key groups never interact: the guards and the
+//     deduplications work within one group, a κ merge keeps the earlier
+//     row's key cells, and rows equal under Row.Key share their key's value
+//     classes, hence their group.
+//   - A group the step does not touch holds what its last reduce left.
+//     Reducing it again changes nothing: κ had no pair left that its guard
+//     accepts and deduplication and β only dropped rows since, so κ merges
+//     nothing and no two rows are equal; β's survivors are a subset of the
+//     rows that were alive when each survivor was visited, none of which
+//     subsumed it under the guard, so β drops nothing.
+//
+// Per-table minimal form (line 6) sees a table's rows with a plain null in
+// every column the table lacks: a cell null in every row changes none of
+// κ's, β's or deduplication's verdicts, even where MinimalForm reduces the
+// table whole (a non-finite key) and rows of different key groups meet. A
+// label there could: N(NaN) and S("NaN") are Equal but key different
+// groups, whose labels differ.
 func (in *Integrator) ReclaimContext(ctx context.Context, origs []*table.Table) (*table.Table, error) {
 	src := in.src
 
-	// ProjectSelect (line 3): keep only Source columns and rows whose key
-	// values appear in the Source. Gen-T's originating tables carry the
-	// Source key (Expand guarantees it), so key-less leftovers — whose
-	// tuples could never align — come back nil and are dropped here.
-	kept := make([]*table.Table, 0, len(origs))
+	// ProjectSelect (line 3) and InnerUnion (line 4): keep only Source
+	// columns and rows whose key values appear in the Source, and
+	// concatenate tables with the same Source columns. Gen-T's originating
+	// tables carry the Source key (Expand guarantees it); key-less
+	// leftovers, whose tuples could never align, are dropped here.
+	var parts [][]table.Row
+	part := make(map[string]int)
+	size, total := make([]int, in.keys.Len()), 0 // each key's rows bound its group
 	for _, t := range origs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if sel := in.ProjectSelect(t); sel != nil {
-			kept = append(kept, sel)
+		keyIdx, ok := in.keys.ColsIn(t)
+		if !ok {
+			continue
+		}
+		rows, sig := in.widen(t, keyIdx, size)
+		total += len(rows)
+		switch p, ok := part[sig]; {
+		case len(rows) == 0:
+		case ok:
+			parts[p] = append(parts[p], rows...)
+		default:
+			part[sig] = len(parts)
+			parts = append(parts, rows)
 		}
 	}
-	if len(kept) == 0 {
-		out := table.New("reclaimed")
-		return out.PadNullColumns(src.Cols), nil
+	if len(parts) == 0 {
+		return table.New("reclaimed").PadNullColumns(src.Cols), nil
 	}
 
-	// InnerUnion (line 4): merge tables with identical column-name sets.
-	unioned := innerUnionGroups(kept)
-
-	// LabelSourceNulls (line 5) and TakeMinimalForm (line 6). Grouped by
-	// the Source's key ids, MinimalForm reduces one source-key group at a
-	// time: every row's key is a Source key after ProjectSelect.
-	for i, t := range unioned {
-		labeled := in.labelSourceNulls(t)
-		labeled.Key, _ = in.keys.ColsIn(labeled)
-		unioned[i] = table.MinimalForm(labeled, in.keys, in.group)
+	// TakeMinimalForm (line 6) per table, grouped by the Source's key ids,
+	// then the integration loop (lines 7–13); see the doc comment.
+	// Groups never grow past their key's rows, so they share one slab.
+	groups, slab := make([][]table.Row, len(size)), make([]table.Row, total)
+	for id, n := range size {
+		groups[id], slab = slab[:0:n], slab[n:]
 	}
-
-	// Integration loop (lines 7–13): outer union one table at a time, then
-	// apply complementation and subsumption under the Figure 5 guard — a
-	// merge or removal happens only when it does not reduce the affected
-	// tuple's error-aware similarity to its Source tuple. After each union
-	// the accumulator is relabeled: ⊎ introduces nulls for columns a side
-	// lacked, and where the Source is also null those are "correct nulls"
-	// that must not be filled by a later complementation. Labeling is
-	// idempotent — each (key, column) slot has one stable label.
-	acc := unioned[0]
-	for _, t := range unioned[1:] {
+	var order, hit []int
+	touched := make([]int, len(size)) // the last step (from 1) to touch each group
+	for step, rows := range parts {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		acc = in.labelSourceNulls(table.OuterUnion(acc, t))
-		acc = in.guardedComplement(acc)
-		acc = in.guardedSubsume(acc)
-	}
-	if len(unioned) == 1 {
-		acc = in.labelSourceNulls(acc)
-		acc = in.guardedComplement(acc)
-		acc = in.guardedSubsume(acc)
-	}
-
-	// RemoveLabeledNulls (line 14) and schema padding (lines 15–16) in one
-	// pass: every tuple is rebuilt in the Source's column order, null in a
-	// column no originating table had and wherever it holds a label. Rows
-	// that turn out equal are then dropped, first occurrences kept.
-	out := table.New("reclaimed:"+src.Name, src.Cols...)
-	at := make([]int, len(src.Cols))
-	for i, name := range src.Cols {
-		at[i] = acc.ColIndex(name)
-	}
-	out.Rows = make([]table.Row, 0, len(acc.Rows))
-	for _, r := range acc.Rows {
-		nr := make(table.Row, len(at)) // all table.Null, the zero Value
-		for i, j := range at {
-			if j >= 0 && !(r[j].Kind == table.KindLabel && in.labelOf[r[j].ID]) {
-				nr[i] = r[j]
+		mf := table.MinimalForm(&table.Table{Cols: src.Cols, Key: src.Key, Rows: rows}, in.keys, in.group)
+		hit = hit[:0]
+		for _, r := range mf.Rows {
+			id, _ := in.keys.Lookup(r, src.Key) // a Source key: widen kept only those
+			if len(groups[id]) == 0 {
+				order = append(order, id)
 			}
+			if touched[id] != step+1 {
+				touched[id] = step + 1
+				hit = append(hit, id)
+			}
+			groups[id] = append(groups[id], in.labelNulls(id, r))
 		}
-		out.Rows = append(out.Rows, nr)
+		for _, id := range hit {
+			groups[id] = in.reduce(in.labeled[id], groups[id])
+		}
 	}
-	return out.DropDuplicates(), nil
-}
 
-// labelSourceNulls replaces, in t, every null that sits in a slot where the
-// Source is also null (same key, same column) with that slot's unique label.
-// Only rows it labels are copied; the others are shared with t.
-func (in *Integrator) labelSourceNulls(t *table.Table) *table.Table {
-	src := in.src
-	keyIdx, _ := in.keys.ColsIn(t) // nil matches no row: nothing is labeled
-	srcColOf := make([]int, len(t.Cols))
-	for i, name := range t.Cols {
-		srcColOf[i] = src.ColIndex(name)
-	}
-	out := table.New(t.Name, t.Cols...)
-	out.Key = append([]int(nil), t.Key...)
-	out.Rows = make([]table.Row, 0, len(t.Rows))
-	for _, r := range t.Rows {
-		if id, ok := in.keys.Lookup(r, keyIdx); ok {
-			srow := src.Rows[in.keys.Rep(id)]
-			copied := false
-			for i, v := range r {
-				if sc := srcColOf[i]; sc >= 0 && v.IsNull() && srow[sc].IsNull() {
-					if !copied {
-						r, copied = r.Clone(), true
-					}
-					r[i] = in.label(id, sc)
+	// RemoveLabeledNulls (line 14) in place, and deduplication: rows that
+	// turn out equal share a group. Every row already has the Source's
+	// columns (lines 15–16).
+	out := table.New("reclaimed:"+src.Name, src.Cols...)
+	out.Rows = make([]table.Row, 0, total)
+	for _, id := range order {
+		grp := groups[id]
+		for _, r := range grp {
+			for c, v := range r {
+				if v.Kind == table.KindLabel && v.ID >= 1 && v.ID <= in.nextID {
+					r[c] = table.Null
 				}
 			}
 		}
-		out.Rows = append(out.Rows, r)
+		out.Rows = append(out.Rows, distinct(grp)...)
 	}
-	return out
-}
-
-// innerUnionGroups unions tables with identical column-name sets, reducing
-// the integration space (Algorithm 2 line 4).
-func innerUnionGroups(ts []*table.Table) []*table.Table {
-	groups := make(map[string]*table.Table)
-	var order []string
-	for _, t := range ts {
-		sig := schemaSignature(t)
-		if have, ok := groups[sig]; ok {
-			groups[sig] = table.InnerUnion(have, t)
-		} else {
-			groups[sig] = t
-			order = append(order, sig)
-		}
-	}
-	out := make([]*table.Table, 0, len(order))
-	for _, sig := range order {
-		out = append(out, groups[sig])
-	}
-	return out
-}
-
-func schemaSignature(t *table.Table) string {
-	cols := append([]string(nil), t.Cols...)
-	// Column order is irrelevant to inner union, so the signature sorts.
-	for i := 1; i < len(cols); i++ {
-		for j := i; j > 0 && cols[j] < cols[j-1]; j-- {
-			cols[j], cols[j-1] = cols[j-1], cols[j]
-		}
-	}
-	return strings.Join(cols, "\x01")
+	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"gent/internal/table"
@@ -77,5 +78,60 @@ func BenchmarkReclaimScaling(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/key")
 		})
+	}
+}
+
+// TestFoldAllocatesOncePerRow integrates 8 originating tables over disjoint
+// key ranges, each lacking a different one of the Source's 8 value columns
+// (so no two inner-union), and the same rows as one table with a null where
+// a row's table lacked the column. Each row is written once and each fold
+// step reduces only the key groups its table touches, so the 8-table run
+// allocates about what the one-table run does, not a copy of the whole
+// accumulator per step.
+func TestFoldAllocatesOncePerRow(t *testing.T) {
+	const parts, perPart = 8, 100
+	cols := []string{"k", "c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7"}
+	src := table.New("S", cols...)
+	src.Key = []int{0}
+	whole := table.New("whole", cols...)
+	var origs []*table.Table
+	for p := 0; p < parts; p++ {
+		lacks := cols[1+p]
+		o := table.New(fmt.Sprintf("O%d", p))
+		for _, c := range cols {
+			if c != lacks {
+				o.Cols = append(o.Cols, c)
+			}
+		}
+		for r := p * perPart; r < (p+1)*perPart; r++ {
+			key := table.S(fmt.Sprintf("key%d", r))
+			srow, wrow, orow := table.Row{key}, table.Row{key}, table.Row{key}
+			for _, c := range cols[1:] {
+				v := table.S(fmt.Sprintf("v%d_%s", r, c))
+				srow = append(srow, v)
+				if c == lacks {
+					wrow = append(wrow, table.Null)
+					continue
+				}
+				wrow, orow = append(wrow, v), append(orow, v)
+			}
+			src.Rows, whole.Rows, o.Rows = append(src.Rows, srow), append(whole.Rows, wrow), append(o.Rows, orow)
+		}
+		origs = append(origs, o)
+	}
+	allocated := func(origs []*table.Table) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 5; i++ {
+			reclaim(t, New(src), origs)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	one, eight := allocated([]*table.Table{whole}), allocated(origs)
+	if ratio := float64(eight) / float64(one); ratio >= 1.5 {
+		t.Errorf("8 tables allocate %d B, one table %d B: ratio %.2f, want under 1.5", eight, one, ratio)
+	} else {
+		t.Logf("8 tables allocate %d B, one table %d B: ratio %.2f", eight, one, ratio)
 	}
 }

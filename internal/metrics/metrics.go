@@ -29,8 +29,10 @@ type Alignment struct {
 	Reclaimed *table.Table
 	// Keys numbers S's key tuples; Keys.RowIDs()[i] is source row i's id.
 	Keys *table.KeyIndex
-	// ByKey[id] lists the reclaimed rows sharing S's key tuple id.
+	// ByKey[id] lists the reclaimed rows sharing S's key tuple id; loose
+	// lists the others (a null key cell, or a key S lacks).
 	ByKey [][]table.Row
+	loose []table.Row
 	// KeyIdx marks which column positions are key attributes.
 	KeyIdx map[int]bool
 	// NonKey is the number of non-key attributes (n in Definition 4).
@@ -68,6 +70,8 @@ func align(s *table.Table, keys *table.KeyIndex, t *table.Table) *Alignment {
 	for _, r := range reshaped.Rows {
 		if id, ok := a.Keys.Lookup(r, s.Key); ok {
 			a.ByKey[id] = append(a.ByKey[id], r)
+		} else {
+			a.loose = append(a.loose, r)
 		}
 	}
 	return a
@@ -175,30 +179,48 @@ func instanceSimilarityOf(a *Alignment) float64 {
 }
 
 // recallPrecisionOf returns the TDR-derived Rec = |S∩Ŝ|/|S| and Pre =
-// |S∩Ŝ|/|Ŝ| over distinct whole tuples (Ŝ reshaped to S's schema first).
-// An empty reclaimed table has precision 0.
+// |S∩Ŝ|/|Ŝ| over distinct whole tuples (Ŝ reshaped to S's schema first),
+// equal when their Row.Key strings are (table.SameRow). Equal tuples share
+// their key's value classes, so a reclaimed tuple is compared within its
+// ByKey group, or, if S's index cannot place it, with the Source's tuples
+// that have a null key cell. An empty reclaimed table has precision 0.
 func recallPrecisionOf(a *Alignment) (rec, pre float64) {
-	sSet := make(map[string]bool, len(a.Source.Rows))
-	for _, r := range a.Source.Rows {
-		sSet[r.Key()] = true
+	in := func(grp []table.Row, r table.Row) bool {
+		return slices.ContainsFunc(grp, func(q table.Row) bool { return table.SameRow(q, r) })
 	}
-	tSet := make(map[string]bool, len(a.Reclaimed.Rows))
-	for _, r := range a.Reclaimed.Rows {
-		tSet[r.Key()] = true
-	}
-	inter := 0
-	for k := range sSet {
-		if tSet[k] {
+	s := a.Source.DropDuplicates().Rows
+	var loose []table.Row // the Source's tuples with a null key cell
+	inter, nT := 0, 0
+	for _, r := range s {
+		if id, ok := a.Keys.Lookup(r, a.Source.Key); !ok {
+			loose = append(loose, r)
+		} else if in(a.ByKey[id], r) {
 			inter++
 		}
 	}
-	if len(sSet) > 0 {
-		rec = float64(inter) / float64(len(sSet))
+	for _, grp := range a.ByKey {
+		for k, r := range grp {
+			if !in(grp[:k], r) {
+				nT++
+			}
+		}
 	}
-	if len(tSet) > 0 {
-		pre = float64(inter) / float64(len(tSet))
+	if len(a.loose) > 0 {
+		t := distinct(a.loose)
+		nT, inter = nT+t, inter+len(loose)+t-distinct(append(loose, a.loose...))
+	}
+	if len(s) > 0 {
+		rec = float64(inter) / float64(len(s))
+	}
+	if nT > 0 {
+		pre = float64(inter) / float64(nT)
 	}
 	return rec, pre
+}
+
+// distinct counts rows under Row.Key equality, by row hash.
+func distinct(rows []table.Row) int {
+	return len((&table.Table{Rows: rows}).DropDuplicates().Rows)
 }
 
 // F1 combines recall and precision; 0 when both are 0.

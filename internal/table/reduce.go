@@ -16,7 +16,7 @@ type reducer struct {
 }
 
 // rowSeed seeds rowHash. Any seed gives the same result: distinct confirms
-// every hash match with sameRow.
+// every hash match with SameRow.
 var rowSeed = maphash.MakeSeed()
 
 // rowHash hashes r's cells by value class (entryOf), so that rows whose
@@ -37,9 +37,10 @@ var rowHash = func(r Row) uint64 {
 	return h.Sum64()
 }
 
-// sameRow reports whether two rows of one table agree cell by cell under
-// Value.Key equality, that is whether their Row.Key strings are equal.
-func sameRow(a, b Row) bool {
+// SameRow reports whether two rows of the same width agree cell by cell
+// under Value.Key equality, that is whether their Row.Key strings are
+// equal, without building them.
+func SameRow(a, b Row) bool {
 	for i, v := range a {
 		if entryOf(v) != entryOf(b[i]) {
 			return false
@@ -62,7 +63,7 @@ func (x *reducer) distinct(rows []Row, at []int) []int {
 		h := rowHash(rows[i])
 		head := last[h]
 		k := head
-		for k != 0 && !sameRow(rows[out[k-1]], rows[i]) {
+		for k != 0 && !SameRow(rows[out[k-1]], rows[i]) {
 			k = prev[k-1]
 		}
 		if k == 0 {
