@@ -33,9 +33,8 @@ func oracleReclaim(in *Integrator, origs []*table.Table) *table.Table {
 	}
 	unioned := oracleInnerUnionGroups(kept)
 	for i, t := range unioned {
-		labeled := oracleLabelSourceNulls(in, t)
-		labeled.Key, _ = in.keys.ColsIn(labeled)
-		unioned[i] = table.MinimalForm(labeled, in.keys, in.group)
+		// Minimal form of the whole table, unpartitioned.
+		unioned[i] = table.Subsume(table.Complement(oracleLabelSourceNulls(in, t)))
 	}
 	acc := unioned[0]
 	for _, t := range unioned[1:] {
@@ -151,9 +150,10 @@ func (g *oracleGuards) e(srcColOf []int, isKey []bool, srow, r table.Row) float6
 	return float64(alpha-delta) / float64(nonKey)
 }
 
-// reduceGroups runs reduce on each source-key group of t's rows
-// (KeyIndex.Groups) with the group's labeled Source row and its scorer, and
-// returns the rows reduce returns, group after group, without duplicates.
+// reduceGroups runs reduce on each source-key group of t's rows (looked up
+// row by row, groups in first-seen order) with the group's labeled Source
+// row and its scorer, and returns the rows reduce returns, group after
+// group, without duplicates.
 func (g *oracleGuards) reduceGroups(t *table.Table, reduce func(e func(srow, r table.Row) float64, srow table.Row, grp []table.Row) []table.Row) *table.Table {
 	in := g.in
 	keyIdx, _ := in.keys.ColsIn(t)
@@ -166,15 +166,18 @@ func (g *oracleGuards) reduceGroups(t *table.Table, reduce func(e func(srow, r t
 		isKey[k] = true
 	}
 	e := func(srow, r table.Row) float64 { return g.e(srcColOf, isKey, srow, r) }
-	pos, ids, ends := in.keys.Groups(t.Rows, keyIdx, in.group)
-	rows := make([]table.Row, len(pos))
-	for i, p := range pos {
-		rows[p] = t.Rows[i]
+	var ids []int // -1 groups the rows no Source key places
+	byID := make(map[int][]table.Row)
+	for _, r := range t.Rows {
+		id, _ := in.keys.Lookup(r, keyIdx)
+		if _, seen := byID[id]; !seen {
+			ids = append(ids, id)
+		}
+		byID[id] = append(byID[id], r)
 	}
-	out, start := rows[:0], 0
-	for k, id := range ids {
-		grp := rows[start:ends[k]]
-		start = ends[k]
+	var out []table.Row
+	for _, id := range ids {
+		grp := byID[id]
 		if id >= 0 {
 			grp = reduce(e, g.labeledSrc.Rows[in.keys.Rep(id)], grp)
 		}
@@ -397,7 +400,7 @@ func foldCases() map[string]foldCase {
 		return t
 	}
 	return map[string]foldCase{
-		// A NaN key sends MinimalForm to reduce the table whole, where the
+		// A NaN key sends minimal form to reduce the table whole, where the
 		// N(NaN) row meets the S("NaN") row: the column b the table lacks
 		// must not tell them apart there.
 		"nan key beside its text": {
@@ -412,6 +415,34 @@ func foldCases() map[string]foldCase {
 		"figure 5":  {source(), []*table.Table{candA(), candB(), candC()}},
 		"one table": {source(), []*table.Table{candC()}},
 		"no table":  {source(), nil},
+		// A's first p row is subsumed by its last, with a q row between
+		// them: p joins the output after q. A's r rows repeat one row before
+		// a complementing pair.
+		"new group order follows its first surviving row": {
+			mk("S", []int{0}, []string{"k", "a", "b", "c"},
+				table.Row{k("p"), k("a1"), k("b1"), table.Null}, table.Row{k("q"), k("a2"), k("b2"), k("c2")},
+				table.Row{k("r"), k("a3"), k("b3"), k("c3")}),
+			[]*table.Table{
+				mk("A", nil, []string{"k", "a", "b"},
+					table.Row{k("p"), k("a1"), table.Null}, table.Row{k("q"), k("a2"), k("b2")}, table.Row{k("p"), k("a1"), k("b1")},
+					table.Row{k("r"), k("zz"), table.Null}, table.Row{k("r"), k("zz"), table.Null},
+					table.Row{k("r"), k("a3"), table.Null}, table.Row{k("r"), table.Null, k("b3")}),
+				mk("B", nil, []string{"k", "c"}, table.Row{k("r"), k("c3")}, table.Row{k("p"), table.Null}, table.Row{k("s"), k("c4")}),
+			},
+		},
+		// A's κ merge repeats its third row; left in, the repeat would
+		// merge with B's second row, which the first one's merge with B's
+		// first row disagrees with.
+		"a merge that repeats a row": {
+			mk("S", []int{0}, []string{"k", "a", "b", "c", "d", "e"},
+				table.Row{k("p"), k("a1"), k("b1"), k("c1"), k("d1"), k("e1")}),
+			[]*table.Table{
+				mk("A", nil, []string{"k", "a", "b"},
+					table.Row{k("p"), k("a1"), table.Null}, table.Row{k("p"), table.Null, k("b1")}, table.Row{k("p"), k("a1"), k("b1")}),
+				mk("B", nil, []string{"k", "c", "d", "e"},
+					table.Row{k("p"), k("c1"), table.Null, table.Null}, table.Row{k("p"), k("c2"), k("d1"), k("e1")}),
+			},
+		},
 		// Groups the second table does not touch keep their rows.
 		"untouched groups": {
 			mk("S", []int{0}, []string{"k", "a", "b", "c"},
@@ -450,8 +481,9 @@ func checkFoldTrials(t *testing.T, trials int) {
 var rowHash func(table.Row) uint64
 
 // TestFoldMatchesOracleUnderHashCollisions makes every row hash alike in
-// package table, so that every deduplication by hash (MinimalForm's, the
-// oracle's) must tell rows apart along one chain, and runs the trials again.
+// package table, so that every deduplication by hash (the oracle's, and the
+// fold's where it reduces a table whole) must tell rows apart along one
+// chain, and runs the trials again.
 func TestFoldMatchesOracleUnderHashCollisions(t *testing.T) {
 	defer func(h func(table.Row) uint64) { rowHash = h }(rowHash)
 	rowHash = func(table.Row) uint64 { return 0 }

@@ -9,6 +9,8 @@ package integrate
 
 import (
 	"context"
+	"math"
+	"slices"
 
 	"gent/internal/table"
 )
@@ -17,12 +19,12 @@ import (
 // is stateful for label identities, so one Integrator must be used for one
 // Source, by one goroutine at a time.
 //
-// Every source-key decision — ProjectSelect membership, labeling slots,
-// minimal form's key groups, the fold's key groups and guard scoring — goes
-// through one table.KeyIndex over the Source: a source-local key space, so
-// integration needs no value dictionary. ReclaimContext writes each kept
-// row once, at the Source's width and column order, and folds the tables
-// together one Source key group at a time.
+// Every source-key decision — ProjectSelect membership, labeling slots, the
+// fold's key groups and guard scoring — goes through one table.KeyIndex over
+// the Source: a source-local key space, so integration needs no value
+// dictionary. ReclaimContext writes each kept row once, at the Source's width
+// and column order, and takes it to minimal form and folds it in one Source
+// key group at a time.
 type Integrator struct {
 	src  *table.Table
 	keys *table.KeyIndex
@@ -36,9 +38,7 @@ type Integrator struct {
 	// column c) slot; 0 until first use. Labels are numbered 1..nextID.
 	labels []int64
 	nextID int64
-	// group is MinimalForm's key-grouping scratch (KeyIndex.Groups); all
-	// zeros between calls. counts is the β guard's scratch.
-	group  []int32
+	// counts is β's scratch.
 	counts []int
 }
 
@@ -54,7 +54,7 @@ func NewWith(src *table.Table, dict table.Interner) *Integrator { return New(src
 // NewKeyed is New over keys, an index the caller already built over src
 // (table.NewKeyIndex(src)) and shares with the query's other layers.
 func NewKeyed(src *table.Table, keys *table.KeyIndex) *Integrator {
-	in := &Integrator{src: src, keys: keys, group: make([]int32, keys.Len())}
+	in := &Integrator{src: src, keys: keys}
 	in.labels = make([]int64, keys.Len()*len(src.Cols))
 	in.isKey = make([]bool, len(src.Cols))
 	for _, k := range src.Key {
@@ -163,10 +163,10 @@ func ProjectSelect(src, t *table.Table) *table.Table {
 // tuple at keyIdx is a Source key, as ProjectSelect does, but writes each
 // once, into one slab, at the Source's width and column order, with its
 // correct nulls labeled (LabelSourceNulls, line 5) in the columns t has and
-// a plain null in every column t lacks. It counts each kept row in size,
-// by key id. sig tells apart the sets of Source columns tables have, the
-// grouping InnerUnion (line 4) goes by.
-func (in *Integrator) widen(t *table.Table, keyIdx []int, size []int) (rows []table.Row, sig string) {
+// a plain null in every column t lacks. ids[i] is rows[i]'s key id, and size
+// counts each kept row by key id. sig tells apart the sets of Source columns
+// tables have, the grouping InnerUnion (line 4) goes by.
+func (in *Integrator) widen(t *table.Table, keyIdx []int, size []int) (rows []table.Row, ids []int32, sig string) {
 	w := len(in.src.Cols)
 	at, has := make([]int, w), make([]byte, w) // t's column of each Source column, -1 if none
 	for c, name := range in.src.Cols {
@@ -189,6 +189,7 @@ func (in *Integrator) widen(t *table.Table, keyIdx []int, size []int) (rows []ta
 			continue
 		}
 		k, srow := len(rows), in.src.Rows[in.keys.Rep(id)]
+		ids[k] = int32(id) // k <= i: the kept rows' ids close up in place
 		nr := cells[k*w : (k+1)*w : (k+1)*w]
 		for c, j := range at {
 			switch {
@@ -201,7 +202,15 @@ func (in *Integrator) widen(t *table.Table, keyIdx []int, size []int) (rows []ta
 		}
 		rows = append(rows, nr)
 	}
-	return rows, string(has)
+	return rows, ids[:n], string(has)
+}
+
+// nonFiniteKey reports whether a key cell of r, a row at the Source's width,
+// is a non-finite number.
+func (in *Integrator) nonFiniteKey(r table.Row) bool {
+	return slices.ContainsFunc(in.src.Key, func(k int) bool {
+		return r[k].Kind == table.KindNumber && (math.IsNaN(r[k].Num) || math.IsInf(r[k].Num, 0))
+	})
 }
 
 // ReclaimContext integrates the originating tables into a possible reclaimed
@@ -210,15 +219,33 @@ func (in *Integrator) widen(t *table.Table, keyIdx []int, size []int) (rows []ta
 // outer-union fold (the integration loop's per-table guarded merge is the
 // expensive unit of work), returning ctx.Err() with a nil table.
 //
-// The fold (lines 7–13) keeps the accumulator as Source key groups: each
-// step appends the next table's rows to the groups of their keys (a new
-// group goes last, in first-seen order), labels the correct nulls in the
-// columns the table lacks, and runs the Figure 5 guards (reduce) on the
-// groups it touched — every group of the first table. This is the
-// step-by-step fold of Algorithm 2, which outer-unions the whole
-// accumulator, relabels the nulls ⊎ introduces and runs each guard over
-// every group, row for row and in order:
+// Minimal form (line 6) and the fold (lines 7–13) run on Source key groups.
+// Each step appends the next table's rows to the groups of their keys, takes
+// each touched group's new rows to minimal form (minimalForm), labels their
+// correct nulls in the columns the table lacks, and runs the Figure 5 guards
+// (reduce) on the touched groups that held rows before. A group new to the
+// step joins the output order where its first surviving row sits in the
+// table. This is Algorithm 2 as written — minimal form of each whole table,
+// then a fold that outer-unions the whole accumulator, relabels the nulls ⊎
+// introduces and runs each guard over every group — row for row and in
+// order:
 //
+//   - Minimal form by key group is minimal form of the table. Rows
+//     complement or subsume only when they are Equal on every cell both
+//     hold, and Value.Equal implies equal Value.Key, so rows of different
+//     key groups never interact, and equal rows share a group. The one
+//     exception is a non-finite number, which is Equal to its text ("NaN",
+//     "+Inf") as a string of another key: a table with such a key cell is
+//     reduced whole (table.Complement, then table.Subsume) and each
+//     survivor's key is looked up again. Nor does the split change the
+//     order: every row keeps its place, a κ merge is written into the
+//     earlier row, and the survivors stay in table order, as the
+//     whole-table pass leaves them.
+//   - One κ pass and then one β pass reach minimal form's fixpoint, the
+//     precondition of the representative-operators theorem (Theorem 8: no
+//     duplicate, complementing or subsumed pair). κ leaves no complementing
+//     pair, β only removes rows, which creates none, and β drops every row
+//     that a row surviving it subsumes.
 //   - Every row joins the fold at the Source's width with all its correct
 //     nulls labeled. A column c that no table folded so far has holds, in
 //     every row of key group id, the same cell: label (id, c) where the
@@ -231,23 +258,27 @@ func (in *Integrator) widen(t *table.Table, keyIdx []int, size []int) (rows []ta
 //     and every merge's, so no comparison moves; and it never tells two
 //     rows apart. Once a folded table has c, ⊎ pads the rows without it
 //     with nulls that the relabeling turns into exactly these cells.
-//   - Rows of different key groups never interact: the guards and the
-//     deduplications work within one group, a κ merge keeps the earlier
-//     row's key cells, and rows equal under Row.Key share their key's value
-//     classes, hence their group.
+//     Minimal form sees a plain null in every column the table lacks, a
+//     cell null in every row, which changes none of its verdicts even where
+//     a table is reduced whole and rows of different key groups meet. A
+//     label there could: N(NaN) and S("NaN") are Equal but key different
+//     groups, whose labels differ.
+//   - Rows of different key groups never interact in the fold: the guards
+//     and the deduplications work within one group, a κ merge keeps the
+//     earlier row's key cells, and rows equal under Row.Key share their
+//     key's value classes, hence their group.
 //   - A group the step does not touch holds what its last reduce left.
 //     Reducing it again changes nothing: κ had no pair left that its guard
 //     accepts and deduplication and β only dropped rows since, so κ merges
 //     nothing and no two rows are equal; β's survivors are a subset of the
 //     rows that were alive when each survivor was visited, none of which
 //     subsumed it under the guard, so β drops nothing.
-//
-// Per-table minimal form (line 6) sees a table's rows with a plain null in
-// every column the table lacks: a cell null in every row changes none of
-// κ's, β's or deduplication's verdicts, even where MinimalForm reduces the
-// table whole (a non-finite key) and rows of different key groups meet. A
-// label there could: N(NaN) and S("NaN") are Equal but key different
-// groups, whose labels differ.
+//   - A group the step creates holds rows of one table only, a subset of
+//     its minimal form, so no two of them are equal, complement or subsume,
+//     and labeling the columns the table lacks gives them all the same cell
+//     there. Guarded κ merges nothing, deduplication and guarded β drop
+//     nothing, so reduce is skipped on it — on every group of the first
+//     table.
 func (in *Integrator) ReclaimContext(ctx context.Context, origs []*table.Table) (*table.Table, error) {
 	src := in.src
 
@@ -257,6 +288,7 @@ func (in *Integrator) ReclaimContext(ctx context.Context, origs []*table.Table) 
 	// tables carry the Source key (Expand guarantees it); key-less
 	// leftovers, whose tuples could never align, are dropped here.
 	var parts [][]table.Row
+	var partIDs [][]int32 // each part row's key id
 	part := make(map[string]int)
 	size, total := make([]int, in.keys.Len()), 0 // each key's rows bound its group
 	for _, t := range origs {
@@ -267,49 +299,72 @@ func (in *Integrator) ReclaimContext(ctx context.Context, origs []*table.Table) 
 		if !ok {
 			continue
 		}
-		rows, sig := in.widen(t, keyIdx, size)
+		rows, ids, sig := in.widen(t, keyIdx, size)
 		total += len(rows)
 		switch p, ok := part[sig]; {
 		case len(rows) == 0:
 		case ok:
-			parts[p] = append(parts[p], rows...)
+			parts[p], partIDs[p] = append(parts[p], rows...), append(partIDs[p], ids...)
 		default:
 			part[sig] = len(parts)
-			parts = append(parts, rows)
+			parts, partIDs = append(parts, rows), append(partIDs, ids)
 		}
 	}
 	if len(parts) == 0 {
 		return table.New("reclaimed").PadNullColumns(src.Cols), nil
 	}
 
-	// TakeMinimalForm (line 6) per table, grouped by the Source's key ids,
-	// then the integration loop (lines 7–13); see the doc comment.
-	// Groups never grow past their key's rows, so they share one slab.
+	// TakeMinimalForm (line 6) and the integration loop (lines 7–13), one
+	// key group at a time; see the doc comment. Groups never grow past their
+	// key's rows, so they share one slab.
 	groups, slab := make([][]table.Row, len(size)), make([]table.Row, total)
 	for id, n := range size {
 		groups[id], slab = slab[:0:n], slab[n:]
 	}
-	var order, hit []int
-	touched := make([]int, len(size)) // the last step (from 1) to touch each group
+	var order, hit []int32
+	start := make([]int, len(size)) // 1 + where a touched group's new rows start; 0 between steps
 	for step, rows := range parts {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		mf := table.MinimalForm(&table.Table{Cols: src.Cols, Key: src.Key, Rows: rows}, in.keys, in.group)
-		hit = hit[:0]
-		for _, r := range mf.Rows {
-			id, _ := in.keys.Lookup(r, src.Key) // a Source key: widen kept only those
-			if len(groups[id]) == 0 {
-				order = append(order, id)
+		ids := partIDs[step]
+		if slices.ContainsFunc(rows, in.nonFiniteKey) { // minimal form of the whole table
+			rows = table.Subsume(table.Complement(&table.Table{Cols: src.Cols, Rows: rows})).Rows
+			ids = ids[:len(rows)]
+			for i, r := range rows {
+				id, _ := in.keys.Lookup(r, src.Key) // a Source key: a merge keeps its earlier row's
+				ids[i] = int32(id)
 			}
-			if touched[id] != step+1 {
-				touched[id] = step + 1
+		}
+		hit = hit[:0]
+		for i, id := range ids {
+			if start[id] == 0 {
+				start[id] = len(groups[id]) + 1
 				hit = append(hit, id)
 			}
-			groups[id] = append(groups[id], in.labelNulls(id, r))
+			groups[id] = append(groups[id], rows[i])
 		}
 		for _, id := range hit {
-			groups[id] = in.reduce(in.labeled[id], groups[id])
+			grp, s := groups[id], start[id]-1
+			grp = grp[:s+len(in.minimalForm(grp[s:]))]
+			for _, r := range grp[s:] {
+				in.labelNulls(int(id), r)
+			}
+			if s > 0 {
+				grp = in.reduce(in.labeled[id], grp)
+			}
+			groups[id] = grp
+		}
+		// A group new to this step joins the output order where its first
+		// surviving row sits in the table. Minimal form and labelNulls write
+		// rows in place, so that survivor is one of rows itself.
+		for i, r := range rows {
+			if id := ids[i]; start[id] == 1 && &groups[id][0][0] == &r[0] {
+				order = append(order, id)
+			}
+		}
+		for _, id := range hit {
+			start[id] = 0
 		}
 	}
 

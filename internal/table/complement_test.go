@@ -72,17 +72,6 @@ func TestComplementLeavesNoComplementingPair(t *testing.T) {
 	}
 }
 
-func TestMinimalFormIdempotent(t *testing.T) {
-	prop := func(a randTable) bool {
-		once := ownMinimalForm(a.T)
-		twice := ownMinimalForm(once)
-		return EqualRows(once, twice)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestComplementClosureKeepsAllMerges(t *testing.T) {
 	// Two tuples complement the same partner: the pairwise-replace κ loses
 	// one combination, the closure keeps both.

@@ -113,58 +113,6 @@ func (x *KeyIndex) Lookup(r Row, keyCols []int) (int, bool) {
 	return id, true
 }
 
-// Groups partitions rows by the id x gives their key tuple at keyCols
-// (Lookup): groups in first-seen order, rows in their order within a group.
-// Every row x does not index — a null key cell or a tuple x lacks — falls in
-// one more group, with id -1, placed where its first row is seen. It returns
-// where each row goes when the rows are laid out group by group (pos[i] for
-// rows[i]), and each group's id and end in that layout: group g takes
-// positions ends[g-1] to ends[g]-1, from 0 for the first. group is the
-// caller's scratch, x.Len() long and all zeros; Groups leaves it so.
-func (x *KeyIndex) Groups(rows []Row, keyCols []int, group []int32) (pos []int32, ids, ends []int) {
-	// group[id] is 1 + the group of id, 0 while unseen; pos[i] is first row
-	// i's group, and ends[g] counts group g's rows.
-	pos = make([]int32, len(rows))
-	// One allocation: at most one group per row.
-	buf := make([]int, 2*len(rows))
-	ids, ends = buf[:0:len(rows)], buf[len(rows):len(rows)]
-	pass := int32(-1)
-	for i, r := range rows {
-		id, ok := x.Lookup(r, keyCols)
-		switch {
-		case ok && group[id] > 0:
-			pos[i] = group[id] - 1
-		case !ok && pass >= 0:
-			pos[i] = pass
-		default:
-			pos[i] = int32(len(ids))
-			ids, ends = append(ids, id), append(ends, 0)
-			if ok {
-				group[id] = pos[i] + 1
-			} else {
-				pass = pos[i]
-			}
-		}
-		ends[pos[i]]++
-	}
-	// ends[g] becomes where group g starts, then, as its rows are placed,
-	// where it ends.
-	at := 0
-	for g, id := range ids {
-		n := ends[g]
-		ends[g] = at
-		at += n
-		if id >= 0 {
-			group[id] = 0
-		}
-	}
-	for i, g := range pos {
-		pos[i] = int32(ends[g])
-		ends[g]++
-	}
-	return pos, ids, ends
-}
-
 // ColsIn returns the positions in t of the indexed table's key columns, by
 // name and in key order — the keyCols Lookup takes for t's rows; ok is false
 // when t lacks one of them.

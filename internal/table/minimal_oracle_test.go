@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
-// The unpartitioned κ, β and minimal form as they were before MinimalForm
-// split tables by key and rows were told apart by hashes of their value
-// classes: whole-table fixpoints over Row.Key deduplication. They are the oracle the production
-// forms must reproduce row for row.
+// κ, β and minimal form as they were before rows were told apart by hashes
+// of their value classes: whole-table fixpoints over Row.Key deduplication.
+// They are the oracle the production forms must reproduce row for row.
 
 func complementOracle(t *Table) *Table {
 	rows := make([]Row, 0, len(t.Rows))
@@ -156,28 +154,18 @@ func sameTable(got, want *Table) string {
 	return ""
 }
 
-// checkReductions holds MinimalForm, Complement, Subsume and DropDuplicates
-// on tab to their oracles, cell for cell and in order, and checks that tab
-// itself is left as it was. MinimalForm groups through three indexes: tab's
-// own, and two Sources' (sourceFor): one holding every key tuple of tab, one
-// holding only those of its even rows, so that odd rows are likely absent.
+// checkReductions holds Complement, Subsume, DropDuplicates and minimal
+// form (Subsume after Complement: one κ pass, then one β pass) on tab to
+// their oracles, cell for cell and in order, and checks that tab itself is
+// left as it was.
 func checkReductions(t *testing.T, tab *Table) {
 	t.Helper()
 	before := tab.Clone()
-	byIndex := func(x func(*Table) *KeyIndex) func(*Table) *Table {
-		return func(tab *Table) *Table { return minimalFormBy(t, tab, x(tab)) }
-	}
 	for _, c := range []struct {
 		name      string
 		got, want func(*Table) *Table
 	}{
-		{"MinimalForm", byIndex(NewKeyIndex), minimalFormOracle},
-		{"MinimalForm by a Source of every key", byIndex(func(tab *Table) *KeyIndex {
-			return NewKeyIndex(sourceFor(tab, func(int) bool { return true }))
-		}), minimalFormOracle},
-		{"MinimalForm by a Source of the even rows' keys", byIndex(func(tab *Table) *KeyIndex {
-			return NewKeyIndex(sourceFor(tab, func(i int) bool { return i%2 == 0 }))
-		}), minimalFormOracle},
+		{"minimal form", func(tab *Table) *Table { return Subsume(Complement(tab)) }, minimalFormOracle},
 		{"Complement", Complement, complementOracle},
 		{"Subsume", Subsume, subsumeOracle},
 		{"DropDuplicates", (*Table).DropDuplicates, dropDuplicatesOracle},
@@ -189,57 +177,6 @@ func checkReductions(t *testing.T, tab *Table) {
 	if diff := sameTable(tab, before); diff != "" {
 		t.Fatalf("input changed: %s", diff)
 	}
-}
-
-// minimalFormBy is MinimalForm grouping through x with fresh scratch, which
-// it checks MinimalForm leaves all zeros.
-func minimalFormBy(t *testing.T, tab *Table, x *KeyIndex) *Table {
-	t.Helper()
-	group := make([]int32, x.Len())
-	out := MinimalForm(tab, x, group)
-	if slices.ContainsFunc(group, func(g int32) bool { return g != 0 }) {
-		t.Fatalf("MinimalForm left its group scratch dirty: %v", group)
-	}
-	return out
-}
-
-// ownMinimalForm is MinimalForm grouping through tab's own key index.
-func ownMinimalForm(tab *Table) *Table {
-	x := NewKeyIndex(tab)
-	return MinimalForm(tab, x, make([]int32, x.Len()))
-}
-
-// sourceFor builds a Source for tab: keyed on tab's key columns (same names,
-// same key order) laid out in reverse behind an extra column, holding the
-// key tuples of tab's rows i with keep(i) — null cells included, so such a
-// tuple indexes nothing — and one tuple tab never holds.
-func sourceFor(tab *Table, keep func(i int) bool) *Table {
-	names := tab.KeyCols()
-	cols := []string{"src extra"}
-	for i := len(names) - 1; i >= 0; i-- {
-		cols = append(cols, names[i])
-	}
-	src := New("S", cols...)
-	for _, name := range names {
-		src.Key = append(src.Key, src.ColIndex(name))
-	}
-	foreign := make(Row, len(cols))
-	for _, k := range src.Key {
-		foreign[k] = S("\x00not in tab")
-	}
-	src.Rows = append(src.Rows, foreign)
-	for i, r := range tab.Rows {
-		if !keep(i) {
-			continue
-		}
-		sr := make(Row, len(cols))
-		sr[0] = S("s")
-		for p, k := range tab.Key {
-			sr[src.Key[p]] = r[k]
-		}
-		src.Rows = append(src.Rows, sr)
-	}
-	return src
 }
 
 // minimalPool is the non-key cell pool: few distinct values and many nulls,
@@ -274,9 +211,9 @@ func minimalTable(pick func(n int) int, rows, arity, extra, width int, nullKeys 
 	return tab
 }
 
-// TestMinimalFormMatchesUnpartitioned is the partitioned minimal form's
-// specification: hand-built edge cases, then random keyed tables of arity 1
-// and 5 over Value.Key's hard cases.
+// TestMinimalFormMatchesUnpartitioned is the reductions' specification:
+// hand-built edge cases, then random keyed tables of arity 1 and 5 over
+// Value.Key's hard cases.
 func TestMinimalFormMatchesUnpartitioned(t *testing.T) {
 	k := func(s string) Value { return S(s) }
 	cases := map[string]*Table{}
@@ -344,43 +281,10 @@ func TestReductionsUnderHashCollisions(t *testing.T) {
 	}
 }
 
-// TestKeyGroupsSplitsByKey checks that a clean keyed table is in fact
-// reduced group by group, through its own index or a Source's, and that a
-// null key cell, a non-finite number in a key cell, a key tuple the index
-// lacks or a missing key leaves the table whole.
-func TestKeyGroupsSplitsByKey(t *testing.T) {
-	tab := New("t", "k", "a")
-	tab.Key = []int{0}
-	tab.Rows = []Row{{S("p"), S("x")}, {S("q"), S("x")}, {Parse("1.0"), S("y")}, {S("p"), S("z")}, {N(1), S("w")}}
-	src := New("S", "b", "k")
-	src.Key = []int{1}
-	src.Rows = []Row{{S("b"), S("1")}, {S("b"), S("q")}, {S("b"), S("r")}, {S("b"), S("p")}}
-	for name, x := range map[string]*KeyIndex{"own": NewKeyIndex(tab), "source": NewKeyIndex(src)} {
-		if got := fmt.Sprint(keyGroups(tab, x, slots(5), make([]int32, x.Len()))); got != "[[0 3] [1] [2 4]]" {
-			t.Errorf("%s index: keyGroups = %s, want [[0 3] [1] [2 4]]", name, got)
-		}
-	}
-	for _, v := range []Value{Null, N(math.NaN()), N(math.Inf(-1))} {
-		odd := tab.Clone()
-		odd.Rows[2][0] = v
-		if got := keyGroups(odd, NewKeyIndex(odd), slots(5), make([]int32, 5)); len(got) != 1 {
-			t.Errorf("key cell %#v: %d groups, want the whole table", v, len(got))
-		}
-	}
-	lacking := NewKeyIndex(src.Select(func(_ *Table, r Row) bool { return r[1].Str != "q" }))
-	if got := keyGroups(tab, lacking, slots(5), make([]int32, lacking.Len())); len(got) != 1 {
-		t.Errorf("a key the Source lacks: %d groups, want the whole table", len(got))
-	}
-	tab.Key = nil
-	if got := keyGroups(tab, NewKeyIndex(tab), slots(5), nil); len(got) != 1 {
-		t.Errorf("keyless table: %d groups, want 1", len(got))
-	}
-}
-
-// FuzzMinimalFormParity holds the partitioned minimal form (and κ, β and
-// deduplication) to the unpartitioned oracle on fuzzed keyed tables: data
-// drives the shape, the key subset and every cell's pick.
-func FuzzMinimalFormParity(f *testing.F) {
+// FuzzReductionsParity holds κ, β, deduplication and minimal form to their
+// oracles on fuzzed keyed tables: data drives the shape, the key subset and
+// every cell's pick.
+func FuzzReductionsParity(f *testing.F) {
 	f.Add([]byte{0, 1, 4, 0, 5, 9, 9, 1, 2, 3, 3, 0, 0, 6, 7, 1, 1, 2, 2, 0, 12, 4, 4, 5})
 	f.Add([]byte{4, 2, 3, 10, 11, 30, 0, 1, 0, 1, 2, 3, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 15, 14})
 	f.Add([]byte{1, 0x81, 2, 1, 0, 3, 3, 1, 1, 2, 2, 0, 1, 0, 1})

@@ -97,11 +97,8 @@ func (t *Table) Rename(mapping map[string]string) *Table {
 // DropDuplicates removes duplicate rows, keeping first occurrences (and so
 // their spellings) in order. The result shares t's surviving rows.
 func (t *Table) DropDuplicates() *Table {
-	out := New(t.Name, t.Cols...)
-	out.Key = append([]int(nil), t.Key...)
-	for _, i := range new(reducer).distinct(t.Rows, slots(len(t.Rows))) {
-		out.Rows = append(out.Rows, t.Rows[i])
-	}
+	out := t.view(0)
+	out.Rows = distinct(out.Rows)
 	return out
 }
 

@@ -27,34 +27,33 @@ func Subsume(t *Table) *Table {
 	// Deduplicate first; β removes duplicates implicitly (a duplicate is the
 	// degenerate "equal on all shared non-nulls, nothing extra" case the
 	// paper folds into minimal form).
-	x := new(reducer)
-	return reduced(t, t.Rows, x.subsume(t.Rows, x.distinct(t.Rows, slots(len(t.Rows)))))
+	out := t.view(0)
+	out.Rows = subsume(distinct(out.Rows))
+	return out
 }
 
-// subsume applies β to the distinct rows at the ascending slots at, visiting
-// them in slot order: a row is dropped when a row not yet dropped subsumes
-// it. Only a row with strictly more non-null cells can subsume another, so a
-// pair is compared only when its count says it might; a dropped row's count
-// is set to -1, which also rules it out as a subsumer. It returns the
-// surviving slots, ascending.
-func (x *reducer) subsume(rows []Row, at []int) []int {
-	counts := x.counts[:0]
-	for _, i := range at {
-		counts = append(counts, rows[i].NonNullCount())
+// subsume applies β to distinct rows in place, visiting them in order: a row
+// is dropped when a row not yet dropped subsumes it. Only a row with strictly
+// more non-null cells can subsume another, so a pair is compared only when
+// its count says it might; a dropped row's count is set to -1, which also
+// rules it out as a subsumer.
+func subsume(rows []Row) []Row {
+	counts := make([]int, len(rows))
+	for i, r := range rows {
+		counts[i] = r.NonNullCount()
 	}
-	x.counts = counts
-	for a, i := range at {
-		for b, j := range at {
-			if counts[b] > counts[a] && Subsumes(rows[j], rows[i]) {
+	for a := range rows {
+		for b := range rows {
+			if counts[b] > counts[a] && Subsumes(rows[b], rows[a]) {
 				counts[a] = -1
 				break
 			}
 		}
 	}
-	out := at[:0]
-	for a, i := range at {
+	out := rows[:0]
+	for a, r := range rows {
 		if counts[a] >= 0 {
-			out = append(out, i)
+			out = append(out, r)
 		}
 	}
 	return out

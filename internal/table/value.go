@@ -11,10 +11,9 @@
 // Rows are values: no operator writes a Row it did not build. An operator
 // that changes a cell builds a new Row (κ's merged tuples among them), and
 // one that re-lists rows — Rename, InnerUnion, PadNullColumns with nothing
-// to pad, DropDuplicates, Subsume, Complement, MinimalForm — returns a view:
-// a table with its own Cols, Key and Rows slices over the same Row values.
-// A view can be reordered or extended without touching the table
-// it came from. Rows a lake holds are shared with every query this way and
+// to pad, DropDuplicates, Subsume, Complement — returns a view: a table
+// with its own Cols, Key and Rows slices over the same Row values. A view
+// can be reordered or extended without touching the table it came from. Rows a lake holds are shared with every query this way and
 // are read-only; a caller that writes cells takes a Clone first.
 package table
 
