@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"slices"
 	"sort"
 
 	"gent/internal/index"
@@ -140,9 +139,9 @@ type perColumnCandidate struct {
 }
 
 // SetSimilarity implements Algorithm 3: per-Source-column overlap search,
-// diversification, aligned-tuple verification, subsumed-candidate removal
-// and schema-matching renames. The returned candidates are ranked by their
-// averaged (diversified) overlap scores.
+// diversification, schema-matching renames (which imply the aligned-tuple
+// check, see assemble) and subsumed-candidate removal. The returned
+// candidates are ranked by their averaged (diversified) overlap scores.
 //
 // ix may index a superset of pool — a shared whole-lake index while the LSH
 // first stage restricts pool, or a persisted index that has outlived table
@@ -151,17 +150,17 @@ type perColumnCandidate struct {
 // pool-only index.
 //
 // ix must be keyed under the pool's own value dictionary: every set
-// operation (probing, diversification, rename matching, aligned-tuple
-// verification, subsumption) runs on interned ID sets. An index keyed under
-// another dictionary yields no candidates here; the context entry points
-// report it as an error wrapping lake.ErrDictMismatch.
+// operation (probing, diversification, rename matching, subsumption) runs
+// on interned ID sets. An index keyed under another dictionary yields no
+// candidates here; the context entry points report it as an error wrapping
+// lake.ErrDictMismatch.
 func SetSimilarity(pool *lake.Lake, ix *index.Inverted, src *table.Table, opts Options) []*Candidate {
 	cands, _ := setSimilarityContext(context.Background(), pool.Snapshot(), ix, src, opts)
 	return cands
 }
 
 // setSimilarityContext is SetSimilarity under a context; cancellation
-// preempts the per-column probe loop and the per-table verification scan.
+// preempts the per-column probe loop and the per-table assembly loop.
 func setSimilarityContext(ctx context.Context, pool *lake.Snapshot, ix *index.Inverted, src *table.Table, opts Options) ([]*Candidate, error) {
 	if ix.Dict() != pool.Dict() {
 		return nil, fmt.Errorf("discovery: %w: inverted index is keyed under a different dictionary than the lake's",
@@ -250,8 +249,9 @@ func setSimilarityContext(ctx context.Context, pool *lake.Snapshot, ix *index.In
 		return order[i].name < order[j].name
 	})
 
-	// Alignment verification, renaming, and candidate assembly. Each table's
-	// verification rescans its rows, so this loop is preemptible too.
+	// Renaming and candidate assembly. Each table's rename matching
+	// intersects its columns with the Source's, so this loop is preemptible
+	// too.
 	cands := make([]*Candidate, 0, len(order))
 	for _, rt := range order {
 		if err := ctx.Err(); err != nil {
@@ -322,8 +322,19 @@ func (s *idSets) prevOverlap(prev, cur perColumnCandidate) float64 {
 	return colOverlapIDs(s.colIDs(prev.tableName, prev.col), curIDs)
 }
 
-// assemble schema-matches and verifies one ranked pool table, returning its
-// candidate (Score left for the caller) or ok=false to drop it.
+// assemble schema-matches one ranked pool table, returning its candidate
+// (Score left for the caller) or ok=false to drop it: a table none of whose
+// matched Source columns holds a value.
+//
+// That one condition is Algorithm 3's row check (lines 11–14), which keeps
+// the rows whose matched-column values appear in the Source and passes the
+// table when, over those rows, some matched column still covers at least τ
+// of its Source column's distinct values. A row holding a Source value in
+// matched column c is such a row, so c covers |distinct(c) ∩ Source column|
+// of them: the containment renameToSourceIDs matched c by, which is ≥ τ.
+// The check therefore passes every table with a matched Source column that
+// has a value, and fails one whose matched Source columns are all null,
+// which only τ ≤ 0 can match.
 func (s *idSets) assemble(name string) (*Candidate, bool) {
 	t := s.pool.Get(name)
 	if t == nil {
@@ -331,10 +342,11 @@ func (s *idSets) assemble(name string) (*Candidate, bool) {
 	}
 	it := s.pool.Interned(name)
 	renamed, matched := renameToSourceIDs(t, it, s.q, s.src, s.tau)
-	if len(matched) == 0 {
-		return nil, false
+	valued := false
+	for sName := range matched {
+		valued = valued || len(s.q.ColumnIDs(s.src.ColIndex(sName))) > 0
 	}
-	if !alignedTuplesQualifyIDs(it, s.q, s.src, matched, s.tau) {
+	if !valued {
 		return nil, false
 	}
 	return &Candidate{Table: renamed, Sources: []string{name}, form: it.Retargeted(renamed), dict: s.pool.Dict()}, true
@@ -501,58 +513,4 @@ func renameToSourceIDs(t *table.Table, it, q *table.Interned, src *table.Table, 
 		}
 	}
 	return t.Rename(rename), matched
-}
-
-// alignedTuplesQualifyIDs implements Algorithm 3 lines 11–14: keep only rows
-// of the candidate whose matched-column values appear in the Source, and
-// verify that within those rows at least one matched column still overlaps
-// the Source column above τ. The candidate's interned form it is row-aligned
-// with the (renamed) candidate, so membership checks read precomputed IDs:
-// a cell is found in the Source column's sorted distinct ID set by binary
-// search, and the aligned values of a column are marked by their position
-// in that set.
-func alignedTuplesQualifyIDs(it, q *table.Interned, src *table.Table, matched map[string]int, tau float64) bool {
-	type mc struct {
-		tCol int
-		set  []uint32 // the Source column's sorted distinct IDs
-		hit  []bool   // hit[i]: set[i] occurs in an aligned row
-	}
-	mcs := make([]mc, 0, len(matched))
-	for sName, tCol := range matched {
-		set := q.ColumnIDs(src.ColIndex(sName))
-		mcs = append(mcs, mc{tCol, set, make([]bool, len(set))})
-	}
-	// pos[i] is row ri's position in mcs[i].set, -1 when absent or null.
-	pos := make([]int, len(mcs))
-	for ri := 0; ri < len(it.Table.Rows); ri++ {
-		aligned := false
-		for i, m := range mcs {
-			pos[i] = -1
-			if id := it.Cols[m.tCol][ri]; id != table.NullID {
-				if p, ok := slices.BinarySearch(m.set, id); ok {
-					pos[i], aligned = p, true
-				}
-			}
-		}
-		if !aligned {
-			continue
-		}
-		for i, p := range pos {
-			if p >= 0 {
-				mcs[i].hit[p] = true
-			}
-		}
-	}
-	for _, m := range mcs {
-		n := 0
-		for _, h := range m.hit {
-			if h {
-				n++
-			}
-		}
-		if len(m.set) > 0 && float64(n)/float64(len(m.set)) >= tau {
-			return true
-		}
-	}
-	return false
 }

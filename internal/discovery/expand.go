@@ -21,12 +21,12 @@ import (
 // can never be aligned.
 //
 // Expand runs on interned IDs: edge weights, join matches and key coverage
-// compare dictionary IDs, which is Value.Key equality (numeric respellings
-// match, nulls never join). A candidate discovery assembled carries its
-// row-aligned interned form and the dictionary it was interned under; the
-// Source, and any candidate carrying no form (or a form under another
-// dictionary), is interned through one query-scoped overlay of that
-// dictionary, so IDs from two dictionaries never meet.
+// compare dictionary IDs, which is Value.Equal (numeric respellings match,
+// nulls never join). A candidate discovery assembled carries its row-aligned
+// interned form and the dictionary it was interned under; the Source, and
+// any candidate carrying no form (or a form under another dictionary), is
+// interned through one query-scoped overlay of that dictionary, so IDs from
+// two dictionaries never meet.
 //
 // The path search builds only the joins it extends. A path prefix is held
 // as row-index tuples. A step that completes the key ends its path (a leaf),

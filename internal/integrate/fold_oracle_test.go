@@ -295,9 +295,9 @@ func checkFold(t *testing.T, src *table.Table, origs []*table.Table) {
 	}
 }
 
-// parityKeys are key cells that are Equal without sharing a value class
-// (a non-finite number and its text), share a class without being Equal
-// (respelled numbers), or are not Equal to themselves (NaN).
+// parityKeys are key cells in several spellings of one value class
+// (respelled numbers, ±0) beside classes that only their text tells apart
+// (a non-finite number and its text).
 var parityKeys = []table.Value{
 	table.S("k1"), table.S("k2"), table.N(7), table.S("7"), table.S("7.0"), table.Parse("7.00"),
 	table.N(math.NaN()), table.S("NaN"), table.N(math.Inf(1)), table.S("+Inf"),
@@ -400,9 +400,9 @@ func foldCases() map[string]foldCase {
 		return t
 	}
 	return map[string]foldCase{
-		// A NaN key sends minimal form to reduce the table whole, where the
-		// N(NaN) row meets the S("NaN") row: the column b the table lacks
-		// must not tell them apart there.
+		// N(NaN) and S("NaN") are keys of different groups: A's two rows
+		// sit in different groups and must neither complement nor subsume,
+		// and B's S("NaN") row must fold into the second group only.
 		"nan key beside its text": {
 			mk("S", []int{0}, []string{"k", "a", "b"},
 				table.Row{n(math.NaN()), k("a1"), table.Null}, table.Row{k("NaN"), k("a2"), k("b2")}),

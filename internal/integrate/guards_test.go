@@ -27,7 +27,7 @@ func guardGroup(t *testing.T, in *Integrator, rows ...table.Row) (table.Row, []t
 	for _, r := range rows {
 		in.labelNulls(id, r)
 	}
-	return in.labeled[id], rows
+	return in.labeledRow(id), rows
 }
 
 func TestScorerE(t *testing.T) {

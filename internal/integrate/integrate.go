@@ -9,7 +9,6 @@ package integrate
 
 import (
 	"context"
-	"math"
 	"slices"
 
 	"gent/internal/table"
@@ -30,7 +29,8 @@ type Integrator struct {
 	keys *table.KeyIndex
 	// labeled[id] is the Source's tuple of key id with its nulls replaced by
 	// labels, so EIS evaluation rewards preserving a correct null and
-	// penalizes filling it.
+	// penalizes filling it; nil until the guards first score group id
+	// (labeledRow).
 	labeled []table.Row
 	// isKey flags the Source's key columns, which the guards do not score.
 	isKey []bool
@@ -61,14 +61,16 @@ func NewKeyed(src *table.Table, keys *table.KeyIndex) *Integrator {
 		in.isKey[k] = true
 	}
 	in.labeled = make([]table.Row, keys.Len())
-	w := len(src.Cols)
-	cells := make([]table.Value, keys.Len()*w)
-	for id := range in.labeled {
-		r := cells[id*w : (id+1)*w : (id+1)*w]
-		copy(r, src.Rows[keys.Rep(id)])
-		in.labeled[id] = in.labelNulls(id, r)
-	}
 	return in
+}
+
+// labeledRow returns labeled[id], building it on first use: only the groups
+// that reach the guarded reduce read it.
+func (in *Integrator) labeledRow(id int) table.Row {
+	if in.labeled[id] == nil {
+		in.labeled[id] = in.labelNulls(id, slices.Clone(in.src.Rows[in.keys.Rep(id)]))
+	}
+	return in.labeled[id]
 }
 
 // label returns the stable label for a (source key id, source column) slot:
@@ -205,14 +207,6 @@ func (in *Integrator) widen(t *table.Table, keyIdx []int, size []int) (rows []ta
 	return rows, ids[:n], string(has)
 }
 
-// nonFiniteKey reports whether a key cell of r, a row at the Source's width,
-// is a non-finite number.
-func (in *Integrator) nonFiniteKey(r table.Row) bool {
-	return slices.ContainsFunc(in.src.Key, func(k int) bool {
-		return r[k].Kind == table.KindNumber && (math.IsNaN(r[k].Num) || math.IsInf(r[k].Num, 0))
-	})
-}
-
 // ReclaimContext integrates the originating tables into a possible reclaimed
 // Source Table with exactly the Source's schema. Cancellation is checked
 // before each originating table's ProjectSelect and before each step of the
@@ -232,15 +226,11 @@ func (in *Integrator) nonFiniteKey(r table.Row) bool {
 //
 //   - Minimal form by key group is minimal form of the table. Rows
 //     complement or subsume only when they are Equal on every cell both
-//     hold, and Value.Equal implies equal Value.Key, so rows of different
-//     key groups never interact, and equal rows share a group. The one
-//     exception is a non-finite number, which is Equal to its text ("NaN",
-//     "+Inf") as a string of another key: a table with such a key cell is
-//     reduced whole (table.Complement, then table.Subsume) and each
-//     survivor's key is looked up again. Nor does the split change the
-//     order: every row keeps its place, a κ merge is written into the
-//     earlier row, and the survivors stay in table order, as the
-//     whole-table pass leaves them.
+//     hold, and Value.Equal is Value.Key equality, so rows of different
+//     key groups never interact, and equal rows share a group. Nor does the
+//     split change the order: every row keeps its place, a κ merge is
+//     written into the earlier row, and the survivors stay in table order,
+//     as the whole-table pass leaves them.
 //   - One κ pass and then one β pass reach minimal form's fixpoint, the
 //     precondition of the representative-operators theorem (Theorem 8: no
 //     duplicate, complementing or subsumed pair). κ leaves no complementing
@@ -251,18 +241,13 @@ func (in *Integrator) nonFiniteKey(r table.Row) bool {
 //     every row of key group id, the same cell: label (id, c) where the
 //     Source's tuple is null, a null elsewhere (a κ merge of two such rows
 //     holds it too). κ and β compare rows of one group, whose key cells
-//     already share a non-null value (Equal key cells) or already disagree
-//     (a respelling such as S("7.0") beside N(7), or NaN), so a cell all
-//     rows hold alike changes no Complements or Subsumes verdict; it adds
-//     the same to every row's NonNullCount, and to every row's guard score
-//     and every merge's, so no comparison moves; and it never tells two
-//     rows apart. Once a folded table has c, ⊎ pads the rows without it
+//     already share a non-null value, so a cell all rows hold alike changes
+//     no Complements or Subsumes verdict; it adds the same to every row's
+//     NonNullCount, and to every row's guard score and every merge's, so no
+//     comparison moves; and it never tells two rows apart. Once a folded table has c, ⊎ pads the rows without it
 //     with nulls that the relabeling turns into exactly these cells.
 //     Minimal form sees a plain null in every column the table lacks, a
-//     cell null in every row, which changes none of its verdicts even where
-//     a table is reduced whole and rows of different key groups meet. A
-//     label there could: N(NaN) and S("NaN") are Equal but key different
-//     groups, whose labels differ.
+//     cell null in every row, which changes none of its verdicts.
 //   - Rows of different key groups never interact in the fold: the guards
 //     and the deduplications work within one group, a κ merge keeps the
 //     earlier row's key cells, and rows equal under Row.Key share their
@@ -328,14 +313,6 @@ func (in *Integrator) ReclaimContext(ctx context.Context, origs []*table.Table) 
 			return nil, err
 		}
 		ids := partIDs[step]
-		if slices.ContainsFunc(rows, in.nonFiniteKey) { // minimal form of the whole table
-			rows = table.Subsume(table.Complement(&table.Table{Cols: src.Cols, Rows: rows})).Rows
-			ids = ids[:len(rows)]
-			for i, r := range rows {
-				id, _ := in.keys.Lookup(r, src.Key) // a Source key: a merge keeps its earlier row's
-				ids[i] = int32(id)
-			}
-		}
 		hit = hit[:0]
 		for i, id := range ids {
 			if start[id] == 0 {
@@ -351,7 +328,7 @@ func (in *Integrator) ReclaimContext(ctx context.Context, origs []*table.Table) 
 				in.labelNulls(int(id), r)
 			}
 			if s > 0 {
-				grp = in.reduce(in.labeled[id], grp)
+				grp = in.reduce(in.labeledRow(int(id)), grp)
 			}
 			groups[id] = grp
 		}

@@ -25,11 +25,12 @@ const NullID uint32 = 0
 //     never reused, reassigned or removed — interning is append-only, so an
 //     ID observed by any reader keeps meaning the same value for the life of
 //     the Dict and of every snapshot persisted from it.
-//   - Two values receive the same ID exactly when their canonical keys
-//     (Value.Key) are equal: numeric-text strings collapse onto their number
-//     (as Key does), ±0 share one entry, and all NaNs share one entry. ID
-//     equality is therefore Key-string equality, which is what lets the
-//     ID-based pipelines reproduce the string-based reference bit for bit.
+//   - Two values receive the same ID exactly when they are Equal, that is
+//     when their canonical keys (Value.Key) are equal: numeric-text strings
+//     collapse onto their number, ±0 share one entry, and all NaNs share
+//     one entry. ID equality is therefore Value.Equal and Key-string
+//     equality at once, which is what lets the ID-based pipelines reproduce
+//     the Value-based reference bit for bit.
 //     entryOf forms the class and a classIndex numbers it, the same pair an
 //     Overlay, PreInternTable and KeyIndex number values with.
 //   - NullID (0) is reserved for ⊥ and never assigned.
@@ -65,8 +66,8 @@ func NewDict() *Dict {
 	return &Dict{idx: newClassIndex(0, 0, 0)}
 }
 
-// canonicalBits collapses floats onto Key()'s equivalence classes: ±0 share
-// one representation and so do all NaN payloads.
+// canonicalBits collapses floats onto Equal's and Key's equivalence
+// classes: ±0 share one representation and so do all NaN payloads.
 func canonicalBits(f float64) uint64 {
 	if f == 0 {
 		return 0
@@ -78,8 +79,9 @@ func canonicalBits(f float64) uint64 {
 }
 
 // entryOf maps a value to its class, applying the same equivalence classes
-// as Value.Key: the dictionary entry form of a non-null value, and the zero
-// entry (KindNull), which no dictionary holds, for a null.
+// as Value.Equal and Value.Key: the dictionary entry form of a non-null
+// value, and the zero entry (KindNull), which no dictionary holds, for a
+// null.
 func entryOf(v Value) DictEntry {
 	switch v.Kind {
 	case KindNull:

@@ -27,12 +27,12 @@ var rowHash = func(r Row) uint64 {
 	return h.Sum64()
 }
 
-// SameRow reports whether two rows of the same width agree cell by cell
-// under Value.Key equality, that is whether their Row.Key strings are
-// equal, without building them.
+// SameRow reports whether two rows of the same width are Equal cell by
+// cell, that is whether their Row.Key strings are equal, without building
+// them.
 func SameRow(a, b Row) bool {
 	for i, v := range a {
-		if entryOf(v) != entryOf(b[i]) {
+		if !v.Equal(b[i]) {
 			return false
 		}
 	}

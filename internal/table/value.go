@@ -5,8 +5,11 @@
 // complementation (κ), the join family, cross product and full disjunction.
 //
 // Value comparison is syntactic, as in the paper: two cells are equal when
-// their canonical forms match. Numbers carry a parsed float alongside the
-// canonical string so numeric selections remain possible.
+// their canonical forms match. There is one equality, which Value.Equal,
+// Value.Key and the dictionary's IDs all carry: numeric text equals its
+// number, ±0 is one value, all NaNs are one value, and any other text equals
+// only itself. Numbers carry a parsed float alongside the canonical string so
+// numeric selections remain possible.
 //
 // Rows are values: no operator writes a Row it did not build. An operator
 // that changes a cell builds a new Row (κ's merged tuples among them), and
@@ -83,15 +86,25 @@ func formatNum(f float64) string {
 // syntactic equality and are rejected, so they stay KindString.
 //
 // The screen before ParseFloat also rejects what its grammar never accepts —
-// a sign anywhere but first or right after the exponent mark, a second '.'
-// or a second exponent — so that a date such as "1995-01-02" costs no error
-// allocation.
+// a sign anywhere but first or right after the exponent mark, a '.' after
+// it, a second '.' or a second exponent, a mantissa or an exponent without
+// digits — so that a date such as "1995-01-02" or a lone "-" costs no error
+// allocation: only an exponent out of float64's range reaches ParseFloat
+// and fails.
 func parseDecimal(raw string) (float64, bool) {
-	dots, exps := 0, 0
+	digits, expDigits, dots, exps := 0, 0, 0, 0
 	for i := 0; i < len(raw); i++ {
 		switch c := raw[i]; {
 		case c >= '0' && c <= '9':
+			if exps == 0 {
+				digits++
+			} else {
+				expDigits++
+			}
 		case c == '.':
+			if exps > 0 {
+				return 0, false
+			}
 			dots++
 		case c == 'e' || c == 'E':
 			exps++
@@ -103,7 +116,7 @@ func parseDecimal(raw string) (float64, bool) {
 			return 0, false
 		}
 	}
-	if dots > 1 || exps > 1 {
+	if dots > 1 || exps > 1 || digits == 0 || exps == 1 && expDigits == 0 {
 		return 0, false
 	}
 	f, err := strconv.ParseFloat(raw, 64)
@@ -130,33 +143,49 @@ func Parse(raw string) Value {
 // null: they act as unique constants until RemoveLabeledNulls reverts them.
 func (v Value) IsNull() bool { return v.Kind == KindNull }
 
-// Equal reports syntactic equality. Numbers compare by numeric value so that
-// "1.0" and "1" from different generators match; strings compare exactly;
-// labels compare by identity; null equals only null.
+// Equal reports whether v and w are one value: whether they fall in the
+// same dictionary class (entryOf), so that Equal, Key equality and Dict ID
+// equality are one relation. Numbers compare by numeric value, so "1.0" and
+// "1" from different generators match, and so does numeric text ("007") with
+// its number; ±0 is one value and all NaNs are one value. Other strings
+// compare exactly, so N(NaN) is not S("NaN"); labels compare by identity;
+// null equals only null. Equal parses text only where it must and never
+// allocates.
 func (v Value) Equal(w Value) bool {
-	switch v.Kind {
-	case KindNull:
-		return w.Kind == KindNull
-	case KindLabel:
-		return w.Kind == KindLabel && v.ID == w.ID
-	case KindNumber:
-		if w.Kind == KindNumber {
-			return v.Num == w.Num
-		}
-		return w.Kind == KindString && v.Str == w.Str
-	default: // KindString
-		if w.Kind == KindString {
-			return v.Str == w.Str
-		}
-		return w.Kind == KindNumber && v.Str == w.Str
-	}
+	// Numeric text starts with '+', '-', '.' or a digit, all at most '9',
+	// and the one number whose text starts past '9' is NaN, whose text is
+	// always "NaN". So a v whose text starts past '9' equals only values
+	// with the same text: two different words are told apart here, in a
+	// body small enough to inline into κ's and β's cell loops.
+	return !(v.Str != "" && v.Str[0] > '9' && v.Str != w.Str) && v.equal(w)
 }
 
-// Key returns a canonical form usable as a map key; distinct keys imply
-// unequal values and vice versa (numeric-text strings share the matching
-// number's key, mirroring Equal's cross-kind text comparison). The one
-// exception is a non-finite number, which only N builds: Equal matches it to
-// its text ("NaN", "+Inf") as a string, whose key is the string's.
+// equal is Equal past its first test.
+func (v Value) equal(w Value) bool {
+	switch {
+	case v.Kind == KindNull || w.Kind == KindNull || v.Kind == KindLabel || w.Kind == KindLabel:
+		return v.Kind == w.Kind && (v.Kind == KindNull || v.ID == w.ID)
+	case v.Kind == w.Kind && v.Str == w.Str: // one spelling of one number, or one text
+		return true
+	}
+	f, ok := v.number()
+	if !ok {
+		return false
+	}
+	g, ok := w.number()
+	return ok && (f == g || f != f && g != g) // ±0 compare equal; all NaNs are one value
+}
+
+// number returns the number a number or numeric text stands for.
+func (v Value) number() (float64, bool) {
+	if v.Kind == KindNumber {
+		return v.Num, true
+	}
+	return parseDecimal(v.Str)
+}
+
+// Key returns a canonical form usable as a map key: two values have the same
+// key exactly when they are Equal.
 //
 // Key output never contains a bare \x00, \x01 or \x02 outside the leading
 // kind marker: string bodies are escaped (see keyEscape), so keys can be

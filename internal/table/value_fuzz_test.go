@@ -8,13 +8,9 @@ import (
 
 // fuzzValue decodes a fuzzed (kind, str, num, id) quadruple into a Value
 // through the contract-honoring constructors (a Number's Str is always its
-// canonical text). Non-finite numbers are outside Parse's contract — N is
-// only ever built from parsed decimal text — and are folded to 0; NaN's
-// dictionary semantics are pinned separately in dict_test.go.
+// canonical text). Non-finite numbers stay: Parse never builds them, but N
+// does, and they are ordinary values under the one equality.
 func fuzzValue(kind uint8, str string, num float64, id int64) Value {
-	if math.IsInf(num, 0) || math.IsNaN(num) {
-		num = 0
-	}
 	switch kind % 5 {
 	case 0:
 		return Null
@@ -61,12 +57,12 @@ func keyEquivalent(v, w Value) bool {
 	return vs == ws
 }
 
-// FuzzValueKey asserts Value.Key is injective across kinds — two values get
-// the same key exactly when the equivalence oracle says so, equal values
-// never get distinct keys, and the dictionary, an Overlay and a KeyIndex
-// agree — and that the
-// '\x01'-joined Row.Key inherits that injectivity: joined keys collide only
-// when every component collides, regardless of embedded control bytes.
+// FuzzValueKey asserts that there is one value equality: a.Equal(b) exactly
+// when a.Key() == b.Key(), exactly when the dictionary gives a and b one ID,
+// exactly when the equivalence oracle says so (and an Overlay and a KeyIndex
+// agree); that Equal is reflexive and symmetric; and that the '\x01'-joined
+// Row.Key inherits Key's injectivity: joined keys collide only when every
+// component collides, regardless of embedded control bytes.
 func FuzzValueKey(f *testing.F) {
 	f.Add(uint8(1), "plain", 0.0, int64(0), uint8(2), "1.5", 1.5, int64(0))
 	f.Add(uint8(1), "1.0", 0.0, int64(0), uint8(2), "x", 1.0, int64(0))
@@ -75,13 +71,22 @@ func FuzzValueKey(f *testing.F) {
 	f.Add(uint8(0), "", 0.0, int64(0), uint8(2), "-0", math.Copysign(0, -1), int64(0))
 	f.Add(uint8(0), "", 0.0, int64(0), uint8(1), "", 0.0, int64(0))
 	f.Add(uint8(0), "", 0.0, int64(0), uint8(0), "", 0.0, int64(0))
+	// Pairs on which Equal and Key once disagreed.
+	f.Add(uint8(1), "007", 0.0, int64(0), uint8(2), "", 7.0, int64(0))
+	f.Add(uint8(1), "7.0", 0.0, int64(0), uint8(2), "", 7.0, int64(0))
+	f.Add(uint8(2), "", math.NaN(), int64(0), uint8(2), "", math.NaN(), int64(0))
+	f.Add(uint8(2), "", math.NaN(), int64(0), uint8(1), "NaN", 0.0, int64(0))
+	f.Add(uint8(2), "", math.Inf(1), int64(0), uint8(1), "+Inf", 0.0, int64(0))
 	f.Fuzz(func(t *testing.T, k1 uint8, s1 string, n1 float64, id1 int64,
 		k2 uint8, s2 string, n2 float64, id2 int64) {
 		v, w := fuzzValue(k1, s1, n1, id1), fuzzValue(k2, s2, n2, id2)
 		vk, wk := v.Key(), w.Key()
 
-		if v.Equal(w) && vk != wk {
-			t.Fatalf("Equal values with distinct keys: %#v (%q) vs %#v (%q)", v, vk, w, wk)
+		if v.Equal(w) != (vk == wk) {
+			t.Fatalf("Equal %v but keys equal %v: %#v (%q) vs %#v (%q)", v.Equal(w), vk == wk, v, vk, w, wk)
+		}
+		if w.Equal(v) != v.Equal(w) || !v.Equal(v) || !w.Equal(w) {
+			t.Fatalf("Equal is not symmetric and reflexive on %#v, %#v", v, w)
 		}
 		if (vk == wk) != keyEquivalent(v, w) {
 			t.Fatalf("key collision oracle mismatch: %#v (%q) vs %#v (%q), oracle %v",

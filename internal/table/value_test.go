@@ -1,6 +1,7 @@
 package table
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -53,6 +54,53 @@ func TestValueEqual(t *testing.T) {
 	}
 	if S("abc").Equal(S("abd")) {
 		t.Error("different strings must differ")
+	}
+	// Equal is the dictionary's class equality: numeric text is its number,
+	// ±0 and all NaNs are one value each, and the Inf/NaN words are text.
+	for _, c := range equalityPairs {
+		if got := c.a.Equal(c.b); got != c.equal || c.b.Equal(c.a) != c.equal {
+			t.Errorf("%#v.Equal(%#v) = %v, want %v both ways", c.a, c.b, got, c.equal)
+		}
+		if same := c.a.Key() == c.b.Key(); same != c.equal {
+			t.Errorf("keys of %#v and %#v equal %v, want %v", c.a, c.b, same, c.equal)
+		}
+	}
+}
+
+// equalityPairs are pairs at the edges of the one equality — respelled
+// numbers, ±0, NaN, the Inf/NaN words and text that starts like a number —
+// with their verdict.
+var equalityPairs = []struct {
+	a, b  Value
+	equal bool
+}{
+	{S("007"), N(7), true},
+	{S("7.0"), N(7), true},
+	{S("007"), S("7.0"), true},
+	{N(0), N(math.Copysign(0, -1)), true},
+	{N(math.NaN()), N(math.NaN()), true},
+	{N(math.NaN()), N(-math.NaN()), true},
+	{N(math.NaN()), S("NaN"), false},
+	{N(math.Inf(1)), S("+Inf"), false},
+	{N(math.Inf(1)), N(math.Inf(1)), true},
+	{S("NaN"), S("NaN"), true},
+	{S("1995-01-02"), S("1995-01-03"), false},
+	{S("1e"), N(1), false},
+	{S("-"), S("+"), false},
+}
+
+// TestValueEqualAllocatesNothing pins that Equal classifies cells without
+// building keys or errors, also on text that looks like the start of a
+// number.
+func TestValueEqualAllocatesNothing(t *testing.T) {
+	n := testing.AllocsPerRun(100, func() {
+		for _, c := range equalityPairs {
+			_ = c.a.Equal(c.b)
+			_ = c.b.Equal(c.a)
+		}
+	})
+	if n != 0 {
+		t.Fatalf("Equal allocates %v objects over equalityPairs, want 0", n)
 	}
 }
 
